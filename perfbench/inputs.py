@@ -5,8 +5,7 @@ coefficients a_0..a_(n-1) and a constant leading coefficient.  Their
 seed points are accepted only where the reference orbit (reference.py)
 stays clear of folds (H = 0), of the isotropic surface and of the chart
 switch while it crosses a small box, so that no operation meets an event
-other than leaving the box, and where the orbit's estimated cost lies in
-a fixed band, so that the seed changes the inputs but hardly the work.
+other than leaving the box and the checks can compare the whole trace.
 """
 
 from __future__ import annotations
@@ -21,13 +20,6 @@ RADIUS = 0.05
 ISO_RADIUS = 0.08
 MAX_DRAWS = 100
 FREE_VALUES = 10
-# accepted range of orbit_cost: the middle of its distribution, so that the
-# operations cost about the same whatever the seed
-ISO_COST_BAND = (160.0, 200.0)
-# Dense-output spacing per degree: the cheaper the field, the finer the
-# output, so that the four random integrate calls cost about the same and
-# sit together in the middle of the workload's latency order.
-MAX_DS = {2: 0.0002, 3: 0.0005, 4: 0.0012, 5: 0.003}
 
 
 def _poly_text(rng: random.Random) -> str:
@@ -49,15 +41,12 @@ def _metric_texts(rng: random.Random, n: int) -> list[str]:
     return [_poly_text(rng) for _ in range(n)] + [f"{lead:.4f}"]
 
 
-def orbit_cost(el, seed, box, max_ds=0.002, isotropic=False) -> float | None:
-    """Estimated field evaluations of one integrate call, or None.
+def clear_orbit(el, seed, box, isotropic=False) -> bool:
+    """Whether the orbit through ``seed`` crosses ``box`` clear of events.
 
-    Both half-orbits are integrated with scipy's RK45, the Dormand-Prince
-    pair the program uses, at its default tolerances and step cap, until
-    they leave the box.  None when an orbit stalls or meets a fold (H
-    near 0), F = 0 (unless the seed is isotropic) or |p| > 1.5.  The
-    estimate is 7 evaluations per step plus one per max_ds of arc, the
-    program's dense-output spacing.
+    Both half-orbits are integrated with scipy's RK45 until they leave
+    the box.  False when an orbit stalls or comes near a fold (H = 0),
+    F = 0 (unless the seed is isotropic) or |p| > 1.5.
     """
     import reference as ref
     from scipy.integrate import solve_ivp
@@ -67,18 +56,17 @@ def orbit_cost(el, seed, box, max_ds=0.002, isotropic=False) -> float | None:
     h0 = float(el.h_at(x0, y0, p0, "p"))
     f0 = float(el.fbar_at(x0, y0, p0, "p"))
     if abs(h0) < 0.1 * scale**2 or (not isotropic and abs(f0) < 0.05 * scale):
-        return None
+        return False
     # the reference field is (n - 1) times the program's, so its time runs
     # n - 1 times slower
     max_step = 0.05 / (el.degree - 1)
-    cost = 0.0
     for direction in (1.0, -1.0):
         sol = solve_ivp(lambda t, s: [direction * v for v in el.proj_field(t, s)],
                         (0.0, 20.0), seed, method="RK45", rtol=1e-10, atol=1e-12,
                         max_step=max_step, first_step=1e-4, dense_output=True,
                         events=ref.box_exit_events(box))
         if sol.status != 1:
-            return None
+            return False
         x, y, p = sol.sol(np.linspace(0.0, sol.t[-1], 200))
         sc = 1.0 + el.scale(x, y)
         h = el.h_at(x, y, p, "p")
@@ -89,16 +77,13 @@ def orbit_cost(el, seed, box, max_ds=0.002, isotropic=False) -> float | None:
             or np.any(h * h0 < 0.02 * sc**2 * abs(h0))
             or (not isotropic and (np.any(f * f0 <= 0.0) or np.any(np.abs(f) < 0.02 * sc)))
         ):
-            return None
-        cost += 7 * (len(sol.t) - 1) + np.hypot(np.diff(x), np.diff(y)).sum() / max_ds
-    return cost
+            return False
+    return True
 
 
 def random_metric(rng: random.Random, n: int) -> dict:
     import reference as ref
 
-    # middle of the cost distribution: about 11 steps and 0.114 of arc
-    center = 7 * 11 + 0.114 / MAX_DS[n]
     for _ in range(MAX_DRAWS):
         texts = _metric_texts(rng, n)
         el = ref.euler_lagrange(tuple(texts))
@@ -106,10 +91,8 @@ def random_metric(rng: random.Random, n: int) -> dict:
             seed = [round(rng.uniform(-0.6, 0.6), 4), round(rng.uniform(-0.6, 0.6), 4),
                     round(rng.uniform(-1.0, 1.0), 4)]
             box = (seed[0] - RADIUS, seed[0] + RADIUS, seed[1] - RADIUS, seed[1] + RADIUS)
-            cost = orbit_cost(el, seed, box, MAX_DS[n])
-            if cost is not None and 0.88 * center <= cost <= 1.12 * center:
-                return {"degree": n, "coeffs": texts, "seed": seed, "radius": RADIUS,
-                        "max_ds": MAX_DS[n]}
+            if clear_orbit(el, seed, box):
+                return {"degree": n, "coeffs": texts, "seed": seed, "radius": RADIUS}
     raise RuntimeError(f"no clear seed found for a random metric of degree {n}")
 
 
@@ -133,8 +116,7 @@ def isotropic_seed(rng: random.Random) -> dict:
                     continue
                 seed = [x0, y0, p]
                 box = (x0 - ISO_RADIUS, x0 + ISO_RADIUS, y0 - ISO_RADIUS, y0 + ISO_RADIUS)
-                cost = orbit_cost(el, seed, box, isotropic=True)
-                if cost is not None and ISO_COST_BAND[0] <= cost <= ISO_COST_BAND[1]:
+                if clear_orbit(el, seed, box, isotropic=True):
                     return {"coeffs": texts, "seed": seed, "radius": ISO_RADIUS}
     raise RuntimeError("no isotropic seed found for a random cubic")
 

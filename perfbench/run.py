@@ -115,7 +115,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1, help="input seed (default 1)")
     ap.add_argument("--seconds", type=float, default=20.0,
-                    help="measure whole passes for about this long (default 20)")
+                    help="run length: whole passes of the workload's nominal "
+                         "length that fit in it, at least one (default 20)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
                     help="1: report per-layer metrics from a traced run")
     args = ap.parse_args(argv)
@@ -154,10 +155,10 @@ def main(argv=None) -> int:
     for name in res["absent"]:
         print(f"absent layer: {name}")
     for name, info in sorted(res["failed_ops"].items()):
-        tag = f"known fault: {info['fault']}" if info["fault"] else "UNEXPECTED"
+        tag = f"known fault: {info['fault']}" if info["fault"] else "no known fault"
         print(f"failed {name} ({tag})")
         for p in info["problems"][:5]:
-            print(f"    {p}")
+            print(f"    {'UNEXPECTED ' if p in info['unexpected'] else ''}{p}")
     metrics = layer_metrics(res) if args.trace else end_to_end_metrics(res, setups)
     print(json.dumps({
         "correct": bool(res["correct"]),

@@ -6,7 +6,8 @@ and rejects a perturbed copy of it.
 Runs the program on the shipped configs (about half a minute, most of it
 one portrait), writes under .perfbench/ in the checkout and removes it.
 Exits non-zero if a checker fails to reject a perturbed copy or rejects
-the original.
+the original.  For an operation with a known fault, "accepts" means that
+the fault explains every problem found, as in a benchmark run.
 """
 
 from __future__ import annotations
@@ -74,6 +75,47 @@ def off_coefficient(base: Path) -> tuple:
     return checks.check_series, (sol, base), (bad, base), spec
 
 
+def _unexplained(op):
+    """A checker that reports only the problems the op's known fault does
+    not explain."""
+
+    def check(out, outdir, spec):
+        return worker.unexplained(op, checks.CHECKERS[op.check](out, outdir, spec))
+
+    return check
+
+
+def moved_tangency(base: Path) -> tuple:
+    """singular on parabola (known fault): the TangencyFailure row moved
+    along the singular curve by 1e-3 in y."""
+    op = workloads.singular_op("parabola.cfg", "y^2 - x", 1.0)
+    check = _unexplained(op)
+    out = op.run(base / "fault-singular")
+    bad = copy_dir(base / "fault-singular", base / "fault-singular-moved")
+    path = bad / "parabola_singular_points.csv"
+    lines = path.read_text().splitlines()
+    head = lines[0].split(",")
+    for i, line in enumerate(lines[1:], start=1):
+        row = dict(zip(head, line.split(",")))
+        if row["kind"] == "TangencyFailure":
+            y = float(row["y"]) + 1e-3
+            row["x"], row["y"] = repr(float(checks.singular_curve_x(1.0, y))), repr(y)
+            lines[i] = ",".join(row[k] for k in head)
+    path.write_text("\n".join(lines) + "\n")
+    return check, (out, base / "fault-singular"), (out, bad), op.spec
+
+
+def missing_trace(base: Path) -> tuple:
+    """integrate on berwald_moor_tangency (known fault): one trace file
+    removed."""
+    op = workloads.bm_integrate_op()
+    check = _unexplained(op)
+    out = op.run(base / "fault-integrate")
+    bad = copy_dir(base / "fault-integrate", base / "fault-integrate-missing")
+    sorted(bad.glob("*_trace*.csv"))[-1].unlink()
+    return check, (out, base / "fault-integrate"), (out, bad), op.spec
+
+
 def _portrait(base: Path) -> tuple[dict, dict]:
     if not (base / "portrait").exists():
         workloads.run_cli("portrait", "halfplane.cfg", base / "portrait")
@@ -129,7 +171,7 @@ def dropped_end_event(base: Path) -> tuple:
 
 
 CASES = [shifted_curve, flipped_stratum, off_coefficient, rotated_segment, changed_byte,
-         dropped_end_event]
+         dropped_end_event, moved_tangency, missing_trace]
 
 
 def main() -> int:
