@@ -8,9 +8,10 @@ from its src/ directory.  Workloads: geodesics, portrait, locus, series
 object with the keys correct, attempted, failed and metrics: with
 --trace 0 the end-to-end metrics, with --trace 1 the per-layer ones.
 
-Inputs are drawn from --seed here, then two set-up probes and the
-workload run each in a fresh interpreter, one after the other.  Scratch
-files live under .perfbench/ in the checkout and are removed at the end.
+Inputs are drawn from --seed here, then set-up probes and the workload
+run each in a fresh interpreter, one after the other: half the probes
+before the workload and half after it.  Scratch files live under
+.perfbench/ in the checkout and are removed at the end.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ for _var in THREAD_VARS:
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("geodesics", "portrait", "locus", "series")
-SETUP_PROBES = 2
+SETUP_PROBES = 6
 TIME_LIMIT_S = 170.0
 
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "cpu_s": "s", "op_p50_ms": "ms",
@@ -97,13 +98,26 @@ def layer_metrics(res: dict) -> dict:
     return out
 
 
+def scaled(p: dict, key: str) -> list[float]:
+    """A pass's per-operation times at the calibration's reference speed."""
+    return [t * k for t, k in zip(p[key], p["scales"])]
+
+
+def median_pass(passes: list[dict], key: str) -> float:
+    """One pass's time as the sum over operations of each operation's
+    median over the passes.  A burst of load on the shared host slows the
+    operations it meets in one pass; the per-operation median drops it
+    unless it meets the same operation in most passes."""
+    return sum(statistics.median(ts) for ts in zip(*(scaled(p, key) for p in passes)))
+
+
 def end_to_end_metrics(res: dict, setups: list[float]) -> dict:
     passes = res["passes"]
-    latencies = [v for p in passes for v in p["latencies"]]
+    latencies = [v for p in passes for v in scaled(p, "latencies")]
     values = {
         "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(p["wall_s"] for p in passes),
-        "cpu_s": statistics.median(p["cpu_s"] for p in passes),
+        "wall_s": median_pass(passes, "latencies"),
+        "cpu_s": median_pass(passes, "cpus"),
         "op_p50_ms": 1e3 * statistics.median(latencies),
         "peak_rss_mib": res["peak_rss_mib"],
     }
@@ -132,26 +146,33 @@ def main(argv=None) -> int:
         import inputs
 
         (workdir / "inputs.json").write_text(json.dumps(inputs.make(args.workload, args.seed)))
-        setups = [run_worker(args, workdir, deadline, True)["setup_s"]
-                  for _ in range(SETUP_PROBES)]
+        probes = [run_worker(args, workdir, deadline, True)
+                  for _ in range(SETUP_PROBES // 2)]
         res = run_worker(args, workdir, deadline, False)
+        probes += [run_worker(args, workdir, deadline, True)
+                   for _ in range(SETUP_PROBES - SETUP_PROBES // 2)]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         try:
             workdir.parent.rmdir()  # only when no other run uses it
         except OSError:
             pass
-    setups.append(res["setup_s"])
+    probes.append(res)
+    setups = [p["setup_s"] for p in probes]
 
     print(f"env: {environment()}")
     passes = len(res["passes"])
     ops = res["ops"]
     walls = ", ".join(f"{p['wall_s']:.3f}" for p in res["passes"])
+    speeds = ", ".join(f"{statistics.median(p['scales']):.3f}" for p in res["passes"])
+    raw_setups = ", ".join(f"{p['setup_raw_s']:.3f}" for p in probes)
     print(f"workload {args.workload}: seed {args.seed}, {len(ops)} operations "
-          f"x {passes} passes, pass wall {walls} s, "
-          f"set-up samples {', '.join(f'{s:.3f}' for s in setups)} s")
-    for name, seconds in zip(ops, res["passes"][0]["latencies"]):
-        print(f"  {1e3 * seconds:10.1f} ms  {name}")
+          f"x {passes} passes, unscaled pass wall {walls} s, median scale {speeds}, "
+          f"set-up samples {', '.join(f'{s:.3f}' for s in setups)} s "
+          f"(unscaled {raw_setups} s)")
+    first = res["passes"][0]
+    for name, seconds, scale in zip(ops, first["latencies"], first["scales"]):
+        print(f"  {1e3 * seconds:10.1f} ms  x {scale:.3f}  {name}")
     for name in res["absent"]:
         print(f"absent layer: {name}")
     for name, info in sorted(res["failed_ops"].items()):

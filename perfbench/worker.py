@@ -4,7 +4,8 @@
         --trace 0|1 --workdir DIR [--setup-only]
 
 run.py starts it with the inputs already written to DIR/inputs.json.
-Set-up is timed from before finslerflow is imported.  The number of
+Set-up is timed from before finslerflow is imported.  Times are taken
+to the reference speed of the machine by speed.Sampler.  The number of
 whole passes is S divided by the workload's nominal pass length, at
 least one; it depends on nothing measured, so every run of a workload
 attempts the same operations.  The peak RSS is read before the checks
@@ -28,8 +29,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 # Nominal seconds of one pass on a 2-vCPU Xeon: at a run length of 20 s
-# geodesics and series run two passes, locus and portrait one.
-NOMINAL_PASS_S = {"geodesics": 10.0, "series": 8.0, "locus": 12.0, "portrait": 40.0}
+# series runs three passes, geodesics two, locus and portrait one.
+NOMINAL_PASS_S = {"geodesics": 8.0, "series": 6.5, "locus": 12.0, "portrait": 40.0}
 
 
 def pass_count(workload: str, seconds: float) -> int:
@@ -42,11 +43,6 @@ def unexplained(op, problems: list[str]) -> list[str]:
     if op.fault is None:
         return list(problems)
     return [p for p in problems if not op.fault.explains(p)]
-
-
-def _cpu() -> float:
-    r = resource.getrusage(resource.RUSAGE_SELF)
-    return r.ru_utime + r.ru_stime
 
 
 def _feed(h, obj) -> None:
@@ -92,27 +88,31 @@ def _dirname(op_name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", op_name)
 
 
-def run_pass(ops, passdir: Path, tracer) -> dict:
+def run_pass(ops, passdir: Path, tracer, sampler) -> dict:
     if tracer is not None:
         tracer.reset()
-    outputs, errors, latencies = {}, {}, []
+    outputs, errors, latencies, cpus, scales = {}, {}, [], [], []
     dirs = {}
     for op in ops:
         dirs[op.name] = passdir / _dirname(op.name)
         dirs[op.name].mkdir(parents=True)
-    c0, w0 = _cpu(), time.perf_counter()
-    for op in ops:
-        s = time.perf_counter()
-        try:
-            outputs[op.name] = op.run(dirs[op.name])
-        except Exception as exc:  # a crashing operation is a failed one
-            errors[op.name] = f"{type(exc).__name__}: {exc}"
-        latencies.append(time.perf_counter() - s)
-    wall, cpu = time.perf_counter() - w0, _cpu() - c0
+    with sampler:
+        for op in ops:
+            start = time.perf_counter()
+            w0, c0 = sampler.clock()
+            try:
+                outputs[op.name] = op.run(dirs[op.name])
+            except Exception as exc:  # a crashing operation is a failed one
+                errors[op.name] = f"{type(exc).__name__}: {exc}"
+            w1, c1 = sampler.clock()
+            latencies.append(w1 - w0)
+            cpus.append(c1 - c0)
+            scales.append(sampler.scale(start, time.perf_counter()))
     return {
-        "wall_s": wall,
-        "cpu_s": cpu,
+        "wall_s": sum(latencies),
         "latencies": latencies,
+        "cpus": cpus,
+        "scales": scales,
         "outputs": outputs,
         "errors": errors,
         "digests": {n: digest(outputs[n], dirs[n]) for n in outputs},
@@ -134,13 +134,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE))
     inputs = json.loads((args.workdir / "inputs.json").read_text())
 
-    t0 = time.perf_counter()
-    import workloads
+    import speed
 
-    wl = workloads.build(args.workload, inputs)
-    setup_s = time.perf_counter() - t0
+    with speed.Sampler(active=not args.trace) as sampler:
+        start = time.perf_counter()
+        w0, _ = sampler.clock()
+        import workloads
+
+        wl = workloads.build(args.workload, inputs)
+        w1, _ = sampler.clock()
+    setup_raw_s = w1 - w0
+    setup_s = setup_raw_s * sampler.scale(start, time.perf_counter())
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps({"setup_s": setup_s, "setup_raw_s": setup_raw_s}))
         return 0
 
     tracer = None
@@ -154,7 +160,7 @@ def main(argv=None) -> int:
     first_dir = args.workdir / "pass0"
     for k in range(pass_count(args.workload, args.seconds)):
         passdir = args.workdir / f"pass{k}"
-        p = run_pass(wl.ops, passdir, tracer)
+        p = run_pass(wl.ops, passdir, tracer, speed.Sampler(active=tracer is None))
         if passes:
             p.pop("outputs")
             shutil.rmtree(passdir)
@@ -192,10 +198,12 @@ def main(argv=None) -> int:
     correct = not any(v["unexpected"] for v in problems.values())
     print(json.dumps({
         "setup_s": setup_s,
+        "setup_raw_s": setup_raw_s,
         "config_s": wl.config_s,
         "build_s": wl.build_s,
         "ops": [op.name for op in wl.ops],
-        "passes": [{k: p[k] for k in ("wall_s", "cpu_s", "latencies", "bytes", "layers")}
+        "passes": [{k: p[k] for k in ("wall_s", "latencies", "cpus", "scales", "bytes",
+                                      "layers")}
                    for p in passes],
         "peak_rss_mib": peak_rss_mib,
         "correct": correct,

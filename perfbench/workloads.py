@@ -39,8 +39,8 @@ TANGENCY_IMMERSIONS = {
 PRODUCT_METRIC = ("0", "-4*x", "1", "0")  # F = p (p - 4x)
 HALFPLANE_METRIC = ("-x", "0", "1", "0")  # F = p^2 - x
 FAMILY_ALPHAS = (-1.0, 0.5)
-HALFPLANE_ISO_SEEDS = ([0.3, 0.0, 0.5], [0.6, 0.2, 0.77], [0.1, -0.3, 0.31], [0.8, 0.5, -0.89])
-PARABOLA_ISO_SEEDS = ([0.5, 0.3, 0.5], [1.0, 0.6, 0.8])
+HALFPLANE_ISO_SEEDS = ([0.3, 0.0, 0.5], [0.6, 0.2, 0.77], [0.1, -0.3, 0.31])
+PARABOLA_ISO_SEEDS = ([1.0, 0.6, 0.8],)
 
 
 @dataclass(frozen=True)
