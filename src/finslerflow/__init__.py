@@ -50,6 +50,7 @@ from .metric import (
     isotropic_directions,
     metric_from_strings,
 )
+from .nets import net_curves
 from .polyanalysis import (
     CorrespondenceReport,
     RootedPolynomial,
@@ -123,6 +124,7 @@ __all__ = [
     "isotropic_trace",
     "lift_to_slope",
     "metric_from_strings",
+    "net_curves",
     "pairwise_expansion",
     "parse",
     "series_point",

@@ -37,6 +37,7 @@ from . import berwald_moor as bm
 from . import expr as ex
 from . import flow as fl
 from . import metric as mt
+from . import nets
 from . import poly
 from . import polyanalysis as pa
 from . import puiseux as px
@@ -492,111 +493,6 @@ class _SvgCanvas:
 
 
 # ---------------------------------------------------------------------------
-# direction nets
-
-_NET_STEPS = 900
-_NET_SEED_AXIS = 11
-_NET_PMAX = 40.0
-
-
-def _net_curves(
-    m: mt.PseudoFinslerMetric,
-    box: tuple[float, float, float, float],
-    layer: str,
-    seeds_per_axis: int = _NET_SEED_AXIS,
-) -> list[np.ndarray]:
-    """Integral curves of the direction net defined by a slope polynomial.
-
-    ``layer`` names a coefficient layer of the metric ("F" traces the
-    isotropic net, "denom" the degenerate direction net).  Each real
-    root p of C(x, y, p) = 0 defines a direction dy = p dx; the curves
-    are traced with the lifted field (C_p, p C_p, -(C_x + p C_y)),
-    which keeps C = 0 invariant, and projected back to the plane.
-    """
-    f_c = [ex.as_field(e) for e in m._expr_layer(layer)]
-    f_x = [ex.as_field(e) for e in m._expr_layer(layer + "_x")]
-    f_y = [ex.as_field(e) for e in m._expr_layer(layer + "_y")]
-
-    def coeff_arrays(x, y):
-        return (
-            np.array([f(x, y) for f in f_c]),
-            np.array([f(x, y) for f in f_x]),
-            np.array([f(x, y) for f in f_y]),
-        )
-
-    def rhs(state):
-        x, y, p = state
-        c, cx, cy = coeff_arrays(x, y)
-        powers = p ** np.arange(c.size)
-        dcdp = float(np.sum(np.arange(1, c.size) * c[1:] * powers[:-1]))
-        val_x = float(np.dot(cx, powers))
-        val_y = float(np.dot(cy, powers))
-        return np.array([dcdp, p * dcdp, -(val_x + p * val_y)])
-
-    diag = float(np.hypot(box[1] - box[0], box[3] - box[2]))
-    ds = diag / 500.0
-    pad_x = 0.02 * (box[1] - box[0])
-    pad_y = 0.02 * (box[3] - box[2])
-    cell = max(box[1] - box[0], box[3] - box[2]) / 150.0
-
-    visited: set[tuple[int, int, int]] = set()
-
-    def key_of(x, y, p):
-        return (
-            int(np.floor((x - box[0]) / cell)),
-            int(np.floor((y - box[2]) / cell)),
-            int(np.floor((np.arctan(p) + np.pi / 2) / (np.pi / 24))),
-        )
-
-    def trace_from(x0, y0, p0, sign):
-        state = np.array([x0, y0, p0])
-        pts = [state[:2].copy()]
-        for _ in range(_NET_STEPS):
-            k1 = rhs(state)
-            nrm = float(np.linalg.norm(k1))
-            if nrm < 1e-12:
-                break
-            h = sign * ds / nrm
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
-            step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if float(np.linalg.norm(step[:2])) < 1e-10:
-                break
-            state = state + step
-            x, y, p = state
-            if not (
-                box[0] - pad_x <= x <= box[1] + pad_x
-                and box[2] - pad_y <= y <= box[3] + pad_y
-            ):
-                break
-            if abs(p) > _NET_PMAX:
-                break
-            visited.add(key_of(x, y, p))
-            pts.append(state[:2].copy())
-        return np.array(pts)
-
-    curves: list[np.ndarray] = []
-    xs = np.linspace(box[0], box[1], seeds_per_axis + 2)[1:-1]
-    ys = np.linspace(box[2], box[3], seeds_per_axis + 2)[1:-1]
-    for y0 in ys:
-        for x0 in xs:
-            c, _, _ = coeff_arrays(x0, y0)
-            roots = poly.RealPolynomial(c).real_roots()
-            for p0, mult in roots:
-                if mult > 1 or abs(p0) > _NET_PMAX:
-                    continue
-                if key_of(x0, y0, p0) in visited:
-                    continue
-                fwd = trace_from(x0, y0, p0, +1.0)
-                back = trace_from(x0, y0, p0, -1.0)
-                joined = np.vstack([back[::-1], fwd[1:]]) if len(back) > 1 else fwd
-                if len(joined) >= 2:
-                    curves.append(joined)
-    return curves
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -764,11 +660,11 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
     m = cfg.metric_obj()
     canvas = _SvgCanvas(cfg.box)
     n_curves = Counter()
-    for c in _net_curves(m, cfg.box, "F"):
+    for c in nets.net_curves(m, cfg.box, "F"):
         canvas.polyline(c, "isotropic-net")
         n_curves["isotropic"] += 1
     if m.degree in (2, 3):
-        for c in _net_curves(m, cfg.box, "denom"):
+        for c in nets.net_curves(m, cfg.box, "denom"):
             canvas.polyline(c, "singular-net")
             n_curves["singular"] += 1
         try:

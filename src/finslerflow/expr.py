@@ -11,6 +11,7 @@ so a parsed expression keeps the shape the user wrote.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +306,10 @@ def evaluate(e: Expr, x: float, y: float) -> float:
         base = evaluate(e.base, x, y)
         if e.exponent < 0 and abs(base) < DIV_TOL:
             raise EvalDomainError(to_string(e), x, y)
-        return float(base) ** e.exponent
+        try:
+            return float(base) ** e.exponent
+        except OverflowError:
+            return math.copysign(math.inf, base) if e.exponent % 2 else math.inf
     raise TypeError(f"not an expression node: {e!r}")
 
 

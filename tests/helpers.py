@@ -1,4 +1,4 @@
-"""Shared builders for the test suite."""
+"""Shared builders and planar polyline utilities for the test suite."""
 
 from __future__ import annotations
 
@@ -98,3 +98,76 @@ def max_ode_residual(m, trace, stride: int = 7, event_margin: int = 21) -> float
         checked += 1
     assert checked > 0, "residual check found no usable interior samples"
     return worst
+
+
+# ---------------------------------------------------------------------------
+# planar polylines
+
+
+def _point_segment_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from points (N, 2) to one segment a-b."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.hypot(*(pts - a).T)
+    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return np.hypot(*(pts - proj).T)
+
+
+def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """max over points of a of the distance to polyline b."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if len(b) == 1:
+        return float(np.max(np.hypot(*(a - b[0]).T)))
+    best = np.full(len(a), np.inf)
+    for i in range(len(b) - 1):
+        d = _point_segment_dist(a, b[i], b[i + 1])
+        np.minimum(best, d, out=best)
+    return float(np.max(best))
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+
+
+def _boundary_point(a, b, c, radius):
+    """Point on segment a-b at distance radius from c (a inside, b outside)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.hypot(*(a + mid * (b - a) - c)) <= radius:
+            lo = mid
+        else:
+            hi = mid
+    return a + lo * (b - a)
+
+
+def crop_to_ball(points: np.ndarray, center, radius: float) -> np.ndarray:
+    """Arc of a polyline inside a disc, boundary points interpolated.
+
+    Keeps the contiguous run of samples through the one closest to the
+    center and extends it to the first exit on each side, so branches that
+    re-enter the disc elsewhere are ignored; the result is comparable
+    across integrators with different parametrizations.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    c = np.asarray(center, dtype=np.float64)
+    d = np.hypot(*(pts - c).T)
+    i0 = int(np.argmin(d))
+    if d[i0] > radius:
+        return pts[:0]
+    lo = i0
+    while lo - 1 >= 0 and d[lo - 1] <= radius:
+        lo -= 1
+    hi = i0
+    while hi + 1 < len(pts) and d[hi + 1] <= radius:
+        hi += 1
+    out = list(pts[lo : hi + 1])
+    if lo - 1 >= 0:
+        out.insert(0, _boundary_point(pts[lo], pts[lo - 1], c, radius))
+    if hi + 1 < len(pts):
+        out.append(_boundary_point(pts[hi], pts[hi + 1], c, radius))
+    return np.asarray(out)
+

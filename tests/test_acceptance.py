@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from finslerflow import berwald_moor as bm
-from finslerflow import cli, flow, geom
+from finslerflow import cli, flow
 from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import polyanalysis as pa
@@ -20,7 +20,14 @@ from finslerflow import puiseux as pz
 from finslerflow import singular as sg
 from finslerflow.flow import IntegratorConfig, PTMPoint
 
-from helpers import halfplane_metric, parabola_metric, quartic_product_metric, random_metric
+from helpers import (
+    crop_to_ball,
+    halfplane_metric,
+    hausdorff_distance,
+    parabola_metric,
+    quartic_product_metric,
+    random_metric,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -280,8 +287,8 @@ def test_criterion_09_tangent_bundle_equivalence():
             continue
         center = np.array([x, y])
         pts = np.column_stack([ptm.x[lo : hi + 1], ptm.y[lo : hi + 1]])
-        a = geom.crop_to_ball(pts, center, radius)
-        b = geom.crop_to_ball(tm.points(), center, radius)
+        a = crop_to_ball(pts, center, radius)
+        b = crop_to_ball(tm.points(), center, radius)
 
         def full_chord(arr):
             if len(arr) < 30:
@@ -291,7 +298,7 @@ def test_criterion_09_tangent_bundle_equivalence():
 
         if not (full_chord(a) and full_chord(b)):
             continue
-        worst = max(worst, geom.hausdorff_distance(a, b))
+        worst = max(worst, hausdorff_distance(a, b))
         arcs += 1
     report(
         9,

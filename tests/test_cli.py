@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import types
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ a2 = 1
 box = -1.5 1.5 0.05 1.5
 resolution = 140
 out_prefix = par
+"""
+
+POLE = """\
+# a0 has a pole on x = 0, where a row of net seeds lands
+mode = coefficients
+n = 3
+a0 = 1/x - y
+a2 = 1
+box = -1 1 -1 1
+resolution = 40
+out_prefix = pole
 """
 
 TANGENCY = """\
@@ -232,6 +244,19 @@ class TestCommands:
         out2.mkdir()
         assert cli.main(["portrait", "--config", path, "--out", str(out2)]) == 0
         assert (out2 / "hp_portrait.svg").read_bytes() == svg
+
+    def test_portrait_survives_coefficient_pole(self, tmp_path, capsys):
+        path = write(tmp_path, POLE)
+        assert cli.main(["portrait", "--config", path, "--out", str(tmp_path)]) == 0
+        root = ET.parse(tmp_path / "pole_portrait.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        paths = root.findall("{http://www.w3.org/2000/svg}path")
+        assert paths
+        for el in paths:
+            coords = el.get("d").replace("M", "").replace("L", "").split()
+            assert np.all(np.isfinite(np.array(coords, dtype=float)))
+        out = capsys.readouterr().out
+        assert "isotropic=" in out and "singular=" in out
 
     def test_puiseux_bm_mode(self, tmp_path):
         rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),

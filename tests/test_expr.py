@@ -79,6 +79,24 @@ def test_division_by_zero_field_raises():
         ex.evaluate(e, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "text, x, expected",
+    [
+        ("x^3", 1e150, np.inf),
+        ("x^3", -1e150, -np.inf),
+        ("x^4", -1e150, np.inf),
+        ("x^-27", -2e-12, -np.inf),
+    ],
+)
+def test_power_overflow_gives_inf(text, x, expected):
+    assert ex.ScalarField(text)(x, 0.0) == expected
+
+
+def test_power_pole_still_raises():
+    with pytest.raises(ex.EvalDomainError):
+        ex.ScalarField("x^-3")(0.0, 1.0)
+
+
 def test_compiled_program_matches_tree_eval():
     rng = np.random.default_rng(11)
     for text in SAMPLES + ["x/(2 + y^2)", "(x + y)^5"]:

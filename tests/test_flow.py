@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from finslerflow import flow, geom
+from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow.flow import IntegratorConfig, PTMPoint
 
 from helpers import (
+    crop_to_ball,
     halfplane_metric,
+    hausdorff_distance,
     max_ode_residual,
     nondegenerate_state,
     parabola_metric,
@@ -212,19 +214,19 @@ class TestTangentBundleOverlay:
         ptm = flow.integrate(m, PTMPoint(*seed))
         tm = flow.tm_integrate(m, seed[0], seed[1], 1.0, seed[2])
         center = np.array(seed[:2])
-        a = geom.crop_to_ball(ptm.points(), center, 0.25)
-        b = geom.crop_to_ball(tm.points(), center, 0.25)
+        a = crop_to_ball(ptm.points(), center, 0.25)
+        b = crop_to_ball(tm.points(), center, 0.25)
         assert len(a) > 50 and len(b) > 50
-        assert geom.hausdorff_distance(a, b) < 1e-5
+        assert hausdorff_distance(a, b) < 1e-5
 
     def test_speed_scaling_irrelevant(self):
         m = halfplane_metric()
         t1 = flow.tm_integrate(m, -0.5, 0.0, 1.0, 0.3)
         t2 = flow.tm_integrate(m, -0.5, 0.0, 2.0, 0.6)
         center = np.array([-0.5, 0.0])
-        a = geom.crop_to_ball(t1.points(), center, 0.2)
-        b = geom.crop_to_ball(t2.points(), center, 0.2)
-        assert geom.hausdorff_distance(a, b) < 1e-6
+        a = crop_to_ball(t1.points(), center, 0.2)
+        b = crop_to_ball(t2.points(), center, 0.2)
+        assert hausdorff_distance(a, b) < 1e-6
 
     def test_degenerate_seed_refused(self):
         m = halfplane_metric()
