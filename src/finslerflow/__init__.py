@@ -8,9 +8,9 @@ the flow, expands solutions in power series at degenerate points, and
 renders phase portraits.  Product metrics induced on immersed surfaces
 get dedicated blow-up tooling.
 
-Heavy kernels are compiled with numba when it is importable; setting
-the environment variable FINSLERFLOW_DISABLE_NUMBA forces the plain
-numpy fallback.
+Numeric evaluation runs through straight-line Python functions generated
+from the expression trees of each metric layer (codegen.py), on floats
+and on numpy arrays; there is no compiled extension.
 """
 
 from __future__ import annotations

@@ -203,15 +203,22 @@ class AdaptedLocalMetric:
         return 2 + len(self.extra)
 
 
-@lru_cache(maxsize=None)
 def full_metric(alm: AdaptedLocalMetric) -> PseudoFinslerMetric:
-    """Expand p*(a*x + b*p)*G into a polynomial metric."""
-    factors = [
-        (ex.const(0.0), ex.const(1.0)),
-        (ex.mul(alm.a.expr, ex.Var("x")), alm.b.expr),
-    ]
-    factors.extend((gx.expr, gy.expr) for gx, gy in alm.extra)
-    return PseudoFinslerMetric(alm.n, _expand_factors(factors))
+    """Expand p*(a*x + b*p)*G into a polynomial metric.
+
+    Adapted metrics with equal coefficient trees share one result (and so
+    its generated evaluators); the ScalarField members compare by
+    identity, so the cache is keyed on their expressions.
+    """
+    extra = tuple((gx.expr, gy.expr) for gx, gy in alm.extra)
+    return _full_metric(alm.a.expr, alm.b.expr, extra)
+
+
+@lru_cache(maxsize=16)
+def _full_metric(a: ex.Expr, b: ex.Expr, extra) -> PseudoFinslerMetric:
+    factors = [(ex.const(0.0), ex.const(1.0)), (ex.mul(a, ex.Var("x")), b)]
+    factors.extend(extra)
+    return PseudoFinslerMetric(2 + len(extra), _expand_factors(factors))
 
 
 def admissible_u(alm: AdaptedLocalMetric, x: float = 0.0, y: float = 0.0):

@@ -1,0 +1,253 @@
+"""Straight-line evaluators generated from expression trees.
+
+A layer -- the coefficient fields c_0..c_{n-1} of one polynomial in the
+slope p -- is value-numbered into one sequence of assignments, in which
+equal subexpressions are computed once, and compiled with ``compile()``
+into plain Python functions: the coefficients at a point, their Horner
+sum in p, and the coefficients on arrays of points.  Each function is
+compiled on its first use.
+
+The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
+overflowing power gives inf, never an exception.  Integer powers are
+expanded by square-and-multiply and Horner's rule starts from 0.0 with
+the highest coefficient first, so a pointwise result is exactly what that
+sequence of float operations gives.  The guarded evaluator, which raises
+at poles, is expr.evaluate.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cached_property
+
+import numpy as np
+
+from . import expr as ex
+
+
+def _div(a: float, b: float) -> float:
+    """a / b on floats, with the IEEE result instead of ZeroDivisionError."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+_FOLD = {
+    "+": lambda a, b: a + b,
+    "*": lambda a, b: a * b,
+    "/": _div,
+    "-": lambda a, b: -a,
+}
+_COMMUTATIVE = ("+", "*")
+# Grids are evaluated in slices of this many points, so that temporaries
+# stay small (64 KiB) whatever the grid size and the layer's live set.
+_CHUNK = 8192
+_UFUNC = {"+": "add", "*": "multiply", "/": "divide", "-": "negative"}
+
+
+def _atom(v: str | float) -> str:
+    """Source text of an operand: a name, or a float literal that
+    evaluates to exactly ``v`` (inf and nan are names in the namespace)."""
+    if isinstance(v, str):
+        return v
+    s = repr(v)
+    return "(" + s + ")" if s.startswith("-") else s
+
+
+class _Code:
+    """Value-numbered straight-line code for a list of expressions.
+
+    ``lines`` holds (target, op, a, b) with op one of + * / and - (negate
+    a); operands are names (x, y, t<k>) or floats.  Nodes are memoized by
+    identity and keyed by their operator and operand names, so no
+    expression tree is ever hashed.  A node whose operands are all
+    constants is computed here, with the same float operation.
+    """
+
+    def __init__(self, exprs):
+        self.lines: list[tuple[str, str, str | float, str | float | None]] = []
+        self._keys: dict[tuple, str] = {}
+        self._seen: dict[int, str | float] = {}
+        self.roots = [self._visit(e) for e in exprs]
+        del self._keys, self._seen  # needed only while numbering
+
+    def _op(self, op: str, a, b=None):
+        if isinstance(a, float) and (b is None or isinstance(b, float)):
+            return _FOLD[op](a, b)
+        args = (_atom(a), None if b is None else _atom(b))
+        # exact identities: v * 1.0, v / 1.0 and v + (-0.0) are v for
+        # every float v, signed zeros, infinities and nan included
+        if (op, args[0]) in (("*", "1.0"), ("+", "(-0.0)")):
+            return b
+        if (op, args[1]) in (("*", "1.0"), ("/", "1.0"), ("+", "(-0.0)")):
+            return a
+        key = (op,) + (tuple(sorted(args)) if op in _COMMUTATIVE else args)
+        name = self._keys.get(key)
+        if name is None:
+            name = f"t{len(self.lines)}"
+            self._keys[key] = name
+            self.lines.append((name, op, a, b))
+        return name
+
+    def _pow(self, b, k: int):
+        if k < 0:
+            b, k = self._op("/", 1.0, b), -k
+        r = None  # stands for 1.0; 1.0 * b is exactly b
+        while k:
+            if k & 1:
+                r = b if r is None else self._op("*", r, b)
+            k >>= 1
+            if k:
+                b = self._op("*", b, b)
+        return 1.0 if r is None else r
+
+    def _visit(self, e: ex.Expr):
+        got = self._seen.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, ex.Const):
+            out = float(e.value)
+        elif isinstance(e, ex.Var):
+            out = e.name
+        elif isinstance(e, ex.Add):
+            out = self._op("+", self._visit(e.a), self._visit(e.b))
+        elif isinstance(e, ex.Mul):
+            out = self._op("*", self._visit(e.a), self._visit(e.b))
+        elif isinstance(e, ex.Div):
+            out = self._op("/", self._visit(e.a), self._visit(e.b))
+        elif isinstance(e, ex.Neg):
+            out = self._op("-", self._visit(e.a))
+        elif isinstance(e, ex.Pow):
+            out = self._pow(self._visit(e.base), e.exponent)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        self._seen[id(e)] = out
+        return out
+
+    def scalar_lines(self) -> list[str]:
+        out = []
+        for t, op, a, b in self.lines:
+            if op == "-":
+                out.append(f"{t} = -{_atom(a)}")
+            elif op == "/":
+                out.append(f"{t} = _div({_atom(a)}, {_atom(b)})")
+            else:
+                out.append(f"{t} = {_atom(a)} {op} {_atom(b)}")
+        return out
+
+    def array_lines(self) -> list[str]:
+        """Array code: a root is computed into its row out[k], any other
+        result into the buffer of an operand that dies with it, and every
+        temporary is deleted after its last use, so only live arrays are
+        held."""
+        last = {}
+        for i, (_, _, a, b) in enumerate(self.lines):
+            for v in (a, b):
+                if isinstance(v, str):
+                    last[v] = i
+        rows: dict[str, list[int]] = {}
+        out = []
+        for k, r in enumerate(self.roots):
+            if isinstance(r, str) and r.startswith("t"):
+                rows.setdefault(r, []).append(k)
+            else:
+                out.append(f"out[{k}] = {_atom(r)}")
+        for i, (t, op, a, b) in enumerate(self.lines):
+            dying = [
+                v for v in dict.fromkeys((a, b))
+                if isinstance(v, str) and v.startswith("t") and last[v] == i
+            ]
+            # a row of out is never reused as a buffer
+            into = [f"out[{k}]" for k in rows.get(t, ())]
+            into += [v for v in dying if v not in rows]
+            args = _atom(a) if b is None else f"{_atom(a)}, {_atom(b)}"
+            target = f", out={into[0]}" if into else ""
+            out.append(f"{t} = np.{_UFUNC[op]}({args}{target})")
+            out.extend(f"{row} = {t}" for row in into[1 : len(rows.get(t, ()))])
+            if t not in last:
+                dying.append(t)
+            if dying:
+                out.append("del " + ", ".join(dying))
+        return out
+
+
+def _function(args: str, body: list[str], result: str):
+    src = f"def f({args}):\n" + "".join(f"    {s}\n" for s in body + [
+        f"return {result}"
+    ])
+    ns = {"_div": _div, "inf": math.inf, "nan": math.nan, "np": np}
+    exec(compile(src, "<finslerflow generated>", "exec"), ns)
+    return ns["f"]
+
+
+def _horner(roots, acc: str = "h") -> tuple[list[str], str]:
+    """Lines computing sum_i roots[i] * p^i by Horner's rule from 0.0;
+    returns them and the source of the result."""
+    lines, prev = [], "0.0"
+    for k, r in enumerate(reversed(roots)):
+        lines.append(f"{acc}{k} = {prev} * p + {_atom(r)}")
+        prev = f"{acc}{k}"
+    return lines, prev
+
+
+def horner_function(layers):
+    """(x, y, p) -> tuple of each layer's polynomial value at slope p;
+    the layers share one value numbering."""
+    code = _Code([e for layer in layers for e in layer])
+    body, results, at = code.scalar_lines(), [], 0
+    for j, layer in enumerate(layers):
+        lines, result = _horner(code.roots[at : at + len(layer)], f"h{j}_")
+        at += len(layer)
+        body += lines
+        results.append(result)
+    return _function("x, y, p", body, "(" + ", ".join(results) + ",)")
+
+
+class LayerTable:
+    """Generated evaluators of the coefficient fields of one layer.
+
+    Index i holds the coefficient of p^i when the table represents a
+    polynomial in the slope p with coefficient fields over (x, y).
+    """
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self.n = len(self.exprs)
+
+    @cached_property
+    def _code(self) -> _Code:
+        return _Code(self.exprs)
+
+    @cached_property
+    def _values(self):
+        roots = ", ".join(_atom(r) for r in self._code.roots)
+        return _function("x, y", self._code.scalar_lines(), f"({roots},)")
+
+    @cached_property
+    def _poly(self):
+        lines, acc = _horner(self._code.roots)
+        return _function("x, y, p", self._code.scalar_lines() + lines, acc)
+
+    @cached_property
+    def _grid(self):
+        return _function("x, y, out", self._code.array_lines(), "out")
+
+    def values_at(self, x: float, y: float) -> np.ndarray:
+        return np.array(self._values(float(x), float(y)))
+
+    def poly_value(self, x: float, y: float, p: float) -> float:
+        return self._poly(float(x), float(y), float(p))
+
+    def values_on_grid(self, xs, ys) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        flat = xs.ravel()
+        # full-size y, so that every temporary has the shape of out[k]
+        ys = np.broadcast_to(np.asarray(ys, dtype=np.float64).ravel(), flat.shape)
+        out = np.empty((self.n,) + flat.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for s in range(0, flat.size, _CHUNK):
+                e = s + _CHUNK
+                self._grid(flat[s:e], ys[s:e], out[:, s:e])
+        return out.reshape((self.n,) + xs.shape)

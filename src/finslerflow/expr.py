@@ -18,15 +18,6 @@ import numpy as np
 
 DIV_TOL = 1e-12
 
-OP_CONST = 0
-OP_X = 1
-OP_Y = 2
-OP_ADD = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_NEG = 6
-OP_POW = 7
-
 
 class ExprSyntaxError(ValueError):
     """Raised by the parser; carries the byte offset of the failure."""
@@ -414,60 +405,6 @@ def to_string(e: Expr) -> str:
             base = "(" + base + ")"
         return base + "^" + str(e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# compilation to a postfix program for the numeric kernels
-
-
-@dataclass(frozen=True)
-class Program:
-    """Postfix bytecode for one expression: pairs (op, arg) flattened."""
-
-    code: np.ndarray
-    consts: np.ndarray
-    stack_need: int
-
-    def __call__(self, x: float, y: float) -> float:
-        from . import _kernels
-
-        return _kernels.eval_program(self.code, self.consts, x, y)
-
-
-def compile_expr(e: Expr) -> Program:
-    code: list[int] = []
-    consts: list[float] = []
-
-    def emit(node: Expr) -> int:
-        if isinstance(node, Const):
-            code.extend((OP_CONST, len(consts)))
-            consts.append(node.value)
-            return 1
-        if isinstance(node, Var):
-            code.extend((OP_X if node.name == "x" else OP_Y, 0))
-            return 1
-        if isinstance(node, (Add, Mul, Div)):
-            da = emit(node.a)
-            db = emit(node.b)
-            op = {Add: OP_ADD, Mul: OP_MUL, Div: OP_DIV}[type(node)]
-            code.extend((op, 0))
-            return max(da, 1 + db)
-        if isinstance(node, Neg):
-            d = emit(node.a)
-            code.extend((OP_NEG, 0))
-            return d
-        if isinstance(node, Pow):
-            d = emit(node.base)
-            code.extend((OP_POW, node.exponent))
-            return d
-        raise TypeError(f"not an expression node: {node!r}")
-
-    depth = emit(e)
-    return Program(
-        code=np.asarray(code, dtype=np.int64),
-        consts=np.asarray(consts, dtype=np.float64),
-        stack_need=depth,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ CHART_SWITCH = "ChartSwitch"
 ISOTROPIC_CROSS = "IsotropicCross"
 DOMAIN_EXIT = "DomainExit"
 STEP_UNDERFLOW = "StepUnderflow"
+MAX_STEPS = "MaxSteps"
 
 EVENT_KINDS = (
     CUSP,
@@ -42,6 +43,7 @@ EVENT_KINDS = (
     ISOTROPIC_CROSS,
     DOMAIN_EXIT,
     STEP_UNDERFLOW,
+    MAX_STEPS,
 )
 
 _T_LOCATE = 1e-10
@@ -424,6 +426,8 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             h = h * 5.0
         else:
             h = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
+    else:
+        events.append(TraceEvent(len(cols["t"]) - 1, MAX_STEPS, t))
 
     return cols, events
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from . import poly
-from ._kernels import ProgramTable
+from .codegen import LayerTable, horner_function
 
 DISC_BAND_REL = 1e-10
 DEGREE_TRIM_REL = 1e-12
@@ -73,7 +73,8 @@ class PseudoFinslerMetric:
         self.coeffs = tuple(ex.as_field(c) for c in coeffs)
         self._check_not_identically_zero()
         self._exprs: dict[str, list[ex.Expr]] = {}
-        self._tables: dict[str, ProgramTable] = {}
+        self._tables: dict[str, LayerTable] = {}
+        self._fdp = None
         self._dual: PseudoFinslerMetric | None = None
 
     def _check_not_identically_zero(self) -> None:
@@ -110,14 +111,20 @@ class PseudoFinslerMetric:
         self._exprs[name] = out
         return out
 
-    def table(self, name: str) -> ProgramTable:
+    def table(self, name: str) -> LayerTable:
         got = self._tables.get(name)
         if got is None:
-            got = ProgramTable(
-                [ex.compile_expr(e) for e in self._expr_layer(name)]
-            )
+            got = LayerTable(self._expr_layer(name))
             self._tables[name] = got
         return got
+
+    def fdp(self, x: float, y: float, p: float) -> tuple[float, float, float]:
+        """(F, denom, numer) at slope p, from one generated function."""
+        if self._fdp is None:
+            self._fdp = horner_function(
+                [self._expr_layer(name) for name in ("F", "denom", "numer")]
+            )
+        return self._fdp(x, y, p)
 
     def dual(self) -> "PseudoFinslerMetric":
         """Metric seen from the chart with the roles of x and y exchanged.
@@ -222,11 +229,7 @@ def fdp_values(
     m: PseudoFinslerMetric, x: float, y: float, p: float
 ) -> tuple[float, float, float]:
     """(F, denom, numer) at one projectivized point; the field hot path."""
-    return (
-        m.table("F").poly_value(x, y, p),
-        m.table("denom").poly_value(x, y, p),
-        m.table("numer").poly_value(x, y, p),
-    )
+    return m.fdp(float(x), float(y), float(p))
 
 
 def disc_metric(m: PseudoFinslerMetric, x: float, y: float) -> float:

@@ -148,12 +148,12 @@ def classify_singular(
         and l1.real * l2.real > 0
     ):
         kind = RESONANT_32
-        try:
-            from .flow import check_transversality
+        from .flow import TransversalityError, check_transversality
 
+        try:
             check_transversality(m, x, y, p)
             transversal = True
-        except Exception:
+        except TransversalityError:
             transversal = False
     return SingularPoint(x, y, p, eigs, kind, transversal)
 

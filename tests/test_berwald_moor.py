@@ -95,6 +95,14 @@ class TestAdaptedChart:
                 atol=1e-12,
             )
 
+    def test_equal_adapted_metrics_share_full_metric(self):
+        first = bm.adapted_from_immersion(tangency_immersion(), 2, 1)
+        second = bm.adapted_from_immersion(tangency_immersion(), 2, 1)
+        assert first.a is not second.a
+        assert bm.full_metric(first) is bm.full_metric(second)
+        other = bm.AdaptedLocalMetric("-3", "1", extra=(("1", "0"),))
+        assert bm.full_metric(other) is not bm.full_metric(first)
+
     def test_position_validation(self):
         imm = tangency_immersion()
         with pytest.raises(ValueError, match="vertical component depends on x"):

@@ -27,6 +27,7 @@ EVENT_KINDS = {
     "IsotropicCross",
     "DomainExit",
     "StepUnderflow",
+    "MaxSteps",
 }
 
 
@@ -88,6 +89,19 @@ class TestTraceStructure:
             assert 0 <= e.index < len(tr)
             assert tr.t[e.index] == pytest.approx(e.t, abs=1e-9)
         assert "DomainExit" in tr.event_kinds()
+
+    def test_exhausted_step_budget_ends_with_event(self):
+        m = halfplane_metric()
+        cfg = IntegratorConfig(max_steps=5)
+        for direction in (+1, -1):
+            tr = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg, direction)
+            end = len(tr) - 1
+            assert [(e.index, e.kind) for e in tr.events] == [(end, "MaxSteps")]
+            assert tr.t[end] == pytest.approx(tr.events[0].t, abs=1e-12)
+        tr = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
+        assert [(e.index, e.kind) for e in tr.events] == [
+            (0, "MaxSteps"), (len(tr) - 1, "MaxSteps")
+        ]
 
     def test_sample_spacing_bounded(self):
         m = halfplane_metric()

@@ -1,25 +1,39 @@
-"""Compiled kernel layer: numba path against the pure numpy fallback."""
+"""Generated evaluators (codegen.py) against the guarded tree walk.
+
+The tree walk ``expr.evaluate`` takes integer powers from libm ``pow``
+while the generated code multiplies (x**2 and x*x differ by one ulp on
+about 0.08% of inputs), so agreement with it is checked to a tolerance.
+Grid and pointwise results run the same operations and must be equal.
+"""
 
 from __future__ import annotations
 
-import importlib
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from finslerflow import _kernels as kn
 from finslerflow import expr as ex
+from finslerflow import metric as mt
+from finslerflow.codegen import LayerTable
+
+from helpers import random_poly_text
+
+LAYERS = (
+    "F", "F_x", "F_y",
+    "denom", "denom_x", "denom_y",
+    "numer", "numer_x", "numer_y",
+)
 
 
 def _table(texts):
-    return kn.ProgramTable([ex.compile_expr(ex.parse(t)) for t in texts])
+    return LayerTable([ex.parse(t) for t in texts])
 
 
-def test_backend_flag_reported():
-    assert isinstance(kn.NUMBA_ENABLED, bool)
+def _close(got, want):
+    want = np.asarray(want, dtype=float)
+    scale = 1.0 + np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-11 * scale)
 
 
 def test_table_point_matches_tree():
@@ -39,68 +53,115 @@ def test_poly_value_is_horner_sum():
     rng = np.random.default_rng(1)
     for _ in range(40):
         x, y, p = rng.uniform(-1.5, 1.5, 3)
-        vals = tbl.values_at(x, y)
-        want = sum(v * p**i for i, v in enumerate(vals))
-        assert tbl.poly_value(x, y, p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        c = tbl.values_at(x, y)
+        acc = 0.0
+        for v in c[::-1]:
+            acc = acc * p + v
+        assert tbl.poly_value(x, y, p) == acc
 
 
 def test_grid_evaluation_matches_pointwise():
-    texts = ["x^2 - y", "x + y^3"]
+    texts = ["x^2 - y", "x + y^3", "1/(x - y^5)", "2"]
     tbl = _table(texts)
     xs, ys = np.meshgrid(np.linspace(-1, 1, 17), np.linspace(-2, 2, 13))
     grid = tbl.values_on_grid(xs, ys)
-    assert grid.shape == (2, 13, 17)
+    assert grid.shape == (4, 13, 17)
     for i in range(13):
         for j in range(17):
-            np.testing.assert_allclose(
-                grid[:, i, j], tbl.values_at(xs[i, j], ys[i, j]), rtol=1e-13
+            np.testing.assert_array_equal(
+                grid[:, i, j], tbl.values_at(xs[i, j], ys[i, j])
             )
 
 
-def test_integer_power_kernels():
-    tbl = _table(["x^5", "y^3", "(x + y)^4"])
+def test_integer_powers():
+    tbl = _table(["x^5", "y^3", "(x + y)^4", "x^-2", "y^0"])
     got = tbl.values_at(1.2, -0.7)
     np.testing.assert_allclose(
-        got, [1.2**5, (-0.7) ** 3, 0.5**4], rtol=1e-13
+        got, [1.2**5, (-0.7) ** 3, 0.5**4, 1.2**-2, 1.0], rtol=1e-13
     )
 
 
-def test_disable_flag_forces_fallback():
-    """A subprocess with the env flag set must run the numpy backend and
-    produce identical numbers."""
-    code = (
-        "import numpy as np\n"
-        "from finslerflow import _kernels as kn\n"
-        "from finslerflow import expr as ex\n"
-        "tbl = kn.ProgramTable([ex.compile_expr(ex.parse(t))"
-        " for t in ['-x', 'x*y + 1', 'y^2']])\n"
-        "print(kn.NUMBA_ENABLED)\n"
-        "print(repr(float(tbl.poly_value(0.37, -1.21, 0.64))))\n"
-    )
-    env = dict(os.environ, FINSLERFLOW_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "False"
-    here = _table(["-x", "x*y + 1", "y^2"]).poly_value(0.37, -1.21, 0.64)
-    assert float(lines[1]) == pytest.approx(here, rel=0, abs=0)
+def _random_metric(rng, degree: int, rational: bool) -> mt.PseudoFinslerMetric:
+    texts = [random_poly_text(rng, int(rng.integers(1, 4))) for _ in range(degree)]
+    if rational:
+        texts[0] = f"({texts[0]})/(2 + x^2 + {rng.uniform(0.1, 0.9):.3f}*y)"
+        texts[1] = f"{texts[1]} + 0.25/(3 - y)^2"
+    texts.append(f"{rng.uniform(0.6, 1.8):.6f}")
+    return mt.metric_from_strings(degree, texts)
 
 
-def test_python_reference_kernels_agree_with_active_backend():
-    texts = ["1 - x^2", "x*y", "y - 0.25"]
-    progs = [ex.compile_expr(ex.parse(t)) for t in texts]
-    tbl = kn.ProgramTable(progs)
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        x, y, p = rng.uniform(-2, 2, 3)
-        ref = kn._py_eval_poly_point(
-            tbl.codes, tbl.coffs, tbl.consts, tbl.koffs, x, y, p
-        )
-        assert tbl.poly_value(x, y, p) == pytest.approx(ref, rel=1e-13, abs=1e-14)
-        out = np.empty(tbl.n)
-        ref_pt = kn._py_eval_table_point(
-            tbl.codes, tbl.coffs, tbl.consts, tbl.koffs, x, y, out.copy()
-        )
-        np.testing.assert_allclose(tbl.values_at(x, y), ref_pt, rtol=1e-13)
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("rational", [False, True])
+def test_random_metric_layers_match_tree_eval(degree, rational):
+    rng = np.random.default_rng(100 * degree + rational)
+    for _ in range(3):
+        m = _random_metric(rng, degree, rational)
+        pts = rng.uniform(-1.5, 1.5, (12, 3))
+        for name in LAYERS:
+            tbl = m.table(name)
+            exprs = m._expr_layer(name)
+            grid = tbl.values_on_grid(pts[:, 0], pts[:, 1])
+            for k, (x, y, p) in enumerate(pts):
+                got = tbl.values_at(x, y)
+                want = [ex.evaluate(e, x, y) for e in exprs]
+                _close(got, want)
+                _close(tbl.poly_value(x, y, p), sum(w * p**i for i, w in enumerate(want)))
+                np.testing.assert_array_equal(grid[:, k], got)
+        for x, y, p in pts:
+            fused = mt.fdp_values(m, x, y, p)
+            assert fused == tuple(
+                m.table(name).poly_value(x, y, p) for name in ("F", "denom", "numer")
+            )
+
+
+def test_pole_gives_inf_or_nan_without_exception():
+    tbl = _table(["1/x", "-1/x", "x/x", "x^-2", "y/(x*x)"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tbl.values_at(0.0, 1.0)
+        grid = tbl.values_on_grid(np.zeros(3), np.ones(3))
+        horner = tbl.poly_value(0.0, 1.0, 0.5)
+    assert got[0] == np.inf and got[1] == -np.inf
+    assert np.isnan(got[2])
+    assert got[3] == np.inf and got[4] == np.inf
+    np.testing.assert_array_equal(grid, np.repeat(got[:, None], 3, axis=1))
+    assert np.isnan(horner)
+    with pytest.raises(ex.EvalDomainError):
+        ex.evaluate(ex.parse("1/x"), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "x, expected", [(1e150, np.inf), (-1e150, -np.inf)]
+)
+def test_power_overflow_gives_inf(x, expected):
+    tbl = _table(["x^3", "x^4"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tbl.values_at(x, 0.0)
+        grid = tbl.values_on_grid(np.array([x]), np.array([0.0]))
+        horner = _table(["x^3"]).poly_value(x, 0.0, 0.7)
+    assert got[0] == expected and got[1] == np.inf
+    np.testing.assert_array_equal(grid[:, 0], got)
+    assert horner == expected
+
+
+def test_common_subexpressions_computed_once():
+    e = ex.parse("(x*y + 1)^2")
+    tbl = LayerTable([e, ex.add(e, ex.parse("x*y"))])
+    # x*y, + 1, square, and the final sum
+    assert len(tbl._code.lines) == 4
+    assert tbl.values_at(2.0, 0.5)[1] == 5.0
+
+
+def test_exact_identities_keep_signed_zero_inf_and_nan():
+    tbl = _table(["x*1", "x/1", "x - 0", "x + 0", "0*x"])
+    # x*1, x/1 and x + (-0.0) are x itself; x + 0.0 and 0*x are computed
+    assert len(tbl._code.lines) == 2
+    xs = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5])
+    grid = tbl.values_on_grid(xs, np.zeros_like(xs))
+    for k, x in enumerate(xs):
+        with np.errstate(invalid="ignore"):
+            want = np.array([x * 1.0, x / 1.0, x + -0.0, x + 0.0, 0.0 * x])
+        for got in (tbl.values_at(x, 0.0), grid[:, k]):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

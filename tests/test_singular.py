@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import singular as sg
 
@@ -60,6 +61,23 @@ class TestSpectra:
         p = sg.lift_to_slope(m, 0.0, ystar)
         spt = sg.classify_singular(m, 0.0, ystar, p)
         assert np.abs(spt.eigenvalues).max() < 1e-3
+
+    def test_tangent_double_direction_is_not_transversal(self, monkeypatch):
+        def tangent(*args):
+            raise flow.TransversalityError("tangent")
+
+        monkeypatch.setattr(flow, "check_transversality", tangent)
+        spt = sg.classify_singular(halfplane_metric(), 0.0, 0.0, 0.0)
+        assert spt.kind == sg.RESONANT_32
+        assert spt.transversal is False
+
+    def test_unrelated_error_in_transversality_check_propagates(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("bug in the check")
+
+        monkeypatch.setattr(flow, "check_transversality", broken)
+        with pytest.raises(RuntimeError, match="bug in the check"):
+            sg.classify_singular(halfplane_metric(), 0.0, 0.0, 0.0)
 
     def test_regular_point_rejected(self):
         m = halfplane_metric()
