@@ -71,6 +71,7 @@ from .singular import (
     SingularPoint,
     StratumError,
     TangencyReport,
+    boundary_curves,
     classify_singular,
     find_tangency_failures,
     lift_to_slope,
@@ -110,6 +111,7 @@ __all__ = [
     "blowup_field_at",
     "blowup_spectrum",
     "bm_family_shoot",
+    "boundary_curves",
     "classify_point",
     "classify_singular",
     "correspondence_report",

@@ -568,6 +568,16 @@ def cmd_integrate(cfg: ScenarioConfig, outdir: str) -> int:
     return 0
 
 
+def _point_row(x, y, p, kind, eigenvalues, transversal) -> tuple:
+    """One row of the singular-points CSV (_POINT_HEADER)."""
+    e = np.sort_complex(eigenvalues)
+    return (
+        _fmt(x), _fmt(y), _fmt(p), kind,
+        *(_fmt(v) for z in e for v in (z.real, z.imag)),
+        "" if transversal is None else str(transversal),
+    )
+
+
 def _singular_point_rows(m: mt.PseudoFinslerMetric, curves) -> list[tuple]:
     rows: list[tuple] = []
     for c in curves:
@@ -581,41 +591,17 @@ def _singular_point_rows(m: mt.PseudoFinslerMetric, curves) -> list[tuple]:
                 spt = sg.classify_singular(m, x, y, p)
             except (ValueError, sg.StratumError):
                 continue
-            e = np.sort_complex(spt.eigenvalues)
             rows.append(
-                (
-                    _fmt(x),
-                    _fmt(y),
-                    _fmt(p),
-                    spt.kind,
-                    _fmt(e[0].real),
-                    _fmt(e[0].imag),
-                    _fmt(e[1].real),
-                    _fmt(e[1].imag),
-                    _fmt(e[2].real),
-                    _fmt(e[2].imag),
-                    "" if spt.transversal is None else str(spt.transversal),
-                )
+                _point_row(x, y, p, spt.kind, spt.eigenvalues, spt.transversal)
             )
         for x, y in sg.find_tangency_failures(m, c):
             try:
                 rep = sg.tangency_report(m, x, y)
             except (ValueError, sg.StratumError):
                 continue
-            e = np.sort_complex(rep.eigenvalues)
             rows.append(
-                (
-                    _fmt(x),
-                    _fmt(y),
-                    _fmt(rep.p),
-                    "TangencyFailure",
-                    _fmt(e[0].real),
-                    _fmt(e[0].imag),
-                    _fmt(e[1].real),
-                    _fmt(e[1].imag),
-                    _fmt(e[2].real),
-                    _fmt(e[2].imag),
-                    str(rep.transversal),
+                _point_row(
+                    x, y, rep.p, "TangencyFailure", rep.eigenvalues, rep.transversal
                 )
             )
     return rows
@@ -667,13 +653,9 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
         for c in nets.net_curves(m, cfg.box, "denom"):
             canvas.polyline(c, "singular-net")
             n_curves["singular"] += 1
-        try:
-            for c in sg.singular_curves(m, cfg.box, cfg.resolution):
-                if c.label == "boundary":
-                    canvas.polyline(c.points, "boundary")
-                    n_curves["boundary"] += 1
-        except (ValueError, sg.StratumError):
-            pass
+        for c in sg.boundary_curves(m, cfg.box, cfg.resolution):
+            canvas.polyline(c.points, "boundary")
+            n_curves["boundary"] += 1
     icfg = cfg.integrator()
     for x, y, p in cfg.seeds:
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)

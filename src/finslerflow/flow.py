@@ -12,9 +12,13 @@ arguments).  The two fields agree projectively, so traces glue as
 non-parametrized curves; orientation across a switch is fixed by matching
 the planar velocity.
 
-The stepper is an embedded Dormand-Prince 5(4) pair; events (sign changes
-of the denominator or of F, singular proximity, domain exit) are localized
-by bisection on a cubic Hermite interpolant of the accepted step.
+One stepper serves two fields: the adaptive embedded Dormand-Prince 5(4)
+loop of _dopri_steps integrates this projectivized field (integrate) and
+the second-order system on the tangent bundle (tm_integrate), and the two
+join their time directions the same way.  Each tracer keeps only what it
+does with an accepted step.  Here events (sign changes of the denominator
+or of F, singular proximity, domain exit) are localized by bisection on a
+cubic Hermite interpolant of the step.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metric as mt
+from .codegen import _div
 from .metric import PseudoFinslerMetric
 from .poly import RealPolynomial
 
@@ -232,6 +237,68 @@ def _subdivision_thetas(chord: float, end_theta: float, max_ds: float) -> list[f
     return [end_theta * k / nsub for k in range(1, nsub)]
 
 
+def _dopri_steps(rhs, u, cfg: IntegratorConfig):
+    """Adaptive Dormand-Prince steps of du/dt = rhs(u) from u at t = 0.
+
+    Yields each accepted step as (t, h, u0, f0, u1, f1): it starts at
+    time t, has length h and goes from u0 to u1, with f = rhs(u) at both
+    ends.  A caller that switches the field sends the (u, f) to go on
+    from instead of (u1, f1).  A step that leaves the floats is retried
+    at a quarter of its length and a rejected one at the controller's
+    length; every attempt counts against cfg.max_steps.  Returns the
+    stop reason (STEP_UNDERFLOW or MAX_STEPS) and the time reached.
+    """
+    fu = rhs(u)
+    t = 0.0
+    h = cfg.initial_step
+    for _ in range(cfg.max_steps):
+        h = min(h, cfg.max_step)
+        unew, fnew, err = _dopri_step(rhs, u, fu, h, cfg.rel_tol, cfg.abs_tol)
+        if not all(math.isfinite(c) for c in unew) or not math.isfinite(err):
+            h *= 0.25
+            if h < 1e-14:
+                return STEP_UNDERFLOW, t
+            continue
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-14 * max(1.0, abs(t)):
+                return STEP_UNDERFLOW, t
+            continue
+        restart = yield t, h, u, fu, unew, fnew
+        t += h
+        u, fu = restart or (unew, fnew)
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return MAX_STEPS, t
+
+
+def _join_sides(run, direction: int):
+    """One or both time directions of a trace through a seed.
+
+    run(sign) integrates the direction of sign and returns its sample
+    lists keyed by name, the time under "t" and the seed first, and its
+    events, its stop last.  The backward side has its time negated; with
+    direction 0 it is reversed and joined to the forward side at their
+    common seed row.  Returns the columns, the events and each side's
+    stop reason, backward first.
+    """
+    if direction > 0:
+        cols, events = run(1.0)
+        return cols, events, (events[-1].kind,)
+    back, bev = run(-1.0)
+    back["t"] = [-v for v in back["t"]]
+    bev = [TraceEvent(e.index, e.kind, -e.t) for e in bev]
+    if direction < 0:
+        return back, bev, (bev[-1].kind,)
+    fwd, fev = run(1.0)
+    seed = len(back["t"]) - 1
+    cols = {k: back[k][::-1] + fwd[k][1:] for k in fwd}
+    # an event of the forward side at the seed is the backward side's
+    events = [TraceEvent(seed - e.index, e.kind, e.t) for e in reversed(bev)]
+    events += [TraceEvent(seed + e.index, e.kind, e.t) for e in fev if e.index > 0]
+    events.sort(key=lambda e: e.index)
+    return cols, events, (bev[-1].kind, fev[-1].kind)
+
+
 # ---------------------------------------------------------------------------
 # the geodesic integrator
 
@@ -291,29 +358,16 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         events.append(TraceEvent(0, SINGULAR_APPROACH, 0.0))
         return cols, events
 
-    fu = rhs(u)
-    t = 0.0
-    h = cfg.initial_step
-    steps = 0
-    while steps < cfg.max_steps:
-        steps += 1
-        h = min(h, cfg.max_step)
-        unew, fnew, err = _dopri_step(rhs, u, fu, h, cfg.rel_tol, cfg.abs_tol)
-        if not all(math.isfinite(c) for c in unew) or not math.isfinite(err):
-            h *= 0.25
-            if h < 1e-14:
-                events.append(TraceEvent(len(cols["t"]) - 1, STEP_UNDERFLOW, t))
-                break
-            continue
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
-                events.append(TraceEvent(len(cols["t"]) - 1, STEP_UNDERFLOW, t))
-                break
-            continue
-
-        # accepted
-        u0, f0 = u, fu
+    steps = _dopri_steps(rhs, u, cfg)
+    restart = None
+    while True:
+        try:
+            t, h, u0, f0, unew, fnew = steps.send(restart)
+        except StopIteration as stop:
+            kind, t = stop.value
+            events.append(TraceEvent(len(cols["t"]) - 1, kind, t))
+            return cols, events
+        restart = None
         vals_new = _chart_vals(m, unew[0], unew[1], unew[2], state_chart)
 
         def interp(theta):
@@ -396,19 +450,19 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             t_end = t + end_theta * h
             idx = push(t_end, v_end, vals_end)
             events.append(TraceEvent(idx, terminal, t_end))
-            break
+            return cols, events
 
         t += h
-        u, fu, vals = unew, fnew, vals_new
+        u, vals = unew, vals_new
         idx = push(t, u, vals)
 
         sc = scale_at(u)
         if max(abs(vals[1]), abs(vals[2])) < cfg.singular_tol * sc:
             events.append(TraceEvent(idx, SINGULAR_APPROACH, t))
-            break
+            return cols, events
 
         if cfg.chart_switching and abs(u[2]) > cfg.chart_threshold:
-            old_field = rhs(u)
+            old_field = fnew
             new_chart = "q" if state_chart == "p" else "p"
             s_new = 1.0 / u[2]
             new_sign, vals = _sign_for_continuation(
@@ -420,46 +474,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             u = (u[0], u[1], s_new)
             idx = push(t, u, vals)
             events.append(TraceEvent(idx, CHART_SWITCH, t))
-            fu = rhs(u)
-
-        if err == 0.0:
-            h = h * 5.0
-        else:
-            h = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
-    else:
-        events.append(TraceEvent(len(cols["t"]) - 1, MAX_STEPS, t))
-
-    return cols, events
-
-
-def _merge_runs(back, fwd) -> GeodesicTrace:
-    bc, bev = back
-    fc, fev = fwd
-    nb = len(bc["t"])
-    arrays = {}
-    for k in ("t", "x", "y", "slope", "F", "denom", "numer"):
-        bvals = [-v for v in bc[k]] if k == "t" else bc[k]
-        arrays[k] = np.asarray(bvals[::-1] + fc[k][1:], dtype=np.float64)
-    chart = np.asarray(bc["chart"][::-1] + fc["chart"][1:], dtype="<U1")
-    events = [
-        TraceEvent(nb - 1 - e.index, e.kind, -e.t) for e in reversed(bev)
-    ] + [TraceEvent(e.index + nb - 1, e.kind, e.t) for e in fev if e.index > 0]
-    events.sort(key=lambda e: e.index)
-    return GeodesicTrace(
-        t=arrays["t"], x=arrays["x"], y=arrays["y"], slope=arrays["slope"],
-        chart=chart, F=arrays["F"], denom=arrays["denom"], numer=arrays["numer"],
-        events=events,
-    )
-
-
-def _single_run_trace(run) -> GeodesicTrace:
-    cols, events = run
-    return GeodesicTrace(
-        t=np.asarray(cols["t"]), x=np.asarray(cols["x"]), y=np.asarray(cols["y"]),
-        slope=np.asarray(cols["slope"]), chart=np.asarray(cols["chart"], dtype="<U1"),
-        F=np.asarray(cols["F"]), denom=np.asarray(cols["denom"]),
-        numer=np.asarray(cols["numer"]), events=events,
-    )
+            restart = (u, rhs(u))
 
 
 def integrate(
@@ -476,17 +491,11 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     if seed.chart == "p" and cfg.chart_switching and abs(seed.slope) > cfg.chart_threshold:
         seed = PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q")
-    if direction > 0 or not cfg.bidirectional:
-        return _single_run_trace(_run_direction(m, seed, cfg, +1.0))
-    if direction < 0:
-        tr = _single_run_trace(_run_direction(m, seed, cfg, -1.0))
-        tr.t = -tr.t
-        for e in tr.events:
-            e.t = -e.t
-        return tr
-    back = _run_direction(m, seed, cfg, -1.0)
-    fwd = _run_direction(m, seed, cfg, +1.0)
-    return _merge_runs(back, fwd)
+    cols, events, _ = _join_sides(
+        lambda sign: _run_direction(m, seed, cfg, sign),
+        direction if cfg.bidirectional else 1,
+    )
+    return GeodesicTrace(**{k: np.asarray(v) for k, v in cols.items()}, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +570,12 @@ class TMTrace:
     y: np.ndarray
     xdot: np.ndarray
     ydot: np.ndarray
-    truncated: bool = False
+    stops: tuple[str, ...] = ()
+
+    @property
+    def truncated(self) -> bool:
+        """Whether a side stopped short: at H near 0 or on a step underflow."""
+        return any(s in (SINGULAR_APPROACH, STEP_UNDERFLOW) for s in self.stops)
 
     def points(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
@@ -576,8 +590,12 @@ def tm_integrate(
     """Integrate the second-order system on the tangent bundle.
 
     Accelerations come from the Cramer determinants (accel_determinants),
-    so this path shares no code with the projectivized field and serves
-    as its oracle.  Truncates when the system degenerates (H near 0).
+    which never touch the slope polynomials of the projectivized field,
+    so this trace is its oracle.  The oracle is independent in its field
+    only: it runs on the same Dormand-Prince stepper and dense output.
+    Each side stops with SINGULAR_APPROACH when the system degenerates
+    (H near 0), DOMAIN_EXIT past the box, or the stepper's own reason;
+    ``stops`` lists them, backward side first.
     """
     cfg = cfg or IntegratorConfig()
     x0, x1, y0b, y1b = cfg.box
@@ -585,11 +603,12 @@ def tm_integrate(
 
     def rhs(u):
         h, h1, h2 = mt.accel_determinants(m, u[0], u[1], u[2], u[3])
-        return (u[2], u[3], h1 / h, h2 / h)
+        return (u[2], u[3], _div(h1, h), _div(h2, h))
 
     def h_small(u):
         speed = max(abs(u[2]), abs(u[3]), 1e-12)
-        ref = (1.0 + mt.metric_scale(m, u[0], u[1])) ** 2 * speed ** (2 * n - 4)
+        ref = (1.0 + mt.metric_scale(m, u[0], u[1])) ** 2
+        ref *= mt._ipow(speed, 2 * n - 4)
         h, _, _ = mt.accel_determinants(m, u[0], u[1], u[2], u[3])
         return abs(h) < 1e-10 * ref
 
@@ -597,65 +616,31 @@ def tm_integrate(
         u = (x, y, sign * xdot, sign * ydot)
         if h_small(u):
             raise ValueError("seed is on or too close to the degeneracy H = 0")
-        rows = [u]
-        ts = [0.0]
-        fu = rhs(u)
-        t = 0.0
-        h = cfg.initial_step
-        truncated = False
-        steps = 0
-        while steps < cfg.max_steps:
-            steps += 1
-            h = min(h, cfg.max_step)
-            try:
-                unew, fnew, err = _dopri_step(rhs, u, fu, h, cfg.rel_tol, cfg.abs_tol)
-            except ZeroDivisionError:
-                truncated = True
-                break
-            if not all(math.isfinite(c) for c in unew) or not math.isfinite(err):
-                h *= 0.25
-                if h < 1e-14:
-                    truncated = True
-                    break
-                continue
-            if err > 1.0:
-                h *= max(0.2, 0.9 * err ** -0.2)
-                if h < 1e-14 * max(1.0, abs(t)):
-                    truncated = True
-                    break
-                continue
-            if h_small(unew):
-                truncated = True
-                break
-            chord = math.hypot(unew[0] - u[0], unew[1] - u[1])
-            for th in _subdivision_thetas(chord, 1.0, cfg.max_ds):
-                rows.append(_hermite(u, fu, unew, fnew, h, th))
-                ts.append(t + th * h)
-            t += h
-            u, fu = unew, fnew
-            rows.append(u)
-            ts.append(t)
-            if not (x0 <= u[0] <= x1 and y0b <= u[1] <= y1b):
-                break
-            h = h * min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5 * h
-        return ts, rows, truncated
+        ts, rows = [0.0], [u]
 
-    if direction > 0:
-        ts, rows, trunc = run(+1)
-    elif direction < 0:
-        ts, rows, trunc = run(-1)
-        ts = [-v for v in ts]
-    else:
-        tb, rb, truncb = run(-1)
-        tf, rf, truncf = run(+1)
-        ts = [-v for v in tb[::-1]] + tf[1:]
-        rows = rb[::-1] + rf[1:]
-        trunc = truncb or truncf
-    arr = np.asarray(rows, dtype=np.float64)
-    return TMTrace(
-        t=np.asarray(ts), x=arr[:, 0], y=arr[:, 1],
-        xdot=arr[:, 2], ydot=arr[:, 3], truncated=trunc,
-    )
+        def stop(kind, t):
+            return {"t": ts, "u": rows}, [TraceEvent(len(ts) - 1, kind, t)]
+
+        steps = _dopri_steps(rhs, u, cfg)
+        while True:
+            try:
+                t, h, u0, f0, u1, f1 = next(steps)
+            except StopIteration as end:
+                return stop(*end.value)
+            if h_small(u1):
+                return stop(SINGULAR_APPROACH, t)
+            chord = math.hypot(u1[0] - u0[0], u1[1] - u0[1])
+            for th in _subdivision_thetas(chord, 1.0, cfg.max_ds):
+                ts.append(t + th * h)
+                rows.append(_hermite(u0, f0, u1, f1, h, th))
+            ts.append(t + h)
+            rows.append(u1)
+            if not (x0 <= u1[0] <= x1 and y0b <= u1[1] <= y1b):
+                return stop(DOMAIN_EXIT, t + h)
+
+    cols, _, stops = _join_sides(run, direction)
+    xs, ys, xdots, ydots = np.asarray(cols["u"], dtype=np.float64).T
+    return TMTrace(np.asarray(cols["t"]), xs, ys, xdots, ydots, stops)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ homogeneous metric) and serves as the cross-check oracle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,7 +317,13 @@ def classify_point(m: PseudoFinslerMetric, x: float, y: float) -> Stratum:
 
 
 def _ipow(b: float, k: int) -> float:
-    return float(b) ** k if k > 0 else 1.0
+    """b**k for k >= 0; an overflow gives +-inf, as in expr.evaluate."""
+    if k <= 0:
+        return 1.0
+    try:
+        return float(b) ** k
+    except OverflowError:
+        return math.copysign(math.inf, b) if k % 2 else math.inf
 
 
 def accel_determinants(
@@ -332,9 +339,10 @@ def accel_determinants(
     the weight-built slope polynomials, which it cross-checks.
     """
     n = m.degree
-    a = coeff_values(m, x, y)
-    axv = m.table("F_x").values_at(x, y)
-    ayv = m.table("F_y").values_at(x, y)
+    # Python floats: an overflow gives inf and inf * 0 gives nan, silently
+    a = coeff_values(m, x, y).tolist()
+    axv = m.table("F_x").values_at(x, y).tolist()
+    ayv = m.table("F_y").values_at(x, y).tolist()
     f11 = f12 = f22 = 0.0
     fx = fy = f1x = f1y = f2x = f2y = 0.0
     for i in range(n + 1):
@@ -368,7 +376,7 @@ def accel_determinants(
 def eval_Fbar(
     m: PseudoFinslerMetric, x: float, y: float, xdot: float, ydot: float
 ) -> float:
-    a = coeff_values(m, x, y)
+    a = coeff_values(m, x, y).tolist()
     n = m.degree
     return float(
         sum(a[i] * _ipow(xdot, n - i) * _ipow(ydot, i) for i in range(n + 1))

@@ -406,13 +406,22 @@ def singular_curves(
         for run in _split_runs(c.points, keep):
             out.append(CurveSamples(points=run, label="singular"))
     out.sort(key=lambda c: (-len(c.points), c.points[0, 0], c.points[0, 1]))
-    boundary = trace_implicit_curve(
+    return out + boundary_curves(m, box, resolution)
+
+
+def boundary_curves(
+    m: PseudoFinslerMetric,
+    box: tuple[float, float, float, float],
+    resolution: int = 220,
+) -> list[CurveSamples]:
+    """Traced components of the metric boundary (disc_F = 0), labeled
+    "boundary"."""
+    return trace_implicit_curve(
         (lambda x, y: mt.disc_metric(m, x, y), disc_grid_fn(m)),
         box,
         resolution,
         label="boundary",
     )
-    return out + boundary
 
 
 def _polish_onto(fn, pts, cell, target):

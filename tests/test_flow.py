@@ -3,6 +3,8 @@ second-order tangent-bundle oracle."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,59 @@ class TestTangentBundleOverlay:
         # p^2 = -3x puts the second-order system on its degeneracy
         with pytest.raises(ValueError):
             flow.tm_integrate(m, -0.03, 0.0, 1.0, 0.3)
+
+    def test_exhausted_step_budget_stops_untruncated(self):
+        m = halfplane_metric()
+        cfg = IntegratorConfig(max_steps=5)
+        tm = flow.tm_integrate(m, -0.5, 0.0, 1.0, 0.3, cfg)
+        assert tm.stops == ("MaxSteps", "MaxSteps")
+        assert not tm.truncated
+
+    def test_degeneracy_stop_truncates(self):
+        # forward from this seed the velocity system runs into H = 0
+        m = halfplane_metric()
+        tm = flow.tm_integrate(m, -0.5, 0.0, 1.0, 0.3, direction=+1)
+        assert tm.stops == ("SingularApproach",)
+        assert tm.truncated
+
+    def test_box_exit_stop(self):
+        m = halfplane_metric()
+        cfg = IntegratorConfig(box=(-0.6, -0.4, -0.1, 0.1))
+        tm = flow.tm_integrate(m, -0.5, 0.0, 1.0, 0.3, cfg)
+        assert tm.stops == ("DomainExit", "DomainExit")
+        assert not tm.truncated
+        assert tm.t[0] < 0.0 < tm.t[-1]
+
+    def test_exact_degeneracy_inside_a_step(self):
+        # F = p^2 - x has H = -4x; from x0 = -h/5 with unit speed the
+        # second stage of the first step lands on x = 0 exactly
+        m = mt.metric_from_strings(2, ["-x", "0", "1"])
+        h = IntegratorConfig().initial_step
+        x0 = -(h * (0.2 * 1.0))
+        assert x0 + h * (0.2 * 1.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tm = flow.tm_integrate(m, x0, 0.0, 1.0, 0.0, direction=+1)
+        assert tm.stops == ("SingularApproach",)
+        assert len(tm.t) > 1
+
+    @pytest.mark.parametrize(
+        "texts, speed",
+        [
+            # the velocity powers of the Cramer determinants overflow
+            (["-x", "0", "1"], 1e200),
+            # speed^(2n - 4) of the H test overflows
+            (["-x", "0", "1", "0.5"], 1e160),
+        ],
+    )
+    def test_overflowing_velocity_stops(self, texts, speed):
+        m = mt.metric_from_strings(len(texts) - 1, texts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tm = flow.tm_integrate(m, 0.1, 0.0, speed, 1.0)
+        # the field is nan from the seed on, so no step is ever accepted
+        assert tm.stops == ("StepUnderflow", "StepUnderflow")
+        assert tm.truncated and len(tm.t) == 1
 
 
 class TestArclength:

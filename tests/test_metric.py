@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,24 @@ class TestTangentBundleOracle:
             assert mt.eval_Fbar(m, x, y, 1.0, p) == pytest.approx(
                 mt.eval_F(m, x, y, p), rel=1e-12, abs=1e-12
             )
+
+    def test_determinants_overflow_to_ieee(self):
+        # F = p^2 - x: H = -4x whatever the velocity, while the velocity
+        # powers in G1, G2 overflow and meet 0 * inf
+        m = mt.metric_from_strings(2, ["-x", "0", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H, H1, H2 = mt.accel_determinants(m, 0.1, 0.0, 1e200, 1e120)
+        assert H == pytest.approx(-0.4, rel=1e-15)
+        assert not math.isfinite(H1) and not math.isfinite(H2)
+
+    @pytest.mark.parametrize("xdot", [1e200, -1e200])
+    def test_fbar_overflows_to_inf(self, xdot):
+        # -x * xdot^2 + ydot^2 at x = 0.1
+        m = mt.metric_from_strings(2, ["-x", "0", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mt.eval_Fbar(m, 0.1, 0.0, xdot, 1e120) == -math.inf
 
 
 class TestDiscriminants:
