@@ -32,6 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from . import metric as mt
+from .codegen import LayerTable
 from .expr import ScalarField, as_field
 from .flow import FamilyMember, IntegratorConfig, PTMPoint, _integrate_outward
 from .metric import PseudoFinslerMetric
@@ -125,23 +126,6 @@ def induced_metric(imm: SurfaceImmersion) -> PseudoFinslerMetric:
     return PseudoFinslerMetric(imm.n, _expand_factors(factors))
 
 
-def _vectorized(f: ScalarField):
-    def g(xs, ys):
-        xa = np.asarray(xs, dtype=np.float64)
-        ya = np.asarray(ys, dtype=np.float64)
-        shape = np.broadcast_shapes(xa.shape, ya.shape)
-        bx = np.broadcast_to(xa, shape).ravel()
-        by = np.broadcast_to(ya, shape).ravel()
-        vals = np.fromiter(
-            (f(float(a), float(b)) for a, b in zip(bx, by)),
-            dtype=np.float64,
-            count=bx.size,
-        )
-        return vals.reshape(shape)
-
-    return g
-
-
 def double_direction_locus(
     imm: SurfaceImmersion,
     i: int,
@@ -161,8 +145,12 @@ def double_direction_locus(
         ex.mul(ex.diff(fi, "x"), ex.diff(fj, "y")),
         ex.mul(ex.diff(fi, "y"), ex.diff(fj, "x")),
     )
+    table = LayerTable([jac])
     return trace_implicit_curve(
-        _vectorized(ScalarField(jac)), box, resolution, label="double-direction"
+        lambda X, Y: table.values_on_grid(X, Y)[0],
+        box,
+        resolution,
+        label="double-direction",
     )
 
 

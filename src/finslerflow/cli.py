@@ -534,14 +534,16 @@ def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
     res = cfg.resolution
     xs = np.linspace(cfg.box[0], cfg.box[1], res)
     ys = np.linspace(cfg.box[2], cfg.box[3], res)
+    # rows run along x, one row of the grid per y
+    strata, disc = mt.strata_on_grid(m, *np.meshgrid(xs, ys))
+    xtext = [_fmt(x) for x in xs]
     rows: list[tuple] = []
-    counts: Counter[str] = Counter()
-    for y in ys:
-        for x in xs:
-            st = mt.classify_point(m, float(x), float(y))
-            d = mt.disc_metric(m, float(x), float(y))
-            counts[st.name] += 1
-            rows.append((_fmt(x), _fmt(y), st.name, _fmt(d)))
+    for y, row_st, row_d in zip(ys, strata.tolist(), disc.tolist()):
+        ytext = _fmt(y)
+        rows.extend(
+            (xt, ytext, st, _fmt(d)) for xt, st, d in zip(xtext, row_st, row_d)
+        )
+    counts = Counter(strata.ravel().tolist())
     path = os.path.join(outdir, f"{cfg.out_prefix}_strata.csv")
     _write_csv(path, ["x", "y", "stratum", "disc"], rows)
     summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))

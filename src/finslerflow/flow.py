@@ -120,6 +120,9 @@ class GeodesicTrace:
     denom: np.ndarray
     numer: np.ndarray
     events: list[TraceEvent] = field(default_factory=list)
+    # each side's stop reason, backward first; an event at the seed row
+    # keeps only one side's reason, this keeps both
+    stops: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.t)
@@ -491,11 +494,13 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     if seed.chart == "p" and cfg.chart_switching and abs(seed.slope) > cfg.chart_threshold:
         seed = PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q")
-    cols, events, _ = _join_sides(
+    cols, events, stops = _join_sides(
         lambda sign: _run_direction(m, seed, cfg, sign),
         direction if cfg.bidirectional else 1,
     )
-    return GeodesicTrace(**{k: np.asarray(v) for k, v in cols.items()}, events=events)
+    return GeodesicTrace(
+        **{k: np.asarray(v) for k, v in cols.items()}, events=events, stops=stops
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +606,24 @@ def tm_integrate(
     x0, x1, y0b, y1b = cfg.box
     n = m.degree
 
+    # the last state and its determinants: the H ~ 0 test of a step's end
+    # point reuses those of the stage that ended there
+    last = [None, None]
+
+    def dets(u):
+        if u is not last[0]:
+            last[:] = u, mt.accel_determinants(m, u[0], u[1], u[2], u[3])
+        return last[1]
+
     def rhs(u):
-        h, h1, h2 = mt.accel_determinants(m, u[0], u[1], u[2], u[3])
+        h, h1, h2 = dets(u)
         return (u[2], u[3], _div(h1, h), _div(h2, h))
 
     def h_small(u):
         speed = max(abs(u[2]), abs(u[3]), 1e-12)
         ref = (1.0 + mt.metric_scale(m, u[0], u[1])) ** 2
         ref *= mt._ipow(speed, 2 * n - 4)
-        h, _, _ = mt.accel_determinants(m, u[0], u[1], u[2], u[3])
-        return abs(h) < 1e-10 * ref
+        return abs(dets(u)[0]) < 1e-10 * ref
 
     def run(sign):
         u = (x, y, sign * xdot, sign * ydot)

@@ -233,14 +233,19 @@ def fdp_values(
     return m.fdp(float(x), float(y), float(p))
 
 
-def disc_metric(m: PseudoFinslerMetric, x: float, y: float) -> float:
-    """Discriminant of F in p (degrees 2 and 3 only)."""
-    c = coeff_values(m, x, y)
+def disc_from_coeffs(m: PseudoFinslerMetric, c):
+    """Discriminant of F in p from its coefficients c[0..n], floats or
+    arrays of one shape; the same bits either way (degrees 2 and 3 only)."""
     if m.degree == 2:
         return poly.disc_quadratic(c)
     if m.degree == 3:
         return poly.disc_cubic(c)
     raise ValueError("discriminant implemented for degrees 2 and 3 only")
+
+
+def disc_metric(m: PseudoFinslerMetric, x: float, y: float) -> float:
+    """Discriminant of F in p (degrees 2 and 3 only)."""
+    return float(disc_from_coeffs(m, coeff_values(m, x, y).tolist()))
 
 
 def disc_denom(m: PseudoFinslerMetric, x: float, y: float) -> float:
@@ -250,7 +255,7 @@ def disc_denom(m: PseudoFinslerMetric, x: float, y: float) -> float:
     c = np.zeros(3)
     v = m.table("denom").values_at(x, y)
     c[: v.size] = v
-    return poly.disc_quadratic(c)
+    return float(poly.disc_quadratic(c.tolist()))
 
 
 def isotropic_directions(
@@ -290,8 +295,8 @@ def classify_point(m: PseudoFinslerMetric, x: float, y: float) -> Stratum:
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         raise DegeneratePointError(f"all coefficients vanish at ({x}, {y})")
-    d = poly.disc_cubic(c)
-    band = DISC_BAND_REL * scale**4
+    d = poly.disc_cubic(c.tolist())
+    band = _disc_band(scale)
     if d > band:
         return Stratum.MPlus
     if d < -band:
@@ -310,6 +315,32 @@ def classify_point(m: PseudoFinslerMetric, x: float, y: float) -> Stratum:
     if max(abs(h) for h in hess) <= DISC_BAND_REL * scale**2:
         return Stratum.M00
     return Stratum.M01
+
+
+def _disc_band(scale):
+    """Half-width of the band around disc = 0, for floats or arrays."""
+    return DISC_BAND_REL * ((scale * scale) * (scale * scale))
+
+
+def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """classify_point and disc_metric at arrays of points.
+
+    Returns (strata, disc) in the shape of X, strata holding the names
+    of the Stratum members.  The open strata are decided on the arrays;
+    only a point in the band, or one with a non-finite value, goes
+    through classify_point.
+    """
+    if m.degree != 3:
+        raise ValueError("classification requires a degree-3 metric")
+    c = m.table("F").values_on_grid(X, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = poly.disc_cubic(c)
+        band = _disc_band(np.max(np.abs(c), axis=0))
+    plus = disc > band
+    strata = np.where(plus, Stratum.MPlus.name, Stratum.MMinus.name)
+    for k in np.flatnonzero(~(plus | (disc < -band))):
+        strata.flat[k] = classify_point(m, X.flat[k], Y.flat[k]).name
+    return strata, disc
 
 
 # ---------------------------------------------------------------------------

@@ -105,21 +105,26 @@ def from_roots(roots, leading: float = 1.0) -> RealPolynomial:
     return RealPolynomial(npoly.polyfromroots(roots) * float(leading))
 
 
-def disc_quadratic(c) -> float:
-    """Discriminant c1^2 - 4*c2*c0 of c0 + c1 p + c2 p^2."""
-    c0, c1, c2 = (float(v) for v in c[:3])
+def disc_quadratic(c):
+    """Discriminant c1^2 - 4*c2*c0 of c0 + c1 p + c2 p^2.
+
+    The c[k] are floats or arrays of one shape; powers are written as
+    products, so a point gives the same bits either way.
+    """
+    c0, c1, c2 = c[:3]
     return c1 * c1 - 4.0 * c2 * c0
 
 
-def disc_cubic(c) -> float:
-    """Discriminant of c0 + c1 p + c2 p^2 + c3 p^3 (c3 = 0 allowed)."""
-    c0, c1, c2, c3 = (float(v) for v in c[:4])
+def disc_cubic(c):
+    """Discriminant of c0 + c1 p + c2 p^2 + c3 p^3 (c3 = 0 allowed), on
+    floats or arrays as disc_quadratic."""
+    c0, c1, c2, c3 = c[:4]
     return (
         18.0 * c3 * c2 * c1 * c0
-        - 4.0 * c2**3 * c0
-        + c2**2 * c1**2
-        - 4.0 * c3 * c1**3
-        - 27.0 * c3**2 * c0**2
+        - 4.0 * (c2 * c2 * c2) * c0
+        + (c2 * c2) * (c1 * c1)
+        - 4.0 * c3 * (c1 * c1 * c1)
+        - 27.0 * (c3 * c3) * (c0 * c0)
     )
 
 

@@ -184,101 +184,94 @@ def resultant_grid_fn(m: PseudoFinslerMetric):
         nc = m.table("numer").values_on_grid(X, Y)
         dfull = np.zeros((max(2 * n - 3, 2),) + X.shape)
         dfull[: dc.shape[0]] = dc
-        return poly.resultant_grid(dfull, nc)
+        with np.errstate(invalid="ignore"):
+            return poly.resultant_grid(dfull, nc)
 
     return fn
 
 
 def disc_grid_fn(m: PseudoFinslerMetric):
     """Vectorized (X, Y) -> discriminant of F (degrees 2 and 3)."""
-    if m.degree == 2:
-
-        def fn2(X, Y):
-            c0, c1, c2 = m.table("F").values_on_grid(np.asarray(X, float), Y)
-            return c1 * c1 - 4.0 * c2 * c0
-
-        return fn2
-    if m.degree != 3:
+    if m.degree not in (2, 3):
         raise ValueError("discriminant grid requires degree 2 or 3")
 
     def fn(X, Y):
-        c0, c1, c2, c3 = m.table("F").values_on_grid(np.asarray(X, float), Y)
-        return (
-            18.0 * c3 * c2 * c1 * c0
-            - 4.0 * c2**3 * c0
-            + c2**2 * c1**2
-            - 4.0 * c3 * c1**3
-            - 27.0 * c3**2 * c0**2
-        )
+        c = m.table("F").values_on_grid(X, Y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return mt.disc_from_coeffs(m, c)
 
     return fn
 
 
-# 16-case marching-squares table: corner order (i, j), (i+1, j), (i+1, j+1),
-# (i, j+1); entries are pairs of cell edges (0 bottom, 1 right, 2 top, 3 left)
+# Marching squares: corner order (i, j), (i+1, j), (i+1, j+1), (i, j+1),
+# corner k below zero sets bit k of the case; cell edges 0 bottom, 1 right,
+# 2 top, 3 left.  A segment is a pair of edges; a saddle (case 5 or 10)
+# has two, chosen by the sign of the mean of the corners.
 _MS_SEGMENTS = {
-    0: [], 15: [],
     1: [(3, 0)], 14: [(3, 0)],
     2: [(0, 1)], 13: [(0, 1)],
     4: [(1, 2)], 11: [(1, 2)],
     8: [(2, 3)], 7: [(2, 3)],
     3: [(3, 1)], 12: [(3, 1)],
     6: [(0, 2)], 9: [(0, 2)],
-    5: None, 10: None,  # saddles, resolved by the cell-center sample
+}
+# saddle case -> (segments when the mean is >= 0, segments when it is < 0)
+_MS_SADDLES = {
+    5: ([(3, 0), (1, 2)], [(3, 2), (0, 1)]),
+    10: ([(0, 3), (1, 2)], [(0, 1), (2, 3)]),
 }
 
 
-def _edge_point(edge, x0, y0, dx, dy, v):
-    """Linear zero crossing on a cell edge; v holds the corner values."""
-
-    def lerp(va, vb):
-        d = vb - va
-        t = 0.5 if d == 0 else min(max(-va / d, 0.0), 1.0)
-        return t
-
-    if edge == 0:
-        t = lerp(v[0], v[1])
-        return (x0 + t * dx, y0)
-    if edge == 1:
-        t = lerp(v[1], v[2])
-        return (x0 + dx, y0 + t * dy)
-    if edge == 2:
-        t = lerp(v[3], v[2])
-        return (x0 + t * dx, y0 + dy)
-    t = lerp(v[0], v[3])
-    return (x0, y0 + t * dy)
+def _ms_table() -> np.ndarray:
+    """_MS[case, mean < 0, slot] = (edge a, edge b), -1 where no segment."""
+    table = np.full((16, 2, 2, 2), -1, dtype=np.int8)
+    for case, segs in _MS_SEGMENTS.items():
+        table[case, :, : len(segs)] = segs
+    for case, by_mean in _MS_SADDLES.items():
+        table[case] = by_mean
+    return table
 
 
-def _marching_squares(vals, xs, ys):
-    """Segments of the zero contour of vals[i, j] = g(xs[i], ys[j])."""
-    segs = []
-    ni, nj = vals.shape
-    for i in range(ni - 1):
-        for j in range(nj - 1):
-            v = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
-            if not all(np.isfinite(v)):
-                continue
-            idx = 0
-            for k, vk in enumerate(v):
-                if vk < 0:
-                    idx |= 1 << k
-            entry = _MS_SEGMENTS[idx]
-            if entry == []:
-                continue
-            x0, y0 = xs[i], ys[j]
-            dx, dy = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
-            if entry is None:
-                center = 0.25 * sum(v)
-                if idx == 5:
-                    pairs = [(3, 2), (0, 1)] if center < 0 else [(3, 0), (1, 2)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center < 0 else [(0, 3), (1, 2)]
-                entry = pairs
-            for ea, eb in entry:
-                pa = _edge_point(ea, x0, y0, dx, dy, v)
-                pb = _edge_point(eb, x0, y0, dx, dy, v)
-                segs.append((pa, pb))
-    return segs
+_MS = _ms_table()
+
+
+def _lerp(va, vb):
+    """Where the line through (0, va), (1, vb) crosses zero, clipped to
+    [0, 1]; 0.5 where va == vb.  np.where keeps what min and max give."""
+    d = vb - va
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -va / d
+    t = np.where(0.0 > t, 0.0, t)
+    t = np.where(1.0 < t, 1.0, t)
+    return np.where(d == 0, 0.5, t)
+
+
+def _marching_squares(vals, xs, ys) -> np.ndarray:
+    """Segments of the zero contour of vals[i, j] = g(xs[i], ys[j]).
+
+    Returns an array (segment, end, xy).  Cells come in C order (i outer)
+    and a saddle's two segments in table order.  Cells with a non-finite
+    corner give none.
+    """
+    v = (vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:])
+    case = sum((vk < 0).astype(np.int8) << k for k, vk in enumerate(v))
+    # cases 0 and 15 have no crossing
+    i, j = np.nonzero((case % 15 != 0) & np.all(np.isfinite(v), axis=0))
+    va, vb, vc, vd = (vk[i, j] for vk in v)
+    with np.errstate(over="ignore"):
+        mean_neg = 0.25 * (((va + vb) + vc) + vd) < 0
+    edges = _MS[case[i, j], mean_neg.astype(np.int8)]
+    cell, slot = np.nonzero(edges[:, :, 0] >= 0)
+    ends = edges[cell, slot]
+    i, j = i[cell], j[cell]
+    va, vb, vc, vd = va[cell], vb[cell], vc[cell], vd[cell]
+    x0, y0 = xs[i], ys[j]
+    dx, dy = xs[i + 1] - x0, ys[j + 1] - y0
+    # the crossing on each of the four edges of every listed cell
+    px = np.array([x0 + _lerp(va, vb) * dx, x0 + dx, x0 + _lerp(vd, vc) * dx, x0])
+    py = np.array([y0, y0 + _lerp(vb, vc) * dy, y0 + dy, y0 + _lerp(va, vd) * dy])
+    k = np.arange(len(cell))[:, None]
+    return np.stack([px[ends, k], py[ends, k]], axis=-1)
 
 
 def _stitch(segs, snap):
@@ -328,33 +321,28 @@ def trace_implicit_curve(
 ) -> list[CurveSamples]:
     """Zero set of g over a box as polished polylines.
 
-    g is either a callable g(x, y) acting on arrays, or a pair
-    (scalar_fn, grid_fn).  Samples found by marching squares get Newton
-    steps along the gradient; the target residual is 1e-12 of the value
-    scale on the grid.  Returns [] when no crossings exist.
+    g(x, y) acts on arrays.  Samples found by marching squares get
+    Newton steps along the gradient; the target residual is 1e-12 of the
+    value scale on the grid.  Returns [] when no crossings exist.
     """
-    if isinstance(g, tuple):
-        scalar_fn, grid_fn = g
-    else:
-        scalar_fn, grid_fn = g, g
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(grid_fn(Xg, Yg), dtype=np.float64)
+    vals = np.asarray(g(Xg, Yg), dtype=np.float64)
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         return []
     gscale = float(np.max(np.abs(finite))) or 1.0
     segs = _marching_squares(vals, xs, ys)
-    if not segs:
+    if not len(segs):
         return []
     cell = max((x1 - x0) / (resolution - 1), (y1 - y0) / (resolution - 1))
-    lines = _stitch(segs, snap=1e-6 * cell)
+    lines = _stitch(segs.tolist(), snap=1e-6 * cell)
     out = []
     for line in lines:
         if polish:
-            line = _polish_onto(scalar_fn, line, cell, 1e-12 * gscale)
+            line = _polish_onto(g, line, cell, 1e-12 * gscale)
         if len(line) >= 2:
             out.append(CurveSamples(points=line, label=label))
     out.sort(key=lambda c: (-len(c.points), c.points[0, 0], c.points[0, 1]))
@@ -391,18 +379,14 @@ def singular_curves(
     are split wherever they touch the boundary band, since a marching
     pass can glue the two loci when they pass within one grid cell.
     """
-    comps = trace_implicit_curve(
-        (lambda x, y: resultant_at(m, x, y), resultant_grid_fn(m)),
-        box,
-        resolution,
-    )
+    comps = trace_implicit_curve(resultant_grid_fn(m), box, resolution)
     out = []
     for c in comps:
-        keep = np.empty(len(c.points), dtype=bool)
-        for i, (px, py) in enumerate(c.points):
-            sc = mt.metric_scale(m, float(px), float(py))
-            d = mt.disc_metric(m, float(px), float(py))
-            keep[i] = abs(d) >= 1e-6 * max(sc, 1e-30) ** 4
+        coeffs = m.table("F").values_on_grid(*c.points.T)
+        sc = np.maximum(np.max(np.abs(coeffs), axis=0), 1e-30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = mt.disc_from_coeffs(m, coeffs)
+            keep = np.abs(d) >= 1e-6 * ((sc * sc) * (sc * sc))
         for run in _split_runs(c.points, keep):
             out.append(CurveSamples(points=run, label="singular"))
     out.sort(key=lambda c: (-len(c.points), c.points[0, 0], c.points[0, 1]))
@@ -417,33 +401,45 @@ def boundary_curves(
     """Traced components of the metric boundary (disc_F = 0), labeled
     "boundary"."""
     return trace_implicit_curve(
-        (lambda x, y: mt.disc_metric(m, x, y), disc_grid_fn(m)),
-        box,
-        resolution,
-        label="boundary",
+        disc_grid_fn(m), box, resolution, label="boundary"
     )
 
 
-def _polish_onto(fn, pts, cell, target):
+def _polish_onto(g, pts, cell, target):
+    """Newton steps along the central-difference gradient of g, up to 20
+    per point, all points at once.
+
+    A point stops once |g| <= target, where the gradient vanishes or is
+    not finite, or after a step below 1e-14 of its size.  Each live point
+    costs five values of g, and one call of g takes them all.
+    """
     h = 1e-6 * cell
-    out = []
-    for x, y in pts:
-        for _ in range(20):
-            v = float(fn(x, y))
-            if abs(v) <= target:
-                break
-            gx = (float(fn(x + h, y)) - float(fn(x - h, y))) / (2 * h)
-            gy = (float(fn(x, y + h)) - float(fn(x, y - h))) / (2 * h)
+    x, y = np.array(pts, dtype=np.float64).T
+    live = np.arange(len(x))
+    for _ in range(20):
+        if not live.size:
+            break
+        xl, yl = x[live], y[live]
+        v, xp, xm, yp, ym = np.split(
+            np.asarray(
+                g(np.concatenate([xl, xl + h, xl - h, xl, xl]),
+                  np.concatenate([yl, yl, yl, yl + h, yl - h])),
+                dtype=np.float64,
+            ),
+            5,
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gx = (xp - xm) / (2 * h)
+            gy = (yp - ym) / (2 * h)
             g2 = gx * gx + gy * gy
-            if g2 == 0 or not math.isfinite(g2):
-                break
+            step = ~(np.abs(v) <= target) & (g2 != 0) & np.isfinite(g2)
+            live, v, gx, gy, g2 = live[step], v[step], gx[step], gy[step], g2[step]
             dx, dy = v * gx / g2, v * gy / g2
-            x -= dx
-            y -= dy
-            if math.hypot(dx, dy) < 1e-14 * (1.0 + abs(x) + abs(y)):
-                break
-        out.append((x, y))
-    return np.asarray(out)
+        x[live] -= dx
+        y[live] -= dy
+        small = np.hypot(dx, dy) < 1e-14 * (1.0 + np.abs(x[live]) + np.abs(y[live]))
+        live = live[~small]
+    return np.column_stack([x, y])
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +494,17 @@ def find_tangency_failures(
 
     Scans the normalized direction-vs-tangent dot product for sign
     changes and refines each by bisection (with Newton re-projection onto
-    the curve at every probe).
+    the curve at every probe).  curve_fn(x, y) acts on arrays; it
+    defaults to the resultant.
     """
-    fn = curve_fn or (lambda a, b: resultant_at(m, a, b))
+    grid_fn = curve_fn or resultant_grid_fn(m)
     pts = curve.points
 
     def measure(x, y):
         # the traced component may graze the metric boundary, where the
         # lift loses its real root; such samples cannot carry a tangency
         try:
-            return tangency_report(m, x, y, curve_fn=fn).direction_dot
+            return tangency_report(m, x, y, curve_fn=curve_fn).direction_dot
         except StratumError:
             return math.nan
 
@@ -524,7 +521,7 @@ def find_tangency_failures(
         a, b = pts[i], pts[i + 1]
         for _ in range(60):
             mid = 0.5 * (a + b)
-            mid = _polish_onto(fn, mid[None, :], cell, 0.0)[0]
+            mid = _polish_onto(grid_fn, mid[None, :], cell, 0.0)[0]
             vm = measure(mid[0], mid[1])
             if not np.isfinite(vm):
                 break

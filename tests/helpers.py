@@ -1,10 +1,14 @@
-"""Shared builders and planar polyline utilities for the test suite."""
+"""Shared builders, planar polyline utilities and cell-by-cell references
+for the test suite."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from finslerflow import metric as mt
+from finslerflow.cli import _fmt
 
 
 def halfplane_metric() -> mt.PseudoFinslerMetric:
@@ -171,3 +175,98 @@ def crop_to_ball(points: np.ndarray, center, radius: float) -> np.ndarray:
         out.append(_boundary_point(pts[hi], pts[hi + 1], c, radius))
     return np.asarray(out)
 
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell and point-by-point references for the grid paths
+
+# corner order (i, j), (i+1, j), (i+1, j+1), (i, j+1); edges 0 bottom,
+# 1 right, 2 top, 3 left; None marks the saddles
+_CELL_SEGMENTS = {
+    0: [], 15: [],
+    1: [(3, 0)], 14: [(3, 0)],
+    2: [(0, 1)], 13: [(0, 1)],
+    4: [(1, 2)], 11: [(1, 2)],
+    8: [(2, 3)], 7: [(2, 3)],
+    3: [(3, 1)], 12: [(3, 1)],
+    6: [(0, 2)], 9: [(0, 2)],
+    5: None, 10: None,
+}
+
+
+def _edge_point(edge, x0, y0, dx, dy, v):
+    def lerp(va, vb):
+        d = vb - va
+        return 0.5 if d == 0 else min(max(-va / d, 0.0), 1.0)
+
+    if edge == 0:
+        return (x0 + lerp(v[0], v[1]) * dx, y0)
+    if edge == 1:
+        return (x0 + dx, y0 + lerp(v[1], v[2]) * dy)
+    if edge == 2:
+        return (x0 + lerp(v[3], v[2]) * dx, y0 + dy)
+    return (x0, y0 + lerp(v[0], v[3]) * dy)
+
+
+def cell_marching_squares(vals, xs, ys) -> np.ndarray:
+    """Reference: marching squares one cell at a time, as (segment, end,
+    xy); a saddle is resolved by the mean of its corners."""
+    segs = []
+    ni, nj = vals.shape
+    for i in range(ni - 1):
+        for j in range(nj - 1):
+            v = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
+            if not all(np.isfinite(v)):
+                continue
+            idx = sum(1 << k for k, vk in enumerate(v) if vk < 0)
+            entry = _CELL_SEGMENTS[idx]
+            if entry is None:
+                center = 0.25 * sum(v)
+                if idx == 5:
+                    entry = [(3, 2), (0, 1)] if center < 0 else [(3, 0), (1, 2)]
+                else:
+                    entry = [(0, 1), (2, 3)] if center < 0 else [(0, 3), (1, 2)]
+            x0, y0 = xs[i], ys[j]
+            dx, dy = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
+            for ea, eb in entry:
+                segs.append((
+                    _edge_point(ea, x0, y0, dx, dy, v),
+                    _edge_point(eb, x0, y0, dx, dy, v),
+                ))
+    return np.array(segs, dtype=np.float64).reshape(-1, 2, 2)
+
+
+def point_polish(fn, pts, cell, target) -> np.ndarray:
+    """Reference: Newton steps along the central-difference gradient of
+    the scalar function fn, one point at a time."""
+    h = 1e-6 * cell
+    out = []
+    for x, y in pts:
+        for _ in range(20):
+            v = float(fn(x, y))
+            if abs(v) <= target:
+                break
+            gx = (float(fn(x + h, y)) - float(fn(x - h, y))) / (2 * h)
+            gy = (float(fn(x, y + h)) - float(fn(x, y - h))) / (2 * h)
+            g2 = gx * gx + gy * gy
+            if g2 == 0 or not math.isfinite(g2):
+                break
+            dx, dy = v * gx / g2, v * gy / g2
+            x -= dx
+            y -= dy
+            if math.hypot(dx, dy) < 1e-14 * (1.0 + abs(x) + abs(y)):
+                break
+        out.append((x, y))
+    return np.array(out, dtype=np.float64).reshape(-1, 2)
+
+
+def cell_strata_rows(m, xs, ys) -> list[tuple]:
+    """Reference: the rows of the classify CSV, one classify_point and one
+    disc_metric call per cell, x running fastest."""
+    rows = []
+    for y in ys:
+        for x in xs:
+            st = mt.classify_point(m, float(x), float(y))
+            d = mt.disc_metric(m, float(x), float(y))
+            rows.append((_fmt(x), _fmt(y), st.name, _fmt(d)))
+    return rows

@@ -67,6 +67,20 @@ class TestDoubleDirectionLocus:
         assert curves
         assert np.abs(curves[0].points[:, 0]).max() < 1e-8
 
+    def test_pole_in_box_gives_curves(self):
+        # the Jacobian 4x + 1/(x - 0.5)^2 is infinite on the grid column
+        # x = 0.5; those cells are skipped, not raised on
+        imm = bm.SurfaceImmersion(("x", "y", "y - 2*x^2 + 1/(x - 0.5)"))
+        box = (-1.0, 1.0, -1.0, 1.0)
+        assert 0.5 in np.linspace(box[0], box[1], 201)
+        curves = bm.double_direction_locus(imm, 1, 2, box, resolution=201)
+        assert len(curves) == 1
+        # the zero set is the line at the real root of x (x - 0.5)^2 = -1/4
+        roots = np.roots([1.0, -1.0, 0.25, 0.25])
+        (root,) = roots[np.abs(roots.imag) < 1e-12].real
+        np.testing.assert_allclose(curves[0].points[:, 0], root, atol=1e-9)
+        assert np.ptp(curves[0].points[:, 1]) > 1.9
+
     def test_transversal_pair_has_no_locus(self):
         imm = tangency_immersion()
         assert bm.double_direction_locus(imm, 0, 1, (-1.0, 1.0, -1.0, 1.0)) == []

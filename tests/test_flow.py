@@ -105,6 +105,23 @@ class TestTraceStructure:
             (0, "MaxSteps"), (len(tr) - 1, "MaxSteps")
         ]
 
+    def test_both_stops_kept_when_sides_stop_at_the_seed(self):
+        # F = p^2 + 1/x next to its pole: neither side takes a step, and
+        # the one seed row can carry only one of the two stop events
+        m = mt.metric_from_strings(2, ["1/x", "0", "1"])
+        tr = flow.integrate(m, PTMPoint(1e-9, 0.0, 0.3))
+        assert len(tr) == 1
+        assert [(e.index, e.kind) for e in tr.events] == [(0, "StepUnderflow")]
+        assert tr.stops == ("StepUnderflow", "StepUnderflow")
+
+    def test_stops_name_each_side(self):
+        m = halfplane_metric()
+        cfg = IntegratorConfig(max_steps=5)
+        tr = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
+        assert tr.stops == ("MaxSteps", "MaxSteps")
+        tr = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg, direction=-1)
+        assert tr.stops == ("MaxSteps",)
+
     def test_sample_spacing_bounded(self):
         m = halfplane_metric()
         cfg = IntegratorConfig(max_ds=0.002)
@@ -284,6 +301,44 @@ class TestTangentBundleOverlay:
             tm = flow.tm_integrate(m, x0, 0.0, 1.0, 0.0, direction=+1)
         assert tm.stops == ("SingularApproach",)
         assert len(tm.t) > 1
+
+    def test_step_end_determinants_computed_once(self, monkeypatch):
+        # the H ~ 0 test at a step's end reuses the determinants of the
+        # stage that ended there; recomputing them gives the same trace
+        m = halfplane_metric()
+        calls = []
+        accel = mt.accel_determinants
+
+        def counted(*args):
+            calls.append(args)
+            return accel(*args)
+
+        def repeats():
+            return sum(a == b for a, b in zip(calls, calls[1:]))
+
+        monkeypatch.setattr(mt, "accel_determinants", counted)
+        reused = flow.tm_integrate(m, -0.5, 0.0, 1.0, 0.3)
+        assert calls and repeats() == 0
+
+        steps = flow._dopri_steps
+
+        def fresh_ends(rhs, u, cfg):
+            # each step's end point as a new tuple, so no stage matches it
+            gen = steps(rhs, u, cfg)
+            while True:
+                try:
+                    t, h, u0, f0, u1, f1 = next(gen)
+                except StopIteration as end:
+                    return end.value
+                yield t, h, u0, f0, tuple(list(u1)), f1
+
+        calls.clear()
+        monkeypatch.setattr(flow, "_dopri_steps", fresh_ends)
+        recomputed = flow.tm_integrate(m, -0.5, 0.0, 1.0, 0.3)
+        assert repeats() > 0
+        for name in ("t", "x", "y", "xdot", "ydot"):
+            assert np.array_equal(getattr(reused, name), getattr(recomputed, name))
+        assert reused.stops == recomputed.stops
 
     @pytest.mark.parametrize(
         "texts, speed",

@@ -10,7 +10,8 @@ import pytest
 
 from finslerflow import expr as ex
 from finslerflow import metric as mt
-from helpers import halfplane_metric, parabola_metric, random_metric
+from finslerflow import singular as sg
+from helpers import halfplane_metric, parabola_metric, random_metric, random_poly_text
 
 
 def _closed_form_cubic(c_text: str):
@@ -123,6 +124,20 @@ class TestDiscriminants:
             df = mt.disc_metric(m, x, y)
             sc = (1.0 + mt.metric_scale(m, x, y)) ** 4
             assert abs(dd + 12.0 * df) <= 1e-9 * sc
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_grid_equals_pointwise(self, degree):
+        # every coefficient, the leading ones included, varies over the box
+        rng = np.random.default_rng(40 + degree)
+        xs, ys = rng.uniform(-1.5, 1.5, (2, 400))
+        for _ in range(5):
+            texts = [random_poly_text(rng, 3) for _ in range(degree + 1)]
+            m = mt.metric_from_strings(degree, texts)
+            want = [mt.disc_metric(m, x, y) for x, y in zip(xs, ys)]
+            assert np.array_equal(sg.disc_grid_fn(m)(xs, ys), want)
+            if degree == 3:
+                _, disc = mt.strata_on_grid(m, xs, ys)
+                assert np.array_equal(disc, want)
 
     def test_degree_guards(self):
         m5 = random_metric(np.random.default_rng(3), 5)

@@ -119,8 +119,7 @@ class TestSingularCurves:
     def test_halfplane_locus_is_vertical_axis(self):
         m = halfplane_metric()
         curves = sg.trace_implicit_curve(
-            (lambda x, y: sg.resultant_at(m, x, y), sg.resultant_grid_fn(m)),
-            (-1.0, 1.0, -1.0, 1.0),
+            sg.resultant_grid_fn(m), (-1.0, 1.0, -1.0, 1.0)
         )
         assert curves
         assert np.abs(curves[0].points[:, 0]).max() < 1e-8
