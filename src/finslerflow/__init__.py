@@ -49,6 +49,7 @@ from .metric import (
     disc_metric,
     isotropic_directions,
     metric_from_strings,
+    strata_on_grid,
 )
 from .nets import net_curves
 from .polyanalysis import (
@@ -136,6 +137,7 @@ __all__ = [
     "singular_directions",
     "solve_geodesic_series",
     "spread_form",
+    "strata_on_grid",
     "tangency_report",
     "tm_integrate",
     "trace_implicit_curve",

@@ -133,10 +133,10 @@ def test_marching_squares_on_saddles_and_non_finite_cells():
 
 
 def test_no_crossing_gives_no_segments():
-    vals = np.ones((5, 6))
-    segs = sg._marching_squares(vals, np.arange(5.0), np.arange(6.0))
+    vals, xs, ys = np.ones((5, 6)), np.arange(5.0), np.arange(6.0)
+    segs = sg._marching_squares(vals, xs, ys)
     assert segs.shape == (0, 2, 2)
-    assert np.array_equal(segs, cell_marching_squares(vals, np.arange(5.0), np.arange(6.0)))
+    assert np.array_equal(segs, cell_marching_squares(vals, xs, ys))
 
 
 def test_band_cells_go_through_classify_point():
