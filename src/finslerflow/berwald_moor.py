@@ -91,8 +91,8 @@ class SurfaceImmersion:
     """Surface in the n-dimensional product space, componentwise.
 
     Components may be given as ScalarField, Expr or text.  Construction
-    probes a grid around the origin and refuses components whose
-    differential degenerates there.
+    probes a grid around the origin and refuses, with a ValueError,
+    components whose differential degenerates there or has a pole on it.
     """
 
     components: tuple[ScalarField, ...] = field(default_factory=tuple)
@@ -106,7 +106,14 @@ class SurfaceImmersion:
             fx, fy = f.partial("x"), f.partial("y")
             for xv in ticks:
                 for yv in ticks:
-                    if abs(fx(xv, yv)) + abs(fy(xv, yv)) <= _DEGEN_TOL:
+                    try:
+                        size = abs(fx(xv, yv)) + abs(fy(xv, yv))
+                    except ex.EvalDomainError as err:
+                        raise ValueError(
+                            f"component {idx} has a pole at ({xv:.3g}, {yv:.3g}): "
+                            f"denominator '{err.where}' vanishes"
+                        ) from err
+                    if size <= _DEGEN_TOL:
                         raise ValueError(
                             f"component {idx} has a degenerate differential "
                             f"near ({xv:.3g}, {yv:.3g})"

@@ -88,7 +88,11 @@ class ScenarioConfig:
         return [self.coeffs.get(i, "0") for i in range(self.degree + 1)]
 
     def immersion_obj(self) -> bm.SurfaceImmersion:
-        return bm.SurfaceImmersion(tuple(self.immersion))
+        """The immersion; a component the probe refuses is a ConfigError."""
+        try:
+            return bm.SurfaceImmersion(tuple(self.immersion))
+        except ValueError as err:
+            raise ConfigError(f"immersion: {err}") from err
 
     def metric_obj(self) -> mt.PseudoFinslerMetric:
         if self.mode == "berwald-moor":
@@ -528,8 +532,8 @@ _TRACE_HEADER = ["t", "x", "y", "slope", "chart", "F", "Delta", "P", "event"]
 
 def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
     m = cfg.metric_obj()
-    if m.degree not in (2, 3):
-        print("classify: stratification needs a metric of degree 2 or 3", file=sys.stderr)
+    if m.degree != 3:
+        print("classify: stratification needs a metric of degree 3", file=sys.stderr)
         return 2
     res = cfg.resolution
     xs = np.linspace(cfg.box[0], cfg.box[1], res)
@@ -936,16 +940,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, tuple(args.seed))
+        try:
+            cfg = load_config(args.config, tuple(args.seed))
+        except OSError as err:
+            print(f"cannot read config: {err}", file=sys.stderr)
+            return 2
+        outdir = args.out or os.path.dirname(os.path.abspath(args.config))
+        os.makedirs(outdir, exist_ok=True)
+        # the immersion is probed when a command first builds it
+        return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"cannot read config: {err}", file=sys.stderr)
-        return 2
-    outdir = args.out or os.path.dirname(os.path.abspath(args.config))
-    os.makedirs(outdir, exist_ok=True)
-    return _COMMANDS[args.command](cfg, outdir)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,13 @@ coefficients and forcing terms are exact; they are normalized by the
 leading slope coefficient of the degeneracy polynomial at the base point
 so that the printed recurrence has integer-looking entries for simple
 models.
+
+Expressions are evaluated on series through one value-numbered pass
+(_SeriesPlan) over the denominator and numerator coefficient trees
+together, so a subexpression used in several places is one series
+operation.  Only y = y0 + integral of p dx changes while a solve runs, so
+the nodes that do not read y are computed once per solve and each
+residual recomputes only the nodes that read y.
 """
 
 from __future__ import annotations
@@ -283,26 +290,112 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
 
+def _operands(op: str, a, b) -> tuple:
+    """The slots a step of _SeriesPlan reads."""
+    if op in "+*/":
+        return (a, b)
+    if op in "-^":
+        return (a,)
+    return ()
+
+
+class _SeriesPlan:
+    """One value-numbered pass over a list of expressions, on exact series.
+
+    ``steps`` holds (slot, op, a, b) in evaluation order, with op one of
+    c (constant a), x, y, + * / (slots a and b), - (negate slot a) and ^
+    (slot a to the integer power b); ``roots`` holds each expression's
+    slot.  Nodes are memoized by identity and keyed by their operator and
+    operand slots, so equal subexpressions are computed once and no
+    expression tree is hashed; the identity memo lives only while
+    numbering.  A step reads y when y is one of its leaves: the steps
+    that do not (``fixed``) are the same for every y series of one order.
+    """
+
+    def __init__(self, exprs):
+        self.steps: list[tuple] = []
+        self.reads_y: list[bool] = []
+        self._keys: dict[tuple, int] = {}
+        self._seen: dict[int, int] = {}
+        self.roots = [self._visit(e) for e in exprs]
+        del self._keys, self._seen  # needed only while numbering
+        self.fixed = [st for st in self.steps if not self.reads_y[st[0]]]
+        self.moving = [st for st in self.steps if self.reads_y[st[0]]]
+        # the fixed values that the results and the y-dependent steps read
+        kept = set(self.roots)
+        for _, op, a, b in self.moving:
+            kept.update(_operands(op, a, b))
+        self.kept = sorted(i for i in kept if not self.reads_y[i])
+
+    def _step(self, op: str, a=None, b=None) -> int:
+        key = (op, a, b)
+        if op in "+*" and b < a:
+            key = (op, b, a)
+        slot = self._keys.get(key)
+        if slot is None:
+            slot = len(self.steps)
+            self._keys[key] = slot
+            self.steps.append((slot, op, a, b))
+            self.reads_y.append(
+                op == "y" or any(self.reads_y[i] for i in _operands(op, a, b))
+            )
+        return slot
+
+    def _visit(self, e: ex.Expr) -> int:
+        got = self._seen.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, ex.Const):
+            out = self._step("c", _frac(e.value))
+        elif isinstance(e, ex.Var):
+            out = self._step("x" if e.name == "x" else "y")
+        elif isinstance(e, ex.Add):
+            out = self._step("+", self._visit(e.a), self._visit(e.b))
+        elif isinstance(e, ex.Mul):
+            out = self._step("*", self._visit(e.a), self._visit(e.b))
+        elif isinstance(e, ex.Div):
+            out = self._step("/", self._visit(e.a), self._visit(e.b))
+        elif isinstance(e, ex.Neg):
+            out = self._step("-", self._visit(e.a))
+        elif isinstance(e, ex.Pow):
+            out = self._step("^", self._visit(e.base), e.exponent)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        self._seen[id(e)] = out
+        return out
+
+    @staticmethod
+    def run(steps, vals: list, xs, ys, order: int) -> list:
+        """Compute ``steps`` into ``vals``, constants at ``order``."""
+        for slot, op, a, b in steps:
+            if op == "c":
+                v = TruncatedSeries.constant(a, order)
+            elif op == "x":
+                v = xs
+            elif op == "y":
+                v = ys
+            elif op == "+":
+                v = vals[a] + vals[b]
+            elif op == "*":
+                v = vals[a] * vals[b]
+            elif op == "/":
+                v = vals[a] / vals[b]
+            elif op == "-":
+                v = -vals[a]
+            else:
+                v = vals[a] ** b
+            vals[slot] = v
+        return vals
+
+
 def evaluate_expr_series(
     e: ex.Expr, xs: TruncatedSeries, ys: TruncatedSeries
 ) -> TruncatedSeries:
     """Substitute series for x and y in an expression tree, exactly."""
-    order = min(xs.order, ys.order)
-    if isinstance(e, ex.Const):
-        return TruncatedSeries.constant(e.value, order)
-    if isinstance(e, ex.Var):
-        return xs if e.name == "x" else ys
-    if isinstance(e, ex.Add):
-        return evaluate_expr_series(e.a, xs, ys) + evaluate_expr_series(e.b, xs, ys)
-    if isinstance(e, ex.Mul):
-        return evaluate_expr_series(e.a, xs, ys) * evaluate_expr_series(e.b, xs, ys)
-    if isinstance(e, ex.Div):
-        return evaluate_expr_series(e.a, xs, ys) / evaluate_expr_series(e.b, xs, ys)
-    if isinstance(e, ex.Neg):
-        return -evaluate_expr_series(e.a, xs, ys)
-    if isinstance(e, ex.Pow):
-        return evaluate_expr_series(e.base, xs, ys) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+    plan = _SeriesPlan([e])
+    vals = plan.run(plan.steps, [None] * len(plan.steps), xs, ys,
+                    min(xs.order, ys.order))
+    return vals[plan.roots[0]]
 
 
 @dataclass(frozen=True)
@@ -415,11 +508,33 @@ def solve_geodesic_series(
     y0f = _frac(y0)
 
     denom_exprs = m._expr_layer("denom")
-    numer_exprs = m._expr_layer("numer")
+    plan = _SeriesPlan(denom_exprs + m._expr_layer("numer"))
+    n_denom = len(denom_exprs)
     norm = _leading_norm(m, y0f)
     unknowns = [k for k in range(1, order + 1) if k not in seed_map]
     if not unknowns:
         raise ValueError("every order is pinned by the seed")
+
+    # Only y = y0 + integral of p dx changes between residuals: x = t**s
+    # is fixed, so the steps that do not read y are computed once per
+    # solve, at the first truncation order asked for, and cut to any
+    # lower one (truncated arithmetic is exact through its order).
+    fixed: dict[int, dict[int, TruncatedSeries]] = {}
+
+    def fixed_at(n_trunc: int) -> dict[int, TruncatedSeries]:
+        got = fixed.get(n_trunc)
+        if got is None:
+            top = min((k for k in fixed if k > n_trunc), default=None)
+            if top is None:
+                xs = TruncatedSeries.monomial(s, 1, n_trunc + s)
+                vals = plan.run(plan.fixed, [None] * len(plan.steps), xs, None,
+                                n_trunc + s)
+                got = {i: vals[i] for i in plan.kept}
+            else:
+                got = {i: TruncatedSeries(v.c[: n_trunc + s + 1])
+                       for i, v in fixed[top].items()}
+            fixed[n_trunc] = got
+        return got
 
     def residual(values: dict[int, Fraction], n_trunc: int) -> TruncatedSeries:
         coeffs = [Fraction(0)] * (n_trunc + 1)
@@ -428,13 +543,16 @@ def solve_geodesic_series(
                 coeffs[i] = v
         p = TruncatedSeries(coeffs)
         x, y = _curve_series(s, y0f, p)
-        dvals = [evaluate_expr_series(e, x, y) for e in denom_exprs]
-        nvals = [evaluate_expr_series(e, x, y) for e in numer_exprs]
+        vals = [None] * len(plan.steps)
+        for i, v in fixed_at(n_trunc).items():
+            vals[i] = v
+        plan.run(plan.moving, vals, x, y, n_trunc + s)
+        layer = [vals[r] for r in plan.roots]
         dpoly = TruncatedSeries.constant(0, n_trunc)
-        for c in reversed(dvals):
+        for c in reversed(layer[:n_denom]):
             dpoly = dpoly * p + c
         npoly_ = TruncatedSeries.constant(0, n_trunc)
-        for c in reversed(nvals):
+        for c in reversed(layer[n_denom:]):
             npoly_ = npoly_ * p + c
         return dpoly * p.deriv() - npoly_ * x.deriv()
 

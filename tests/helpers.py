@@ -1,13 +1,16 @@
-"""Shared builders, planar polyline utilities and cell-by-cell references
-for the test suite."""
+"""Shared builders, planar polyline utilities, cell-by-cell references
+for the grid paths and a tree-walk reference for the exact series."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from finslerflow import expr as ex
 from finslerflow import metric as mt
+from finslerflow import puiseux as pz
 from finslerflow.cli import _fmt
 
 
@@ -270,3 +273,106 @@ def cell_strata_rows(m, xs, ys) -> list[tuple]:
             d = mt.disc_metric(m, float(x), float(y))
             rows.append((_fmt(x), _fmt(y), st.name, _fmt(d)))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# tree-walk reference for the exact series solve
+
+
+def tree_expr_series(e, xs, ys):
+    """Reference: substitute series for x and y by a recursive walk that
+    evaluates every subtree wherever it occurs."""
+    order = min(xs.order, ys.order)
+    if isinstance(e, ex.Const):
+        return pz.TruncatedSeries.constant(e.value, order)
+    if isinstance(e, ex.Var):
+        return xs if e.name == "x" else ys
+    if isinstance(e, ex.Add):
+        return tree_expr_series(e.a, xs, ys) + tree_expr_series(e.b, xs, ys)
+    if isinstance(e, ex.Mul):
+        return tree_expr_series(e.a, xs, ys) * tree_expr_series(e.b, xs, ys)
+    if isinstance(e, ex.Div):
+        return tree_expr_series(e.a, xs, ys) / tree_expr_series(e.b, xs, ys)
+    if isinstance(e, ex.Neg):
+        return -tree_expr_series(e.a, xs, ys)
+    if isinstance(e, ex.Pow):
+        return tree_expr_series(e.base, xs, ys) ** e.exponent
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
+    """Reference: solve_geodesic_series with every residual evaluating
+    every denom and numer tree again through tree_expr_series (dict
+    seeds only)."""
+    TS = pz.TruncatedSeries
+    seed_map = {int(k): pz._frac(v) for k, v in dict(seed).items()}
+    free_map = {int(k): pz._frac(v) for k, v in (free or {}).items()}
+    y0f = pz._frac(y0)
+    denom_exprs = m._expr_layer("denom")
+    numer_exprs = m._expr_layer("numer")
+    zero, base_y = TS.constant(0, 0), TS.constant(y0f, 0)
+    norm = Fraction(0)
+    for e in denom_exprs:
+        v = tree_expr_series(e, zero, base_y).c[0]
+        if v != 0:
+            norm = v
+    unknowns = [k for k in range(1, order + 1) if k not in seed_map]
+
+    def residual(values, n_trunc):
+        coeffs = [Fraction(0)] * (n_trunc + 1)
+        for i, v in values.items():
+            if i <= n_trunc:
+                coeffs[i] = v
+        p = TS(coeffs)
+        x, y = pz._curve_series(s, y0f, p)
+        dpoly = TS.constant(0, n_trunc)
+        for e in reversed(denom_exprs):
+            dpoly = dpoly * p + tree_expr_series(e, x, y)
+        npoly = TS.constant(0, n_trunc)
+        for e in reversed(numer_exprs):
+            npoly = npoly * p + tree_expr_series(e, x, y)
+        r = dpoly * p.deriv() - npoly * x.deriv()
+        vals = [v.val if isinstance(v, pz._Jet) else v for v in r.c]
+        eps = [v.eps if isinstance(v, pz._Jet) else Fraction(0) for v in r.c]
+        return vals, eps
+
+    def first_nonzero(seq):
+        return next((i for i, v in enumerate(seq) if v != 0), None)
+
+    k0 = unknowns[0]
+    _, re = residual({**seed_map, k0: pz._Jet(0, 1)}, order + 3 * s + 4)
+    mk = first_nonzero(re)
+    offset = mk - k0
+    n_trunc = max(order + offset + 2, mk + 1)
+    values = dict(seed_map)
+    rows = []
+    obstructed, obstruction_order = False, None
+    for k in unknowns:
+        slot = k + offset
+        rv, re = residual({**values, k: pz._Jet(0, 1)}, n_trunc)
+        j = first_nonzero(rv)
+        if j is not None and j < slot:
+            obstructed, obstruction_order = True, j
+            rows.append(pz.SeriesOrderRow(k, j, Fraction(0), rv[j] / norm,
+                                          Fraction(0), "OBSTRUCTED"))
+            break
+        forcing, lin = rv[slot] / norm, re[slot] / norm
+        if lin != 0:
+            value, status = -forcing / lin, "FORCED"
+        elif forcing != 0:
+            obstructed, obstruction_order = True, slot
+            rows.append(pz.SeriesOrderRow(k, slot, lin, forcing, Fraction(0),
+                                          "OBSTRUCTED"))
+            break
+        else:
+            value, status = free_map.get(k, Fraction(0)), "FREE"
+        values[k] = value
+        rows.append(pz.SeriesOrderRow(k, slot, lin, forcing, value, status))
+    residual_order = None
+    if not obstructed:
+        residual_order = first_nonzero(residual(values, n_trunc)[0])
+    return pz.GeodesicSeries(
+        s=s, y0=float(y0), order=order, coeffs=values, rows=tuple(rows),
+        offset=offset, norm=norm, obstructed=obstructed,
+        obstruction_order=obstruction_order, residual_order=residual_order,
+    )

@@ -186,6 +186,29 @@ class TestCommands:
             assert r[2] == want
         assert "classify: wrote" in capsys.readouterr().out
 
+    def test_classify_refuses_degree_two(self, tmp_path, capsys):
+        text = "mode = coefficients\nn = 2\na0 = -x\na2 = 1\nresolution = 8\n"
+        rc = cli.main(["classify", "--config", write(tmp_path, text),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "degree 3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["classify", "singular", "portrait", "puiseux", "verify"])
+    def test_immersion_pole_is_config_error(self, tmp_path, capsys, command):
+        text = TANGENCY.replace("f3 = y - 2*x^2", "f3 = y + 1/x")
+        rc = cli.main([command, "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: immersion: component 2 has a pole at (0, -1)")
+
+    def test_degenerate_immersion_is_config_error(self, tmp_path, capsys):
+        text = TANGENCY.replace("f3 = y - 2*x^2", "f3 = x^2")
+        rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: immersion: component 2 has a degenerate differential")
+
     def test_integrate_and_trace_quality(self, tmp_path):
         rc = cli.main(["integrate", "--config", write(tmp_path, HALFPLANE),
                        "--out", str(tmp_path)])
