@@ -26,7 +26,7 @@ from .berwald_moor import (
     double_direction_locus,
     induced_metric,
 )
-from .expr import ScalarField, as_field, parse
+from .expr import parse
 from .flow import (
     GeodesicTrace,
     IntegratorConfig,
@@ -95,7 +95,6 @@ __all__ = [
     "ProjectiveRoot",
     "PseudoFinslerMetric",
     "RootedPolynomial",
-    "ScalarField",
     "SingularPoint",
     "Stratum",
     "StratumError",
@@ -107,7 +106,6 @@ __all__ = [
     "adapted_from_immersion",
     "admissible_u",
     "arclength_reparam",
-    "as_field",
     "field_at",
     "blowup_field_at",
     "blowup_spectrum",

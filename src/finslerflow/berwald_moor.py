@@ -26,14 +26,13 @@ isotropic curves through the collision point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import expr as ex
 from . import metric as mt
 from .codegen import LayerTable
-from .expr import ScalarField, as_field
 from .flow import FamilyMember, IntegratorConfig, PTMPoint, _integrate_outward
 from .metric import PseudoFinslerMetric
 from .singular import CurveSamples, trace_implicit_curve
@@ -90,34 +89,36 @@ def _expand_factors(factors) -> list[ex.Expr]:
 class SurfaceImmersion:
     """Surface in the n-dimensional product space, componentwise.
 
-    Components may be given as ScalarField, Expr or text.  Construction
+    Components may be given as Expr, text or numbers.  Construction
     probes a grid around the origin and refuses, with a ValueError,
-    components whose differential degenerates there or has a pole on it.
+    components whose differential degenerates there or has a pole on it
+    (is not finite).
     """
 
-    components: tuple[ScalarField, ...] = field(default_factory=tuple)
+    components: tuple[ex.Expr, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        comps = tuple(as_field(c) for c in self.components)
+        comps = tuple(ex.as_expr(c) for c in self.components)
         if len(comps) < 3:
             raise ValueError("need at least three components")
         ticks = np.linspace(-_PROBE_HALF, _PROBE_HALF, _PROBE_SIDE)
-        for idx, f in enumerate(comps):
-            fx, fy = f.partial("x"), f.partial("y")
-            for xv in ticks:
-                for yv in ticks:
-                    try:
-                        size = abs(fx(xv, yv)) + abs(fy(xv, yv))
-                    except ex.EvalDomainError as err:
-                        raise ValueError(
-                            f"component {idx} has a pole at ({xv:.3g}, {yv:.3g}): "
-                            f"denominator '{err.where}' vanishes"
-                        ) from err
-                    if size <= _DEGEN_TOL:
-                        raise ValueError(
-                            f"component {idx} has a degenerate differential "
-                            f"near ({xv:.3g}, {yv:.3g})"
-                        )
+        xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
+        partials = LayerTable([ex.diff(f, v) for f in comps for v in "xy"])
+        d = partials.values_on_grid(xs, ys).reshape(len(comps), 2, -1)
+        size = np.abs(d).sum(axis=1)
+        bad = ~np.isfinite(size) | (size <= _DEGEN_TOL)
+        if bad.any():
+            # the first failure by component, then x, then y
+            idx, k = divmod(int(np.argmax(bad)), size.shape[1])
+            where = f"({xs.flat[k]:.3g}, {ys.flat[k]:.3g})"
+            if np.isfinite(size[idx, k]):
+                raise ValueError(
+                    f"component {idx} has a degenerate differential near {where}"
+                )
+            raise ValueError(
+                f"component {idx} has a pole at {where}: its differential "
+                "is not finite"
+            )
         object.__setattr__(self, "components", comps)
 
     @property
@@ -128,7 +129,7 @@ class SurfaceImmersion:
 def induced_metric(imm: SurfaceImmersion) -> PseudoFinslerMetric:
     """Expand prod (f_ix + f_iy p) into polynomial metric coefficients."""
     factors = [
-        (ex.diff(f.expr, "x"), ex.diff(f.expr, "y")) for f in imm.components
+        (ex.diff(f, "x"), ex.diff(f, "y")) for f in imm.components
     ]
     return PseudoFinslerMetric(imm.n, _expand_factors(factors))
 
@@ -147,7 +148,7 @@ def double_direction_locus(
     """
     if i == j:
         raise ValueError("need two distinct component indices")
-    fi, fj = imm.components[i].expr, imm.components[j].expr
+    fi, fj = imm.components[i], imm.components[j]
     jac = ex.sub(
         ex.mul(ex.diff(fi, "x"), ex.diff(fj, "y")),
         ex.mul(ex.diff(fi, "y"), ex.diff(fj, "x")),
@@ -167,27 +168,29 @@ class AdaptedLocalMetric:
 
     ``extra`` holds the velocity-linear factors of G as (gx, gy) pairs;
     the slope polynomial of G is prod (gx + gy * p).  The total velocity
-    degree is 2 + len(extra).
+    degree is 2 + len(extra).  Fields may be given as Expr, text or
+    numbers; instances compare by their expression trees.
     """
 
-    a: ScalarField
-    b: ScalarField
-    extra: tuple[tuple[ScalarField, ScalarField], ...] = ()
+    a: ex.Expr
+    b: ex.Expr
+    extra: tuple[tuple[ex.Expr, ex.Expr], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_field(self.a))
-        object.__setattr__(self, "b", as_field(self.b))
+        object.__setattr__(self, "a", ex.as_expr(self.a))
+        object.__setattr__(self, "b", ex.as_expr(self.b))
         object.__setattr__(
             self,
             "extra",
-            tuple((as_field(gx), as_field(gy)) for gx, gy in self.extra),
+            tuple((ex.as_expr(gx), ex.as_expr(gy)) for gx, gy in self.extra),
         )
-        if abs(self.a(0.0, 0.0)) <= _DEGEN_TOL:
+        av, bv, *gxs = self.values(0.0, 0.0)
+        if abs(av) <= _DEGEN_TOL:
             raise ValueError("field a vanishes at the origin (tangency too flat)")
-        if abs(self.b(0.0, 0.0)) <= _DEGEN_TOL:
+        if abs(bv) <= _DEGEN_TOL:
             raise ValueError("field b vanishes at the origin")
-        for k, (gx, _) in enumerate(self.extra):
-            if abs(gx(0.0, 0.0)) <= _DEGEN_TOL:
+        for k, gx in enumerate(gxs):
+            if abs(gx) <= _DEGEN_TOL:
                 raise ValueError(
                     f"extra factor {k} is vertical at the origin; only one "
                     "double direction is supported"
@@ -197,28 +200,37 @@ class AdaptedLocalMetric:
     def n(self) -> int:
         return 2 + len(self.extra)
 
+    @cached_property
+    def _table(self) -> LayerTable:
+        return LayerTable((self.a, self.b) + tuple(gx for gx, _ in self.extra))
 
-def full_metric(alm: AdaptedLocalMetric) -> PseudoFinslerMetric:
-    """Expand p*(a*x + b*p)*G into a polynomial metric.
-
-    Adapted metrics with equal coefficient trees share one result (and so
-    its generated evaluators); the ScalarField members compare by
-    identity, so the cache is keyed on their expressions.
-    """
-    extra = tuple((gx.expr, gy.expr) for gx, gy in alm.extra)
-    return _full_metric(alm.a.expr, alm.b.expr, extra)
+    def values(self, x: float, y: float) -> list[float]:
+        """a, b and the gx of each extra factor at (x, y); a value that
+        is not finite (a pole) is a ValueError."""
+        got = self._table.values_at(x, y)
+        if not np.all(np.isfinite(got)):
+            raise ValueError(
+                f"an adapted field has a pole at ({x!r}, {y!r}): "
+                f"(a, b, gx...) = {got.tolist()}"
+            )
+        return got.tolist()
 
 
 @lru_cache(maxsize=16)
-def _full_metric(a: ex.Expr, b: ex.Expr, extra) -> PseudoFinslerMetric:
-    factors = [(ex.const(0.0), ex.const(1.0)), (ex.mul(a, ex.Var("x")), b)]
-    factors.extend(extra)
-    return PseudoFinslerMetric(2 + len(extra), _expand_factors(factors))
+def full_metric(alm: AdaptedLocalMetric) -> PseudoFinslerMetric:
+    """Expand p*(a*x + b*p)*G into a polynomial metric.
+
+    Adapted metrics with equal coefficient trees compare equal and so
+    share one result, and its generated evaluators.
+    """
+    factors = [(ex.const(0.0), ex.const(1.0)), (ex.mul(alm.a, ex.Var("x")), alm.b)]
+    factors.extend(alm.extra)
+    return PseudoFinslerMetric(alm.n, _expand_factors(factors))
 
 
 def admissible_u(alm: AdaptedLocalMetric, x: float = 0.0, y: float = 0.0):
     """The three rest values of the blown-up slope: 0, -a/2b, -a/b."""
-    av, bv = alm.a(x, y), alm.b(x, y)
+    av, bv = alm.values(x, y)[:2]
     if abs(bv) <= _DEGEN_TOL * (1.0 + abs(av)):
         raise ValueError("field b vanishes here; no finite admissible slopes")
     return (0.0, -av / (2.0 * bv), -av / bv)
@@ -244,7 +256,7 @@ def blowup_field_at(alm: AdaptedLocalMetric, x: float, y: float, u: float):
     orientation.
     """
     n = alm.n
-    av, bv = alm.a(x, y), alm.b(x, y)
+    av, bv = alm.values(x, y)[:2]
     _ambient_guard(n, av, bv)
     if abs(x) < 1e-12:
         amb = (1 - n) * av * av + 2.0 * (2 - n) * (av * bv * u + (bv * u) ** 2)
@@ -311,8 +323,8 @@ def adapted_from_immersion(
     if tangent_index == vertical_index:
         raise ValueError("need two distinct component indices")
     comps = imm.components
-    fi = comps[tangent_index].expr
-    fj = comps[vertical_index].expr
+    fi = comps[tangent_index]
+    fj = comps[vertical_index]
 
     cjx = ex.expr_to_poly2d(ex.diff(fj, "x"))
     if np.max(np.abs(cjx)) > 1e-12:
@@ -337,15 +349,11 @@ def adapted_from_immersion(
     b_expr = _emul(b_expr, fjy)
 
     extra = [
-        (ex.diff(comps[k].expr, "x"), ex.diff(comps[k].expr, "y"))
+        (ex.diff(comps[k], "x"), ex.diff(comps[k], "y"))
         for k in range(len(comps))
         if k not in (tangent_index, vertical_index)
     ]
-    alm = AdaptedLocalMetric(
-        ScalarField(a_expr),
-        ScalarField(b_expr),
-        tuple((ScalarField(gx), ScalarField(gy)) for gx, gy in extra),
-    )
+    alm = AdaptedLocalMetric(a_expr, b_expr, tuple(extra))
 
     want = induced_metric(imm)
     got = full_metric(alm)
@@ -378,7 +386,7 @@ def bm_family_shoot(
     from .puiseux import series_point, solve_geodesic_series
 
     n = alm.n
-    av, bv = alm.a(0.0, y0), alm.b(0.0, y0)
+    av, bv = alm.values(0.0, y0)[:2]
     _ambient_guard(n, av, bv)
     if abs(av) <= _DEGEN_TOL:
         raise ValueError("tangency order is not one (field a vanishes)")

@@ -11,8 +11,9 @@ The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
 expanded by square-and-multiply and Horner's rule starts from 0.0 with
 the highest coefficient first, so a pointwise result is exactly what that
-sequence of float operations gives.  The guarded evaluator, which raises
-at poles, is expr.evaluate.
+sequence of float operations gives.  This is the library's only
+evaluator of expression trees; a caller that must refuse a pole tests the
+values it gets for finiteness.
 """
 
 from __future__ import annotations

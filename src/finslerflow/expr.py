@@ -5,8 +5,10 @@ variables, sums, products, quotients, integer powers and negation.  It is
 enough to describe polynomial (and mildly rational) coefficient fields of a
 metric while keeping exact differentiation trivial.
 
-Trees are immutable; constructors fold constant subtrees and nothing else,
-so a parsed expression keeps the shape the user wrote.
+Trees are immutable plain data; constructors fold constant subtrees and
+nothing else, so a parsed expression keeps the shape the user wrote.
+Nothing here evaluates a tree: codegen.LayerTable compiles lists of them
+into straight-line functions on floats and arrays.
 """
 
 from __future__ import annotations
@@ -25,17 +27,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-class EvalDomainError(ZeroDivisionError):
-    """Raised when evaluation divides by a vanishing denominator."""
-
-    def __init__(self, where: str, x: float, y: float):
-        super().__init__(
-            f"denominator '{where}' vanishes at (x, y) = ({x!r}, {y!r})"
-        )
-        self.where = where
-        self.point = (x, y)
 
 
 @dataclass(frozen=True)
@@ -130,6 +121,15 @@ def powi(base: Expr, exponent: int) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     return add(a, neg(b))
+
+
+def as_expr(v: Expr | str | float) -> Expr:
+    """An expression tree, the text of one, or a number as a constant."""
+    if isinstance(v, Expr):
+        return v
+    if isinstance(v, str):
+        return parse(v)
+    return const(v)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,11 @@ class _Parser:
                 raise self.error("malformed exponent in number")
             while self.peek().isdigit():
                 self.pos += 1
-        return Const(float(self.text[start : self.pos]))
+        value = float(self.text[start : self.pos])
+        if not math.isfinite(value):
+            self.pos = start
+            raise self.error("number is too large for a float")
+        return Const(value)
 
 
 def parse(text: str) -> Expr:
@@ -274,34 +278,7 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation, differentiation, printing
-
-
-def evaluate(e: Expr, x: float, y: float) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x if e.name == "x" else y
-    if isinstance(e, Add):
-        return evaluate(e.a, x, y) + evaluate(e.b, x, y)
-    if isinstance(e, Mul):
-        return evaluate(e.a, x, y) * evaluate(e.b, x, y)
-    if isinstance(e, Div):
-        den = evaluate(e.b, x, y)
-        if abs(den) < DIV_TOL:
-            raise EvalDomainError(to_string(e.b), x, y)
-        return evaluate(e.a, x, y) / den
-    if isinstance(e, Neg):
-        return -evaluate(e.a, x, y)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, x, y)
-        if e.exponent < 0 and abs(base) < DIV_TOL:
-            raise EvalDomainError(to_string(e), x, y)
-        try:
-            return float(base) ** e.exponent
-        except OverflowError:
-            return math.copysign(math.inf, base) if e.exponent % 2 else math.inf
-    raise TypeError(f"not an expression node: {e!r}")
+# differentiation, printing
 
 
 def diff(e: Expr, var: str) -> Expr:
@@ -405,55 +382,6 @@ def to_string(e: Expr) -> str:
             base = "(" + base + ")"
         return base + "^" + str(e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# scalar fields
-
-
-class ScalarField:
-    """A scalar function of (x, y) backed by an expression tree.
-
-    First partials are derived lazily and cached; call precompute() before
-    sharing an instance across threads.
-    """
-
-    def __init__(self, expr_or_text: Expr | str):
-        if isinstance(expr_or_text, str):
-            self.expr = parse(expr_or_text)
-        else:
-            self.expr = expr_or_text
-        self._partials: dict[str, "ScalarField"] = {}
-
-    @property
-    def text(self) -> str:
-        return to_string(self.expr)
-
-    def __call__(self, x: float, y: float) -> float:
-        return evaluate(self.expr, x, y)
-
-    def partial(self, var: str) -> "ScalarField":
-        f = self._partials.get(var)
-        if f is None:
-            f = ScalarField(diff(self.expr, var))
-            self._partials[var] = f
-        return f
-
-    def precompute(self) -> "ScalarField":
-        self.partial("x")
-        self.partial("y")
-        return self
-
-    def __repr__(self) -> str:
-        return f"ScalarField({self.text!r})"
-
-
-def as_field(f: "ScalarField | Expr | str | float | int") -> ScalarField:
-    if isinstance(f, ScalarField):
-        return f
-    if isinstance(f, (int, float)):
-        return ScalarField(const(f))
-    return ScalarField(f)
 
 
 # ---------------------------------------------------------------------------

@@ -71,28 +71,24 @@ class PseudoFinslerMetric:
                 f"need {degree + 1} coefficients a_0..a_{degree}, got {len(coeffs)}"
             )
         self.degree = int(degree)
-        self.coeffs = tuple(ex.as_field(c) for c in coeffs)
-        self._check_not_identically_zero()
+        self.coeffs = tuple(ex.as_expr(c) for c in coeffs)
         self._exprs: dict[str, list[ex.Expr]] = {}
         self._tables: dict[str, LayerTable] = {}
         self._fdp = None
         self._dual: PseudoFinslerMetric | None = None
+        self._check_not_identically_zero()
 
     def _check_not_identically_zero(self) -> None:
+        # a non-finite value (a pole at a probe) counts as nonzero
         for px, py in _PROBES:
-            for c in self.coeffs:
-                try:
-                    v = c(px, py)
-                except ArithmeticError:
-                    return
-                if abs(v) > 1e-14:
-                    return
+            if not np.all(np.abs(self.table("F").values_at(px, py)) <= 1e-14):
+                return
         raise ValueError("metric coefficients vanish on all probe points")
 
     # -- symbolic layers ----------------------------------------------------
 
     def coeff_exprs(self) -> list[ex.Expr]:
-        return [c.expr for c in self.coeffs]
+        return list(self.coeffs)
 
     def _expr_layer(self, name: str) -> list[ex.Expr]:
         got = self._exprs.get(name)
@@ -134,15 +130,13 @@ class PseudoFinslerMetric:
         coefficient field gets its arguments swapped.
         """
         if self._dual is None:
-            swapped = [
-                ex.ScalarField(ex.swap_xy(c.expr)) for c in reversed(self.coeffs)
-            ]
+            swapped = [ex.swap_xy(c) for c in reversed(self.coeffs)]
             self._dual = PseudoFinslerMetric(self.degree, swapped)
             self._dual._dual = self
         return self._dual
 
     def __repr__(self) -> str:
-        parts = ", ".join(c.text for c in self.coeffs)
+        parts = ", ".join(ex.to_string(c) for c in self.coeffs)
         return f"PseudoFinslerMetric(n={self.degree}, [{parts}])"
 
 
@@ -348,7 +342,8 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
 
 
 def _ipow(b: float, k: int) -> float:
-    """b**k for k >= 0; an overflow gives +-inf, as in expr.evaluate."""
+    """b**k for k >= 0; an overflow gives +-inf, as IEEE products do,
+    not OverflowError."""
     if k <= 0:
         return 1.0
     try:

@@ -470,6 +470,15 @@ def _leading_norm(m: PseudoFinslerMetric, y0) -> Fraction:
     return lead
 
 
+def _horner(cs, p: TruncatedSeries, order: int) -> TruncatedSeries:
+    """sum_i cs[i] * p**i through ``order``, by Horner's rule started
+    from the top coefficient."""
+    acc = TruncatedSeries(cs[-1].c[: order + 1])
+    for c in reversed(cs[:-1]):
+        acc = acc * p + c
+    return acc
+
+
 def solve_geodesic_series(
     m: PseudoFinslerMetric,
     s: int,
@@ -548,12 +557,8 @@ def solve_geodesic_series(
             vals[i] = v
         plan.run(plan.moving, vals, x, y, n_trunc + s)
         layer = [vals[r] for r in plan.roots]
-        dpoly = TruncatedSeries.constant(0, n_trunc)
-        for c in reversed(layer[:n_denom]):
-            dpoly = dpoly * p + c
-        npoly_ = TruncatedSeries.constant(0, n_trunc)
-        for c in reversed(layer[n_denom:]):
-            npoly_ = npoly_ * p + c
+        dpoly = _horner(layer[:n_denom], p, n_trunc)
+        npoly_ = _horner(layer[n_denom:], p, n_trunc)
         return dpoly * p.deriv() - npoly_ * x.deriv()
 
     def split(series: TruncatedSeries):

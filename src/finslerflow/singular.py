@@ -378,7 +378,12 @@ def singular_curves(
     the discriminant zero set (label "boundary").  Resultant components
     are split wherever they touch the boundary band, since a marching
     pass can glue the two loci when they pass within one grid cell.
+
+    For degree 2, denom is -disc_F, constant in p, so no singular point
+    lies off the boundary and the boundary is the whole locus.
     """
+    if m.degree == 2:
+        return boundary_curves(m, box, resolution)
     comps = trace_implicit_curve(resultant_grid_fn(m), box, resolution)
     out = []
     for c in comps:

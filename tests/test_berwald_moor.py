@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from finslerflow import berwald_moor as bm
+from finslerflow import expr as ex
 from finslerflow import metric as mt
 
-from helpers import quartic_product_metric
+from helpers import evaluate, quartic_product_metric
 
 
 def tangency_immersion() -> bm.SurfaceImmersion:
@@ -46,7 +47,8 @@ class TestInducedMetric:
         for x, y, p in rng.uniform(-1.0, 1.0, (30, 3)):
             want = 1.0
             for f in imm.components:
-                want *= f.partial("x")(x, y) + f.partial("y")(x, y) * p
+                fx, fy = ex.diff(f, "x"), ex.diff(f, "y")
+                want *= evaluate(fx, x, y) + evaluate(fy, x, y) * p
             assert mt.eval_F(m, float(x), float(y), float(p)) == pytest.approx(
                 want, rel=1e-12, abs=1e-12
             )
@@ -93,8 +95,9 @@ class TestDoubleDirectionLocus:
 class TestAdaptedChart:
     def test_reconstruction_from_immersion(self):
         alm = bm.adapted_from_immersion(tangency_immersion(), 2, 1)
-        assert alm.a(0.0, 0.0) == pytest.approx(-4.0)
-        assert alm.b(0.0, 0.0) == pytest.approx(1.0)
+        a, b, _ = alm.values(0.0, 0.0)
+        assert a == pytest.approx(-4.0)
+        assert b == pytest.approx(1.0)
         assert alm.n == 3
 
     def test_full_metric_round_trip(self):
@@ -132,6 +135,15 @@ class TestAdaptedChart:
         alm = bm.AdaptedLocalMetric("1", "y + 1", extra=(("1", "0"),))
         with pytest.raises(ValueError, match="b vanishes"):
             bm.admissible_u(alm, 0.0, -1.0)
+
+    def test_field_pole_is_value_error(self):
+        alm = bm.AdaptedLocalMetric("-4", "1/(1 - y)", extra=(("1", "0"),))
+        with pytest.raises(ValueError, match="pole at"):
+            bm.admissible_u(alm, 0.0, 1.0)
+        with pytest.raises(ValueError, match="pole at"):
+            bm.blowup_field_at(alm, 0.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="pole at"):
+            bm.AdaptedLocalMetric("1/x", "1", extra=(("1", "0"),))
 
 
 class TestBlowup:

@@ -202,6 +202,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: immersion: component 2 has a pole at (0, -1)")
 
+    def test_literal_that_overflows_is_config_error(self, tmp_path, capsys):
+        text = HALFPLANE.replace("a0 = -x", "a0 = 1e400*y - x")
+        rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "a0" in err and "offset 0" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_degenerate_immersion_is_config_error(self, tmp_path, capsys):
         text = TANGENCY.replace("f3 = y - 2*x^2", "f3 = x^2")
         rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])

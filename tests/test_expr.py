@@ -1,4 +1,5 @@
-"""Expression trees: parsing, evaluation, differentiation, code generation."""
+"""Expression trees: parsing, differentiation, printing and code
+generation, evaluated through the reference tree walk of helpers."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import pytest
 
 from finslerflow import expr as ex
 from finslerflow.codegen import LayerTable
+
+from helpers import EvalDomainError, evaluate
 
 
 def _fd(f, x, y, var, h=1e-6):
@@ -32,7 +35,7 @@ def test_parse_evaluate_matches_python():
         py = eval("lambda x, y: " + text.replace("^", "**"))
         for _ in range(20):
             x, y = rng.uniform(-2, 2, 2)
-            assert ex.evaluate(e, x, y) == pytest.approx(py(x, y), rel=1e-12, abs=1e-12)
+            assert evaluate(e, x, y) == pytest.approx(py(x, y), rel=1e-12, abs=1e-12)
 
 
 def test_diff_matches_finite_differences():
@@ -43,8 +46,8 @@ def test_diff_matches_finite_differences():
             d = ex.diff(e, var)
             for _ in range(10):
                 x, y = rng.uniform(-1.5, 1.5, 2)
-                got = ex.evaluate(d, x, y)
-                want = _fd(lambda a, b: ex.evaluate(e, a, b), x, y, var)
+                got = evaluate(d, x, y)
+                want = _fd(lambda a, b: evaluate(e, a, b), x, y, var)
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
@@ -55,8 +58,8 @@ def test_to_string_reparses_to_same_values():
         back = ex.parse(ex.to_string(e))
         for _ in range(10):
             x, y = rng.uniform(-2, 2, 2)
-            assert ex.evaluate(back, x, y) == pytest.approx(
-                ex.evaluate(e, x, y), rel=1e-13, abs=1e-13
+            assert evaluate(back, x, y) == pytest.approx(
+                evaluate(e, x, y), rel=1e-13, abs=1e-13
             )
 
 
@@ -64,7 +67,7 @@ def test_swap_xy_exchanges_arguments():
     e = ex.parse("x^2 - 3*y + x*y^3")
     s = ex.swap_xy(e)
     for x, y in [(0.3, -1.2), (1.1, 0.4), (-0.7, -0.2)]:
-        assert ex.evaluate(s, x, y) == pytest.approx(ex.evaluate(e, y, x), rel=1e-14)
+        assert evaluate(s, x, y) == pytest.approx(evaluate(e, y, x), rel=1e-14)
 
 
 def test_syntax_errors_carry_offsets():
@@ -73,11 +76,20 @@ def test_syntax_errors_carry_offsets():
             ex.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, offset", [("1e400*y - x", 0), ("x + 2.5e309", 4), ("-(y^2 + 9e999)", 8)]
+)
+def test_literal_that_overflows_is_refused(text, offset):
+    with pytest.raises(ex.ExprSyntaxError, match="too large") as err:
+        ex.parse(text)
+    assert err.value.offset == offset
+
+
 def test_division_by_zero_field_raises():
     e = ex.parse("1/(x - y)")
-    assert ex.evaluate(e, 2.0, 1.0) == pytest.approx(1.0)
+    assert evaluate(e, 2.0, 1.0) == pytest.approx(1.0)
     with pytest.raises(ZeroDivisionError):
-        ex.evaluate(e, 1.0, 1.0)
+        evaluate(e, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -90,12 +102,12 @@ def test_division_by_zero_field_raises():
     ],
 )
 def test_power_overflow_gives_inf(text, x, expected):
-    assert ex.ScalarField(text)(x, 0.0) == expected
+    assert evaluate(ex.parse(text), x, 0.0) == expected
 
 
 def test_power_pole_still_raises():
-    with pytest.raises(ex.EvalDomainError):
-        ex.ScalarField("x^-3")(0.0, 1.0)
+    with pytest.raises(EvalDomainError):
+        evaluate(ex.parse("x^-3"), 0.0, 1.0)
 
 
 def test_compiled_program_matches_tree_eval():
@@ -106,22 +118,15 @@ def test_compiled_program_matches_tree_eval():
         for _ in range(25):
             x, y = rng.uniform(-2, 2, 2)
             got = tbl.values_at(x, y)[0]
-            assert got == pytest.approx(ex.evaluate(e, x, y), rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(evaluate(e, x, y), rel=1e-12, abs=1e-12)
 
 
-def test_scalar_field_partials_cached():
-    f = ex.ScalarField("x^2*y")
-    fx = f.partial("x")
-    assert fx is f.partial("x")
-    assert fx(3.0, 2.0) == pytest.approx(12.0)
-    assert f.partial("y")(3.0, 2.0) == pytest.approx(9.0)
-
-
-def test_as_field_accepts_many_types():
-    for src in ["x + 1", ex.parse("x + 1"), ex.ScalarField("x + 1")]:
-        f = ex.as_field(src)
-        assert f(2.0, 0.0) == pytest.approx(3.0)
-    assert ex.as_field(2.5)(0.1, 0.2) == pytest.approx(2.5)
+def test_as_expr_accepts_trees_text_and_numbers():
+    e = ex.parse("x + 1")
+    assert ex.as_expr(e) is e
+    assert ex.as_expr("x + 1") == e
+    assert ex.as_expr(2.5) == ex.Const(2.5)
+    assert ex.as_expr(np.float64(-3)) == ex.Const(-3.0)
 
 
 class TestPoly2d:

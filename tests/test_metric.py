@@ -11,20 +11,26 @@ import pytest
 from finslerflow import expr as ex
 from finslerflow import metric as mt
 from finslerflow import singular as sg
-from helpers import halfplane_metric, parabola_metric, random_metric, random_poly_text
+from helpers import (
+    evaluate,
+    halfplane_metric,
+    parabola_metric,
+    random_metric,
+    random_poly_text,
+)
 
 
 def _closed_form_cubic(c_text: str):
     """Reference denominator/numerator for F = p**2 + c(x, y)."""
-    c = ex.ScalarField(c_text)
-    cx = c.partial("x")
-    cy = c.partial("y")
+    e = ex.parse(c_text)
+    fields = (e, ex.diff(e, "x"), ex.diff(e, "y"))
 
     def dv(x, y, p):
-        return 2.0 * (3.0 * c(x, y) - p * p)
+        return 2.0 * (3.0 * evaluate(e, x, y) - p * p)
 
     def nv(x, y, p):
-        return 7.0 * cy(x, y) * p * p + 4.0 * cx(x, y) * p + 3.0 * c(x, y) * cy(x, y)
+        c, cx, cy = (evaluate(f, x, y) for f in fields)
+        return 7.0 * cy * p * p + 4.0 * cx * p + 3.0 * c * cy
 
     return dv, nv
 

@@ -10,7 +10,7 @@ from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import singular as sg
 
-from helpers import halfplane_metric, parabola_metric
+from helpers import halfplane_metric, parabola_metric, random_metric
 
 
 def scurve_x(y: float, alpha: float = 1.0) -> float:
@@ -115,6 +115,16 @@ class TestSingularCurves:
         assert bnd
         for px, py in bnd[0].points[::20]:
             assert px == pytest.approx(py * py, abs=1e-5)
+
+    def test_degree_two_locus_is_the_boundary(self):
+        # denom = -disc_F for n = 2: no singular curve lies off the boundary
+        rng = np.random.default_rng(5)
+        metrics = [mt.metric_from_strings(2, ["y^2 - x", "x*y", "1"])]
+        metrics += [random_metric(rng, 2) for _ in range(4)]
+        for m in metrics:
+            curves = sg.singular_curves(m, (-1.0, 1.0, -1.0, 1.0), resolution=80)
+            assert curves
+            assert all(c.label == "boundary" for c in curves)
 
     def test_halfplane_locus_is_vertical_axis(self):
         m = halfplane_metric()
