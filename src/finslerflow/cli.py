@@ -630,6 +630,9 @@ _POINT_HEADER = [
 
 def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
     m = cfg.metric_obj()
+    if m.degree > 3:
+        print("singular: the singular locus needs a metric of degree 2 or 3", file=sys.stderr)
+        return 2
     curves = sg.singular_curves(m, cfg.box, cfg.resolution)
     for i, c in enumerate(curves):
         path = os.path.join(

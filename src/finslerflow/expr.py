@@ -144,6 +144,15 @@ class _Parser:
     def error(self, message: str) -> ExprSyntaxError:
         return ExprSyntaxError(message, self.pos)
 
+    def folded(self, e: Expr, start: int) -> Expr:
+        """e, unless folding made it a constant that is not a finite float
+        (a power of a constant stays unfolded only where it raised)."""
+        unfolded_pow = isinstance(e, Pow) and isinstance(e.base, Const)
+        if unfolded_pow or isinstance(e, Const) and not math.isfinite(e.value):
+            self.pos = start
+            raise self.error("constant is not a finite float")
+        return e
+
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -162,30 +171,34 @@ class _Parser:
         return e
 
     def parse_sum(self) -> Expr:
+        self.skip_ws()
+        start = self.pos
         e = self.parse_term()
         while True:
             self.skip_ws()
             c = self.peek()
             if c == "+":
                 self.pos += 1
-                e = add(e, self.parse_term())
+                e = self.folded(add(e, self.parse_term()), start)
             elif c == "-":
                 self.pos += 1
-                e = sub(e, self.parse_term())
+                e = self.folded(sub(e, self.parse_term()), start)
             else:
                 return e
 
     def parse_term(self) -> Expr:
+        self.skip_ws()
+        start = self.pos
         e = self.parse_unary()
         while True:
             self.skip_ws()
             c = self.peek()
             if c == "*":
                 self.pos += 1
-                e = mul(e, self.parse_unary())
+                e = self.folded(mul(e, self.parse_unary()), start)
             elif c == "/":
                 self.pos += 1
-                e = div(e, self.parse_unary())
+                e = self.folded(div(e, self.parse_unary()), start)
             else:
                 return e
 
@@ -197,6 +210,8 @@ class _Parser:
         return self.parse_power()
 
     def parse_power(self) -> Expr:
+        self.skip_ws()
+        base_start = self.pos
         base = self.parse_atom()
         self.skip_ws()
         if self.peek() != "^":
@@ -214,7 +229,7 @@ class _Parser:
         if self.peek() in (".", "e", "E"):
             self.pos = start
             raise self.error("exponent must be an integer literal")
-        return powi(base, int(self.text[start : self.pos]))
+        return self.folded(powi(base, int(self.text[start : self.pos])), base_start)
 
     def parse_atom(self) -> Expr:
         self.skip_ws()

@@ -52,6 +52,10 @@ EVENT_KINDS = (
 )
 
 _T_LOCATE = 1e-10
+INITIAL_STEP = 1e-4  # first step of each trace
+CHART_THRESHOLD = 2.0  # |slope| beyond which a trace changes chart
+EVENT_TOL = 1e-6  # relative |numer| above which a denom zero is a cusp
+SINGULAR_TOL = 1e-8  # relative |denom|, |numer| below which a trace ends
 
 
 class TransversalityError(ValueError):
@@ -84,20 +88,12 @@ class PTMPoint:
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    initial_step: float = 1e-4
     max_step: float = 0.05
     max_steps: int = 20000
-    chart_threshold: float = 2.0
-    event_tol: float = 1e-6
-    singular_tol: float = 1e-8
     box: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
-    bidirectional: bool = True
-    chart_switching: bool = True
     max_ds: float = 0.002
 
     def __post_init__(self):
-        if not self.chart_threshold > 1.0:
-            raise ValueError("chart_threshold must exceed 1")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -253,7 +249,7 @@ def _dopri_steps(rhs, u, cfg: IntegratorConfig):
     """
     fu = rhs(u)
     t = 0.0
-    h = cfg.initial_step
+    h = INITIAL_STEP
     for _ in range(cfg.max_steps):
         h = min(h, cfg.max_step)
         unew, fnew, err = _dopri_step(rhs, u, fu, h, cfg.rel_tol, cfg.abs_tol)
@@ -357,7 +353,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     push(0.0, u, vals)
 
     sc = scale_at(u)
-    if max(abs(vals[1]), abs(vals[2])) < cfg.singular_tol * sc:
+    if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * sc:
         events.append(TraceEvent(0, SINGULAR_APPROACH, 0.0))
         return cols, events
 
@@ -421,11 +417,11 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             v_ev, vals_ev = chart_vals_at(th)
             if what == "denom":
                 sc = scale_at(v_ev)
-                if max(abs(vals_ev[1]), abs(vals_ev[2])) < cfg.singular_tol * sc:
+                if max(abs(vals_ev[1]), abs(vals_ev[2])) < SINGULAR_TOL * sc:
                     end_theta, terminal = th, SINGULAR_APPROACH
                     marks = [mk for mk in marks if mk[0] < th]
                     break
-                if abs(vals_ev[2]) > cfg.event_tol * sc:
+                if abs(vals_ev[2]) > EVENT_TOL * sc:
                     marks.append((th, CUSP))
             else:
                 marks.append((th, ISOTROPIC_CROSS))
@@ -460,11 +456,11 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         idx = push(t, u, vals)
 
         sc = scale_at(u)
-        if max(abs(vals[1]), abs(vals[2])) < cfg.singular_tol * sc:
+        if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * sc:
             events.append(TraceEvent(idx, SINGULAR_APPROACH, t))
             return cols, events
 
-        if cfg.chart_switching and abs(u[2]) > cfg.chart_threshold:
+        if abs(u[2]) > CHART_THRESHOLD:
             old_field = fnew
             new_chart = "q" if state_chart == "p" else "p"
             s_new = 1.0 / u[2]
@@ -492,11 +488,10 @@ def integrate(
     parameter of the backward half is negative); +1/-1 keep one side.
     """
     cfg = cfg or IntegratorConfig()
-    if seed.chart == "p" and cfg.chart_switching and abs(seed.slope) > cfg.chart_threshold:
+    if seed.chart == "p" and abs(seed.slope) > CHART_THRESHOLD:
         seed = PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q")
     cols, events, stops = _join_sides(
-        lambda sign: _run_direction(m, seed, cfg, sign),
-        direction if cfg.bidirectional else 1,
+        lambda sign: _run_direction(m, seed, cfg, sign), direction
     )
     return GeodesicTrace(
         **{k: np.asarray(v) for k, v in cols.items()}, events=events, stops=stops

@@ -128,32 +128,11 @@ def disc_cubic(c):
     )
 
 
-def sylvester(f, g, deg_f: int | None = None, deg_g: int | None = None):
-    """Sylvester matrix of two polynomials given by ascending coefficients.
-
-    Degrees default to the nominal array lengths so that families whose
-    leading coefficient vanishes at isolated points stay continuous.
-    """
-    f = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
-    m = deg_f if deg_f is not None else f.size - 1
-    n = deg_g if deg_g is not None else g.size - 1
-    if m < 1 or n < 1:
-        raise ValueError("sylvester needs two polynomials of degree >= 1")
-    size = m + n
-    mat = np.zeros((size, size))
-    for i in range(n):
-        mat[i, i : i + m + 1] = f[: m + 1][::-1]
-    for i in range(m):
-        mat[n + i, i : i + n + 1] = g[: n + 1][::-1]
-    return mat
-
-def resultant(f, g, deg_f: int | None = None, deg_g: int | None = None) -> float:
-    return float(np.linalg.det(sylvester(f, g, deg_f, deg_g)))
-
-
 def resultant_grid(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """Resultants of coefficient stacks: fc has shape (m+1, ...) ascending."""
+    """Resultants of coefficient stacks, fc of shape (m+1, ...) and gc of
+    shape (n+1, ...), ascending: Sylvester determinants at the nominal
+    degrees m and n, so families whose leading coefficient vanishes at
+    isolated points stay continuous."""
     m = fc.shape[0] - 1
     n = gc.shape[0] - 1
     shape = fc.shape[1:]

@@ -11,8 +11,8 @@ two decide the local phase portrait:
                    point with a double isotropic direction,
 * Degenerate    -- everything else (including a fully zero spectrum).
 
-The singular set over the plane projects to curves; they are traced as
-the zero set of the resultant of the two polynomials in p.
+The singular set over the plane projects to curves: the zero set of the
+resultant of the two polynomials in p over its simple factor disc_F.
 """
 
 from __future__ import annotations
@@ -159,23 +159,11 @@ def classify_singular(
 
 
 # ---------------------------------------------------------------------------
-# the resultant locus and its tracing
-
-
-def resultant_at(m: PseudoFinslerMetric, x: float, y: float) -> float:
-    """Resultant in p of the denominator and numerator polynomials."""
-    n = m.degree
-    dc = np.zeros(max(2 * n - 3, 2))
-    v = m.table("denom").values_at(x, y)
-    dc[: v.size] = v
-    nc = np.zeros(2 * n)
-    v = m.table("numer").values_at(x, y)
-    nc[: v.size] = v
-    return poly.resultant(dc, nc, deg_f=max(2 * n - 4, 1), deg_g=2 * n - 1)
+# the singular locus and its tracing
 
 
 def resultant_grid_fn(m: PseudoFinslerMetric):
-    """Vectorized (X, Y) -> resultant values for implicit tracing."""
+    """Vectorized (X, Y) -> resultant in p of denom and numer."""
     n = m.degree
 
     def fn(X, Y):
@@ -186,6 +174,20 @@ def resultant_grid_fn(m: PseudoFinslerMetric):
         dfull[: dc.shape[0]] = dc
         with np.errstate(invalid="ignore"):
             return poly.resultant_grid(dfull, nc)
+
+    return fn
+
+
+def singular_grid_fn(m: PseudoFinslerMetric):
+    """Vectorized (X, Y) -> resultant / disc_F, whose zeros are the
+    singular curves: disc_F divides the resultant exactly once, so the
+    boundary disc_F = 0 drops out (not finite where disc_F is 0 exactly).
+    Degrees 2 and 3; disc_grid_fn raises ValueError otherwise."""
+    res, disc = resultant_grid_fn(m), disc_grid_fn(m)
+
+    def fn(X, Y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return res(X, Y) / disc(X, Y)
 
     return fn
 
@@ -349,21 +351,6 @@ def trace_implicit_curve(
     return out
 
 
-def _split_runs(pts: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
-    """Maximal runs of consecutive kept points, each at least two long."""
-    runs = []
-    start = None
-    for i, k in enumerate(keep):
-        if k and start is None:
-            start = i
-        if start is not None and (not k or i == len(keep) - 1):
-            end = i + 1 if k else i
-            if end - start >= 2:
-                runs.append(pts[start:end])
-            start = None
-    return runs
-
-
 def singular_curves(
     m: PseudoFinslerMetric,
     box: tuple[float, float, float, float],
@@ -371,31 +358,18 @@ def singular_curves(
 ) -> list[CurveSamples]:
     """Traced components of the planar singular locus, labeled.
 
-    The locus is the zero set of the resultant of the denominator and
-    numerator polynomials.  Points inside the open strata form the
-    slope-carrying singular curves (label "singular"); the rest of the
-    locus sits on the metric boundary, which is traced separately from
-    the discriminant zero set (label "boundary").  Resultant components
-    are split wherever they touch the boundary band, since a marching
-    pass can glue the two loci when they pass within one grid cell.
+    The slope-carrying singular curves (label "singular") are the zero
+    set of singular_grid_fn; the rest of the locus is the metric
+    boundary, traced from the discriminant zero set (label "boundary").
 
     For degree 2, denom is -disc_F, constant in p, so no singular point
-    lies off the boundary and the boundary is the whole locus.
+    lies off the boundary and the boundary is the whole locus.  Degrees
+    above 3 raise ValueError.
     """
     if m.degree == 2:
         return boundary_curves(m, box, resolution)
-    comps = trace_implicit_curve(resultant_grid_fn(m), box, resolution)
-    out = []
-    for c in comps:
-        coeffs = m.table("F").values_on_grid(*c.points.T)
-        sc = np.maximum(np.max(np.abs(coeffs), axis=0), 1e-30)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = mt.disc_from_coeffs(m, coeffs)
-            keep = np.abs(d) >= 1e-6 * ((sc * sc) * (sc * sc))
-        for run in _split_runs(c.points, keep):
-            out.append(CurveSamples(points=run, label="singular"))
-    out.sort(key=lambda c: (-len(c.points), c.points[0, 0], c.points[0, 1]))
-    return out + boundary_curves(m, box, resolution)
+    sing = trace_implicit_curve(singular_grid_fn(m), box, resolution, label="singular")
+    return sing + boundary_curves(m, box, resolution)
 
 
 def boundary_curves(
@@ -460,25 +434,35 @@ def lift_to_slope(m: PseudoFinslerMetric, x: float, y: float) -> float:
     return min((r for r, _ in roots), key=lambda r: abs(P(r)))
 
 
-def tangency_report(
-    m: PseudoFinslerMetric, x: float, y: float, curve_fn=None
-) -> TangencyReport:
+def _gradients(g, x, y, h=1e-6):
+    """Central-difference gradients of g at the points (x[k], y[k]), from
+    one call of g on 4 * len(x) points."""
+    xs = np.concatenate([x + h, x - h, x, x])
+    xp, xm, yp, ym = np.split(g(xs, np.concatenate([y, y, y + h, y - h])), 4)
+    return (xp - xm) / (2 * h), (yp - ym) / (2 * h)
+
+
+def _direction_dot(gx: float, gy: float, p: float) -> float:
+    """Cosine between the field direction (1, p) and the gradient."""
+    gnorm = math.hypot(gx, gy)
+    return (gx + p * gy) / (gnorm * math.hypot(1.0, p)) if gnorm > 0 else 0.0
+
+
+def tangency_report(m: PseudoFinslerMetric, x: float, y: float) -> TangencyReport:
     """Transversality of the singular direction against its own curve.
 
-    The singular curve is the resultant zero set; its tangent comes from
-    the resultant gradient.  The field direction there is (1, p).  The
-    point is transversal when the direction is not tangent; this must
-    agree with the two dominant eigenvalues of the linearization being
-    away from zero.
+    The singular curve is the zero set of singular_grid_fn; its tangent
+    comes from that function's gradient.  The field direction there is
+    (1, p).  The point is transversal when the direction is not tangent;
+    this must agree with the two dominant eigenvalues of the
+    linearization being away from zero.
     """
-    fn = curve_fn or (lambda a, b: resultant_at(m, a, b))
     p = lift_to_slope(m, x, y)
-    h = 1e-6
-    gx = (fn(x + h, y) - fn(x - h, y)) / (2 * h)
-    gy = (fn(x, y + h) - fn(x, y - h)) / (2 * h)
+    grad = _gradients(singular_grid_fn(m), np.array([x]), np.array([y]))
+    gx, gy = (float(d[0]) for d in grad)
     gnorm = math.hypot(gx, gy)
     tangent = (-gy / gnorm, gx / gnorm) if gnorm > 0 else (0.0, 0.0)
-    dot = (gx + p * gy) / (gnorm * math.hypot(1.0, p)) if gnorm > 0 else 0.0
+    dot = _direction_dot(gx, gy, p)
     transversal = abs(dot) > 1e-6
     J = jacobian_at(m, x, y, p)
     eigs = np.linalg.eigvals(J)
@@ -493,27 +477,33 @@ def tangency_report(
 
 
 def find_tangency_failures(
-    m: PseudoFinslerMetric, curve: CurveSamples, curve_fn=None
+    m: PseudoFinslerMetric, curve: CurveSamples
 ) -> list[tuple[float, float]]:
     """Points along a traced singular curve where transversality fails.
 
     Scans the normalized direction-vs-tangent dot product for sign
     changes and refines each by bisection (with Newton re-projection onto
-    the curve at every probe).  curve_fn(x, y) acts on arrays; it
-    defaults to the resultant.
+    the curve at every probe).  The scan takes the gradients of all
+    samples from one call of singular_grid_fn.
     """
-    grid_fn = curve_fn or resultant_grid_fn(m)
+    grid_fn = singular_grid_fn(m)
     pts = curve.points
 
     def measure(x, y):
-        # the traced component may graze the metric boundary, where the
+        # the traced component may end at the metric boundary, where the
         # lift loses its real root; such samples cannot carry a tangency
         try:
-            return tangency_report(m, x, y, curve_fn=curve_fn).direction_dot
+            return tangency_report(m, x, y).direction_dot
         except StratumError:
             return math.nan
 
-    vals = [measure(x, y) for x, y in pts]
+    gx, gy = _gradients(grid_fn, pts[:, 0], pts[:, 1])
+    vals = []
+    for x, y, ax, ay in zip(pts[:, 0], pts[:, 1], gx.tolist(), gy.tolist()):
+        try:
+            vals.append(_direction_dot(ax, ay, lift_to_slope(m, x, y)))
+        except StratumError:
+            vals.append(math.nan)
     cell = max(
         float(np.max(np.abs(np.diff(pts[:, 0])))),
         float(np.max(np.abs(np.diff(pts[:, 1])))),

@@ -1,6 +1,7 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
 that checks the generated evaluators, cell-by-cell references for the
-grid paths and a tree-walk reference for the exact series."""
+grid paths, Sylvester determinants for the singular locus and a
+tree-walk reference for the exact series."""
 
 from __future__ import annotations
 
@@ -315,6 +316,48 @@ def cell_strata_rows(m, xs, ys) -> list[tuple]:
             d = mt.disc_metric(m, float(x), float(y))
             rows.append((_fmt(x), _fmt(y), st.name, _fmt(d)))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# point-by-point references for the singular locus
+
+
+def sylvester(f, g, deg_f: int | None = None, deg_g: int | None = None):
+    """Sylvester matrix of two polynomials given by ascending coefficients,
+    at the nominal degrees (the array lengths less one) by default."""
+    f = np.atleast_1d(np.asarray(f, dtype=np.float64))
+    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
+    m = deg_f if deg_f is not None else f.size - 1
+    n = deg_g if deg_g is not None else g.size - 1
+    mat = np.zeros((m + n, m + n))
+    for i in range(n):
+        mat[i, i : i + m + 1] = f[: m + 1][::-1]
+    for i in range(m):
+        mat[n + i, i : i + n + 1] = g[: n + 1][::-1]
+    return mat
+
+
+def resultant(f, g, deg_f: int | None = None, deg_g: int | None = None) -> float:
+    return float(np.linalg.det(sylvester(f, g, deg_f, deg_g)))
+
+
+def resultant_at(m, x, y) -> float:
+    """Reference: the resultant in p of denom and numer at one point, as
+    one Sylvester determinant of the point coefficients."""
+    n = m.degree
+    dc = np.zeros(max(2 * n - 3, 2))
+    v = m.table("denom").values_at(x, y)
+    dc[: v.size] = v
+    nc = np.zeros(2 * n)
+    v = m.table("numer").values_at(x, y)
+    nc[: v.size] = v
+    return resultant(dc, nc, deg_f=max(2 * n - 4, 1), deg_g=2 * n - 1)
+
+
+def singular_at(m, x, y) -> float:
+    """Reference: resultant_at over disc_metric, divided as IEEE floats."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(resultant_at(m, x, y)) / mt.disc_metric(m, x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,16 @@ class TestCommands:
         assert "degree 3" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_singular_refuses_degree_four(self, tmp_path, capsys):
+        text = "mode = coefficients\nn = 4\na0 = y^2 - x\na2 = 1\na4 = 0.3\nresolution = 8\n"
+        rc = cli.main(["singular", "--config", write(tmp_path, text),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("singular: ") and "degree 2 or 3" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("command", ["classify", "singular", "portrait", "puiseux", "verify"])
     def test_immersion_pole_is_config_error(self, tmp_path, capsys, command):
         text = TANGENCY.replace("f3 = y - 2*x^2", "f3 = y + 1/x")
@@ -208,6 +218,14 @@ class TestCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "a0" in err and "offset 0" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_constant_that_overflows_is_config_error(self, tmp_path, capsys):
+        text = HALFPLANE.replace("a0 = -x", "a0 = 1e200*1e200*y - x")
+        rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "a0" in err and "not a finite float" in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_degenerate_immersion_is_config_error(self, tmp_path, capsys):

@@ -85,6 +85,28 @@ def test_literal_that_overflows_is_refused(text, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("1e200*1e200*y - x", 0),
+        ("x + 1e200*1e200", 4),
+        ("-(1e308 + 1e308)", 2),
+        ("x - 1e300*1e10/y", 4),
+        ("(1e200)^2*y", 0),
+        ("0^-1 + x", 0),
+    ],
+)
+def test_constant_folding_to_non_finite_is_refused(text, offset):
+    with pytest.raises(ex.ExprSyntaxError, match="not a finite float") as err:
+        ex.parse(text)
+    assert err.value.offset == offset
+
+
+def test_constant_folding_that_stays_finite():
+    assert ex.parse("1e200*1e-200*x") == ex.parse("1.0*x")
+    assert ex.parse("2^3*x + 1/4") == ex.add(ex.mul(ex.const(8.0), ex.X), ex.const(0.25))
+
+
 def test_division_by_zero_field_raises():
     e = ex.parse("1/(x - y)")
     assert evaluate(e, 2.0, 1.0) == pytest.approx(1.0)

@@ -293,7 +293,7 @@ class TestTangentBundleOverlay:
         # F = p^2 - x has H = -4x; from x0 = -h/5 with unit speed the
         # second stage of the first step lands on x = 0 exactly
         m = mt.metric_from_strings(2, ["-x", "0", "1"])
-        h = IntegratorConfig().initial_step
+        h = flow.INITIAL_STEP
         x0 = -(h * (0.2 * 1.0))
         assert x0 + h * (0.2 * 1.0) == 0.0
         with warnings.catch_warnings():

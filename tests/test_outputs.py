@@ -29,13 +29,13 @@ LISTINGS = {
         8, "385d7a8861ad83ddf0bb785e734d5a7389c3afeba9f8acb9e1bfeb8c25a45185"
     ),
     "parabola": (
-        11, "182829131ba73a242cda4eee260e93f3bf5894e9eb3bac301d04571cc2a1e62a"
+        8, "7f22ef9e1417bf6388585e0143fd3379c7a1279437ff55d0edd89304bac58ed0"
     ),
     "parabola_neg": (
-        32, "897ea238bcba7388d3ae89a751f4e0aade5f5f85a4791561509ffdba0e9b052c"
+        8, "322c2d63f13733ebb015c6a53bbbdf792ab2d0f411046421a41e46220aeda3b9"
     ),
 }
-ALL_LISTING = "673b777a573625ce5bbc14ce13e5d02d82930551ffa32dd22d118f9564a09456"
+ALL_LISTING = "b23452d2c4d7c68e88da8151d7b33bb8841ef9c9a234e0d3a0a5959bde3101b5"
 
 
 def _sha(text: str) -> str:
@@ -81,5 +81,5 @@ def test_all_outputs(outputs):
         (line for stem in outputs[0] for line in outputs[0][stem]),
         key=lambda line: line.split("  ", 1)[1],
     )
-    assert len(lines) == 62
+    assert len(lines) == 35
     assert _sha("".join(lines)) == ALL_LISTING

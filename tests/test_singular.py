@@ -3,14 +3,47 @@ transversality along the singular locus."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy
 
+from finslerflow import cli
+from finslerflow import expr as ex
 from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import singular as sg
 
 from helpers import halfplane_metric, parabola_metric, random_metric
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def random_rational_quadratic(rng) -> str:
+    """A random quadratic in x and y with coefficients k/4, |k| <= 8."""
+    terms = ["1", "x", "y", "x^2", "x*y", "y^2"]
+    return " + ".join(f"{int(k) / 4}*{t}" for k, t in zip(rng.integers(-8, 9, 6), terms))
+
+
+def to_sympy(e: ex.Expr, x, y):
+    """An expression tree with exact rational constants, x and y
+    substituted by the sympy expressions given."""
+    if isinstance(e, ex.Const):
+        return sympy.Rational(Fraction(e.value))
+    if isinstance(e, ex.Var):
+        return x if e.name == "x" else y
+    if isinstance(e, ex.Add):
+        return to_sympy(e.a, x, y) + to_sympy(e.b, x, y)
+    if isinstance(e, ex.Mul):
+        return to_sympy(e.a, x, y) * to_sympy(e.b, x, y)
+    if isinstance(e, ex.Neg):
+        return -to_sympy(e.a, x, y)
+    if isinstance(e, ex.Pow):
+        return to_sympy(e.base, x, y) ** e.exponent
+    raise TypeError(f"not a polynomial node: {e!r}")
 
 
 def scurve_x(y: float, alpha: float = 1.0) -> float:
@@ -126,6 +159,18 @@ class TestSingularCurves:
             assert curves
             assert all(c.label == "boundary" for c in curves)
 
+    @pytest.mark.parametrize("name", ["parabola", "parabola_neg"])
+    def test_one_singular_component_on_shipped_configs(self, name):
+        cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+        curves = sg.singular_curves(cfg.metric_obj(), cfg.box, cfg.resolution)
+        assert [c.label for c in curves].count("singular") == 1
+        assert curves[0].label == "singular"
+
+    def test_degree_four_is_refused(self):
+        m = mt.metric_from_strings(4, ["y^2 - x", "0", "1", "0", "0.3"])
+        with pytest.raises(ValueError, match="degree 2 or 3"):
+            sg.singular_curves(m, (-1.0, 1.0, -1.0, 1.0), resolution=40)
+
     def test_halfplane_locus_is_vertical_axis(self):
         m = halfplane_metric()
         curves = sg.trace_implicit_curve(
@@ -179,22 +224,53 @@ class TestTangency:
 class TestResultantFactorization:
     def test_quadratic_in_slope_family(self):
         # for F = p**2 + c the resultant is -1536 * c * (12 c c_y^2 - c_x^2)
+        # and disc_F = -4 c, so the traced function is 384 (12 c c_y^2 - c_x^2)
         rng = np.random.default_rng(5)
         alpha = 0.8
         m = parabola_metric(alpha)
-        for x, y in rng.uniform(-1.2, 1.2, (25, 2)):
-            c = alpha * y * y - x
-            cx, cy = -1.0, 2.0 * alpha * y
-            want = -1536.0 * c * (12.0 * c * cy * cy - cx * cx)
-            got = sg.resultant_at(m, float(x), float(y))
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        x, y = rng.uniform(-1.2, 1.2, (2, 25))
+        c = alpha * y * y - x
+        cx, cy = -1.0, 2.0 * alpha * y
+        want = 384.0 * (12.0 * c * cy * cy - cx * cx)
+        got = sg.singular_grid_fn(m)(x, y)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_vanishes_exactly_on_singular_curve(self):
         m = parabola_metric(1.0)
+        g = sg.singular_grid_fn(m)
         for y in (0.3, 0.5, 0.9):
-            val = sg.resultant_at(m, scurve_x(y), y)
-            off = sg.resultant_at(m, scurve_x(y) + 0.1, y)
+            val = g(scurve_x(y), y)
+            off = g(scurve_x(y) + 0.1, y)
             assert abs(val) < 1e-10 * abs(off)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_discriminant_divides_resultant_once(self, seed):
+        # exact, on a random rational line x = x0 + u t, y = y0 + v t:
+        # disc_F | R and gcd(R / disc_F, disc_F) = 1; the third metric
+        # has a_3 = 0, as the shipped configs of degree 3 do
+        rng = np.random.default_rng(seed)
+        t, p = sympy.symbols("t p")
+        x0, y0, u, v = (sympy.Rational(int(k), 7) for k in rng.integers(-9, 10, 4))
+        texts = [random_rational_quadratic(rng) for _ in range(4)]
+        if seed == 2:
+            texts[3] = "0"
+        m = mt.metric_from_strings(3, texts)
+        xs, ys = x0 + u * t, y0 + v * t
+
+        def on_line(layer):
+            return [to_sympy(e, xs, ys) for e in m._expr_layer(layer)]
+
+        denom = sum(c * p**k for k, c in enumerate(on_line("denom")))
+        numer = sum(c * p**k for k, c in enumerate(on_line("numer")))
+        res = sympy.Poly(sympy.resultant(denom, numer, p), t)
+        # the formula's integer weights are floats: make them exact first
+        cs = sympy.symbols("c0:4")
+        disc = sympy.nsimplify(mt.disc_from_coeffs(m, cs), rational=True)
+        disc = sympy.Poly(disc.subs(dict(zip(cs, on_line("F")))), t)
+        assert disc.degree() > 0
+        quot, rem = sympy.div(res, disc)
+        assert rem.is_zero and not quot.is_zero
+        assert sympy.gcd(quot, disc).degree() == 0
 
 
 class TestLiftAndAdmissible:
