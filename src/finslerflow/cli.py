@@ -435,6 +435,8 @@ class _SvgCanvas:
         return px, py
 
     def polyline(self, pts: np.ndarray, style: str) -> None:
+        """Add one path for each run of at least two consecutive points
+        that are finite and inside the box."""
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 2:
             return
@@ -446,17 +448,16 @@ class _SvgCanvas:
             & np.isfinite(pts[:, 0])
             & np.isfinite(pts[:, 1])
         )
-        start = 0
-        for k in range(pts.shape[0] + 1):
-            if k == pts.shape[0] or not inside[k]:
-                if k - start >= 2:
-                    self._emit(pts[start:k], style)
-                start = k + 1
-
-    def _emit(self, pts: np.ndarray, style: str) -> None:
-        coords = [self._map(x, y) for x, y in pts]
-        d = "M " + " L ".join(f"{px:.3f} {py:.3f}" for px, py in coords)
-        self._paths.append((style, d))
+        # run k is points bounds[2k] .. bounds[2k + 1] - 1
+        bounds = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+        # the operations of _map, on every point at once
+        px = self.margin + (pts[:, 0] - self.box[0]) * self._sx
+        py = self.height - self.margin - (pts[:, 1] - self.box[2]) * self._sy
+        coords = np.column_stack([px, py])
+        for a, b in bounds.reshape(-1, 2).tolist():
+            if b - a >= 2:
+                fmt = "M " + " L ".join(["%.3f %.3f"] * (b - a))
+                self._paths.append((style, fmt % tuple(coords[a:b].ravel().tolist())))
 
     def render(self, title: str) -> str:
         w, h, m = self.width, self.height, self.margin

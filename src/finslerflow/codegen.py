@@ -5,13 +5,16 @@ slope p -- is value-numbered into one sequence of assignments, in which
 equal subexpressions are computed once, and compiled with ``compile()``
 into plain Python functions: the coefficients at a point, their Horner
 sum in p, and the coefficients on arrays of points.  Each function is
-compiled on its first use.
+compiled on its first use.  ``lifted_field_function`` numbers a layer and
+its x and y partials together into the array code of the direction nets'
+lifted field.
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
 expanded by square-and-multiply and Horner's rule starts from 0.0 with
-the highest coefficient first, so a pointwise result is exactly what that
-sequence of float operations gives.  This is the library's only
+the highest coefficient first (the lifted field's sums start from that
+coefficient itself), so a result is exactly what that sequence of float
+operations gives.  This is the library's only
 evaluator of expression trees; a caller that must refuse a pole tests the
 values it gets for finiteness.
 """
@@ -204,6 +207,30 @@ def horner_function(layers):
         body += lines
         results.append(result)
     return _function("x, y, p", body, "(" + ", ".join(results) + ",)")
+
+
+def lifted_field_function(c, cx, cy):
+    """(x, y, p, out) -> out, with rows (C_p, p C_p, -(C_x + p C_y)) of the
+    slope polynomial C = sum_i c[i] p^i on arrays of points; cx and cy are
+    the coefficients of C_x and C_y.
+
+    The three rows are one value numbering; each Horner sum in p starts
+    from its top coefficient (C_p from 1 * c[1] .. (n-1) * c[n-1]).  The
+    code is the array code of LayerTable; a row that is a constant is
+    assigned, so ``out`` must be an array.
+    """
+    p = ex.Var("p")
+
+    def horner(coeffs):
+        acc = ex.ZERO
+        for k, a in enumerate(reversed(coeffs)):
+            acc = a if k == 0 else ex.add(ex.mul(acc, p), a)
+        return acc
+
+    dcdp = horner([ex.mul(ex.const(i), a) for i, a in enumerate(c)][1:])
+    rhs = ex.neg(ex.add(horner(cx), ex.mul(p, horner(cy))))
+    code = _Code([dcdp, ex.mul(p, dcdp), rhs])
+    return _function("x, y, p, out", code.array_lines(), "out")
 
 
 class LayerTable:

@@ -197,8 +197,13 @@ class _Parser:
                 self.pos += 1
                 e = self.folded(mul(e, self.parse_unary()), start)
             elif c == "/":
+                slash = self.pos
                 self.pos += 1
-                e = self.folded(div(e, self.parse_unary()), start)
+                b = self.parse_unary()
+                if isinstance(b, Const) and b.value == 0.0:
+                    self.pos = slash
+                    raise self.error("division by zero")
+                e = self.folded(div(e, b), start)
             else:
                 return e
 

@@ -70,13 +70,16 @@ class PseudoFinslerMetric:
             raise ValueError(
                 f"need {degree + 1} coefficients a_0..a_{degree}, got {len(coeffs)}"
             )
-        self.degree = int(degree)
-        self.coeffs = tuple(ex.as_expr(c) for c in coeffs)
+        self._setup(int(degree), tuple(ex.as_expr(c) for c in coeffs))
+        self._check_not_identically_zero()
+
+    def _setup(self, degree: int, coeffs: tuple[ex.Expr, ...]) -> None:
+        self.degree = degree
+        self.coeffs = coeffs
         self._exprs: dict[str, list[ex.Expr]] = {}
         self._tables: dict[str, LayerTable] = {}
         self._fdp = None
         self._dual: PseudoFinslerMetric | None = None
-        self._check_not_identically_zero()
 
     def _check_not_identically_zero(self) -> None:
         # a non-finite value (a pole at a probe) counts as nonzero
@@ -127,11 +130,14 @@ class PseudoFinslerMetric:
         """Metric seen from the chart with the roles of x and y exchanged.
 
         Coefficients are reversed (the slope becomes q = dx/dy) and each
-        coefficient field gets its arguments swapped.
+        coefficient field gets its arguments swapped.  The dual skips the
+        zero-coefficient probe: it is identically zero only if this metric
+        is, and this one passed the probe.
         """
         if self._dual is None:
-            swapped = [ex.swap_xy(c) for c in reversed(self.coeffs)]
-            self._dual = PseudoFinslerMetric(self.degree, swapped)
+            swapped = tuple(ex.swap_xy(c) for c in reversed(self.coeffs))
+            self._dual = PseudoFinslerMetric.__new__(PseudoFinslerMetric)
+            self._dual._setup(self.degree, swapped)
             self._dual._dual = self
         return self._dual
 

@@ -10,7 +10,10 @@ field
 
 which is tangent to the surface C = 0, so a curve started on a root stays
 on it, and folds of the net (C_p = 0) are passed without dividing by C_p.
-The projection to the plane is the net curve.
+The projection to the plane is the net curve.  The field is one generated
+array function (``codegen.lifted_field_function``): the coefficients of
+C, C_x and C_y share one value numbering and are summed in p by Horner's
+rule, one call per RK4 stage.
 
 Seeds sit on an 11 x 11 grid inside the box.  Every (seed, simple root,
 direction +1 or -1) is one lane, and all lanes advance together as one
@@ -47,6 +50,7 @@ import numpy as np
 
 from . import metric as mt
 from . import poly
+from .codegen import lifted_field_function
 
 NET_STEPS = 900
 NET_SEED_AXIS = 11
@@ -64,11 +68,10 @@ def net_curves(
     Returns (N, 2) polylines in seed order.  Seeds where a coefficient is
     not finite (a pole of a rational coefficient) are skipped.
     """
-    tables = (m.table(layer), m.table(layer + "_x"), m.table(layer + "_y"))
     xs = np.linspace(box[0], box[1], seeds_per_axis + 2)[1:-1]
     ys = np.linspace(box[2], box[3], seeds_per_axis + 2)[1:-1]
     gx, gy = np.meshgrid(xs, ys)
-    coeffs = tables[0].values_on_grid(gx.ravel(), gy.ravel()).T
+    coeffs = m.table(layer).values_on_grid(gx.ravel(), gy.ravel()).T
 
     seeds = []
     for (x0, y0), c in zip(zip(gx.ravel(), gy.ravel()), coeffs):
@@ -93,7 +96,10 @@ def net_curves(
     # lane 2k runs seed k forward, lane 2k + 1 backward
     start = np.repeat(seeds, 2, axis=0)
     sign = np.tile([1.0, -1.0], len(seeds))
-    xy, cell, bounds = _trace_lanes(tables, start, sign, ds, lo, hi, cells)
+    field = lifted_field_function(
+        *(m.table(name).exprs for name in (layer, layer + "_x", layer + "_y"))
+    )
+    xy, cell, bounds = _trace_lanes(field, start, sign, ds, lo, hi, cells)
 
     visited = np.zeros(cells.size, dtype=bool)
     curves: list[np.ndarray] = []
@@ -137,21 +143,14 @@ class _CellIndex:
         return np.ravel_multi_index(tuple(keys.T), self.dims).astype(np.int32)
 
 
-def _lifted_field(tables, s: np.ndarray) -> np.ndarray:
-    """(C_p, p C_p, -(C_x + p C_y)) at each row (x, y, p) of ``s``."""
-    c, cx, cy = (
-        np.ascontiguousarray(t.values_on_grid(s[:, 0], s[:, 1]).T) for t in tables
-    )
-    n = c.shape[1]
-    p = s[:, 2]
-    powers = p[:, None] ** np.arange(n)
-    dcdp = (np.arange(1, n) * c[:, 1:] * powers[:, :-1]).sum(axis=1)
-    val_x = np.vecdot(cx, powers)
-    val_y = np.vecdot(cy, powers)
-    return np.column_stack([dcdp, p * dcdp, -(val_x + p * val_y)])
+def _lifted(field, s: np.ndarray) -> np.ndarray:
+    """The lifted field at each row (x, y, p) of ``s``, as rows."""
+    k = np.empty_like(s)
+    field(*s.T, k.T)
+    return k
 
 
-def _trace_lanes(tables, start, sign, ds, lo, hi, cells):
+def _trace_lanes(field, start, sign, ds, lo, hi, cells):
     """RK4 on all lanes in lockstep until each one stops.
 
     Returns the accepted points (M, 2) and their cells (M,), grouped by
@@ -170,14 +169,14 @@ def _trace_lanes(tables, start, sign, ds, lo, hi, cells):
         for _ in range(NET_STEPS):
             if not lane.size:
                 break
-            k1 = _lifted_field(tables, s)
+            k1 = _lifted(field, s)
             nrm = np.sqrt(np.vecdot(k1, k1))
             go = ~(nrm < 1e-12)
             lane, s, sign, k1, nrm = lane[go], s[go], sign[go], k1[go], nrm[go]
             h = (sign * ds / nrm)[:, None]
-            k2 = _lifted_field(tables, s + 0.5 * h * k1)
-            k3 = _lifted_field(tables, s + 0.5 * h * k2)
-            k4 = _lifted_field(tables, s + h * k3)
+            k2 = _lifted(field, s + 0.5 * h * k1)
+            k3 = _lifted(field, s + 0.5 * h * k2)
+            k4 = _lifted(field, s + h * k3)
             step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             moved = ~(np.sqrt(np.vecdot(step[:, :2], step[:, :2])) < 1e-10)
             s = s + step

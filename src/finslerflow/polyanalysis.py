@@ -174,16 +174,6 @@ class CorrespondenceReport:
     ok: bool
 
 
-def _match_sets(delta_roots, phi_mult, tol: float) -> bool:
-    for r, _ in delta_roots:
-        if not any(abs(r - m) <= tol * (1.0 + abs(m)) for m, _ in phi_mult):
-            return False
-    for m, _ in phi_mult:
-        if not any(abs(r - m) <= tol * (1.0 + abs(m)) for r, _ in delta_roots):
-            return False
-    return True
-
-
 def _double_root_checks(phi: RealPolynomial, delta: RealPolynomial, n: int,
                         phi_mult) -> list[DoubleRootCheck]:
     checks: list[DoubleRootCheck] = []

@@ -281,9 +281,6 @@ class TruncatedSeries:
             acc = acc * t + float(v)
         return acc
 
-    def coeffs_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.c])
-
     def __repr__(self) -> str:
         shown = ", ".join(str(v) for v in self.c[: min(8, len(self.c))])
         tail = ", ..." if len(self.c) > 8 else ""

@@ -1,7 +1,8 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
-that checks the generated evaluators, cell-by-cell references for the
-grid paths, Sylvester determinants for the singular locus and a
-tree-walk reference for the exact series."""
+that checks the generated evaluators, a point-by-point reference for the
+SVG paths, cell-by-cell references for the grid paths, Sylvester
+determinants for the singular locus and a tree-walk reference for the
+exact series."""
 
 from __future__ import annotations
 
@@ -55,6 +56,20 @@ def evaluate(e: ex.Expr, x: float, y: float) -> float:
         except OverflowError:
             return math.copysign(math.inf, base) if e.exponent % 2 else math.inf
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def lifted_field_reference(c, cx, cy, p: float) -> list[float]:
+    """(C_p, p C_p, -(C_x + p C_y)) at one point from the coefficients of
+    C, C_x and C_y, each Horner sum starting from its top coefficient."""
+
+    def horner(coeffs):
+        acc = 0.0
+        for k, a in enumerate(reversed(coeffs)):
+            acc = a if k == 0 else acc * p + a
+        return acc
+
+    dcdp = horner([i * c[i] for i in range(1, len(c))])
+    return [dcdp, p * dcdp, -(horner(cx) + p * horner(cy))]
 
 
 def halfplane_metric() -> mt.PseudoFinslerMetric:
@@ -180,6 +195,34 @@ def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+
+
+def svg_polyline_paths(canvas, pts, style: str) -> list[tuple[str, str]]:
+    """Reference: the (style, d) paths ``canvas.polyline`` adds, found by a
+    walk over the points and formatted one point at a time through
+    ``canvas._map``."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        return []
+    box = canvas.box
+    inside = (
+        (pts[:, 0] >= box[0])
+        & (pts[:, 0] <= box[1])
+        & (pts[:, 1] >= box[2])
+        & (pts[:, 1] <= box[3])
+        & np.isfinite(pts[:, 0])
+        & np.isfinite(pts[:, 1])
+    )
+    paths = []
+    start = 0
+    for k in range(pts.shape[0] + 1):
+        if k == pts.shape[0] or not inside[k]:
+            if k - start >= 2:
+                coords = [canvas._map(x, y) for x, y in pts[start:k]]
+                d = "M " + " L ".join(f"{px:.3f} {py:.3f}" for px, py in coords)
+                paths.append((style, d))
+            start = k + 1
+    return paths
 
 
 def _boundary_point(a, b, c, radius):

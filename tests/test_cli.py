@@ -12,7 +12,7 @@ import pytest
 from finslerflow import cli
 from finslerflow import metric as mt
 
-from helpers import max_ode_residual
+from helpers import max_ode_residual, svg_polyline_paths
 
 HALFPLANE = """\
 # vertical-axis boundary scenario
@@ -228,6 +228,16 @@ class TestCommands:
         assert err.startswith("config error: ") and "a0" in err and "not a finite float" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("a0", ["1/0*y - x", "0/0 + x"])
+    def test_division_by_constant_zero_is_config_error(self, tmp_path, capsys, a0):
+        text = HALFPLANE.replace("a0 = -x", "a0 = " + a0)
+        rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "a0" in err
+        assert "division by zero (at offset 1)" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_degenerate_immersion_is_config_error(self, tmp_path, capsys):
         text = TANGENCY.replace("f3 = y - 2*x^2", "f3 = x^2")
         rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])
@@ -357,3 +367,39 @@ class TestCommands:
         rc = cli.main(["classify", "--config", write(tmp_path, "mode = nope\n")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+def _svg_cases():
+    nan, inf = np.nan, np.inf
+    rng = np.random.default_rng(10)
+    # runs of every length, broken by points just outside the box and NaN
+    many = rng.uniform([-1.1, -0.6], [1.1, 2.1], (3000, 2))
+    many[rng.integers(0, len(many), 40)] = nan
+    return [
+        # NaN and inf split runs; a run of one point gives no path
+        np.array([[0.1, 0.2], [nan, 0.3], [0.3, 0.4], [0.5, 0.6], [0.7, inf],
+                  [0.2, 0.1], [-inf, 0.0], [0.4, nan]]),
+        # out-of-box points, single-point runs, runs at both ends
+        np.array([[0.0, 0.0], [0.1, 0.1], [3.0, 0.0], [0.5, 0.5], [0.0, -2.0],
+                  [0.6, 0.6], [0.7, 0.1], [0.8, 0.2]]),
+        # signed zeros and the box corners
+        np.array([[-0.0, -0.0], [-1.0, -0.5], [1.0, 2.0], [0.0, -0.0], [-0.0, 0.0]]),
+        np.array([[0.1, 0.1], [0.2, 0.2]]),
+        np.array([[0.1, 0.1]]),
+        np.zeros((0, 2)),
+        np.array([0.1, 0.2, 0.3]),
+        many,
+    ]
+
+
+@pytest.mark.parametrize("margin", [40, 0])
+def test_svg_polyline_matches_point_by_point_reference(margin):
+    box = (-1.0, 1.0, -0.5, 2.0)
+    canvas = cli._SvgCanvas(box, width=500, height=300, margin=margin)
+    want = []
+    for k, pts in enumerate(_svg_cases()):
+        style = ("geodesic", "boundary")[k % 2]
+        canvas.polyline(pts, style)
+        want += svg_polyline_paths(canvas, pts, style)
+    assert len(want) > 10
+    assert canvas._paths == want

@@ -107,6 +107,15 @@ def test_constant_folding_that_stays_finite():
     assert ex.parse("2^3*x + 1/4") == ex.add(ex.mul(ex.const(8.0), ex.X), ex.const(0.25))
 
 
+@pytest.mark.parametrize(
+    "text, offset", [("1/0*y - x", 1), ("0/0 + x", 1), ("y + x/(-0.0)", 5)]
+)
+def test_division_by_constant_zero_is_refused(text, offset):
+    with pytest.raises(ex.ExprSyntaxError, match="division by zero") as err:
+        ex.parse(text)
+    assert err.value.offset == offset
+
+
 def test_division_by_zero_field_raises():
     e = ex.parse("1/(x - y)")
     assert evaluate(e, 2.0, 1.0) == pytest.approx(1.0)

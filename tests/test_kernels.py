@@ -15,9 +15,9 @@ import pytest
 
 from finslerflow import expr as ex
 from finslerflow import metric as mt
-from finslerflow.codegen import LayerTable
+from finslerflow.codegen import LayerTable, lifted_field_function
 
-from helpers import EvalDomainError, evaluate, random_poly_text
+from helpers import EvalDomainError, evaluate, lifted_field_reference, random_poly_text
 
 LAYERS = (
     "F", "F_x", "F_y",
@@ -165,3 +165,31 @@ def test_exact_identities_keep_signed_zero_inf_and_nan():
         for got in (tbl.values_at(x, 0.0), grid[:, k]):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["x*y - 0.3*y^2 + 0.5*x", "0.4*x - 0.2*y", "1 + 0.1*x*y", "0.2*x"],
+        ["1/(x - 2) + y^3", "x^4", "-y", "x*y^2", "0.5"],
+        # C_p of a one-coefficient layer is the constant 0.0, assigned to its row
+        ["-1"],
+        ["-1", "0", "1"],
+    ],
+)
+def test_lifted_field_matches_scalar_horner(texts):
+    layer = [ex.parse(t) for t in texts]
+    tables = [LayerTable(ex.diff(e, v) for e in layer) for v in "xy"]
+    field = lifted_field_function(layer, tables[0].exprs, tables[1].exprs)
+    rng = np.random.default_rng(4)
+    x, y, p = rng.uniform(-1.5, 1.5, (3, 200))
+    got = field(x, y, p, np.empty((3, x.size)))
+    c = LayerTable(layer)
+    for k in range(x.size):
+        want = lifted_field_reference(
+            c.values_at(x[k], y[k]),
+            tables[0].values_at(x[k], y[k]),
+            tables[1].values_at(x[k], y[k]),
+            p[k],
+        )
+        np.testing.assert_array_equal(got[:, k], want)

@@ -209,6 +209,13 @@ def test_dual_metric_swaps_charts():
     assert m.dual().dual() is m
 
 
+def test_dual_skips_the_zero_coefficient_probe():
+    m = parabola_metric(0.8)
+    d = m.dual()
+    # the probe would have compiled the dual's F point function
+    assert "F" not in d._tables
+
+
 def test_coeff_exprs_roundtrip_text():
     m = mt.metric_from_strings(3, ["y*x - 1", "x + 2*y", "1", "x*y"])
     vals = mt.coeff_values(m, 0.3, -0.7)

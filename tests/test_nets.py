@@ -8,7 +8,7 @@ import pytest
 from finslerflow import metric as mt
 from finslerflow import nets, poly
 
-from helpers import halfplane_metric, parabola_metric
+from helpers import halfplane_metric, lifted_field_reference, parabola_metric
 
 HALFPLANE_BOX = (-1.0, 1.0, -1.0, 1.0)
 PARABOLA_BOX = (-1.5, 1.5, 0.05, 1.5)
@@ -18,18 +18,18 @@ def scalar_net_curves(m, box, layer, seeds_per_axis):
     """Reference: the nets traced seed by seed with scalar RK4, choosing
     curves while tracing.
 
-    Coefficients come from the pointwise table interpreter, which rounds
-    as the array interpreter does (x^2 is x*x), so the two agree exactly.
+    Coefficients come from the pointwise generated code, which rounds as
+    the array code does, and the lifted field is summed by Horner's rule
+    from the top coefficient as the net kernel sums it
+    (``helpers.lifted_field_reference``), so the two agree exactly.
     """
     tables = [m.table(name) for name in (layer, layer + "_x", layer + "_y")]
 
     def rhs(state):
         x, y, p = state
-        c, cx, cy = (t.values_at(x, y) for t in tables)
-        powers = p ** np.arange(c.size)
-        dcdp = float(np.sum(np.arange(1, c.size) * c[1:] * powers[:-1]))
-        val = float(np.dot(cx, powers)) + p * float(np.dot(cy, powers))
-        return np.array([dcdp, p * dcdp, -val])
+        return np.array(
+            lifted_field_reference(*(t.values_at(x, y) for t in tables), p)
+        )
 
     ds = float(np.hypot(box[1] - box[0], box[3] - box[2])) / 500.0
     pad_x = 0.02 * (box[1] - box[0])
@@ -90,6 +90,8 @@ def scalar_net_curves(m, box, layer, seeds_per_axis):
 MIXED = mt.metric_from_strings(
     3, ["x*y - 0.3*y^2 + 0.5*x", "0.4*x - 0.2*y", "1 + 0.1*x*y", "0.2*x"]
 )
+# F = p^2 - 1: constant coefficients, so C_x and C_y vanish identically
+CONSTANT = mt.metric_from_strings(2, ["-1", "0", "1"])
 
 
 @pytest.mark.parametrize(
@@ -98,11 +100,11 @@ MIXED = mt.metric_from_strings(
         (halfplane_metric(), HALFPLANE_BOX, "F", 4),
         (halfplane_metric(), HALFPLANE_BOX, "denom", 4),
         (MIXED, HALFPLANE_BOX, "F", 2),
+        (CONSTANT, HALFPLANE_BOX, "F", 3),
     ],
 )
 def test_lockstep_matches_seed_by_seed_reference(metric, box, layer, seeds_per_axis):
-    # powers above 2 would round differently in the two interpreters; with
-    # none, the lockstep trace does the same float operations per lane
+    # the lockstep trace does the same float operations per lane
     want = scalar_net_curves(metric, box, layer, seeds_per_axis)
     got = nets.net_curves(metric, box, layer, seeds_per_axis)
     assert len(want) > 1
@@ -139,6 +141,7 @@ def test_halfplane_net_follows_its_directions(layer, weight, tol):
         (halfplane_metric(), HALFPLANE_BOX, "denom", 79),
         (parabola_metric(), PARABOLA_BOX, "F", 37),
         (parabola_metric(), PARABOLA_BOX, "denom", 133),
+        (CONSTANT, HALFPLANE_BOX, "F", 67),
     ],
 )
 def test_curve_counts_are_pinned(metric, box, layer, count):
