@@ -14,9 +14,9 @@ overflowing power gives inf, never an exception.  Integer powers are
 expanded by square-and-multiply and Horner's rule starts from 0.0 with
 the highest coefficient first (the lifted field's sums start from that
 coefficient itself), so a result is exactly what that sequence of float
-operations gives.  This is the library's only
-evaluator of expression trees; a caller that must refuse a pole tests the
-values it gets for finiteness.
+operations gives.  This is the library's only evaluator of expression
+trees; a caller that must refuse a pole tests the values it gets for
+finiteness.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ def lifted_field_function(c, cx, cy):
     p = ex.Var("p")
 
     def horner(coeffs):
-        acc = ex.ZERO
-        for k, a in enumerate(reversed(coeffs)):
-            acc = a if k == 0 else ex.add(ex.mul(acc, p), a)
+        acc = coeffs[-1] if coeffs else ex.ZERO
+        for a in reversed(coeffs[:-1]):
+            acc = ex.add(ex.mul(acc, p), a)
         return acc
 
     dcdp = horner([ex.mul(ex.const(i), a) for i, a in enumerate(c)][1:])
