@@ -828,7 +828,7 @@ def _check_disc(m, rng, box):
     for x, y in zip(xs, ys):
         dd = mt.disc_denom(m, float(x), float(y))
         df = mt.disc_metric(m, float(x), float(y))
-        sc = (1.0 + mt.metric_scale(m, float(x), float(y))) ** 4
+        sc = mt._ipow(1.0 + mt.metric_scale(m, float(x), float(y)), 4)
         worst = max(worst, abs(dd + 12.0 * df) / sc)
     return worst, "denominator discriminant = -12 * metric discriminant"
 

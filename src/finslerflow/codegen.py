@@ -7,7 +7,8 @@ into plain Python functions: the coefficients at a point, their Horner
 sum in p, and the coefficients on arrays of points.  Each function is
 compiled on its first use.  ``lifted_field_function`` numbers a layer and
 its x and y partials together into the array code of the direction nets'
-lifted field.
+lifted field, and ``dopri_step`` writes out one Dormand-Prince step for
+states of a given dimension.
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
@@ -22,7 +23,7 @@ finiteness.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,6 +37,17 @@ def _div(a: float, b: float) -> float:
     if a != a or not a:
         return math.nan
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _ipow(b: float, k: int) -> float:
+    """b**k for k >= 0; an overflow gives +-inf, as IEEE products do,
+    not OverflowError."""
+    if k <= 0:
+        return 1.0
+    try:
+        return float(b) ** k
+    except OverflowError:
+        return math.copysign(math.inf, b) if k % 2 else math.inf
 
 
 _FOLD = {
@@ -181,7 +193,10 @@ def _function(args: str, body: list[str], result: str):
     src = f"def f({args}):\n" + "".join(f"    {s}\n" for s in body + [
         f"return {result}"
     ])
-    ns = {"_div": _div, "inf": math.inf, "nan": math.nan, "np": np}
+    ns = {
+        "_div": _div, "_ipow": _ipow, "_sqrt": math.sqrt,
+        "inf": math.inf, "nan": math.nan, "np": np,
+    }
     exec(compile(src, "<finslerflow generated>", "exec"), ns)
     return ns["f"]
 
@@ -233,6 +248,71 @@ def lifted_field_function(c, cx, cy):
     return _function("x, y, p, out", code.array_lines(), "out")
 
 
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
+# the stage rows of the Butcher tableau, the last one giving the
+# 5th-order solution, and the error weights b5 - b4.
+DOPRI_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DOPRI_E = (
+    71 / 57600,
+    0.0,
+    -71 / 16695,
+    71 / 1920,
+    -17253 / 339200,
+    22 / 525,
+    -1 / 40,
+)
+
+
+@cache
+def dopri_step(d: int):
+    """(rhs, u, fu, h, rel_tol, abs_tol) -> (unew, fnew, err): one embedded
+    Dormand-Prince 5(4) step of du/dt = rhs(u) from a state u of d floats
+    with fu = rhs(u); compiled on the first call for each d.
+
+    The stages are written out.  Stage s is rhs of the tuple with entries
+    u_i + h * (0.0 + A[s][0] * k0_i + A[s][1] * k1_i + ...), each sum taken
+    left to right with its zero coefficients, as ``sum()`` adds floats on
+    Python 3.11.  unew is the last stage's argument itself and fnew its
+    rhs.  err is the root mean square over i of
+    e_i / (abs_tol + rel_tol * max(|u_i|, |unew_i|)) with
+    e_i = h * (0.0 + E[0] * k0_i + ...); a square that overflows is inf.
+    """
+
+    def names(stem):
+        return ", ".join(f"{stem}{i}" for i in range(d)) + ","
+
+    def combo(coeffs, i):
+        return "0.0" + "".join(
+            f" + {_atom(c)} * k{j}_{i}" for j, c in enumerate(coeffs)
+        )
+
+    body = [f"{names('u')} = u", f"{names('k0_')} = fu"]
+    for s, row in enumerate(DOPRI_A[1:], start=1):
+        v = "w" if s == len(DOPRI_A) - 1 else f"v{s}_"
+        body += [f"{v}{i} = u{i} + h * ({combo(row, i)})" for i in range(d)]
+        if v == "w":
+            body += [f"unew = ({names('w')})", "fnew = rhs(unew)"]
+            body.append(f"{names(f'k{s}_')} = fnew")
+        else:
+            body.append(f"{names(f'k{s}_')} = rhs(({names(v)}))")
+    body += [f"e{i} = h * ({combo(DOPRI_E, i)})" for i in range(d)]
+    body.append("err = 0.0" + "".join(
+        f" + _ipow(e{i} / (abs_tol + rel_tol * max(abs(u{i}), abs(w{i}))), 2)"
+        for i in range(d)
+    ))
+    return _function(
+        "rhs, u, fu, h, rel_tol, abs_tol", body, f"unew, fnew, _sqrt(err / {d})"
+    )
+
+
 class LayerTable:
     """Generated evaluators of the coefficient fields of one layer.
 
@@ -261,6 +341,9 @@ class LayerTable:
     @cached_property
     def _grid(self):
         return _function("x, y, out", self._code.array_lines(), "out")
+
+    def point_values(self, x: float, y: float) -> tuple[float, ...]:
+        return self._values(float(x), float(y))
 
     def values_at(self, x: float, y: float) -> np.ndarray:
         return np.array(self._values(float(x), float(y)))

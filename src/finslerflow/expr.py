@@ -203,7 +203,12 @@ class _Parser:
                 if isinstance(b, Const) and b.value == 0.0:
                     self.pos = slash
                     raise self.error("division by zero")
-                e = self.folded(div(e, b), start)
+                # a constant quotient is folded whatever the size of b
+                # (div leaves one with |b| <= DIV_TOL a node), so that
+                # one that overflows is refused as a non-finite constant
+                both = isinstance(e, Const) and isinstance(b, Const)
+                q = Const(e.value / b.value) if both else div(e, b)
+                e = self.folded(q, start)
             else:
                 return e
 

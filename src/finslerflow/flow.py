@@ -15,8 +15,10 @@ the planar velocity.
 One stepper serves two fields: the adaptive embedded Dormand-Prince 5(4)
 loop of _dopri_steps integrates this projectivized field (integrate) and
 the second-order system on the tangent bundle (tm_integrate), and the two
-join their time directions the same way.  Each tracer keeps only what it
-does with an accepted step.  Here events (sign changes of the denominator
+join their time directions the same way.  Its step is straight-line code
+generated for the dimension of the state (codegen.dopri_step): 3 here, 4
+on the tangent bundle.  Each tracer keeps only what it does with an
+accepted step.  Here events (sign changes of the denominator
 or of F, singular proximity, domain exit) are localized by bisection on a
 cubic Hermite interpolant of the step.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metric as mt
-from .codegen import _div
+from .codegen import _div, dopri_step
 from .metric import PseudoFinslerMetric
 from .poly import RealPolynomial
 
@@ -157,45 +159,6 @@ def field_at(m: PseudoFinslerMetric, pt: PTMPoint) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) on float tuples
 
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-
-
-def _dopri_step(rhs, u, f1, h, rel_tol, abs_tol):
-    """One embedded step; returns (unew, fnew, err_norm)."""
-    d = len(u)
-    ks = [f1]
-    for row in _A[1:]:
-        arg = tuple(
-            u[i] + h * sum(c * ks[j][i] for j, c in enumerate(row))
-            for i in range(d)
-        )
-        ks.append(rhs(arg))
-    unew = arg  # the last stage argument is the 5th-order solution
-    fnew = ks[6]
-    err = 0.0
-    for i in range(d):
-        e = h * sum(c * ks[j][i] for j, c in enumerate(_E))
-        sc = abs_tol + rel_tol * max(abs(u[i]), abs(unew[i]))
-        err += (e / sc) ** 2
-    return unew, fnew, math.sqrt(err / d)
-
 
 def _hermite(u0, f0, u1, f1, h, theta):
     out = []
@@ -247,13 +210,15 @@ def _dopri_steps(rhs, u, cfg: IntegratorConfig):
     length; every attempt counts against cfg.max_steps.  Returns the
     stop reason (STEP_UNDERFLOW or MAX_STEPS) and the time reached.
     """
+    step = dopri_step(len(u))
+    rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     fu = rhs(u)
     t = 0.0
     h = INITIAL_STEP
     for _ in range(cfg.max_steps):
-        h = min(h, cfg.max_step)
-        unew, fnew, err = _dopri_step(rhs, u, fu, h, cfg.rel_tol, cfg.abs_tol)
-        if not all(math.isfinite(c) for c in unew) or not math.isfinite(err):
+        h = min(h, max_step)
+        unew, fnew, err = step(rhs, u, fu, h, rel_tol, abs_tol)
+        if not math.isfinite(err) or not all(map(math.isfinite, unew)):
             h *= 0.25
             if h < 1e-14:
                 return STEP_UNDERFLOW, t
@@ -323,15 +288,19 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     u = (seed.x, seed.y, seed.slope)
 
     def rhs(v):
-        vals = _chart_vals(m, v[0], v[1], v[2], state_chart)
-        w = _chart_field(v[0], v[1], v[2], state_chart, vals)
-        return (state_sign * w[0], state_sign * w[1], state_sign * w[2])
+        # _chart_vals and _chart_field with the sign, in one call
+        x, y, s = v
+        if state_chart == "p":
+            _, d, n = mt.fdp_values(m, x, y, s)
+            return (state_sign * d, state_sign * (s * d), state_sign * n)
+        _, d, n = mt.fdp_values(m.dual(), y, x, s)
+        return (state_sign * (s * d), state_sign * d, state_sign * n)
 
     def inside(v):
         return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
 
     def scale_at(v):
-        return (1.0 + mt.metric_scale(m, v[0], v[1])) ** 2
+        return mt._ipow(1.0 + mt.metric_scale(m, v[0], v[1]), 2)
 
     cols = {k: [] for k in ("t", "x", "y", "slope", "chart", "F", "denom", "numer")}
     events: list[TraceEvent] = []
@@ -616,7 +585,7 @@ def tm_integrate(
 
     def h_small(u):
         speed = max(abs(u[2]), abs(u[3]), 1e-12)
-        ref = (1.0 + mt.metric_scale(m, u[0], u[1])) ** 2
+        ref = mt._ipow(1.0 + mt.metric_scale(m, u[0], u[1]), 2)
         ref *= mt._ipow(speed, 2 * n - 4)
         return abs(dets(u)[0]) < 1e-10 * ref
 

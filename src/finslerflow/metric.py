@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expr as ex
 from . import poly
-from .codegen import LayerTable, horner_function
+from .codegen import LayerTable, _ipow, horner_function
 
 DISC_BAND_REL = 1e-10
 DEGREE_TRIM_REL = 1e-12
@@ -211,7 +211,10 @@ def coeff_values(m: PseudoFinslerMetric, x: float, y: float) -> np.ndarray:
 
 
 def metric_scale(m: PseudoFinslerMetric, x: float, y: float) -> float:
-    return float(np.max(np.abs(coeff_values(m, x, y))))
+    """max |a_i(x, y)|, nan if any coefficient is nan (as np.max gives)."""
+    a = [abs(c) for c in m.table("F").point_values(x, y)]
+    # a sum of non-negative terms is nan only where one of them is
+    return math.nan if math.isnan(sum(a)) else max(a)
 
 
 def eval_F(m: PseudoFinslerMetric, x: float, y: float, p: float) -> float:
@@ -345,17 +348,6 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
 
 # ---------------------------------------------------------------------------
 # tangent-bundle oracle
-
-
-def _ipow(b: float, k: int) -> float:
-    """b**k for k >= 0; an overflow gives +-inf, as IEEE products do,
-    not OverflowError."""
-    if k <= 0:
-        return 1.0
-    try:
-        return float(b) ** k
-    except OverflowError:
-        return math.copysign(math.inf, b) if k % 2 else math.inf
 
 
 def accel_determinants(

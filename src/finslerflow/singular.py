@@ -116,7 +116,7 @@ def classify_singular(
     m: PseudoFinslerMetric, x: float, y: float, p: float
 ) -> SingularPoint:
     """Classify a singular point by the spectrum of the linearization."""
-    sc = (1.0 + mt.metric_scale(m, x, y)) ** 2
+    sc = mt._ipow(1.0 + mt.metric_scale(m, x, y), 2)
     dv = mt.denom_poly(m, x, y)(p)
     pv = mt.numer_poly(m, x, y)(p)
     if max(abs(dv), abs(pv)) > 1e-4 * sc:
@@ -540,7 +540,7 @@ def admissible_directions(m: PseudoFinslerMetric, x: float, y: float) -> list[fl
     if m.degree != 2:
         raise StratumError("admissible directions are defined for degree 2")
     sc = mt.metric_scale(m, x, y)
-    if abs(mt.disc_metric(m, x, y)) > 1e-8 * max(sc, 1e-30) ** 2:
+    if abs(mt.disc_metric(m, x, y)) > 1e-8 * mt._ipow(max(sc, 1e-30), 2):
         raise StratumError(
             f"({x}, {y}) is not on the discriminant curve of the metric"
         )

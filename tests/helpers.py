@@ -1,6 +1,6 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
-that checks the generated evaluators, a point-by-point reference for the
-SVG paths, cell-by-cell references for the grid paths, Sylvester
+that checks the generated evaluators, a loop reference for the generated
+Dormand-Prince step, a point-by-point reference for the SVG paths, cell-by-cell references for the grid paths, Sylvester
 determinants for the singular locus and a tree-walk reference for the
 exact series."""
 
@@ -15,6 +15,7 @@ from finslerflow import expr as ex
 from finslerflow import metric as mt
 from finslerflow import puiseux as pz
 from finslerflow.cli import _fmt
+from finslerflow.codegen import DOPRI_A, DOPRI_E, _ipow
 
 
 class EvalDomainError(ZeroDivisionError):
@@ -70,6 +71,32 @@ def lifted_field_reference(c, cx, cy, p: float) -> list[float]:
 
     dcdp = horner([i * c[i] for i in range(1, len(c))])
     return [dcdp, p * dcdp, -(horner(cx) + p * horner(cy))]
+
+
+def dopri_step_reference(rhs, u, fu, h, rel_tol, abs_tol):
+    """One embedded Dormand-Prince 5(4) step by loops over the tableau;
+    returns (unew, fnew, err_norm).  Each coefficient sum is added left to
+    right from 0.0, as sum() does on Python 3.11 (later versions
+    compensate), so the result does not depend on the Python version."""
+
+    def combo(coeffs, ks, i):
+        acc = 0.0
+        for c, k in zip(coeffs, ks):
+            acc = acc + c * k[i]
+        return acc
+
+    d = len(u)
+    ks = [fu]
+    for row in DOPRI_A[1:]:
+        arg = tuple(u[i] + h * combo(row, ks, i) for i in range(d))
+        ks.append(rhs(arg))
+    unew = arg  # the last stage argument is the 5th-order solution
+    err = 0.0
+    for i in range(d):
+        e = h * combo(DOPRI_E, ks, i)
+        sc = abs_tol + rel_tol * max(abs(u[i]), abs(unew[i]))
+        err = err + _ipow(e / sc, 2)
+    return unew, ks[6], math.sqrt(err / d)
 
 
 def halfplane_metric() -> mt.PseudoFinslerMetric:

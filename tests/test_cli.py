@@ -228,6 +228,14 @@ class TestCommands:
         assert err.startswith("config error: ") and "a0" in err and "not a finite float" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_quotient_that_overflows_is_config_error(self, tmp_path, capsys):
+        text = HALFPLANE.replace("a0 = -x", "a0 = 1/1e-310*y - x")
+        rc = cli.main(["classify", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "a0" in err and "not a finite float" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("a0", ["1/0*y - x", "0/0 + x"])
     def test_division_by_constant_zero_is_config_error(self, tmp_path, capsys, a0):
         text = HALFPLANE.replace("a0 = -x", "a0 = " + a0)

@@ -108,6 +108,21 @@ def test_constant_folding_that_stays_finite():
 
 
 @pytest.mark.parametrize(
+    "text, offset", [("1/1e-310*y - x", 0), ("x + 2/-5e-324", 4), ("y - 1e10/1e-300", 4)]
+)
+def test_quotient_by_tiny_constant_that_overflows_is_refused(text, offset):
+    # a denominator below DIV_TOL is folded too, not left as an inf node
+    with pytest.raises(ex.ExprSyntaxError, match="not a finite float") as err:
+        ex.parse(text)
+    assert err.value.offset == offset
+
+
+def test_quotient_by_tiny_constant_that_stays_finite_is_folded():
+    assert ex.parse("1e-20/1e-13*y") == ex.mul(ex.const(1e-20 / 1e-13), ex.Y)
+    assert ex.parse("x/1e-13") == ex.Div(ex.X, ex.const(1e-13))
+
+
+@pytest.mark.parametrize(
     "text, offset", [("1/0*y - x", 1), ("0/0 + x", 1), ("y + x/(-0.0)", 5)]
 )
 def test_division_by_constant_zero_is_refused(text, offset):

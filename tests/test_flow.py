@@ -122,6 +122,19 @@ class TestTraceStructure:
         tr = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg, direction=-1)
         assert tr.stops == ("MaxSteps",)
 
+    @pytest.mark.parametrize("a0", ["-1e300*x", "-1e200*x"])
+    def test_huge_coefficient_stops_without_overflow(self, a0):
+        # (1 + metric_scale)^2 overflows: an inf scale, not OverflowError
+        m = mt.metric_from_strings(2, [a0, "0", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = flow.integrate(m, PTMPoint(0.5, 0.0, 0.3))
+            with pytest.raises(ValueError, match="degeneracy H = 0"):
+                flow.tm_integrate(m, 0.5, 0.0, 1.0, 0.3)
+        assert tr.stops == ("SingularApproach", "SingularApproach")
+        assert tr.events[-1].kind == "SingularApproach"
+        assert tr.events[-1].index == len(tr) - 1
+
     def test_sample_spacing_bounded(self):
         m = halfplane_metric()
         cfg = IntegratorConfig(max_ds=0.002)

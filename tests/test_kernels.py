@@ -8,6 +8,8 @@ Grid and pointwise results run the same operations and must be equal.
 
 from __future__ import annotations
 
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -15,9 +17,15 @@ import pytest
 
 from finslerflow import expr as ex
 from finslerflow import metric as mt
-from finslerflow.codegen import LayerTable, lifted_field_function
+from finslerflow.codegen import LayerTable, _div, dopri_step, lifted_field_function
 
-from helpers import EvalDomainError, evaluate, lifted_field_reference, random_poly_text
+from helpers import (
+    EvalDomainError,
+    dopri_step_reference,
+    evaluate,
+    lifted_field_reference,
+    random_poly_text,
+)
 
 LAYERS = (
     "F", "F_x", "F_y",
@@ -193,3 +201,66 @@ def test_lifted_field_matches_scalar_horner(texts):
             p[k],
         )
         np.testing.assert_array_equal(got[:, k], want)
+
+
+def _bits(values) -> list[bytes]:
+    # every nan alike: the sign a nan gets depends on which of the
+    # interpreter's float paths (generic or specialized) computed it
+    return [struct.pack("<d", v) if v == v else b"nan" for v in values]
+
+
+def _smooth(u):
+    d = len(u)
+    return tuple(u[i] * u[(i + 1) % d] - 0.7 * u[i - 1] + 0.1 * i for i in range(d))
+
+
+def _pole(u):
+    # inf or nan wherever a stage crosses u_0 = 0.25
+    return tuple(_div(1.0 + i, u[0] - 0.25) for i in range(len(u)))
+
+
+def _non_finite(u):
+    return tuple((math.inf, -math.inf, math.nan, 1.0)[: len(u)])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_dopri_step_matches_loop_reference(d):
+    """The generated step gives the loop reference's bits: the stage
+    tuples, the 5th-order solution (the last stage's argument itself),
+    its rhs and the error norm, also on signed zeros, inf, nan and an
+    error whose square overflows."""
+    step = dopri_step(d)
+    assert dopri_step(d) is step
+    rng = np.random.default_rng(30 + d)
+    cases = []
+    for _ in range(40):
+        u = tuple(rng.normal(size=d).tolist())
+        cases.append((_smooth, u, float(rng.uniform(1e-4, 0.05)), 1e-10, 1e-12))
+    special = [
+        (-0.0,) * d,
+        (0.0, -0.0) + (1.0,) * (d - 2),
+        (math.inf,) + (0.5,) * (d - 1),
+        (0.5, math.nan) + (-0.0,) * (d - 2),
+        (0.24,) + (1e300,) * (d - 1),
+    ]
+    for u in special:
+        for rhs in (_smooth, _pole, _non_finite):
+            cases.append((rhs, u, 0.05, 1e-10, 1e-12))
+    # tiny tolerances: (e / sc)**2 overflows and the norm is inf
+    cases.append((_smooth, (1.0,) * d, 0.05, 1e-300, 1e-300))
+    for rhs, u, h, rel_tol, abs_tol in cases:
+        args = []
+
+        def seen(v, rhs=rhs):
+            args.append(v)
+            return rhs(v)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step(seen, u, rhs(u), h, rel_tol, abs_tol)
+        assert len(args) == 6 and got[0] is args[-1]
+        want = dopri_step_reference(rhs, u, rhs(u), h, rel_tol, abs_tol)
+        assert _bits(got[0]) == _bits(want[0])
+        assert _bits(got[1]) == _bits(want[1])
+        assert _bits([got[2]]) == _bits([want[2]])
+    assert step(_smooth, (1.0,) * d, _smooth((1.0,) * d), 0.05, 1e-300, 1e-300)[2] == math.inf

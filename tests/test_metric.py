@@ -193,6 +193,27 @@ class TestStrata:
             mt.isotropic_directions(m, 0.0, 0.7)
 
 
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["-x", "0", "1"],
+        ["1/x", "y", "x*y - 1", "0.5"],  # inf at x = 0
+        ["x/x - 1", "-1/x", "1"],  # nan and -inf at x = 0
+        ["1e300*x^2", "0", "-1e300*y"],  # overflows to inf
+    ],
+)
+def test_metric_scale_matches_numpy_max(texts):
+    m = mt.metric_from_strings(len(texts) - 1, texts)
+    rng = np.random.default_rng(9)
+    points = [(0.0, 0.3), (0.0, -0.0), (1e200, 1e200)]
+    points += [tuple(v) for v in rng.uniform(-2.0, 2.0, (50, 2)).tolist()]
+    for x, y in points:
+        want = float(np.max(np.abs(mt.coeff_values(m, x, y))))
+        got = mt.metric_scale(m, x, y)
+        assert type(got) is float
+        assert math.isnan(got) if math.isnan(want) else got == want
+
+
 def test_dual_metric_swaps_charts():
     m = parabola_metric(0.8)
     d = m.dual()
