@@ -1,8 +1,8 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
-Dormand-Prince step, a point-by-point reference for the SVG paths, cell-by-cell references for the grid paths, Sylvester
-determinants for the singular locus and a tree-walk reference for the
-exact series."""
+Dormand-Prince step, a point-by-point reference for the SVG paths,
+cell-by-cell references for the grid paths, Sylvester determinants for
+the singular locus and a tree-walk reference for the exact series."""
 
 from __future__ import annotations
 

@@ -225,10 +225,10 @@ def _non_finite(u):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_dopri_step_matches_loop_reference(d):
-    """The generated step gives the loop reference's bits: the stage
-    tuples, the 5th-order solution (the last stage's argument itself),
-    its rhs and the error norm, also on signed zeros, inf, nan and an
-    error whose square overflows."""
+    """The generated step gives the loop reference's bits: the 5th-order
+    solution (the last stage's argument itself), its rhs and the error
+    norm, also on signed zeros, inf, nan, a rhs that leaves the floats
+    and an error whose square overflows."""
     step = dopri_step(d)
     assert dopri_step(d) is step
     rng = np.random.default_rng(30 + d)
