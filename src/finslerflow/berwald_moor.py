@@ -57,30 +57,14 @@ _PROBE_SIDE = 7
 _DEGEN_TOL = 1e-10
 
 
-def _eadd(a: ex.Expr, b: ex.Expr) -> ex.Expr:
-    if isinstance(a, ex.Const) and a.value == 0.0:
-        return b
-    if isinstance(b, ex.Const) and b.value == 0.0:
-        return a
-    return ex.add(a, b)
-
-
-def _emul(a: ex.Expr, b: ex.Expr) -> ex.Expr:
-    if isinstance(a, ex.Const) and a.value in (0.0, 1.0):
-        return a if a.value == 0.0 else b
-    if isinstance(b, ex.Const) and b.value in (0.0, 1.0):
-        return b if b.value == 0.0 else a
-    return ex.mul(a, b)
-
-
 def _expand_factors(factors) -> list[ex.Expr]:
     """Slope-polynomial coefficients of prod (cx + cy * p)."""
-    coeffs: list[ex.Expr] = [ex.const(1.0)]
+    coeffs: list[ex.Expr] = [ex.ONE]
     for cx, cy in factors:
-        new: list[ex.Expr] = [ex.const(0.0) for _ in range(len(coeffs) + 1)]
+        new = [ex.ZERO] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
-            new[k] = _eadd(new[k], _emul(c, cx))
-            new[k + 1] = _eadd(new[k + 1], _emul(c, cy))
+            new[k] = ex.sadd(new[k], ex.smul(c, cx))
+            new[k + 1] = ex.sadd(new[k + 1], ex.smul(c, cy))
         coeffs = new
     return coeffs
 
@@ -223,7 +207,7 @@ def full_metric(alm: AdaptedLocalMetric) -> PseudoFinslerMetric:
     Adapted metrics with equal coefficient trees compare equal and so
     share one result, and its generated evaluators.
     """
-    factors = [(ex.const(0.0), ex.const(1.0)), (ex.mul(alm.a, ex.Var("x")), alm.b)]
+    factors = [(ex.ZERO, ex.ONE), (ex.smul(alm.a, ex.X), alm.b)]
     factors.extend(alm.extra)
     return PseudoFinslerMetric(alm.n, _expand_factors(factors))
 
@@ -340,13 +324,13 @@ def adapted_from_immersion(
             "not in adapted position: the tangent component's x-partial "
             "is not divisible by x"
         )
-    a_expr = ex.poly2d_to_expr(cix[1:, :]) if cix.shape[0] > 1 else ex.const(0.0)
+    a_expr = ex.poly2d_to_expr(cix[1:, :]) if cix.shape[0] > 1 else ex.ZERO
     b_expr = ex.diff(fi, "y")
 
     # Fold the vertical factor's scalar weight into (a, b); the shape and
     # all blow-up invariants are unchanged by a common rescaling.
-    a_expr = _emul(a_expr, fjy)
-    b_expr = _emul(b_expr, fjy)
+    a_expr = ex.smul(a_expr, fjy)
+    b_expr = ex.smul(b_expr, fjy)
 
     extra = [
         (ex.diff(comps[k], "x"), ex.diff(comps[k], "y"))

@@ -540,7 +540,11 @@ def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
     xs = np.linspace(cfg.box[0], cfg.box[1], res)
     ys = np.linspace(cfg.box[2], cfg.box[3], res)
     # rows run along x, one row of the grid per y
-    strata, disc = mt.strata_on_grid(m, *np.meshgrid(xs, ys))
+    try:
+        strata, disc = mt.strata_on_grid(m, *np.meshgrid(xs, ys))
+    except mt.DegeneratePointError as err:
+        print(f"classify: {err}", file=sys.stderr)
+        return 2
     xtext = [_fmt(x) for x in xs]
     rows: list[tuple] = []
     for y, row_st, row_d in zip(ys, strata.tolist(), disc.tolist()):

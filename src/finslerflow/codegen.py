@@ -229,9 +229,9 @@ def lifted_field_function(c, cx, cy):
     slope polynomial C = sum_i c[i] p^i on arrays of points; cx and cy are
     the coefficients of C_x and C_y.
 
-    The three rows are one value numbering; each Horner sum in p starts
-    from its top coefficient (C_p from 1 * c[1] .. (n-1) * c[n-1]).  The
-    code is the array code of LayerTable; a row that is a constant is
+    The rows are derived trees in one value numbering; each Horner sum in
+    p starts from its top coefficient (C_p from 1 * c[1] .. (n-1) * c[n-1]).
+    The code is the array code of LayerTable; a row that is a constant is
     assigned, so ``out`` must be an array.
     """
     p = ex.Var("p")
@@ -239,12 +239,12 @@ def lifted_field_function(c, cx, cy):
     def horner(coeffs):
         acc = coeffs[-1] if coeffs else ex.ZERO
         for a in reversed(coeffs[:-1]):
-            acc = ex.add(ex.mul(acc, p), a)
+            acc = ex.sadd(ex.smul(acc, p), a)
         return acc
 
-    dcdp = horner([ex.mul(ex.const(i), a) for i, a in enumerate(c)][1:])
-    rhs = ex.neg(ex.add(horner(cx), ex.mul(p, horner(cy))))
-    code = _Code([dcdp, ex.mul(p, dcdp), rhs])
+    dcdp = horner([ex.smul(ex.const(i), a) for i, a in enumerate(c)][1:])
+    rhs = ex.neg(ex.sadd(horner(cx), ex.smul(p, horner(cy))))
+    code = _Code([dcdp, ex.smul(p, dcdp), rhs])
     return _function("x, y, p, out", code.array_lines(), "out")
 
 

@@ -5,8 +5,12 @@ variables, sums, products, quotients, integer powers and negation.  It is
 enough to describe polynomial (and mildly rational) coefficient fields of a
 metric while keeping exact differentiation trivial.
 
-Trees are immutable plain data; constructors fold constant subtrees and
-nothing else, so a parsed expression keeps the shape the user wrote.
+Trees are immutable plain data.  The parser's constructors (add, mul, ...)
+fold constant subtrees and nothing else, so a parsed expression keeps the
+shape the user wrote.  Trees the library derives (derivatives, weight
+sums, expanded products) are built with sadd and smul, which also drop a
+Const 0 term or a Const 1 factor and make a product with a Const 0 factor
+ZERO: 0*b is 0 even where b is not finite.
 Nothing here evaluates a tree: codegen.LayerTable compiles lists of them
 into straight-line functions on floats and arrays.
 """
@@ -121,6 +125,25 @@ def powi(base: Expr, exponent: int) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     return add(a, neg(b))
+
+
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def sadd(a: Expr, b: Expr) -> Expr:
+    """a + b in a derived tree: a Const 0 term is dropped."""
+    s = b if _is_zero(a) else a if _is_zero(b) else add(a, b)
+    return ZERO if _is_zero(s) else s
+
+
+def smul(a: Expr, b: Expr) -> Expr:
+    """a * b in a derived tree: ZERO on a Const 0 factor; a Const 1
+    factor is dropped."""
+    if _is_zero(a) or _is_zero(b):
+        return ZERO
+    s = b if a == ONE else a if b == ONE else mul(a, b)
+    return ZERO if _is_zero(s) else s
 
 
 def as_expr(v: Expr | str | float) -> Expr:
@@ -307,7 +330,7 @@ def parse(text: str) -> Expr:
 
 
 def diff(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to ``var`` ('x' or 'y')."""
+    """Exact partial derivative in ``var`` ('x' or 'y'), a derived tree."""
     if var not in ("x", "y"):
         raise ValueError(f"unknown variable {var!r}")
     if isinstance(e, Const):
@@ -315,17 +338,18 @@ def diff(e: Expr, var: str) -> Expr:
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if isinstance(e, Add):
-        return add(diff(e.a, var), diff(e.b, var))
+        return sadd(diff(e.a, var), diff(e.b, var))
     if isinstance(e, Mul):
-        return add(mul(diff(e.a, var), e.b), mul(e.a, diff(e.b, var)))
+        return sadd(smul(diff(e.a, var), e.b), smul(e.a, diff(e.b, var)))
     if isinstance(e, Div):
-        num = sub(mul(diff(e.a, var), e.b), mul(e.a, diff(e.b, var)))
-        return div(num, mul(e.b, e.b))
+        num = sadd(smul(diff(e.a, var), e.b), neg(smul(e.a, diff(e.b, var))))
+        return ZERO if num is ZERO else div(num, smul(e.b, e.b))
     if isinstance(e, Neg):
-        return neg(diff(e.a, var))
+        d = diff(e.a, var)
+        return d if d is ZERO else neg(d)
     if isinstance(e, Pow):
         inner = diff(e.base, var)
-        return mul(mul(const(e.exponent), powi(e.base, e.exponent - 1)), inner)
+        return smul(smul(const(e.exponent), powi(e.base, e.exponent - 1)), inner)
     raise TypeError(f"not an expression node: {e!r}")
 
 

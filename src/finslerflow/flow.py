@@ -287,13 +287,19 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     state_sign = sign0
     u = (seed.x, seed.y, seed.slope)
 
+    # the state of rhs's last call and its (F, denom, numer)
+    last_v = last_vals = None
+
     def rhs(v):
         # _chart_vals and _chart_field with the sign, in one call
+        nonlocal last_v, last_vals
         x, y, s = v
         if state_chart == "p":
-            _, d, n = mt.fdp_values(m, x, y, s)
+            last_v, last_vals = v, mt.fdp_values(m, x, y, s)
+            _, d, n = last_vals
             return (state_sign * d, state_sign * (s * d), state_sign * n)
-        _, d, n = mt.fdp_values(m.dual(), y, x, s)
+        last_v, last_vals = v, mt.fdp_values(m.dual(), y, x, s)
+        _, d, n = last_vals
         return (state_sign * (s * d), state_sign * d, state_sign * n)
 
     def inside(v):
@@ -336,7 +342,11 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             events.append(TraceEvent(len(cols["t"]) - 1, kind, t))
             return cols, events
         restart = None
-        vals_new = _chart_vals(m, unew[0], unew[1], unew[2], state_chart)
+        # the step's last stage is rhs(unew), with unew that very tuple
+        if unew is last_v:
+            vals_new = last_vals
+        else:
+            vals_new = _chart_vals(m, unew[0], unew[1], unew[2], state_chart)
 
         def interp(theta):
             return _hermite(u0, f0, unew, fnew, h, theta)

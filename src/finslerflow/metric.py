@@ -54,7 +54,8 @@ class ProjectiveRoot:
 
 
 class DegeneratePointError(ValueError):
-    """All metric coefficients vanish at the requested point."""
+    """All metric coefficients vanish at the requested point, or one of
+    them is not finite there (a pole)."""
 
 
 _PROBES = [(0.37, -0.84), (-1.2, 0.55), (2.1, 1.7), (0.0, 0.0), (-0.31, -0.27)]
@@ -157,21 +158,18 @@ def metric_from_strings(degree: int, coeff_texts) -> PseudoFinslerMetric:
 def _denom_exprs(m: PseudoFinslerMetric) -> list[ex.Expr]:
     n = m.degree
     a = m.coeff_exprs()
-    length = max(2 * n - 3, 1)
-    terms: list[list[ex.Expr]] = [[] for _ in range(length)]
+    out = [ex.ZERO] * max(2 * n - 3, 1)
     for i in range(n + 1):
         for j in range(i, n + 1):
             k = i + j - 2
-            if k < 0 or k >= length:
+            if k < 0 or k >= len(out):
                 continue
             if i == j:
                 w = i * (i - n)
             else:
                 w = n * (j * j - j + i * i - i) - 2 * (n - 1) * i * j
-            if w == 0:
-                continue
-            terms[k].append(ex.mul(ex.const(w), ex.mul(a[i], a[j])))
-    return [_sum_terms(t) for t in terms]
+            out[k] = ex.sadd(out[k], ex.smul(ex.const(w), ex.smul(a[i], a[j])))
+    return out
 
 
 def _numer_exprs(m: PseudoFinslerMetric) -> list[ex.Expr]:
@@ -179,27 +177,19 @@ def _numer_exprs(m: PseudoFinslerMetric) -> list[ex.Expr]:
     a = m.coeff_exprs()
     ax = [ex.diff(e, "x") for e in a]
     ay = [ex.diff(e, "y") for e in a]
-    terms: list[list[ex.Expr]] = [[] for _ in range(2 * n)]
+    out = [ex.ZERO] * (2 * n)
     for i in range(n + 1):
         for j in range(n + 1):
             wx = (n - 1) * i - n * j
-            if wx != 0 and 0 <= i + j - 1 < 2 * n:
-                terms[i + j - 1].append(
-                    ex.mul(ex.const(wx), ex.mul(a[i], ax[j]))
-                )
             wy = n * (1 - j) + (n - 1) * i
-            if wy != 0 and i + j < 2 * n:
-                terms[i + j].append(ex.mul(ex.const(wy), ex.mul(a[i], ay[j])))
-    return [_sum_terms(t) for t in terms]
-
-
-def _sum_terms(terms: list[ex.Expr]) -> ex.Expr:
-    if not terms:
-        return ex.ZERO
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ex.add(acc, t)
-    return acc
+            # wx vanishes at i + j = 0 and wy at i + j = 2n, out of range
+            if i + j > 0:
+                term = ex.smul(ex.const(wx), ex.smul(a[i], ax[j]))
+                out[i + j - 1] = ex.sadd(out[i + j - 1], term)
+            if i + j < 2 * n:
+                term = ex.smul(ex.const(wy), ex.smul(a[i], ay[j]))
+                out[i + j] = ex.sadd(out[i + j], term)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +251,27 @@ def disc_denom(m: PseudoFinslerMetric, x: float, y: float) -> float:
     return float(poly.disc_quadratic(c.tolist()))
 
 
-def isotropic_directions(
-    m: PseudoFinslerMetric, x: float, y: float
-) -> list[ProjectiveRoot]:
-    """Real directions (including the vertical one) with F = 0."""
+def _checked_coeffs(m: PseudoFinslerMetric, x: float, y: float):
+    """The coefficients at (x, y) and their largest magnitude; a
+    DegeneratePointError where they all vanish or one is not finite."""
     c = coeff_values(m, x, y)
+    if not np.all(np.isfinite(c)):
+        raise DegeneratePointError(
+            f"a coefficient is not finite at ({x}, {y}): {c.tolist()}"
+        )
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         raise DegeneratePointError(f"all coefficients vanish at ({x}, {y})")
+    return c, scale
+
+
+def isotropic_directions(
+    m: PseudoFinslerMetric, x: float, y: float
+) -> list[ProjectiveRoot]:
+    """Real directions (including the vertical one) with F = 0; a
+    DegeneratePointError where the coefficients all vanish or one is not
+    finite."""
+    c, scale = _checked_coeffs(m, x, y)
     eff = c.copy()
     eff[np.abs(eff) <= DEGREE_TRIM_REL * scale] = 0.0
     rp = poly.RealPolynomial(eff)
@@ -290,14 +293,13 @@ def classify_point(m: PseudoFinslerMetric, x: float, y: float) -> Stratum:
     MPlus / MMinus are the open strata with three / one real isotropic
     direction; inside the band |disc| < 1e-10 * scale^4 the multiple-root
     structure decides between the generic boundary (M01, a double
-    direction) and the degenerate one (M00, a triple direction).
+    direction) and the degenerate one (M00, a triple direction).  Where
+    the coefficients all vanish or one is not finite there is no stratum:
+    that is a DegeneratePointError.
     """
     if m.degree != 3:
         raise ValueError("classification requires a degree-3 metric")
-    c = coeff_values(m, x, y)
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        raise DegeneratePointError(f"all coefficients vanish at ({x}, {y})")
+    c, scale = _checked_coeffs(m, x, y)
     d = poly.disc_cubic(c.tolist())
     band = _disc_band(scale)
     if d > band:
@@ -331,7 +333,8 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
     Returns (strata, disc) in the shape of X, strata holding the names
     of the Stratum members.  The open strata are decided on the arrays;
     only a point in the band, or one with a non-finite value, goes
-    through classify_point.
+    through classify_point, so a degenerate point or a pole on the grid
+    is a DegeneratePointError.
     """
     if m.degree != 3:
         raise ValueError("classification requires a degree-3 metric")

@@ -194,6 +194,25 @@ class TestCommands:
         assert "degree 3" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            # every coefficient vanishes at the grid point (0, 0)
+            ("a0 = x\na1 = y\na3 = x + y\n", "all coefficients vanish at (0.0, 0.0)"),
+            # a0 has a pole on the grid column x = 0
+            ("a0 = 1/x - y\na2 = 1\n", "a coefficient is not finite at (0.0, -1.0)"),
+        ],
+    )
+    def test_classify_refuses_degenerate_grid_point(self, tmp_path, capsys, coeffs, message):
+        text = "mode = coefficients\nn = 3\n" + coeffs + "box = -1 1 -1 1\nresolution = 21\n"
+        rc = cli.main(["classify", "--config", write(tmp_path, text),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("classify: ") and message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_singular_refuses_degree_four(self, tmp_path, capsys):
         text = "mode = coefficients\nn = 4\na0 = y^2 - x\na2 = 1\na4 = 0.3\nresolution = 8\n"
         rc = cli.main(["singular", "--config", write(tmp_path, text),

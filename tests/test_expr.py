@@ -51,6 +51,30 @@ def test_diff_matches_finite_differences():
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
+def test_sadd_smul_fold_structural_zeros():
+    x, pole = ex.X, ex.parse("1/x")
+    minus_zero = ex.Const(-0.0)
+    assert ex.sadd(ex.ZERO, x) is x and ex.sadd(x, minus_zero) is x
+    assert ex.sadd(minus_zero, minus_zero) is ex.ZERO
+    assert ex.sadd(ex.ONE, ex.Const(-1.0)) is ex.ZERO
+    assert ex.smul(ex.ZERO, pole) is ex.ZERO and ex.smul(pole, minus_zero) is ex.ZERO
+    assert ex.smul(ex.ONE, pole) is pole and ex.smul(pole, ex.ONE) is pole
+    assert ex.sadd(x, ex.ONE) == ex.Add(x, ex.ONE)
+    assert ex.smul(ex.Const(2.0), ex.Const(3.0)) == ex.Const(6.0)
+    # the parser's constructors keep what the user wrote
+    assert ex.parse("0*x + 0") == ex.Add(ex.Mul(ex.ZERO, x), ex.ZERO)
+    assert ex.parse("1*x") == ex.Mul(ex.ONE, x)
+
+
+@pytest.mark.parametrize(
+    "text, var",
+    [("-y", "x"), ("1/x", "y"), ("-(1/x)", "y"), ("(x - 1)^3 - x", "y"), ("2 - 3", "x")],
+)
+def test_vanishing_derivative_is_zero(text, var):
+    d = ex.diff(ex.parse(text), var)
+    assert d is ex.ZERO and not np.signbit(d.value)
+
+
 def test_to_string_reparses_to_same_values():
     rng = np.random.default_rng(3)
     for text in SAMPLES:

@@ -115,6 +115,14 @@ def test_random_metrics_match_references(seed):
         starts = np.concatenate([segs.reshape(-1, 2), rng.uniform(-1, 1, (20, 2))])
         assert_polish_agrees(g, scalar, starts, cell, 1e-12)
         assert_polish_agrees(g, scalar, starts[:10], cell, 0.0)
+    if seed % 2:
+        # a pole on the grid has no stratum: both refuse its first cell
+        with pytest.raises(mt.DegeneratePointError, match="not finite") as got:
+            mt.strata_on_grid(m, X.T, Y.T)
+        with pytest.raises(mt.DegeneratePointError) as want:
+            cell_strata_rows(m, xs, ys)
+        assert str(got.value) == str(want.value)
+        return
     strata, disc = mt.strata_on_grid(m, X.T, Y.T)
     want = cell_strata_rows(m, xs, ys)
     assert [(st, cli._fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from finslerflow import berwald_moor as bm
 from finslerflow import expr as ex
 from finslerflow import metric as mt
 from finslerflow.codegen import LayerTable, _div, dopri_step, lifted_field_function
@@ -120,6 +121,49 @@ def test_random_metric_layers_match_tree_eval(degree, rational):
             assert fused == tuple(
                 m.table(name).poly_value(x, y, p) for name in ("F", "denom", "numer")
             )
+
+
+def _structural_zeros(e, seen) -> list[ex.Expr]:
+    """The nodes of e that add a Const 0, or multiply by a Const 0 or 1."""
+    if id(e) in seen:
+        return []
+    seen.add(id(e))
+    out = []
+    if isinstance(e, (ex.Add, ex.Mul)):
+        ones = (0.0, 1.0) if isinstance(e, ex.Mul) else (0.0,)
+        if any(isinstance(v, ex.Const) and v.value in ones for v in (e.a, e.b)):
+            out.append(e)
+    for child in getattr(e, "__dict__", {}).values():
+        if isinstance(child, ex.Expr):
+            out += _structural_zeros(child, seen)
+    return out
+
+
+def _assert_folded(m, layers):
+    for name in layers:
+        seen = set()
+        for e in m._expr_layer(name):
+            assert _structural_zeros(e, seen) == [], name
+            if isinstance(e, ex.Const) and e.value == 0.0:
+                assert e is ex.ZERO and not math.copysign(1.0, e.value) < 0.0, name
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("rational", [False, True])
+def test_derived_layers_fold_structural_zeros(degree, rational):
+    rng = np.random.default_rng(100 * degree + rational)
+    for _ in range(3):
+        # F is the parsed coefficients, kept as written
+        _assert_folded(_random_metric(rng, degree, rational), LAYERS[1:])
+
+
+def test_berwald_moor_metrics_fold_structural_zeros():
+    imm = bm.SurfaceImmersion(("x", "y", "y - 2*x^2", "x + y"))
+    alm = bm.adapted_from_immersion(bm.SurfaceImmersion(("x", "y", "y - 2*x^2")), 2, 1)
+    # their coefficients are expanded products, derived trees as well
+    for m in (bm.induced_metric(imm), bm.full_metric(alm)):
+        _assert_folded(m, LAYERS)
+    assert bm.full_metric(alm).coeffs == (ex.ZERO, ex.Mul(ex.Const(-4.0), ex.X), ex.ONE, ex.ZERO)
 
 
 def test_pole_gives_inf_or_nan_without_exception():

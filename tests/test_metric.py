@@ -193,6 +193,26 @@ class TestStrata:
         with pytest.raises(mt.DegeneratePointError):
             mt.isotropic_directions(m, 0.0, 0.7)
 
+    def test_pole_is_a_degenerate_point(self):
+        # coefficients [inf, 0, 1, 0] at x = 0: neither a triple direction
+        # nor a triple root at infinity
+        m = mt.metric_from_strings(3, ["1/x - y", "0", "1", "0"])
+        for f in (mt.classify_point, mt.isotropic_directions):
+            with pytest.raises(mt.DegeneratePointError, match="not finite"):
+                f(m, 0.0, 0.3)
+        with pytest.raises(mt.DegeneratePointError, match="vanish"):
+            mt.classify_point(mt.metric_from_strings(3, ["x", "y", "0", "x + y"]), 0.0, 0.0)
+
+
+def test_derived_layers_drop_zero_terms_at_a_pole():
+    # dropping a term 0*b changes a value only where b is not finite:
+    # at x = 0 the products 0 * (1/x) are gone instead of nan
+    m = mt.metric_from_strings(3, ["1/x - y", "0", "1", "0"])
+    inf = math.inf
+    assert m.table("F_y").values_at(0.0, 0.3)[0] == -1.0
+    assert m.table("numer").values_at(0.0, 0.3).tolist() == [-inf, -inf, -7.0, 0.0, 0.0, 0.0]
+    assert mt.fdp_values(m, 0.0, 0.3, 0.2) == (inf, inf, -inf)
+
 
 @pytest.mark.parametrize(
     "texts",
