@@ -149,6 +149,46 @@ class TestTraceStructure:
         assert set(np.unique(tr.chart)) <= {"p", "q"}
         assert "q" in set(np.unique(tr.chart))
 
+    def test_step_end_field_values_computed_once(self, monkeypatch):
+        # a step's end values (F, denom, numer) are those of its last
+        # stage; only the seed is evaluated twice on each side
+        m = halfplane_metric()
+        cfg = IntegratorConfig(box=(-1.0, 1.0, -1.0, 1.0))
+        calls = []
+        fdp = mt.fdp_values
+
+        def counted(*args):
+            calls.append(args)
+            return fdp(*args)
+
+        def repeats():
+            return sum(a == b for a, b in zip(calls, calls[1:]))
+
+        monkeypatch.setattr(mt, "fdp_values", counted)
+        reused = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
+        assert calls and repeats() == 2
+
+        steps = flow._dopri_steps
+
+        def fresh_ends(rhs, u, cfg):
+            # each step's end point as a new tuple, so no stage matches it
+            gen = steps(rhs, u, cfg)
+            restart = None
+            while True:
+                try:
+                    t, h, u0, f0, u1, f1 = gen.send(restart)
+                except StopIteration as end:
+                    return end.value
+                restart = yield t, h, u0, f0, tuple(list(u1)), f1
+
+        calls.clear()
+        monkeypatch.setattr(flow, "_dopri_steps", fresh_ends)
+        recomputed = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
+        assert repeats() > len(reused.t) // 4
+        for name in ("t", "x", "y", "slope", "F", "denom", "numer"):
+            assert np.array_equal(getattr(reused, name), getattr(recomputed, name))
+        assert reused.events == recomputed.events
+
 
 class TestOdeResidual:
     def test_halfplane(self):
@@ -352,46 +392,6 @@ class TestTangentBundleOverlay:
         for name in ("t", "x", "y", "xdot", "ydot"):
             assert np.array_equal(getattr(reused, name), getattr(recomputed, name))
         assert reused.stops == recomputed.stops
-
-    def test_step_end_field_values_computed_once(self, monkeypatch):
-        # a step's end values (F, denom, numer) are those of its last
-        # stage; only the seed is evaluated twice on each side
-        m = halfplane_metric()
-        cfg = IntegratorConfig(box=(-1.0, 1.0, -1.0, 1.0))
-        calls = []
-        fdp = mt.fdp_values
-
-        def counted(*args):
-            calls.append(args)
-            return fdp(*args)
-
-        def repeats():
-            return sum(a == b for a, b in zip(calls, calls[1:]))
-
-        monkeypatch.setattr(mt, "fdp_values", counted)
-        reused = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
-        assert calls and repeats() == 2
-
-        steps = flow._dopri_steps
-
-        def fresh_ends(rhs, u, cfg):
-            # each step's end point as a new tuple, so no stage matches it
-            gen = steps(rhs, u, cfg)
-            restart = None
-            while True:
-                try:
-                    t, h, u0, f0, u1, f1 = gen.send(restart)
-                except StopIteration as end:
-                    return end.value
-                restart = yield t, h, u0, f0, tuple(list(u1)), f1
-
-        calls.clear()
-        monkeypatch.setattr(flow, "_dopri_steps", fresh_ends)
-        recomputed = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
-        assert repeats() > len(reused.t) // 4
-        for name in ("t", "x", "y", "slope", "F", "denom", "numer"):
-            assert np.array_equal(getattr(reused, name), getattr(recomputed, name))
-        assert reused.events == recomputed.events
 
     @pytest.mark.parametrize(
         "texts, speed",
