@@ -343,10 +343,8 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             return cols, events
         restart = None
         # the step's last stage is rhs(unew), with unew that very tuple
-        if unew is last_v:
-            vals_new = last_vals
-        else:
-            vals_new = _chart_vals(m, unew[0], unew[1], unew[2], state_chart)
+        assert unew is last_v
+        vals_new = last_vals
 
         def interp(theta):
             return _hermite(u0, f0, unew, fnew, h, theta)

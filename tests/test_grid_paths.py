@@ -122,7 +122,9 @@ def test_random_metrics_match_references(seed):
         with pytest.raises(mt.DegeneratePointError) as want:
             cell_strata_rows(m, xs, ys)
         assert str(got.value) == str(want.value)
-        return
+        # the finite cells off the pole column still match
+        xs = xs[xs != 0.0]
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
     strata, disc = mt.strata_on_grid(m, X.T, Y.T)
     want = cell_strata_rows(m, xs, ys)
     assert [(st, cli._fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
