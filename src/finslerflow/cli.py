@@ -14,7 +14,10 @@ output settings.  Six commands consume it:
 Every command takes ``--config <path>``, an optional ``--out <dir>``
 (defaults to the directory of the config file), and any number of
 ``--seed key=value`` overrides applied on top of the file, so a batch
-run can sweep a parameter without editing the scenario.
+run can sweep a parameter without editing the scenario.  Each key's
+parser and check live in one table, _KEYS; values are checked once the
+file and the overrides are read, and an error names the line or the
+override that set the bad value.
 
 The SVG output is plain text with fixed number formatting and no
 timestamps, so rerunning a command on the same scenario produces a
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import math
 import os
 import re
 import sys
@@ -70,11 +75,11 @@ class ScenarioConfig:
     box: tuple[float, float, float, float] = (-1.5, 1.5, -1.5, 1.5)
     seeds: tuple[tuple[float, float, float], ...] = ()
     alphas: tuple[float, ...] = ()
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = 0.05
-    max_ds: float = 0.002
-    max_steps: int = 20000
+    rel_tol: float = fl.IntegratorConfig.rel_tol
+    abs_tol: float = fl.IntegratorConfig.abs_tol
+    max_step: float = fl.IntegratorConfig.max_step
+    max_ds: float = fl.IntegratorConfig.max_ds
+    max_steps: int = fl.IntegratorConfig.max_steps
     resolution: int = 220
     out_prefix: str = "scenario"
     pair: tuple[int, int] = (3, 2)
@@ -100,35 +105,19 @@ class ScenarioConfig:
         return mt.metric_from_strings(self.degree, self.coefficient_texts())
 
     def integrator(self) -> fl.IntegratorConfig:
-        return fl.IntegratorConfig(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            max_step=self.max_step,
-            max_steps=self.max_steps,
-            max_ds=self.max_ds,
-            box=self.box,
-        )
+        names = [f.name for f in dataclasses.fields(fl.IntegratorConfig)]
+        return fl.IntegratorConfig(**{name: getattr(self, name) for name in names})
+
+    def seeds_in_box(self) -> tuple[tuple[float, float, float], ...]:
+        """The seeds; one outside the box is a ConfigError."""
+        x0, x1, y0, y1 = self.box
+        for k, (x, y, p) in enumerate(self.seeds, start=1):
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
+                raise ConfigError(f"seed {k} ({x}, {y}, {p}) is outside the box {self.box}")
+        return self.seeds
 
 
-_STR_KEYS = {"mode", "out_prefix"}
-_INT_KEYS = {"n", "max_steps", "resolution", "series_order", "series_s"}
-_FLOAT_KEYS = {"rel_tol", "abs_tol", "max_step", "max_ds", "y0"}
-_REPEAT_KEYS = {"seed", "alpha", "series_seed", "series_free"}
-_COEFF_RE = re.compile(r"^a([0-9])$")
-_COMP_RE = re.compile(r"^f([0-9])$")
 _PREFIX_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
-
-def _known_key(key: str) -> bool:
-    return (
-        key in _STR_KEYS
-        or key in _INT_KEYS
-        or key in _FLOAT_KEYS
-        or key in _REPEAT_KEYS
-        or key in ("box", "pair")
-        or _COEFF_RE.match(key) is not None
-        or _COMP_RE.match(key) is not None
-    )
 
 
 def _numbers(tag: str, key: str, text: str, count: int | None = None) -> list[float]:
@@ -178,13 +167,56 @@ def _index_value(tag: str, key: str, text: str) -> tuple[int, float]:
     return idx, val
 
 
+def _pair_value(tag: str, key: str, text: str) -> tuple[int, int]:
+    iv = _numbers(tag, key, text, 2)
+    if not all(v.is_integer() for v in iv):
+        raise ConfigError(f"{tag}: pair expects two integer indices")
+    return int(iv[0]), int(iv[1])
+
+
+# key -> (ScenarioConfig field, parser, test, message).  The parser reads
+# one entry.  Once every line and override is read, the test checks each
+# value a key is left with; a failure reports the message under the tag
+# of the entry that set the value.  n, pair, a0..a9 and f0..f9 are
+# checked against the mode in _build_config.
+_KEYS = {
+    "mode": ("mode", lambda t, k, v: v, lambda v: v in ("coefficients", "berwald-moor"),
+             "mode must be 'coefficients' or 'berwald-moor', got {value!r}"),
+    "n": ("degree", _int_value, None, None),
+    **{f"a{i}": ("coeffs", _parse_expr, None, None) for i in range(10)},
+    **{f"f{i}": ("immersion", _parse_expr, None, None) for i in range(10)},
+    "box": ("box", lambda t, k, v: tuple(_numbers(t, k, v, 4)),
+            lambda b: all(map(math.isfinite, b)) and b[0] < b[1] and b[2] < b[3],
+            "box needs finite xmin < xmax and ymin < ymax"),
+    **{k: (k, _float_value, lambda v: v > 0, f"{k} must be positive")
+       for k in ("rel_tol", "abs_tol", "max_step", "max_ds")},
+    **{k: (k, _int_value, lambda v: v > 0, f"{k} must be positive")
+       for k in ("max_steps", "series_order", "series_s")},
+    "resolution": ("resolution", _int_value, lambda v: v >= 8,
+                   "resolution must be at least 8"),
+    "out_prefix": ("out_prefix", lambda t, k, v: v, _PREFIX_RE.match,
+                   "out_prefix may use only letters, digits, dot, dash and underscore"),
+    "pair": ("pair", _pair_value, None, None),
+    "y0": ("y0", _float_value, math.isfinite, "y0 must be finite"),
+    # repeatable: each entry adds to the field
+    "seed": ("seeds", lambda t, k, v: tuple(_numbers(t, k, v, 3)), None, None),
+    "alpha": ("alphas", _numbers, lambda vs: all(map(math.isfinite, vs)),
+              "alpha must be finite"),
+    **{k: (k, _index_value, lambda e: e[0] >= 1 and math.isfinite(e[1]),
+           "series indices must be positive and their values finite")
+       for k in ("series_seed", "series_free")},
+}
+_REPEAT_KEYS = ("seed", "alpha", "series_seed", "series_free")
+
+
 def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
     """Parse and validate a scenario file, then apply overrides.
 
     Raises ConfigError with the offending line (or override) named in
     the message.  Repeatable keys (seed, alpha, series_seed,
     series_free) accumulate; an override of a scalar key replaces the
-    file value.
+    file value.  Values are checked once every entry is read, so an
+    error names the entry that set the value the scenario ends with.
     """
     with open(path, encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
@@ -214,87 +246,61 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> ScenarioConfig:
 
 
 def _build_config(entries: list[tuple[str, str, str]]) -> ScenarioConfig:
-    scalars: dict[str, object] = {}
-    origin: dict[str, str] = {}
-    coeffs: dict[int, str] = {}
-    comps: dict[int, str] = {}
-    seeds: list[tuple[float, float, float]] = []
-    alphas: list[float] = []
-    series_seed: dict[int, float] = {}
-    series_free: dict[int, float] = {}
-
-    def _set_scalar(tag: str, key: str, value: object) -> None:
-        if key in origin and not tag.startswith("override"):
-            raise ConfigError(
-                f"{tag}: duplicate key {key!r} (first set at {origin[key]})"
-            )
-        origin.setdefault(key, tag)
-        scalars[key] = value
-
-    for tag, key, value in entries:
-        if not _known_key(key):
+    # key -> [(tag, value)]: the last entry of a scalar key, each entry of
+    # a repeatable one
+    given: dict[str, list[tuple[str, object]]] = {}
+    for tag, key, text in entries:
+        if key not in _KEYS:
             raise ConfigError(f"{tag}: unknown key {key!r}")
-        cm = _COEFF_RE.match(key)
-        fm = _COMP_RE.match(key)
-        if cm:
-            _set_scalar(tag, key, None)
-            coeffs[int(cm.group(1))] = _parse_expr(tag, key, value)
-        elif fm:
-            _set_scalar(tag, key, None)
-            comps[int(fm.group(1))] = _parse_expr(tag, key, value)
-        elif key in _STR_KEYS:
-            _set_scalar(tag, key, value)
-        elif key in _INT_KEYS:
-            _set_scalar(tag, key, _int_value(tag, key, value))
-        elif key in _FLOAT_KEYS:
-            _set_scalar(tag, key, _float_value(tag, key, value))
-        elif key == "box":
-            _set_scalar(tag, key, tuple(_numbers(tag, key, value, 4)))
-        elif key == "pair":
-            iv = _numbers(tag, key, value, 2)
-            if any(v != int(v) for v in iv):
-                raise ConfigError(f"{tag}: pair expects two integer indices")
-            _set_scalar(tag, key, (int(iv[0]), int(iv[1])))
-        elif key == "seed":
-            vals = _numbers(tag, key, value, 3)
-            seeds.append((vals[0], vals[1], vals[2]))
-        elif key == "alpha":
-            alphas.extend(_numbers(tag, key, value))
-        elif key == "series_seed":
-            idx, v = _index_value(tag, key, value)
-            series_seed[idx] = v
-        elif key == "series_free":
-            idx, v = _index_value(tag, key, value)
-            series_free[idx] = v
+        value = _KEYS[key][1](tag, key, text)
+        if key in _REPEAT_KEYS:
+            given.setdefault(key, []).append((tag, value))
+            continue
+        if key in given and not tag.startswith("override"):
+            raise ConfigError(
+                f"{tag}: duplicate key {key!r} (first set at {given[key][0][0]})"
+            )
+        given[key] = [(tag, value)]
+    for key in ("series_seed", "series_free"):
+        if key in given:  # an index set twice keeps its last value
+            given[key] = list({v[0]: (tag, v) for tag, v in given[key]}.values())
+    for key, (_, _, test, message) in _KEYS.items():
+        for tag, value in given.get(key, []):
+            if test and not test(value):
+                raise ConfigError(f"{tag}: " + message.format(value=value))
 
-    mode = str(scalars.get("mode", "coefficients"))
-    mtag = origin.get("mode", "config")
-    if mode not in ("coefficients", "berwald-moor"):
-        raise ConfigError(
-            f"{mtag}: mode must be 'coefficients' or 'berwald-moor', got {mode!r}"
-        )
+    origin = {key: values[-1][0] for key, values in given.items()}
+    # the mode checks below set coeffs and immersion
+    fields = {_KEYS[k][0]: v[0][1] for k, v in given.items() if k not in _REPEAT_KEYS}
+    seeds, alphas, series_seed, series_free = (
+        [v for _, v in given.get(key, ())] for key in _REPEAT_KEYS
+    )
+    fields.update(seeds=tuple(seeds), alphas=tuple(a for vs in alphas for a in vs),
+                  series_seed=dict(series_seed), series_free=dict(series_free))
+    coeffs = {int(k[1:]): v[0][1] for k, v in given.items() if _KEYS[k][0] == "coeffs"}
+    comps = {int(k[1:]): v[0][1] for k, v in given.items() if _KEYS[k][0] == "immersion"}
     if coeffs and comps:
         first_f = min(comps)
         raise ConfigError(
             f"{origin[f'f{first_f}']}: immersion component f{first_f} not "
             "allowed alongside coefficient entries; use exactly one family"
         )
-    if mode == "coefficients":
+    if fields.get("mode", ScenarioConfig.mode) == "coefficients":
         if not coeffs:
             raise ConfigError(
                 "config defines no coefficient entries (a0, a1, ...); "
                 "mode 'coefficients' needs at least one"
             )
-        degree = int(scalars.get("n", 3))
+        degree = fields.get("degree", ScenarioConfig.degree)
         if degree < 2:
-            raise ConfigError(f"{origin.get('n', 'config')}: n must be at least 2")
+            raise ConfigError(f"{origin['n']}: n must be at least 2")
         bad = [i for i in coeffs if i > degree]
         if bad:
             raise ConfigError(
                 f"{origin[f'a{min(bad)}']}: coefficient a{min(bad)} "
                 f"exceeds degree n = {degree}"
             )
-        immersion: tuple[str, ...] = ()
+        fields["coeffs"] = coeffs
     else:
         if not comps:
             raise ConfigError(
@@ -312,75 +318,20 @@ def _build_config(entries: list[tuple[str, str, str]]) -> ScenarioConfig:
             raise ConfigError(
                 f"{origin[f'f{min(comps)}']}: an immersion needs at least 3 components"
             )
-        if "n" in scalars and int(scalars["n"]) != k:
+        if fields.get("degree", k) != k:
             raise ConfigError(
-                f"{origin['n']}: n = {scalars['n']} disagrees with the "
+                f"{origin['n']}: n = {fields['degree']} disagrees with the "
                 f"{k} immersion components"
             )
-        degree = k
-        immersion = tuple(comps[i] for i in range(1, k + 1))
-
-    box = tuple(scalars.get("box", (-1.5, 1.5, -1.5, 1.5)))
-    if not (box[0] < box[1] and box[2] < box[3]):
-        raise ConfigError(
-            f"{origin.get('box', 'config')}: box needs xmin < xmax and ymin < ymax"
-        )
-
-    for key, low in (
-        ("rel_tol", 0.0),
-        ("abs_tol", 0.0),
-        ("max_step", 0.0),
-        ("max_ds", 0.0),
-    ):
-        if key in scalars and not float(scalars[key]) > low:
-            raise ConfigError(f"{origin[key]}: {key} must be positive")
-    if "max_steps" in scalars and int(scalars["max_steps"]) < 1:
-        raise ConfigError(f"{origin['max_steps']}: max_steps must be positive")
-    if "resolution" in scalars and int(scalars["resolution"]) < 8:
-        raise ConfigError(f"{origin['resolution']}: resolution must be at least 8")
-    if "series_order" in scalars and int(scalars["series_order"]) < 1:
-        raise ConfigError(f"{origin['series_order']}: series_order must be positive")
-    if "series_s" in scalars and int(scalars["series_s"]) < 1:
-        raise ConfigError(f"{origin['series_s']}: series_s must be positive")
-    prefix = str(scalars.get("out_prefix", "scenario"))
-    if not _PREFIX_RE.match(prefix):
-        raise ConfigError(
-            f"{origin.get('out_prefix', 'config')}: out_prefix may use only "
-            "letters, digits, dot, dash and underscore"
-        )
-    pair = scalars.get("pair", (3, 2))
-    if pair[0] == pair[1] or min(pair) < 1 or (immersion and max(pair) > degree):
+        degree = fields["degree"] = k
+        fields["immersion"] = tuple(comps[i] for i in range(1, k + 1))
+    pair = fields.get("pair", ScenarioConfig.pair)
+    if pair[0] == pair[1] or min(pair) < 1 or (comps and max(pair) > degree):
         raise ConfigError(
             f"{origin.get('pair', 'config')}: pair needs two distinct "
             f"component indices between 1 and {degree}"
         )
-    for idx in list(series_seed) + list(series_free):
-        if idx < 1:
-            tag = origin.get("series_seed", origin.get("series_free", "config"))
-            raise ConfigError(f"{tag}: series indices must be positive")
-
-    return ScenarioConfig(
-        mode=mode,
-        degree=degree,
-        coeffs=coeffs,
-        immersion=immersion,
-        box=(float(box[0]), float(box[1]), float(box[2]), float(box[3])),
-        seeds=tuple(seeds),
-        alphas=tuple(alphas),
-        rel_tol=float(scalars.get("rel_tol", 1e-10)),
-        abs_tol=float(scalars.get("abs_tol", 1e-12)),
-        max_step=float(scalars.get("max_step", 0.05)),
-        max_ds=float(scalars.get("max_ds", 0.002)),
-        max_steps=int(scalars.get("max_steps", 20000)),
-        resolution=int(scalars.get("resolution", 220)),
-        out_prefix=prefix,
-        pair=(int(pair[0]), int(pair[1])),
-        series_s=int(scalars.get("series_s", 0)),
-        series_order=int(scalars.get("series_order", 12)),
-        series_seed=series_seed,
-        series_free=series_free,
-        y0=float(scalars.get("y0", 0.0)),
-    )
+    return ScenarioConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +515,10 @@ def cmd_integrate(cfg: ScenarioConfig, outdir: str) -> int:
     if not cfg.seeds:
         print("integrate: config has no seed entries", file=sys.stderr)
         return 2
+    seeds = cfg.seeds_in_box()
     m = cfg.metric_obj()
     icfg = cfg.integrator()
-    for k, (x, y, p) in enumerate(cfg.seeds):
+    for k, (x, y, p) in enumerate(seeds):
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)
         path = os.path.join(outdir, f"{cfg.out_prefix}_trace{k:02d}.csv")
         _write_csv(path, _TRACE_HEADER, _trace_rows(trace))
@@ -657,6 +609,7 @@ def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
 
 
 def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
+    seeds = cfg.seeds_in_box()
     m = cfg.metric_obj()
     canvas = _SvgCanvas(cfg.box)
     n_curves = Counter()
@@ -671,7 +624,7 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
             canvas.polyline(c.points, "boundary")
             n_curves["boundary"] += 1
     icfg = cfg.integrator()
-    for x, y, p in cfg.seeds:
+    for x, y, p in seeds:
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)
         canvas.polyline(np.column_stack([trace.x, trace.y]), "geodesic")
         n_curves["geodesic"] += 1

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metric as mt
+from . import singular as sg
 from .codegen import _div, dopri_step
 from .metric import PseudoFinslerMetric
 from .poly import RealPolynomial
@@ -143,17 +144,12 @@ def _chart_vals(m: PseudoFinslerMetric, x, y, s, chart):
     return mt.fdp_values(m.dual(), y, x, s)
 
 
-def _chart_field(x, y, s, chart, vals):
-    f, d, p = vals
-    if chart == "p":
-        return (d, s * d, p)
-    return (s * d, d, p)
-
-
 def field_at(m: PseudoFinslerMetric, pt: PTMPoint) -> tuple[float, float, float]:
     """Direction-field components (dx, dy, dslope) in the point's chart."""
-    vals = _chart_vals(m, pt.x, pt.y, pt.slope, pt.chart)
-    return _chart_field(pt.x, pt.y, pt.slope, pt.chart, vals)
+    _, d, n = _chart_vals(m, pt.x, pt.y, pt.slope, pt.chart)
+    if pt.chart == "p":
+        return (d, pt.slope * d, n)
+    return (pt.slope * d, d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +195,9 @@ def _subdivision_thetas(chord: float, end_theta: float, max_ds: float) -> list[f
     return [end_theta * k / nsub for k in range(1, nsub)]
 
 
-def _dopri_steps(rhs, u, cfg: IntegratorConfig):
-    """Adaptive Dormand-Prince steps of du/dt = rhs(u) from u at t = 0.
+def _dopri_steps(rhs, u, fu, cfg: IntegratorConfig):
+    """Adaptive Dormand-Prince steps of du/dt = rhs(u) from u at t = 0,
+    where rhs(u) is fu.
 
     Yields each accepted step as (t, h, u0, f0, u1, f1): it starts at
     time t, has length h and goes from u0 to u1, with f = rhs(u) at both
@@ -212,7 +209,6 @@ def _dopri_steps(rhs, u, cfg: IntegratorConfig):
     """
     step = dopri_step(len(u))
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
-    fu = rhs(u)
     t = 0.0
     h = INITIAL_STEP
     for _ in range(cfg.max_steps):
@@ -267,18 +263,6 @@ def _join_sides(run, direction: int):
 # the geodesic integrator
 
 
-def _sign_for_continuation(old_vec_xy, old_dslope, x, y, s_new, chart_new, m):
-    vals = _chart_vals(m, x, y, s_new, chart_new)
-    v = _chart_field(x, y, s_new, chart_new, vals)
-    dot = v[0] * old_vec_xy[0] + v[1] * old_vec_xy[1]
-    if dot != 0.0:
-        return (1.0 if dot > 0 else -1.0), vals
-    # planar velocity vanished: match the slope derivative through
-    # dq = -dp / p^2 (the chart map reverses the slope direction)
-    dot2 = -v[2] * old_dslope
-    return (1.0 if dot2 >= 0 else -1.0), vals
-
-
 def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     """Integrate one time direction; returns sample lists and events."""
     x0, x1, y0, y1 = cfg.box
@@ -291,7 +275,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     last_v = last_vals = None
 
     def rhs(v):
-        # _chart_vals and _chart_field with the sign, in one call
+        # _chart_vals and field_at with the sign, in one call
         nonlocal last_v, last_vals
         x, y, s = v
         if state_chart == "p":
@@ -322,9 +306,10 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         cols["numer"].append(vals[2])
         return len(cols["t"]) - 1
 
-    vals = _chart_vals(m, u[0], u[1], u[2], state_chart)
     if not inside(u):
         raise ValueError(f"seed {u[:2]} outside the domain box {cfg.box}")
+    fu = rhs(u)
+    vals = last_vals
     push(0.0, u, vals)
 
     sc = scale_at(u)
@@ -332,7 +317,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         events.append(TraceEvent(0, SINGULAR_APPROACH, 0.0))
         return cols, events
 
-    steps = _dopri_steps(rhs, u, cfg)
+    steps = _dopri_steps(rhs, u, fu, cfg)
     restart = None
     while True:
         try:
@@ -383,7 +368,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
 
         # classify interior candidates; a singular approach truncates the step
         marks = []
-        terminal = None
+        terminal = end_at = None
         end_theta = 1.0
         if exit_theta is not None:
             end_theta, terminal = exit_theta, DOMAIN_EXIT
@@ -395,25 +380,25 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             if what == "denom":
                 sc = scale_at(v_ev)
                 if max(abs(vals_ev[1]), abs(vals_ev[2])) < SINGULAR_TOL * sc:
-                    end_theta, terminal = th, SINGULAR_APPROACH
+                    end_theta, terminal, end_at = th, SINGULAR_APPROACH, (v_ev, vals_ev)
                     marks = [mk for mk in marks if mk[0] < th]
                     break
                 if abs(vals_ev[2]) > EVENT_TOL * sc:
-                    marks.append((th, CUSP))
+                    marks.append((th, CUSP, (v_ev, vals_ev)))
             else:
-                marks.append((th, ISOTROPIC_CROSS))
+                marks.append((th, ISOTROPIC_CROSS, None))
 
         # dense output: cap the planar spacing of emitted samples
         chord = math.hypot(unew[0] - u0[0], unew[1] - u0[1]) * end_theta
         fill = _subdivision_thetas(chord, end_theta, cfg.max_ds)
         emit = sorted(
-            marks + [(th, None) for th in fill], key=lambda mk: mk[0]
+            marks + [(th, None, None) for th in fill], key=lambda mk: mk[0]
         )
         last_th = -1.0
-        for th, kind in emit:
+        for th, kind, at in emit:
             if kind is None and (th - last_th < 1e-9 or end_theta - th < 1e-9):
                 continue
-            v_ev, vals_ev = chart_vals_at(th)
+            v_ev, vals_ev = at or chart_vals_at(th)
             t_ev = t + th * h
             idx = push(t_ev, v_ev, vals_ev)
             if kind is not None:
@@ -421,8 +406,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             last_th = th
 
         if terminal is not None:
-            v_end = interp(end_theta)
-            vals_end = _chart_vals(m, v_end[0], v_end[1], v_end[2], state_chart)
+            v_end, vals_end = end_at or chart_vals_at(end_theta)
             t_end = t + end_theta * h
             idx = push(t_end, v_end, vals_end)
             events.append(TraceEvent(idx, terminal, t_end))
@@ -438,19 +422,21 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             return cols, events
 
         if abs(u[2]) > CHART_THRESHOLD:
-            old_field = fnew
-            new_chart = "q" if state_chart == "p" else "p"
-            s_new = 1.0 / u[2]
-            new_sign, vals = _sign_for_continuation(
-                (old_field[0], old_field[1]), old_field[2],
-                u[0], u[1], s_new, new_chart, m,
-            )
-            state_chart = new_chart
-            state_sign = new_sign
-            u = (u[0], u[1], s_new)
+            state_chart = "q" if state_chart == "p" else "p"
+            state_sign = 1.0
+            u = (u[0], u[1], 1.0 / u[2])
+            f = rhs(u)
+            vals = last_vals
+            # keep the planar velocity's direction; where it vanishes,
+            # the slope derivative's, through dq = -dp / p^2 (the chart
+            # map reverses the slope direction)
+            dot = f[0] * fnew[0] + f[1] * fnew[1]
+            if not (dot > 0.0 or (dot == 0.0 and -f[2] * fnew[2] >= 0.0)):
+                state_sign = -1.0
+                f = (-f[0], -f[1], -f[2])
             idx = push(t, u, vals)
             events.append(TraceEvent(idx, CHART_SWITCH, t))
-            restart = (u, rhs(u))
+            restart = (u, f)
 
 
 def integrate(
@@ -606,7 +592,7 @@ def tm_integrate(
         def stop(kind, t):
             return {"t": ts, "u": rows}, [TraceEvent(len(ts) - 1, kind, t)]
 
-        steps = _dopri_steps(rhs, u, cfg)
+        steps = _dopri_steps(rhs, u, rhs(u), cfg)
         while True:
             try:
                 t, h, u0, f0, u1, f1 = next(steps)
@@ -690,19 +676,13 @@ class FamilyMember:
     trace: GeodesicTrace
 
 
-def _disc_gradient(m, x, y, h=1e-6):
-    return (
-        (mt.disc_metric(m, x + h, y) - mt.disc_metric(m, x - h, y)) / (2 * h),
-        (mt.disc_metric(m, x, y + h) - mt.disc_metric(m, x, y - h)) / (2 * h),
-    )
-
-
 def check_transversality(m: PseudoFinslerMetric, x: float, y: float, p0: float) -> float:
     """Derivative of the discriminant along the double direction (1, p0).
 
     Raises TransversalityError when it is negligible against the gradient.
     """
-    gx, gy = _disc_gradient(m, x, y)
+    grad = sg._gradients(sg.disc_grid_fn(m), np.array([x]), np.array([y]))
+    gx, gy = (float(d[0]) for d in grad)
     dot = gx + p0 * gy
     norm = math.hypot(gx, gy) * math.hypot(1.0, p0)
     if abs(dot) <= 1e-6 * max(norm, 1e-30):
@@ -713,9 +693,7 @@ def check_transversality(m: PseudoFinslerMetric, x: float, y: float, p0: float) 
 
 
 def _strong_eigvec(m, x, y, p0):
-    from . import singular
-
-    J = singular.jacobian_at(m, x, y, p0)
+    J = sg.jacobian_at(m, x, y, p0)
     w, v = np.linalg.eig(J)
     order = np.argsort(-np.abs(w))
     vec = np.real(v[:, order[0]])

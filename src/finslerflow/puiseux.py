@@ -56,11 +56,11 @@ def _frac(v) -> Fraction:
     if isinstance(v, (int, np.integer)):
         return Fraction(int(v))
     f = float(v)
-    if math.isfinite(f):
-        # read floats through their shortest decimal form, so a config
-        # value like 0.8 becomes 4/5 rather than its binary neighbour
-        return Fraction(str(f))
-    return Fraction(f)
+    if not math.isfinite(f):
+        raise ValueError(f"series value {f} is not finite")
+    # read floats through their shortest decimal form, so a config
+    # value like 0.8 becomes 4/5 rather than its binary neighbour
+    return Fraction(str(f))
 
 
 class _Jet:
@@ -492,7 +492,8 @@ def solve_geodesic_series(
     seed alone must not start below the first unknown's slot).  ``free``
     supplies chosen values for indices the recurrence leaves FREE.  A
     zero linear coefficient against nonzero forcing stops the solve and
-    marks the family OBSTRUCTED at that index.
+    marks the family OBSTRUCTED at that index.  A request it cannot solve,
+    a non-finite seed, free value or y0 among them, raises ValueError.
     """
     s = int(s)
     if s < 1:

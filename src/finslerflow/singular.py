@@ -389,8 +389,7 @@ def _polish_onto(g, pts, cell, target):
     per point, all points at once.
 
     A point stops once |g| <= target, where the gradient vanishes or is
-    not finite, or after a step below 1e-14 of its size.  Each live point
-    costs five values of g, and one call of g takes them all.
+    not finite, or after a step below 1e-14 of its size.
     """
     h = 1e-6 * cell
     x, y = np.array(pts, dtype=np.float64).T
@@ -399,17 +398,9 @@ def _polish_onto(g, pts, cell, target):
         if not live.size:
             break
         xl, yl = x[live], y[live]
-        v, xp, xm, yp, ym = np.split(
-            np.asarray(
-                g(np.concatenate([xl, xl + h, xl - h, xl, xl]),
-                  np.concatenate([yl, yl, yl, yl + h, yl - h])),
-                dtype=np.float64,
-            ),
-            5,
-        )
+        v = np.asarray(g(xl, yl), dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gx = (xp - xm) / (2 * h)
-            gy = (yp - ym) / (2 * h)
+            gx, gy = _gradients(g, xl, yl, h)
             g2 = gx * gx + gy * gy
             step = ~(np.abs(v) <= target) & (g2 != 0) & np.isfinite(g2)
             live, v, gx, gy, g2 = live[step], v[step], gx[step], gy[step], g2[step]

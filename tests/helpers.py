@@ -430,6 +430,14 @@ def singular_at(m, x, y) -> float:
         return float(np.float64(resultant_at(m, x, y)) / mt.disc_metric(m, x, y))
 
 
+def disc_gradient_at(m, x, y, h=1e-6) -> tuple[float, float]:
+    """Reference: central differences of disc_metric at one point."""
+    return (
+        (mt.disc_metric(m, x + h, y) - mt.disc_metric(m, x - h, y)) / (2 * h),
+        (mt.disc_metric(m, x, y + h) - mt.disc_metric(m, x, y - h)) / (2 * h),
+    )
+
+
 # ---------------------------------------------------------------------------
 # tree-walk reference for the exact series solve
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import types
 import xml.etree.ElementTree as ET
 
@@ -113,7 +114,18 @@ class TestLoadConfig:
             ("a1 = x +* y", "cannot parse"),
             ("out_prefix = ../oops", "out_prefix"),
             ("pair = 2 2", "pair"),
+            ("pair = 1 inf", "pair expects two integer indices"),
             ("series_seed = 3", "'index value'"),
+            # the tag is the entry's own, not 'config'
+            ("series_seed = 0 1", "line 11: series indices must be positive"),
+            ("series_free = 0 1", "line 11: series indices must be positive"),
+            # non-finite values
+            ("series_seed = 3 inf", "line 11: series indices must be positive and their values finite"),
+            ("series_free = 4 inf", "line 11: series indices must be positive and their values finite"),
+            ("alpha = nan", "line 11: alpha must be finite"),
+            ("alpha = 0.5 inf", "line 11: alpha must be finite"),
+            ("y0 = inf", "line 11: y0 must be finite"),
+            ("y0 = nan", "line 11: y0 must be finite"),
         ],
     )
     def test_rejects_bad_lines(self, tmp_path, line, fragment):
@@ -165,10 +177,30 @@ class TestLoadConfig:
 
     def test_override_errors_are_tagged(self, tmp_path):
         path = write(tmp_path, HALFPLANE)
-        with pytest.raises(cli.ConfigError, match="override"):
-            cli.load_config(path, ("resolution",))
-        with pytest.raises(cli.ConfigError, match="override"):
-            cli.load_config(path, ("wat=1",))
+        cases = [
+            (("resolution",), "override 1: expected key=value"),
+            (("wat=1",), "override 1: unknown key"),
+            # a value is checked after the overrides, under the tag of
+            # the entry that set it: a valid file line is not blamed
+            (("resolution=4",), "override 1: resolution must be at least 8"),
+            (("resolution=16", "resolution=4"), "override 2: resolution must be at least 8"),
+            (("box=1 0 0 1",), "override 1: box needs finite xmin < xmax"),
+            (("box=-1 1 -1 inf",), "override 1: box needs finite xmin < xmax"),
+            (("mode=banana",), "override 1: mode must be"),
+            (("out_prefix=../oops",), "override 1: out_prefix"),
+            (("series_seed=0 1",), "override 1: series indices must be positive"),
+            (("series_free=4 inf",), "override 1: series indices"),
+            (("alpha=inf",), "override 1: alpha must be finite"),
+            (("y0=inf",), "override 1: y0 must be finite"),
+        ]
+        for overrides, message in cases:
+            with pytest.raises(cli.ConfigError, match="^" + re.escape(message)):
+                cli.load_config(path, overrides)
+        # a bad value that a later override replaces is no error
+        cfg = cli.load_config(path, ("resolution=4", "resolution=16"))
+        assert cfg.resolution == 16
+        cfg = cli.load_config(path, ("series_seed=3 inf", "series_seed=3 2"))
+        assert cfg.series_seed == {3: 2.0}
 
 
 class TestCommands:
@@ -292,6 +324,44 @@ class TestCommands:
         )
         assert max_ode_residual(m, trace) < 5e-4
         assert any(e.kind for e in events)
+
+    @pytest.mark.parametrize("command", ["integrate", "portrait"])
+    def test_seed_outside_box_is_config_error(self, tmp_path, capsys, command):
+        rc = cli.main([command, "--config", write(tmp_path, HALFPLANE),
+                       "--out", str(tmp_path), "--seed", "seed=1.5 0 0.3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed 3 (1.5, 0.0, 0.3) is outside the box")
+        assert not list(tmp_path.glob("hp_*"))
+
+    def test_vertical_seed_slope_is_traced(self, tmp_path):
+        # slope inf is the vertical direction, not an error
+        rc = cli.main(["integrate", "--config", write(tmp_path, TANGENCY),
+                       "--out", str(tmp_path), "--seed", "seed=0.2 0.05 inf"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "bm_trace00.csv")
+        assert len(rows) > 100
+
+    @pytest.mark.parametrize(
+        "text, command, overrides",
+        [
+            (HALFPLANE, "portrait", ("box=-1 1 -1 inf",)),
+            (HALFPLANE, "singular", ("box=-1 1 -1 inf",)),
+            (HALFPLANE, "classify", ("box=-1 1 -1 inf",)),
+            (TANGENCY, "puiseux", ("alpha=nan",)),
+            (TANGENCY, "puiseux", ("y0=inf",)),
+            (HALFPLANE, "puiseux", ("series_seed=3 inf",)),
+            (HALFPLANE, "puiseux", ("series_seed=3 2", "series_free=4 inf")),
+        ],
+    )
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys, text, command, overrides):
+        argv = [command, "--config", write(tmp_path, text), "--out", str(tmp_path)]
+        for ov in overrides:
+            argv += ["--seed", ov]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: override ") and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
 
     def test_integrate_requires_seeds(self, tmp_path, capsys):
         rc = cli.main(["integrate", "--config", write(tmp_path, PARABOLA),

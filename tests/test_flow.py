@@ -14,6 +14,7 @@ from finslerflow.flow import IntegratorConfig, PTMPoint
 
 from helpers import (
     crop_to_ball,
+    disc_gradient_at,
     halfplane_metric,
     hausdorff_distance,
     max_ode_residual,
@@ -149,9 +150,14 @@ class TestTraceStructure:
         assert set(np.unique(tr.chart)) <= {"p", "q"}
         assert "q" in set(np.unique(tr.chart))
 
-    def test_step_end_field_values_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        # the last seed's trace switches chart once
+        "seed", [(-0.5, 0.0, 0.3), (0.1, 0.0, 0.8), (0.1, 0.2, -1.1), (0.2, 0.05, 1.9)]
+    )
+    def test_step_end_field_values_computed_once(self, monkeypatch, seed):
         # a step's end values (F, denom, numer) are those of its last
-        # stage; only the seed is evaluated twice on each side
+        # stage, and the seed, each chart switch and each cusp row are
+        # evaluated once
         m = halfplane_metric()
         cfg = IntegratorConfig(box=(-1.0, 1.0, -1.0, 1.0))
         calls = []
@@ -165,8 +171,8 @@ class TestTraceStructure:
             return sum(a == b for a, b in zip(calls, calls[1:]))
 
         monkeypatch.setattr(mt, "fdp_values", counted)
-        flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), cfg)
-        assert calls and repeats() == 2
+        flow.integrate(m, PTMPoint(*seed), cfg)
+        assert calls and repeats() == 0
 
 
 class TestOdeResidual:
@@ -354,9 +360,9 @@ class TestTangentBundleOverlay:
 
         steps = flow._dopri_steps
 
-        def fresh_ends(rhs, u, cfg):
+        def fresh_ends(rhs, u, fu, cfg):
             # each step's end point as a new tuple, so no stage matches it
-            gen = steps(rhs, u, cfg)
+            gen = steps(rhs, u, fu, cfg)
             while True:
                 try:
                     t, h, u0, f0, u1, f1 = next(gen)
@@ -414,6 +420,26 @@ class TestShooting:
         m = halfplane_metric()
         val = flow.check_transversality(m, 0.0, 0.0, 0.0)
         assert abs(val) > 1e-6
+
+    def test_transversality_matches_pointwise_gradient(self):
+        # the grid evaluator's central differences give the bits of the
+        # pointwise formula, a metric with a pole included
+        rng = np.random.default_rng(20261019)
+        metrics = [
+            halfplane_metric(),
+            parabola_metric(1.0),
+            random_metric(rng, 3),
+            mt.metric_from_strings(2, ["y - x^2", "0.5*x", "1"]),
+            mt.metric_from_strings(3, ["1/x - y", "0", "1", "0"]),
+        ]
+        for m in metrics:
+            for x, y, p0 in rng.uniform(-1.0, 1.0, (200, 3)).tolist():
+                gx, gy = disc_gradient_at(m, x, y)
+                try:
+                    got = flow.check_transversality(m, x, y, p0)
+                except flow.TransversalityError:
+                    continue
+                assert np.array_equal(got, gx + p0 * gy, equal_nan=True)
 
     def test_family_members_end_at_base(self):
         m = halfplane_metric()

@@ -3,6 +3,7 @@ point, plus the truncated-series arithmetic underneath."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,12 @@ class TestGeodesicRecurrence:
             pz.solve_geodesic_series(m, s=3, seed={}, order=8)
         with pytest.raises(ValueError):
             pz.solve_geodesic_series(m, s=3, seed={9: 1}, order=8)
+        # a non-finite value is a ValueError, not an OverflowError
+        for kwargs in ({"y0": math.inf}, {"y0": math.nan}, {"free": {4: math.inf}}):
+            with pytest.raises(ValueError, match="not finite"):
+                pz.solve_geodesic_series(m, s=3, seed={3: 2}, order=8, **kwargs)
+        with pytest.raises(ValueError, match="not finite"):
+            pz.solve_geodesic_series(m, s=3, seed={3: math.inf}, order=8)
 
     def test_series_satisfies_the_flow_equation(self):
         # independent check: denominator * dp/dx - numerator vanishes to
