@@ -109,11 +109,14 @@ class ScenarioConfig:
         return fl.IntegratorConfig(**{name: getattr(self, name) for name in names})
 
     def seeds_in_box(self) -> tuple[tuple[float, float, float], ...]:
-        """The seeds; one outside the box is a ConfigError."""
+        """The seeds; one outside the box or with a nan slope is a
+        ConfigError (slope inf is the vertical direction)."""
         x0, x1, y0, y1 = self.box
         for k, (x, y, p) in enumerate(self.seeds, start=1):
             if not (x0 <= x <= x1 and y0 <= y <= y1):
                 raise ConfigError(f"seed {k} ({x}, {y}, {p}) is outside the box {self.box}")
+            if math.isnan(p):
+                raise ConfigError(f"seed {k} ({x}, {y}, {p}) has a nan slope")
         return self.seeds
 
 
@@ -177,14 +180,14 @@ def _pair_value(tag: str, key: str, text: str) -> tuple[int, int]:
 # key -> (ScenarioConfig field, parser, test, message).  The parser reads
 # one entry.  Once every line and override is read, the test checks each
 # value a key is left with; a failure reports the message under the tag
-# of the entry that set the value.  n, pair, a0..a9 and f0..f9 are
+# of the entry that set the value.  n, pair, a0..a9 and f1..f9 are
 # checked against the mode in _build_config.
 _KEYS = {
     "mode": ("mode", lambda t, k, v: v, lambda v: v in ("coefficients", "berwald-moor"),
              "mode must be 'coefficients' or 'berwald-moor', got {value!r}"),
     "n": ("degree", _int_value, None, None),
     **{f"a{i}": ("coeffs", _parse_expr, None, None) for i in range(10)},
-    **{f"f{i}": ("immersion", _parse_expr, None, None) for i in range(10)},
+    **{f"f{i}": ("immersion", _parse_expr, None, None) for i in range(1, 10)},
     "box": ("box", lambda t, k, v: tuple(_numbers(t, k, v, 4)),
             lambda b: all(map(math.isfinite, b)) and b[0] < b[1] and b[2] < b[3],
             "box needs finite xmin < xmax and ymin < ymax"),

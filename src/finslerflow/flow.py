@@ -677,14 +677,14 @@ class FamilyMember:
 
 
 def check_transversality(m: PseudoFinslerMetric, x: float, y: float, p0: float) -> float:
-    """Derivative of the discriminant along the double direction (1, p0).
-
-    Raises TransversalityError when it is negligible against the gradient.
-    """
-    grad = sg._gradients(sg.disc_grid_fn(m), np.array([x]), np.array([y]))
-    gx, gy = (float(d[0]) for d in grad)
-    dot = gx + p0 * gy
-    norm = math.hypot(gx, gy) * math.hypot(1.0, p0)
+    """F_x + p0 F_y at a double root p0 of F; grad disc_F . (1, p0) is a
+    nonzero multiple of it.  Raises TransversalityError, the direction
+    being tangent to the boundary, when it is at most
+    1e-6 |(F_x, F_y)| |(1, p0)|."""
+    fx = m.table("F_x").poly_value(x, y, p0)
+    fy = m.table("F_y").poly_value(x, y, p0)
+    dot = fx + p0 * fy
+    norm = math.hypot(fx, fy) * math.hypot(1.0, p0)
     if abs(dot) <= 1e-6 * max(norm, 1e-30):
         raise TransversalityError(
             f"double direction p={p0} tangent to the discriminant curve at ({x}, {y})"
@@ -724,20 +724,13 @@ def shoot_boundary_family(
     (seeded along the strongest eigen-direction of the linearization).
     """
     cfg = cfg or IntegratorConfig()
-    check_transversality(m, x, y, p0)
+    fdir = check_transversality(m, x, y, p0)
     tblF = m.table("F")
     tblFx = m.table("F_x")
     tblFy = m.table("F_y")
 
     fpoly = RealPolynomial(tblF.values_at(x, y))
     fpp = fpoly.deriv().deriv()(p0)
-    fx = tblFx.poly_value(x, y, p0)
-    fy = tblFy.poly_value(x, y, p0)
-    fdir = fx + p0 * fy
-    if abs(fdir) < 1e-12:
-        raise TransversalityError(
-            "F does not vary along the double direction; jet scale undefined"
-        )
     b_lead = -fpp / (2.0 * fdir)
 
     def fit_B(eta):

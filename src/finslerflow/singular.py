@@ -1,15 +1,20 @@
 """Singular points of the geodesic direction field.
 
-A singular point of the projectivized field is a triple (x, y, p) where
-both the denominator and numerator polynomials vanish.  The linearization
-there has one vanishing eigenvalue along the field's kernel; the other
-two decide the local phase portrait:
+A singular point of the projectivized field (D, p D, N), D = denom and
+N = numer, is a triple (x, y, p) with D = N = 0.  Row 2 of the
+linearization J is p * row 1 + (0, 0, D), so J has the eigenvalue 0 and
+sigma_2(J) = -T - D N_y with T = D_p (N_x + p N_y) - N_p (D_x + p D_y).
+On the singular curve tr J = D_x + p D_y + N_p vanishes and the other
+two eigenvalues satisfy lambda^2 = T:
 
-* RealPair      -- opposite real eigenvalues (saddle-like passage),
-* ImaginaryPair -- conjugate imaginary pair (spiralling approach),
+* RealPair      -- T > 0, opposite real eigenvalues (saddle-like passage),
+* ImaginaryPair -- T < 0, conjugate imaginary pair (spiralling approach),
 * Resonant32    -- real spectrum in ratio 3:2, the generic boundary
                    point with a double isotropic direction,
 * Degenerate    -- everything else (including a fully zero spectrum).
+
+T is (1, p) x t for the projected tangent t = (D_y N_p - D_p N_y,
+D_p N_x - D_x N_p) of the lifted curve, so T = 0 is exactly a tangency.
 
 The singular set over the plane projects to curves: the zero set of the
 resultant of the two polynomials in p over its simple factor disc_F.
@@ -24,14 +29,13 @@ import numpy as np
 
 from . import metric as mt
 from . import poly
+from .codegen import lifted_field_function
 from .metric import PseudoFinslerMetric, Stratum
 
 REAL_PAIR = "RealPair"
 IMAGINARY_PAIR = "ImaginaryPair"
 RESONANT_32 = "Resonant32"
 DEGENERATE = "Degenerate"
-
-_KIND_TOL = 1e-6
 
 
 class StratumError(ValueError):
@@ -112,10 +116,17 @@ def jacobian_at(m: PseudoFinslerMetric, x: float, y: float, p: float) -> np.ndar
     )
 
 
+def _invariant_t(J: np.ndarray, p: float) -> float:
+    """T = D_p (N_x + p N_y) - N_p (D_x + p D_y) from rows 1 and 3 of J."""
+    (dx_, dy_, dp_), _, (nx_, ny_, np_) = J.tolist()
+    return dp_ * (nx_ + p * ny_) - np_ * (dx_ + p * dy_)
+
+
 def classify_singular(
     m: PseudoFinslerMetric, x: float, y: float, p: float
 ) -> SingularPoint:
-    """Classify a singular point by the spectrum of the linearization."""
+    """Classify a singular point by the spectrum of the linearization J;
+    where tr J vanishes against |J|, by the sign of T."""
     sc = mt._ipow(1.0 + mt.metric_scale(m, x, y), 2)
     dv = mt.denom_poly(m, x, y)(p)
     pv = mt.numer_poly(m, x, y)(p)
@@ -127,22 +138,20 @@ def classify_singular(
     J = jacobian_at(m, x, y, p)
     eigs = np.linalg.eigvals(J)
     norm = float(np.linalg.norm(J))
-    order = np.argsort(-np.abs(eigs))
-    eigs = eigs[order]
+    eigs = eigs[np.argsort(-np.abs(eigs))]
     if np.abs(eigs[0]) < 1e-7 * max(norm, 1e-30):
         return SingularPoint(x, y, p, eigs, DEGENERATE)
     l1, l2 = eigs[0], eigs[1]
-    mag = max(abs(l1), abs(l2))
-    kind = DEGENERATE
-    transversal = None
-    if abs(l1 + l2) < _KIND_TOL * mag:
-        if abs(l1.imag) < _KIND_TOL * abs(l1):
+    kind, transversal = DEGENERATE, None
+    if abs(np.trace(J)) <= 1e-6 * norm:
+        t = _invariant_t(J, p)
+        if t > 0:
             kind = REAL_PAIR
-        elif abs(l1.real) < _KIND_TOL * abs(l1):
+        elif t < 0:
             kind = IMAGINARY_PAIR
     elif (
-        abs(l1.imag) < _KIND_TOL * abs(l1)
-        and abs(l2.imag) < _KIND_TOL * abs(l2)
+        abs(l1.imag) < 1e-6 * abs(l1)
+        and abs(l2.imag) < 1e-6 * abs(l2)
         and abs(l2.real) > 0
         and abs(abs(l1 / l2) - 1.5) < 1e-4
         and l1.real * l2.real > 0
@@ -400,7 +409,10 @@ def _polish_onto(g, pts, cell, target):
         xl, yl = x[live], y[live]
         v = np.asarray(g(xl, yl), dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gx, gy = _gradients(g, xl, yl, h)
+            xs = np.concatenate([xl + h, xl - h, xl, xl])
+            ys = np.concatenate([yl, yl, yl + h, yl - h])
+            xp, xm, yp, ym = np.split(g(xs, ys), 4)
+            gx, gy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
             g2 = gx * gx + gy * gy
             step = ~(np.abs(v) <= target) & (g2 != 0) & np.isfinite(g2)
             live, v, gx, gy, g2 = live[step], v[step], gx[step], gy[step], g2[step]
@@ -425,37 +437,23 @@ def lift_to_slope(m: PseudoFinslerMetric, x: float, y: float) -> float:
     return min((r for r, _ in roots), key=lambda r: abs(P(r)))
 
 
-def _gradients(g, x, y, h=1e-6):
-    """Central-difference gradients of g at the points (x[k], y[k]), from
-    one call of g on 4 * len(x) points."""
-    xs = np.concatenate([x + h, x - h, x, x])
-    xp, xm, yp, ym = np.split(g(xs, np.concatenate([y, y, y + h, y - h])), 4)
-    return (xp - xm) / (2 * h), (yp - ym) / (2 * h)
-
-
-def _direction_dot(gx: float, gy: float, p: float) -> float:
-    """Cosine between the field direction (1, p) and the gradient."""
-    gnorm = math.hypot(gx, gy)
-    return (gx + p * gy) / (gnorm * math.hypot(1.0, p)) if gnorm > 0 else 0.0
-
-
 def tangency_report(m: PseudoFinslerMetric, x: float, y: float) -> TangencyReport:
     """Transversality of the singular direction against its own curve.
 
-    The singular curve is the zero set of singular_grid_fn; its tangent
-    comes from that function's gradient.  The field direction there is
-    (1, p).  The point is transversal when the direction is not tangent;
-    this must agree with the two dominant eigenvalues of the
-    linearization being away from zero.
+    The tangent of the curve is the (x, y) part of grad D x grad N, from
+    rows 1 and 3 of the linearization J.  direction_dot is the cosine
+    between the field direction (1, p) and the curve normal: T over the
+    norms of the tangent and of (1, p).  The point is transversal when
+    the direction is not tangent; this must agree with the two dominant
+    eigenvalues of J being away from zero.
     """
     p = lift_to_slope(m, x, y)
-    grad = _gradients(singular_grid_fn(m), np.array([x]), np.array([y]))
-    gx, gy = (float(d[0]) for d in grad)
-    gnorm = math.hypot(gx, gy)
-    tangent = (-gy / gnorm, gx / gnorm) if gnorm > 0 else (0.0, 0.0)
-    dot = _direction_dot(gx, gy, p)
-    transversal = abs(dot) > 1e-6
     J = jacobian_at(m, x, y, p)
+    tx, ty, _ = np.cross(J[0], J[2]).tolist()
+    tnorm = math.hypot(tx, ty)
+    tangent = (tx / tnorm, ty / tnorm) if tnorm > 0 else (0.0, 0.0)
+    dot = _invariant_t(J, p) / (tnorm * math.hypot(1.0, p)) if tnorm > 0 else 0.0
+    transversal = abs(dot) > 1e-6
     eigs = np.linalg.eigvals(J)
     eigs = eigs[np.argsort(-np.abs(eigs))]
     jn = float(np.linalg.norm(J))
@@ -472,29 +470,33 @@ def find_tangency_failures(
 ) -> list[tuple[float, float]]:
     """Points along a traced singular curve where transversality fails.
 
-    Scans the normalized direction-vs-tangent dot product for sign
-    changes and refines each by bisection (with Newton re-projection onto
-    the curve at every probe).  The scan takes the gradients of all
-    samples from one call of singular_grid_fn.
+    Scans T for sign changes over all samples at once, from the lifted
+    fields (C_p, p C_p, -(C_x + p C_y)) of C = D and C = N, and refines
+    each by bisection on the pointwise T (with Newton re-projection onto
+    the curve at every probe).
     """
     grid_fn = singular_grid_fn(m)
     pts = curve.points
 
-    def measure(x, y):
+    def lift(x, y):
         # the traced component may end at the metric boundary, where the
         # lift loses its real root; such samples cannot carry a tangency
         try:
-            return tangency_report(m, x, y).direction_dot
+            return lift_to_slope(m, x, y)
         except StratumError:
             return math.nan
 
-    gx, gy = _gradients(grid_fn, pts[:, 0], pts[:, 1])
-    vals = []
-    for x, y, ax, ay in zip(pts[:, 0], pts[:, 1], gx.tolist(), gy.tolist()):
-        try:
-            vals.append(_direction_dot(ax, ay, lift_to_slope(m, x, y)))
-        except StratumError:
-            vals.append(math.nan)
+    ps = np.array([lift(x, y) for x, y in pts.tolist()])
+
+    def lifted(layer):
+        field = lifted_field_function(
+            *(m.table(name).exprs for name in (layer, layer + "_x", layer + "_y"))
+        )
+        return field(pts[:, 0], pts[:, 1], ps, np.empty((3, len(pts))))
+
+    with np.errstate(all="ignore"):
+        ld, ln = lifted("denom"), lifted("numer")
+        vals = (ln[0] * ld[2] - ld[0] * ln[2]).tolist()
     cell = max(
         float(np.max(np.abs(np.diff(pts[:, 0])))),
         float(np.max(np.abs(np.diff(pts[:, 1])))),
@@ -508,7 +510,8 @@ def find_tangency_failures(
         for _ in range(60):
             mid = 0.5 * (a + b)
             mid = _polish_onto(grid_fn, mid[None, :], cell, 0.0)[0]
-            vm = measure(mid[0], mid[1])
+            p = lift(*mid)
+            vm = _invariant_t(jacobian_at(m, *mid, p), p)
             if not np.isfinite(vm):
                 break
             if (vm > 0) == (va > 0):

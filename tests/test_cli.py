@@ -110,6 +110,8 @@ class TestLoadConfig:
             ("box = 1 -1 0 1", "box"),
             ("seed = 1 2", "seed"),
             ("a12 = x", "unknown key"),
+            # immersion components start at f1
+            ("f0 = x", "line 11: unknown key 'f0'"),
             ("rel_tol = fast", "expects a number"),
             ("a1 = x +* y", "cannot parse"),
             ("out_prefix = ../oops", "out_prefix"),
@@ -327,11 +329,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["integrate", "portrait"])
     def test_seed_outside_box_is_config_error(self, tmp_path, capsys, command):
-        rc = cli.main([command, "--config", write(tmp_path, HALFPLANE),
-                       "--out", str(tmp_path), "--seed", "seed=1.5 0 0.3"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: seed 3 (1.5, 0.0, 0.3) is outside the box")
+        cases = [
+            ("seed=1.5 0 0.3", "seed 3 (1.5, 0.0, 0.3) is outside the box"),
+            ("seed=0.1 0.1 nan", "seed 3 (0.1, 0.1, nan) has a nan slope"),
+        ]
+        for seed, message in cases:
+            rc = cli.main([command, "--config", write(tmp_path, HALFPLANE),
+                           "--out", str(tmp_path), "--seed", seed])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: " + message)
         assert not list(tmp_path.glob("hp_*"))
 
     def test_vertical_seed_slope_is_traced(self, tmp_path):

@@ -10,7 +10,9 @@ import pytest
 
 from finslerflow import flow
 from finslerflow import metric as mt
+from finslerflow import singular as sg
 from finslerflow.flow import IntegratorConfig, PTMPoint
+from finslerflow.poly import RealPolynomial
 
 from helpers import (
     crop_to_ball,
@@ -421,25 +423,32 @@ class TestShooting:
         val = flow.check_transversality(m, 0.0, 0.0, 0.0)
         assert abs(val) > 1e-6
 
-    def test_transversality_matches_pointwise_gradient(self):
-        # the grid evaluator's central differences give the bits of the
-        # pointwise formula, a metric with a pole included
+    def test_transversality_matches_disc_gradient_at_double_root(self):
+        # at a double root p0 of F, grad disc_F is a nonzero multiple of
+        # (F_x, F_y): the exact cosine of F_x + p0 F_y agrees in size with
+        # the central-difference cosine of disc_F, and so does the decision
         rng = np.random.default_rng(20261019)
-        metrics = [
-            halfplane_metric(),
-            parabola_metric(1.0),
-            random_metric(rng, 3),
-            mt.metric_from_strings(2, ["y - x^2", "0.5*x", "1"]),
-            mt.metric_from_strings(3, ["1/x - y", "0", "1", "0"]),
-        ]
+        metrics = [halfplane_metric(), parabola_metric(1.0)]
+        metrics += [random_metric(rng, n) for n in (2, 3, 3, 3, 2)]
+        checked = 0
         for m in metrics:
-            for x, y, p0 in rng.uniform(-1.0, 1.0, (200, 3)).tolist():
-                gx, gy = disc_gradient_at(m, x, y)
-                try:
-                    got = flow.check_transversality(m, x, y, p0)
-                except flow.TransversalityError:
-                    continue
-                assert np.array_equal(got, gx + p0 * gy, equal_nan=True)
+            for c in sg.boundary_curves(m, (-1.0, 1.0, -1.0, 1.0), 60):
+                for x, y in c.points[::5].tolist():
+                    f = RealPolynomial(mt.coeff_values(m, x, y))
+                    p0 = min((r for r, _ in f.deriv().real_roots()), key=lambda r: abs(f(r)))
+                    gx, gy = disc_gradient_at(m, x, y)
+                    want = (gx + p0 * gy) / (np.hypot(gx, gy) * np.hypot(1.0, p0))
+                    fx = m.table("F_x").poly_value(x, y, p0)
+                    fy = m.table("F_y").poly_value(x, y, p0)
+                    try:
+                        got = flow.check_transversality(m, x, y, p0)
+                    except flow.TransversalityError:
+                        assert abs(want) <= 1e-6
+                        continue
+                    got /= np.hypot(fx, fy) * np.hypot(1.0, p0)
+                    assert abs(abs(got) - abs(want)) < 1e-8 and abs(want) > 1e-6
+                    checked += 1
+        assert checked > 100
 
     def test_family_members_end_at_base(self):
         m = halfplane_metric()

@@ -3,6 +3,8 @@ transversality along the singular locus."""
 
 from __future__ import annotations
 
+import operator
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from finslerflow import expr as ex
 from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import singular as sg
+from finslerflow.poly import RealPolynomial
 
 from helpers import halfplane_metric, parabola_metric, random_metric
 
@@ -50,6 +53,31 @@ def scurve_x(y: float, alpha: float = 1.0) -> float:
     """Closed form of the slope-carrying singular curve of
     F = p**2 + alpha*y**2 - x."""
     return alpha * y * y - 1.0 / (48.0 * alpha * alpha * y * y)
+
+
+def polished_singular_points(m, rng, count):
+    """Up to count points (x, y, p) with D = N = 0, each from a random
+    (x, y) in [-1, 1]^2 and a real root p of D there, by minimum-norm
+    Newton steps on (D, N) in (x, y, p)."""
+    pts = []
+    for _ in range(10 * count):
+        x, y = rng.uniform(-1.0, 1.0, 2)
+        roots = mt.denom_poly(m, x, y).real_roots()
+        if not roots:
+            continue
+        u = np.array([x, y, roots[rng.integers(len(roots))][0]])
+        for _ in range(30):
+            A = sg.jacobian_at(m, *u)[[0, 2]]
+            r = [mt.denom_poly(m, u[0], u[1])(u[2]), mt.numer_poly(m, u[0], u[1])(u[2])]
+            step = A.T @ np.linalg.solve(A @ A.T, r)
+            u -= step
+            if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(u)):
+                break
+        if np.all(np.isfinite(u)) and np.abs(u[:2]).max() < 2.0:
+            pts.append(u.tolist())
+        if len(pts) == count:
+            break
+    return pts
 
 
 class TestSpectra:
@@ -116,6 +144,60 @@ class TestSpectra:
         m = halfplane_metric()
         with pytest.raises(ValueError, match="not singular"):
             sg.classify_singular(m, -0.5, 0.0, 0.3)
+
+
+class TestTraceAndInvariant:
+    """J = jacobian_at: tr J and T = D_p (N_x + p N_y) - N_p (D_x + p D_y)
+    decide the pair kinds and the tangency test."""
+
+    def test_jacobian_structure_of_generic_cubic(self, monkeypatch):
+        # the weight formulas of metric.py, run on sympy functions a_i(x, y)
+        x, y, p = sympy.symbols("x y p")
+        a = [sympy.Function(f"a{i}")(x, y) for i in range(4)]
+        monkeypatch.setattr(mt, "ex", types.SimpleNamespace(
+            ZERO=sympy.S.Zero, const=sympy.Integer, sadd=operator.add, smul=operator.mul,
+            diff=lambda e, var: sympy.diff(e, {"x": x, "y": y}[var]),
+        ))
+        cubic = types.SimpleNamespace(degree=3, coeff_exprs=lambda: a)
+        D = sum(c * p**k for k, c in enumerate(mt._denom_exprs(cubic)))
+        N = sum(c * p**k for k, c in enumerate(mt._numer_exprs(cubic)))
+        J = sympy.Matrix([D, p * D, N]).jacobian([x, y, p])
+        assert sympy.expand(J.row(1) - p * J.row(0) - sympy.Matrix([[0, 0, D]])).is_zero_matrix
+        T = D.diff(p) * (N.diff(x) + p * N.diff(y)) - N.diff(p) * (D.diff(x) + p * D.diff(y))
+        sigma2 = (J.trace() ** 2 - (J * J).trace()) / 2
+        assert sympy.expand(sigma2 + T + D * N.diff(y)) == 0
+        assert sympy.expand(J.trace() - (D.diff(x) + p * D.diff(y) + N.diff(p))) == 0
+        # jacobian_at is this J for a rational cubic
+        monkeypatch.undo()
+        rng = np.random.default_rng(16)
+        m = mt.metric_from_strings(3, [random_rational_quadratic(rng) for _ in range(4)])
+        at = {x: sympy.Rational(3, 7), y: sympy.Rational(-2, 5), p: sympy.Rational(5, 3)}
+        coeffs = {ai: to_sympy(e, x, y) for ai, e in zip(a, m.coeff_exprs())}
+        want = np.array(J.subs(coeffs).doit().subs(at), dtype=float)
+        got = sg.jacobian_at(m, *(float(at[v]) for v in (x, y, p)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_trace_vanishes_and_pair_squares_to_t(self, degree):
+        # at Newton-polished singular points away from double isotropic
+        # directions: tr J = 0, and the nonzero pair is +-sqrt(T)
+        rng = np.random.default_rng(degree)
+        checked = 0
+        for _ in range(4):
+            m = random_metric(rng, degree)
+            for x, y, p in polished_singular_points(m, rng, 20):
+                f = RealPolynomial(mt.coeff_values(m, x, y))
+                scale = np.abs(f.coeffs).max() * (1.0 + abs(p)) ** degree
+                if max(abs(f(p)), abs(f.deriv()(p))) < 1e-6 * scale:
+                    continue
+                J = sg.jacobian_at(m, x, y, p)
+                jn = np.linalg.norm(J)
+                eigs = np.linalg.eigvals(J)
+                lam = eigs[np.argmax(np.abs(eigs))]
+                assert abs(np.trace(J)) < 1e-10 * jn
+                assert abs(lam * lam - sg._invariant_t(J, p)) < 1e-12 * jn * jn
+                checked += 1
+        assert checked >= 40
 
 
 class TestSingularCurves:
