@@ -52,14 +52,7 @@ from .metric import (
     strata_on_grid,
 )
 from .nets import net_curves
-from .polyanalysis import (
-    CorrespondenceReport,
-    RootedPolynomial,
-    correspondence_report,
-    degeneracy_poly,
-    pairwise_expansion,
-    spread_form,
-)
+from .poly import degeneracy_poly
 from .puiseux import (
     GeodesicSeries,
     TruncatedSeries,
@@ -86,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedLocalMetric",
-    "CorrespondenceReport",
     "CurveSamples",
     "GeodesicSeries",
     "GeodesicTrace",
@@ -94,7 +86,6 @@ __all__ = [
     "PTMPoint",
     "ProjectiveRoot",
     "PseudoFinslerMetric",
-    "RootedPolynomial",
     "SingularPoint",
     "Stratum",
     "StratumError",
@@ -113,7 +104,6 @@ __all__ = [
     "boundary_curves",
     "classify_point",
     "classify_singular",
-    "correspondence_report",
     "degeneracy_poly",
     "disc_denom",
     "disc_metric",
@@ -126,7 +116,6 @@ __all__ = [
     "lift_to_slope",
     "metric_from_strings",
     "net_curves",
-    "pairwise_expansion",
     "parse",
     "series_point",
     "series_to_curve",
@@ -134,7 +123,6 @@ __all__ = [
     "singular_curves",
     "singular_directions",
     "solve_geodesic_series",
-    "spread_form",
     "strata_on_grid",
     "tangency_report",
     "tm_integrate",

@@ -3,7 +3,8 @@
 Thin wrapper around numpy.polynomial plus the root-extraction pipeline
 used throughout the package: companion-matrix eigenvalues, a relative
 cutoff on imaginary parts, one Newton polish step, and clustering of
-nearby roots into multiplicities.
+nearby roots into multiplicities.  Also the degeneracy combination of a
+slope polynomial and the discriminants and resultants of the strata.
 """
 
 from __future__ import annotations
@@ -103,6 +104,26 @@ class RealPolynomial:
 
 def from_roots(roots, leading: float = 1.0) -> RealPolynomial:
     return RealPolynomial(npoly.polyfromroots(roots) * float(leading))
+
+
+def degeneracy_poly(phi: RealPolynomial, n: int) -> RealPolynomial:
+    """n*phi*phi'' - (n-1)*phi'**2 as a polynomial.
+
+    For the slope polynomial phi of a metric of degree n this is the
+    denominator of the geodesic field; its common zeros with phi are the
+    double isotropic directions.  ``n`` plays the role of the ambient
+    degree and may exceed deg(phi); it must not be smaller.
+    """
+    if n < 2:
+        raise ValueError("ambient degree must be at least 2")
+    if phi.degree > n:
+        raise ValueError("polynomial degree exceeds the ambient degree")
+    d1 = phi.deriv()
+    d2 = d1.deriv()
+    combo = float(n) * (phi * d2) - float(n - 1) * (d1 * d1)
+    # the top coefficients cancel exactly for deg(phi) <= n; drop their
+    # rounding residue, which otherwise plants spurious far-away roots
+    return RealPolynomial(combo.coeffs[: max(2 * n - 3, 1)])
 
 
 def disc_quadratic(c):

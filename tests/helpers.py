@@ -1,8 +1,9 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step, a point-by-point reference for the SVG paths,
-cell-by-cell references for the grid paths, Sylvester determinants for
-the singular locus and a tree-walk reference for the exact series."""
+cell-by-cell references for the grid paths, the pairwise-difference
+expansion of the degeneracy combination, Sylvester determinants for the
+singular locus and a tree-walk reference for the exact series."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from finslerflow import expr as ex
 from finslerflow import metric as mt
+from finslerflow import poly
 from finslerflow import puiseux as pz
 from finslerflow.cli import _fmt
 from finslerflow.codegen import DOPRI_A, DOPRI_E, _ipow
@@ -386,6 +389,28 @@ def cell_strata_rows(m, xs, ys) -> list[tuple]:
             d = mt.disc_metric(m, float(x), float(y))
             rows.append((_fmt(x), _fmt(y), st.name, _fmt(d)))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# an independent expansion of the degeneracy combination
+
+
+def pairwise_expansion(roots, leading: float = 1.0) -> poly.RealPolynomial:
+    """Reference: for phi = leading * prod(p - r_i) over n real roots,
+
+        n*phi*phi'' - (n-1)*phi'**2
+            = -leading**2 * sum_{i<j} (r_i - r_j)**2 * prod_{k != i,j} (p - r_k)**2,
+
+    expanded pair by pair without forming phi or its derivatives."""
+    r = np.asarray(roots, dtype=np.float64)
+    n = r.size
+    acc = np.zeros(max(2 * n - 3, 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            cof = npoly.polyfromroots(np.delete(r, [i, j]))
+            term = (r[i] - r[j]) ** 2 * npoly.polymul(cof, cof)
+            acc = npoly.polyadd(acc, term)
+    return poly.RealPolynomial(-(leading**2) * acc)
 
 
 # ---------------------------------------------------------------------------

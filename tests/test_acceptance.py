@@ -15,7 +15,6 @@ from finslerflow import berwald_moor as bm
 from finslerflow import cli, flow
 from finslerflow import metric as mt
 from finslerflow import poly
-from finslerflow import polyanalysis as pa
 from finslerflow import puiseux as pz
 from finslerflow import singular as sg
 from finslerflow.flow import IntegratorConfig, PTMPoint
@@ -88,11 +87,15 @@ def test_criterion_02_discriminant_identity():
 
 
 def test_criterion_03_exact_degeneracy_expansions():
-    cubic = pa.degeneracy_poly(poly.RealPolynomial([0.0, 1.0, 0.0, 1.0]), 3)
-    quartic = pa.degeneracy_poly(poly.RealPolynomial([1.0, 0.0, 6.0, 0.0, 1.0]), 4)
-    ok = list(cubic.coeffs) == [-2.0, 0.0, 6.0] and list(quartic.coeffs) == [
-        48.0, 0.0, -96.0, 0.0, 48.0,
-    ]
+    cases = [(["0", "1", "0", "1"], [-2.0, 0.0, 6.0]),
+             (["1", "0", "6", "0", "1"], [48.0, 0.0, -96.0, 0.0, 48.0])]
+    ok = True
+    for texts, want in cases:
+        n = len(texts) - 1
+        built = poly.degeneracy_poly(poly.RealPolynomial([float(t) for t in texts]), n)
+        # the denom layer of the metric with these constant coefficients
+        layer = mt.denom_poly(mt.metric_from_strings(n, texts), 0.3, -0.7)
+        ok = ok and list(built.coeffs) == want and list(layer.coeffs) == want
     report(
         3,
         ok,

@@ -359,6 +359,9 @@ class TestCommands:
             (TANGENCY, "puiseux", ("y0=inf",)),
             (HALFPLANE, "puiseux", ("series_seed=3 inf",)),
             (HALFPLANE, "puiseux", ("series_seed=3 2", "series_free=4 inf")),
+            # components not in adapted position for the blow-up chart
+            (TANGENCY, "puiseux", ("pair=2 1",)),
+            (TANGENCY, "puiseux", ("pair=1 2",)),
         ],
     )
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys, text, command, overrides):
@@ -454,13 +457,43 @@ class TestCommands:
         assert by_index[6][4] == "-1/6"
 
     def test_verify_passes(self, tmp_path, capsys):
-        for text in (HALFPLANE, TANGENCY):
+        for text in (HALFPLANE, TANGENCY, PARABOLA):
             rc = cli.main(["verify", "--config", write(tmp_path, text),
                            "--out", str(tmp_path)])
             out = capsys.readouterr().out
             assert rc == 0
             assert "verify: OK" in out
             assert "FAIL" not in out
+        # lambda^2 = T at the pair points of the parabola's singular curve
+        assert re.search(r"PASS  singular-identities +max residual .* at 12 classified", out)
+
+    @pytest.mark.parametrize(
+        "text, overrides, lines",
+        [
+            # a3 = 1e300 overflows the discriminants and the chart fields,
+            # so their residuals are inf - inf at every sample
+            ("n = 3\na0 = y^2 - x\na2 = 1\na3 = 1e300\nbox = -1 1 -1 1\n", (),
+             ["FAIL  discriminant-identity      residual not finite",
+              "FAIL  chart-consistency          residual not finite",
+              "verify: FAILED (2 of 4 checks)"]),
+            # components not in adapted position for the blow-up chart
+            (TANGENCY, ("pair=2 1",),
+             ["FAIL  blowup-spectra             error: override 1: pair 2 1: "
+              "not in adapted position", "verify: FAILED (1 of 5 checks)"]),
+            (TANGENCY, ("pair=1 2",),
+             ["FAIL  blowup-spectra             error: override 1: pair 1 2: "
+              "not in adapted position"]),
+        ],
+    )
+    def test_verify_reports_failures(self, tmp_path, capsys, text, overrides, lines):
+        argv = ["verify", "--config", write(tmp_path, text), "--out", str(tmp_path)]
+        for ov in overrides:
+            argv += ["--seed", ov]
+        with np.errstate(all="ignore"):
+            assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        for line in lines:
+            assert line in out
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         rc = cli.main(["classify", "--config", str(tmp_path / "nope.cfg")])
