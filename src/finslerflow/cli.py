@@ -27,7 +27,6 @@ byte-identical file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -357,11 +356,15 @@ def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    """Write the header and the lines (fields joined by commas), each
+    ended by CRLF, in one write.  Fields are not quoted: every field is a
+    number, a name or a fraction, and a comma in one is a ValueError."""
+    text = "\r\n".join([",".join(header), *lines, ""])
+    if text.count(",") != (len(lines) + 1) * (len(header) - 1):
+        raise ValueError(f"{path}: a row has a field with a comma or a wrong width")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(text)
 
 
 _SVG_STYLE = {
@@ -474,24 +477,16 @@ def _event_column(trace: fl.GeodesicTrace) -> dict[int, str]:
     return out
 
 
-def _trace_rows(trace: fl.GeodesicTrace) -> list[tuple]:
+def _trace_lines(trace: fl.GeodesicTrace) -> list[str]:
+    """The CSV lines of a trace (_TRACE_HEADER)."""
     marks = _event_column(trace)
-    rows = []
-    for k in range(trace.t.size):
-        rows.append(
-            (
-                _fmt(trace.t[k]),
-                _fmt(trace.x[k]),
-                _fmt(trace.y[k]),
-                _fmt(trace.slope[k]),
-                trace.chart[k],
-                _fmt(trace.F[k]),
-                _fmt(trace.denom[k]),
-                _fmt(trace.numer[k]),
-                marks.get(k, ""),
-            )
-        )
-    return rows
+    cols = (trace.t, trace.x, trace.y, trace.slope, trace.chart, trace.F,
+            trace.denom, trace.numer)
+    return [
+        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(s)},{c},{_fmt(f)},{_fmt(d)},"
+        f"{_fmt(n)},{marks.get(k, '')}"
+        for k, (t, x, y, s, c, f, d, n) in enumerate(zip(*(a.tolist() for a in cols)))
+    ]
 
 
 _TRACE_HEADER = ["t", "x", "y", "slope", "chart", "F", "Delta", "P", "event"]
@@ -511,16 +506,17 @@ def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
     except mt.DegeneratePointError as err:
         print(f"classify: {err}", file=sys.stderr)
         return 2
-    xtext = [_fmt(x) for x in xs]
-    rows: list[tuple] = []
-    for y, row_st, row_d in zip(ys, strata.tolist(), disc.tolist()):
+    xtext = [_fmt(x) for x in xs.tolist()]
+    lines: list[str] = []
+    for y, row_st, row_d in zip(ys.tolist(), strata.tolist(), disc.tolist()):
         ytext = _fmt(y)
-        rows.extend(
-            (xt, ytext, st, _fmt(d)) for xt, st, d in zip(xtext, row_st, row_d)
-        )
+        # d:.12g is _fmt(d)
+        lines += [
+            f"{xt},{ytext},{st},{d:.12g}" for xt, st, d in zip(xtext, row_st, row_d)
+        ]
     counts = Counter(strata.ravel().tolist())
     path = os.path.join(outdir, f"{cfg.out_prefix}_strata.csv")
-    _write_csv(path, ["x", "y", "stratum", "disc"], rows)
+    _write_csv(path, ["x", "y", "stratum", "disc"], lines)
     summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
     print(f"classify: wrote {path} ({res}x{res}) {summary}")
     return 0
@@ -536,7 +532,7 @@ def cmd_integrate(cfg: ScenarioConfig, outdir: str) -> int:
     for k, (x, y, p) in enumerate(seeds):
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)
         path = os.path.join(outdir, f"{cfg.out_prefix}_trace{k:02d}.csv")
-        _write_csv(path, _TRACE_HEADER, _trace_rows(trace))
+        _write_csv(path, _TRACE_HEADER, _trace_lines(trace))
         kinds = Counter(ev.kind for ev in trace.events)
         evtxt = " ".join(f"{n}={kinds[n]}" for n in sorted(kinds)) or "none"
         print(
@@ -558,12 +554,15 @@ def _point_row(x, y, p, kind, eigenvalues, transversal) -> tuple:
 
 def _singular_picks(m: mt.PseudoFinslerMetric, c: sg.CurveSamples) -> list[sg.SingularPoint]:
     """The classified singular points at 12 evenly spaced samples of c."""
+    picked = c.points[np.unique(np.linspace(0, len(c) - 1, 12).astype(int))]
+    ps = sg.lift_to_slopes(m, picked[:, 0], picked[:, 1])
     out = []
-    for k in np.unique(np.linspace(0, len(c) - 1, 12).astype(int)):
-        x, y = (float(v) for v in c.points[k])
+    for (x, y), p in zip(picked.tolist(), ps.tolist()):
+        if math.isnan(p):
+            continue
         try:
-            out.append(sg.classify_singular(m, x, y, sg.lift_to_slope(m, x, y)))
-        except (ValueError, sg.StratumError):
+            out.append(sg.classify_singular(m, x, y, p))
+        except ValueError:
             continue
     return out
 
@@ -616,12 +615,12 @@ def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
             outdir, f"{cfg.out_prefix}_locus{i:02d}_{c.label}.csv"
         )
         _write_csv(
-            path, ["x", "y"], [(_fmt(x), _fmt(y)) for x, y in c.points]
+            path, ["x", "y"], [f"{_fmt(x)},{_fmt(y)}" for x, y in c.points.tolist()]
         )
         print(f"singular: wrote {path} ({len(c)} points, {c.label})")
     rows = _singular_point_rows(m, curves)
     path = os.path.join(outdir, f"{cfg.out_prefix}_singular_points.csv")
-    _write_csv(path, _POINT_HEADER, rows)
+    _write_csv(path, _POINT_HEADER, [",".join(r) for r in rows])
     kinds = Counter(r[3] for r in rows)
     summary = " ".join(f"{k}={kinds[k]}" for k in sorted(kinds)) or "none"
     print(f"singular: wrote {path} ({len(rows)} classified points: {summary})")
@@ -660,20 +659,16 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
 _SERIES_HEADER = ["order", "slot", "linear_coeff", "forcing", "value", "status"]
 
 
-def _series_csv_rows(sol: px.GeodesicSeries) -> list[tuple]:
-    rows = []
-    for r in sol.rows:
-        rows.append(
-            (
-                r.index,
-                r.slot,
-                "" if r.linear_coeff is None else str(r.linear_coeff),
-                "" if r.forcing is None else str(r.forcing),
-                "" if r.value is None else str(r.value),
-                r.status,
-            )
-        )
-    return rows
+def _series_lines(sol: px.GeodesicSeries) -> list[str]:
+    """The CSV lines of a series solve (_SERIES_HEADER)."""
+    def text(v):
+        return "" if v is None else str(v)
+
+    return [
+        f"{r.index},{r.slot},{text(r.linear_coeff)},{text(r.forcing)},"
+        f"{text(r.value)},{r.status}"
+        for r in sol.rows
+    ]
 
 
 def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
@@ -715,7 +710,7 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     csv_path = os.path.join(outdir, f"{cfg.out_prefix}_series.csv")
-    _write_csv(csv_path, _SERIES_HEADER, _series_csv_rows(sol))
+    _write_csv(csv_path, _SERIES_HEADER, _series_lines(sol))
     print(f"puiseux: wrote {txt_path} and {csv_path}")
     if alm is not None and cfg.alphas:
         members = bm.bm_family_shoot(
@@ -724,11 +719,9 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
         )
         for i, mem in enumerate(members):
             path = os.path.join(outdir, f"{cfg.out_prefix}_family{i:02d}.csv")
-            rows = [
-                (_fmt(mem.alpha), mem.eta_sign) + row
-                for row in _trace_rows(mem.trace)
-            ]
-            _write_csv(path, ["alpha", "eta_sign"] + _TRACE_HEADER, rows)
+            head = f"{_fmt(mem.alpha)},{mem.eta_sign},"
+            lines = [head + line for line in _trace_lines(mem.trace)]
+            _write_csv(path, ["alpha", "eta_sign"] + _TRACE_HEADER, lines)
         print(f"puiseux: wrote {len(members)} family trace files")
     return 0
 
@@ -798,8 +791,9 @@ def _check_disc(m, rng, box):
 
 
 def _check_singular(m, cfg):
-    """lambda^2 = T for the largest eigenvalue lambda of J at the pair
-    points that ``singular`` classifies (see singular.py)."""
+    """At the points that ``singular`` classifies (see singular.py): tr J
+    = 0 against |J| at every point that is not Resonant32, and lambda^2
+    = T for the largest eigenvalue lambda of J at the pair points."""
     if m.degree != 3:
         return None, "needs a degree-3 metric"
     curves = [
@@ -808,16 +802,22 @@ def _check_singular(m, cfg):
     ]
     if not curves:
         return None, "no singular curve in the box"
-    res = []
+    pairs, traces = [], []
     for c in curves:
         for spt in _singular_picks(m, c):
+            if spt.kind == sg.RESONANT_32:
+                continue
+            J = sg.jacobian_at(m, spt.x, spt.y, spt.p)
+            traces.append(abs(np.trace(J)) / np.linalg.norm(J))
             if spt.kind in (sg.REAL_PAIR, sg.IMAGINARY_PAIR):
-                J = sg.jacobian_at(m, spt.x, spt.y, spt.p)
                 lam = spt.eigenvalues[0]
-                res.append(abs(lam * lam - sg._invariant_t(J, spt.p)) / np.sum(J * J))
-    if not res:
-        return None, "no RealPair or ImaginaryPair point on the singular curves"
-    return np.max(res), f"lambda^2 = T at {len(res)} classified singular points"
+                pairs.append(abs(lam * lam - sg._invariant_t(J, spt.p)) / np.sum(J * J))
+    if not traces:
+        return None, "no classified point off Resonant32 on the singular curves"
+    return np.max(pairs + traces), (
+        f"tr J = 0 at {len(traces)} points, "
+        f"lambda^2 = T at {len(pairs)} classified singular points"
+    )
 
 
 def _check_charts(m, rng, box):
@@ -857,7 +857,8 @@ def _check_spectra(cfg):
 
 def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
     # each check folds its residuals with np.max, which carries a nan
-    # through (max(0.0, nan) is 0.0); a residual that is not finite fails
+    # through (max(0.0, nan) is 0.0); a residual that is not finite fails.
+    # numpy's warnings are off during a check: the residual reports them
     m = cfg.metric_obj()
     rng = np.random.default_rng(20260814)
     checks = [
@@ -872,7 +873,8 @@ def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
     ran = 0
     for name, run in checks:
         try:
-            residual, detail = run()
+            with np.errstate(all="ignore"):
+                residual, detail = run()
         except Exception as err:  # report, do not hide
             print(f"FAIL  {name:26s} error: {err}")
             failures += 1

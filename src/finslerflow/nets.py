@@ -15,7 +15,8 @@ array function (``codegen.lifted_field_function``): the coefficients of
 C, C_x and C_y share one value numbering and are summed in p by Horner's
 rule, one call per RK4 stage.
 
-Seeds sit on an 11 x 11 grid inside the box.  Every (seed, simple root,
+Seeds sit on an 11 x 11 grid inside the box; the roots at all of them
+come from one ``poly.real_roots_many`` call.  Every (seed, simple root,
 direction +1 or -1) is one lane, and all lanes advance together as one
 (L, 3) RK4 state with a step of fixed length ds in (x, y, p).  A lane
 stops on the first of these tests that fails, and its last step is then
@@ -73,11 +74,10 @@ def net_curves(
     gx, gy = np.meshgrid(xs, ys)
     coeffs = m.table(layer).values_on_grid(gx.ravel(), gy.ravel()).T
 
+    # a seed with a non-finite coefficient has no roots
     seeds = []
-    for (x0, y0), c in zip(zip(gx.ravel(), gy.ravel()), coeffs):
-        if not np.all(np.isfinite(c)):
-            continue
-        for p0, mult in poly.RealPolynomial(c).real_roots():
+    for x0, y0, roots in zip(gx.ravel(), gy.ravel(), poly.real_roots_many(coeffs)):
+        for p0, mult in roots:
             if mult > 1 or abs(p0) > NET_PMAX:
                 continue
             seeds.append((x0, y0, p0))

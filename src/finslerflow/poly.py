@@ -1,9 +1,10 @@
 """Univariate real polynomials with ascending coefficients.
 
 Thin wrapper around numpy.polynomial plus the root-extraction pipeline
-used throughout the package: companion-matrix eigenvalues, a relative
-cutoff on imaginary parts, one Newton polish step, and clustering of
-nearby roots into multiplicities.  Also the degeneracy combination of a
+used throughout the package, on stacks of polynomials: companion-matrix
+eigenvalues (one eigvals call per degree), a relative cutoff on
+imaginary parts, one Newton polish step, and clustering of nearby roots
+into multiplicities.  Also the degeneracy combination of a
 slope polynomial and the discriminants and resultants of the strata.
 """
 
@@ -66,40 +67,90 @@ class RealPolynomial:
         return float(np.max(np.abs(self.coeffs)))
 
     def real_roots(self) -> list[tuple[float, int]]:
-        """Real roots with multiplicities, ascending.
+        """Real roots with multiplicities, ascending (see real_roots_many)."""
+        return real_roots_many(self.coeffs[None])[0]
 
-        Complex companion eigenvalues whose imaginary part exceeds the
-        relative cutoff are discarded; surviving roots get one Newton
-        polish step (skipped where the derivative is tiny, i.e. at
-        multiple roots) and are then clustered into multiplicities.
-        """
-        if self.degree <= 0:
-            return []
-        roots = npoly.polyroots(self.coeffs)
-        radius = float(np.max(np.abs(roots))) if roots.size else 0.0
-        cutoff = IMAG_CUTOFF_REL * radius
-        reals = [float(r.real) for r in roots if abs(r.imag) <= cutoff]
-        if not reals:
-            return []
-        dp = npoly.polyder(self.coeffs)
-        cscale = self.scale()
-        polished = []
-        for r in reals:
-            d = npoly.polyval(r, dp)
-            if abs(d) > 1e-12 * max(cscale, 1.0):
-                r = r - float(npoly.polyval(r, self.coeffs)) / float(d)
-            polished.append(r)
-        polished.sort()
-        clusters: list[tuple[float, int]] = []
-        group = [polished[0]]
-        for r in polished[1:]:
-            if r - group[-1] <= CLUSTER_RADIUS:
-                group.append(r)
+
+def real_roots_many(C) -> list[list[tuple[float, int]]]:
+    """Real roots with multiplicities, ascending, of each row of C.
+
+    Row k holds the ascending coefficients of one polynomial; trailing
+    zeros are trimmed.  Rows of one trimmed degree d >= 2 share one
+    ``np.linalg.eigvals`` call on their stacked companion matrices (each
+    the matrix ``npoly.polycompanion`` builds, its eigenvalues sorted as
+    ``npoly.polyroots`` sorts them); a degree-1 row has the root -c0/c1.
+    Eigenvalues whose imaginary part exceeds the relative cutoff are
+    discarded; surviving roots get one Newton polish step (skipped where
+    the derivative is tiny, i.e. at multiple roots) and are then
+    clustered into multiplicities.  A row of degree below 1, with a
+    non-finite coefficient or with a coefficient quotient c_i/c_d that
+    overflows has no roots.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    out: list[list[tuple[float, int]]] = [[] for _ in range(len(C))]
+    # the last nonzero index, -1 for a zero row
+    deg = ((C != 0) * np.arange(1, C.shape[1] + 1)).max(axis=1) - 1
+    deg[~np.isfinite(C).all(axis=1)] = -1
+    with np.errstate(all="ignore"):
+        for d in sorted(set(deg.tolist()) - {-1, 0}):
+            rows = np.flatnonzero(deg == d)
+            c = C[rows, : d + 1]
+            q = c[:, :-1] / c[:, -1:]
+            # a quotient that overflows would make eigvals raise for the stack
+            fit = np.isfinite(q).all(axis=1)
+            rows, c, q = rows[fit], c[fit], q[fit]
+            if d == 1:
+                roots = (-q).astype(np.complex128)
             else:
-                clusters.append((float(np.mean(group)), len(group)))
-                group = [r]
-        clusters.append((float(np.mean(group)), len(group)))
-        return clusters
+                mats = np.zeros((len(rows), d, d))
+                mats.reshape(len(rows), d * d)[:, d :: d + 1] = 1
+                mats[:, :, -1] -= q
+                roots = np.sort(np.linalg.eigvals(mats), axis=1)
+            cutoff = IMAG_CUTOFF_REL * np.abs(roots).max(axis=1)
+            real = np.abs(roots.imag) <= cutoff[:, None]
+            if not real.any():
+                continue
+            r = roots.real
+            value = _horner(c, r)
+            slope = _horner(c[:, 1:] * np.arange(1, d + 1), r)
+            scale = np.maximum(np.abs(c).max(axis=1), 1.0)
+            r = np.where(np.abs(slope) > 1e-12 * scale[:, None], r - value / slope, r)
+            for k, rk, keep in zip(rows.tolist(), r.tolist(), real.tolist()):
+                polished = sorted(v for v, kept in zip(rk, keep) if kept)
+                if polished:
+                    out[k] = _clusters(polished)
+    return out
+
+
+def _horner(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row k of c, ascending, at each r[k, j], by the operations of
+    npoly.polyval: c[-1] + r*0 first, then c[i] + acc*r.  Called under
+    np.errstate: an overflow gives inf silently."""
+    acc = c[:, -1:] + r * 0
+    for i in range(c.shape[1] - 2, -1, -1):
+        acc = c[:, i : i + 1] + acc * r
+    return acc
+
+
+def _clusters(polished: list[float]) -> list[tuple[float, int]]:
+    """Sorted roots closer than CLUSTER_RADIUS to their predecessor joined
+    into (np.mean of the group, count)."""
+    clusters: list[tuple[float, int]] = []
+    group = [polished[0]]
+    for r in polished[1:]:
+        if r - group[-1] <= CLUSTER_RADIUS:
+            group.append(r)
+        else:
+            clusters.append(_mean(group))
+            group = [r]
+    clusters.append(_mean(group))
+    return clusters
+
+
+def _mean(group: list[float]) -> tuple[float, int]:
+    # np.mean sums from 0.0, so the mean of one root r is 0.0 + r
+    # (-0.0 becomes 0.0)
+    return (0.0 + group[0] if len(group) == 1 else float(np.mean(group))), len(group)
 
 
 def from_roots(roots, leading: float = 1.0) -> RealPolynomial:

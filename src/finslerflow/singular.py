@@ -428,13 +428,40 @@ def _polish_onto(g, pts, cell, target):
 # lifting the locus to the slope and the tangency test
 
 
+def lift_to_slopes(m: PseudoFinslerMetric, xs, ys) -> np.ndarray:
+    """At each point, the denominator root at which the numerator is
+    smallest in magnitude (the first such root, ascending); nan where the
+    denominator has no real root.
+
+    The layers come from one ``values_on_grid`` call each and the roots
+    from one ``poly.real_roots_many`` call.  |numer| is compared as
+    ``min`` compares: a nan at the first root keeps that root, a later
+    nan never wins.
+    """
+    dc = m.table("denom").values_on_grid(xs, ys)
+    nc = m.table("numer").values_on_grid(xs, ys)
+    rows = poly.real_roots_many(dc.T)
+    roots = np.full((len(rows), max([1, *map(len, rows)])), math.nan)
+    for k, rk in enumerate(rows):
+        roots[k, : len(rk)] = [r for r, _ in rk]
+    with np.errstate(all="ignore"):
+        # Horner as npoly.polyval runs it, from the highest coefficient
+        acc = nc[-1][:, None] + roots * 0
+        for c in nc[-2::-1]:
+            acc = c[:, None] + acc * roots
+    size = np.abs(acc)
+    size[np.isnan(size)] = math.inf
+    pick = np.where(np.isnan(acc[:, 0]), 0, np.argmin(size, axis=1))
+    return roots[np.arange(len(rows)), pick]
+
+
 def lift_to_slope(m: PseudoFinslerMetric, x: float, y: float) -> float:
-    """Denominator root at which the numerator is smallest in magnitude."""
-    roots = mt.denom_poly(m, x, y).real_roots()
-    if not roots:
+    """Denominator root at which the numerator is smallest in magnitude;
+    a StratumError where there is none (see lift_to_slopes)."""
+    p = float(lift_to_slopes(m, [x], [y])[0])
+    if math.isnan(p):
         raise StratumError(f"denominator has no real roots at ({x}, {y})")
-    P = mt.numer_poly(m, x, y)
-    return min((r for r, _ in roots), key=lambda r: abs(P(r)))
+    return p
 
 
 def tangency_report(m: PseudoFinslerMetric, x: float, y: float) -> TangencyReport:
@@ -477,16 +504,9 @@ def find_tangency_failures(
     """
     grid_fn = singular_grid_fn(m)
     pts = curve.points
-
-    def lift(x, y):
-        # the traced component may end at the metric boundary, where the
-        # lift loses its real root; such samples cannot carry a tangency
-        try:
-            return lift_to_slope(m, x, y)
-        except StratumError:
-            return math.nan
-
-    ps = np.array([lift(x, y) for x, y in pts.tolist()])
+    # the traced component may end at the metric boundary, where the lift
+    # loses its real root (nan); such samples cannot carry a tangency
+    ps = lift_to_slopes(m, pts[:, 0], pts[:, 1])
 
     def lifted(layer):
         field = lifted_field_function(
@@ -510,7 +530,7 @@ def find_tangency_failures(
         for _ in range(60):
             mid = 0.5 * (a + b)
             mid = _polish_onto(grid_fn, mid[None, :], cell, 0.0)[0]
-            p = lift(*mid)
+            p = float(lift_to_slopes(m, mid[:1], mid[1:])[0])
             vm = _invariant_t(jacobian_at(m, *mid, p), p)
             if not np.isfinite(vm):
                 break

@@ -1,9 +1,10 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step, a point-by-point reference for the SVG paths,
-cell-by-cell references for the grid paths, the pairwise-difference
-expansion of the degeneracy combination, Sylvester determinants for the
-singular locus and a tree-walk reference for the exact series."""
+cell-by-cell references for the grid paths, the one-polynomial-at-a-time
+root pipeline, the pairwise-difference expansion of the degeneracy
+combination, Sylvester determinants for the singular locus and a
+tree-walk reference for the exact series."""
 
 from __future__ import annotations
 
@@ -411,6 +412,45 @@ def pairwise_expansion(roots, leading: float = 1.0) -> poly.RealPolynomial:
             term = (r[i] - r[j]) ** 2 * npoly.polymul(cof, cof)
             acc = npoly.polyadd(acc, term)
     return poly.RealPolynomial(-(leading**2) * acc)
+
+
+# ---------------------------------------------------------------------------
+# one-polynomial-at-a-time reference for the stacked root solve
+
+
+def real_roots_reference(coeffs) -> list[tuple[float, int]]:
+    """Reference: real roots with multiplicities of one polynomial, from
+    npoly.polyroots, the relative cutoff on imaginary parts, one Newton
+    step by npoly.polyval and clustering by np.mean, root by root.  A
+    non-finite coefficient of degree 2 or more is a LinAlgError."""
+    c = poly.RealPolynomial(coeffs).coeffs
+    if c.size <= 1:
+        return []
+    roots = npoly.polyroots(c)
+    radius = float(np.max(np.abs(roots))) if roots.size else 0.0
+    cutoff = poly.IMAG_CUTOFF_REL * radius
+    reals = [float(r.real) for r in roots if abs(r.imag) <= cutoff]
+    if not reals:
+        return []
+    dp = npoly.polyder(c)
+    cscale = float(np.max(np.abs(c)))
+    polished = []
+    for r in reals:
+        d = npoly.polyval(r, dp)
+        if abs(d) > 1e-12 * max(cscale, 1.0):
+            r = r - float(npoly.polyval(r, c)) / float(d)
+        polished.append(r)
+    polished.sort()
+    clusters: list[tuple[float, int]] = []
+    group = [polished[0]]
+    for r in polished[1:]:
+        if r - group[-1] <= poly.CLUSTER_RADIUS:
+            group.append(r)
+        else:
+            clusters.append((float(np.mean(group)), len(group)))
+            group = [r]
+    clusters.append((float(np.mean(group)), len(group)))
+    return clusters
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from finslerflow import cli
 from finslerflow import metric as mt
+from finslerflow import singular as sg
 
 from helpers import max_ode_residual, svg_polyline_paths
 
@@ -464,8 +465,32 @@ class TestCommands:
             assert rc == 0
             assert "verify: OK" in out
             assert "FAIL" not in out
-        # lambda^2 = T at the pair points of the parabola's singular curve
-        assert re.search(r"PASS  singular-identities +max residual .* at 12 classified", out)
+        # tr J = 0 and lambda^2 = T at the 12 pair points of the parabola's
+        # singular curve
+        assert re.search(
+            r"PASS  singular-identities +max residual .*\(tr J = 0 at 12 points, "
+            r"lambda\^2 = T at 12 classified", out
+        )
+
+    def test_singular_identities_fails_a_pick_off_the_trace(self, tmp_path, capsys, monkeypatch):
+        # a pick moved off its root, so tr J != 0; classify_singular calls
+        # such a point Degenerate, and the check must still count it
+        picks = cli._singular_picks
+
+        def with_a_bad_pick(m, c):
+            got = picks(m, c)
+            bad = got[0]
+            return got + [sg.SingularPoint(bad.x, bad.y, bad.p + 0.5, bad.eigenvalues,
+                                           sg.DEGENERATE)]
+
+        monkeypatch.setattr(cli, "_singular_picks", with_a_bad_pick)
+        rc = cli.main(["verify", "--config", write(tmp_path, PARABOLA), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert re.search(
+            r"FAIL  singular-identities +max residual .*\(tr J = 0 at 13 points, "
+            r"lambda\^2 = T at 12 classified", out
+        )
 
     @pytest.mark.parametrize(
         "text, overrides, lines",
@@ -489,9 +514,9 @@ class TestCommands:
         argv = ["verify", "--config", write(tmp_path, text), "--out", str(tmp_path)]
         for ov in overrides:
             argv += ["--seed", ov]
-        with np.errstate(all="ignore"):
-            assert cli.main(argv) == 1
-        out = capsys.readouterr().out
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
         for line in lines:
             assert line in out
 

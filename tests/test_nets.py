@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from finslerflow import metric as mt
-from finslerflow import nets, poly
+from finslerflow import nets
 
-from helpers import halfplane_metric, lifted_field_reference, parabola_metric
+from helpers import (
+    halfplane_metric,
+    lifted_field_reference,
+    parabola_metric,
+    real_roots_reference,
+)
 
 HALFPLANE_BOX = (-1.0, 1.0, -1.0, 1.0)
 PARABOLA_BOX = (-1.5, 1.5, 0.05, 1.5)
@@ -76,7 +81,7 @@ def scalar_net_curves(m, box, layer, seeds_per_axis):
     for y0 in ys:
         for x0 in xs:
             c = tables[0].values_at(x0, y0)
-            for p0, mult in poly.RealPolynomial(c).real_roots():
+            for p0, mult in real_roots_reference(c):
                 if mult > 1 or abs(p0) > nets.NET_PMAX or key_of(x0, y0, p0) in visited:
                     continue
                 fwd = trace_from(x0, y0, p0, +1.0)

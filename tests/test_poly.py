@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from finslerflow import poly
 
-from helpers import resultant, sylvester
+from helpers import real_roots_reference, resultant, sylvester
 
 
 def test_trimming_and_degree():
@@ -47,6 +48,86 @@ def test_real_roots_drop_complex_pairs():
     q2 = poly.RealPolynomial([-1.0, 0.0, 0.0, 0.0, 1.0])  # p^4 - 1
     r = sorted(v for v, _ in q2.real_roots())
     np.testing.assert_allclose(r, [-1.0, 1.0], atol=1e-10)
+
+
+def _random_root_stack(rng, count: int = 600, width: int = 8) -> np.ndarray:
+    """Rows of trimmed degree 0-5 padded with trailing zeros: random
+    coefficients, double roots, conjugate pairs, small integers and
+    all-zero rows."""
+    C = np.zeros((count, width))
+    for row in C:
+        d = int(rng.integers(0, 6))
+        kind = int(rng.integers(0, 5))
+        if kind == 1 and d >= 2:
+            r = rng.normal(size=d - 1)
+            c = npoly.polyfromroots(np.append(r, r[0])) * rng.normal()
+        elif kind == 2 and d >= 2:
+            a, b = rng.normal(size=2)
+            pair = [a * a + b * b, -2.0 * a, 1.0]
+            c = npoly.polymul(pair, npoly.polyfromroots(rng.normal(size=d - 2)))
+        elif kind == 3:
+            c = rng.integers(-3, 4, size=d + 1).astype(float)
+        elif kind == 4 and d == 0:
+            c = [0.0]
+        else:
+            c = rng.normal(size=d + 1)
+        row[: len(c)] = c
+    return C
+
+
+# roots at zero of either sign, double and triple roots
+EDGE_ROWS = [
+    [0.0, 3.0], [0.0, -2.0], [-0.0, 1.0], [0.0, 0.0, 1.0], [1.0, -2.0, 1.0],
+    [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 1.0], [2.0],
+]
+
+
+def _bits(roots):
+    return [(np.float64(r).tobytes(), k) for r, k in roots]
+
+
+def test_real_roots_many_matches_row_by_row_reference():
+    rng = np.random.default_rng(18)
+    C = _random_root_stack(rng)
+    for k, row in enumerate(EDGE_ROWS):
+        C[k * 50, :] = 0.0
+        C[k * 50, : len(row)] = row
+    got = poly.real_roots_many(C)
+    want = [real_roots_reference(c) for c in C]
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+    # every kind of row occurs
+    assert sum(not np.any(c) for c in C) > 5
+    assert sum(k == 2 for roots in got for _, k in roots) > 20
+    degrees = [poly.RealPolynomial(c).degree for c in C]
+    assert sum(len(roots) < d for roots, d in zip(got, degrees)) > 50
+    # the wrapper of one row is the same pipeline
+    assert [_bits(poly.RealPolynomial(c).real_roots()) for c in C[:50]] == [
+        _bits(w) for w in want[:50]
+    ]
+
+
+def test_real_roots_many_non_finite_rows_have_no_roots():
+    # eigvals raises for a stack with a non-finite companion entry; these
+    # rows are dropped first, so their neighbours keep their roots
+    rng = np.random.default_rng(19)
+    C = _random_root_stack(rng, count=60)
+    bad = rng.choice(len(C), 20, replace=False)
+    for k, v in zip(bad, [np.nan, np.inf, -np.inf] * 7):
+        C[k, rng.integers(0, 3)] = v
+    got = poly.real_roots_many(C)
+    for k, (c, roots) in enumerate(zip(C, got)):
+        if k in bad:
+            assert roots == []
+        else:
+            assert _bits(roots) == _bits(real_roots_reference(c))
+    # one row alone, of degree 1 and of degree 2
+    assert poly.real_roots_many([[1.0, np.inf]]) == [[]]
+    assert poly.real_roots_many([[np.nan, 0.0, 1.0]]) == [[]]
+    # c0/c2 overflows, alone and beside a row of the same degree
+    assert poly.real_roots_many([[1e300, 0.0, 1e-300]]) == [[]]
+    got = poly.real_roots_many([[1e300, 0.0, 1e-300], [-1.0, 0.0, 1.0]])
+    assert got == [[], real_roots_reference([-1.0, 0.0, 1.0])]
+    assert poly.real_roots_many(np.zeros((0, 3))) == []
 
 
 def test_disc_quadratic_and_cubic_signs():

@@ -19,7 +19,7 @@ from finslerflow import metric as mt
 from finslerflow import singular as sg
 from finslerflow.poly import RealPolynomial
 
-from helpers import halfplane_metric, parabola_metric, random_metric
+from helpers import halfplane_metric, parabola_metric, random_metric, real_roots_reference
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -363,6 +363,50 @@ class TestLiftAndAdmissible:
             p = sg.lift_to_slope(m, x, y)
             assert abs(mt.denom_poly(m, x, y)(p)) < 1e-9
             assert abs(mt.numer_poly(m, x, y)(p)) < 1e-8
+
+    @staticmethod
+    def lift_reference(m, x, y):
+        """The first root of the row-by-row pipeline with the smallest
+        |numer|, nan where there is none."""
+        roots = real_roots_reference(m.table("denom").values_at(x, y))
+        P = mt.numer_poly(m, x, y)
+        return min((r for r, _ in roots), key=lambda r: abs(P(r)), default=np.nan)
+
+    def check_batched_lift(self, m, pts):
+        got = sg.lift_to_slopes(m, pts[:, 0], pts[:, 1])
+        want = [self.lift_reference(m, x, y) for x, y in pts.tolist()]
+        np.testing.assert_array_equal(got, want)
+        for (x, y), p in zip(pts.tolist(), got.tolist()):
+            if np.isnan(p):
+                with pytest.raises(sg.StratumError):
+                    sg.lift_to_slope(m, x, y)
+            else:
+                assert sg.lift_to_slope(m, x, y) == p
+        return got
+
+    @pytest.mark.parametrize("cfg", ["parabola.cfg", "parabola_neg.cfg"])
+    def test_batched_lift_on_the_singular_curves(self, cfg):
+        config = cli.load_config(str(CONFIGS / cfg))
+        m = config.metric_obj()
+        curves = [
+            c for c in sg.singular_curves(m, config.box, config.resolution)
+            if c.label == "singular"
+        ]
+        assert sum(len(c) for c in curves) > 300
+        for c in curves:
+            got = self.check_batched_lift(m, c.points)
+            assert np.all(np.isfinite(got))
+
+    def test_batched_lift_on_random_cubics(self):
+        rng = np.random.default_rng(18)
+        missing = 0
+        for _ in range(6):
+            m = random_metric(rng, 3)
+            pts = rng.uniform(-1.5, 1.5, (200, 2))
+            got = self.check_batched_lift(m, pts)
+            missing += int(np.isnan(got).sum())
+        # points with and without a real denominator root both occur
+        assert 50 < missing < 1000
 
     def test_lift_requires_real_denominator_root(self):
         m = parabola_metric(1.0)
