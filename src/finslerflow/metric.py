@@ -294,14 +294,19 @@ def classify_point(m: PseudoFinslerMetric, x: float, y: float) -> Stratum:
     direction; inside the band |disc| < 1e-10 * scale^4 the multiple-root
     structure decides between the generic boundary (M01, a double
     direction) and the degenerate one (M00, a triple direction).  Where
-    the coefficients all vanish or one is not finite there is no stratum:
-    that is a DegeneratePointError.
+    the coefficients all vanish, one is not finite or the band overflows
+    there is no stratum: that is a DegeneratePointError.
     """
     if m.degree != 3:
         raise ValueError("classification requires a degree-3 metric")
     c, scale = _checked_coeffs(m, x, y)
     d = poly.disc_cubic(c.tolist())
     band = _disc_band(scale)
+    if not math.isfinite(band):
+        raise DegeneratePointError(
+            f"the discriminant band is not finite at ({x}, {y}): "
+            f"the coefficients reach {scale!r}"
+        )
     if d > band:
         return Stratum.MPlus
     if d < -band:
@@ -317,7 +322,7 @@ def classify_point(m: PseudoFinslerMetric, x: float, y: float) -> Stratum:
         a2 * a1 - 9.0 * a3 * a0,
         a1 * a1 - 3.0 * a2 * a0,
     )
-    if max(abs(h) for h in hess) <= DISC_BAND_REL * scale**2:
+    if max(abs(h) for h in hess) <= DISC_BAND_REL * (scale * scale):
         return Stratum.M00
     return Stratum.M01
 
@@ -333,8 +338,8 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
     Returns (strata, disc) in the shape of X, strata holding the names
     of the Stratum members.  The open strata are decided on the arrays;
     only a point in the band, or one with a non-finite value, goes
-    through classify_point, so a degenerate point or a pole on the grid
-    is a DegeneratePointError.
+    through classify_point, so a degenerate point, a pole or a band that
+    overflows on the grid is a DegeneratePointError.
     """
     if m.degree != 3:
         raise ValueError("classification requires a degree-3 metric")

@@ -5,7 +5,10 @@ used throughout the package, on stacks of polynomials: companion-matrix
 eigenvalues (one eigvals call per degree), a relative cutoff on
 imaginary parts, one Newton polish step, and clustering of nearby roots
 into multiplicities.  Also the degeneracy combination of a
-slope polynomial and the discriminants and resultants of the strata.
+slope polynomial and the discriminants and resultants of the strata:
+resultants over grids in closed form where the first polynomial is
+quadratic (denom of a cubic metric), as Sylvester determinants
+otherwise.
 """
 
 from __future__ import annotations
@@ -202,14 +205,23 @@ def disc_cubic(c):
 
 def resultant_grid(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     """Resultants of coefficient stacks, fc of shape (m+1, ...) and gc of
-    shape (n+1, ...), ascending: Sylvester determinants at the nominal
-    degrees m and n, so families whose leading coefficient vanishes at
-    isolated points stay continuous."""
+    shape (n+1, ...), ascending, at the nominal degrees m and n, so
+    families whose leading coefficient vanishes at isolated points stay
+    continuous: the closed form _resultant_quadratic for m = 2, Sylvester
+    determinants for every other m.  An overflow gives inf or nan
+    silently."""
+    with np.errstate(all="ignore"):
+        if fc.shape[0] == 3:
+            return _resultant_quadratic(fc, gc)
+        return _sylvester_det(fc, gc)
+
+
+def _sylvester_det(fc, gc):
+    """The Sylvester determinants of resultant_grid."""
     m = fc.shape[0] - 1
     n = gc.shape[0] - 1
-    shape = fc.shape[1:]
     size = m + n
-    mats = np.zeros(shape + (size, size))
+    mats = np.zeros(fc.shape[1:] + (size, size))
     for i in range(n):
         for j in range(m + 1):
             mats[..., i, i + m - j] = fc[j]
@@ -217,3 +229,33 @@ def resultant_grid(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
         for j in range(n + 1):
             mats[..., n + i, i + n - j] = gc[j]
     return np.linalg.det(mats)
+
+
+def _resultant_quadratic(dc, nc):
+    """Res(D, N) for D = d0 + d1 p + d2 p^2 and N = sum n_j p^j, j <= K,
+    without division, so d2 = 0 is no special case.
+
+    With r1, r2 the roots of D, Res = d2^K N(r1) N(r2), which expands to
+    sum_j n_j d2^(K-j) (a_j + sum_{i<j} a_i s_(j-i)) with a_i = n_i d0^i
+    and s_k = d2^k (r1^k + r2^k): s_1 = -d1, s_2 = d1^2 - 2 d0 d2 and
+    s_k = -d1 s_(k-1) - d0 d2 s_(k-2).  The outer sum runs by Horner in
+    d2.  The operations take no float constant, so object arrays of
+    symbols give the exact polynomial.
+    """
+    d0, d1, d2 = dc
+    k = nc.shape[0] - 1
+    e = d0 * d2
+    s = [None, -d1, d1 * d1 - (e + e)]
+    for j in range(3, k + 1):
+        s.append(s[1] * s[j - 1] - e * s[j - 2])
+    power, a = 1, [nc[0]]
+    for c in nc[1:]:
+        power = power * d0
+        a.append(c * power)
+    res = nc[0] * a[0]
+    for j in range(1, k + 1):
+        inner = a[j]
+        for i in range(j):
+            inner = inner + a[i] * s[j - i]
+        res = res * d2 + nc[j] * inner
+    return res

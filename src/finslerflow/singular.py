@@ -181,8 +181,7 @@ def resultant_grid_fn(m: PseudoFinslerMetric):
         nc = m.table("numer").values_on_grid(X, Y)
         dfull = np.zeros((max(2 * n - 3, 2),) + X.shape)
         dfull[: dc.shape[0]] = dc
-        with np.errstate(invalid="ignore"):
-            return poly.resultant_grid(dfull, nc)
+        return poly.resultant_grid(dfull, nc)
 
     return fn
 

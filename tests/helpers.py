@@ -476,9 +476,34 @@ def resultant(f, g, deg_f: int | None = None, deg_g: int | None = None) -> float
     return float(np.linalg.det(sylvester(f, g, deg_f, deg_g)))
 
 
+def quadratic_resultant(dc, nc) -> float:
+    """Reference: the resultant of a quadratic (nominal degree 2) and a
+    polynomial of nominal degree len(nc) - 1, in Python floats by the
+    operations of poly.resultant_grid's closed form, in its order."""
+    d0, d1, d2 = (float(v) for v in dc)
+    nc = [float(v) for v in nc]
+    k = len(nc) - 1
+    e = d0 * d2
+    s = [None, -d1, d1 * d1 - (e + e)]
+    for j in range(3, k + 1):
+        s.append(s[1] * s[j - 1] - e * s[j - 2])
+    power, a = 1, [nc[0]]
+    for c in nc[1:]:
+        power = power * d0
+        a.append(c * power)
+    res = nc[0] * a[0]
+    for j in range(1, k + 1):
+        inner = a[j]
+        for i in range(j):
+            inner = inner + a[i] * s[j - i]
+        res = res * d2 + nc[j] * inner
+    return res
+
+
 def resultant_at(m, x, y) -> float:
-    """Reference: the resultant in p of denom and numer at one point, as
-    one Sylvester determinant of the point coefficients."""
+    """Reference: the resultant in p of denom and numer at one point, from
+    the point coefficients: the closed form where denom's nominal degree
+    is 2 (degree 3), otherwise one Sylvester determinant."""
     n = m.degree
     dc = np.zeros(max(2 * n - 3, 2))
     v = m.table("denom").values_at(x, y)
@@ -486,6 +511,8 @@ def resultant_at(m, x, y) -> float:
     nc = np.zeros(2 * n)
     v = m.table("numer").values_at(x, y)
     nc[: v.size] = v
+    if dc.size == 3:
+        return quadratic_resultant(dc, nc)
     return resultant(dc, nc, deg_f=max(2 * n - 4, 1), deg_g=2 * n - 1)
 
 

@@ -248,6 +248,21 @@ class TestCommands:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_overflowing_metric(self, tmp_path, capsys):
+        # a3 = 1e300: the resultant overflows quietly; the discriminant
+        # band overflows, so no grid point has a stratum
+        text = PARABOLA.replace("a2 = 1\n", "a2 = 1\na3 = 1e300\n").replace(
+            "resolution = 140", "resolution = 30"
+        )
+        path = write(tmp_path, text)
+        assert cli.main(["singular", "--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["classify", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("classify: ") and "band is not finite" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*_strata.csv"))
+
     def test_singular_refuses_degree_four(self, tmp_path, capsys):
         text = "mode = coefficients\nn = 4\na0 = y^2 - x\na2 = 1\na4 = 0.3\nresolution = 8\n"
         rc = cli.main(["singular", "--config", write(tmp_path, text),

@@ -203,6 +203,20 @@ class TestStrata:
         with pytest.raises(mt.DegeneratePointError, match="vanish"):
             mt.classify_point(mt.metric_from_strings(3, ["x", "y", "0", "x + y"]), 0.0, 0.0)
 
+    @pytest.mark.parametrize("a3", ["1e300", "1e100"])
+    def test_band_that_overflows_is_a_degenerate_point(self, a3):
+        # scale^4 overflows, so the band holds every discriminant; at
+        # 1e300 scale^2 overflows as well
+        m = mt.metric_from_strings(3, ["y^2 - x", "0", "1", a3])
+        with pytest.raises(mt.DegeneratePointError, match="band is not finite"):
+            mt.classify_point(m, 0.5, 0.5)
+        X, Y = np.meshgrid([0.0, 0.5], [0.5, 1.0])
+        with pytest.raises(mt.DegeneratePointError, match=r"band is not finite at \(0.0, 0.5\)"):
+            mt.strata_on_grid(m, X, Y)
+        # a band that stays finite still classifies: 1e70 (p-1)(p-2)(p-3)
+        m = mt.metric_from_strings(3, ["-6e70", "11e70", "-6e70", "1e70"])
+        assert mt.classify_point(m, 0.5, 0.5) is mt.Stratum.MPlus
+
 
 def test_derived_layers_drop_zero_terms_at_a_pole():
     # dropping a term 0*b changes a value only where b is not finite:

@@ -29,13 +29,13 @@ LISTINGS = {
         8, "385d7a8861ad83ddf0bb785e734d5a7389c3afeba9f8acb9e1bfeb8c25a45185"
     ),
     "parabola": (
-        8, "7f22ef9e1417bf6388585e0143fd3379c7a1279437ff55d0edd89304bac58ed0"
+        8, "03e5122da26aa3d5ce6a8ea93c6367d320a039034c51ceac589165e1b95f5858"
     ),
     "parabola_neg": (
-        8, "322c2d63f13733ebb015c6a53bbbdf792ab2d0f411046421a41e46220aeda3b9"
+        8, "e90ece388e930c6a76c389f917a677ee2263f9986b729f10e60d5f14b8d63dc3"
     ),
 }
-ALL_LISTING = "b23452d2c4d7c68e88da8151d7b33bb8841ef9c9a234e0d3a0a5959bde3101b5"
+ALL_LISTING = "833067188e53cc223b1023d366c46d7d069af4774286cca31a238d1e87d6a6c4"
 
 
 def _sha(text: str) -> str:

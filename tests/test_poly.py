@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import sympy
 from numpy.polynomial import polynomial as npoly
 
 from finslerflow import poly
 
-from helpers import real_roots_reference, resultant, sylvester
+from helpers import quadratic_resultant, real_roots_reference, resultant, sylvester
 
 
 def test_trimming_and_degree():
@@ -195,3 +196,58 @@ def test_resultant_grid_matches_scalar():
     assert grid.shape == (5,)
     for j in range(5):
         assert grid[j] == resultant(fc[:, j], gc[:, j], 3, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_quadratic_resultant_is_exact_on_symbols(k):
+    # the closed form takes no float constant, so on object arrays of
+    # symbols it is the polynomial itself
+    p = sympy.Symbol("p")
+    d = sympy.symbols("d0:3")
+    n = sympy.symbols(f"n0:{k + 1}")
+    got = poly.resultant_grid(np.array(d, dtype=object), np.array(n, dtype=object))
+    want = sympy.resultant(
+        sum(c * p**i for i, c in enumerate(d)), sum(c * p**i for i, c in enumerate(n)), p
+    )
+    assert sympy.expand(got - want) == 0
+
+
+def _abs_terms(dc, nc):
+    """The closed form's sum with every term made positive."""
+    d0, d1, d2 = np.abs(dc)
+    n = np.abs(nc)
+    k = len(n) - 1
+    e = d0 * d2
+    s = [None, d1, d1 * d1 + 2.0 * e]
+    for j in range(3, k + 1):
+        s.append(d1 * s[j - 1] + e * s[j - 2])
+    total = 0.0
+    for j in range(k + 1):
+        inner = n[j] * d0**j + sum(n[i] * d0**i * s[j - i] for i in range(j))
+        total = total + n[j] * d2 ** (k - j) * inner
+    return total
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_quadratic_resultant_matches_sylvester(k):
+    rng = np.random.default_rng(30 + k)
+    cols = 300
+    dc = rng.normal(size=(3, cols)) * 10.0 ** rng.integers(-3, 4, (3, cols))
+    nc = rng.normal(size=(k + 1, cols)) * 10.0 ** rng.integers(-3, 4, (k + 1, cols))
+    # d2 = 0 (D of degree 1 at nominal degree 2) and all-zero columns
+    dc[2, :30] = 0.0
+    dc[:, 30:40] = 0.0
+    nc[:, 35:45] = 0.0
+    got = poly.resultant_grid(dc, nc)
+    want = np.array([resultant(dc[:, j], nc[:, j], 2, k) for j in range(cols)])
+    assert np.all(np.abs(got - want) <= 1e-13 * _abs_terms(dc, nc))
+    assert np.all(got[30:45] == 0.0)
+    # the scalar reference runs the same float operations
+    assert [quadratic_resultant(dc[:, j], nc[:, j]) for j in range(cols)] == got.tolist()
+
+
+def test_resultant_overflow_is_silent():
+    # pytest turns RuntimeWarning into an error
+    big = np.full((3, 2), 1e300)
+    assert not np.any(np.isfinite(poly.resultant_grid(big, np.full((6, 2), 1e300))))
+    assert not np.any(np.isfinite(poly.resultant_grid(np.full((4, 2), 1e300), big)))
