@@ -642,6 +642,12 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
         for c in sg.boundary_curves(m, cfg.box, cfg.resolution):
             canvas.polyline(c.points, "boundary")
             n_curves["boundary"] += 1
+    else:
+        print(
+            "portrait: the singular net and the boundary are left out: "
+            "they need a metric of degree 2 or 3",
+            file=sys.stderr,
+        )
     icfg = cfg.integrator()
     for x, y, p in seeds:
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)
@@ -944,7 +950,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot read config: {err}", file=sys.stderr)
             return 2
         outdir = args.out or os.path.dirname(os.path.abspath(args.config))
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as err:
+            print(f"cannot write output: {err}", file=sys.stderr)
+            return 2
         # the immersion is probed when a command first builds it
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:

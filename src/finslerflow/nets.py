@@ -32,9 +32,12 @@ dropped:
 NaN compares false, so a lane whose new state is not finite fails test 3
 or 4; near a pole of a coefficient the lane stops there.
 
-Each step stores only the points its surviving lanes accepted and their
-visited cells, so the history costs what the lanes actually traced, not
-900 steps for every lane.
+A step's array work does not depend on how many lanes it stops: the lane
+arrays are indexed only on a step where some lane stops, and each step
+keeps its new states by reference, so the history costs what the lanes
+actually traced, not 900 steps for every lane.  The visited cells are
+computed a chunk of steps at a time, and the points are laid out lane by
+lane after the loop.
 
 Curves are then chosen by replaying the seeds in y-major, then x, then
 root order.  Each traced state marks a cell (x, y, arctan p) as visited;
@@ -56,6 +59,8 @@ from .codegen import lifted_field_function
 NET_STEPS = 900
 NET_SEED_AXIS = 11
 NET_PMAX = 40.0
+# steps of lane history turned into points and cells at once
+_CELL_CHUNK = 32
 
 
 def net_curves(
@@ -157,47 +162,72 @@ def _trace_lanes(field, start, sign, ds, lo, hi, cells):
     lane, and the L + 1 bounds of the L lane groups; start states are not
     included.
 
-    Lanes only ever stop, so the lanes accepted at step t are exactly
-    those with more than t accepted steps, in lane order: each step keeps
-    its points and cells, and the lane ids follow from the counts.
+    A step that stops no lane costs a fixed few array operations: the
+    lane arrays are indexed only on a step where some lane stops, and a
+    lane's count is the index of the step that stopped it (NET_STEPS if
+    none did).  Each step keeps its new states and its lane ids by
+    reference; every _CELL_CHUNK steps the kept states become their
+    points and cells in one ``cells`` call, so the history holds (x, y)
+    and a cell per point, not (x, y, p).  Lanes only ever stop, so a lane
+    accepted at step t has more than t steps and its point there goes to
+    row ``bounds[lane] + t``; this lane-major scatter runs after the loop,
+    a chunk at a time, and frees each chunk as it is written.
     """
     lane = np.arange(len(start))
-    counts = np.zeros(len(start), dtype=np.int64)
+    counts = np.full(len(start), NET_STEPS, dtype=np.int64)
     s = start
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    sds = sign * ds
+    # -NET_PMAX <= p <= NET_PMAX is |p| <= NET_PMAX, and false for nan
+    lo3 = np.array([lo[0], lo[1], -NET_PMAX])
+    hi3 = np.array([hi[0], hi[1], NET_PMAX])
+    lanes: list[np.ndarray] = []
+    states: list[np.ndarray] = []
+    chunks: list[tuple[np.ndarray, np.ndarray]] = []
     with np.errstate(all="ignore"):
-        for _ in range(NET_STEPS):
+        for t in range(NET_STEPS):
             if not lane.size:
                 break
             k1 = _lifted(field, s)
             nrm = np.sqrt(np.vecdot(k1, k1))
-            go = ~(nrm < 1e-12)
-            lane, s, sign, k1, nrm = lane[go], s[go], sign[go], k1[go], nrm[go]
-            h = (sign * ds / nrm)[:, None]
+            rest = nrm < 1e-12
+            if rest.any():
+                counts[lane[rest]] = t
+                go = ~rest
+                lane, s, sds, k1, nrm = lane[go], s[go], sds[go], k1[go], nrm[go]
+            h = (sds / nrm)[:, None]
             k2 = _lifted(field, s + 0.5 * h * k1)
             k3 = _lifted(field, s + 0.5 * h * k2)
             k4 = _lifted(field, s + h * k3)
             step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             moved = ~(np.sqrt(np.vecdot(step[:, :2], step[:, :2])) < 1e-10)
             s = s + step
-            x, y, p = s.T
-            keep = (
-                moved
-                & (lo[0] <= x)
-                & (x <= hi[0])
-                & (lo[1] <= y)
-                & (y <= hi[1])
-                & (np.abs(p) <= NET_PMAX)
-            )
-            lane, s, sign = lane[keep], s[keep], sign[keep]
-            counts[lane] += 1
-            steps.append((s[:, :2].copy(), cells(s)))
+            keep = moved & ((lo3 <= s) & (s <= hi3)).all(axis=1)
+            if not keep.all():
+                counts[lane[~keep]] = t
+                lane, s, sds = lane[keep], s[keep], sds[keep]
+            lanes.append(lane)
+            states.append(s)
+            if len(states) == _CELL_CHUNK:
+                chunks.append(_points_and_cells(states, cells))
+                states = []
+    if states:
+        chunks.append(_points_and_cells(states, cells))
 
     bounds = np.concatenate([[0], np.cumsum(counts)])
     xy = np.empty((bounds[-1], 2))
     cell = np.empty(bounds[-1], dtype=np.int32)
-    for t in range(len(steps)):
-        rows = bounds[:-1][counts > t] + t
-        xy[rows], cell[rows] = steps[t]
-        steps[t] = None
+    # popped in step order, so each chunk is freed once it is written
+    chunks.reverse()
+    for t0 in range(0, len(lanes), _CELL_CHUNK):
+        ids = lanes[t0 : t0 + _CELL_CHUNK]
+        rows = bounds[np.concatenate(ids)] + np.repeat(
+            np.arange(t0, t0 + len(ids)), [len(i) for i in ids]
+        )
+        xy[rows], cell[rows] = chunks.pop()
     return xy, cell, bounds
+
+
+def _points_and_cells(states, cells):
+    """The (x, y) rows and the cells of a run of steps' states."""
+    s = np.concatenate(states)
+    return s[:, :2].copy(), cells(s)

@@ -437,8 +437,20 @@ class TestCommands:
         for el in paths:
             coords = el.get("d").replace("M", "").replace("L", "").split()
             assert np.all(np.isfinite(np.array(coords, dtype=float)))
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "isotropic=" in out and "singular=" in out
+        assert err == ""
+
+    def test_portrait_says_what_it_leaves_out(self, tmp_path, capsys):
+        text = "mode = coefficients\nn = 4\na0 = y^2 - x\na2 = 1\na4 = 0.3\nresolution = 8\n"
+        rc = cli.main(["portrait", "--config", write(tmp_path, text),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("portrait: ") and err.count("\n") == 1
+        assert "singular net and the boundary" in err and "degree 2 or 3" in err
+        assert "isotropic=" in out and "singular=" not in out
+        assert (tmp_path / "scenario_portrait.svg").exists()
 
     def test_puiseux_bm_mode(self, tmp_path):
         rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),
@@ -539,6 +551,18 @@ class TestCommands:
         rc = cli.main(["classify", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below_a_file", [False, True])
+    def test_out_that_is_not_a_directory_exits_two(self, tmp_path, capsys, below_a_file):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n", encoding="utf-8")
+        out = blocker / "sub" if below_a_file else blocker
+        rc = cli.main(["classify", "--config", write(tmp_path, HALFPLANE),
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert blocker.read_text(encoding="utf-8") == "a file\n"
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         rc = cli.main(["classify", "--config", write(tmp_path, "mode = nope\n")])

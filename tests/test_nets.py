@@ -106,6 +106,8 @@ CONSTANT = mt.metric_from_strings(2, ["-1", "0", "1"])
         (halfplane_metric(), HALFPLANE_BOX, "denom", 4),
         (MIXED, HALFPLANE_BOX, "F", 2),
         (CONSTANT, HALFPLANE_BOX, "F", 3),
+        # roots are circles about the origin and rays: 8 lanes run all steps
+        (mt.metric_from_strings(2, ["-x*y", "x^2 - y^2", "x*y"]), HALFPLANE_BOX, "F", 2),
     ],
 )
 def test_lockstep_matches_seed_by_seed_reference(metric, box, layer, seeds_per_axis):
@@ -171,3 +173,92 @@ def test_seeds_on_a_pole_are_skipped():
     curves = nets.net_curves(m, HALFPLANE_BOX, "F", seeds_per_axis=5)
     assert curves
     assert all(np.all(np.isfinite(pts)) for pts in curves)
+
+
+# a hand-written lifted field, one behaviour per band of the start slope:
+#   |p| < 0.5        (1, 0, 0): moves in x by ds per step until it leaves the box
+#   0.5 <= p < 1.5   rest
+#   1.5 <= p < 2.5   (1, 0, 0) for x < 0.2, then (0, 0, 1): stalls in the plane
+#   2.5 <= p < 3.5   (-y, x, 0): circles the origin inside the box
+#   p >= 3.5         (1, 0, 10): p passes NET_PMAX
+def _banded_field(x, y, p, out):
+    move = np.abs(p) < 0.5
+    stall = (1.5 <= p) & (p < 2.5)
+    turn = (2.5 <= p) & (p < 3.5)
+    steep = p >= 3.5
+    out[0] = np.where(move | steep | (stall & (x < 0.2)), 1.0, np.where(turn, -y, 0.0))
+    out[1] = np.where(turn, x, 0.0)
+    out[2] = np.where(steep, 10.0, np.where(stall & (x >= 0.2), 1.0, 0.0))
+    return out
+
+
+def _lane_by_itself(field, start, sign, ds, lo, hi):
+    """Reference: one lane traced with Python control flow, step by step."""
+
+    def lifted(s):
+        out = np.empty((3, 1))
+        field(*s[:, None], out)
+        return out[:, 0]
+
+    s, states = np.array(start, dtype=float), []
+    for _ in range(nets.NET_STEPS):
+        k1 = lifted(s)
+        nrm = np.sqrt(np.vecdot(k1, k1))
+        if nrm < 1e-12:
+            break
+        h = sign * ds / nrm
+        k2 = lifted(s + 0.5 * h * k1)
+        k3 = lifted(s + 0.5 * h * k2)
+        k4 = lifted(s + h * k3)
+        step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.sqrt(np.vecdot(step[:2], step[:2])) < 1e-10:
+            break
+        s = s + step
+        x, y, p = s
+        if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and abs(p) <= nets.NET_PMAX):
+            break
+        states.append(s)
+    return np.array(states).reshape(-1, 3)
+
+
+@pytest.mark.parametrize(
+    "lanes, counts",
+    [
+        (
+            [
+                ((0.0, 0.0, 1.0), 1.0),  # at a rest point
+                ((0.0, 0.0, 2.0), 1.0),  # one step, then no progress
+                ((0.0, 0.0, 0.0), 1.0),  # x = 0.25 .. 1.0, then past hi
+                ((0.0, 0.3, 0.0), -1.0),  # x = -0.25, -0.5, then past lo
+                ((0.0, 0.0, 39.0), 1.0),  # p = 39.25 .. 39.99, then past 40
+                ((0.5, 0.0, 3.0), 1.0),  # circles: the step cap
+                ((0.0, 0.3, 3.0), -1.0),
+            ],
+            [0, 1, 4, 2, 4, nets.NET_STEPS, nets.NET_STEPS],
+        ),
+        (
+            [
+                ((0.0, 0.0, 1.0), -1.0),  # at a rest point
+                ((0.3, 0.0, 2.0), 1.0),  # no progress
+                ((1.05, 0.0, 0.0), 1.0),  # first point past hi
+                ((0.0, 0.0, 39.9), 1.0),  # first point past 40
+            ],
+            [0, 0, 0, 0],
+        ),
+    ],
+)
+def test_trace_lanes_bookkeeping_matches_lanes_traced_alone(lanes, counts):
+    box, lo, hi, ds = (-0.5, 1.0, -0.5, 1.0), (-0.6, -0.6), (1.1, 1.1), 0.25
+    cells = nets._CellIndex(box, lo, hi)
+    start = np.array([s for s, _ in lanes])
+    sign = np.array([d for _, d in lanes])
+    xy, cell, bounds = nets._trace_lanes(_banded_field, start, sign, ds, lo, hi, cells)
+
+    alone = [_lane_by_itself(_banded_field, s, d, ds, lo, hi) for s, d in lanes]
+    assert [len(a) for a in alone] == counts
+    np.testing.assert_array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
+    assert xy.shape == (bounds[-1], 2) and cell.shape == (bounds[-1],)
+    for k, a in enumerate(alone):
+        rows = slice(bounds[k], bounds[k + 1])
+        np.testing.assert_array_equal(xy[rows], a[:, :2])
+        np.testing.assert_array_equal(cell[rows], cells(a))
