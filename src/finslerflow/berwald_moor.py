@@ -128,7 +128,9 @@ def double_direction_locus(
     """Zero set of the (i, j) factor Jacobian f_ix*f_jy - f_iy*f_jx.
 
     Indices are zero-based.  On the returned curves the two isotropic
-    directions of the chosen factor pair coincide.
+    directions of the chosen factor pair coincide.  The Jacobian seeds
+    the grid and each sample takes gradient-Newton steps onto its zero
+    set, with the gradient from ``expr.diff`` (trace_implicit_curve).
     """
     if i == j:
         raise ValueError("need two distinct component indices")
@@ -137,13 +139,14 @@ def double_direction_locus(
         ex.mul(ex.diff(fi, "x"), ex.diff(fj, "y")),
         ex.mul(ex.diff(fi, "y"), ex.diff(fj, "x")),
     )
-    table = LayerTable([jac])
-    return trace_implicit_curve(
-        lambda X, Y: table.values_on_grid(X, Y)[0],
-        box,
-        resolution,
-        label="double-direction",
-    )
+    table = LayerTable([jac, ex.diff(jac, "x"), ex.diff(jac, "y")])
+
+    def equations(P):
+        v, *grad = table.values_on_grid(*P)
+        return v[None], np.array([grad])
+
+    return trace_implicit_curve(lambda X, Y: table.values_on_grid(X, Y)[0], equations,
+                                box, resolution, "double-direction")
 
 
 @dataclass(frozen=True)

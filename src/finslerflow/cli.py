@@ -53,6 +53,10 @@ class ConfigError(ValueError):
     """Scenario file rejected; the message carries the offending line."""
 
 
+class OutputError(Exception):
+    """An output file or directory could not be written."""
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
@@ -356,15 +360,25 @@ def _fmt(v: float) -> str:
     return f"{float(v):.12g}"
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path in one write, with no newline translation; the
+    one writer of every output file.  An OSError becomes an OutputError,
+    which main reports in one line with exit status 2."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OutputError(err) from err
+
+
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
     """Write the header and the lines (fields joined by commas), each
-    ended by CRLF, in one write.  Fields are not quoted: every field is a
-    number, a name or a fraction, and a comma in one is a ValueError."""
+    ended by CRLF.  Fields are not quoted: every field is a number, a
+    name or a fraction, and a comma in one is a ValueError."""
     text = "\r\n".join([",".join(header), *lines, ""])
     if text.count(",") != (len(lines) + 1) * (len(header) - 1):
         raise ValueError(f"{path}: a row has a field with a comma or a wrong width")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write(path, text)
 
 
 _SVG_STYLE = {
@@ -554,12 +568,9 @@ def _point_row(x, y, p, kind, eigenvalues, transversal) -> tuple:
 
 def _singular_picks(m: mt.PseudoFinslerMetric, c: sg.CurveSamples) -> list[sg.SingularPoint]:
     """The classified singular points at 12 evenly spaced samples of c."""
-    picked = c.points[np.unique(np.linspace(0, len(c) - 1, 12).astype(int))]
-    ps = sg.lift_to_slopes(m, picked[:, 0], picked[:, 1])
+    picked = np.unique(np.linspace(0, len(c) - 1, 12).astype(int))
     out = []
-    for (x, y), p in zip(picked.tolist(), ps.tolist()):
-        if math.isnan(p):
-            continue
+    for (x, y), p in zip(c.points[picked].tolist(), c.slopes[picked].tolist()):
         try:
             out.append(sg.classify_singular(m, x, y, p))
         except ValueError:
@@ -572,36 +583,16 @@ def _singular_point_rows(m: mt.PseudoFinslerMetric, curves) -> list[tuple]:
     for c in curves:
         if c.label != "singular" or len(c) < 2:
             continue
-        for spt in _singular_picks(m, c):
-            rows.append(
-                _point_row(spt.x, spt.y, spt.p, spt.kind, spt.eigenvalues, spt.transversal)
-            )
-        for x, y in sg.find_tangency_failures(m, c):
-            try:
-                rep = sg.tangency_report(m, x, y)
-            except (ValueError, sg.StratumError):
-                continue
-            rows.append(
-                _point_row(
-                    x, y, rep.p, "TangencyFailure", rep.eigenvalues, rep.transversal
-                )
-            )
+        for pt in _singular_picks(m, c):
+            rows.append(_point_row(pt.x, pt.y, pt.p, pt.kind, pt.eigenvalues, pt.transversal))
+        for x, y, p in sg.find_tangency_failures(m, c):
+            rep = sg.tangency_report(m, x, y, p)
+            rows.append(_point_row(x, y, p, "TangencyFailure", rep.eigenvalues, rep.transversal))
     return rows
 
 
-_POINT_HEADER = [
-    "x",
-    "y",
-    "slope",
-    "kind",
-    "eig1_re",
-    "eig1_im",
-    "eig2_re",
-    "eig2_im",
-    "eig3_re",
-    "eig3_im",
-    "transversal",
-]
+_POINT_HEADER = ["x", "y", "slope", "kind",
+                 *(f"eig{k}_{part}" for k in (1, 2, 3) for part in ("re", "im")), "transversal"]
 
 
 def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
@@ -611,12 +602,8 @@ def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
         return 2
     curves = sg.singular_curves(m, cfg.box, cfg.resolution)
     for i, c in enumerate(curves):
-        path = os.path.join(
-            outdir, f"{cfg.out_prefix}_locus{i:02d}_{c.label}.csv"
-        )
-        _write_csv(
-            path, ["x", "y"], [f"{_fmt(x)},{_fmt(y)}" for x, y in c.points.tolist()]
-        )
+        path = os.path.join(outdir, f"{cfg.out_prefix}_locus{i:02d}_{c.label}.csv")
+        _write_csv(path, ["x", "y"], [f"{_fmt(x)},{_fmt(y)}" for x, y in c.points.tolist()])
         print(f"singular: wrote {path} ({len(c)} points, {c.label})")
     rows = _singular_point_rows(m, curves)
     path = os.path.join(outdir, f"{cfg.out_prefix}_singular_points.csv")
@@ -643,20 +630,15 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
             canvas.polyline(c.points, "boundary")
             n_curves["boundary"] += 1
     else:
-        print(
-            "portrait: the singular net and the boundary are left out: "
-            "they need a metric of degree 2 or 3",
-            file=sys.stderr,
-        )
+        print("portrait: the singular net and the boundary are left out: "
+              "they need a metric of degree 2 or 3", file=sys.stderr)
     icfg = cfg.integrator()
     for x, y, p in seeds:
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)
         canvas.polyline(np.column_stack([trace.x, trace.y]), "geodesic")
         n_curves["geodesic"] += 1
     path = os.path.join(outdir, f"{cfg.out_prefix}_portrait.svg")
-    text = canvas.render(cfg.out_prefix)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write(path, canvas.render(cfg.out_prefix))
     summary = " ".join(f"{k}={n_curves[k]}" for k in sorted(n_curves)) or "empty"
     print(f"portrait: wrote {path} ({summary})")
     return 0
@@ -692,11 +674,8 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     else:
         m = cfg.metric_obj()
         if not cfg.series_seed:
-            print(
-                "puiseux: config needs at least one series_seed entry "
-                "(index value)",
-                file=sys.stderr,
-            )
+            print("puiseux: config needs at least one series_seed entry (index value)",
+                  file=sys.stderr)
             return 2
         seed = dict(cfg.series_seed)
         free = dict(cfg.series_free)
@@ -713,8 +692,7 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     if sol.obstructed:
         print(f"puiseux: series is obstructed at order {sol.obstruction_order}")
     txt_path = os.path.join(outdir, f"{cfg.out_prefix}_series.txt")
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    _write(txt_path, table + "\n")
     csv_path = os.path.join(outdir, f"{cfg.out_prefix}_series.csv")
     _write_csv(csv_path, _SERIES_HEADER, _series_lines(sol))
     print(f"puiseux: wrote {txt_path} and {csv_path}")
@@ -816,7 +794,8 @@ def _check_singular(m, cfg):
             J = sg.jacobian_at(m, spt.x, spt.y, spt.p)
             traces.append(abs(np.trace(J)) / np.linalg.norm(J))
             if spt.kind in (sg.REAL_PAIR, sg.IMAGINARY_PAIR):
-                lam = spt.eigenvalues[0]
+                # an eigensolver of its own, independent of the closed-form spectrum
+                lam = max(np.linalg.eigvals(J), key=abs)
                 pairs.append(abs(lam * lam - sg._invariant_t(J, spt.p)) / np.sum(J * J))
     if not traces:
         return None, "no classified point off Resonant32 on the singular curves"
@@ -953,12 +932,14 @@ def main(argv: list[str] | None = None) -> int:
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as err:
-            print(f"cannot write output: {err}", file=sys.stderr)
-            return 2
+            raise OutputError(err) from err
         # the immersion is probed when a command first builds it
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OutputError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
         return 2
 
 

@@ -80,12 +80,6 @@ class PTMPoint:
         if self.chart not in ("p", "q"):
             raise ValueError(f"chart must be 'p' or 'q', got {self.chart!r}")
 
-    def p_value(self) -> float:
-        """Slope dy/dx, infinite for the vertical direction."""
-        if self.chart == "p":
-            return self.slope
-        return math.inf if self.slope == 0.0 else 1.0 / self.slope
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:

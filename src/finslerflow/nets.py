@@ -83,7 +83,7 @@ def net_curves(
     seeds = []
     for x0, y0, roots in zip(gx.ravel(), gy.ravel(), poly.real_roots_many(coeffs)):
         for p0, mult in roots:
-            if mult > 1 or abs(p0) > NET_PMAX:
+            if mult > 1 or not abs(p0) <= NET_PMAX:
                 continue
             seeds.append((x0, y0, p0))
     if not seeds:

@@ -87,7 +87,8 @@ def real_roots_many(C) -> list[list[tuple[float, int]]]:
     the derivative is tiny, i.e. at multiple roots) and are then
     clustered into multiplicities.  A row of degree below 1, with a
     non-finite coefficient or with a coefficient quotient c_i/c_d that
-    overflows has no roots.
+    overflows has no roots, and a root that is not finite after the
+    Newton step is dropped.
     """
     C = np.asarray(C, dtype=np.float64)
     out: list[list[tuple[float, int]]] = [[] for _ in range(len(C))]
@@ -118,6 +119,7 @@ def real_roots_many(C) -> list[list[tuple[float, int]]]:
             slope = _horner(c[:, 1:] * np.arange(1, d + 1), r)
             scale = np.maximum(np.abs(c).max(axis=1), 1.0)
             r = np.where(np.abs(slope) > 1e-12 * scale[:, None], r - value / slope, r)
+            real &= np.isfinite(r)
             for k, rk, keep in zip(rows.tolist(), r.tolist(), real.tolist()):
                 polished = sorted(v for v, kept in zip(rk, keep) if kept)
                 if polished:

@@ -3,7 +3,8 @@
 A singular point of the projectivized field (D, p D, N), D = denom and
 N = numer, is a triple (x, y, p) with D = N = 0.  Row 2 of the
 linearization J is p * row 1 + (0, 0, D), so J has the eigenvalue 0 and
-sigma_2(J) = -T - D N_y with T = D_p (N_x + p N_y) - N_p (D_x + p D_y).
+sigma_2(J) = -T - D N_y with T = D_p (N_x + p N_y) - N_p (D_x + p D_y);
+the spectrum is 0 and the roots of lambda^2 - (tr J) lambda + sigma_2.
 On the singular curve tr J = D_x + p D_y + N_p vanishes and the other
 two eigenvalues satisfy lambda^2 = T:
 
@@ -16,12 +17,15 @@ two eigenvalues satisfy lambda^2 = T:
 T is (1, p) x t for the projected tangent t = (D_y N_p - D_p N_y,
 D_p N_x - D_x N_p) of the lifted curve, so T = 0 is exactly a tangency.
 
-The singular set over the plane projects to curves: the zero set of the
-resultant of the two polynomials in p over its simple factor disc_F.
+The singular curves {D = N = 0} and the boundary {F = F_p = 0} are
+traced in (x, y, p), seeded by their planar shadows (the zero sets of
+Res_p(D, N) / disc_F and of disc_F) and projected onto them by
+minimum-norm Gauss-Newton steps with exact Jacobian rows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +33,6 @@ import numpy as np
 
 from . import metric as mt
 from . import poly
-from .codegen import lifted_field_function
 from .metric import PseudoFinslerMetric, Stratum
 
 REAL_PAIR = "RealPair"
@@ -54,8 +57,12 @@ class SingularPoint:
 
 @dataclass
 class CurveSamples:
+    """A traced polyline; ``slopes`` holds the p of each point where the
+    curve was traced in (x, y, p)."""
+
     points: np.ndarray
     label: str = ""
+    slopes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -70,8 +77,6 @@ class TangencyReport:
     direction_dot: float
     transversal: bool
     eigenvalues: np.ndarray
-    eigenvalues_nonzero: bool
-    consistent: bool
 
 
 def singular_directions(m: PseudoFinslerMetric, x: float, y: float) -> tuple[float, float]:
@@ -93,33 +98,28 @@ def singular_directions(m: PseudoFinslerMetric, x: float, y: float) -> tuple[flo
 
 
 def jacobian_at(m: PseudoFinslerMetric, x: float, y: float, p: float) -> np.ndarray:
-    """Exact Jacobian of the field (denom, p*denom, numer) at (x, y, p).
-
-    Coefficient partials come from symbolic differentiation; the slope
-    partial is the polynomial derivative.
-    """
-    d = mt.denom_poly(m, x, y)
-    dv = d(p)
-    dp_ = d.deriv()(p)
-    dx_ = m.table("denom_x").poly_value(x, y, p)
-    dy_ = m.table("denom_y").poly_value(x, y, p)
-    npoly_ = mt.numer_poly(m, x, y)
-    px_ = m.table("numer_x").poly_value(x, y, p)
-    py_ = m.table("numer_y").poly_value(x, y, p)
-    pp_ = npoly_.deriv()(p)
-    return np.array(
-        [
-            [dx_, dy_, dp_],
-            [p * dx_, p * dy_, dv + p * dp_],
-            [px_, py_, pp_],
-        ]
-    )
+    """Exact Jacobian of the field (denom, p*denom, numer) at (x, y, p),
+    from the rows (D_x, D_y, D_p) and (N_x, N_y, N_p) of _slope_rows."""
+    r, (d, n) = _slope_rows(m, ("denom", "numer"), np.array([[x], [y], [p]], dtype=float))
+    return np.array([d[:, 0], p * d[:, 0] + [0.0, 0.0, r[0, 0]], n[:, 0]])
 
 
-def _invariant_t(J: np.ndarray, p: float) -> float:
-    """T = D_p (N_x + p N_y) - N_p (D_x + p D_y) from rows 1 and 3 of J."""
-    (dx_, dy_, dp_), _, (nx_, ny_, np_) = J.tolist()
+def _invariant_t(J, p):
+    """T = D_p (N_x + p N_y) - N_p (D_x + p D_y) from the rows (D_x, D_y,
+    D_p) and (N_x, N_y, N_p), rows 1 and 3 of J; floats or arrays."""
+    (dx_, dy_, dp_), (nx_, ny_, np_) = J[0], J[-1]
     return dp_ * (nx_ + p * ny_) - np_ * (dx_ + p * dy_)
+
+
+def _spectrum(J: np.ndarray, p: float, dv: float) -> np.ndarray:
+    """The roots of lambda^2 - (tr J) lambda + sigma_2, sigma_2 = -T - D N_y
+    with D = dv, the one with the sign of tr J (the larger) first, then 0."""
+    tr, s2 = float(np.trace(J)), -_invariant_t(J.tolist(), p) - dv * float(J[2, 1])
+    root = cmath.sqrt(tr * tr - 4.0 * s2)
+    big = 0.5 * (tr + root if tr >= 0 else tr - root)
+    small = big.conjugate() if root.imag else s2 / big if big else 0.0
+    # + 0.0 turns the signed zeros of the complex arithmetic into 0.0
+    return np.array([big, small, 0.0], dtype=np.complex128) + 0.0
 
 
 def classify_singular(
@@ -136,26 +136,20 @@ def classify_singular(
             f"|numer|={abs(pv):.3g}"
         )
     J = jacobian_at(m, x, y, p)
-    eigs = np.linalg.eigvals(J)
+    eigs = _spectrum(J, p, dv)
     norm = float(np.linalg.norm(J))
-    eigs = eigs[np.argsort(-np.abs(eigs))]
     if np.abs(eigs[0]) < 1e-7 * max(norm, 1e-30):
         return SingularPoint(x, y, p, eigs, DEGENERATE)
     l1, l2 = eigs[0], eigs[1]
     kind, transversal = DEGENERATE, None
     if abs(np.trace(J)) <= 1e-6 * norm:
-        t = _invariant_t(J, p)
+        t = _invariant_t(J.tolist(), p)
         if t > 0:
             kind = REAL_PAIR
         elif t < 0:
             kind = IMAGINARY_PAIR
-    elif (
-        abs(l1.imag) < 1e-6 * abs(l1)
-        and abs(l2.imag) < 1e-6 * abs(l2)
-        and abs(l2.real) > 0
-        and abs(abs(l1 / l2) - 1.5) < 1e-4
-        and l1.real * l2.real > 0
-    ):
+    # a conjugate pair has |l1 / l2| = 1, so the 3:2 test keeps real pairs
+    elif abs(l2) > 0 and abs(abs(l1 / l2) - 1.5) < 1e-4 and l1.real * l2.real > 0:
         kind = RESONANT_32
         from .flow import TransversalityError, check_transversality
 
@@ -168,7 +162,7 @@ def classify_singular(
 
 
 # ---------------------------------------------------------------------------
-# the singular locus and its tracing
+# the planar seeds of the loci
 
 
 def resultant_grid_fn(m: PseudoFinslerMetric):
@@ -187,10 +181,11 @@ def resultant_grid_fn(m: PseudoFinslerMetric):
 
 
 def singular_grid_fn(m: PseudoFinslerMetric):
-    """Vectorized (X, Y) -> resultant / disc_F, whose zeros are the
-    singular curves: disc_F divides the resultant exactly once, so the
-    boundary disc_F = 0 drops out (not finite where disc_F is 0 exactly).
-    Degrees 2 and 3; disc_grid_fn raises ValueError otherwise."""
+    """Vectorized (X, Y) -> resultant / disc_F, whose zeros are the planar
+    shadows of the singular curves: disc_F divides the resultant exactly
+    once, so the boundary disc_F = 0 drops out (not finite where disc_F
+    is 0 exactly).  Degrees 2 and 3; disc_grid_fn raises ValueError
+    otherwise."""
     res, disc = resultant_grid_fn(m), disc_grid_fn(m)
 
     def fn(X, Y):
@@ -299,76 +294,160 @@ def _stitch(segs, snap):
         if used[start]:
             continue
         used[start] = True
-        a, b = segs[start]
-        chain = [a, b]
+        chain = list(segs[start])
         for head in (1, 0):
             while True:
                 pt = chain[-1] if head else chain[0]
-                nxt = None
-                for cand in adj.get(key(pt), []):
-                    if not used[cand]:
-                        nxt = cand
-                        break
+                nxt = next((c for c in adj.get(key(pt), []) if not used[c]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
                 ca, cb = segs[nxt]
-                far = cb if key(ca) == key(pt) else ca
-                if head:
-                    chain.append(far)
-                else:
-                    chain.insert(0, far)
+                chain.insert(len(chain) if head else 0, cb if key(ca) == key(pt) else ca)
         lines.append(np.asarray(chain))
     return lines
 
 
-def trace_implicit_curve(
-    g,
-    box: tuple[float, float, float, float],
-    resolution: int = 200,
-    label: str = "",
-    polish: bool = True,
-) -> list[CurveSamples]:
-    """Zero set of g over a box as polished polylines.
+# ---------------------------------------------------------------------------
+# projection onto a locus and tracing
 
-    g(x, y) acts on arrays.  Samples found by marching squares get
-    Newton steps along the gradient; the target residual is 1e-12 of the
-    value scale on the grid.  Returns [] when no crossings exist.
+
+def _project(equations, P: np.ndarray) -> np.ndarray:
+    """Minimum-norm Gauss-Newton steps d = -J^T (J J^T)^-1 r, up to 20,
+    from each column of P onto the zero set of equations, all at once.
+
+    equations(P) gives the residuals r (one or two rows) and the exact
+    Jacobian rows J (equation, coordinate, point); (J J^T)^-1 r is
+    adj(J J^T) r / det(J J^T), so one equation takes the gradient-Newton
+    step -r grad / |grad|^2.  A point stops where r = 0, where det(J J^T)
+    vanishes or is not finite, or after a step below 1e-14 of 1 + the sum
+    of its |coordinates|.
+    """
+    P = np.array(P, dtype=np.float64)
+    live = np.arange(P.shape[1])
+    for _ in range(20):
+        if not live.size:
+            break
+        r, J = equations(P[:, live])
+        with np.errstate(all="ignore"):
+            gram = [[np.sum(a * b, axis=0) for b in J] for a in J]
+            if len(r) == 1:
+                w, det = r, gram[0][0]
+            else:
+                (g00, g01), (g10, g11) = gram
+                det = g00 * g11 - g01 * g10
+                w = [g11 * r[0] - g01 * r[1], g00 * r[1] - g10 * r[0]]
+            step = (np.abs(r).max(axis=0) > 0) & (det != 0) & np.isfinite(det)
+            live, det = live[step], det[step]
+            d = sum(Ji[:, step] * wi[step] for Ji, wi in zip(J, w)) / det
+            P[:, live] -= d
+            size = 1.0 + np.abs(P[:, live]).sum(axis=0)
+            live = live[~(np.hypot.reduce(d, axis=0) < 1e-14 * size)]
+    return P
+
+
+def trace_implicit_curve(
+    g, equations, box, resolution: int = 200, label: str = "", lift=None
+) -> list[CurveSamples]:
+    """The zero set of equations over a box as projected polylines.
+
+    Marching squares finds the zero contour of g(X, Y) on a grid; each
+    polyline is lifted by lift(xs, ys) to rows x, y and, for a curve in
+    (x, y, p), the slope angle arctan p (default: the planar points) and
+    projected (_project).  A polyline splits at each segment whose
+    midpoint the projection moves by more than half the segment's length,
+    as it moves one that joins two branches, and at each point that does
+    not lift or project.
     """
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
-    Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(g(Xg, Yg), dtype=np.float64)
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
-        return []
-    gscale = float(np.max(np.abs(finite))) or 1.0
-    segs = _marching_squares(vals, xs, ys)
-    if not len(segs):
-        return []
+    segs = _marching_squares(np.asarray(g(*np.meshgrid(xs, ys, indexing="ij"))), xs, ys)
     cell = max((x1 - x0) / (resolution - 1), (y1 - y0) / (resolution - 1))
-    lines = _stitch(segs.tolist(), snap=1e-6 * cell)
     out = []
-    for line in lines:
-        if polish:
-            line = _polish_onto(g, line, cell, 1e-12 * gscale)
-        if len(line) >= 2:
-            out.append(CurveSamples(points=line, label=label))
+    for line in _stitch(segs.tolist(), snap=1e-6 * cell):
+        P = _project(equations, line.T if lift is None else lift(*line.T))
+        with np.errstate(all="ignore"):
+            mid = 0.5 * (P[:, :-1] + P[:, 1:])
+            moved = np.hypot.reduce(_project(equations, mid) - mid, axis=0)
+            length = np.hypot.reduce(np.diff(P, axis=1), axis=0)
+            cuts = np.flatnonzero(~((moved <= 0.5 * length) | (length == 0)))
+        for piece in np.split(P, cuts + 1, axis=1):
+            if piece.shape[1] >= 2:
+                slopes = np.tan(piece[2]) if len(piece) > 2 else None
+                out.append(CurveSamples(piece[:2].T, label, slopes))
     out.sort(key=lambda c: (-len(c.points), c.points[0, 0], c.points[0, 1]))
     return out
 
 
-def singular_curves(
-    m: PseudoFinslerMetric,
-    box: tuple[float, float, float, float],
-    resolution: int = 220,
-) -> list[CurveSamples]:
-    """Traced components of the planar singular locus, labeled.
+def _horner_at(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_i c[i] p^i at each point by poly._horner; c[i] is a row."""
+    with np.errstate(all="ignore"):
+        return poly._horner(c.T, p[:, None])[:, 0]
 
-    The slope-carrying singular curves (label "singular") are the zero
-    set of singular_grid_fn; the rest of the locus is the metric
-    boundary, traced from the discriminant zero set (label "boundary").
+
+def _deriv(c: np.ndarray) -> np.ndarray:
+    """The rows of the p-derivative; one zero row for a constant."""
+    return c[1:] * np.arange(1.0, len(c))[:, None] if len(c) > 1 else np.zeros_like(c)
+
+
+def _slope_rows(m: PseudoFinslerMetric, names, P):
+    """(r, J) of the slope polynomials C named by layers ("F_p" is the
+    p-derivative of F) at the columns (x, y, p) of P: r = C and the exact
+    rows J = (C_x, C_y, C_p), from the _x and _y layers and the
+    polynomial derivative."""
+    x, y, p = P
+    r, J, layers = [], [], {}
+    for name in names:
+        base = name.removesuffix("_p")
+        if base not in layers:
+            layers[base] = [m.table(base + s).values_on_grid(x, y) for s in ("", "_x", "_y")]
+        c, cx, cy = layers[base] if base == name else map(_deriv, layers[base])
+        r.append(_horner_at(c, p))
+        J.append([_horner_at(cx, p), _horner_at(cy, p), _horner_at(_deriv(c), p)])
+    return np.array(r), np.array(J)
+
+
+def _slope_equations(m: PseudoFinslerMetric, names):
+    """The equations of _slope_rows on columns (x, y, theta), p = tan theta:
+    the column of theta is C_p (1 + p^2).  In the angle, the minimum-norm
+    step does not trade a large change of a steep slope for a planar move."""
+
+    def equations(P):
+        with np.errstate(all="ignore"):
+            p = np.tan(P[2])
+            r, J = _slope_rows(m, names, np.array([P[0], P[1], p]))
+            J[:, 2] *= 1.0 + p * p
+        return r, J
+
+    return equations
+
+
+def _lift(lead: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """At each column, the real root r of the polynomial with rows lead
+    (one ``poly.real_roots_many`` call) at which the polynomial other is
+    smallest against its terms, |sum c_i r^i| / sum |c_i| |r|^i: the first
+    such root, ascending, as ``min`` picks (a nan ratio at the first root
+    keeps it, a later one never wins); nan where there is no real root."""
+    rows = poly.real_roots_many(lead.T)
+    roots = np.full((len(rows), max([1, *map(len, rows)])), math.nan)
+    for k, rk in enumerate(rows):
+        roots[k, : len(rk)] = [r for r, _ in rk]
+    with np.errstate(all="ignore"):
+        acc = poly._horner(other.T, roots)
+        size = np.abs(acc) / poly._horner(np.abs(other.T), np.abs(roots))
+    size[np.isnan(size)] = math.inf
+    pick = np.where(np.isnan(acc[:, 0]), 0, np.argmin(size, axis=1))
+    return roots[np.arange(len(rows)), pick]
+
+
+def singular_curves(
+    m: PseudoFinslerMetric, box: tuple[float, float, float, float], resolution: int = 220
+) -> list[CurveSamples]:
+    """Traced components of the singular locus, labeled: the singular
+    curves {D = N = 0} in (x, y, p) (label "singular"), seeded by the zero
+    set of singular_grid_fn and lifted by lift_to_slopes, and the metric
+    boundary (boundary_curves).  Each carries its slopes.
 
     For degree 2, denom is -disc_F, constant in p, so no singular point
     lies off the boundary and the boundary is the whole locus.  Degrees
@@ -376,51 +455,26 @@ def singular_curves(
     """
     if m.degree == 2:
         return boundary_curves(m, box, resolution)
-    sing = trace_implicit_curve(singular_grid_fn(m), box, resolution, label="singular")
-    return sing + boundary_curves(m, box, resolution)
+    return trace_implicit_curve(
+        singular_grid_fn(m), _slope_equations(m, ("denom", "numer")), box, resolution,
+        "singular", lambda xs, ys: np.array([xs, ys, np.arctan(lift_to_slopes(m, xs, ys))]),
+    ) + boundary_curves(m, box, resolution)
 
 
 def boundary_curves(
-    m: PseudoFinslerMetric,
-    box: tuple[float, float, float, float],
-    resolution: int = 220,
+    m: PseudoFinslerMetric, box: tuple[float, float, float, float], resolution: int = 220
 ) -> list[CurveSamples]:
-    """Traced components of the metric boundary (disc_F = 0), labeled
-    "boundary"."""
+    """Traced components of the metric boundary {F = F_p = 0} in (x, y, p),
+    labeled "boundary": seeded by the zero set of disc_F and lifted to the
+    root of F_p at which F is smallest (_lift)."""
+
+    def lift(xs, ys):
+        c = m.table("F").values_on_grid(xs, ys)
+        return np.array([xs, ys, np.arctan(_lift(_deriv(c), c))])
+
     return trace_implicit_curve(
-        disc_grid_fn(m), box, resolution, label="boundary"
+        disc_grid_fn(m), _slope_equations(m, ("F", "F_p")), box, resolution, "boundary", lift
     )
-
-
-def _polish_onto(g, pts, cell, target):
-    """Newton steps along the central-difference gradient of g, up to 20
-    per point, all points at once.
-
-    A point stops once |g| <= target, where the gradient vanishes or is
-    not finite, or after a step below 1e-14 of its size.
-    """
-    h = 1e-6 * cell
-    x, y = np.array(pts, dtype=np.float64).T
-    live = np.arange(len(x))
-    for _ in range(20):
-        if not live.size:
-            break
-        xl, yl = x[live], y[live]
-        v = np.asarray(g(xl, yl), dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xs = np.concatenate([xl + h, xl - h, xl, xl])
-            ys = np.concatenate([yl, yl, yl + h, yl - h])
-            xp, xm, yp, ym = np.split(g(xs, ys), 4)
-            gx, gy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
-            g2 = gx * gx + gy * gy
-            step = ~(np.abs(v) <= target) & (g2 != 0) & np.isfinite(g2)
-            live, v, gx, gy, g2 = live[step], v[step], gx[step], gy[step], g2[step]
-            dx, dy = v * gx / g2, v * gy / g2
-        x[live] -= dx
-        y[live] -= dy
-        small = np.hypot(dx, dy) < 1e-14 * (1.0 + np.abs(x[live]) + np.abs(y[live]))
-        live = live[~small]
-    return np.column_stack([x, y])
 
 
 # ---------------------------------------------------------------------------
@@ -429,117 +483,78 @@ def _polish_onto(g, pts, cell, target):
 
 def lift_to_slopes(m: PseudoFinslerMetric, xs, ys) -> np.ndarray:
     """At each point, the denominator root at which the numerator is
-    smallest in magnitude (the first such root, ascending); nan where the
-    denominator has no real root.
-
-    The layers come from one ``values_on_grid`` call each and the roots
-    from one ``poly.real_roots_many`` call.  |numer| is compared as
-    ``min`` compares: a nan at the first root keeps that root, a later
-    nan never wins.
-    """
-    dc = m.table("denom").values_on_grid(xs, ys)
-    nc = m.table("numer").values_on_grid(xs, ys)
-    rows = poly.real_roots_many(dc.T)
-    roots = np.full((len(rows), max([1, *map(len, rows)])), math.nan)
-    for k, rk in enumerate(rows):
-        roots[k, : len(rk)] = [r for r, _ in rk]
-    with np.errstate(all="ignore"):
-        # Horner as npoly.polyval runs it, from the highest coefficient
-        acc = nc[-1][:, None] + roots * 0
-        for c in nc[-2::-1]:
-            acc = c[:, None] + acc * roots
-    size = np.abs(acc)
-    size[np.isnan(size)] = math.inf
-    pick = np.where(np.isnan(acc[:, 0]), 0, np.argmin(size, axis=1))
-    return roots[np.arange(len(rows)), pick]
+    smallest against its terms (_lift); nan where the denominator has no
+    real root.  The layers come from one ``values_on_grid`` call each."""
+    return _lift(*(m.table(name).values_on_grid(xs, ys) for name in ("denom", "numer")))
 
 
 def lift_to_slope(m: PseudoFinslerMetric, x: float, y: float) -> float:
-    """Denominator root at which the numerator is smallest in magnitude;
-    a StratumError where there is none (see lift_to_slopes)."""
+    """Denominator root at which the numerator is smallest relative to
+    its terms; a StratumError where there is none (see lift_to_slopes)."""
     p = float(lift_to_slopes(m, [x], [y])[0])
     if math.isnan(p):
         raise StratumError(f"denominator has no real roots at ({x}, {y})")
     return p
 
 
-def tangency_report(m: PseudoFinslerMetric, x: float, y: float) -> TangencyReport:
-    """Transversality of the singular direction against its own curve.
+def tangency_report(m: PseudoFinslerMetric, x: float, y: float, p: float) -> TangencyReport:
+    """Transversality of the singular direction p at (x, y) against its
+    own curve.
 
     The tangent of the curve is the (x, y) part of grad D x grad N, from
     rows 1 and 3 of the linearization J.  direction_dot is the cosine
     between the field direction (1, p) and the curve normal: T over the
     norms of the tangent and of (1, p).  The point is transversal when
-    the direction is not tangent; this must agree with the two dominant
-    eigenvalues of J being away from zero.
+    the direction is not tangent, where the pair lambda^2 = T of the
+    spectrum is away from zero.
     """
-    p = lift_to_slope(m, x, y)
     J = jacobian_at(m, x, y, p)
     tx, ty, _ = np.cross(J[0], J[2]).tolist()
     tnorm = math.hypot(tx, ty)
     tangent = (tx / tnorm, ty / tnorm) if tnorm > 0 else (0.0, 0.0)
-    dot = _invariant_t(J, p) / (tnorm * math.hypot(1.0, p)) if tnorm > 0 else 0.0
-    transversal = abs(dot) > 1e-6
-    eigs = np.linalg.eigvals(J)
-    eigs = eigs[np.argsort(-np.abs(eigs))]
-    jn = float(np.linalg.norm(J))
-    nonzero = abs(eigs[1]) > 1e-6 * max(jn, 1e-30)
+    dot = _invariant_t(J.tolist(), p) / (tnorm * math.hypot(1.0, p)) if tnorm > 0 else 0.0
     return TangencyReport(
         x=x, y=y, p=p, tangent=tangent, direction_dot=dot,
-        transversal=transversal, eigenvalues=eigs,
-        eigenvalues_nonzero=nonzero, consistent=(transversal == nonzero),
+        transversal=abs(dot) > 1e-6,
+        eigenvalues=_spectrum(J, p, mt.denom_poly(m, x, y)(p)),
     )
 
 
 def find_tangency_failures(
     m: PseudoFinslerMetric, curve: CurveSamples
-) -> list[tuple[float, float]]:
-    """Points along a traced singular curve where transversality fails.
+) -> list[tuple[float, float, float]]:
+    """Points (x, y, p) along a traced singular curve where transversality
+    fails: each sign change of T between two samples, with T from the
+    Jacobian rows of the projection, refined by up to 12 regula falsi
+    probes (the Illinois variant) on the chord in
+    (x, y, arctan p), each projected onto the curve."""
+    equations = _slope_equations(m, ("denom", "numer"))
 
-    Scans T for sign changes over all samples at once, from the lifted
-    fields (C_p, p C_p, -(C_x + p C_y)) of C = D and C = N, and refines
-    each by bisection on the pointwise T (with Newton re-projection onto
-    the curve at every probe).
-    """
-    grid_fn = singular_grid_fn(m)
-    pts = curve.points
-    # the traced component may end at the metric boundary, where the lift
-    # loses its real root (nan); such samples cannot carry a tangency
-    ps = lift_to_slopes(m, pts[:, 0], pts[:, 1])
+    def t_at(P):  # T (1 + p^2), which has the sign of T
+        with np.errstate(all="ignore"):
+            return _invariant_t(equations(P)[1], np.tan(P[2]))
 
-    def lifted(layer):
-        field = lifted_field_function(
-            *(m.table(name).exprs for name in (layer, layer + "_x", layer + "_y"))
-        )
-        return field(pts[:, 0], pts[:, 1], ps, np.empty((3, len(pts))))
-
-    with np.errstate(all="ignore"):
-        ld, ln = lifted("denom"), lifted("numer")
-        vals = (ln[0] * ld[2] - ld[0] * ln[2]).tolist()
-    cell = max(
-        float(np.max(np.abs(np.diff(pts[:, 0])))),
-        float(np.max(np.abs(np.diff(pts[:, 1])))),
-    )
+    P = np.vstack([curve.points.T, np.arctan(curve.slopes)])
+    vals = t_at(P).tolist()
     found = []
-    for i in range(len(pts) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if not (np.isfinite(va) and np.isfinite(vb)) or va * vb > 0:
+    for i in range(P.shape[1] - 1):
+        a, b, ta, tb = P[:, i], P[:, i + 1], vals[i], vals[i + 1]
+        if not (math.isfinite(ta) and math.isfinite(tb)) or ta * tb > 0:
             continue
-        a, b = pts[i], pts[i + 1]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            mid = _polish_onto(grid_fn, mid[None, :], cell, 0.0)[0]
-            p = float(lift_to_slopes(m, mid[:1], mid[1:])[0])
-            vm = _invariant_t(jacobian_at(m, *mid, p), p)
-            if not np.isfinite(vm):
+        c, tc, kept = a, ta, 0
+        for _ in range(12):
+            if tc == 0 or ta == tb:
                 break
-            if (vm > 0) == (va > 0):
-                a = mid
+            c = _project(equations, (a + ta / (ta - tb) * (b - a))[:, None])[:, 0]
+            tc = float(t_at(c[:, None])[0])
+            if not math.isfinite(tc):
+                break
+            # Illinois: halve the value at an end kept twice running
+            if (tc > 0) == (ta > 0):
+                a, ta, tb, kept = c, tc, tb * (0.5 if kept < 0 else 1.0), -1
             else:
-                b = mid
-            if np.hypot(*(b - a)) < 1e-9:
-                break
-        found.append((float(mid[0]), float(mid[1])))
+                b, tb, ta, kept = c, tc, ta * (0.5 if kept > 0 else 1.0), 1
+        found.append((float(c[0]), float(c[1]), math.tan(c[2])))
     return found
 
 

@@ -1,7 +1,8 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step, a point-by-point reference for the SVG paths,
-cell-by-cell references for the grid paths, the one-polynomial-at-a-time
+cell-by-cell references for the grid paths, a point-by-point reference
+for the projection onto the loci, the one-polynomial-at-a-time
 root pipeline, the pairwise-difference expansion of the degeneracy
 combination, Sylvester determinants for the singular locus and a
 tree-walk reference for the exact series."""
@@ -356,28 +357,74 @@ def cell_marching_squares(vals, xs, ys) -> np.ndarray:
     return np.array(segs, dtype=np.float64).reshape(-1, 2, 2)
 
 
-def point_polish(fn, pts, cell, target) -> np.ndarray:
-    """Reference: Newton steps along the central-difference gradient of
-    the scalar function fn, one point at a time."""
-    h = 1e-6 * cell
+def _point_horner(c, p: float) -> float:
+    """sum_i c[i] p^i by the operations of poly._horner."""
+    acc = c[-1] + p * 0
+    for a in c[-2::-1]:
+        acc = a + acc * p
+    return acc
+
+
+def _point_deriv(c):
+    return [0.0] if len(c) == 1 else [a * float(i) for i, a in enumerate(c) if i]
+
+
+def slope_residual(m, names):
+    """Reference: (x, y, theta) -> (r, J) of singular._slope_equations at
+    one point, from ``values_at`` and Python floats."""
+
+    def residual(u):
+        x, y, theta = u
+        p = float(np.tan(np.array([theta]))[0])
+        r, J = [], []
+        for name in names:
+            base = name.removesuffix("_p")
+            c, cx, cy = (m.table(base + s).values_at(x, y).tolist() for s in ("", "_x", "_y"))
+            if base != name:
+                c, cx, cy = _point_deriv(c), _point_deriv(cx), _point_deriv(cy)
+            r.append(_point_horner(c, p))
+            cp = _point_horner(_point_deriv(c), p) * (1.0 + p * p)
+            J.append([_point_horner(cx, p), _point_horner(cy, p), cp])
+        return r, J
+
+    return residual
+
+
+def point_project(residual, pts) -> np.ndarray:
+    """Reference: minimum-norm Gauss-Newton steps d = -J^T (J J^T)^-1 r
+    onto residual(u) = (r, J) = 0, one point (a row of pts) at a time in
+    Python floats, with the stop rules of singular._project."""
     out = []
-    for x, y in pts:
+    for u in np.asarray(pts, dtype=np.float64).tolist():
         for _ in range(20):
-            v = float(fn(x, y))
-            if abs(v) <= target:
+            r, J = residual(u)
+            gram = [[_dot(a, b) for b in J] for a in J]
+            if len(r) == 1:
+                w, det = r, gram[0][0]
+            else:
+                (g00, g01), (g10, g11) = gram
+                det = g00 * g11 - g01 * g10
+                w = [g11 * r[0] - g01 * r[1], g00 * r[1] - g10 * r[0]]
+            if not (max(abs(v) for v in r) > 0 and det != 0 and math.isfinite(det)):
                 break
-            gx = (float(fn(x + h, y)) - float(fn(x - h, y))) / (2 * h)
-            gy = (float(fn(x, y + h)) - float(fn(x, y - h))) / (2 * h)
-            g2 = gx * gx + gy * gy
-            if g2 == 0 or not math.isfinite(g2):
+            d = [_dot([Ji[k] for Ji in J], w) / det for k in range(len(u))]
+            u = [a - b for a, b in zip(u, d)]
+            size = 1.0 + _dot([abs(a) for a in u], [1.0] * len(u))
+            step = d[0]
+            for dk in d[1:]:
+                step = float(np.hypot(step, dk))
+            if step < 1e-14 * size:
                 break
-            dx, dy = v * gx / g2, v * gy / g2
-            x -= dx
-            y -= dy
-            if math.hypot(dx, dy) < 1e-14 * (1.0 + abs(x) + abs(y)):
-                break
-        out.append((x, y))
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
+        out.append(u)
+    return np.array(out, dtype=np.float64)
+
+
+def _dot(a, b) -> float:
+    """sum_k a[k] b[k], left to right from the first product."""
+    acc = a[0] * b[0]
+    for ak, bk in zip(a[1:], b[1:]):
+        acc = acc + ak * bk
+    return acc
 
 
 def cell_strata_rows(m, xs, ys) -> list[tuple]:

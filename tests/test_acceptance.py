@@ -149,7 +149,10 @@ def test_criterion_05_singular_curve_geometry():
     fails = sg.find_tangency_failures(m, sing)
     ystar = (48.0 * alpha**3) ** -0.25
     loc_ok = len(fails) == 1 and abs(fails[0][0]) < 1e-5 and abs(fails[0][1] - ystar) < 1e-5
-    stated = sg.tangency_report(m, (47.0 / 48.0) / np.sqrt(alpha), 1.0)
+    # the located point is a tangency by the report's own test
+    loc_ok = loc_ok and not sg.tangency_report(m, *fails[0]).transversal
+    sx = (47.0 / 48.0) / np.sqrt(alpha)
+    stated = sg.tangency_report(m, sx, 1.0, sg.lift_to_slope(m, sx, 1.0))
     report(
         5,
         worst_curve < 1e-5 and loc_ok and stated.transversal,

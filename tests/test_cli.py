@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import types
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -62,6 +63,31 @@ alpha = 0.8
 series_order = 12
 resolution = 60
 out_prefix = bm
+"""
+
+# two branches of the singular set, p = -1.532 and p = 1.554, project onto
+# one point (-1.26479, -0.06245) of the plane
+CROSSING = """\
+mode = coefficients
+n = 3
+a0 = 0
+a1 = 2.7
+a2 = 0.2*x^3*y
+a3 = -2*y - x^3*y - 0.3*x
+box = -1.543 -0.543 -0.3 0.2
+out_prefix = cross
+"""
+
+# the companion root of F near -1.83e300 overflows the Newton step
+HUGE_ROOT = """\
+mode = coefficients
+n = 3
+a0 = -0.3*x^3*y
+a1 = x^3*y
+a2 = 1e300*x
+a3 = 1
+box = -1.955 -1.455 -0.701 2.299
+out_prefix = huge
 """
 
 
@@ -407,6 +433,7 @@ class TestCommands:
         fail = [r for r in rows if r[3] == "TangencyFailure"][0]
         assert abs(float(fail[0])) < 1e-5
         assert float(fail[1]) == pytest.approx(48.0 ** -0.25, abs=1e-5)
+        assert fail[-1] == "False"
         locus = sorted(tmp_path.glob("par_locus*_singular.csv"))
         assert locus
         _, pts = read_csv(locus[0])
@@ -415,6 +442,48 @@ class TestCommands:
         keep = ys > 0.2
         want = ys[keep] ** 2 - 1.0 / (48.0 * ys[keep] ** 2)
         np.testing.assert_allclose(xs[keep], want, atol=1e-5)
+
+    def test_singular_keeps_crossing_branches_apart(self, tmp_path, capsys):
+        rc = cli.main(["singular", "--config", write(tmp_path, CROSSING),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "cross_singular_points.csv")
+        assert rows and "TangencyFailure" not in {r[3] for r in rows}
+        cfg = cli.load_config(write(tmp_path, CROSSING))
+        sing = [c for c in sg.singular_curves(cfg.metric_obj(), cfg.box, cfg.resolution)
+                if c.label == "singular"]
+        near = []
+        for c in sing:
+            # one branch per component: the slope moves by less than 0.05 a step
+            assert np.abs(np.diff(c.slopes)).max() < 0.05
+            d = np.hypot(c.points[:, 0] + 1.26479, c.points[:, 1] + 0.06245)
+            if d.min() < 0.01:
+                near.append(float(c.slopes[np.argmin(d)]))
+        assert len(near) == 4
+        assert sorted(round(p, 1) for p in near) == [-1.5, -1.5, 1.6, 1.6]
+
+    def test_portrait_with_an_overflowing_root(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["portrait", "--config", write(tmp_path, HUGE_ROOT),
+                           "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "huge_portrait.svg").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, name",
+        [("portrait", HALFPLANE, "hp_portrait.svg"),
+         ("classify", HALFPLANE, "hp_strata.csv"),
+         ("puiseux", TANGENCY, "bm_series.txt")],
+        ids=["svg", "csv", "txt"],
+    )
+    def test_unwritable_output_file_exits_two(self, tmp_path, capsys, command, text, name):
+        (tmp_path / name).mkdir()
+        rc = cli.main([command, "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert name in err
 
     def test_portrait_deterministic(self, tmp_path):
         path = write(tmp_path, HALFPLANE)

@@ -1,6 +1,6 @@
 """The grid paths of the locus commands against cell-by-cell and
 point-by-point references (tests/helpers.py): marching squares, the
-Newton polish and the classify raster must agree exactly."""
+projection onto the loci and the classify raster must agree exactly."""
 
 from __future__ import annotations
 
@@ -18,10 +18,11 @@ from helpers import (
     cell_marching_squares,
     cell_strata_rows,
     halfplane_metric,
-    point_polish,
+    point_project,
     random_poly_text,
     resultant_at,
     singular_at,
+    slope_residual,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -62,10 +63,25 @@ def locus_functions(m):
     ]
 
 
-def assert_polish_agrees(g, scalar, pts, cell, target):
-    got = sg._polish_onto(g, pts, cell, target)
-    want = point_polish(scalar, pts, cell, target)
-    assert np.array_equal(got, want, equal_nan=True)
+# the equations of the singular curves and of the boundary
+LOCI = {"singular": ("denom", "numer"), "disc": ("F", "F_p")}
+
+
+def lifted(m, what, pts):
+    """Planar points lifted as the traces lift them: (x, y, arctan p)."""
+    xs, ys = pts[:, 0], pts[:, 1]
+    if what == "singular":
+        p = sg.lift_to_slopes(m, xs, ys)
+    else:
+        c = m.table("F").values_on_grid(xs, ys)
+        p = sg._lift(sg._deriv(c), c)
+    return np.array([xs, ys, np.arctan(p)])
+
+
+def assert_projection_agrees(m, what, P):
+    got = sg._project(sg._slope_equations(m, LOCI[what]), P)
+    want = point_project(slope_residual(m, LOCI[what]), P.T)
+    assert np.array_equal(got.T, want, equal_nan=True), what
 
 
 @pytest.mark.parametrize("name", LOCUS_CONFIGS)
@@ -80,9 +96,9 @@ def test_configs_match_references(name):
         # F = p^2 - x has R / disc_F = -384, which has no zero
         assert (len(segs) > 0) != (name == "halfplane" and what == "singular"), what
         assert np.array_equal(segs, cell_marching_squares(vals, xs, ys)), what
-        target = 1e-12 * float(np.max(np.abs(vals[np.isfinite(vals)])))
-        for line in sg._stitch(segs.tolist(), snap=1e-6 * cell):
-            assert_polish_agrees(g, scalar, line, cell, target)
+        if what in LOCI:
+            for line in sg._stitch(segs.tolist(), snap=1e-6 * cell):
+                assert_projection_agrees(m, what, lifted(m, what, line))
 
 
 @pytest.mark.parametrize("name", LOCUS_CONFIGS)
@@ -105,16 +121,18 @@ def test_random_metrics_match_references(seed):
     m = random_cubic(rng, pole=seed % 2 == 1)
     box = (-1.0, 1.0, -1.0, 1.0)
     xs, ys, X, Y = grid(box, 41)
-    cell = float(xs[1] - xs[0])
     for what, g, scalar in locus_functions(m):
         vals = g(X, Y)
         if seed % 2:
             assert not np.all(np.isfinite(vals)), what
         segs = sg._marching_squares(vals, xs, ys)
         assert np.array_equal(segs, cell_marching_squares(vals, xs, ys)), what
-        starts = np.concatenate([segs.reshape(-1, 2), rng.uniform(-1, 1, (20, 2))])
-        assert_polish_agrees(g, scalar, starts, cell, 1e-12)
-        assert_polish_agrees(g, scalar, starts[:10], cell, 0.0)
+        if what in LOCI:
+            starts = np.concatenate([segs.reshape(-1, 2), rng.uniform(-1, 1, (20, 2))])
+            P = lifted(m, what, starts)
+            # points that do not lift start from a random slope angle
+            P[2, np.isnan(P[2])] = rng.uniform(-1.5, 1.5, np.isnan(P[2]).sum())
+            assert_projection_agrees(m, what, P)
     if seed % 2:
         # a pole on the grid has no stratum: both refuse its first cell
         with pytest.raises(mt.DegeneratePointError, match="not finite") as got:
@@ -166,3 +184,27 @@ def test_band_cells_go_through_classify_point():
     assert [(st, cli._fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
         r[2:] for r in cell_strata_rows(m, xs, ys)
     ]
+
+
+def test_one_equation_step_is_the_gradient_newton_step():
+    # one step of the projection on g = 0 in the plane: the equations
+    # report g = 0 on the second call, which stops every point
+    rng = np.random.default_rng(21)
+    P = rng.uniform(-1.0, 1.0, (2, 200))
+    calls = []
+
+    def equations(Q):
+        x, y = Q
+        v = x * x * x - 2.0 * x * y + y * y - 0.3
+        calls.append(len(x))
+        if len(calls) > 1:
+            v = 0.0 * v
+        return v[None], np.array([[3.0 * x * x - 2.0 * y, 2.0 * y - 2.0 * x]])
+
+    got = sg._project(equations, P)
+    x, y = P
+    v = x * x * x - 2.0 * x * y + y * y - 0.3
+    gx, gy = 3.0 * x * x - 2.0 * y, 2.0 * y - 2.0 * x
+    g2 = gx * gx + gy * gy
+    assert calls == [200, 200]
+    assert np.array_equal(got, [x - v * gx / g2, y - v * gy / g2])

@@ -1,11 +1,9 @@
 """Every file the commands write on the shipped configs, pinned by hash.
 
-Each config's files are listed as ``sha256sum`` prints them
-(``<hash>  ./<config stem>/<file>``, sorted by path), and the SHA-256 of
-the listing is pinned, per config and for all four together; the latter
-is what ``find . -type f | sort | xargs sha256sum | sha256sum`` prints
-in the output directory.  A change that moves an output must say why
-and update the hashes here.
+Each file's SHA-256 (what ``sha256sum`` prints for it) is pinned under
+its config, so a failing pin names the files that moved, and any changed
+byte fails.  A change that moves an output must say why and update the
+hashes here.
 """
 
 from __future__ import annotations
@@ -20,33 +18,94 @@ from finslerflow import cli
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 COMMANDS = ("classify", "integrate", "singular", "portrait", "puiseux", "verify")
 
-# config stem -> (number of files, SHA-256 of its listing)
-LISTINGS = {
-    "berwald_moor_tangency": (
-        11, "6e2daa4440fb4193f3e1d9d5cb2d6f47f1d33d4c6bacae8af4c5b59a3966dedb"
-    ),
-    "halfplane": (
-        8, "385d7a8861ad83ddf0bb785e734d5a7389c3afeba9f8acb9e1bfeb8c25a45185"
-    ),
-    "parabola": (
-        8, "03e5122da26aa3d5ce6a8ea93c6367d320a039034c51ceac589165e1b95f5858"
-    ),
-    "parabola_neg": (
-        8, "e90ece388e930c6a76c389f917a677ee2263f9986b729f10e60d5f14b8d63dc3"
-    ),
+# config stem -> {file name: SHA-256}
+HASHES = {
+    "berwald_moor_tangency": {
+        "berwald_moor_family00.csv":
+            "33a96443bfdeaa4e0f9a41a6a3fa453a925829b010be45b8d73777aac1992125",
+        "berwald_moor_family01.csv":
+            "ddebe094333aba00c8ae9aa3748c3c76c6d50a221341288ea55468733edf6a48",
+        "berwald_moor_family02.csv":
+            "09ed3c64c46ce00429bc2647ee368fba9265fbe7fff61bbeec29d409a5d9a729",
+        "berwald_moor_family03.csv":
+            "6fa34d300e70ae0c7281ed1323174c63d856b0b7e02028ca47f20b6a848d3bd8",
+        "berwald_moor_portrait.svg":
+            "0a636ef3ef4e800bfbaacfd1c2b3a9ea666c5de6990b88140fa6db7b0951e799",
+        "berwald_moor_series.csv":
+            "833f56550a1070f77650d88d52f7e6742f5c23f705b73eb1b5561a8e1409bdd3",
+        "berwald_moor_series.txt":
+            "67c5b4ad8cc5051c13b1df32bfe56ef72ffb6471d69de77bacfd833063216fac",
+        "berwald_moor_singular_points.csv":
+            "83a84c95e1c3a6fa87d1059bbe01c7165ed76d70a144cd6d93aa023c21e717ad",
+        "berwald_moor_strata.csv":
+            "d84b0664c44be0bdd737b62c5dbfb0c7a5cd2e40be91bf28adcb3e599328baba",
+        "berwald_moor_trace00.csv":
+            "b9cce73dda0bbb69079f5bd74d441fa56c8676679126264269a80894d32e0104",
+        "berwald_moor_trace01.csv":
+            "50a4609c4563c92cd8f8cf3b4cff687c8a89fa008fd106176c445d883db20bb3",
+    },
+    "halfplane": {
+        "halfplane_locus00_boundary.csv":
+            "5fed0f1f2f665954afc718b9dd8791189b4d407440505077588c457843bc1906",
+        "halfplane_portrait.svg":
+            "2630d58ee82646e948c7633b1d8d97786a75a8b762d547b3aee7c65aa7122c5f",
+        "halfplane_singular_points.csv":
+            "83a84c95e1c3a6fa87d1059bbe01c7165ed76d70a144cd6d93aa023c21e717ad",
+        "halfplane_strata.csv":
+            "216103dc4ddff85ee433dac7e93309be3f72574caf27432f08989f9b59d47ac5",
+        "halfplane_trace00.csv":
+            "adcc9a6e3a3170beb787179d70801a9027a56555ed29b39ccc49198bd607c747",
+        "halfplane_trace01.csv":
+            "03ceaef66f18ecb2dc5cb6497f4ad87728cf94ab544086ab9ce0acc84c3309f9",
+        "halfplane_trace02.csv":
+            "56d6a96835583c6f2ce2bfee6330a2d1bcf609dc74b6940c4181cf1c453561a5",
+        "halfplane_trace03.csv":
+            "ade095e0e717035d8c6291f7ed8b59d7cdba44f2a7e77bc00e580a59622de485",
+    },
+    "parabola": {
+        "parabola_locus00_singular.csv":
+            "d312d3f2cb73baae880f93b30c6fc2a704d7a8381463cf3f4b263df825c649aa",
+        "parabola_locus01_boundary.csv":
+            "05535fd1e18133edd573cd88e10638b901d03eefe8b6591e2b3732333e0b6782",
+        "parabola_portrait.svg":
+            "92f8f5a062a1a2f4dd515897f54b8f9f34a25e491ae16f94cf2f0dddfe673b54",
+        "parabola_singular_points.csv":
+            "85541d168fb392a8cea0008676e8eed67a198c3b185e3b32963cb30edf2b219e",
+        "parabola_strata.csv":
+            "4b3db0ec0fe1faa6962b136ee94922ad43cb6da4bfa6fe7cb0efc436a9d4760e",
+        "parabola_trace00.csv":
+            "de375c9ceca5e8024fc9538316e7e854553b4a58be1d2e19ad42b481ae1b0806",
+        "parabola_trace01.csv":
+            "2d76389d55aae2416f5fcb78a36418a9eb0357bb668e6627036d3612c7b8d79e",
+        "parabola_trace02.csv":
+            "b7b706c394e7e1aa1e6abeffbe0e29fb36a46b413a44b549a1f808d2ea24e50c",
+    },
+    "parabola_neg": {
+        "parabola_neg_locus00_singular.csv":
+            "26ea0c0fe03f1542d10580a2dba1f1ffcac650a57080c55670a32894661fc72a",
+        "parabola_neg_locus01_boundary.csv":
+            "488e4d1784d0b77932b9ae2738599173ce6117b3fc2edd5da932d6192bf3a7a3",
+        "parabola_neg_portrait.svg":
+            "66d9eef85865f671cd1fbbfaf2bb7a01c68b91d527483f36b31732c39ba3f46e",
+        "parabola_neg_singular_points.csv":
+            "b11d0ad7dd63df0a12d2e8cbfd263bd636ebcbe0d31acca3a297d2d404733cd2",
+        "parabola_neg_strata.csv":
+            "8e8523210c6e79689439103b913d27283d3073a3a2eff96cb9655074511f466c",
+        "parabola_neg_trace00.csv":
+            "0fb4261146951d66fad0277853a0732d2cf77e88cad10ccd94ba62c28dc96b45",
+        "parabola_neg_trace01.csv":
+            "84314268b2d6e833bf214d060e5f6219f1ac081aa3a56028119fcd831bb536dd",
+        "parabola_neg_trace02.csv":
+            "f1138e7fdded45d5f69c1441036fac5cdee5f2eccda2257adc42e4d569202784",
+    },
 }
-ALL_LISTING = "833067188e53cc223b1023d366c46d7d069af4774286cca31a238d1e87d6a6c4"
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """(listing lines, exit codes) per config stem."""
+    """({file name: SHA-256}, exit codes) per config stem."""
     root = tmp_path_factory.mktemp("outputs")
-    listings, codes = {}, {}
+    hashes, codes = {}, {}
     for cfg in sorted(CONFIGS.glob("*.cfg")):
         out = root / cfg.stem
         out.mkdir()
@@ -54,32 +113,30 @@ def outputs(tmp_path_factory):
             cmd: cli.main([cmd, "--config", str(cfg), "--out", str(out)])
             for cmd in COMMANDS
         }
-        listings[cfg.stem] = [
-            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
-            f"./{p.relative_to(root).as_posix()}\n"
-            for p in sorted(out.rglob("*"), key=lambda p: p.as_posix())
+        hashes[cfg.stem] = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*")
             if p.is_file()
-        ]
-    return listings, codes
+        }
+    return hashes, codes
 
 
-@pytest.mark.parametrize("stem", sorted(LISTINGS))
+@pytest.mark.parametrize("stem", sorted(HASHES))
 def test_config_outputs(outputs, stem):
-    listings, codes = outputs
+    hashes, codes = outputs
     # puiseux needs series_seed in coefficients mode and exits 2
     want_rc = {cmd: 0 for cmd in COMMANDS}
     if stem != "berwald_moor_tangency":
         want_rc["puiseux"] = 2
     assert codes[stem] == want_rc
-    count, digest = LISTINGS[stem]
-    assert len(listings[stem]) == count
-    assert _sha("".join(listings[stem])) == digest
+    moved = sorted(
+        name for name in HASHES[stem].keys() | hashes[stem].keys()
+        if HASHES[stem].get(name) != hashes[stem].get(name)
+    )
+    assert moved == []
 
 
 def test_all_outputs(outputs):
-    lines = sorted(
-        (line for stem in outputs[0] for line in outputs[0][stem]),
-        key=lambda line: line.split("  ", 1)[1],
-    )
-    assert len(lines) == 35
-    assert _sha("".join(lines)) == ALL_LISTING
+    # the shipped configs are all run, and write 35 files in all
+    assert sorted(outputs[0]) == sorted(HASHES)
+    assert sum(map(len, outputs[0].values())) == 35

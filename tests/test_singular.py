@@ -3,6 +3,7 @@ transversality along the singular locus."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 import types
 from fractions import Fraction
@@ -196,6 +197,11 @@ class TestTraceAndInvariant:
                 lam = eigs[np.argmax(np.abs(eigs))]
                 assert abs(np.trace(J)) < 1e-10 * jn
                 assert abs(lam * lam - sg._invariant_t(J, p)) < 1e-12 * jn * jn
+                # the closed-form spectrum of classify_singular: 0 and +-sqrt(T)
+                got = sg.classify_singular(m, x, y, p).eigenvalues
+                assert got[2] == 0
+                assert abs(got[0] - lam) < 1e-8 * jn or abs(got[1] - lam) < 1e-8 * jn
+                assert abs(got[0] + got[1]) < 1e-9 * jn
                 checked += 1
         assert checked >= 40
 
@@ -254,12 +260,27 @@ class TestSingularCurves:
             sg.singular_curves(m, (-1.0, 1.0, -1.0, 1.0), resolution=40)
 
     def test_halfplane_locus_is_vertical_axis(self):
+        # F = p^2 - x: the boundary is x = 0, with the double root p = 0
         m = halfplane_metric()
-        curves = sg.trace_implicit_curve(
-            sg.resultant_grid_fn(m), (-1.0, 1.0, -1.0, 1.0)
-        )
-        assert curves
+        curves = sg.singular_curves(m, (-1.0, 1.0, -1.0, 1.0))
+        assert [c.label for c in curves] == ["boundary"]
         assert np.abs(curves[0].points[:, 0]).max() < 1e-8
+        assert np.all(curves[0].slopes == 0.0)
+
+
+def assert_spectrum_matches(m, rep):
+    """The closed-form spectrum of a report against np.linalg.eigvals of
+    the Jacobian, and its pair away from zero exactly where the point is
+    transversal."""
+    J = sg.jacobian_at(m, rep.x, rep.y, rep.p)
+    jn = np.linalg.norm(J)
+    want = np.linalg.eigvals(J)
+    got = rep.eigenvalues
+    assert min(
+        np.abs(got[list(perm)] - want).max() for perm in itertools.permutations(range(3))
+    ) < 1e-9 * jn + 4.0 * (1e-16 * jn**3) ** (1 / 3)
+    assert got[2] == 0
+    assert (abs(got[1]) > 1e-6 * jn) == rep.transversal
 
 
 class TestTangency:
@@ -269,9 +290,12 @@ class TestTangency:
         sing = [c for c in curves if c.label == "singular"][0]
         fails = sg.find_tangency_failures(m, sing)
         assert len(fails) == 1
-        fx, fy = fails[0]
+        fx, fy, fp = fails[0]
         assert fx == pytest.approx(0.0, abs=1e-5)
         assert fy == pytest.approx(48.0 ** -0.25, abs=1e-5)
+        rep = sg.tangency_report(m, fx, fy, fp)
+        assert not rep.transversal
+        assert_spectrum_matches(m, rep)
 
     def test_failure_point_scales_with_alpha(self):
         alpha = 0.7
@@ -280,18 +304,19 @@ class TestTangency:
         sing = [c for c in curves if c.label == "singular"][0]
         fails = sg.find_tangency_failures(m, sing)
         assert len(fails) == 1
-        fx, fy = fails[0]
+        fx, fy, fp = fails[0]
         assert fx == pytest.approx(0.0, abs=1e-5)
         assert fy == pytest.approx((48.0 * alpha**3) ** -0.25, abs=1e-5)
+        assert not sg.tangency_report(m, fx, fy, fp).transversal
 
     def test_reportedly_tangent_point_is_transversal(self):
         # (47/48, 1) lies on the curve but the field is not tangent there;
         # the linearization carries a clean opposite real pair
         m = parabola_metric(1.0)
-        rep = sg.tangency_report(m, 47.0 / 48.0, 1.0)
+        rep = sg.tangency_report(m, 47.0 / 48.0, 1.0, sg.lift_to_slope(m, 47.0 / 48.0, 1.0))
         assert rep.transversal
         assert abs(rep.direction_dot) > 0.1
-        assert rep.eigenvalues_nonzero and rep.consistent
+        assert_spectrum_matches(m, rep)
         lam = rep.eigenvalues
         assert lam[0].real == pytest.approx(-lam[1].real, rel=1e-6)
         assert abs(lam[0]) == pytest.approx(3.4278, abs=1e-3)
@@ -299,8 +324,9 @@ class TestTangency:
     def test_report_consistency_away_from_failure(self):
         m = parabola_metric(1.0)
         for y in (0.3, 0.6, 1.0):
-            rep = sg.tangency_report(m, scurve_x(y), y)
-            assert rep.consistent
+            rep = sg.tangency_report(m, scurve_x(y), y, sg.lift_to_slope(m, scurve_x(y), y))
+            assert rep.transversal
+            assert_spectrum_matches(m, rep)
 
 
 class TestResultantFactorization:
@@ -367,10 +393,16 @@ class TestLiftAndAdmissible:
     @staticmethod
     def lift_reference(m, x, y):
         """The first root of the row-by-row pipeline with the smallest
-        |numer|, nan where there is none."""
+        |numer| relative to its terms, nan where there is none."""
         roots = real_roots_reference(m.table("denom").values_at(x, y))
         P = mt.numer_poly(m, x, y)
-        return min((r for r, _ in roots), key=lambda r: abs(P(r)), default=np.nan)
+        size = RealPolynomial(np.abs(P.coeffs))
+
+        def rel(r):
+            v = abs(P(r)) / size(abs(r))
+            return np.inf if np.isnan(v) else v
+
+        return min((r for r, _ in roots), key=rel, default=np.nan)
 
     def check_batched_lift(self, m, pts):
         got = sg.lift_to_slopes(m, pts[:, 0], pts[:, 1])
