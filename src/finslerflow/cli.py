@@ -669,7 +669,7 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
         if not seed:
             seed = {n: float(bm.admissible_u(alm)[1])}
         free = dict(cfg.series_free)
-        if cfg.alphas and (2 * n - 2) not in free:
+        if cfg.alphas and (2 * n - 2) not in free and 2 * n - 2 <= cfg.series_order:
             free[2 * n - 2] = cfg.alphas[0]
     else:
         m = cfg.metric_obj()

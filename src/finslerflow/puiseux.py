@@ -20,17 +20,23 @@ leading slope coefficient of the degeneracy polynomial at the base point
 so that the printed recurrence has integer-looking entries for simple
 models.
 
-Expressions are evaluated on series through one value-numbered pass
-(_SeriesPlan) over the denominator and numerator coefficient trees
-together, so a subexpression used in several places is one series
-operation.  Only y = y0 + integral of p dx changes while a solve runs, so
-the nodes that do not read y are computed once per solve and each
-residual recomputes only the nodes that read y.
+The residual denom(p) * dp/dt - numer(p) * dx/dt is one value-numbered
+plan (_SeriesPlan) over the denominator and numerator coefficient trees,
+their two Horner sums in p and the two products, so a subexpression used
+in several places is one series operation.  The plan is evaluated one
+exact coefficient at a time, each from the coefficients below it
+(relaxed power-series arithmetic).  Setting a_k changes no residual
+coefficient below index k - 1, so a solve extends the steps that read
+neither y nor p only once, cuts the others back to index k - 1 once a_k
+is set, and carries the exact derivative in a_k (steps added to the plan
+by forward differentiation) only on the indices k - 1 .. k + offset that
+a_k can reach.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,86 +69,13 @@ def _frac(v) -> Fraction:
     return Fraction(str(f))
 
 
-class _Jet:
-    """val + eps * d with d**2 = 0: exact value plus first derivative.
-
-    Used to linearize the residual in one unknown coefficient without
-    finite differences, so the extracted linear coefficient is exact and
-    untouched by terms of higher degree in the unknown.
-    """
-
-    __slots__ = ("val", "eps")
-
-    def __init__(self, val, eps=0):
-        self.val = _frac(val)
-        self.eps = _frac(eps)
-
-    def _lift(self, other) -> "_Jet | None":
-        if isinstance(other, _Jet):
-            return other
-        if isinstance(other, (int, np.integer, float, Fraction)):
-            return _Jet(other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _Jet(self.val + o.val, self.eps + o.eps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Jet(-self.val, -self.eps)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _Jet(self.val - o.val, self.eps - o.eps)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _Jet(o.val - self.val, o.eps - self.eps)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _Jet(self.val * o.val, self.val * o.eps + self.eps * o.val)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError("jet division by a zero-value jet")
-        return _Jet(
-            self.val / o.val, (self.eps * o.val - self.val * o.eps) / (o.val**2)
-        )
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.val == o.val and self.eps == o.eps
-
-    def __repr__(self) -> str:
-        return f"_Jet({self.val}, {self.eps})"
-
-
 def _coerce(v):
-    return v if isinstance(v, _Jet) else _frac(v)
+    # numbers become rationals; a coefficient from another exact ring
+    # (dual numbers, say) is kept as it is
+    return _frac(v) if isinstance(v, (numbers.Number, str)) else v
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class TruncatedSeries:
@@ -180,12 +113,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.c) - 1
-
-    def first_nonzero(self) -> int | None:
-        for i, v in enumerate(self.c):
-            if v != 0:
-                return i
-        return None
 
     def __add__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -265,16 +192,6 @@ class TruncatedSeries:
             out[i + 1] = v / (i + 1)
         return TruncatedSeries(out)
 
-    def compose_scale(self, lam) -> "TruncatedSeries":
-        """Substitute t -> lam * t."""
-        lam = _frac(lam)
-        power = Fraction(1)
-        out = []
-        for v in self.c:
-            out.append(v * power)
-            power *= lam
-        return TruncatedSeries(out)
-
     def evaluate(self, t: float) -> float:
         acc = 0.0
         for v in reversed(self.c):
@@ -287,44 +204,29 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
 
-def _operands(op: str, a, b) -> tuple:
-    """The slots a step of _SeriesPlan reads."""
-    if op in "+*/":
-        return (a, b)
-    if op in "-^":
-        return (a,)
-    return ()
-
-
 class _SeriesPlan:
-    """One value-numbered pass over a list of expressions, on exact series.
+    """One value-numbered plan over a list of expressions, on exact series.
 
     ``steps`` holds (slot, op, a, b) in evaluation order, with op one of
-    c (constant a), x, y, + * / (slots a and b), - (negate slot a) and ^
-    (slot a to the integer power b); ``roots`` holds each expression's
-    slot.  Nodes are memoized by identity and keyed by their operator and
-    operand slots, so equal subexpressions are computed once and no
-    expression tree is hashed; the identity memo lives only while
-    numbering.  A step reads y when y is one of its leaves: the steps
-    that do not (``fixed``) are the same for every y series of one order.
+    c (constant a), the leaves x, y, p (the slope), P (dp/dt) and X
+    (dx/dt), + * / (slots a and b), - (negate slot a) and 1 (the unit
+    series at slot a's truncation order); an integer power is a chain of
+    products, of 1/a for a negative exponent, and a**0 is 1.  ``roots``
+    holds each expression's slot.  Nodes are memoized by identity and
+    keyed by their operator and operand slots, so equal subexpressions
+    are computed once and no expression tree is hashed.  A step moves
+    when it reads y, the slope or a derivative leaf (q, Q, z: the
+    derivatives of p, P and y in one slope coefficient).
     """
 
     def __init__(self, exprs):
         self.steps: list[tuple] = []
-        self.reads_y: list[bool] = []
+        self.moves: list[bool] = []
         self._keys: dict[tuple, int] = {}
-        self._seen: dict[int, int] = {}
-        self.roots = [self._visit(e) for e in exprs]
-        del self._keys, self._seen  # needed only while numbering
-        self.fixed = [st for st in self.steps if not self.reads_y[st[0]]]
-        self.moving = [st for st in self.steps if self.reads_y[st[0]]]
-        # the fixed values that the results and the y-dependent steps read
-        kept = set(self.roots)
-        for _, op, a, b in self.moving:
-            kept.update(_operands(op, a, b))
-        self.kept = sorted(i for i in kept if not self.reads_y[i])
+        seen: dict[int, int] = {}  # the identity memo, kept only while numbering
+        self.roots = [self._visit(e, seen) for e in exprs]
 
-    def _step(self, op: str, a=None, b=None) -> int:
+    def step(self, op: str, a=None, b=None) -> int:
         key = (op, a, b)
         if op in "+*" and b < a:
             key = (op, b, a)
@@ -333,56 +235,152 @@ class _SeriesPlan:
             slot = len(self.steps)
             self._keys[key] = slot
             self.steps.append((slot, op, a, b))
-            self.reads_y.append(
-                op == "y" or any(self.reads_y[i] for i in _operands(op, a, b))
-            )
+            reads = (a, b) if op in "+*/" else (a,) if op == "-" else ()
+            self.moves.append(op in "ypPqQz" or any(self.moves[i] for i in reads))
         return slot
 
-    def _visit(self, e: ex.Expr) -> int:
-        got = self._seen.get(id(e))
+    def _visit(self, e: ex.Expr, seen: dict) -> int:
+        got = seen.get(id(e))
         if got is not None:
             return got
         if isinstance(e, ex.Const):
-            out = self._step("c", _frac(e.value))
+            out = self.step("c", _frac(e.value))
         elif isinstance(e, ex.Var):
-            out = self._step("x" if e.name == "x" else "y")
+            out = self.step("x" if e.name == "x" else "y")
         elif isinstance(e, ex.Add):
-            out = self._step("+", self._visit(e.a), self._visit(e.b))
+            out = self.step("+", self._visit(e.a, seen), self._visit(e.b, seen))
         elif isinstance(e, ex.Mul):
-            out = self._step("*", self._visit(e.a), self._visit(e.b))
+            out = self.step("*", self._visit(e.a, seen), self._visit(e.b, seen))
         elif isinstance(e, ex.Div):
-            out = self._step("/", self._visit(e.a), self._visit(e.b))
+            out = self.step("/", self._visit(e.a, seen), self._visit(e.b, seen))
         elif isinstance(e, ex.Neg):
-            out = self._step("-", self._visit(e.a))
+            out = self.step("-", self._visit(e.a, seen))
         elif isinstance(e, ex.Pow):
-            out = self._step("^", self._visit(e.base), e.exponent)
+            base, k = self._visit(e.base, seen), int(e.exponent)
+            if k == 0:
+                out = self.step("1", base)
+            else:
+                if k < 0:
+                    base = self.step("/", self.step("1", base), base)
+                out = base
+                for _ in range(abs(k) - 1):
+                    out = self.step("*", out, base)
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        self._seen[id(e)] = out
+        seen[id(e)] = out
         return out
 
-    @staticmethod
-    def run(steps, vals: list, xs, ys, order: int) -> list:
-        """Compute ``steps`` into ``vals``, constants at ``order``."""
-        for slot, op, a, b in steps:
-            if op == "c":
-                v = TruncatedSeries.constant(a, order)
-            elif op == "x":
-                v = xs
-            elif op == "y":
-                v = ys
+    def residual(self, n_denom: int) -> tuple[int, int]:
+        """Add R = D(p) * P - N(p) * X, where the first ``n_denom`` roots
+        are the coefficients of D in p and the rest those of N, each sum
+        by Horner's rule from the top coefficient, and then its
+        derivative; return both slots."""
+        p = self.step("p")
+
+        def horner(cs):
+            acc = cs[-1]
+            for c in reversed(cs[:-1]):
+                acc = self.step("+", self.step("*", acc, p), c)
+            return acc
+
+        d = self.step("*", horner(self.roots[:n_denom]), self.step("P"))
+        n = self.step("*", horner(self.roots[n_denom:]), self.step("X"))
+        root = self.step("+", d, self.step("-", n))
+        return root, self._derivative(root)
+
+    def _derivative(self, root: int) -> int:
+        """Add the steps of root's derivative by forward differentiation,
+        from the leaves q, Q and z; a step that does not move has none."""
+        def add(u, v):
+            return v if u is None else u if v is None else self.step("+", u, v)
+
+        def mul(u, v):  # u a derivative or None, v a value
+            return None if u is None else self.step("*", u, v)
+
+        d: dict[int, int | None] = {}
+        for slot, op, a, b in self.steps[: root + 1]:
+            if not self.moves[slot]:
+                continue
+            da, db = d.get(a), d.get(b)
+            if op in "pPy":
+                d[slot] = self.step("qQz"["pPy".index(op)])
             elif op == "+":
-                v = vals[a] + vals[b]
-            elif op == "*":
-                v = vals[a] * vals[b]
-            elif op == "/":
-                v = vals[a] / vals[b]
+                d[slot] = add(da, db)
             elif op == "-":
-                v = -vals[a]
-            else:
-                v = vals[a] ** b
-            vals[slot] = v
-        return vals
+                d[slot] = self.step("-", da)
+            elif op == "*":
+                d[slot] = add(mul(da, b), mul(db, a))
+            else:  # (a / b)' = (a' - (a / b) b') / b
+                neg = None if db is None else self.step("-", mul(db, slot))
+                d[slot] = self.step("/", add(da, neg), b)
+        return d[root]
+
+
+def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
+    """Coefficient j of a non-leaf step, from the coefficients below j;
+    ``zeros`` counts each column's leading zeros."""
+    if op == "+":
+        u, w = vals[a][j], vals[b][j]
+        return (u + w if w else u) if u else w
+    if op == "*":
+        A, B = vals[a], vals[b]
+        acc = None
+        for i in range(zeros[a], j - zeros[b] + 1):
+            u = A[i]
+            if u:
+                w = B[j - i]
+                if w:
+                    acc = u * w if acc is None else acc + u * w
+        return _ZERO if acc is None else acc
+    if op == "/":
+        # B * q = A, solved for q_j
+        B, col = vals[b], vals[slot]
+        acc = vals[a][j]
+        for i in range(max(zeros[b], 1), j - zeros[slot] + 1):
+            w = B[i]
+            if w:
+                u = col[j - i]
+                if u:
+                    acc -= w * u
+        return acc / B[0]
+    if op == "-":
+        return -vals[a][j]
+    if op == "c":
+        return a if j == 0 else _ZERO
+    return _ONE if j == 0 else _ZERO  # "1"
+
+
+class _SeriesRun:
+    """The coefficient columns of a plan's steps, extended one index at a
+    time; ``leaf(op, j)`` gives coefficient j of a leaf.  ``cut(n)`` drops
+    the moving columns from index n on, so that they are recomputed when
+    next extended."""
+
+    def __init__(self, plan: _SeriesPlan, leaf):
+        self.plan, self.leaf = plan, leaf
+        self.vals: list[list] = [[] for _ in plan.steps]
+        self.zeros = [0] * len(plan.steps)  # leading zeros of each column
+
+    def extend(self, top: int, upto: int | None = None) -> None:
+        """Compute the columns of the first ``upto`` steps (all of them by
+        default) through index ``top``."""
+        vals, zeros, steps = self.vals, self.zeros, self.plan.steps[:upto]
+        for j in range(min(len(vals[st[0]]) for st in steps), top + 1):
+            for slot, op, a, b in steps:
+                col = vals[slot]
+                if len(col) > j:
+                    continue  # a fixed column, extended earlier
+                v = (self.leaf(op, j) if op in "xyXpPqQz"
+                     else _coeff(op, a, b, vals, zeros, slot, j))
+                col.append(v)
+                if zeros[slot] == j and not v:
+                    zeros[slot] = j + 1
+
+    def cut(self, n: int) -> None:
+        for slot, moves in enumerate(self.plan.moves):
+            if moves:
+                del self.vals[slot][n:]
+                self.zeros[slot] = min(self.zeros[slot], n)
 
 
 def evaluate_expr_series(
@@ -390,9 +388,15 @@ def evaluate_expr_series(
 ) -> TruncatedSeries:
     """Substitute series for x and y in an expression tree, exactly."""
     plan = _SeriesPlan([e])
-    vals = plan.run(plan.steps, [None] * len(plan.steps), xs, ys,
-                    min(xs.order, ys.order))
-    return vals[plan.roots[0]]
+    src = {"x": xs.c, "y": ys.c}
+    run = _SeriesRun(plan, lambda op, j: src[op][j])
+    # constants are kept through the smaller of the two orders and each
+    # operation through its operands' smaller one, so the result holds
+    # the smallest order among its leaves
+    ops = {op for _, op, _, _ in plan.steps}
+    run.extend(min(n for op, n in (("x", xs.order), ("y", ys.order),
+                                   ("c", min(xs.order, ys.order))) if op in ops))
+    return TruncatedSeries(run.vals[plan.roots[0]])
 
 
 @dataclass(frozen=True)
@@ -430,9 +434,6 @@ class GeodesicSeries:
                 coeffs[i] = v
         return TruncatedSeries(coeffs)
 
-    def free_indices(self) -> list[int]:
-        return [r.index for r in self.rows if r.status == "FREE"]
-
     def table(self) -> str:
         lines = ["order  linear_coeff  status      value"]
         for r in self.rows:
@@ -453,13 +454,13 @@ def _curve_series(s: int, y0, p: TruncatedSeries):
 
 
 def _leading_norm(m: PseudoFinslerMetric, y0) -> Fraction:
-    zero = TruncatedSeries.constant(0, 0)
-    base_y = TruncatedSeries.constant(y0, 0)
-    lead = Fraction(0)
-    for e in m._expr_layer("denom"):
-        v = evaluate_expr_series(e, zero, base_y).c[0]
-        if v != 0:
-            lead = v
+    plan = _SeriesPlan(m._expr_layer("denom"))
+    run = _SeriesRun(plan, lambda op, j: y0 if op == "y" else _ZERO)
+    run.extend(0)
+    lead = _ZERO
+    for r in plan.roots:
+        if run.vals[r][0] != 0:
+            lead = run.vals[r][0]
     if lead == 0:
         raise ValueError(
             "degeneracy polynomial vanishes identically at the base point"
@@ -467,13 +468,8 @@ def _leading_norm(m: PseudoFinslerMetric, y0) -> Fraction:
     return lead
 
 
-def _horner(cs, p: TruncatedSeries, order: int) -> TruncatedSeries:
-    """sum_i cs[i] * p**i through ``order``, by Horner's rule started
-    from the top coefficient."""
-    acc = TruncatedSeries(cs[-1].c[: order + 1])
-    for c in reversed(cs[:-1]):
-        acc = acc * p + c
-    return acc
+def _first_nonzero(seq) -> int | None:
+    return next((i for i, v in enumerate(seq) if v != 0), None)
 
 
 def solve_geodesic_series(
@@ -490,10 +486,12 @@ def solve_geodesic_series(
     {index: value} or a TruncatedSeries whose nonzero coefficients are
     taken as pins; it must satisfy the leading balance (the residual with
     seed alone must not start below the first unknown's slot).  ``free``
-    supplies chosen values for indices the recurrence leaves FREE.  A
-    zero linear coefficient against nonzero forcing stops the solve and
-    marks the family OBSTRUCTED at that index.  A request it cannot solve,
-    a non-finite seed, free value or y0 among them, raises ValueError.
+    supplies chosen values for indices the recurrence leaves FREE; an
+    index the seed pins, one outside 1..order and one the recurrence
+    finds FORCED are refused.  A zero linear coefficient against nonzero
+    forcing stops the solve and marks the family OBSTRUCTED at that
+    index.  A request it cannot solve, a non-finite seed, free value or
+    y0 among them, raises ValueError.
     """
     s = int(s)
     if s < 1:
@@ -513,86 +511,79 @@ def solve_geodesic_series(
         raise ValueError("seed indices must lie in 1..order")
     free_map = {int(k): _frac(v) for k, v in (free or {}).items()}
     y0f = _frac(y0)
+    for i in sorted(free_map):
+        if i in seed_map:
+            raise ValueError(f"free index {i} is pinned by the seed")
+        if not 1 <= i <= order:
+            raise ValueError(f"free index {i} lies outside 1..{order}")
 
     denom_exprs = m._expr_layer("denom")
     plan = _SeriesPlan(denom_exprs + m._expr_layer("numer"))
-    n_denom = len(denom_exprs)
     norm = _leading_norm(m, y0f)
     unknowns = [k for k in range(1, order + 1) if k not in seed_map]
     if not unknowns:
         raise ValueError("every order is pinned by the seed")
 
-    # Only y = y0 + integral of p dx changes between residuals: x = t**s
-    # is fixed, so the steps that do not read y are computed once per
-    # solve, at the first truncation order asked for, and cut to any
-    # lower one (truncated arithmetic is exact through its order).
-    fixed: dict[int, dict[int, TruncatedSeries]] = {}
+    root, droot = plan.residual(len(denom_exprs))
+    a = [_ZERO] * (order + 1)  # a[i] = 0 until a_i is pinned or solved
+    for i, v in seed_map.items():
+        a[i] = v
 
-    def fixed_at(n_trunc: int) -> dict[int, TruncatedSeries]:
-        got = fixed.get(n_trunc)
-        if got is None:
-            top = min((k for k in fixed if k > n_trunc), default=None)
-            if top is None:
-                xs = TruncatedSeries.monomial(s, 1, n_trunc + s)
-                vals = plan.run(plan.fixed, [None] * len(plan.steps), xs, None,
-                                n_trunc + s)
-                got = {i: vals[i] for i in plan.kept}
-            else:
-                got = {i: TruncatedSeries(v.c[: n_trunc + s + 1])
-                       for i, v in fixed[top].items()}
-            fixed[n_trunc] = got
-        return got
+    solving = 0  # the unknown a_k that q, Q and z differentiate in
 
-    def residual(values: dict[int, Fraction], n_trunc: int) -> TruncatedSeries:
-        coeffs = [Fraction(0)] * (n_trunc + 1)
-        for i, v in values.items():
-            if i <= n_trunc:
-                coeffs[i] = v
-        p = TruncatedSeries(coeffs)
-        x, y = _curve_series(s, y0f, p)
-        vals = [None] * len(plan.steps)
-        for i, v in fixed_at(n_trunc).items():
-            vals[i] = v
-        plan.run(plan.moving, vals, x, y, n_trunc + s)
-        layer = [vals[r] for r in plan.roots]
-        dpoly = _horner(layer[:n_denom], p, n_trunc)
-        npoly_ = _horner(layer[n_denom:], p, n_trunc)
-        return dpoly * p.deriv() - npoly_ * x.deriv()
+    def leaf(op: str, j: int):
+        k = solving
+        if op == "x":
+            return _ONE if j == s else _ZERO
+        if op == "X":
+            return Fraction(s) if j == s - 1 else _ZERO
+        if op == "p":
+            return a[j] if j <= order else _ZERO
+        if op == "P":
+            return (j + 1) * a[j + 1] if j < order else _ZERO
+        if op == "y":  # y = y0 + integral of p dx, so y_j = s a_(j-s) / j
+            if j == 0:
+                return y0f
+            return s * a[j - s] / j if s < j <= order + s else _ZERO
+        if op == "q":
+            return _ONE if j == k else _ZERO
+        if op == "Q":
+            return Fraction(k) if j == k - 1 else _ZERO
+        return Fraction(s, k + s) if j == k + s else _ZERO  # "z"
 
-    def split(series: TruncatedSeries):
-        vals_, eps_ = [], []
-        for v in series.c:
-            if isinstance(v, _Jet):
-                vals_.append(v.val)
-                eps_.append(v.eps)
-            else:
-                vals_.append(v)
-                eps_.append(Fraction(0))
-        return vals_, eps_
+    run = _SeriesRun(plan, leaf)
+    residual, dres = run.vals[root], run.vals[droot]
 
-    def first_nonzero(seq) -> int | None:
-        for i, v in enumerate(seq):
-            if v != 0:
-                return i
-        return None
+    def carry(k: int) -> None:
+        # a_k reaches no coefficient below k - 1: cut the moving columns
+        # there and start the derivative columns with zeros
+        nonlocal solving
+        solving = k
+        run.cut(k - 1)
+        for i in range(root + 1, len(plan.steps)):
+            run.vals[i][:] = [_ZERO] * (k - 1)
+            run.zeros[i] = k - 1
 
-    # Locate the residual slot of the first unknown with an exact jet;
-    # the derivative component is free of higher-degree contamination.
-    n_probe = order + 3 * s + 4
-    k0 = unknowns[0]
-    rv, re = split(residual({**seed_map, k0: _Jet(0, 1)}, n_probe))
-    mk = first_nonzero(re)
+    # The leading balance: the first slot where the residual depends on
+    # the first unknown, looked for through order + 3s + 3.
+    k = unknowns[0]
+    carry(k)
+    mk = None
+    for j in range(order + 3 * s + 4):
+        run.extend(j)
+        if dres[j] != 0:
+            mk = j
+            break
     if mk is None:
         raise ValueError("could not detect the leading balance for the first unknown")
-    offset = mk - k0
-    j0 = first_nonzero(rv)
-    if j0 is not None and j0 < mk:
+    offset = mk - k
+    j0 = _first_nonzero(residual[:mk])
+    if j0 is not None:
         raise ValueError(
             f"seed does not match the leading balance: residual starts at "
             f"order {j0}, below the first resolvable slot {mk}"
         )
 
-    n_trunc = max(order + offset + 2, mk + 1)
     values: dict[int, Fraction] = dict(seed_map)
     rows: list[SeriesOrderRow] = []
     obstructed = False
@@ -600,39 +591,46 @@ def solve_geodesic_series(
 
     for k in unknowns:
         slot = k + offset
-        rv, re = split(residual({**values, k: _Jet(0, 1)}, n_trunc))
-        j = first_nonzero(rv)
-        if j is not None and j < slot:
+        carry(k)
+        run.extend(slot)
+        j = _first_nonzero(residual[:slot])
+        if j is not None:
             # an earlier order failed to clear (for instance through a
             # nonlinear feedback); no series of this shape exists
             obstructed = True
             obstruction_order = j
             rows.append(
-                SeriesOrderRow(k, j, Fraction(0), rv[j] / norm, Fraction(0),
+                SeriesOrderRow(k, j, _ZERO, residual[j] / norm, _ZERO,
                                "OBSTRUCTED")
             )
             break
-        forcing = rv[slot] / norm
-        lin = re[slot] / norm
+        forcing = residual[slot] / norm
+        lin = dres[slot] / norm
         if lin != 0:
+            if k in free_map:
+                raise ValueError(
+                    f"free index {k} is FORCED (linear coefficient {lin}), "
+                    f"not free"
+                )
             value = -forcing / lin
             status = "FORCED"
         elif forcing != 0:
             obstructed = True
             obstruction_order = slot
-            rows.append(SeriesOrderRow(k, slot, lin, forcing, Fraction(0),
+            rows.append(SeriesOrderRow(k, slot, lin, forcing, _ZERO,
                                        "OBSTRUCTED"))
             break
         else:
-            value = free_map.get(k, Fraction(0))
+            value = free_map.get(k, _ZERO)
             status = "FREE"
-        values[k] = value
+        values[k] = a[k] = value
         rows.append(SeriesOrderRow(k, slot, lin, forcing, value, status))
+        run.cut(k - 1)  # a_k reaches every index from k - 1 on
 
     residual_order: int | None = None
     if not obstructed:
-        rf = residual(values, n_trunc)
-        residual_order = rf.first_nonzero()
+        run.extend(order + offset + 1, upto=root + 1)  # no derivative
+        residual_order = _first_nonzero(residual)
         if residual_order is not None and residual_order <= order + offset:
             raise ValueError(
                 f"recurrence inconsistent: residual persists at order "
@@ -640,16 +638,9 @@ def solve_geodesic_series(
             )
 
     return GeodesicSeries(
-        s=s,
-        y0=float(y0),
-        order=order,
-        coeffs=values,
-        rows=tuple(rows),
-        offset=offset,
-        norm=norm,
-        obstructed=obstructed,
-        obstruction_order=obstruction_order,
-        residual_order=residual_order,
+        s=s, y0=float(y0), order=order, coeffs=values, rows=tuple(rows),
+        offset=offset, norm=norm, obstructed=obstructed,
+        obstruction_order=obstruction_order, residual_order=residual_order,
     )
 
 

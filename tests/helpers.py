@@ -4,8 +4,9 @@ Dormand-Prince step, a point-by-point reference for the SVG paths,
 cell-by-cell references for the grid paths, a point-by-point reference
 for the projection onto the loci, the one-polynomial-at-a-time
 root pipeline, the pairwise-difference expansion of the degeneracy
-combination, Sylvester determinants for the singular locus and a
-tree-walk reference for the exact series."""
+combination, Sylvester determinants for the singular locus, exact
+polynomial trees in sympy, and a tree-walk reference, on dual numbers,
+for the exact series solve."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import sympy
 from numpy.polynomial import polynomial as npoly
 
 from finslerflow import expr as ex
@@ -580,6 +582,103 @@ def disc_gradient_at(m, x, y, h=1e-6) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # tree-walk reference for the exact series solve
 
+def to_sympy(e: ex.Expr, x, y):
+    """An expression tree with exact rational constants, x and y
+    substituted by the sympy expressions given."""
+    if isinstance(e, ex.Const):
+        return sympy.Rational(Fraction(e.value))
+    if isinstance(e, ex.Var):
+        return x if e.name == "x" else y
+    if isinstance(e, ex.Add):
+        return to_sympy(e.a, x, y) + to_sympy(e.b, x, y)
+    if isinstance(e, ex.Mul):
+        return to_sympy(e.a, x, y) * to_sympy(e.b, x, y)
+    if isinstance(e, ex.Neg):
+        return -to_sympy(e.a, x, y)
+    if isinstance(e, ex.Pow):
+        return to_sympy(e.base, x, y) ** e.exponent
+    raise TypeError(f"not a polynomial node: {e!r}")
+
+
+class Jet:
+    """val + eps * d with d**2 = 0: exact value plus first derivative.
+
+    tree_geodesic_series linearizes the residual in one unknown
+    coefficient with it, so the extracted linear coefficient is exact and
+    untouched by terms of higher degree in the unknown.
+    """
+
+    __slots__ = ("val", "eps")
+
+    def __init__(self, val, eps=0):
+        self.val = pz._frac(val)
+        self.eps = pz._frac(eps)
+
+    def _lift(self, other) -> "Jet | None":
+        if isinstance(other, Jet):
+            return other
+        if isinstance(other, (int, np.integer, float, Fraction)):
+            return Jet(other)
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.val + o.val, self.eps + o.eps)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.val, -self.eps)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.val - o.val, self.eps - o.eps)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Jet(o.val - self.val, o.eps - self.eps)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.val * o.val, self.val * o.eps + self.eps * o.val)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if o.val == 0:
+            raise ZeroDivisionError("jet division by a zero-value jet")
+        return Jet(
+            self.val / o.val, (self.eps * o.val - self.val * o.eps) / (o.val**2)
+        )
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.val == o.val and self.eps == o.eps
+
+    def __repr__(self) -> str:
+        return f"Jet({self.val}, {self.eps})"
+
+
+
 
 def tree_expr_series(e, xs, ys):
     """Reference: substitute series for x and y by a recursive walk that
@@ -634,15 +733,15 @@ def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
         for e in reversed(numer_exprs):
             npoly = npoly * p + tree_expr_series(e, x, y)
         r = dpoly * p.deriv() - npoly * x.deriv()
-        vals = [v.val if isinstance(v, pz._Jet) else v for v in r.c]
-        eps = [v.eps if isinstance(v, pz._Jet) else Fraction(0) for v in r.c]
+        vals = [v.val if isinstance(v, Jet) else v for v in r.c]
+        eps = [v.eps if isinstance(v, Jet) else Fraction(0) for v in r.c]
         return vals, eps
 
     def first_nonzero(seq):
         return next((i for i, v in enumerate(seq) if v != 0), None)
 
     k0 = unknowns[0]
-    _, re = residual({**seed_map, k0: pz._Jet(0, 1)}, order + 3 * s + 4)
+    _, re = residual({**seed_map, k0: Jet(0, 1)}, order + 3 * s + 4)
     mk = first_nonzero(re)
     offset = mk - k0
     n_trunc = max(order + offset + 2, mk + 1)
@@ -651,7 +750,7 @@ def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
     obstructed, obstruction_order = False, None
     for k in unknowns:
         slot = k + offset
-        rv, re = residual({**values, k: pz._Jet(0, 1)}, n_trunc)
+        rv, re = residual({**values, k: Jet(0, 1)}, n_trunc)
         j = first_nonzero(rv)
         if j is not None and j < slot:
             obstructed, obstruction_order = True, j

@@ -535,6 +535,28 @@ class TestCommands:
         fams = sorted(tmp_path.glob("bm_family*.csv"))
         assert len(fams) == 4  # two alphas, two approach signs
 
+    @pytest.mark.parametrize("override, message", [
+        ("series_free=5 0.3", "free index 5 is FORCED"),
+        ("series_free=3 0.3", "free index 3 is pinned by the seed"),
+        ("series_free=13 0.3", "free index 13 lies outside 1..12"),
+    ])
+    def test_puiseux_refuses_a_dropped_free_value(self, tmp_path, capsys, override, message):
+        rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),
+                       "--out", str(tmp_path), "--seed", override])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("puiseux: ") and message in captured.err
+        assert not list(tmp_path.glob("bm_*"))
+
+    def test_puiseux_default_alpha_only_within_the_order(self, tmp_path):
+        # the first alpha goes to index 2n - 2 = 4 only when the solve reaches it
+        rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),
+                       "--out", str(tmp_path), "--seed", "series_order=3"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "bm_series.csv")
+        assert [int(r[0]) for r in rows] == [1, 2]
+
     def test_puiseux_coefficients_mode_needs_seed(self, tmp_path, capsys):
         rc = cli.main(["puiseux", "--config", write(tmp_path, HALFPLANE),
                        "--out", str(tmp_path)])

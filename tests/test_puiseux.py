@@ -16,6 +16,16 @@ from finslerflow.puiseux import TruncatedSeries
 from helpers import quartic_product_metric
 
 
+def compose_scale(series: TruncatedSeries, lam) -> TruncatedSeries:
+    """Substitute t -> lam * t."""
+    lam = Fraction(lam)
+    return TruncatedSeries([v * lam**i for i, v in enumerate(series.c)])
+
+
+def free_indices(sol: pz.GeodesicSeries) -> list[int]:
+    return [r.index for r in sol.rows if r.status == "FREE"]
+
+
 class TestTruncatedSeries:
     def test_exact_rational_coefficients(self):
         s = TruncatedSeries([0, 0.8, 1])
@@ -49,7 +59,7 @@ class TestTruncatedSeries:
 
     def test_compose_scale(self):
         s = TruncatedSeries([1, 1, 1, 1])
-        half = s.compose_scale(0.5)
+        half = compose_scale(s, 0.5)
         assert half.c == [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
     def test_evaluate_matches_horner(self):
@@ -85,7 +95,7 @@ class TestGeodesicRecurrence:
 
     def test_single_free_index(self):
         sol = self.solve()
-        assert sol.free_indices() == [4]
+        assert free_indices(sol) == [4]
         assert not sol.obstructed
         assert sol.residual_order is None or sol.residual_order > sol.order + sol.offset
 
@@ -153,6 +163,23 @@ class TestGeodesicRecurrence:
                 pz.solve_geodesic_series(m, s=3, seed={3: 2}, order=8, **kwargs)
         with pytest.raises(ValueError, match="not finite"):
             pz.solve_geodesic_series(m, s=3, seed={3: math.inf}, order=8)
+
+    def test_free_values_the_solve_would_drop_are_refused(self):
+        m = quartic_product_metric()
+        for free, match in (({5: 1, 40: 2}, "free index 40 lies outside 1..12"),
+                            ({0: 1}, "free index 0 lies outside"),
+                            ({3: 1}, "free index 3 is pinned by the seed"),
+                            ({5: 1}, r"free index 5 is FORCED \(linear coefficient 12\)")):
+            with pytest.raises(ValueError, match=match):
+                pz.solve_geodesic_series(m, s=3, seed={3: 2}, order=12, free=free)
+
+    def test_free_index_past_an_obstruction_is_allowed(self):
+        # the solve stops at index 4 and never reaches the free index
+        for free in ({4: 1}, {10: 1}):
+            sol = pz.solve_geodesic_series(
+                quartic_product_metric(), s=3, seed={3: 5}, order=12, free=free
+            )
+            assert sol.obstructed and sol.obstruction_order == 8
 
     def test_series_satisfies_the_flow_equation(self):
         # independent check: denominator * dp/dx - numerator vanishes to

@@ -1,6 +1,7 @@
 """The value-numbered series engine against the tree-walk reference
-(tests/helpers.py): every series, coefficient and report row must agree
-exactly, and the slope-independent part is computed once per solve."""
+(tests/helpers.py), where every series, coefficient and report row must
+agree exactly, and against a sympy expansion of the residual; a count of
+exact products pins the work of a solve."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from finslerflow import berwald_moor as bm
 from finslerflow import expr as ex
@@ -16,7 +18,8 @@ from finslerflow import metric as mt
 from finslerflow import puiseux as pz
 from finslerflow.puiseux import TruncatedSeries
 
-from helpers import quartic_product_metric, tree_expr_series, tree_geodesic_series
+from helpers import (Jet, quartic_product_metric, to_sympy, tree_expr_series,
+                     tree_geodesic_series)
 
 FIELDS = ("coeffs", "rows", "offset", "norm", "residual_order", "obstructed",
           "obstruction_order")
@@ -50,7 +53,7 @@ def random_series(rng, order, jets=False):
     coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(order + 1)]
     coeffs[0] = Fraction(rng.choice([1, -2, 3]), rng.randint(1, 3))
     if jets:
-        coeffs = [pz._Jet(v, Fraction(rng.randint(-2, 2), 3)) for v in coeffs]
+        coeffs = [Jet(v, Fraction(rng.randint(-2, 2), 3)) for v in coeffs]
     return TruncatedSeries(coeffs)
 
 
@@ -129,17 +132,84 @@ def test_y_dependent_metrics_back_to_back():
         gc.collect()
 
 
-def test_product_solve_counts_series_products(monkeypatch):
-    # the coefficient series of F = p(p - 4x) read x only, so each
-    # residual multiplies only in its Horner sums and y; the tree walk
-    # made 829 products here, Horner sums started from the zero series 191
+def test_product_metric_matches_at_order_24():
+    assert_same_solve(quartic_product_metric(), 3, {3: 2}, 24, free={4: Fraction(3, 7)})
+
+
+def random_cubic(rng):
+    """F = a0 + a1 p + a2 p^2 + a3 p^3 with a_i random quadratics in x and
+    y (coefficients k/4), a base height y0 where the degeneracy
+    polynomial's constant term D0 is nonzero, and D0 and N0 there."""
+    terms = ["x", "y", "x^2", "x*y", "y^2"]
+    zero = TruncatedSeries.constant(0, 0)
+    while True:
+        texts = [" + ".join([str(rng.randint(-4, 4) / 4) if i < 3 else "1"]
+                            + [f"{rng.randint(-8, 8) / 4}*{t}" for t in terms
+                               if rng.random() < 0.5])
+                 for i in range(4)]
+        m = mt.metric_from_strings(3, texts)
+        y0 = Fraction(rng.randint(-2, 2), 2)
+        base = TruncatedSeries.constant(y0, 0)
+        d0, n0 = (tree_expr_series(m._expr_layer(name)[0], zero, base).c[0]
+                  for name in ("denom", "numer"))
+        if d0 != 0:
+            return m, y0, d0, n0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_cubic_solves_match(seed):
+    # a regular base point: with s = 1 the seed a1 = N0/D0 clears the
+    # leading balance and every later order is FORCED; with s = 2 the
+    # seed a2 = N0/D0 + 1/2 obstructs at the first order
+    m, y0, d0, n0 = random_cubic(random.Random(100 + seed))
+    sol = assert_same_solve(m, 1, {1: n0 / d0}, 8, y0=y0)
+    assert not sol.obstructed and {r.status for r in sol.rows} == {"FORCED"}
+    sol = assert_same_solve(m, 2, {2: n0 / d0 + Fraction(1, 2)}, 8, y0=y0)
+    assert sol.obstructed and sol.obstruction_order == 1
+
+
+@pytest.mark.parametrize("texts,free,order", [
+    (("0", "-4*x", "1", "0"), {4: Fraction(1)}, 14),
+    (("x*y", "-4*x + y^2", "1", "0"), {4: Fraction(3, 7)}, 12),
+])
+def test_solved_series_clears_the_residual_exactly(texts, free, order):
+    # independent of the series engine: expand D(p) dp/dt - N(p) dx/dt
+    # with sympy polynomials in t, from the solved coefficients alone
+    m = mt.metric_from_strings(3, list(texts))
+    sol = pz.solve_geodesic_series(m, 3, {3: 2}, order, free=free)
+    assert not sol.obstructed and sol.coeffs[4] == free[4]
+    t = sympy.Symbol("t")
+    p = sympy.Poly(sum(sympy.Rational(v) * t**i for i, v in sol.coeffs.items()),
+                   t, domain="QQ")
+    x = sympy.Poly(t**3, t, domain="QQ")
+    y = (p * x.diff(t)).integrate()  # y0 = 0
+
+    def layer(name):
+        out = sympy.Poly(0, t, domain="QQ")
+        for i, e in enumerate(m._expr_layer(name)):
+            out += to_sympy(e, x, y) * p**i
+        return out
+
+    r = layer("denom") * p.diff(t) - layer("numer") * x.diff(t)
+    top = order + sol.offset
+    assert all(r.coeff_monomial(t**j) == 0 for j in range(top + 1))
+    assert not r.is_zero  # truncating p leaves a residual above order + offset
+
+
+def test_product_solve_counts_coefficient_products(monkeypatch):
+    # exact products in solves of F = p(p - 4x) with a4 = 1, where every
+    # even slope coefficient is nonzero; re-evaluating the whole truncated
+    # residual for every unknown took 2341 at order 12 and 9412 at order 24
     count = [0]
-    mul = TruncatedSeries.__mul__
+    for name in ("__mul__", "__rmul__"):
+        def counted(a, b, op=getattr(Fraction, name)):
+            count[0] += 1
+            return op(a, b)
 
-    def counted(a, b):
-        count[0] += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
-    pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, 12)
-    assert 0 < count[0] <= 165
+        monkeypatch.setattr(Fraction, name, counted)
+    got = {}
+    for order in (12, 24):
+        count[0] = 0
+        pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, order, free={4: 1})
+        got[order] = count[0]
+    assert 0 < got[12] <= 700 and got[24] <= 2400

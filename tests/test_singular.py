@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import operator
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +13,13 @@ import pytest
 import sympy
 
 from finslerflow import cli
-from finslerflow import expr as ex
 from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import singular as sg
 from finslerflow.poly import RealPolynomial
 
-from helpers import halfplane_metric, parabola_metric, random_metric, real_roots_reference
+from helpers import (halfplane_metric, parabola_metric, random_metric, real_roots_reference,
+                     to_sympy)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -30,24 +29,6 @@ def random_rational_quadratic(rng) -> str:
     """A random quadratic in x and y with coefficients k/4, |k| <= 8."""
     terms = ["1", "x", "y", "x^2", "x*y", "y^2"]
     return " + ".join(f"{int(k) / 4}*{t}" for k, t in zip(rng.integers(-8, 9, 6), terms))
-
-
-def to_sympy(e: ex.Expr, x, y):
-    """An expression tree with exact rational constants, x and y
-    substituted by the sympy expressions given."""
-    if isinstance(e, ex.Const):
-        return sympy.Rational(Fraction(e.value))
-    if isinstance(e, ex.Var):
-        return x if e.name == "x" else y
-    if isinstance(e, ex.Add):
-        return to_sympy(e.a, x, y) + to_sympy(e.b, x, y)
-    if isinstance(e, ex.Mul):
-        return to_sympy(e.a, x, y) * to_sympy(e.b, x, y)
-    if isinstance(e, ex.Neg):
-        return -to_sympy(e.a, x, y)
-    if isinstance(e, ex.Pow):
-        return to_sympy(e.base, x, y) ** e.exponent
-    raise TypeError(f"not a polynomial node: {e!r}")
 
 
 def scurve_x(y: float, alpha: float = 1.0) -> float:
