@@ -257,8 +257,8 @@ def blowup_field_at(alm: AdaptedLocalMetric, x: float, y: float, u: float):
         return (0.0, 0.0, du)
     m = full_metric(alm)
     p = x * u
-    dv = mt.denom_poly(m, x, y)(p)
-    nv = mt.numer_poly(m, x, y)(p)
+    dv = m.table("denom").poly_value(x, y, p)
+    nv = m.table("numer").poly_value(x, y, p)
     if abs(dv) <= 1e-14 * max(1.0, abs(nv)):
         raise ValueError("slope-degeneracy polynomial vanishes here")
     return (x, x * x * u, (nv - u * dv) / dv)

@@ -731,8 +731,8 @@ def _check_accel(m, rng, box):
         yd = float(rng.uniform(-1.5, 1.5))
         H, H1, H2 = mt.accel_determinants(m, float(x), float(y), xd, yd)
         p = yd / xd
-        dv = mt.denom_poly(m, float(x), float(y))(p)
-        pv = mt.numer_poly(m, float(x), float(y))(p)
+        dv = m.table("denom").poly_value(x, y, p)
+        pv = m.table("numer").poly_value(x, y, p)
         lhs1 = xd ** (2 * n - 4) * (n - 1) * dv
         lhs2 = xd ** (2 * n - 2) * (n - 1) * pv
         res.append(abs(H - lhs1) / (1.0 + abs(H) + abs(lhs1)))
@@ -746,14 +746,13 @@ def _check_degeneracy(m, rng, box):
     res = []
     xs, ys = _interior_samples(rng, box, 40)
     for x, y in zip(xs, ys):
-        phi = poly.RealPolynomial(mt.coeff_values(m, float(x), float(y)))
-        built = poly.degeneracy_poly(phi, m.degree)
-        direct = mt.denom_poly(m, float(x), float(y))
-        size = max(built.coeffs.size, direct.coeffs.size)
+        built = poly.degeneracy_poly(mt.coeff_values(m, x, y), m.degree)
+        direct = m.table("denom").values_at(x, y)
+        size = max(built.size, direct.size)
         a = np.zeros(size)
         b = np.zeros(size)
-        a[: built.coeffs.size] = built.coeffs
-        b[: direct.coeffs.size] = direct.coeffs
+        a[: built.size] = built
+        b[: direct.size] = direct
         scale = 1.0 + np.max(np.abs(a)) + np.max(np.abs(b))
         res.append(np.max(np.abs(a - b)) / scale)
     return np.max(res), "denominator vs degeneracy combination of F at 40 random points"
@@ -813,12 +812,12 @@ def _check_charts(m, rng, box):
     xs, ys = _interior_samples(rng, box, 60)
     for x, y in zip(xs, ys):
         p = float(rng.uniform(0.35, 2.2) * rng.choice([-1.0, 1.0]))
-        dv = mt.denom_poly(m, float(x), float(y))(p)
-        pv = mt.numer_poly(m, float(x), float(y))(p)
+        dv = m.table("denom").poly_value(x, y, p)
+        pv = m.table("numer").poly_value(x, y, p)
         v1 = np.array([p * dv, dv, -pv / p**2])
         q = 1.0 / p
-        dvq = mt.denom_poly(md, float(y), float(x))(q)
-        pvq = mt.numer_poly(md, float(y), float(x))(q)
+        dvq = md.table("denom").poly_value(y, x, q)
+        pvq = md.table("numer").poly_value(y, x, q)
         v2 = np.array([dvq, q * dvq, pvq])
         cross = np.linalg.norm(np.cross(v1, v2))
         scale = (np.linalg.norm(v1) * np.linalg.norm(v2)) + 1e-30

@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import metric as mt
 from . import singular as sg
 from .codegen import _div, dopri_step
 from .metric import PseudoFinslerMetric
-from .poly import RealPolynomial
 
 CUSP = "Cusp"
 SINGULAR_APPROACH = "SingularApproach"
@@ -122,9 +122,6 @@ class GeodesicTrace:
 
     def points(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
-
-    def event_kinds(self) -> set[str]:
-        return {e.kind for e in self.events}
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +460,18 @@ def _project_isotropic(m, x, y, s, chart, tol_abs, max_iter=8):
     """Newton steps in the slope driving the chart's F to zero."""
     mm = m if chart == "p" else m.dual()
     xx, yy = (x, y) if chart == "p" else (y, x)
+    tbl = mm.table("F")
+    row = tbl.values_at(xx, yy)
+    drow, scale = npoly.polyder(row), float(np.max(np.abs(row)))
     for _ in range(max_iter):
-        fpoly = RealPolynomial(mm.table("F").values_at(xx, yy))
-        f = fpoly(s)
+        f = tbl.poly_value(xx, yy, s)
         if abs(f) <= tol_abs:
             return s, True
-        d = fpoly.deriv()(s)
-        if abs(d) < 1e-9 * max(1.0, fpoly.scale()):
+        d = npoly.polyval(s, drow)
+        if abs(d) < 1e-9 * max(1.0, scale):
             return s, False
         s = s - f / d
-    fpoly = RealPolynomial(mm.table("F").values_at(xx, yy))
-    return s, abs(fpoly(s)) <= tol_abs
+    return s, abs(tbl.poly_value(xx, yy, s)) <= tol_abs
 
 
 def isotropic_trace(
@@ -723,8 +721,7 @@ def shoot_boundary_family(
     tblFx = m.table("F_x")
     tblFy = m.table("F_y")
 
-    fpoly = RealPolynomial(tblF.values_at(x, y))
-    fpp = fpoly.deriv().deriv()(p0)
+    fpp = npoly.polyval(p0, npoly.polyder(tblF.values_at(x, y), 2))
     b_lead = -fpp / (2.0 * fdir)
 
     def fit_B(eta):

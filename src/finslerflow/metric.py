@@ -2,15 +2,16 @@
 
 A metric of degree n is F(x, y; p) = sum_i a_i(x, y) p^i where p is the
 slope dy/dx of a direction.  Everything the geodesic field needs reduces
-to two derived polynomials in p:
+to two derived polynomials in p, the ``denom`` and ``numer`` layers of
+the metric's tables (``m.table(name).values_at(x, y)`` is the ascending
+coefficient row at a point, ``poly_value`` its value at a slope):
 
-* denom_poly  -- the coefficient of d/dx in the direction field; it is
+* denom  -- the coefficient of d/dx in the direction field; it is
   proportional to the velocity Hessian determinant of the homogeneous
   metric on the tangent bundle, and its zeros are the directions where
   the second-order geodesic system degenerates;
-* numer_poly  -- the forcing of the slope equation dp/dx, so that away
-  from zeros of denom_poly the geodesics satisfy
-  dp/dx = numer_poly / denom_poly.
+* numer  -- the forcing of the slope equation dp/dx, so that away
+  from zeros of denom the geodesics satisfy dp/dx = numer / denom.
 
 Both are assembled coefficient-by-coefficient with integer weights so
 that the leading cancellations hold exactly: denom has degree at most
@@ -207,18 +208,6 @@ def metric_scale(m: PseudoFinslerMetric, x: float, y: float) -> float:
     return math.nan if math.isnan(sum(a)) else max(a)
 
 
-def eval_F(m: PseudoFinslerMetric, x: float, y: float, p: float) -> float:
-    return m.table("F").poly_value(x, y, p)
-
-
-def denom_poly(m: PseudoFinslerMetric, x: float, y: float) -> poly.RealPolynomial:
-    return poly.RealPolynomial(m.table("denom").values_at(x, y))
-
-
-def numer_poly(m: PseudoFinslerMetric, x: float, y: float) -> poly.RealPolynomial:
-    return poly.RealPolynomial(m.table("numer").values_at(x, y))
-
-
 def fdp_values(
     m: PseudoFinslerMetric, x: float, y: float, p: float
 ) -> tuple[float, float, float]:
@@ -242,7 +231,8 @@ def disc_metric(m: PseudoFinslerMetric, x: float, y: float) -> float:
 
 
 def disc_denom(m: PseudoFinslerMetric, x: float, y: float) -> float:
-    """Discriminant of denom_poly in p (degree-3 metrics only)."""
+    """Discriminant in p of the denom layer's row at (x, y) (degree-3
+    metrics only)."""
     if m.degree != 3:
         raise ValueError("denominator discriminant requires degree 3")
     c = np.zeros(3)
@@ -274,12 +264,12 @@ def isotropic_directions(
     c, scale = _checked_coeffs(m, x, y)
     eff = c.copy()
     eff[np.abs(eff) <= DEGREE_TRIM_REL * scale] = 0.0
-    rp = poly.RealPolynomial(eff)
     out = [
         ProjectiveRoot(value=r, multiplicity=k)
-        for r, k in rp.real_roots()
+        for r, k in poly.real_roots_many([eff])[0]
     ]
-    inf_mult = m.degree - max(rp.degree, 0)
+    nz = np.flatnonzero(eff)
+    inf_mult = m.degree - (int(nz[-1]) if nz.size else 0)
     if inf_mult > 0:
         out.append(
             ProjectiveRoot(value=float("nan"), multiplicity=inf_mult, at_infinity=True)
@@ -403,13 +393,3 @@ def accel_determinants(
     h1 = g1 * f22 - g2 * f12
     h2 = f11 * g2 - f12 * g1
     return h, h1, h2
-
-
-def eval_Fbar(
-    m: PseudoFinslerMetric, x: float, y: float, xdot: float, ydot: float
-) -> float:
-    a = coeff_values(m, x, y).tolist()
-    n = m.degree
-    return float(
-        sum(a[i] * _ipow(xdot, n - i) * _ipow(ydot, i) for i in range(n + 1))
-    )

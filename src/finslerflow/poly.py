@@ -1,11 +1,12 @@
-"""Univariate real polynomials with ascending coefficients.
+"""Univariate real polynomials as rows of ascending coefficients.
 
-Thin wrapper around numpy.polynomial plus the root-extraction pipeline
-used throughout the package, on stacks of polynomials: companion-matrix
-eigenvalues (one eigvals call per degree), a relative cutoff on
-imaginary parts, one Newton polish step, and clustering of nearby roots
-into multiplicities.  Also the degeneracy combination of a
-slope polynomial and the discriminants and resultants of the strata:
+A slope polynomial is the coefficient row a LayerTable evaluates at a
+point; this module holds what is computed from such rows.  The root
+pipeline works on stacks of rows: companion-matrix eigenvalues (one
+eigvals call per degree), a relative cutoff on imaginary parts, one
+Newton polish step, and clustering of nearby roots into multiplicities;
+one row is a stack of one.  Also the degeneracy combination of a slope
+polynomial and the discriminants and resultants of the strata:
 resultants over grids in closed form where the first polynomial is
 quadratic (denom of a cubic metric), as Sylvester determinants
 otherwise.
@@ -13,65 +14,11 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 IMAG_CUTOFF_REL = 1e-8
 CLUSTER_RADIUS = 1e-6
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Polynomial sum(coeffs[i] * p**i); trailing zeros are trimmed."""
-
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1].copy() if nz.size else np.zeros(1)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the trimmed polynomial; -1 for the zero polynomial."""
-        if self.coeffs.size == 1 and self.coeffs[0] == 0.0:
-            return -1
-        return self.coeffs.size - 1
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
-
-    def __call__(self, p):
-        return npoly.polyval(p, self.coeffs)
-
-    def deriv(self) -> "RealPolynomial":
-        return RealPolynomial(npoly.polyder(self.coeffs))
-
-    def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial(npoly.polyadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial(npoly.polysub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other) -> "RealPolynomial":
-        if isinstance(other, RealPolynomial):
-            return RealPolynomial(npoly.polymul(self.coeffs, other.coeffs))
-        return RealPolynomial(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def real_roots(self) -> list[tuple[float, int]]:
-        """Real roots with multiplicities, ascending (see real_roots_many)."""
-        return real_roots_many(self.coeffs[None])[0]
 
 
 def real_roots_many(C) -> list[list[tuple[float, int]]]:
@@ -158,28 +105,28 @@ def _mean(group: list[float]) -> tuple[float, int]:
     return (0.0 + group[0] if len(group) == 1 else float(np.mean(group))), len(group)
 
 
-def from_roots(roots, leading: float = 1.0) -> RealPolynomial:
-    return RealPolynomial(npoly.polyfromroots(roots) * float(leading))
+def degeneracy_poly(phi, n: int) -> np.ndarray:
+    """n*phi*phi'' - (n-1)*phi'**2 as an ascending coefficient row.
 
-
-def degeneracy_poly(phi: RealPolynomial, n: int) -> RealPolynomial:
-    """n*phi*phi'' - (n-1)*phi'**2 as a polynomial.
-
-    For the slope polynomial phi of a metric of degree n this is the
-    denominator of the geodesic field; its common zeros with phi are the
-    double isotropic directions.  ``n`` plays the role of the ambient
+    For the slope polynomial phi (a row) of a metric of degree n this is
+    the denominator of the geodesic field; its common zeros with phi are
+    the double isotropic directions.  ``n`` plays the role of the ambient
     degree and may exceed deg(phi); it must not be smaller.
     """
     if n < 2:
         raise ValueError("ambient degree must be at least 2")
-    if phi.degree > n:
+    phi = np.asarray(phi, dtype=np.float64)
+    nz = np.flatnonzero(phi)
+    if nz.size and nz[-1] > n:
         raise ValueError("polynomial degree exceeds the ambient degree")
-    d1 = phi.deriv()
-    d2 = d1.deriv()
-    combo = float(n) * (phi * d2) - float(n - 1) * (d1 * d1)
+    d1 = npoly.polyder(phi)
+    d2 = npoly.polyder(d1)
+    combo = npoly.polysub(
+        float(n) * npoly.polymul(phi, d2), float(n - 1) * npoly.polymul(d1, d1)
+    )
     # the top coefficients cancel exactly for deg(phi) <= n; drop their
     # rounding residue, which otherwise plants spurious far-away roots
-    return RealPolynomial(combo.coeffs[: max(2 * n - 3, 1)])
+    return combo[: max(2 * n - 3, 1)]
 
 
 def disc_quadratic(c):

@@ -88,7 +88,7 @@ def singular_directions(m: PseudoFinslerMetric, x: float, y: float) -> tuple[flo
         raise StratumError(
             f"point ({x}, {y}) lies in {stratum.value}, not MMinus"
         )
-    roots = mt.denom_poly(m, x, y).real_roots()
+    roots = poly.real_roots_many([m.table("denom").values_at(x, y)])[0]
     flat = [r for r, k in roots for _ in range(k)]
     if len(flat) != 2:
         raise StratumError(
@@ -128,8 +128,8 @@ def classify_singular(
     """Classify a singular point by the spectrum of the linearization J;
     where tr J vanishes against |J|, by the sign of T."""
     sc = mt._ipow(1.0 + mt.metric_scale(m, x, y), 2)
-    dv = mt.denom_poly(m, x, y)(p)
-    pv = mt.numer_poly(m, x, y)(p)
+    dv = m.table("denom").poly_value(x, y, p)
+    pv = m.table("numer").poly_value(x, y, p)
     if max(abs(dv), abs(pv)) > 1e-4 * sc:
         raise ValueError(
             f"({x}, {y}, {p}) is not singular: |denom|={abs(dv):.3g}, "
@@ -516,7 +516,7 @@ def tangency_report(m: PseudoFinslerMetric, x: float, y: float, p: float) -> Tan
     return TangencyReport(
         x=x, y=y, p=p, tangent=tangent, direction_dot=dot,
         transversal=abs(dot) > 1e-6,
-        eigenvalues=_spectrum(J, p, mt.denom_poly(m, x, y)(p)),
+        eigenvalues=_spectrum(J, p, m.table("denom").poly_value(x, y, p)),
     )
 
 
@@ -556,21 +556,3 @@ def find_tangency_failures(
                 b, tb, ta, kept = c, tc, ta * (0.5 if kept > 0 else 1.0), 1
         found.append((float(c[0]), float(c[1]), math.tan(c[2])))
     return found
-
-
-# ---------------------------------------------------------------------------
-# admissible directions for quadratic metrics
-
-
-def admissible_directions(m: PseudoFinslerMetric, x: float, y: float) -> list[float]:
-    """Real zeros of the numerator at a degenerate point of a quadratic
-    metric: the directions a geodesic may leave the discriminant curve."""
-    if m.degree != 2:
-        raise StratumError("admissible directions are defined for degree 2")
-    sc = mt.metric_scale(m, x, y)
-    if abs(mt.disc_metric(m, x, y)) > 1e-8 * mt._ipow(max(sc, 1e-30), 2):
-        raise StratumError(
-            f"({x}, {y}) is not on the discriminant curve of the metric"
-        )
-    roots = mt.numer_poly(m, x, y).real_roots()
-    return [r for r, _ in roots]

@@ -2,11 +2,12 @@
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step, a point-by-point reference for the SVG paths,
 cell-by-cell references for the grid paths, a point-by-point reference
-for the projection onto the loci, the one-polynomial-at-a-time
-root pipeline, the pairwise-difference expansion of the degeneracy
-combination, Sylvester determinants for the singular locus, exact
-polynomial trees in sympy, and a tree-walk reference, on dual numbers,
-for the exact series solve."""
+for the projection onto the loci, coefficient-row utilities, the
+homogeneous metric, the one-polynomial-at-a-time root pipeline, the
+pairwise-difference expansion of the degeneracy combination, Sylvester
+determinants for the singular locus, exact polynomial trees in sympy,
+and a tree-walk reference, on dual numbers, for the exact series
+solve."""
 
 from __future__ import annotations
 
@@ -154,7 +155,7 @@ def nondegenerate_state(m, rng, box=(-1.0, 1.0, -1.0, 1.0), min_field=1e-3):
         x = float(rng.uniform(box[0], box[1]))
         y = float(rng.uniform(box[2], box[3]))
         p = float(rng.uniform(-1.5, 1.5))
-        dv = mt.denom_poly(m, x, y)(p)
+        dv = m.table("denom").poly_value(x, y, p)
         sc = 1.0 + mt.metric_scale(m, x, y)
         if abs(dv) > min_field * sc:
             return x, y, p
@@ -183,8 +184,8 @@ def max_ode_residual(m, trace, stride: int = 7, event_margin: int = 21) -> float
         if not (np.all(d > 0) or np.all(d < 0)) or np.abs(d).min() < 1e-12:
             continue
         x, y, p = trace.x[k], trace.y[k], trace.slope[k]
-        dv = mt.denom_poly(m, x, y)(p)
-        nv = mt.numer_poly(m, x, y)(p)
+        dv = m.table("denom").poly_value(x, y, p)
+        nv = m.table("numer").poly_value(x, y, p)
         sc = 1.0 + mt.metric_scale(m, x, y)
         if abs(dv) < 1e-3 * sc**2:
             continue
@@ -442,10 +443,38 @@ def cell_strata_rows(m, xs, ys) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# coefficient rows and the homogeneous metric
+
+
+def trim(coeffs) -> np.ndarray:
+    """An ascending coefficient row without its trailing zeros; [0.0] for
+    the zero polynomial."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
+
+
+def degree(coeffs) -> int:
+    """Degree of a coefficient row; -1 for the zero polynomial."""
+    nz = np.flatnonzero(coeffs)
+    return int(nz[-1]) if nz.size else -1
+
+
+def fbar(m, x: float, y: float, xdot: float, ydot: float) -> float:
+    """Reference: the homogeneous metric sum_i a_i xdot^(n-i) ydot^i on
+    the tangent bundle, with the library's integer powers."""
+    a = mt.coeff_values(m, x, y).tolist()
+    n = m.degree
+    return float(
+        sum(a[i] * _ipow(xdot, n - i) * _ipow(ydot, i) for i in range(n + 1))
+    )
+
+
+# ---------------------------------------------------------------------------
 # an independent expansion of the degeneracy combination
 
 
-def pairwise_expansion(roots, leading: float = 1.0) -> poly.RealPolynomial:
+def pairwise_expansion(roots, leading: float = 1.0) -> np.ndarray:
     """Reference: for phi = leading * prod(p - r_i) over n real roots,
 
         n*phi*phi'' - (n-1)*phi'**2
@@ -460,7 +489,7 @@ def pairwise_expansion(roots, leading: float = 1.0) -> poly.RealPolynomial:
             cof = npoly.polyfromroots(np.delete(r, [i, j]))
             term = (r[i] - r[j]) ** 2 * npoly.polymul(cof, cof)
             acc = npoly.polyadd(acc, term)
-    return poly.RealPolynomial(-(leading**2) * acc)
+    return -(leading**2) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +501,7 @@ def real_roots_reference(coeffs) -> list[tuple[float, int]]:
     npoly.polyroots, the relative cutoff on imaginary parts, one Newton
     step by npoly.polyval and clustering by np.mean, root by root.  A
     non-finite coefficient of degree 2 or more is a LinAlgError."""
-    c = poly.RealPolynomial(coeffs).coeffs
+    c = trim(coeffs)
     if c.size <= 1:
         return []
     roots = npoly.polyroots(c)

@@ -49,7 +49,7 @@ class TestInducedMetric:
             for f in imm.components:
                 fx, fy = ex.diff(f, "x"), ex.diff(f, "y")
                 want *= evaluate(fx, x, y) + evaluate(fy, x, y) * p
-            assert mt.eval_F(m, float(x), float(y), float(p)) == pytest.approx(
+            assert m.table("F").poly_value(x, y, p) == pytest.approx(
                 want, rel=1e-12, abs=1e-12
             )
 

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from finslerflow import berwald_moor as bm
 from finslerflow import expr as ex
@@ -67,6 +68,22 @@ def test_poly_value_is_horner_sum():
         for v in c[::-1]:
             acc = acc * p + v
         assert tbl.poly_value(x, y, p) == acc
+    # a slope polynomial is its row: the generated Horner sum is
+    # npoly.polyval of the row, bit for bit, on the F, denom and numer
+    # rows of random metrics and of their duals, at signed zeros, moderate
+    # slopes and slopes near 1e6
+    for k in range(16):
+        m = _random_metric(rng, 2 + k % 4, bool(k // 4 % 2))
+        for mm in (m, m.dual()):
+            for name in ("F", "denom", "numer"):
+                tbl = mm.table(name)
+                for x, y in rng.uniform(-1.5, 1.5, (4, 2)):
+                    row = tbl.values_at(x, y)
+                    big = 1e6 * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+                    for p in (0.0, -0.0, *rng.uniform(-3.0, 3.0, 2), big):
+                        got = tbl.poly_value(x, y, p)
+                        want = npoly.polyval(p, row)
+                        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_grid_evaluation_matches_pointwise():

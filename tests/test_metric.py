@@ -13,7 +13,9 @@ from finslerflow import expr as ex
 from finslerflow import metric as mt
 from finslerflow import singular as sg
 from helpers import (
+    degree,
     evaluate,
+    fbar,
     halfplane_metric,
     parabola_metric,
     random_metric,
@@ -46,10 +48,10 @@ class TestClosedForms:
         rng = np.random.default_rng(42)
         for _ in range(50):
             x, y, p = rng.uniform(-1.5, 1.5, 3)
-            assert mt.denom_poly(m, x, y)(p) == pytest.approx(
+            assert m.table("denom").poly_value(x, y, p) == pytest.approx(
                 dv(x, y, p), rel=1e-12, abs=1e-12
             )
-            assert mt.numer_poly(m, x, y)(p) == pytest.approx(
+            assert m.table("numer").poly_value(x, y, p) == pytest.approx(
                 nv(x, y, p), rel=1e-12, abs=1e-12
             )
 
@@ -58,8 +60,8 @@ class TestClosedForms:
         for n in (2, 3, 4, 5):
             m = random_metric(rng, n)
             x, y = rng.uniform(-1, 1, 2)
-            assert mt.denom_poly(m, x, y).degree <= 2 * n - 4
-            assert mt.numer_poly(m, x, y).degree <= 2 * n - 1
+            assert degree(m.table("denom").values_at(x, y)) <= 2 * n - 4
+            assert degree(m.table("numer").values_at(x, y)) <= 2 * n - 1
 
 
 class TestTangentBundleOracle:
@@ -77,8 +79,8 @@ class TestTangentBundleOracle:
                     yd = float(rng.uniform(-1.6, 1.6))
                     H, H1, H2 = mt.accel_determinants(m, x, y, xd, yd)
                     p = yd / xd
-                    dv = mt.denom_poly(m, x, y)(p)
-                    nv = mt.numer_poly(m, x, y)(p)
+                    dv = m.table("denom").poly_value(x, y, p)
+                    nv = m.table("numer").poly_value(x, y, p)
                     want_H = xd ** (2 * n - 4) * (n - 1) * dv
                     want_P = xd ** (2 * n - 2) * (n - 1) * nv
                     assert H == pytest.approx(want_H, rel=1e-9, abs=1e-9)
@@ -88,9 +90,9 @@ class TestTangentBundleOracle:
         rng = np.random.default_rng(9)
         m = random_metric(rng, 4)
         x, y, xd, yd = 0.3, -0.2, 0.7, -1.1
-        base = mt.eval_Fbar(m, x, y, xd, yd)
+        base = fbar(m, x, y, xd, yd)
         for lam in (0.5, 2.0, 3.7):
-            scaled = mt.eval_Fbar(m, x, y, lam * xd, lam * yd)
+            scaled = fbar(m, x, y, lam * xd, lam * yd)
             assert scaled == pytest.approx(lam**4 * base, rel=1e-12)
 
     def test_fbar_restricts_to_slope_polynomial(self):
@@ -98,8 +100,8 @@ class TestTangentBundleOracle:
         m = random_metric(rng, 3)
         for _ in range(20):
             x, y, p = rng.uniform(-1, 1, 3)
-            assert mt.eval_Fbar(m, x, y, 1.0, p) == pytest.approx(
-                mt.eval_F(m, x, y, p), rel=1e-12, abs=1e-12
+            assert fbar(m, x, y, 1.0, p) == pytest.approx(
+                m.table("F").poly_value(x, y, p), rel=1e-12, abs=1e-12
             )
 
     def test_determinants_overflow_to_ieee(self):
@@ -118,7 +120,7 @@ class TestTangentBundleOracle:
         m = mt.metric_from_strings(2, ["-x", "0", "1"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert mt.eval_Fbar(m, 0.1, 0.0, xdot, 1e120) == -math.inf
+            assert fbar(m, 0.1, 0.0, xdot, 1e120) == -math.inf
 
 
 class TestDiscriminants:
@@ -262,8 +264,8 @@ def test_dual_metric_swaps_charts():
             continue
         q = 1.0 / p
         # F changes charts with the weight p**n
-        lhs = mt.eval_F(d, y, x, q)
-        rhs = mt.eval_F(m, x, y, p) * q**3
+        lhs = d.table("F").poly_value(y, x, q)
+        rhs = m.table("F").poly_value(x, y, p) * q**3
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
     assert m.dual().dual() is m
 

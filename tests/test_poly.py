@@ -9,34 +9,12 @@ from numpy.polynomial import polynomial as npoly
 
 from finslerflow import poly
 
-from helpers import quadratic_resultant, real_roots_reference, resultant, sylvester
-
-
-def test_trimming_and_degree():
-    q = poly.RealPolynomial([1.0, 2.0, 0.0, 0.0])
-    assert q.degree == 1
-    assert poly.RealPolynomial([0.0, 0.0]).degree == -1
-    assert poly.RealPolynomial([0.0]).is_zero()
-
-
-def test_call_and_deriv():
-    q = poly.RealPolynomial([1.0, -2.0, 3.0])
-    assert q(2.0) == pytest.approx(1 - 4 + 12)
-    d = q.deriv()
-    np.testing.assert_allclose(d.coeffs, [-2.0, 6.0])
-
-
-def test_arithmetic():
-    a = poly.RealPolynomial([1.0, 1.0])
-    b = poly.RealPolynomial([-1.0, 1.0])
-    np.testing.assert_allclose((a * b).coeffs, [-1.0, 0.0, 1.0])
-    np.testing.assert_allclose((a + b).coeffs, [0.0, 2.0])
-    np.testing.assert_allclose((a - b).coeffs, [2.0])
+from helpers import degree, quadratic_resultant, real_roots_reference, resultant, sylvester
 
 
 def test_real_roots_simple_and_multiplicity():
-    q = poly.from_roots([1.0, 1.0, -2.0], leading=3.0)
-    roots = q.real_roots()
+    q = npoly.polyfromroots([1.0, 1.0, -2.0]) * 3.0
+    roots = poly.real_roots_many([q])[0]
     assert len(roots) == 2
     (r1, m1), (r2, m2) = sorted(roots)
     assert (r1, m1) == (pytest.approx(-2.0), 1)
@@ -44,10 +22,9 @@ def test_real_roots_simple_and_multiplicity():
 
 
 def test_real_roots_drop_complex_pairs():
-    q = poly.RealPolynomial([1.0, 0.0, 1.0])  # p^2 + 1
-    assert q.real_roots() == []
-    q2 = poly.RealPolynomial([-1.0, 0.0, 0.0, 0.0, 1.0])  # p^4 - 1
-    r = sorted(v for v, _ in q2.real_roots())
+    assert poly.real_roots_many([[1.0, 0.0, 1.0]]) == [[]]  # p^2 + 1
+    (q2,) = poly.real_roots_many([[-1.0, 0.0, 0.0, 0.0, 1.0]])  # p^4 - 1
+    r = sorted(v for v, _ in q2)
     np.testing.assert_allclose(r, [-1.0, 1.0], atol=1e-10)
 
 
@@ -99,10 +76,10 @@ def test_real_roots_many_matches_row_by_row_reference():
     # every kind of row occurs
     assert sum(not np.any(c) for c in C) > 5
     assert sum(k == 2 for roots in got for _, k in roots) > 20
-    degrees = [poly.RealPolynomial(c).degree for c in C]
+    degrees = [degree(c) for c in C]
     assert sum(len(roots) < d for roots, d in zip(got, degrees)) > 50
-    # the wrapper of one row is the same pipeline
-    assert [_bits(poly.RealPolynomial(c).real_roots()) for c in C[:50]] == [
+    # one row alone runs the same pipeline
+    assert [_bits(poly.real_roots_many([c])[0]) for c in C[:50]] == [
         _bits(w) for w in want[:50]
     ]
 
@@ -159,10 +136,10 @@ def test_disc_cubic_standard_formula():
 
 
 def test_resultant_vanishes_iff_common_root():
-    f = poly.from_roots([1.0, 2.0]).coeffs
-    g = poly.from_roots([2.0, 5.0]).coeffs
+    f = npoly.polyfromroots([1.0, 2.0])
+    g = npoly.polyfromroots([2.0, 5.0])
     assert poly.resultant_grid(f, g) == pytest.approx(0.0, abs=1e-9)
-    g2 = poly.from_roots([3.0, 5.0]).coeffs
+    g2 = npoly.polyfromroots([3.0, 5.0])
     assert abs(poly.resultant_grid(f, g2)) > 1e-6
 
 
@@ -173,13 +150,13 @@ def test_resultant_product_formula():
         gr = rng.uniform(-2, 2, 2)
         lf = float(rng.uniform(0.5, 2.0))
         lg = float(rng.uniform(0.5, 2.0))
-        f = poly.from_roots(fr, leading=lf)
-        g = poly.from_roots(gr, leading=lg)
+        f = npoly.polyfromroots(fr) * lf
+        g = npoly.polyfromroots(gr) * lg
         want = lf ** len(gr) * lg ** len(fr)
         for a in fr:
             for b in gr:
                 want *= a - b
-        got = poly.resultant_grid(f.coeffs, g.coeffs)
+        got = poly.resultant_grid(f, g)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
 
 

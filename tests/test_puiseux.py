@@ -192,8 +192,8 @@ class TestGeodesicRecurrence:
         dx_dt = xs.deriv()
         for t in (0.04, 0.08, 0.12):
             x, y, p = xs.evaluate(t), ys.evaluate(t), ps.evaluate(t)
-            dv = mt.denom_poly(m, x, y)(p)
-            nv = mt.numer_poly(m, x, y)(p)
+            dv = m.table("denom").poly_value(x, y, p)
+            nv = m.table("numer").poly_value(x, y, p)
             resid = dv * dp_dt.evaluate(t) / dx_dt.evaluate(t) - nv
             scale = abs(nv) + abs(dv) + 1.0
             assert abs(resid) < 1e4 * t ** (sol.order + 1) * scale
