@@ -357,7 +357,7 @@ def trace_implicit_curve(
     projected (_project).  A polyline splits at each segment whose
     midpoint the projection moves by more than half the segment's length,
     as it moves one that joins two branches, and at each point that does
-    not lift or project.
+    not lift or project or that the projection moves out of the box.
     """
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, resolution)
@@ -367,6 +367,7 @@ def trace_implicit_curve(
     out = []
     for line in _stitch(segs.tolist(), snap=1e-6 * cell):
         P = _project(equations, line.T if lift is None else lift(*line.T))
+        P[:, (P[0] < x0) | (P[0] > x1) | (P[1] < y0) | (P[1] > y1)] = np.nan
         with np.errstate(all="ignore"):
             mid = 0.5 * (P[:, :-1] + P[:, 1:])
             moved = np.hypot.reduce(_project(equations, mid) - mid, axis=0)

@@ -64,13 +64,13 @@ HASHES = {
     },
     "parabola": {
         "parabola_locus00_singular.csv":
-            "d312d3f2cb73baae880f93b30c6fc2a704d7a8381463cf3f4b263df825c649aa",
+            "1f58a41bad40db95faccf53150c27e87987040c064e257231ac44d1374bcbf7e",
         "parabola_locus01_boundary.csv":
             "05535fd1e18133edd573cd88e10638b901d03eefe8b6591e2b3732333e0b6782",
         "parabola_portrait.svg":
             "92f8f5a062a1a2f4dd515897f54b8f9f34a25e491ae16f94cf2f0dddfe673b54",
         "parabola_singular_points.csv":
-            "85541d168fb392a8cea0008676e8eed67a198c3b185e3b32963cb30edf2b219e",
+            "5d7cec1041003a6c2af387c6ea52172e5e14a30f4c3aa61978bd24f6b47f180e",
         "parabola_strata.csv":
             "4b3db0ec0fe1faa6962b136ee94922ad43cb6da4bfa6fe7cb0efc436a9d4760e",
         "parabola_trace00.csv":
@@ -82,13 +82,13 @@ HASHES = {
     },
     "parabola_neg": {
         "parabola_neg_locus00_singular.csv":
-            "26ea0c0fe03f1542d10580a2dba1f1ffcac650a57080c55670a32894661fc72a",
+            "0ac850ceae9cd6adfb8c55fd2f77d0c9c517e7a561c3d0a1d9425bdd4a04732e",
         "parabola_neg_locus01_boundary.csv":
             "488e4d1784d0b77932b9ae2738599173ce6117b3fc2edd5da932d6192bf3a7a3",
         "parabola_neg_portrait.svg":
             "66d9eef85865f671cd1fbbfaf2bb7a01c68b91d527483f36b31732c39ba3f46e",
         "parabola_neg_singular_points.csv":
-            "b11d0ad7dd63df0a12d2e8cbfd263bd636ebcbe0d31acca3a297d2d404733cd2",
+            "bfba67a3253c41d92c44bce4f474411d6271fe8e8cafcc6190d8171c862c4593",
         "parabola_neg_strata.csv":
             "8e8523210c6e79689439103b913d27283d3073a3a2eff96cb9655074511f466c",
         "parabola_neg_trace00.csv":

@@ -237,6 +237,16 @@ class TestSingularCurves:
         assert [c.label for c in curves].count("singular") == 1
         assert curves[0].label == "singular"
 
+    @pytest.mark.parametrize("name", ["parabola", "parabola_neg"])
+    def test_projected_points_stay_in_the_box(self, name):
+        # the end samples of a polyline lie on the box edge, and the
+        # projection can move them off it
+        cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+        x0, x1, y0, y1 = cfg.box
+        for c in sg.singular_curves(cfg.metric_obj(), cfg.box, cfg.resolution):
+            x, y = c.points.T
+            assert np.all((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)), c.label
+
     def test_degree_four_is_refused(self):
         m = mt.metric_from_strings(4, ["y^2 - x", "0", "1", "0", "0.3"])
         with pytest.raises(ValueError, match="degree 2 or 3"):
