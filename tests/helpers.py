@@ -2,7 +2,7 @@
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step, a point-by-point reference for the SVG paths,
 cell-by-cell references for the grid paths, a point-by-point reference
-for the projection onto the loci, coefficient-row utilities, the
+for the projection onto the loci, the degree of a coefficient row, the
 homogeneous metric, the one-polynomial-at-a-time root pipeline, the
 pairwise-difference expansion of the degeneracy combination, Sylvester
 determinants for the singular locus, exact polynomial trees in sympy,
@@ -443,15 +443,7 @@ def cell_strata_rows(m, xs, ys) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# coefficient rows and the homogeneous metric
-
-
-def trim(coeffs) -> np.ndarray:
-    """An ascending coefficient row without its trailing zeros; [0.0] for
-    the zero polynomial."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
-    nz = np.flatnonzero(c)
-    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
+# the degree of a coefficient row and the homogeneous metric
 
 
 def degree(coeffs) -> int:
@@ -501,7 +493,7 @@ def real_roots_reference(coeffs) -> list[tuple[float, int]]:
     npoly.polyroots, the relative cutoff on imaginary parts, one Newton
     step by npoly.polyval and clustering by np.mean, root by root.  A
     non-finite coefficient of degree 2 or more is a LinAlgError."""
-    c = trim(coeffs)
+    c = np.asarray(coeffs, dtype=np.float64)[: degree(coeffs) + 1]
     if c.size <= 1:
         return []
     roots = npoly.polyroots(c)
