@@ -492,14 +492,13 @@ def _event_column(trace: fl.GeodesicTrace) -> dict[int, str]:
 
 
 def _trace_lines(trace: fl.GeodesicTrace) -> list[str]:
-    """The CSV lines of a trace (_TRACE_HEADER)."""
+    """The CSV lines of a trace (_TRACE_HEADER); "%.12g" % v is _fmt(v)."""
     marks = _event_column(trace)
     cols = (trace.t, trace.x, trace.y, trace.slope, trace.chart, trace.F,
             trace.denom, trace.numer)
+    row = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%.12g,%.12g,"
     return [
-        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(s)},{c},{_fmt(f)},{_fmt(d)},"
-        f"{_fmt(n)},{marks.get(k, '')}"
-        for k, (t, x, y, s, c, f, d, n) in enumerate(zip(*(a.tolist() for a in cols)))
+        row % r + marks.get(k, "") for k, r in enumerate(zip(*(a.tolist() for a in cols)))
     ]
 
 
@@ -603,7 +602,7 @@ def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
     curves = sg.singular_curves(m, cfg.box, cfg.resolution)
     for i, c in enumerate(curves):
         path = os.path.join(outdir, f"{cfg.out_prefix}_locus{i:02d}_{c.label}.csv")
-        _write_csv(path, ["x", "y"], [f"{_fmt(x)},{_fmt(y)}" for x, y in c.points.tolist()])
+        _write_csv(path, ["x", "y"], ["%.12g,%.12g" % (x, y) for x, y in c.points.tolist()])
         print(f"singular: wrote {path} ({len(c)} points, {c.label})")
     rows = _singular_point_rows(m, curves)
     path = os.path.join(outdir, f"{cfg.out_prefix}_singular_points.csv")

@@ -4,11 +4,16 @@ A layer -- the coefficient fields c_0..c_{n-1} of one polynomial in the
 slope p -- is value-numbered into one sequence of assignments, in which
 equal subexpressions are computed once, and compiled with ``compile()``
 into plain Python functions: the coefficients at a point, their Horner
-sum in p, and the coefficients on arrays of points.  Each function is
+sum in p, and the coefficients on grids of points.  Each function is
 compiled on its first use.  ``lifted_field_function`` numbers a layer and
 its x and y partials together into the array code of the direction nets'
 lifted field, and ``dopri_step`` writes out one Dormand-Prince step for
 states of a given dimension.
+
+The point functions (and horner_function's) run on floats or,
+elementwise and with the same bits, on numpy arrays (``on_arrays``): a
+caller with a few thousand scattered points calls them once on arrays
+rather than compile the grid code, which costs more than the call.
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
@@ -30,13 +35,16 @@ import numpy as np
 from . import expr as ex
 
 
-def _div(a: float, b: float) -> float:
-    """a / b on floats, with the IEEE result instead of ZeroDivisionError."""
-    if b:
+def _div(a, b):
+    """a / b with the IEEE result instead of ZeroDivisionError.  Floats
+    raise only on a zero b; numpy divides arrays elementwise, warning
+    unless the caller's np.errstate says otherwise."""
+    try:
         return a / b
-    if a != a or not a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    except ZeroDivisionError:
+        if a != a or not a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _ipow(b: float, k: int) -> float:
@@ -351,6 +359,15 @@ class LayerTable:
     def poly_value(self, x: float, y: float, p: float) -> float:
         return self._poly(float(x), float(y), float(p))
 
+    def values_many(self, xs, ys) -> np.ndarray:
+        """The coefficients at 1-d arrays of points, shape (n, len(xs));
+        the point function run on the arrays, bit for bit values_at."""
+        return on_arrays(self.n, self._values, xs, ys)
+
+    def poly_value_many(self, xs, ys, ps) -> np.ndarray:
+        """poly_value at 1-d arrays of points and slopes, elementwise."""
+        return on_arrays(1, lambda *a: (self._poly(*a),), xs, ys, ps)[0]
+
     def values_on_grid(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         flat = xs.ravel()
@@ -362,3 +379,14 @@ class LayerTable:
                 e = s + _CHUNK
                 self._grid(flat[s:e], ys[s:e], out[:, s:e])
         return out.reshape((self.n,) + xs.shape)
+
+
+def on_arrays(n: int, fn, *args) -> np.ndarray:
+    """The n results of a generated function run on float arrays, as the
+    rows of one array; a result that is a constant fills its row."""
+    args = [np.asarray(a, dtype=np.float64) for a in args]
+    out = np.empty((n,) + args[0].shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for row, v in zip(out, fn(*args)):
+            row[...] = v
+    return out

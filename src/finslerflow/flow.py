@@ -21,6 +21,14 @@ on the tangent bundle.  Each tracer keeps only what it does with an
 accepted step.  Here events (sign changes of the denominator
 or of F, singular proximity, domain exit) are localized by bisection on a
 cubic Hermite interpolant of the step.
+
+Most samples of a trace are dense output: points of that interpolant
+between step ends, max_ds apart in the plane.  A step reserves their rows;
+each side computes them at its end in one array pass (_dense_output).
+The interpolant and the generated field function (metric.fdp) run on
+floats, as the bisection calls them, or elementwise on arrays with the
+same bits, so a sample is the same either way.  The isotropic projection
+and the arclength likewise run on all samples at once.
 """
 
 from __future__ import annotations
@@ -135,6 +143,18 @@ def _chart_vals(m: PseudoFinslerMetric, x, y, s, chart):
     return mt.fdp_values(m.dual(), y, x, s)
 
 
+def _chart_vals_many(m: PseudoFinslerMetric, x, y, s, q) -> np.ndarray:
+    """_chart_vals at arrays of samples, as rows (F, denom, numer); q marks
+    the samples in the q chart.  One fdp_many call per chart present."""
+    out = np.empty((3, len(s)))
+    p = ~q
+    if p.any():
+        out[:, p] = m.fdp_many(x[p], y[p], s[p])
+    if q.any():
+        out[:, q] = m.dual().fdp_many(y[q], x[q], s[q])
+    return out
+
+
 def field_at(m: PseudoFinslerMetric, pt: PTMPoint) -> tuple[float, float, float]:
     """Direction-field components (dx, dy, dslope) in the point's chart."""
     _, d, n = _chart_vals(m, pt.x, pt.y, pt.slope, pt.chart)
@@ -148,17 +168,16 @@ def field_at(m: PseudoFinslerMetric, pt: PTMPoint) -> tuple[float, float, float]
 
 
 def _hermite(u0, f0, u1, f1, h, theta):
-    out = []
-    for i in range(len(u0)):
-        a, b = u0[i], u1[i]
-        da, db = f0[i], f1[i]
-        t = theta
-        out.append(
-            (1 - t) * a
-            + t * b
-            + t * (t - 1) * ((1 - 2 * t) * (b - a) + (t - 1) * h * da + t * h * db)
-        )
-    return tuple(out)
+    """The cubic Hermite interpolant of a step at theta, one entry per
+    component: on floats, or elementwise on arrays whose rows are the
+    components, with h and theta one per column."""
+    t = theta
+    return tuple(
+        (1 - t) * a
+        + t * b
+        + t * (t - 1) * ((1 - 2 * t) * (b - a) + (t - 1) * h * da + t * h * db)
+        for a, b, da, db in zip(u0, u1, f0, f1)
+    )
 
 
 def _bisect_theta(g, lo, hi, glo, h):
@@ -178,12 +197,55 @@ def _bisect_theta(g, lo, hi, glo, h):
     return 0.5 * (lo + hi)
 
 
-def _subdivision_thetas(chord: float, end_theta: float, max_ds: float) -> list[float]:
-    """Uniform interior thetas keeping planar sample spacing under max_ds."""
+def _subdivisions(chord: float, max_ds: float) -> int:
+    """The number of equal parts of a step that keep the planar sample
+    spacing under max_ds: the samples are theta = end_theta * k / nsub,
+    k = 1 .. nsub - 1."""
     if not (chord > max_ds) or max_ds <= 0.0:
-        return []
-    nsub = min(int(chord / max_ds) + 1, 400)
-    return [end_theta * k / nsub for k in range(1, nsub)]
+        return 1
+    return min(int(chord / max_ds) + 1, 400)
+
+
+def _merge_marks(marks, end_theta: float, nsub: int) -> list:
+    """The samples of a step that holds event marks: its fill thetas
+    end_theta * k / nsub and the marks (theta, kind), in theta order, a
+    mark first at a tie.  A fill sample within 1e-9 of the sample before
+    it or of end_theta is dropped; a fill sample's kind is None.  A step
+    with no mark ending at theta 1 drops none, since nsub <= 400."""
+    fill = [(end_theta * k / nsub, None) for k in range(1, nsub)]
+    emit, last_th = [], -1.0
+    for th, kind in sorted(marks + fill, key=lambda mk: mk[0]):
+        if kind is None and (th - last_th < 1e-9 or end_theta - th < 1e-9):
+            continue
+        emit.append((th, kind))
+        last_th = th
+    return emit
+
+
+def _dense_output(steps, spans, points):
+    """The interpolated samples of one side, all in one array pass.
+
+    steps[b] is (t, h, *u0, *f0, *u1, *f1) of a step that has samples.
+    spans lists (b, row, nsub): the samples theta = k / nsub,
+    k = 1 .. nsub - 1, of step b go to rows row, row + 1, ...; points
+    lists (b, row, theta), one sample each.  Returns the rows, the step of
+    each, the times t + theta * h and the states (_hermite).
+    """
+    sb, first, nsub = np.array(spans, dtype=np.int64).reshape(-1, 3).T
+    count = nsub - 1
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
+    block, rows = np.repeat(sb, count), np.repeat(first, count) + k - 1
+    theta = k / np.repeat(nsub, count)
+    if points:
+        pb, prow, pth = zip(*points)
+        block = np.concatenate((block, pb))
+        rows = np.concatenate((rows, prow))
+        theta = np.concatenate((theta, pth))
+    s = np.array(steps)[block].T
+    t, h, d = s[0], s[1], (len(s) - 2) // 4
+    u0, f0, u1, f1 = (s[2 + j * d : 2 + (j + 1) * d] for j in range(4))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return rows, block, t + theta * h, _hermite(u0, f0, u1, f1, h, theta)
 
 
 def _dopri_steps(rhs, u, fu, cfg: IntegratorConfig):
@@ -226,7 +288,7 @@ def _join_sides(run, direction: int):
     """One or both time directions of a trace through a seed.
 
     run(sign) integrates the direction of sign and returns its sample
-    lists keyed by name, the time under "t" and the seed first, and its
+    arrays keyed by name, the time under "t" and the seed first, and its
     events, its stop last.  The backward side has its time negated; with
     direction 0 it is reversed and joined to the forward side at their
     common seed row.  Returns the columns, the events and each side's
@@ -236,13 +298,13 @@ def _join_sides(run, direction: int):
         cols, events = run(1.0)
         return cols, events, (events[-1].kind,)
     back, bev = run(-1.0)
-    back["t"] = [-v for v in back["t"]]
+    back["t"] = -back["t"]
     bev = [TraceEvent(e.index, e.kind, -e.t) for e in bev]
     if direction < 0:
         return back, bev, (bev[-1].kind,)
     fwd, fev = run(1.0)
     seed = len(back["t"]) - 1
-    cols = {k: back[k][::-1] + fwd[k][1:] for k in fwd}
+    cols = {k: np.concatenate((back[k][::-1], fwd[k][1:])) for k in fwd}
     # an event of the forward side at the seed is the backward side's
     events = [TraceEvent(seed - e.index, e.kind, e.t) for e in reversed(bev)]
     events += [TraceEvent(seed + e.index, e.kind, e.t) for e in fev if e.index > 0]
@@ -255,7 +317,12 @@ def _join_sides(run, direction: int):
 
 
 def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
-    """Integrate one time direction; returns sample lists and events."""
+    """Integrate one time direction; returns sample arrays and events.
+
+    A step's interpolated samples get their rows when it is accepted and
+    their values at the side's end, in one _dense_output pass and one
+    field call per chart.
+    """
     x0, x1, y0, y1 = cfg.box
 
     state_chart = seed.chart
@@ -285,6 +352,9 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
 
     cols = {k: [] for k in ("t", "x", "y", "slope", "chart", "F", "denom", "numer")}
     events: list[TraceEvent] = []
+    # the steps with interpolated samples, whether each is in the q chart,
+    # and where their samples go (_dense_output)
+    steps, in_q, spans, points = [], [], [], []
 
     def push(t, v, vals):
         cols["t"].append(t)
@@ -297,6 +367,13 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         cols["numer"].append(vals[2])
         return len(cols["t"]) - 1
 
+    def reserve(count):
+        """The first of count rows left for interpolated samples."""
+        row, blank = len(cols["t"]), [0.0] * count
+        for name, col in cols.items():
+            col.extend([state_chart] * count if name == "chart" else blank)
+        return row
+
     if not inside(u):
         raise ValueError(f"seed {u[:2]} outside the domain box {cfg.box}")
     fu = rhs(u)
@@ -306,17 +383,17 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     sc = scale_at(u)
     if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * sc:
         events.append(TraceEvent(0, SINGULAR_APPROACH, 0.0))
-        return cols, events
+        return {k: np.asarray(v) for k, v in cols.items()}, events
 
-    steps = _dopri_steps(rhs, u, fu, cfg)
+    stepper = _dopri_steps(rhs, u, fu, cfg)
     restart = None
     while True:
         try:
-            t, h, u0, f0, unew, fnew = steps.send(restart)
+            t, h, u0, f0, unew, fnew = stepper.send(restart)
         except StopIteration as stop:
             kind, t = stop.value
             events.append(TraceEvent(len(cols["t"]) - 1, kind, t))
-            return cols, events
+            break
         restart = None
         # the step's last stage is rhs(unew), with unew that very tuple
         assert unew is last_v
@@ -359,7 +436,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
 
         # classify interior candidates; a singular approach truncates the step
         marks = []
-        terminal = end_at = None
+        terminal = None
         end_theta = 1.0
         if exit_theta is not None:
             end_theta, terminal = exit_theta, DOMAIN_EXIT
@@ -367,41 +444,37 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         for th, what in candidates:
             if th > end_theta:
                 continue
-            v_ev, vals_ev = chart_vals_at(th)
             if what == "denom":
+                v_ev, vals_ev = chart_vals_at(th)
                 sc = scale_at(v_ev)
                 if max(abs(vals_ev[1]), abs(vals_ev[2])) < SINGULAR_TOL * sc:
-                    end_theta, terminal, end_at = th, SINGULAR_APPROACH, (v_ev, vals_ev)
+                    end_theta, terminal = th, SINGULAR_APPROACH
                     marks = [mk for mk in marks if mk[0] < th]
                     break
                 if abs(vals_ev[2]) > EVENT_TOL * sc:
-                    marks.append((th, CUSP, (v_ev, vals_ev)))
+                    marks.append((th, CUSP))
             else:
-                marks.append((th, ISOTROPIC_CROSS, None))
+                marks.append((th, ISOTROPIC_CROSS))
 
         # dense output: cap the planar spacing of emitted samples
         chord = math.hypot(unew[0] - u0[0], unew[1] - u0[1]) * end_theta
-        fill = _subdivision_thetas(chord, end_theta, cfg.max_ds)
-        emit = sorted(
-            marks + [(th, None, None) for th in fill], key=lambda mk: mk[0]
-        )
-        last_th = -1.0
-        for th, kind, at in emit:
-            if kind is None and (th - last_th < 1e-9 or end_theta - th < 1e-9):
-                continue
-            v_ev, vals_ev = at or chart_vals_at(th)
-            t_ev = t + th * h
-            idx = push(t_ev, v_ev, vals_ev)
-            if kind is not None:
-                events.append(TraceEvent(idx, kind, t_ev))
-            last_th = th
-
-        if terminal is not None:
-            v_end, vals_end = end_at or chart_vals_at(end_theta)
-            t_end = t + end_theta * h
-            idx = push(t_end, v_end, vals_end)
-            events.append(TraceEvent(idx, terminal, t_end))
-            return cols, events
+        nsub = _subdivisions(chord, cfg.max_ds)
+        if nsub > 1 or marks or terminal is not None:
+            steps.append((t, h, *u0, *f0, *unew, *fnew))
+            in_q.append(state_chart == "q")
+        if marks or terminal is not None:
+            emit = _merge_marks(marks, end_theta, nsub)
+            if terminal is not None:
+                emit.append((end_theta, terminal))
+            row = reserve(len(emit))
+            for i, (th, kind) in enumerate(emit):
+                points.append((len(steps) - 1, row + i, th))
+                if kind is not None:
+                    events.append(TraceEvent(row + i, kind, t + th * h))
+            if terminal is not None:
+                break
+        elif nsub > 1:
+            spans.append((len(steps) - 1, reserve(nsub - 1), nsub))
 
         t += h
         u, vals = unew, vals_new
@@ -410,7 +483,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         sc = scale_at(u)
         if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * sc:
             events.append(TraceEvent(idx, SINGULAR_APPROACH, t))
-            return cols, events
+            break
 
         if abs(u[2]) > CHART_THRESHOLD:
             state_chart = "q" if state_chart == "p" else "p"
@@ -428,6 +501,14 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             idx = push(t, u, vals)
             events.append(TraceEvent(idx, CHART_SWITCH, t))
             restart = (u, f)
+
+    out = {k: np.asarray(v) for k, v in cols.items()}
+    if steps:
+        rows, block, ts, (xs, ys, ss) = _dense_output(steps, spans, points)
+        out["t"][rows], out["x"][rows], out["y"][rows], out["slope"][rows] = ts, xs, ys, ss
+        fdn = _chart_vals_many(m, xs, ys, ss, np.array(in_q)[block])
+        out["F"][rows], out["denom"][rows], out["numer"][rows] = fdn
+    return out, events
 
 
 def integrate(
@@ -456,22 +537,43 @@ def integrate(
 # isotropic traces
 
 
-def _project_isotropic(m, x, y, s, chart, tol_abs, max_iter=8):
-    """Newton steps in the slope driving the chart's F to zero."""
-    mm = m if chart == "p" else m.dual()
-    xx, yy = (x, y) if chart == "p" else (y, x)
-    tbl = mm.table("F")
-    row = tbl.values_at(xx, yy)
-    drow, scale = npoly.polyder(row), float(np.max(np.abs(row)))
-    for _ in range(max_iter):
-        f = tbl.poly_value(xx, yy, s)
-        if abs(f) <= tol_abs:
-            return s, True
-        d = npoly.polyval(s, drow)
-        if abs(d) < 1e-9 * max(1.0, scale):
-            return s, False
-        s = s - f / d
-    return s, abs(tbl.poly_value(xx, yy, s)) <= tol_abs
+def _project_isotropic(m, x, y, s, q, tol_abs, max_iter=8):
+    """Newton steps in the slope driving the chart's F to zero, at arrays of
+    samples (q marks those in the q chart) with tolerances tol_abs.
+
+    Returns the slopes and whether each reached |F| <= tol_abs.  A sample
+    stops at the first slope that meets its tolerance.  It is refused,
+    keeping the slope it has, where |F_p| < 1e-9 max(1, max |coefficient|)
+    (a nan maximum counts as 1, as Python's max(1.0, nan) gives).  After
+    max_iter steps it is ok where its last slope meets the tolerance.
+    """
+    s, ok = np.array(s, dtype=np.float64), np.zeros(len(s), dtype=bool)
+    tol_abs = np.broadcast_to(tol_abs, s.shape)
+    for sel, a, b in ((~q, x, y), (q, y, x)):
+        if sel.any():
+            tbl = (m.dual() if sel is q else m).table("F")
+            s[sel], ok[sel] = _newton_F(tbl, a[sel], b[sel], s[sel], tol_abs[sel], max_iter)
+    return s, ok
+
+
+def _newton_F(tbl, x, y, s, tol_abs, max_iter):
+    """The masked Newton iteration of _project_isotropic in one chart."""
+    row = tbl.values_many(x, y)
+    drow = npoly.polyder(row)
+    floor = 1e-9 * np.fmax(1.0, np.max(np.abs(row), axis=0))
+    ok, live = np.zeros(len(s), dtype=bool), np.ones(len(s), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            f = tbl.poly_value_many(x, y, s)
+            met = live & (np.abs(f) <= tol_abs)
+            ok |= met
+            d = npoly.polyval(s, drow, tensor=False)
+            live &= ~met & ~(np.abs(d) < floor)
+            if not live.any():
+                return s, ok
+            s = np.where(live, s - f / d, s)
+        ok |= live & (np.abs(tbl.poly_value_many(x, y, s)) <= tol_abs)
+    return s, ok
 
 
 def isotropic_trace(
@@ -484,33 +586,35 @@ def isotropic_trace(
 
     The seed slope is first projected onto the surface; the direction
     field is tangent to F = 0, so drift is only round-off and is removed
-    by a Newton projection whenever it exceeds ``tol`` (scaled locally).
+    by a Newton projection wherever it exceeds ``tol`` (scaled locally),
+    at all drifting samples at once.
     """
     cfg = cfg or IntegratorConfig()
     sc = mt.metric_scale(m, seed.x, seed.y) + 1.0
-    s, ok = _project_isotropic(m, seed.x, seed.y, seed.slope, seed.chart, tol * sc)
-    if not ok:
+    s, ok = _project_isotropic(
+        m, np.array([seed.x]), np.array([seed.y]), [seed.slope],
+        np.array([seed.chart == "q"]), tol * sc,
+    )
+    if not ok[0]:
         raise ValueError(
             "seed cannot be projected onto the isotropic surface "
             f"(F' vanishes near slope {seed.slope})"
         )
-    seed = replace(seed, slope=s)
+    seed = replace(seed, slope=float(s[0]))
     trace = integrate(m, seed, cfg)
     # F hovers at zero along the whole trace, so sign-change events on F
     # are round-off artifacts here; drop them
     trace.events = [e for e in trace.events if e.kind != ISOTROPIC_CROSS]
-    # projection pass: fix residual drift sample by sample
-    for i in range(len(trace)):
-        sc = mt.metric_scale(m, trace.x[i], trace.y[i]) + 1.0
-        if abs(trace.F[i]) > tol * sc:
-            s, ok = _project_isotropic(
-                m, trace.x[i], trace.y[i], trace.slope[i], str(trace.chart[i]),
-                tol * sc,
-            )
-            if ok:
-                trace.slope[i] = s
-                vals = _chart_vals(m, trace.x[i], trace.y[i], s, str(trace.chart[i]))
-                trace.F[i], trace.denom[i], trace.numer[i] = vals
+    # projection pass: fix the residual drift of all samples at once
+    tol_abs = tol * (mt.metric_scale_many(m, trace.x, trace.y) + 1.0)
+    drift = np.flatnonzero(np.abs(trace.F) > tol_abs)
+    if drift.size:
+        x, y, q = trace.x[drift], trace.y[drift], trace.chart[drift] == "q"
+        s, ok = _project_isotropic(m, x, y, trace.slope[drift], q, tol_abs[drift])
+        fixed = drift[ok]
+        trace.slope[fixed] = s[ok]
+        fdn = _chart_vals_many(m, x[ok], y[ok], s[ok], q[ok])
+        trace.F[fixed], trace.denom[fixed], trace.numer[fixed] = fdn
     return trace
 
 
@@ -579,31 +683,39 @@ def tm_integrate(
         u = (x, y, sign * xdot, sign * ydot)
         if h_small(u):
             raise ValueError("seed is on or too close to the degeneracy H = 0")
-        ts, rows = [0.0], [u]
+        # the samples, the steps with interpolated ones and where those go
+        ts, rows, steps, spans = [0.0], [u], [], []
 
         def stop(kind, t):
-            return {"t": ts, "u": rows}, [TraceEvent(len(ts) - 1, kind, t)]
+            cols = {"t": np.array(ts), "u": np.array(rows, dtype=np.float64)}
+            if steps:
+                at, _, tt, states = _dense_output(steps, spans, ())
+                cols["t"][at] = tt
+                cols["u"][at] = np.transpose(states)
+            return cols, [TraceEvent(len(ts) - 1, kind, t)]
 
-        steps = _dopri_steps(rhs, u, rhs(u), cfg)
+        stepper = _dopri_steps(rhs, u, rhs(u), cfg)
         while True:
             try:
-                t, h, u0, f0, u1, f1 = next(steps)
+                t, h, u0, f0, u1, f1 = next(stepper)
             except StopIteration as end:
                 return stop(*end.value)
             if h_small(u1):
                 return stop(SINGULAR_APPROACH, t)
-            chord = math.hypot(u1[0] - u0[0], u1[1] - u0[1])
-            for th in _subdivision_thetas(chord, 1.0, cfg.max_ds):
-                ts.append(t + th * h)
-                rows.append(_hermite(u0, f0, u1, f1, h, th))
+            nsub = _subdivisions(math.hypot(u1[0] - u0[0], u1[1] - u0[1]), cfg.max_ds)
+            if nsub > 1:
+                spans.append((len(steps), len(ts), nsub))
+                steps.append((t, h, *u0, *f0, *u1, *f1))
+                ts.extend([0.0] * (nsub - 1))
+                rows.extend([u1] * (nsub - 1))
             ts.append(t + h)
             rows.append(u1)
             if not (x0 <= u1[0] <= x1 and y0b <= u1[1] <= y1b):
                 return stop(DOMAIN_EXIT, t + h)
 
     cols, _, stops = _join_sides(run, direction)
-    xs, ys, xdots, ydots = np.asarray(cols["u"], dtype=np.float64).T
-    return TMTrace(np.asarray(cols["t"]), xs, ys, xdots, ydots, stops)
+    xs, ys, xdots, ydots = cols["u"].T
+    return TMTrace(cols["t"], xs, ys, xdots, ydots, stops)
 
 
 # ---------------------------------------------------------------------------
@@ -620,40 +732,30 @@ def arclength_reparam(
     Raises IsotropicSegmentError when every sample is isotropic.
     """
     n = m.degree
-    N = len(trace)
-    iso = np.zeros(N, dtype=bool)
-    g = np.zeros(N)
-    for i in range(N):
-        sc = mt.metric_scale(m, trace.x[i], trace.y[i]) + 1.0
-        if abs(trace.F[i]) <= iso_tol * sc:
-            iso[i] = True
-        else:
-            g[i] = abs(trace.F[i]) ** (1.0 / n)
+    iso = np.abs(trace.F) <= iso_tol * (mt.metric_scale_many(m, trace.x, trace.y) + 1.0)
     if bool(np.all(iso)):
         raise IsotropicSegmentError("trace lies on the isotropic surface")
+    # the length element |F|^(1/n), on floats: numpy's array power may take
+    # a SIMD pow whose last bit differs from libm's (seen on AVX-512)
+    e = 1.0 / n
+    g = np.array([v**e for v in np.abs(trace.F).tolist()])
+    g[iso] = 0.0
+    # the trapezoid increments between neighbours, in the earlier one's
+    # chart; those across an isotropic sample are computed and not used
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = np.where(
+            trace.chart[:-1] == "p", np.abs(np.diff(trace.x)), np.abs(np.diff(trace.y))
+        )
+        ds = 0.5 * (g[1:] + g[:-1]) * w
 
+    # the runs of non-isotropic samples, as [start, end) pairs
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ~iso, [False]))))
     segments: list[np.ndarray] = []
-    start = None
-    for i in range(N):
-        if not iso[i] and start is None:
-            start = i
-        boundary = iso[i] or i == N - 1
-        if boundary and start is not None:
-            end = i if iso[i] else i + 1
-            if end - start >= 2:
-                rows = np.zeros((end - start, 3))
-                s = 0.0
-                rows[0] = (0.0, trace.x[start], trace.y[start])
-                for k in range(start + 1, end):
-                    w = (
-                        abs(trace.x[k] - trace.x[k - 1])
-                        if trace.chart[k - 1] == "p"
-                        else abs(trace.y[k] - trace.y[k - 1])
-                    )
-                    s += 0.5 * (g[k] + g[k - 1]) * w
-                    rows[k - start] = (s, trace.x[k], trace.y[k])
-                segments.append(rows)
-            start = None
+    for start, end in edges.reshape(-1, 2).tolist():
+        if end - start >= 2:
+            # accumulate adds left to right, as the running sum from 0.0 did
+            s = np.add.accumulate(np.concatenate(([0.0], ds[start : end - 1])))
+            segments.append(np.column_stack((s, trace.x[start:end], trace.y[start:end])))
     return segments
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from . import poly
-from .codegen import LayerTable, _ipow, horner_function
+from .codegen import LayerTable, _ipow, horner_function, on_arrays
 
 DISC_BAND_REL = 1e-10
 DEGREE_TRIM_REL = 1e-12
@@ -121,12 +121,18 @@ class PseudoFinslerMetric:
         return got
 
     def fdp(self, x: float, y: float, p: float) -> tuple[float, float, float]:
-        """(F, denom, numer) at slope p, from one generated function."""
+        """(F, denom, numer) at slope p, from one generated function; it
+        runs on floats or elementwise on arrays (fdp_many)."""
         if self._fdp is None:
             self._fdp = horner_function(
                 [self._expr_layer(name) for name in ("F", "denom", "numer")]
             )
         return self._fdp(x, y, p)
+
+    def fdp_many(self, xs, ys, ps) -> np.ndarray:
+        """fdp at 1-d arrays of points, as the rows (F, denom, numer) of one
+        array; the same function run elementwise, with the same bits."""
+        return on_arrays(3, self.fdp, xs, ys, ps)
 
     def dual(self) -> "PseudoFinslerMetric":
         """Metric seen from the chart with the roles of x and y exchanged.
@@ -206,6 +212,11 @@ def metric_scale(m: PseudoFinslerMetric, x: float, y: float) -> float:
     a = [abs(c) for c in m.table("F").point_values(x, y)]
     # a sum of non-negative terms is nan only where one of them is
     return math.nan if math.isnan(sum(a)) else max(a)
+
+
+def metric_scale_many(m: PseudoFinslerMetric, xs, ys) -> np.ndarray:
+    """metric_scale at 1-d arrays of points: nan wherever a coefficient is."""
+    return np.max(np.abs(m.table("F").values_many(xs, ys)), axis=0)
 
 
 def fdp_values(

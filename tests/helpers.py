@@ -6,8 +6,9 @@ for the projection onto the loci, the degree of a coefficient row, the
 homogeneous metric, the one-polynomial-at-a-time root pipeline, the
 pairwise-difference expansion of the degeneracy combination, Sylvester
 determinants for the singular locus, exact polynomial trees in sympy,
-and a tree-walk reference, on dual numbers, for the exact series
-solve."""
+a tree-walk reference, on dual numbers, for the exact series solve, and
+per-sample references for the traces (dense output, isotropic
+projection, arclength)."""
 
 from __future__ import annotations
 
@@ -19,11 +20,12 @@ import sympy
 from numpy.polynomial import polynomial as npoly
 
 from finslerflow import expr as ex
+from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import puiseux as pz
 from finslerflow.cli import _fmt
-from finslerflow.codegen import DOPRI_A, DOPRI_E, _ipow
+from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow
 
 
 class EvalDomainError(ZeroDivisionError):
@@ -798,3 +800,286 @@ def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
         offset=offset, norm=norm, obstructed=obstructed,
         obstruction_order=obstruction_order, residual_order=residual_order,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-sample references for the traces, which flow computes array-at-a-time
+
+
+def _run_direction_reference(m, seed, cfg, sign0):
+    """One time direction of flow.integrate with each interpolated sample
+    computed as it is emitted: the Hermite interpolant on floats and the
+    field from the scalar fdp, one sample after another."""
+    x0, x1, y0, y1 = cfg.box
+    state_chart = seed.chart
+    state_sign = sign0
+    u = (seed.x, seed.y, seed.slope)
+    last_v = last_vals = None
+
+    def rhs(v):
+        nonlocal last_v, last_vals
+        x, y, s = v
+        last_v, last_vals = v, flow._chart_vals(m, x, y, s, state_chart)
+        _, d, n = last_vals
+        if state_chart == "p":
+            return (state_sign * d, state_sign * (s * d), state_sign * n)
+        return (state_sign * (s * d), state_sign * d, state_sign * n)
+
+    def inside(v):
+        return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
+
+    def scale_at(v):
+        return _ipow(1.0 + mt.metric_scale(m, v[0], v[1]), 2)
+
+    cols = {k: [] for k in ("t", "x", "y", "slope", "chart", "F", "denom", "numer")}
+    events = []
+
+    def push(t, v, vals):
+        for k, val in zip(cols, (t, *v, state_chart, *vals)):
+            cols[k].append(val)
+        return len(cols["t"]) - 1
+
+    def done():
+        return {k: np.asarray(v) for k, v in cols.items()}, events
+
+    fu = rhs(u)
+    vals = last_vals
+    push(0.0, u, vals)
+    if max(abs(vals[1]), abs(vals[2])) < flow.SINGULAR_TOL * scale_at(u):
+        events.append(flow.TraceEvent(0, flow.SINGULAR_APPROACH, 0.0))
+        return done()
+
+    steps = flow._dopri_steps(rhs, u, fu, cfg)
+    restart = None
+    while True:
+        try:
+            t, h, u0, f0, unew, fnew = steps.send(restart)
+        except StopIteration as stop:
+            kind, t = stop.value
+            events.append(flow.TraceEvent(len(cols["t"]) - 1, kind, t))
+            return done()
+        restart = None
+        vals_new = last_vals
+
+        def interp(theta):
+            return flow._hermite(u0, f0, unew, fnew, h, theta)
+
+        def chart_vals_at(theta):
+            v = interp(theta)
+            return v, flow._chart_vals(m, v[0], v[1], v[2], state_chart)
+
+        candidates = []
+        if vals[1] * vals_new[1] < 0.0:
+            th = flow._bisect_theta(lambda s: chart_vals_at(s)[1][1], 0.0, 1.0, vals[1], h)
+            candidates.append((th, "denom"))
+        if vals[0] * vals_new[0] < 0.0:
+            th = flow._bisect_theta(lambda s: chart_vals_at(s)[1][0], 0.0, 1.0, vals[0], h)
+            candidates.append((th, "F"))
+
+        exit_theta = None
+        if not inside(unew):
+            lo, hi = 0.0, 1.0
+            for _ in range(80):
+                if hi - lo <= flow._T_LOCATE / max(h, 1e-300):
+                    break
+                mid = 0.5 * (lo + hi)
+                if inside(interp(mid)):
+                    lo = mid
+                else:
+                    hi = mid
+            exit_theta = lo
+
+        marks = []
+        terminal = end_at = None
+        end_theta = 1.0
+        if exit_theta is not None:
+            end_theta, terminal = exit_theta, flow.DOMAIN_EXIT
+        candidates.sort()
+        for th, what in candidates:
+            if th > end_theta:
+                continue
+            v_ev, vals_ev = chart_vals_at(th)
+            if what == "denom":
+                sc = scale_at(v_ev)
+                if max(abs(vals_ev[1]), abs(vals_ev[2])) < flow.SINGULAR_TOL * sc:
+                    end_theta, terminal = th, flow.SINGULAR_APPROACH
+                    end_at = (v_ev, vals_ev)
+                    marks = [mk for mk in marks if mk[0] < th]
+                    break
+                if abs(vals_ev[2]) > flow.EVENT_TOL * sc:
+                    marks.append((th, flow.CUSP, (v_ev, vals_ev)))
+            else:
+                marks.append((th, flow.ISOTROPIC_CROSS, None))
+
+        chord = math.hypot(unew[0] - u0[0], unew[1] - u0[1]) * end_theta
+        nsub = flow._subdivisions(chord, cfg.max_ds)
+        fill = [(end_theta * k / nsub, None, None) for k in range(1, nsub)]
+        last_th = -1.0
+        for th, kind, at in sorted(marks + fill, key=lambda mk: mk[0]):
+            if kind is None and (th - last_th < 1e-9 or end_theta - th < 1e-9):
+                continue
+            v_ev, vals_ev = at or chart_vals_at(th)
+            idx = push(t + th * h, v_ev, vals_ev)
+            if kind is not None:
+                events.append(flow.TraceEvent(idx, kind, t + th * h))
+            last_th = th
+
+        if terminal is not None:
+            v_end, vals_end = end_at or chart_vals_at(end_theta)
+            idx = push(t + end_theta * h, v_end, vals_end)
+            events.append(flow.TraceEvent(idx, terminal, t + end_theta * h))
+            return done()
+
+        t += h
+        u, vals = unew, vals_new
+        idx = push(t, u, vals)
+        if max(abs(vals[1]), abs(vals[2])) < flow.SINGULAR_TOL * scale_at(u):
+            events.append(flow.TraceEvent(idx, flow.SINGULAR_APPROACH, t))
+            return done()
+
+        if abs(u[2]) > flow.CHART_THRESHOLD:
+            state_chart = "q" if state_chart == "p" else "p"
+            state_sign = 1.0
+            u = (u[0], u[1], 1.0 / u[2])
+            f = rhs(u)
+            vals = last_vals
+            dot = f[0] * fnew[0] + f[1] * fnew[1]
+            if not (dot > 0.0 or (dot == 0.0 and -f[2] * fnew[2] >= 0.0)):
+                state_sign = -1.0
+                f = (-f[0], -f[1], -f[2])
+            idx = push(t, u, vals)
+            events.append(flow.TraceEvent(idx, flow.CHART_SWITCH, t))
+            restart = (u, f)
+
+
+def integrate_reference(m, seed, cfg, direction: int = 0):
+    """flow.integrate with the per-sample emission of
+    _run_direction_reference."""
+    if seed.chart == "p" and abs(seed.slope) > flow.CHART_THRESHOLD:
+        seed = flow.PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q")
+    cols, events, stops = flow._join_sides(
+        lambda sign: _run_direction_reference(m, seed, cfg, sign), direction
+    )
+    return flow.GeodesicTrace(**cols, events=events, stops=stops)
+
+
+def tm_integrate_reference(m, x, y, xdot, ydot, cfg, direction: int = 0):
+    """flow.tm_integrate with each interpolated sample computed as it is
+    emitted, the Hermite interpolant on floats."""
+    x0, x1, y0, y1 = cfg.box
+    n = m.degree
+
+    def rhs(u):
+        h, h1, h2 = mt.accel_determinants(m, u[0], u[1], u[2], u[3])
+        return (u[2], u[3], _div(h1, h), _div(h2, h))
+
+    def h_small(u):
+        speed = max(abs(u[2]), abs(u[3]), 1e-12)
+        ref = _ipow(1.0 + mt.metric_scale(m, u[0], u[1]), 2) * _ipow(speed, 2 * n - 4)
+        return abs(mt.accel_determinants(m, *u)[0]) < 1e-10 * ref
+
+    def run(sign):
+        u = (x, y, sign * xdot, sign * ydot)
+        ts, rows = [0.0], [u]
+
+        def stop(kind, t):
+            cols = {"t": np.asarray(ts), "u": np.asarray(rows, dtype=np.float64)}
+            return cols, [flow.TraceEvent(len(ts) - 1, kind, t)]
+
+        steps = flow._dopri_steps(rhs, u, rhs(u), cfg)
+        while True:
+            try:
+                t, h, u0, f0, u1, f1 = next(steps)
+            except StopIteration as end:
+                return stop(*end.value)
+            if h_small(u1):
+                return stop(flow.SINGULAR_APPROACH, t)
+            nsub = flow._subdivisions(math.hypot(u1[0] - u0[0], u1[1] - u0[1]), cfg.max_ds)
+            for k in range(1, nsub):
+                ts.append(t + k / nsub * h)
+                rows.append(flow._hermite(u0, f0, u1, f1, h, k / nsub))
+            ts.append(t + h)
+            rows.append(u1)
+            if not (x0 <= u1[0] <= x1 and y0 <= u1[1] <= y1):
+                return stop(flow.DOMAIN_EXIT, t + h)
+
+    cols, _, stops = flow._join_sides(run, direction)
+    xs, ys, xdots, ydots = cols["u"].T
+    return flow.TMTrace(cols["t"], xs, ys, xdots, ydots, stops)
+
+
+def project_isotropic_reference(m, x, y, s, chart, tol_abs, max_iter=8):
+    """Newton steps in the slope driving the chart's F to zero, at one
+    sample; returns the slope and whether |F| <= tol_abs there."""
+    mm = m if chart == "p" else m.dual()
+    xx, yy = (x, y) if chart == "p" else (y, x)
+    tbl = mm.table("F")
+    row = tbl.values_at(xx, yy)
+    drow, scale = npoly.polyder(row), float(np.max(np.abs(row)))
+    # numpy scalars warn where Python floats would not
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            f = tbl.poly_value(xx, yy, s)
+            if abs(f) <= tol_abs:
+                return s, True
+            d = npoly.polyval(s, drow)
+            if abs(d) < 1e-9 * max(1.0, scale):
+                return s, False
+            s = s - f / d
+    return s, abs(tbl.poly_value(xx, yy, s)) <= tol_abs
+
+
+def isotropic_trace_reference(m, seed, cfg, tol: float = 1e-9):
+    """flow.isotropic_trace with the seed and then each drifting sample
+    projected one at a time."""
+    sc = mt.metric_scale(m, seed.x, seed.y) + 1.0
+    s, ok = project_isotropic_reference(m, seed.x, seed.y, seed.slope, seed.chart, tol * sc)
+    assert ok
+    trace = integrate_reference(m, flow.PTMPoint(seed.x, seed.y, s, seed.chart), cfg)
+    trace.events = [e for e in trace.events if e.kind != flow.ISOTROPIC_CROSS]
+    for i in range(len(trace)):
+        sc = mt.metric_scale(m, trace.x[i], trace.y[i]) + 1.0
+        if abs(trace.F[i]) > tol * sc:
+            chart = str(trace.chart[i])
+            s, ok = project_isotropic_reference(
+                m, trace.x[i], trace.y[i], trace.slope[i], chart, tol * sc
+            )
+            if ok:
+                trace.slope[i] = s
+                vals = flow._chart_vals(m, trace.x[i], trace.y[i], s, chart)
+                trace.F[i], trace.denom[i], trace.numer[i] = vals
+    return trace
+
+
+def arclength_reference(m, trace, iso_tol: float = 1e-9) -> list[np.ndarray]:
+    """flow.arclength_reparam by loops over the samples: the scale and the
+    length element per sample, and a running sum along each segment."""
+    n, N = m.degree, len(trace)
+    iso, g = np.zeros(N, dtype=bool), np.zeros(N)
+    for i in range(N):
+        sc = mt.metric_scale(m, trace.x[i], trace.y[i]) + 1.0
+        if abs(trace.F[i]) <= iso_tol * sc:
+            iso[i] = True
+        else:
+            g[i] = abs(trace.F[i]) ** (1.0 / n)
+    segments, start = [], None
+    for i in range(N):
+        if not iso[i] and start is None:
+            start = i
+        if (iso[i] or i == N - 1) and start is not None:
+            end = i if iso[i] else i + 1
+            if end - start >= 2:
+                rows = np.zeros((end - start, 3))
+                s = 0.0
+                rows[0] = (0.0, trace.x[start], trace.y[start])
+                for k in range(start + 1, end):
+                    w = (
+                        abs(trace.x[k] - trace.x[k - 1])
+                        if trace.chart[k - 1] == "p"
+                        else abs(trace.y[k] - trace.y[k - 1])
+                    )
+                    s += 0.5 * (g[k] + g[k - 1]) * w
+                    rows[k - start] = (s, trace.x[k], trace.y[k])
+                segments.append(rows)
+            start = None
+    return segments

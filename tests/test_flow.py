@@ -9,21 +9,26 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from finslerflow import flow
+from finslerflow import codegen, flow
 from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import singular as sg
 from finslerflow.flow import IntegratorConfig, PTMPoint
 
 from helpers import (
+    arclength_reference,
     crop_to_ball,
     disc_gradient_at,
     halfplane_metric,
     hausdorff_distance,
+    integrate_reference,
+    isotropic_trace_reference,
     max_ode_residual,
     nondegenerate_state,
     parabola_metric,
+    project_isotropic_reference,
     random_metric,
+    tm_integrate_reference,
 )
 
 EVENT_KINDS = {
@@ -415,6 +420,233 @@ class TestArclength:
         tr = flow.isotropic_trace(m, PTMPoint(0.5, 0.0, np.sqrt(0.5)))
         with pytest.raises(flow.IsotropicSegmentError):
             flow.arclength_reparam(m, tr)
+
+
+def _assert_same_trace(got, want):
+    """Equal columns, bit for bit, and equal events and stops."""
+    for name in ("t", "x", "y", "slope", "chart", "F", "denom", "numer"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [(e.index, e.kind, e.t) for e in got.events] == [
+        (e.index, e.kind, e.t) for e in want.events
+    ]
+    assert got.stops == want.stops
+
+
+# parabola.cfg: F = p^2 + y^2 - x
+PARABOLA = ["y^2 - x", "0", "1", "0"]
+
+
+class TestArrayAtATime:
+    """integrate, tm_integrate, isotropic_trace and arclength_reparam
+    compute their samples on arrays; each gives the bits of the per-sample
+    reference in tests/helpers.py."""
+
+    @pytest.mark.parametrize("seed", [(0.5, 0.7, 0.2), (-0.8, 0.4, 0.6), (0.3, 1.1, -0.4)])
+    def test_parabola_config_traces(self, seed):
+        # the seeds of parabola.cfg; the last two fill steps in the q chart
+        m = mt.metric_from_strings(3, PARABOLA)
+        cfg = IntegratorConfig(box=(-1.5, 1.5, 0.05, 1.5), max_steps=600)
+        got = flow.integrate(m, PTMPoint(*seed), cfg)
+        _assert_same_trace(got, integrate_reference(m, PTMPoint(*seed), cfg))
+        if seed[0] < 0.5:
+            assert np.count_nonzero(got.chart == "q") > 100
+
+    @pytest.mark.parametrize(
+        "metric, seed, box, kind",
+        [
+            (halfplane_metric, (0.1, 0.0, 0.8), (-1.0, 1.0, -1.0, 1.0), "Cusp"),
+            (lambda: random_metric(np.random.default_rng(276), 2),
+             (-0.22921831927564396, 0.6163822338532452, -0.7487779302885221),
+             (-0.53, 0.07, 0.32, 0.92), "IsotropicCross"),
+        ],
+    )
+    def test_mark_inside_a_filled_step(self, metric, seed, box, kind):
+        m = metric()
+        cfg = IntegratorConfig(box=box, max_ds=2e-4)
+        got = flow.integrate(m, PTMPoint(*seed), cfg)
+        _assert_same_trace(got, integrate_reference(m, PTMPoint(*seed), cfg))
+        marks = [e for e in got.events if e.kind == kind]
+        assert marks
+        # the samples on both sides of the mark are interpolated: spaced
+        # by at most max_ds, with an accepted step far longer
+        for e in marks:
+            near = slice(e.index - 2, e.index + 3)
+            assert np.all(np.hypot(np.diff(got.x[near]), np.diff(got.y[near])) <= 2e-4)
+
+    def test_fill_next_to_a_mark(self):
+        # a fill sample within 1e-9 after a mark, or before the step's end,
+        # is dropped, and so is one within 1e-9 after a kept fill sample
+        got = flow._merge_marks([(0.3, "Cusp"), (0.5 + 5e-10, "IsotropicCross")], 1.0, 10)
+        thetas = [th for th, _ in got]
+        assert thetas == sorted(thetas) and 0.5 in thetas
+        assert [th for th, kind in got if kind] == [0.3, 0.5 + 5e-10]
+        assert len(got) == 10
+        assert flow._merge_marks([], 1e-9, 400) == []
+        # fill 1e-9 apart: each kept sample is at least 1e-9 after the last
+        # kept one, and each dropped one less than that
+        fill = [4e-7 * k / 400 for k in range(1, 400)]
+        kept = [th for th, _ in flow._merge_marks([], 4e-7, 400)]
+        assert 0 < len(kept) < len(fill) and set(kept) <= set(fill)
+        last = -1.0
+        for th in fill:
+            assert (th in kept) == (th - last >= 1e-9 and 4e-7 - th >= 1e-9)
+            last = th if th in kept else last
+
+    def test_domain_exit_inside_a_filled_step(self):
+        m = halfplane_metric()
+        seed = PTMPoint(-0.5, 0.0, 0.3)
+        cfg = IntegratorConfig(box=(-0.6, -0.45, -0.1, 0.1), max_ds=1e-4)
+        got = flow.integrate(m, seed, cfg)
+        _assert_same_trace(got, integrate_reference(m, seed, cfg))
+        assert got.stops == ("DomainExit", "DomainExit")
+        # the exits are interpolated samples on the box, not step ends
+        assert np.isclose(abs(got.x[0] + 0.525), 0.075) or np.isclose(abs(got.y[0]), 0.1)
+        assert np.isclose(abs(got.x[-1] + 0.525), 0.075) or np.isclose(abs(got.y[-1]), 0.1)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_random_metric_traces(self, k):
+        rng = np.random.default_rng(100 + k)
+        m = random_metric(rng, 2 + k % 4)
+        x, y, p = nondegenerate_state(m, rng)
+        cfg = IntegratorConfig(box=(x - 0.3, x + 0.3, y - 0.3, y + 0.3), max_steps=400)
+        _assert_same_trace(
+            flow.integrate(m, PTMPoint(x, y, p), cfg),
+            integrate_reference(m, PTMPoint(x, y, p), cfg),
+        )
+        got = flow.tm_integrate(m, x, y, 1.0, p, cfg)
+        want = tm_integrate_reference(m, x, y, 1.0, p, cfg)
+        for name in ("t", "x", "y", "xdot", "ydot"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.stops == want.stops
+
+    @pytest.mark.parametrize("seed", [(-0.5, 0.0, 0.3), (0.4, 0.3, 8.0)])
+    def test_tm_traces(self, seed):
+        m = mt.metric_from_strings(3, PARABOLA)
+        cfg = IntegratorConfig(box=(-0.7, 0.7, 0.05, 0.7), max_ds=5e-4)
+        got = flow.tm_integrate(m, seed[0], seed[1], 1.0, seed[2], cfg)
+        want = tm_integrate_reference(m, seed[0], seed[1], 1.0, seed[2], cfg)
+        for name in ("t", "x", "y", "xdot", "ydot"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.stops == want.stops == ("DomainExit", "DomainExit")
+
+    def test_projection_matches_per_sample_newton(self):
+        m = mt.metric_from_strings(3, PARABOLA + [])
+        pole = mt.metric_from_strings(2, ["1/x", "0", "1"])
+        nan0 = mt.metric_from_strings(2, ["x/x", "0", "1"])
+        samples = [
+            (m, 0.5, 0.3, 0.6, "p"),  # converges
+            (m, 0.5, 0.3, 0.0, "p"),  # F_p = 2p vanishes: refused, kept
+            (m, 0.3, 0.2, 0.05, "q"),  # the vertical direction, q = 0
+            (m, 0.3, 0.2, 2.5, "q"),  # q^2 = 1 / (x - y^2)
+            (m, 0.9, 0.1, 1e-3, "p"),  # no real direction: runs out of steps
+            (pole, 0.0, 0.3, 0.4, "p"),  # coefficients inf: max(1.0, .) is inf
+            (pole, 0.0, 0.3, 0.4, "q"),
+            # a0 = 0/0 is nan, so max(1.0, nan) is 1.0 and F_p = 2p = 0 is
+            # refused: the slope is kept, not stepped to nan
+            (nan0, 0.0, 0.3, 0.0, "p"),
+            (nan0, 0.0, 0.3, 0.1, "p"),
+        ]
+        for mm in (m, pole, nan0):
+            x, y, s, charts = (np.array(v) for v in zip(*[r[1:] for r in samples if r[0] is mm]))
+            tol = 1e-9 * (1.0 + np.arange(len(s)))
+            got_s, got_ok = flow._project_isotropic(mm, x, y, s, charts == "q", tol)
+            for i in range(len(s)):
+                want_s, want_ok = project_isotropic_reference(
+                    mm, x[i], y[i], s[i], str(charts[i]), tol[i]
+                )
+                assert got_ok[i] == want_ok
+                # bit for bit; a nan matches any nan (numpy's 0/0 sets the
+                # sign bit, the scalar code's math.nan does not)
+                assert np.array_equal(got_s[i], want_s, equal_nan=True)
+                assert np.signbit(got_s[i]) == np.signbit(want_s) or np.isnan(want_s)
+        got = flow._project_isotropic(m, *(np.array([v]) for v in (0.5, 0.3, 0.0)),
+                                      np.array([False]), 1e-9)
+        assert got == (0.0, False)
+
+    @pytest.mark.parametrize(
+        "texts, seed, box",
+        [
+            (["-x", "0", "1", "0"], (0.5, 0.0, np.sqrt(0.5)), (-1.0, 1.0, -1.0, 1.0)),
+            (PARABOLA, (1.0, 0.6, 0.8), (-1.5, 1.5, 0.05, 1.5)),
+            # the isotropic line is steep: it drifts in the q chart
+            (PARABOLA, (5.0, 0.3, -2.215851980616034), (4.5, 5.5, -0.2, 0.8)),
+        ],
+    )
+    def test_isotropic_traces(self, texts, seed, box):
+        m = mt.metric_from_strings(3, texts)
+        cfg = IntegratorConfig(box=box)
+        got = flow.isotropic_trace(m, PTMPoint(*seed), cfg)
+        want = isotropic_trace_reference(m, PTMPoint(*seed), cfg)
+        _assert_same_trace(got, want)
+        # the projection pass moved samples of the integrated trace
+        k = int(np.argmin(np.abs(got.t)))
+        projected = PTMPoint(*seed[:2], float(got.slope[k]), str(got.chart[k]))
+        raw = flow.integrate(m, projected, cfg)
+        assert np.array_equal(raw.chart, got.chart)
+        assert np.count_nonzero(raw.slope != got.slope) > 10
+
+    def test_arclength(self):
+        for m, seed in ((halfplane_metric(), (-0.5, 0.0, 0.3)),
+                        (mt.metric_from_strings(3, PARABOLA), (-0.8, 0.4, 0.6))):
+            tr = flow.integrate(m, PTMPoint(*seed), IntegratorConfig(max_steps=2000))
+            got, want = flow.arclength_reparam(m, tr), arclength_reference(m, tr)
+            assert len(got) == len(want) > 0
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        # segments split where the trace touches F = 0, and one sample
+        # between two such is no segment
+        tr.F[[40, 41, 43, 300]] = 0.0
+        got, want = flow.arclength_reparam(m, tr), arclength_reference(m, tr)
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _parabola_arclength():
+    m = mt.metric_from_strings(3, PARABOLA)
+    return flow.arclength_reparam(m, flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3)))
+
+
+@pytest.mark.parametrize(
+    "run, want",
+    [
+        # F's point function (the probe), then fdp in the p and q charts
+        (lambda: flow.integrate(mt.metric_from_strings(3, PARABOLA), PTMPoint(-0.5, 0.0, 0.3)),
+         {"x, y": 1, "x, y, p": 2}),
+        # the q chart only: no p-chart fdp
+        (lambda: flow.integrate(mt.metric_from_strings(3, PARABOLA), PTMPoint(0.4, 0.3, 8.0),
+                                IntegratorConfig(box=(0.3, 0.5, 0.2, 0.4))),
+         {"x, y": 1, "x, y, p": 1}),
+        # the probe, F's Horner sum, fdp
+        (lambda: flow.isotropic_trace(
+            mt.metric_from_strings(3, ["-x", "0", "1", "0"]), PTMPoint(0.5, 0.0, np.sqrt(0.5))),
+         {"x, y": 1, "x, y, p": 2}),
+        # and in the q chart: the dual's fdp, F's point function and Horner sum
+        (lambda: flow.isotropic_trace(
+            mt.metric_from_strings(3, PARABOLA), PTMPoint(5.0, 0.3, -2.215851980616034),
+            IntegratorConfig(box=(4.5, 5.5, -0.2, 0.8))),
+         {"x, y": 2, "x, y, p": 3}),
+        (lambda: flow.tm_integrate(mt.metric_from_strings(3, PARABOLA), -0.5, 0.0, 1.0, 0.3),
+         {"x, y": 3}),
+        (_parabola_arclength, {"x, y": 1, "x, y, p": 2}),
+    ],
+)
+def test_first_pass_compiles(monkeypatch, run, want):
+    # each generated function compiles on its first use, a cost that the
+    # first trace on a metric pays: the traces on a fresh metric compile
+    # only the point functions they call, and no grid code
+    codegen.dopri_step(3), codegen.dopri_step(4)  # cached for the process
+    compiled = []
+    compile_function = codegen._function
+
+    def counted(args, body, result):
+        compiled.append(args)
+        return compile_function(args, body, result)
+
+    monkeypatch.setattr(codegen, "_function", counted)
+    run()
+    assert {a: compiled.count(a) for a in compiled} == want
 
 
 class TestShooting:

@@ -3,20 +3,24 @@
 The tree walk ``helpers.evaluate`` takes integer powers from libm ``pow``
 while the generated code multiplies (x**2 and x*x differ by one ulp on
 about 0.08% of inputs), so agreement with it is checked to a tolerance.
-Grid and pointwise results run the same operations and must be equal.
+Grid and pointwise results run the same operations and must be equal,
+and so must the point functions run elementwise on arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 from finslerflow import berwald_moor as bm
+from finslerflow import cli
 from finslerflow import expr as ex
 from finslerflow import metric as mt
 from finslerflow.codegen import LayerTable, _div, dopri_step, lifted_field_function
@@ -325,3 +329,57 @@ def test_dopri_step_matches_loop_reference(d):
         assert _bits(got[1]) == _bits(want[1])
         assert _bits([got[2]]) == _bits([want[2]])
     assert step(_smooth, (1.0,) * d, _smooth((1.0,) * d), 0.05, 1e-300, 1e-300)[2] == math.inf
+
+
+def _assert_same_bits(got, want):
+    """Equal bit patterns, signed zeros and infinities included; a nan
+    matches any nan (numpy's 0/0 sets the sign bit, math.nan does not)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@functools.cache
+def _array_bits_metrics():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = [cli.load_config(str(p)).metric_obj() for p in sorted(configs.glob("*.cfg"))]
+    rng = np.random.default_rng(25)
+    out += [_random_metric(rng, n, rational) for n in (2, 3, 4, 5) for rational in (False, True)]
+    # a pole at x = 0: F = p^2 + 1/x
+    out.append(mt.metric_from_strings(2, ["1/x", "0", "1"]))
+    # a coefficient that overflows its products
+    out.append(mt.metric_from_strings(3, ["1e300*x", "y", "x^2 - 1", "1"]))
+    return out
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_generated_functions_give_float_bits_on_arrays(k):
+    # the scalar code run elementwise on arrays: fdp and every layer's
+    # coefficients and Horner sum, in both charts, with no RuntimeWarning
+    m = _array_bits_metrics()[k]
+    rng = np.random.default_rng(k)
+    xs = np.concatenate((rng.uniform(-1.5, 1.5, 40), [0.0, -0.0, 0.0, 1e200, np.inf, np.nan]))
+    ys = np.concatenate((rng.uniform(-1.5, 1.5, 40), [0.3, 0.0, -0.0, 2.0, 1.0, 0.5]))
+    ps = np.concatenate((rng.uniform(-3.0, 3.0, 40), [0.5, 0.0, -1e160, 0.7, 0.2, 1.0]))
+    points = list(zip(xs.tolist(), ys.tolist(), ps.tolist()))
+    for mm in (m, m.dual()):
+        want = np.transpose([mm.fdp(x, y, p) for x, y, p in points])
+        _assert_same_bits(mm.fdp_many(xs, ys, ps), want)
+        for name in LAYERS:
+            tbl = mm.table(name)
+            want = np.transpose([tbl.point_values(x, y) for x, y, _ in points])
+            _assert_same_bits(tbl.values_many(xs, ys), want.reshape(tbl.n, -1))
+            want = [tbl.poly_value(x, y, p) for x, y, p in points]
+            _assert_same_bits(tbl.poly_value_many(xs, ys, ps), want)
+
+
+def test_division_on_floats_and_arrays():
+    # a zero divisor gives the IEEE result on floats as numpy gives it on
+    # arrays
+    a = [1.0, -1.0, 0.0, math.nan, 2.5, -0.0]
+    b = [0.0, -0.0, 0.0, 0.0, -4.0, 3.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _div(np.array(a), np.array(b))
+    _assert_same_bits(got, [_div(x, y) for x, y in zip(a, b)])
+    assert _div(1.0, -0.0) == -math.inf and math.isnan(_div(0.0, 0.0))
