@@ -531,7 +531,7 @@ class TestArrayAtATime:
         assert got.stops == want.stops == ("DomainExit", "DomainExit")
 
     def test_projection_matches_per_sample_newton(self):
-        m = mt.metric_from_strings(3, PARABOLA + [])
+        m = mt.metric_from_strings(3, PARABOLA)
         pole = mt.metric_from_strings(2, ["1/x", "0", "1"])
         nan0 = mt.metric_from_strings(2, ["x/x", "0", "1"])
         samples = [
