@@ -70,7 +70,6 @@ from .singular import (
     find_tangency_failures,
     lift_to_slope,
     singular_curves,
-    singular_directions,
     tangency_report,
     trace_implicit_curve,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "series_to_curve",
     "shoot_boundary_family",
     "singular_curves",
-    "singular_directions",
     "solve_geodesic_series",
     "strata_on_grid",
     "tangency_report",

@@ -618,13 +618,12 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
     m = cfg.metric_obj()
     canvas = _SvgCanvas(cfg.box)
     n_curves = Counter()
-    for c in nets.net_curves(m, cfg.box, "F"):
-        canvas.polyline(c, "isotropic-net")
-        n_curves["isotropic"] += 1
+    layers = ("F", "denom") if m.degree in (2, 3) else ("F",)
+    for kind, curves in zip(("isotropic", "singular"), nets.net_curves(m, cfg.box, layers)):
+        for c in curves:
+            canvas.polyline(c, f"{kind}-net")
+            n_curves[kind] += 1
     if m.degree in (2, 3):
-        for c in nets.net_curves(m, cfg.box, "denom"):
-            canvas.polyline(c, "singular-net")
-            n_curves["singular"] += 1
         for c in sg.boundary_curves(m, cfg.box, cfg.resolution):
             canvas.polyline(c.points, "boundary")
             n_curves["boundary"] += 1

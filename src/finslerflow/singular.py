@@ -33,7 +33,7 @@ import numpy as np
 
 from . import metric as mt
 from . import poly
-from .metric import PseudoFinslerMetric, Stratum
+from .metric import PseudoFinslerMetric
 
 REAL_PAIR = "RealPair"
 IMAGINARY_PAIR = "ImaginaryPair"
@@ -77,24 +77,6 @@ class TangencyReport:
     direction_dot: float
     transversal: bool
     eigenvalues: np.ndarray
-
-
-def singular_directions(m: PseudoFinslerMetric, x: float, y: float) -> tuple[float, float]:
-    """The two real zeros of the denominator at a point of MMinus."""
-    if m.degree != 3:
-        raise StratumError("singular directions are defined for degree 3")
-    stratum = mt.classify_point(m, x, y)
-    if stratum != Stratum.MMinus:
-        raise StratumError(
-            f"point ({x}, {y}) lies in {stratum.value}, not MMinus"
-        )
-    roots = poly.real_roots_many([m.table("denom").values_at(x, y)])[0]
-    flat = [r for r, k in roots for _ in range(k)]
-    if len(flat) != 2:
-        raise StratumError(
-            f"expected two real denominator roots at ({x}, {y}), got {flat}"
-        )
-    return flat[0], flat[1]
 
 
 def jacobian_at(m: PseudoFinslerMetric, x: float, y: float, p: float) -> np.ndarray:

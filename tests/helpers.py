@@ -5,10 +5,10 @@ cell-by-cell references for the grid paths, a point-by-point reference
 for the projection onto the loci, the degree of a coefficient row, the
 homogeneous metric, the one-polynomial-at-a-time root pipeline, the
 pairwise-difference expansion of the degeneracy combination, Sylvester
-determinants for the singular locus, exact polynomial trees in sympy,
-a tree-walk reference, on dual numbers, for the exact series solve, and
-per-sample references for the traces (dense output, isotropic
-projection, arclength)."""
+determinants and the singular directions of a point for the singular
+locus, exact polynomial trees in sympy, a tree-walk reference, on dual
+numbers, for the exact series solve, and per-sample references for the
+traces (dense output, isotropic projection, arclength)."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from finslerflow import flow
 from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import puiseux as pz
+from finslerflow import singular as sg
 from finslerflow.cli import _fmt
 from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow
 
@@ -592,6 +593,22 @@ def singular_at(m, x, y) -> float:
     """Reference: resultant_at over disc_metric, divided as IEEE floats."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.float64(resultant_at(m, x, y)) / mt.disc_metric(m, x, y))
+
+
+def singular_directions(m, x: float, y: float) -> tuple[float, float]:
+    """The two real zeros of the denominator at a point of MMinus."""
+    if m.degree != 3:
+        raise sg.StratumError("singular directions are defined for degree 3")
+    stratum = mt.classify_point(m, x, y)
+    if stratum != mt.Stratum.MMinus:
+        raise sg.StratumError(f"point ({x}, {y}) lies in {stratum.value}, not MMinus")
+    roots = poly.real_roots_many([m.table("denom").values_at(x, y)])[0]
+    flat = [r for r, k in roots for _ in range(k)]
+    if len(flat) != 2:
+        raise sg.StratumError(
+            f"expected two real denominator roots at ({x}, {y}), got {flat}"
+        )
+    return flat[0], flat[1]
 
 
 def disc_gradient_at(m, x, y, h=1e-6) -> tuple[float, float]:

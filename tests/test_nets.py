@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from finslerflow import cli, codegen
 from finslerflow import metric as mt
 from finslerflow import nets
 
@@ -15,6 +18,7 @@ from helpers import (
     real_roots_reference,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 HALFPLANE_BOX = (-1.0, 1.0, -1.0, 1.0)
 PARABOLA_BOX = (-1.5, 1.5, 0.05, 1.5)
 
@@ -113,11 +117,105 @@ CONSTANT = mt.metric_from_strings(2, ["-1", "0", "1"])
 def test_lockstep_matches_seed_by_seed_reference(metric, box, layer, seeds_per_axis):
     # the lockstep trace does the same float operations per lane
     want = scalar_net_curves(metric, box, layer, seeds_per_axis)
-    got = nets.net_curves(metric, box, layer, seeds_per_axis)
+    [got] = nets.net_curves(metric, box, (layer,), seeds_per_axis)
     assert len(want) > 1
+    _assert_same_curves(got, want)
+
+
+def _assert_same_curves(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "metric, seeds_per_axis", [(halfplane_metric(), 4), (MIXED, 2)], ids=["halfplane", "mixed"]
+)
+def test_joint_run_matches_seed_by_seed_reference(metric, seeds_per_axis):
+    # the lanes of both layers advance in one loop; each layer's curves
+    # are still those of its own seed-by-seed trace
+    layers = ("F", "denom")
+    joint = nets.net_curves(metric, HALFPLANE_BOX, layers, seeds_per_axis)
+    assert len(joint) == 2
+    for layer, got in zip(layers, joint):
+        want = scalar_net_curves(metric, HALFPLANE_BOX, layer, seeds_per_axis)
+        assert len(want) > 1
+        _assert_same_curves(got, want)
+
+
+@pytest.mark.parametrize(
+    "name", ["halfplane", "parabola", "parabola_neg", "berwald_moor_tangency"]
+)
+def test_joint_run_matches_each_layer_traced_alone(name):
+    cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+    m = cfg.metric_obj()
+    joint = nets.net_curves(m, cfg.box, ("F", "denom"))
+    for layer, got in zip(("F", "denom"), joint):
+        [alone] = nets.net_curves(m, cfg.box, (layer,))
+        _assert_same_curves(got, alone)
+    assert joint[0]
+
+
+# F = p^2 - x - 0.05: the isotropic net lives on x > -0.05, while the
+# degeneracy combination 4 (-x - 0.05) has no root in p, so "denom" has no
+# seeds and its block of lanes is empty
+NO_DENOM_ROOTS = mt.metric_from_strings(2, ["-x - 0.05", "0", "1"])
+
+
+@pytest.mark.parametrize("layers", [("denom", "F"), ("F", "denom")], ids=["first", "last"])
+def test_a_layer_without_seeds_is_an_empty_block(layers):
+    got = dict(zip(layers, nets.net_curves(NO_DENOM_ROOTS, HALFPLANE_BOX, layers)))
+    assert got["denom"] == []
+    [alone] = nets.net_curves(NO_DENOM_ROOTS, HALFPLANE_BOX, ("F",))
+    assert len(alone) > 1
+    _assert_same_curves(got["F"], alone)
+
+
+def test_lanes_that_go_non_finite_leave_the_other_layer_alone(monkeypatch):
+    # a0 has a pole on x = 0.1, inside the box, and a1 = 1e150 x squares
+    # past the float range in the degeneracy combination: the "denom"
+    # lanes evaluate to inf or nan and stop there, while the "F" lanes go
+    # on as if they had run by themselves
+    m = mt.metric_from_strings(3, ["0.2/(x - 0.1) - y", "1e150*x", "0.5*x", "1"])
+    non_finite = []
+    compile_field = nets.lifted_field_function
+
+    def watched(*rows):
+        field = compile_field(*rows)
+        index = len(non_finite)
+        non_finite.append(False)
+
+        def run(x, y, p, out):
+            field(x, y, p, out)
+            non_finite[index] |= not np.all(np.isfinite(out))
+            return out
+
+        return run
+
+    monkeypatch.setattr(nets, "lifted_field_function", watched)
+    layers = ("F", "denom")
+    joint = nets.net_curves(m, HALFPLANE_BOX, layers)
+    assert non_finite == [False, True]
+    assert joint[0]
+    for layer, got in zip(layers, joint):
+        [alone] = nets.net_curves(m, HALFPLANE_BOX, (layer,))
+        _assert_same_curves(got, alone)
+        assert all(np.all(np.isfinite(pts)) for pts in got)
+
+
+def test_joint_run_compiles_one_field_per_layer(monkeypatch):
+    # the field of each layer is generated once per call, not per block
+    # bound or per step
+    compiled = []
+    compile_function = codegen._function
+
+    def counted(args, body, result):
+        compiled.append(args)
+        return compile_function(args, body, result)
+
+    monkeypatch.setattr(codegen, "_function", counted)
+    nets.net_curves(parabola_metric(), PARABOLA_BOX, ("F", "denom"))
+    assert compiled.count("x, y, p, out") == 2
 
 
 @pytest.mark.parametrize(
@@ -130,7 +228,7 @@ def test_lockstep_matches_seed_by_seed_reference(metric, box, layer, seeds_per_a
     ],
 )
 def test_halfplane_net_follows_its_directions(layer, weight, tol):
-    curves = nets.net_curves(halfplane_metric(), HALFPLANE_BOX, layer)
+    [curves] = nets.net_curves(halfplane_metric(), HALFPLANE_BOX, (layer,))
     assert curves
     for pts in curves:
         d = np.diff(pts, axis=0)
@@ -152,11 +250,12 @@ def test_halfplane_net_follows_its_directions(layer, weight, tol):
     ],
 )
 def test_curve_counts_are_pinned(metric, box, layer, count):
-    assert len(nets.net_curves(metric, box, layer)) == count
+    assert [len(c) for c in nets.net_curves(metric, box, (layer,))] == [count]
 
 
 def test_curves_stay_in_padded_box():
-    for pts in nets.net_curves(halfplane_metric(), HALFPLANE_BOX, "F"):
+    [curves] = nets.net_curves(halfplane_metric(), HALFPLANE_BOX, ("F",))
+    for pts in curves:
         assert pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 2
         assert np.all(np.isfinite(pts))
         # the box is padded by 2 % of its width on each side
@@ -165,12 +264,12 @@ def test_curves_stay_in_padded_box():
 
 def test_no_real_roots_gives_no_curves():
     m = mt.metric_from_strings(2, ["1 + x^2", "0", "1"])
-    assert nets.net_curves(m, HALFPLANE_BOX, "F") == []
+    assert nets.net_curves(m, HALFPLANE_BOX, ("F",)) == [[]]
 
 
 def test_seeds_on_a_pole_are_skipped():
     m = mt.metric_from_strings(3, ["1/x - y", "0", "1", "0"])
-    curves = nets.net_curves(m, HALFPLANE_BOX, "F", seeds_per_axis=5)
+    [curves] = nets.net_curves(m, HALFPLANE_BOX, ("F",), seeds_per_axis=5)
     assert curves
     assert all(np.all(np.isfinite(pts)) for pts in curves)
 
@@ -189,6 +288,13 @@ def _banded_field(x, y, p, out):
     out[0] = np.where(move | steep | (stall & (x < 0.2)), 1.0, np.where(turn, -y, 0.0))
     out[1] = np.where(turn, x, 0.0)
     out[2] = np.where(steep, 10.0, np.where(stall & (x >= 0.2), 1.0, 0.0))
+    return out
+
+
+def _swapped_field(x, y, p, out):
+    """_banded_field with the roles of x and y exchanged."""
+    rows = _banded_field(y, x, p, np.empty_like(out))
+    out[0], out[1], out[2] = rows[1], rows[0], rows[2]
     return out
 
 
@@ -248,17 +354,24 @@ def _lane_by_itself(field, start, sign, ds, lo, hi):
     ],
 )
 def test_trace_lanes_bookkeeping_matches_lanes_traced_alone(lanes, counts):
+    # two blocks of lanes on two fields: the listed lanes on _banded_field,
+    # then the same lanes mirrored in the diagonal on _swapped_field, which
+    # stop after the same counts, since the box is symmetric in x and y
     box, lo, hi, ds = (-0.5, 1.0, -0.5, 1.0), (-0.6, -0.6), (1.1, 1.1), 0.25
     cells = nets._CellIndex(box, lo, hi)
-    start = np.array([s for s, _ in lanes])
-    sign = np.array([d for _, d in lanes])
-    xy, cell, bounds = nets._trace_lanes(_banded_field, start, sign, ds, lo, hi, cells)
+    fields = (_banded_field, _swapped_field)
+    runs = [(_banded_field, s, d) for s, d in lanes]
+    runs += [(_swapped_field, (y, x, p), d) for (x, y, p), d in lanes]
+    start = np.array([s for _, s, _ in runs]).T
+    sign = np.array([d for _, _, d in runs])
+    blocks = np.array([0, len(lanes), 2 * len(lanes)])
+    xy, cell, bounds = nets._trace_lanes(fields, blocks, start, sign, ds, lo, hi, cells)
 
-    alone = [_lane_by_itself(_banded_field, s, d, ds, lo, hi) for s, d in lanes]
-    assert [len(a) for a in alone] == counts
-    np.testing.assert_array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
+    alone = [_lane_by_itself(f, s, d, ds, lo, hi) for f, s, d in runs]
+    assert [len(a) for a in alone] == counts + counts
+    np.testing.assert_array_equal(bounds, np.concatenate([[0], np.cumsum(counts + counts)]))
     assert xy.shape == (bounds[-1], 2) and cell.shape == (bounds[-1],)
     for k, a in enumerate(alone):
         rows = slice(bounds[k], bounds[k + 1])
         np.testing.assert_array_equal(xy[rows], a[:, :2])
-        np.testing.assert_array_equal(cell[rows], cells(a))
+        np.testing.assert_array_equal(cell[rows], cells(a.T))

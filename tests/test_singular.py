@@ -20,7 +20,7 @@ from finslerflow import poly
 from finslerflow import singular as sg
 
 from helpers import (halfplane_metric, parabola_metric, random_metric, real_roots_reference,
-                     to_sympy)
+                     singular_directions, to_sympy)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -441,5 +441,5 @@ class TestLiftAndAdmissible:
 class TestSingularDirections:
     def test_double_root_of_denominator(self):
         m = halfplane_metric()
-        lo, hi = sg.singular_directions(m, -0.3, 0.0)
+        lo, hi = singular_directions(m, -0.3, 0.0)
         np.testing.assert_allclose(sorted([lo, hi]), [-np.sqrt(0.9), np.sqrt(0.9)], atol=1e-9)
