@@ -34,6 +34,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -396,6 +397,58 @@ _SVG_STYLE = {
 }
 
 
+def _words(*columns) -> np.ndarray:
+    """Little-endian 32-bit words of four byte columns; 0 is a NUL byte."""
+    return sum(np.asarray(c, dtype=np.uint32) << np.uint32(8 * k) for k, c in enumerate(columns))
+
+
+# "%.3f" % v for |v| < 999.9995 is [-] whole "." frac: for each of 0..999
+# the words of the whole part ("  5." .. "999.", leading zeros NUL) and
+# of the fraction ("000" .. "999" and a NUL)
+_I = np.arange(1000)
+_WHOLE = _words(
+    np.where(_I >= 100, 48 + _I // 100, 0), np.where(_I >= 10, 48 + _I // 10 % 10, 0),
+    48 + _I % 10, ord("."),
+)
+_FRAC = _words(48 + _I // 100, 48 + _I // 10 % 10, 48 + _I % 10, 0)
+# before an x, before a y, and before the first x of a path
+_LEAD = np.frombuffer(b" L \0 \0\0\0M \0\0", dtype="<u4")
+_MINUS = np.uint32(ord("-") << 24)
+_NEWLINE = np.uint32(ord("\n") << 24)
+
+
+def _path_data(runs: list[np.ndarray]) -> list[str]:
+    """The path data "M x y L x y ..." of each (N, 2) run of canvas
+    coordinates, each coordinate as "%.3f" % v formats it, for |v| below
+    999.9995 (a canvas of up to 999 px a side).
+
+    The runs are formatted in one pass: each coordinate becomes three
+    words, its lead and sign, its whole part and its fraction, and the NUL
+    bytes are dropped.  The digits are those of n = 1000 |v| rounded half to even,
+    as "%.3f" rounds; ``rint`` of the float product 1000 |v| gives n except
+    where the product lies within its rounding error of a half, and there
+    n is computed exactly.
+    """
+    sizes = np.array([len(c) for c in runs])
+    v = np.concatenate(runs).ravel()
+    r = np.abs(v) * 1000.0
+    n = np.rint(r)
+    for i in np.flatnonzero(np.abs(r - np.floor(r) - 0.5) <= r * 2.0**-50):
+        n[i] = round(abs(Fraction(v[i].item())) * 1000)
+    whole = np.floor(n / 1000.0)
+    frac = (n - 1000.0 * whole).astype(np.intp)
+    ends = 2 * np.cumsum(sizes)
+    lead = np.tile(_LEAD[:2], v.size // 2)
+    lead[ends - 2 * sizes] = _LEAD[2]
+    words = np.empty((v.size, 3), dtype="<u4")
+    words[:, 0] = np.where(np.signbit(v), lead | _MINUS, lead)
+    words[:, 1] = _WHOLE[whole.astype(np.intp)]
+    words[:, 2] = _FRAC[frac]
+    words[ends - 1, 2] |= _NEWLINE
+    text = words.view(np.uint8).ravel()
+    return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
 class _SvgCanvas:
     """Collects styled polylines over a data box and renders SVG 1.1.
 
@@ -437,10 +490,9 @@ class _SvgCanvas:
         px = self.margin + (pts[:, 0] - self.box[0]) * self._sx
         py = self.height - self.margin - (pts[:, 1] - self.box[2]) * self._sy
         coords = np.column_stack([px, py])
-        for a, b in bounds.reshape(-1, 2).tolist():
-            if b - a >= 2:
-                fmt = "M " + " L ".join(["%.3f %.3f"] * (b - a))
-                self._paths.append((style, fmt % tuple(coords[a:b].ravel().tolist())))
+        runs = [coords[a:b] for a, b in bounds.reshape(-1, 2).tolist() if b - a >= 2]
+        if runs:
+            self._paths += [(style, d) for d in _path_data(runs)]
 
     def render(self, title: str) -> str:
         w, h, m = self.width, self.height, self.margin

@@ -684,6 +684,29 @@ def _svg_cases():
     ]
 
 
+def test_path_data_formats_as_percent_3f():
+    # exact ties of three decimals (the odd sixteenths), the floats nearest
+    # to the decimal ties k + 0.5 thousandths, the neighbours of both,
+    # signed zeros and tiny negatives, and values that carry into the next
+    # whole number or digit count
+    rng = np.random.default_rng(20261019)
+    sixteenths = np.arange(1, 16000, 2) / 16.0
+    decimal_ties = (np.arange(0, 999999, 37) + 0.5) / 1000.0
+    edges = np.array([0.0, -0.0, -1e-13, -0.0004999, 0.0005, 9.9995, 99.9995, 599.9995,
+                      998.9995, 999.9994, 40.0, 600.0])
+    near = np.concatenate([sixteenths, decimal_ties, edges])
+    vals = np.concatenate([
+        near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+        rng.uniform(-1.0, 999.0, 4000),
+    ])
+    rng.shuffle(vals)
+    vals = vals[: vals.size // 2 * 2].reshape(-1, 2)
+    cuts = [0, 2, 5, 1000, 1003, 9000, len(vals)]
+    runs = [vals[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    want = ["M " + " L ".join("%.3f %.3f" % (x, y) for x, y in c.tolist()) for c in runs]
+    assert cli._path_data(runs) == want
+
+
 @pytest.mark.parametrize("margin", [40, 0])
 def test_svg_polyline_matches_point_by_point_reference(margin):
     box = (-1.0, 1.0, -0.5, 2.0)
