@@ -424,10 +424,10 @@ def _path_data(runs: list[np.ndarray]) -> list[str]:
 
     The runs are formatted in one pass: each coordinate becomes three
     words, its lead and sign, its whole part and its fraction, and the NUL
-    bytes are dropped.  The digits are those of n = 1000 |v| rounded half to even,
-    as "%.3f" rounds; ``rint`` of the float product 1000 |v| gives n except
-    where the product lies within its rounding error of a half, and there
-    n is computed exactly.
+    bytes are dropped.  The digits are those of n = 1000 |v| rounded half
+    to even, as "%.3f" rounds; ``rint`` of the float product 1000 |v| gives
+    n except where the product lies within its rounding error of a half,
+    and there n is computed exactly.
     """
     sizes = np.array([len(c) for c in runs])
     v = np.concatenate(runs).ravel()
