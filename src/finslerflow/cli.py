@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -357,29 +358,223 @@ def _build_config(entries: list[tuple[str, str, str]]) -> ScenarioConfig:
 # output helpers
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.12g}"
-
-
-def _write(path: str, text: str) -> None:
-    """Write text to path in one write, with no newline translation; the
-    one writer of every output file.  An OSError becomes an OutputError,
-    which main reports in one line with exit status 2."""
+def _write(path: str, data: str | list[bytes]) -> None:
+    """Write text (as UTF-8), or byte strings one after another, to path,
+    with no newline translation; the one writer of every output file.  An
+    OSError becomes an OutputError, which main reports in one line with
+    exit status 2."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
     except OSError as err:
         raise OutputError(err) from err
 
 
-def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
-    """Write the header and the lines (fields joined by commas), each
-    ended by CRLF.  Fields are not quoted: every field is a number, a
-    name or a fraction, and a comma in one is a ValueError."""
-    text = "\r\n".join([",".join(header), *lines, ""])
-    if text.count(",") != (len(lines) + 1) * (len(header) - 1):
-        raise ValueError(f"{path}: a row has a field with a comma or a wrong width")
-    _write(path, text)
+def _words(*columns) -> np.ndarray:
+    """Little-endian 32-bit words of four byte columns; 0 is a NUL byte."""
+    return sum(np.asarray(c, dtype=np.uint32) << np.uint32(8 * k) for k, c in enumerate(columns))
+
+
+# "%.12g" % v for a normal v with 1e-11 <= |v| < 1e34 is a lead, a body
+# and an exponent, e being the decimal exponent of v:
+#   the lead: "-" for a negative v, then "0." and -e - 1 zeros for
+#     -4 <= e < 0;
+#   the body: the twelve digits of n = |v| 10^(11 - e) rounded half to
+#     even, less the trailing zeros after the point, and the point: after
+#     e + 1 digits for 0 <= e < 12, after one where the exponent is
+#     written, and none for -4 <= e < 0 (the lead has it);
+#   the exponent: "e-11" .. "e-05" and "e+12" .. "e+33", nothing for
+#     -4 <= e < 12.
+# The twelve digits are held in two little-endian 64-bit words, eight
+# and four bytes, and the text in three.
+# The tables of g = 0..9999, built from its four digits (the axes of a
+# 10 x 10 x 10 x 10 array): its digits as bytes 0-3 of a word and as
+# bytes 4-7, and the count of its digits up to the last nonzero one, as
+# digits 0-3, 4-7 and 8-11 of twelve (0 for g = 0 in the last two).
+_DIGIT = 48 + np.arange(10, dtype=np.uint64)
+_D0 = (_DIGIT[:, None, None, None] | _DIGIT[:, None, None] << 8 | _DIGIT[:, None] << 16
+       | _DIGIT << 24).ravel()
+_D1 = _D0 << np.uint64(32)
+_NONZERO = np.arange(10) > 0
+_LAST0 = np.maximum(np.maximum(_NONZERO[:, None, None, None] * 1, _NONZERO[:, None, None] * 2),
+                    np.maximum(_NONZERO[:, None] * 3, _NONZERO * 4)).ravel()
+_LAST1, _LAST2 = _LAST0 + 4 * (_LAST0 > 0), _LAST0 + 8 * (_LAST0 > 0)
+_E_LOW, _E_HIGH = -11, 33
+_E = np.arange(_E_LOW, _E_HIGH + 1)
+# by e - _E_LOW: n is |v| * _G_MUL / _G_DIV, each factor 1 or 10^|11 - e|,
+# a double for |11 - e| <= 22
+_POW10 = np.array([float(10**k) for k in range(23)])
+_G_MUL, _G_DIV = _POW10[np.maximum(11 - _E, 0)], _POW10[np.maximum(_E - 11, 0)]
+# by e - _E_LOW: the digits kept whatever they are, the digits before the
+# point (12 where the body has none) and the exponent; by sign and
+# e - _E_LOW, the lead and its length in bits
+_G_WHOLE = np.where((_E >= 0) & (_E < 12), _E + 1, 1)
+_G_POINT = np.where((_E >= -4) & (_E < 0), 12, _G_WHOLE)
+_G_EXP = np.where(
+    (_E < -4) | (_E >= 12),
+    _words(ord("e"), np.where(_E < 0, ord("-"), ord("+")), 48 + abs(_E) // 10, 48 + abs(_E) % 10),
+    0,
+).astype(np.uint64)
+_G_LEAD = np.zeros((2, _E.size), dtype=np.uint64)
+_G_LEAD[1] = ord("-")
+_G_LEAD_BITS = np.zeros((2, _E.size), dtype=np.uint64)
+_G_LEAD_BITS[1] = 8
+for _k in range(1, 5):
+    _lead = int.from_bytes(b"0." + b"0" * (_k - 1), "little")
+    _G_LEAD[:, -_k - _E_LOW] |= np.uint64(_lead) << np.array([0, 8], dtype=np.uint64)
+    _G_LEAD_BITS[:, -_k - _E_LOW] += np.uint64(8 * _k + 8)
+_G_LEAD, _G_LEAD_BITS = _G_LEAD.ravel(), _G_LEAD_BITS.ravel()
+# by k = 0..12: the low k of twelve bytes, and "." at byte k
+_K = np.arange(13, dtype=np.uint64)
+_LOW0 = np.where(_K >= 8, ~np.uint64(0), (np.uint64(1) << 8 * _K) - np.uint64(1))
+_LOW1 = np.where(_K > 8, (np.uint64(1) << 8 * (_K - np.uint64(8))) - np.uint64(1), 0)
+_DOT0 = np.where(_K < 8, np.uint64(ord(".")) << 8 * _K, 0).astype(np.uint64)
+_DOT1 = np.where(_K >= 8, np.uint64(ord(".")) << 8 * (_K - np.uint64(8)), 0).astype(np.uint64)
+_U8, _U64 = np.uint64(8), np.uint64(64)
+
+
+def _round_scaled(a: np.ndarray, ei: np.ndarray) -> np.ndarray:
+    """n = a 10^(11 - e) rounded half to even, e = ei + _E_LOW.
+
+    The power of ten is exact and the float product or quotient is
+    correctly rounded, so ``rint`` of it is n except where it lies
+    within its rounding error of a half; there n is computed exactly."""
+    p = a * _G_MUL[ei] / _G_DIV[ei]
+    n = np.rint(p)
+    for i in np.flatnonzero(np.abs(p - np.floor(p) - 0.5) <= p * 2.0**-52):
+        n[i] = round(Fraction(a[i].item()) * Fraction(10) ** int(11 - _E_LOW - ei[i]))
+    return n
+
+
+def _format_g(values) -> np.ndarray:
+    """The bytes b"%.12g" % v of each value, as a numpy bytes array (its
+    items padded with NUL to the longest).
+
+    e is taken as floor(log10 |v|) and corrected where the rounded
+    digits n leave [10^11, 10^12): log10 misses only by one and only next
+    to a power of ten, so one correction settles every e, and the pass
+    after it rounds exactly near a half like the first.  Zero, inf, nan,
+    subnormals and the values whose e needs a power of ten beyond 10^22
+    are formatted by "%.12g" itself.
+    """
+    v = values = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    # nan, zero and subnormals fail the first test, inf the last
+    fast = (a >= 2.2250738585072014e-308) & (e > _E_LOW) & (e < _E_HIGH)
+    every = bool(fast.all())
+    if not every:
+        v, a, e = v[fast], a[fast], e[fast]
+    ei = e.astype(np.intp) - _E_LOW
+    n = _round_scaled(a, ei)
+    off = np.flatnonzero((n < 1e11) | (n >= 1e12))
+    if off.size:
+        ei[off] += np.where(n[off] < 1e11, -1, 1)
+        n[off] = _round_scaled(a[off], ei[off])
+    g01, g2 = np.divmod(n.astype(np.int64), 10**4)
+    g0, g1 = np.divmod(g01, 10**4)
+    # the digits up to the last nonzero one after the point
+    keep = np.maximum(np.maximum(_LAST0[g0], _LAST1[g1]), np.maximum(_LAST2[g2], _G_WHOLE[ei]))
+    d0 = (_D0[g0] | _D1[g1]) & _LOW0[keep]
+    d1 = _D0[g2] & _LOW1[keep]
+    # the digits after the point move up a byte; the point is written
+    # where a digit follows it
+    point = _G_POINT[ei]
+    low0, low1 = _LOW0[point], _LOW1[point]
+    dot = keep > point
+    high0 = d0 & ~low0
+    b0 = (d0 & low0) | (high0 << _U8) | (_DOT0[point] * dot)
+    b1 = (d1 & low1) | ((d1 & ~low1) << _U8) | (high0 >> np.uint64(56)) | (_DOT1[point] * dot)
+    # the body after the lead; numpy shifts by 64 bits or more to 0
+    li = np.signbit(v) * _E.size + ei
+    lead = _G_LEAD_BITS[li]
+    words = np.empty((v.size, 3), dtype="<u8")
+    words[:, 0] = _G_LEAD[li] | (b0 << lead)
+    words[:, 1] = (b0 >> (_U64 - lead)) | (b1 << lead)
+    words[:, 2] = b1 >> (_U64 - lead)
+    bits = lead + (keep + dot).astype(np.uint64) * _U8
+    # the exponent after the body, where there is one
+    sci = np.flatnonzero(_G_EXP[ei])
+    if sci.size:
+        exp, at = _G_EXP[ei[sci]], bits[sci]
+        # a shift by a wrapped negative amount is one by 64 bits or more
+        words[sci, 0] |= exp << at
+        words[sci, 1] |= (exp << (at - _U64)) | (exp >> (_U64 - at))
+        words[sci, 2] |= exp >> (_U64 + _U64 - at)
+        bits[sci] += np.uint64(32)
+    width = int(bits.max()) // 8 if v.size else 1
+    text = words.view("S24").ravel()
+    if not every:
+        out = np.empty(values.size, dtype="S24")
+        out[fast] = text
+        out[~fast] = slow = [b"%.12g" % x for x in values[~fast].tolist()]
+        text, width = out, max(width, *map(len, slow))
+    return text.astype(f"S{width}")
+
+
+def _codes(values) -> tuple[np.ndarray, list[str]]:
+    """(codes, table) of a sequence of strings: values[i] is table[codes[i]]."""
+    table, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
+    return codes, table.tolist()
+
+
+def _cells(table) -> np.ndarray:
+    """A table as a numpy bytes array: a float array, each value as "%.12g"
+    formats it, or a list of strings."""
+    if isinstance(table, np.ndarray) and table.dtype.kind == "f":
+        return _format_g(table)
+    return np.array([s.encode("utf-8") for s in table], dtype=bytes)
+
+
+_CSV_ROWS_PER_PASS = 8192
+
+
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write a CSV file: the header, then one line per row, fields joined by
+    commas and every line ended by CRLF.
+
+    A column is a float array, whose values are written as "%.12g"
+    formats them, or a pair (codes, table) of an integer array and a
+    table, a list of strings or a float array, whose row i holds
+    table[codes[i]].  A few thousand rows at a time, the float columns
+    are formatted in one _format_g call, every field is put in a record
+    array of the rows, its items padded with NUL, and the NUL bytes of
+    the records are dropped.  Fields are not quoted: a comma in the
+    header or in a table of strings is a ValueError.
+    """
+    texts = [c[1] for c in columns if isinstance(c, tuple) and not isinstance(c[1], np.ndarray)]
+    for text in {*header, *(s for t in texts for s in t)}:
+        if "," in text:
+            raise ValueError(f"{path}: the field {text!r} has a comma")
+    # column j -> (codes, cells of the table)
+    tables = {j: (np.asarray(c[0]), _cells(c[1]))
+              for j, c in enumerate(columns) if isinstance(c, tuple)}
+    floats = [np.asarray(c, dtype=np.float64) for c in columns if not isinstance(c, tuple)]
+    sizes = {len(codes) for codes, _ in tables.values()} | {len(f) for f in floats}
+    if len(columns) != len(header) or len(sizes) > 1:
+        raise ValueError(f"{path}: {len(header)} header fields, columns of lengths {sizes}")
+    size = sizes.pop() if sizes else 0
+    parts = [(",".join(header) + "\r\n").encode("utf-8")]
+    for start in range(0, size, _CSV_ROWS_PER_PASS):
+        stop = min(start + _CSV_ROWS_PER_PASS, size)
+        if floats:
+            cells = _format_g(np.column_stack([f[start:stop] for f in floats]))
+            formatted = iter(cells.reshape(stop - start, len(floats)).T)
+        fields = [
+            tables[j][1][tables[j][0][start:stop]] if j in tables else next(formatted)
+            for j in range(len(columns))
+        ]
+        ends = [b","] * (len(fields) - 1) + [b"\r\n"]
+        rows = np.empty(stop - start, dtype=[
+            (name, dtype) for j, (f, end) in enumerate(zip(fields, ends))
+            for name, dtype in ((f"f{j}", f.dtype), (f"e{j}", f"S{len(end)}"))
+        ])
+        for j, (f, end) in enumerate(zip(fields, ends)):
+            rows[f"f{j}"] = f
+            rows[f"e{j}"] = end
+        parts.append(rows.tobytes().translate(None, b"\0"))
+    _write(path, parts)
 
 
 _SVG_STYLE = {
@@ -395,11 +590,6 @@ _SVG_STYLE = {
     ),
     "axis": 'fill="none" stroke="#cccccc" stroke-width="0.8"',
 }
-
-
-def _words(*columns) -> np.ndarray:
-    """Little-endian 32-bit words of four byte columns; 0 is a NUL byte."""
-    return sum(np.asarray(c, dtype=np.uint32) << np.uint32(8 * k) for k, c in enumerate(columns))
 
 
 # "%.3f" % v for |v| < 999.9995 is [-] whole "." frac: for each of 0..999
@@ -543,15 +733,20 @@ def _event_column(trace: fl.GeodesicTrace) -> dict[int, str]:
     return out
 
 
-def _trace_lines(trace: fl.GeodesicTrace) -> list[str]:
-    """The CSV lines of a trace (_TRACE_HEADER); "%.12g" % v is _fmt(v)."""
+def _trace_columns(trace: fl.GeodesicTrace) -> list:
+    """The CSV columns of a trace (_TRACE_HEADER)."""
     marks = _event_column(trace)
-    cols = (trace.t, trace.x, trace.y, trace.slope, trace.chart, trace.F,
-            trace.denom, trace.numer)
-    row = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%.12g,%.12g,"
-    return [
-        row % r + marks.get(k, "") for k, r in enumerate(zip(*(a.tolist() for a in cols)))
-    ]
+    events = np.zeros(len(trace.t), dtype=np.intp)
+    events[list(marks)] = np.arange(1, len(marks) + 1)
+    return [trace.t, trace.x, trace.y, trace.slope, _codes(trace.chart), trace.F,
+            trace.denom, trace.numer, (events, ["", *marks.values()])]
+
+
+def _summary(codes: np.ndarray, table: list[str]) -> str:
+    """The count of each entry of a sorted table that codes use, as
+    "name=count" words."""
+    counts = np.bincount(codes, minlength=len(table)).tolist()
+    return " ".join(f"{k}={c}" for k, c in zip(table, counts) if c)
 
 
 _TRACE_HEADER = ["t", "x", "y", "slope", "chart", "F", "Delta", "P", "event"]
@@ -571,19 +766,13 @@ def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
     except mt.DegeneratePointError as err:
         print(f"classify: {err}", file=sys.stderr)
         return 2
-    xtext = [_fmt(x) for x in xs.tolist()]
-    lines: list[str] = []
-    for y, row_st, row_d in zip(ys.tolist(), strata.tolist(), disc.tolist()):
-        ytext = _fmt(y)
-        # d:.12g is _fmt(d)
-        lines += [
-            f"{xt},{ytext},{st},{d:.12g}" for xt, st, d in zip(xtext, row_st, row_d)
-        ]
-    counts = Counter(strata.ravel().tolist())
+    names = sorted(s.name for s in mt.Stratum)
+    codes = np.searchsorted(names, strata.ravel())
+    cell = np.arange(res * res)
     path = os.path.join(outdir, f"{cfg.out_prefix}_strata.csv")
-    _write_csv(path, ["x", "y", "stratum", "disc"], lines)
-    summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
-    print(f"classify: wrote {path} ({res}x{res}) {summary}")
+    _write_csv(path, ["x", "y", "stratum", "disc"],
+               [(cell % res, xs), (cell // res, ys), (codes, names), disc.ravel()])
+    print(f"classify: wrote {path} ({res}x{res}) {_summary(codes, names)}")
     return 0
 
 
@@ -597,7 +786,7 @@ def cmd_integrate(cfg: ScenarioConfig, outdir: str) -> int:
     for k, (x, y, p) in enumerate(seeds):
         trace = fl.integrate(m, fl.PTMPoint(x, y, p), icfg)
         path = os.path.join(outdir, f"{cfg.out_prefix}_trace{k:02d}.csv")
-        _write_csv(path, _TRACE_HEADER, _trace_lines(trace))
+        _write_csv(path, _TRACE_HEADER, _trace_columns(trace))
         kinds = Counter(ev.kind for ev in trace.events)
         evtxt = " ".join(f"{n}={kinds[n]}" for n in sorted(kinds)) or "none"
         print(
@@ -605,16 +794,6 @@ def cmd_integrate(cfg: ScenarioConfig, outdir: str) -> int:
             f"t in [{trace.t[0]:.4g}, {trace.t[-1]:.4g}], events: {evtxt})"
         )
     return 0
-
-
-def _point_row(x, y, p, kind, eigenvalues, transversal) -> tuple:
-    """One row of the singular-points CSV (_POINT_HEADER)."""
-    e = np.sort_complex(eigenvalues)
-    return (
-        _fmt(x), _fmt(y), _fmt(p), kind,
-        *(_fmt(v) for z in e for v in (z.real, z.imag)),
-        "" if transversal is None else str(transversal),
-    )
 
 
 def _singular_picks(m: mt.PseudoFinslerMetric, c: sg.CurveSamples) -> list[sg.SingularPoint]:
@@ -630,16 +809,30 @@ def _singular_picks(m: mt.PseudoFinslerMetric, c: sg.CurveSamples) -> list[sg.Si
 
 
 def _singular_point_rows(m: mt.PseudoFinslerMetric, curves) -> list[tuple]:
+    """(x, y, p, kind, eigenvalues, transversal) of each classified point
+    and each tangency failure on the singular curves."""
     rows: list[tuple] = []
     for c in curves:
         if c.label != "singular" or len(c) < 2:
             continue
         for pt in _singular_picks(m, c):
-            rows.append(_point_row(pt.x, pt.y, pt.p, pt.kind, pt.eigenvalues, pt.transversal))
+            rows.append((pt.x, pt.y, pt.p, pt.kind, pt.eigenvalues, pt.transversal))
         for x, y, p in sg.find_tangency_failures(m, c):
             rep = sg.tangency_report(m, x, y, p)
-            rows.append(_point_row(x, y, p, "TangencyFailure", rep.eigenvalues, rep.transversal))
+            rows.append((x, y, p, "TangencyFailure", rep.eigenvalues, rep.transversal))
     return rows
+
+
+def _point_columns(rows: list[tuple]) -> list:
+    """The CSV columns of the singular points (_POINT_HEADER)."""
+    xyp = np.array([r[:3] for r in rows], dtype=np.float64).reshape(-1, 3)
+    eig = np.zeros((len(rows), 3), dtype=np.complex128)
+    for k, r in enumerate(rows):
+        eig[k] = np.sort_complex(r[4])
+    kinds = _codes([r[3] for r in rows])
+    transversal = _codes(["" if r[5] is None else str(r[5]) for r in rows])
+    # the real and imaginary part of each eigenvalue, in turn
+    return [*xyp.T, kinds, *eig.view(np.float64).T, transversal]
 
 
 _POINT_HEADER = ["x", "y", "slope", "kind",
@@ -654,13 +847,14 @@ def cmd_singular(cfg: ScenarioConfig, outdir: str) -> int:
     curves = sg.singular_curves(m, cfg.box, cfg.resolution)
     for i, c in enumerate(curves):
         path = os.path.join(outdir, f"{cfg.out_prefix}_locus{i:02d}_{c.label}.csv")
-        _write_csv(path, ["x", "y"], ["%.12g,%.12g" % (x, y) for x, y in c.points.tolist()])
+        _write_csv(path, ["x", "y"], list(c.points.T))
         print(f"singular: wrote {path} ({len(c)} points, {c.label})")
     rows = _singular_point_rows(m, curves)
     path = os.path.join(outdir, f"{cfg.out_prefix}_singular_points.csv")
-    _write_csv(path, _POINT_HEADER, [",".join(r) for r in rows])
-    kinds = Counter(r[3] for r in rows)
-    summary = " ".join(f"{k}={kinds[k]}" for k in sorted(kinds)) or "none"
+    columns = _point_columns(rows)
+    _write_csv(path, _POINT_HEADER, columns)
+    # the kind column is codes into the sorted kinds
+    summary = _summary(*columns[3]) or "none"
     print(f"singular: wrote {path} ({len(rows)} classified points: {summary})")
     return 0
 
@@ -697,16 +891,13 @@ def cmd_portrait(cfg: ScenarioConfig, outdir: str) -> int:
 _SERIES_HEADER = ["order", "slot", "linear_coeff", "forcing", "value", "status"]
 
 
-def _series_lines(sol: px.GeodesicSeries) -> list[str]:
-    """The CSV lines of a series solve (_SERIES_HEADER)."""
+def _series_columns(sol: px.GeodesicSeries) -> list:
+    """The CSV columns of a series solve (_SERIES_HEADER)."""
     def text(v):
         return "" if v is None else str(v)
 
-    return [
-        f"{r.index},{r.slot},{text(r.linear_coeff)},{text(r.forcing)},"
-        f"{text(r.value)},{r.status}"
-        for r in sol.rows
-    ]
+    fields = ("index", "slot", "linear_coeff", "forcing", "value", "status")
+    return [_codes([text(getattr(r, f)) for r in sol.rows]) for f in fields]
 
 
 def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
@@ -744,7 +935,7 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     txt_path = os.path.join(outdir, f"{cfg.out_prefix}_series.txt")
     _write(txt_path, table + "\n")
     csv_path = os.path.join(outdir, f"{cfg.out_prefix}_series.csv")
-    _write_csv(csv_path, _SERIES_HEADER, _series_lines(sol))
+    _write_csv(csv_path, _SERIES_HEADER, _series_columns(sol))
     print(f"puiseux: wrote {txt_path} and {csv_path}")
     if alm is not None and cfg.alphas:
         members = bm.bm_family_shoot(
@@ -753,9 +944,10 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
         )
         for i, mem in enumerate(members):
             path = os.path.join(outdir, f"{cfg.out_prefix}_family{i:02d}.csv")
-            head = f"{_fmt(mem.alpha)},{mem.eta_sign},"
-            lines = [head + line for line in _trace_lines(mem.trace)]
-            _write_csv(path, ["alpha", "eta_sign"] + _TRACE_HEADER, lines)
+            first = np.zeros(len(mem.trace.t), dtype=np.intp)
+            _write_csv(path, ["alpha", "eta_sign"] + _TRACE_HEADER,
+                       [(first, np.array([mem.alpha])), (first, [str(mem.eta_sign)]),
+                        *_trace_columns(mem.trace)])
         print(f"puiseux: wrote {len(members)} family trace files")
     return 0
 
@@ -946,7 +1138,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use; parsing leaves it as
+    it is (an ``append`` action copies its default list)."""
     ap = argparse.ArgumentParser(
         prog="finslerflow",
         description="Geodesic flow portraits and diagnostics for planar "

@@ -8,7 +8,8 @@ pairwise-difference expansion of the degeneracy combination, Sylvester
 determinants and the singular directions of a point for the singular
 locus, exact polynomial trees in sympy, a tree-walk reference, on dual
 numbers, for the exact series solve, and per-sample references for the
-traces (dense output, isotropic projection, arclength)."""
+traces (dense output, isotropic projection, arclength), and
+row-by-row references for the CSV files."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import puiseux as pz
 from finslerflow import singular as sg
-from finslerflow.cli import _fmt
 from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow
 
 
@@ -441,7 +441,7 @@ def cell_strata_rows(m, xs, ys) -> list[tuple]:
         for x in xs:
             st = mt.classify_point(m, float(x), float(y))
             d = mt.disc_metric(m, float(x), float(y))
-            rows.append((_fmt(x), _fmt(y), st.name, _fmt(d)))
+            rows.append((fmt(x), fmt(y), st.name, fmt(d)))
     return rows
 
 
@@ -1100,3 +1100,73 @@ def arclength_reference(m, trace, iso_tol: float = 1e-9) -> list[np.ndarray]:
                 segments.append(rows)
             start = None
     return segments
+
+
+# ---------------------------------------------------------------------------
+# row-by-row references for the CSV files, which the CLI writes a column
+# at a time
+
+
+def fmt(v) -> str:
+    """A number as every CSV of the CLI writes it."""
+    return "%.12g" % float(v)
+
+
+def csv_bytes(header, lines) -> bytes:
+    """A CSV file of the header and the lines, every line ended by CRLF."""
+    return "\r\n".join([",".join(header), *lines, ""]).encode("utf-8")
+
+
+def strata_lines(xs, ys, strata, disc) -> list[str]:
+    """The lines of a classify CSV: one per grid cell, x running fastest."""
+    return [
+        f"{fmt(x)},{fmt(y)},{strata[j][i]},{fmt(disc[j][i])}"
+        for j, y in enumerate(ys) for i, x in enumerate(xs)
+    ]
+
+
+def trace_lines(trace) -> list[str]:
+    """The lines of a trace CSV: the samples, and the kinds of the events
+    at each, joined by "+"."""
+    marks: dict[int, str] = {}
+    for ev in trace.events:
+        marks[ev.index] = marks[ev.index] + "+" + ev.kind if ev.index in marks else ev.kind
+    cols = (trace.t, trace.x, trace.y, trace.slope, trace.chart, trace.F,
+            trace.denom, trace.numer)
+    return [
+        ",".join([fmt(t), fmt(x), fmt(y), fmt(s), str(c), fmt(f), fmt(d), fmt(n),
+                  marks.get(k, "")])
+        for k, (t, x, y, s, c, f, d, n) in enumerate(zip(*cols))
+    ]
+
+
+def family_lines(member) -> list[str]:
+    """The lines of a family CSV: alpha and the approach sign, then the
+    trace."""
+    return [f"{fmt(member.alpha)},{member.eta_sign},{line}"
+            for line in trace_lines(member.trace)]
+
+
+def locus_lines(points) -> list[str]:
+    return [f"{fmt(x)},{fmt(y)}" for x, y in points]
+
+
+def point_line(x, y, p, kind, eigenvalues, transversal) -> str:
+    """One line of the singular-points CSV."""
+    e = np.sort_complex(eigenvalues)
+    return ",".join([
+        fmt(x), fmt(y), fmt(p), kind, *(fmt(v) for z in e for v in (z.real, z.imag)),
+        "" if transversal is None else str(transversal),
+    ])
+
+
+def series_lines(sol) -> list[str]:
+    """The lines of a series CSV."""
+    def text(v):
+        return "" if v is None else str(v)
+
+    return [
+        f"{r.index},{r.slot},{text(r.linear_coeff)},{text(r.forcing)},"
+        f"{text(r.value)},{r.status}"
+        for r in sol.rows
+    ]

@@ -7,15 +7,32 @@ import re
 import types
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finslerflow import berwald_moor as bm
 from finslerflow import cli
 from finslerflow import metric as mt
+from finslerflow import puiseux as px
 from finslerflow import singular as sg
 
-from helpers import max_ode_residual, svg_polyline_paths
+from helpers import (
+    csv_bytes,
+    family_lines,
+    fmt,
+    max_ode_residual,
+    series_lines,
+    strata_lines,
+    svg_polyline_paths,
+    trace_lines,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 HALFPLANE = """\
 # vertical-axis boundary scenario
@@ -660,6 +677,59 @@ class TestCommands:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_parser_is_reused_without_the_last_overrides(self, tmp_path, monkeypatch):
+        # main parses with one parser built on first use; the overrides of
+        # one run are not seen by the next
+        seen = []
+        load = cli.load_config
+
+        def recording_load(path, overrides=()):
+            seen.append(overrides)
+            return load(path, overrides)
+
+        monkeypatch.setattr(cli, "load_config", recording_load)
+        path = write(tmp_path, HALFPLANE)
+        argv = ["classify", "--config", path, "--out", str(tmp_path)]
+        assert cli.main(argv + ["--seed", "resolution=8", "--seed", "out_prefix=a"]) == 0
+        assert cli.main(argv) == 0
+        assert seen == [("resolution=8", "out_prefix=a"), ()]
+        assert (tmp_path / "a_strata.csv").exists() and (tmp_path / "hp_strata.csv").exists()
+        assert cli._parser() is cli._parser()
+
+    def test_csv_lines_end_in_crlf_under_their_header(self, tmp_path):
+        path = write(tmp_path, HALFPLANE)
+        for command in ("classify", "integrate", "singular"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        headers = {"strata": "x,y,stratum,disc", "trace": ",".join(cli._TRACE_HEADER),
+                   "locus": "x,y", "singular_points": ",".join(cli._POINT_HEADER)}
+        files = sorted(tmp_path.glob("hp_*.csv"))
+        assert len(files) == 5
+        for f in files:
+            data = f.read_bytes()
+            kind = next(k for k in headers if k in f.name)
+            assert data.startswith(headers[kind].encode() + b"\r\n")
+            assert data.endswith(b"\r\n") and b"\0" not in data
+            assert data.count(b"\n") == data.count(b"\r\n") == data.count(b"\r")
+        assert (tmp_path / "hp_strata.csv").read_bytes().count(b"\r\n") == 1 + 40 * 40
+
+    def test_puiseux_csv_files_match_row_references(self, tmp_path):
+        assert cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),
+                         "--out", str(tmp_path)]) == 0
+        cfg = cli.load_config(write(tmp_path, TANGENCY))
+        alm = cfg.adapted_chart()
+        m = bm.full_metric(alm)
+        seed = {3: float(bm.admissible_u(alm)[1])}
+        sol = px.solve_geodesic_series(m, 3, seed, cfg.series_order, free={4: cfg.alphas[0]})
+        assert (tmp_path / "bm_series.csv").read_bytes() == csv_bytes(
+            cli._SERIES_HEADER, series_lines(sol)
+        )
+        members = bm.bm_family_shoot(alm, cfg.alphas, y0=cfg.y0, order=cfg.series_order,
+                                     cfg=cfg.integrator())
+        assert len(members) == 4
+        for i, mem in enumerate(members):
+            want = csv_bytes(["alpha", "eta_sign"] + cli._TRACE_HEADER, family_lines(mem))
+            assert (tmp_path / f"bm_family{i:02d}.csv").read_bytes() == want
+
 
 def _svg_cases():
     nan, inf = np.nan, np.inf
@@ -718,3 +788,118 @@ def test_svg_polyline_matches_point_by_point_reference(margin):
         want += svg_polyline_paths(canvas, pts, style)
     assert len(want) > 10
     assert canvas._paths == want
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer and its array "%.12g" formatter
+
+
+def g_texts(values) -> list[str]:
+    return [b.decode() for b in cli._format_g(np.asarray(values, dtype=np.float64)).tolist()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+def test_format_g_matches_percent_12g_on_any_floats(values):
+    assert g_texts(values) == ["%.12g" % v for v in values]
+
+
+def test_format_g_edge_cases():
+    edges = np.array([
+        # a tie decides the exponent: the digits round up to a power of ten
+        9.999999999995e-05, 99999999999.95, 999999999999.5,
+        # exact ties of the digits, and the signed zeros
+        0.5, 2.5, 0.0, -0.0, 100000000000.5, 2.0**-30,
+        # the smallest subnormal, the smallest normal and the largest float
+        5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        # where the fixed form starts and stops, and the powers of ten at
+        # the ends of the array path (1e-11, 1e33) and past them
+        1e-5, 1e-4, 1e11, 1e12, 1e16, 1e-11, 1e-10, 1e33, 1e34, 1e22, 1e23,
+        np.inf, -np.inf, np.nan,
+    ])
+    with np.errstate(over="ignore"):
+        up = np.nextafter(edges, np.inf)
+    near = np.concatenate([edges, -edges, np.nextafter(edges, 0), up])
+    assert g_texts(near) == ["%.12g" % v for v in near.tolist()]
+    assert g_texts([9.999999999995e-05, 99999999999.95, 999999999999.5]) == [
+        "9.99999999999e-05", "99999999999.9", "1e+12"]
+    assert g_texts([]) == []
+
+
+def test_format_g_on_wide_random_values():
+    rng = np.random.default_rng(20261019)
+    # every exponent of the array path and past its ends, rounded decimals,
+    # integers, and the floats next to the decimal ties of twelve digits
+    wide = rng.choice([-1.0, 1.0], 40000) * 10.0 ** rng.uniform(-14, 36, 40000)
+    decimals = np.concatenate([np.round(rng.uniform(-1e3, 1e3, 1000), d) for d in range(16)])
+    integers = rng.integers(-10**14, 10**14, 4000).astype(np.float64)
+    ties = np.array([
+        float(Fraction(int(n) * 10 + 5) * Fraction(10) ** int(k))
+        for n, k in zip(rng.integers(10**11, 10**12, 4000), rng.integers(-16, 23, 4000))
+    ])
+    values = np.concatenate([wide, decimals, integers, ties, np.nextafter(ties, 0),
+                             np.nextafter(ties, np.inf)])
+    assert g_texts(values) == ["%.12g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_format_g_on_the_disc_grids_of_the_configs(name):
+    cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+    xs = np.linspace(cfg.box[0], cfg.box[1], cfg.resolution)
+    ys = np.linspace(cfg.box[2], cfg.box[3], cfg.resolution)
+    _, disc = mt.strata_on_grid(cfg.metric_obj(), *np.meshgrid(xs, ys))
+    assert g_texts(disc.ravel()) == [fmt(d) for d in disc.ravel().tolist()]
+    assert g_texts(xs) == [fmt(x) for x in xs.tolist()]
+
+
+def test_write_csv_matches_row_reference_across_passes(tmp_path, monkeypatch):
+    # passes of 7 rows; float columns with values on the "%.12g" fallback,
+    # a float table, and tables of strings with an empty entry
+    monkeypatch.setattr(cli, "_CSV_ROWS_PER_PASS", 7)
+    rng = np.random.default_rng(3)
+    size = 40
+    a = rng.normal(size=size) * 10.0 ** rng.integers(-8, 40, size)
+    a[[0, 5, 17]] = [0.0, np.nan, -np.inf]
+    b = rng.uniform(-1, 1, size)
+    xs = np.array([-0.25, 1e-7, 3.0])
+    codes = rng.integers(0, 3, size)
+    names = ["", "MPlus", "q"]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["a", "x", "name", "b"], [a, (codes, xs), (codes, names), b])
+    lines = [f"{fmt(a[i])},{fmt(xs[codes[i]])},{names[codes[i]]},{fmt(b[i])}"
+             for i in range(size)]
+    assert path.read_bytes() == csv_bytes(["a", "x", "name", "b"], lines)
+    cli._write_csv(str(path), ["a", "b"], [a[:0], b[:0]])
+    assert path.read_bytes() == b"a,b\r\n"
+
+
+def test_write_csv_refuses_a_comma_or_a_ragged_column(tmp_path):
+    path = str(tmp_path / "t.csv")
+    codes = np.zeros(3, dtype=np.intp)
+    with pytest.raises(ValueError, match=re.escape(path) + ".*'a,b'"):
+        cli._write_csv(path, ["x", "kind"], [np.ones(3), (codes, ["a,b"])])
+    with pytest.raises(ValueError, match=re.escape(path) + ".*'x,y'"):
+        cli._write_csv(path, ["x,y"], [np.ones(3)])
+    with pytest.raises(ValueError, match=re.escape(path)):
+        cli._write_csv(path, ["x", "y"], [np.ones(3), np.ones(4)])
+    with pytest.raises(ValueError, match=re.escape(path)):
+        cli._write_csv(path, ["x", "y"], [np.ones(3)])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_trace_and_strata_files_match_row_references(tmp_path):
+    path = write(tmp_path, HALFPLANE)
+    assert cli.main(["integrate", "--config", path, "--out", str(tmp_path)]) == 0
+    assert cli.main(["classify", "--config", path, "--out", str(tmp_path)]) == 0
+    cfg = cli.load_config(path)
+    m = cfg.metric_obj()
+    for k, seed in enumerate(cfg.seeds):
+        trace = cli.fl.integrate(m, cli.fl.PTMPoint(*seed), cfg.integrator())
+        assert (tmp_path / f"hp_trace{k:02d}.csv").read_bytes() == csv_bytes(
+            cli._TRACE_HEADER, trace_lines(trace))
+    xs = np.linspace(cfg.box[0], cfg.box[1], cfg.resolution)
+    ys = np.linspace(cfg.box[2], cfg.box[3], cfg.resolution)
+    strata, disc = mt.strata_on_grid(m, *np.meshgrid(xs, ys))
+    assert (tmp_path / "hp_strata.csv").read_bytes() == csv_bytes(
+        ["x", "y", "stratum", "disc"], strata_lines(xs, ys, strata, disc))

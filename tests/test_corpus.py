@@ -12,8 +12,12 @@ run twice on every config, through ``cli.main``.  The tests check what
 the commands promise for any input: no exception and no RuntimeWarning
 escapes, the exit status is 0 or 2 (1 only for a ``verify`` that fails),
 an exit of 2 says why in one stderr line, every trace ends with an event
-at both ends, and the second run writes the same bytes.  Two further
-checks are known to fail today and are strict expected failures.
+at both ends, and the second run writes the same bytes.  Every CSV file
+written is checked byte for byte against the row-by-row references of
+tests/helpers.py, on the data recomputed through the library; the huge
+coefficients and the poles send inf, nan and values past 1e33 down the
+"%.12g" fallback of the column writer.  Two further checks are known to
+fail today and are strict expected failures.
 """
 
 from __future__ import annotations
@@ -25,9 +29,15 @@ import random
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finslerflow import cli
+from finslerflow import flow as fl
+from finslerflow import metric as mt
+from finslerflow import singular as sg
+
+from helpers import csv_bytes, locus_lines, point_line, strata_lines, trace_lines
 
 COMMANDS = ("classify", "integrate", "singular", "portrait", "verify")
 CORPUS_SEEDS = tuple(range(1000, 1020))
@@ -158,6 +168,49 @@ def test_every_trace_ends_with_an_event(runs, name):
     for f in traces:
         rows = list(csv.DictReader(io.StringIO(first["files"][f].decode())))
         assert rows[0]["event"] and rows[-1]["event"], f
+
+
+def reference_csvs(cfg: cli.ScenarioConfig, command: str) -> dict[str, bytes]:
+    """The CSV files a command that exits 0 writes, formatted row by row."""
+    m = cfg.metric_obj()
+    prefix = cfg.out_prefix
+    files = {}
+    if command == "classify":
+        xs = np.linspace(cfg.box[0], cfg.box[1], cfg.resolution)
+        ys = np.linspace(cfg.box[2], cfg.box[3], cfg.resolution)
+        strata, disc = mt.strata_on_grid(m, *np.meshgrid(xs, ys))
+        files[f"{prefix}_strata.csv"] = csv_bytes(
+            ["x", "y", "stratum", "disc"], strata_lines(xs, ys, strata, disc)
+        )
+    elif command == "integrate":
+        for k, seed in enumerate(cfg.seeds):
+            trace = fl.integrate(m, fl.PTMPoint(*seed), cfg.integrator())
+            files[f"{prefix}_trace{k:02d}.csv"] = csv_bytes(cli._TRACE_HEADER, trace_lines(trace))
+    elif command == "singular":
+        curves = sg.singular_curves(m, cfg.box, cfg.resolution)
+        for i, c in enumerate(curves):
+            files[f"{prefix}_locus{i:02d}_{c.label}.csv"] = csv_bytes(
+                ["x", "y"], locus_lines(c.points.tolist())
+            )
+        rows = [point_line(*r) for r in cli._singular_point_rows(m, curves)]
+        files[f"{prefix}_singular_points.csv"] = csv_bytes(cli._POINT_HEADER, rows)
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_csv_files_match_row_references(runs, name, tmp_path):
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(CONFIGS[name])
+    cfg = cli.load_config(str(config))
+    checked = 0
+    for command in ("classify", "integrate", "singular"):
+        first, _ = runs[name][command]
+        if first["status"] != 0:
+            continue
+        written = {f: data for f, data in first["files"].items() if f.endswith(".csv")}
+        assert written == reference_csvs(cfg, command), command
+        checked += len(written)
+    assert checked
 
 
 def test_the_corpus_covers_refusals_and_successes(runs):

@@ -17,6 +17,7 @@ from finslerflow import singular as sg
 from helpers import (
     cell_marching_squares,
     cell_strata_rows,
+    fmt,
     halfplane_metric,
     point_project,
     random_poly_text,
@@ -145,7 +146,7 @@ def test_random_metrics_match_references(seed):
         X, Y = np.meshgrid(xs, ys, indexing="ij")
     strata, disc = mt.strata_on_grid(m, X.T, Y.T)
     want = cell_strata_rows(m, xs, ys)
-    assert [(st, cli._fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
+    assert [(st, fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
         r[2:] for r in want
     ]
 
@@ -181,7 +182,7 @@ def test_band_cells_go_through_classify_point():
     X, Y = np.meshgrid(xs, ys)
     strata, disc = mt.strata_on_grid(m, X, Y)
     assert set(strata[:, 10]) == {"M01"}
-    assert [(st, cli._fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
+    assert [(st, fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
         r[2:] for r in cell_strata_rows(m, xs, ys)
     ]
 
