@@ -387,6 +387,7 @@ def _words(*columns) -> np.ndarray:
 #     -4 <= e < 12.
 # The twelve digits are held in two little-endian 64-bit words, eight
 # and four bytes, and the text in three.
+
 # The tables of g = 0..9999, built from its four digits (the axes of a
 # 10 x 10 x 10 x 10 array): its digits as bytes 0-3 of a word and as
 # bytes 4-7, and the count of its digits up to the last nonzero one, as
@@ -396,9 +397,9 @@ _D0 = (_DIGIT[:, None, None, None] | _DIGIT[:, None, None] << 8 | _DIGIT[:, None
        | _DIGIT << 24).ravel()
 _D1 = _D0 << np.uint64(32)
 _NONZERO = np.arange(10) > 0
-_LAST0 = np.maximum(np.maximum(_NONZERO[:, None, None, None] * 1, _NONZERO[:, None, None] * 2),
-                    np.maximum(_NONZERO[:, None] * 3, _NONZERO * 4)).ravel()
-_LAST1, _LAST2 = _LAST0 + 4 * (_LAST0 > 0), _LAST0 + 8 * (_LAST0 > 0)
+_LAST = np.maximum(np.maximum(_NONZERO[:, None, None, None] * 1, _NONZERO[:, None, None] * 2),
+                   np.maximum(_NONZERO[:, None] * 3, _NONZERO * 4)).ravel()
+_LAST0, _LAST1, _LAST2 = (np.where(_LAST, _LAST + k, 0).astype(np.int8) for k in (0, 4, 8))
 _E_LOW, _E_HIGH = -11, 33
 _E = np.arange(_E_LOW, _E_HIGH + 1)
 # by e - _E_LOW: n is |v| * _G_MUL / _G_DIV, each factor 1 or 10^|11 - e|,
@@ -566,10 +567,10 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
             for j in range(len(columns))
         ]
         ends = [b","] * (len(fields) - 1) + [b"\r\n"]
-        rows = np.empty(stop - start, dtype=[
-            (name, dtype) for j, (f, end) in enumerate(zip(fields, ends))
-            for name, dtype in ((f"f{j}", f.dtype), (f"e{j}", f"S{len(end)}"))
-        ])
+        layout = []
+        for j, (f, end) in enumerate(zip(fields, ends)):
+            layout += [(f"f{j}", f.dtype), (f"e{j}", f"S{len(end)}")]
+        rows = np.empty(stop - start, dtype=layout)
         for j, (f, end) in enumerate(zip(fields, ends)):
             rows[f"f{j}"] = f
             rows[f"e{j}"] = end
@@ -896,8 +897,10 @@ def _series_columns(sol: px.GeodesicSeries) -> list:
     def text(v):
         return "" if v is None else str(v)
 
+    # row i of each column is entry i of its table
+    rows = np.arange(len(sol.rows))
     fields = ("index", "slot", "linear_coeff", "forcing", "value", "status")
-    return [_codes([text(getattr(r, f)) for r in sol.rows]) for f in fields]
+    return [(rows, [text(getattr(r, f)) for r in sol.rows]) for f in fields]
 
 
 def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:

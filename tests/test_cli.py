@@ -27,9 +27,7 @@ from helpers import (
     fmt,
     max_ode_residual,
     series_lines,
-    strata_lines,
     svg_polyline_paths,
-    trace_lines,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -886,20 +884,3 @@ def test_write_csv_refuses_a_comma_or_a_ragged_column(tmp_path):
     with pytest.raises(ValueError, match=re.escape(path)):
         cli._write_csv(path, ["x", "y"], [np.ones(3)])
     assert not (tmp_path / "t.csv").exists()
-
-
-def test_trace_and_strata_files_match_row_references(tmp_path):
-    path = write(tmp_path, HALFPLANE)
-    assert cli.main(["integrate", "--config", path, "--out", str(tmp_path)]) == 0
-    assert cli.main(["classify", "--config", path, "--out", str(tmp_path)]) == 0
-    cfg = cli.load_config(path)
-    m = cfg.metric_obj()
-    for k, seed in enumerate(cfg.seeds):
-        trace = cli.fl.integrate(m, cli.fl.PTMPoint(*seed), cfg.integrator())
-        assert (tmp_path / f"hp_trace{k:02d}.csv").read_bytes() == csv_bytes(
-            cli._TRACE_HEADER, trace_lines(trace))
-    xs = np.linspace(cfg.box[0], cfg.box[1], cfg.resolution)
-    ys = np.linspace(cfg.box[2], cfg.box[3], cfg.resolution)
-    strata, disc = mt.strata_on_grid(m, *np.meshgrid(xs, ys))
-    assert (tmp_path / "hp_strata.csv").read_bytes() == csv_bytes(
-        ["x", "y", "stratum", "disc"], strata_lines(xs, ys, strata, disc))
