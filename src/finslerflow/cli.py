@@ -392,14 +392,16 @@ def _words(*columns) -> np.ndarray:
 # 10 x 10 x 10 x 10 array): its digits as bytes 0-3 of a word and as
 # bytes 4-7, and the count of its digits up to the last nonzero one, as
 # digits 0-3, 4-7 and 8-11 of twelve (0 for g = 0 in the last two).
-_DIGIT = 48 + np.arange(10, dtype=np.uint64)
+_DIGIT = 48 + np.arange(10, dtype=np.uint32)
 _D0 = (_DIGIT[:, None, None, None] | _DIGIT[:, None, None] << 8 | _DIGIT[:, None] << 16
-       | _DIGIT << 24).ravel()
+       | _DIGIT << 24).ravel().astype(np.uint64)
 _D1 = _D0 << np.uint64(32)
-_NONZERO = np.arange(10) > 0
-_LAST = np.maximum(np.maximum(_NONZERO[:, None, None, None] * 1, _NONZERO[:, None, None] * 2),
-                   np.maximum(_NONZERO[:, None] * 3, _NONZERO * 4)).ravel()
-_LAST0, _LAST1, _LAST2 = (np.where(_LAST, _LAST + k, 0).astype(np.int8) for k in (0, 4, 8))
+_NONZERO = np.arange(10, dtype=np.int8) > 0
+_LAST = np.maximum(
+    np.maximum(_NONZERO[:, None, None, None] * np.int8(1), _NONZERO[:, None, None] * np.int8(2)),
+    np.maximum(_NONZERO[:, None] * np.int8(3), _NONZERO * np.int8(4)),
+).ravel()
+_LAST0, _LAST1, _LAST2 = (np.where(_LAST, _LAST + np.int8(k), np.int8(0)) for k in (0, 4, 8))
 _E_LOW, _E_HIGH = -11, 33
 _E = np.arange(_E_LOW, _E_HIGH + 1)
 # by e - _E_LOW: n is |v| * _G_MUL / _G_DIV, each factor 1 or 10^|11 - e|,
