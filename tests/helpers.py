@@ -1148,6 +1148,7 @@ def family_lines(member) -> list[str]:
 
 
 def locus_lines(points) -> list[str]:
+    """The lines of a locus CSV, one per point."""
     return [f"{fmt(x)},{fmt(y)}" for x, y in points]
 
 
