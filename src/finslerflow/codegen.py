@@ -8,7 +8,9 @@ sum in p, and the coefficients on grids of points.  Each function is
 compiled on its first use.  ``lifted_field_function`` numbers a layer and
 its x and y partials together into the array code of the direction nets'
 lifted field, and ``dopri_step`` writes out one Dormand-Prince step for
-states of a given dimension.
+states of a given dimension; ``chart_step`` writes the same tableau for
+the geodesic flow in one chart, with the field's components inline
+around a call of the metric's generated ``fdp``.
 
 The point functions (and horner_function's) run on floats or,
 elementwise and with the same bits, on numpy arrays (``on_arrays``): a
@@ -279,45 +281,101 @@ DOPRI_E = (
 )
 
 
-@cache
-def dopri_step(d: int):
-    """(rhs, u, fu, h, rel_tol, abs_tol) -> (unew, fnew, err): one embedded
-    Dormand-Prince 5(4) step of du/dt = rhs(u) from a state u of d floats
-    with fu = rhs(u); compiled on the first call for each d.
+def _names(stem: str, d: int) -> str:
+    return ", ".join(f"{stem}{i}" for i in range(d)) + ","
 
-    The stages are written out.  Stage s is rhs of the tuple with entries
+
+def _dopri_lines(d: int, stage) -> list[str]:
+    """The body of one embedded Dormand-Prince 5(4) step from the state u
+    of d floats with field fu, through the error sum err.
+
+    Stage s's state has the entries
     u_i + h * (0.0 + A[s][0] * k0_i + A[s][1] * k1_i + ...), each sum taken
     left to right with its zero coefficients, as ``sum()`` adds floats on
-    Python 3.11.  unew is the last stage's argument itself and fnew its
-    rhs.  err is the root mean square over i of
-    e_i / (abs_tol + rel_tol * max(|u_i|, |unew_i|)) with
+    Python 3.11; the last stage's state is the 5th-order solution, the
+    tuple unew.  stage(s, v) gives the lines that set k<s>_0 .. k<s>_(d-1),
+    the field at the state whose entries are named v[0] .. v[d-1], and for
+    the last stage also fnew, the tuple of those.  err is the sum over i
+    of (e_i / (abs_tol + rel_tol * max(|u_i|, |unew_i|)))^2 with
     e_i = h * (0.0 + E[0] * k0_i + ...); a square that overflows is inf.
     """
-
-    def names(stem):
-        return ", ".join(f"{stem}{i}" for i in range(d)) + ","
 
     def combo(coeffs, i):
         return "0.0" + "".join(
             f" + {_atom(c)} * k{j}_{i}" for j, c in enumerate(coeffs)
         )
 
-    body = [f"{names('u')} = u", f"{names('k0_')} = fu"]
+    body = [f"{_names('u', d)} = u", f"{_names('k0_', d)} = fu"]
     for s, row in enumerate(DOPRI_A[1:], start=1):
         v = "w" if s == len(DOPRI_A) - 1 else f"v{s}_"
         body += [f"{v}{i} = u{i} + h * ({combo(row, i)})" for i in range(d)]
         if v == "w":
-            body += [f"unew = ({names('w')})", "fnew = rhs(unew)"]
-            body.append(f"{names(f'k{s}_')} = fnew")
-        else:
-            body.append(f"{names(f'k{s}_')} = rhs(({names(v)}))")
+            body.append(f"unew = ({_names('w', d)})")
+        body += stage(s, [f"{v}{i}" for i in range(d)])
     body += [f"e{i} = h * ({combo(DOPRI_E, i)})" for i in range(d)]
     body.append("err = 0.0" + "".join(
         f" + _ipow(e{i} / (abs_tol + rel_tol * max(abs(u{i}), abs(w{i}))), 2)"
         for i in range(d)
     ))
+    return body
+
+
+@cache
+def dopri_step(d: int):
+    """(rhs, u, fu, h, rel_tol, abs_tol) -> (unew, fnew, err): one embedded
+    Dormand-Prince 5(4) step of du/dt = rhs(u) from a state u of d floats
+    with fu = rhs(u); compiled on the first call for each d.
+
+    The stages are written out (_dopri_lines); stage s calls rhs on the
+    tuple of its state, the last one on unew itself, and fnew is that
+    call's result.  err is the root mean square of the scaled errors.
+    """
+    last = len(DOPRI_A) - 1
+
+    def stage(s, v):
+        if s == last:
+            return ["fnew = rhs(unew)", f"{_names(f'k{s}_', d)} = fnew"]
+        return [f"{_names(f'k{s}_', d)} = rhs(({', '.join(v)},))"]
+
     return _function(
-        "rhs, u, fu, h, rel_tol, abs_tol", body, f"unew, fnew, _sqrt(err / {d})"
+        "rhs, u, fu, h, rel_tol, abs_tol", _dopri_lines(d, stage),
+        f"unew, fnew, _sqrt(err / {d})",
+    )
+
+
+@cache
+def chart_step(chart: str):
+    """(fdp, sign, u, fu, h, rel_tol, abs_tol) -> (unew, fnew, err, end):
+    dopri_step(3) on the direction field of one chart of the geodesic
+    flow, with the field written into the stages; compiled on the first
+    call for each chart.
+
+    fdp is a metric's generated (x, y, p) -> (F, denom, numer), called on
+    each stage state (x, y, s) as fdp(x, y, s) in the chart "p" and as
+    fdp(y, x, s) in the chart "q", where it is the dual metric's.  The
+    field is (sign * denom, sign * (s * denom), sign * numer) in "p" and
+    (sign * (s * denom), sign * denom, sign * numer) in "q".  end is the
+    last stage's (F, denom, numer), those at unew.
+    """
+    last = len(DOPRI_A) - 1
+
+    def stage(s, v):
+        x, y, p = v if chart == "p" else (v[1], v[0], v[2])
+        k = ("sign * _d", f"sign * ({v[2]} * _d)", "sign * _n")
+        if chart == "q":
+            k = (k[1], k[0], k[2])
+        if s == last:
+            lines = [f"end = fdp({x}, {y}, {p})", "_, _d, _n = end"]
+        else:
+            lines = [f"_, _d, _n = fdp({x}, {y}, {p})"]
+        lines += [f"k{s}_{i} = {ki}" for i, ki in enumerate(k)]
+        if s == last:
+            lines.append(f"fnew = ({_names(f'k{s}_', 3)})")
+        return lines
+
+    return _function(
+        "fdp, sign, u, fu, h, rel_tol, abs_tol", _dopri_lines(3, stage),
+        "unew, fnew, _sqrt(err / 3), end",
     )
 
 
@@ -337,7 +395,10 @@ class LayerTable:
         return _Code(self.exprs)
 
     @cached_property
-    def _values(self):
+    def point_function(self):
+        """The generated (x, y) -> tuple of the coefficients, on floats or
+        elementwise on arrays; point_values converts its arguments to
+        floats and calls it."""
         roots = ", ".join(_atom(r) for r in self._code.roots)
         return _function("x, y", self._code.scalar_lines(), f"({roots},)")
 
@@ -351,10 +412,10 @@ class LayerTable:
         return _function("x, y, out", self._code.array_lines(), "out")
 
     def point_values(self, x: float, y: float) -> tuple[float, ...]:
-        return self._values(float(x), float(y))
+        return self.point_function(float(x), float(y))
 
     def values_at(self, x: float, y: float) -> np.ndarray:
-        return np.array(self._values(float(x), float(y)))
+        return np.array(self.point_function(float(x), float(y)))
 
     def poly_value(self, x: float, y: float, p: float) -> float:
         return self._poly(float(x), float(y), float(p))
@@ -362,7 +423,7 @@ class LayerTable:
     def values_many(self, xs, ys) -> np.ndarray:
         """The coefficients at 1-d arrays of points, shape (n, len(xs));
         the point function run on the arrays, bit for bit values_at."""
-        return on_arrays(self.n, self._values, xs, ys)
+        return on_arrays(self.n, self.point_function, xs, ys)
 
     def poly_value_many(self, xs, ys, ps) -> np.ndarray:
         """poly_value at 1-d arrays of points and slopes, elementwise."""

@@ -16,32 +16,38 @@ One stepper serves two fields: the adaptive embedded Dormand-Prince 5(4)
 loop of _dopri_steps integrates this projectivized field (integrate) and
 the second-order system on the tangent bundle (tm_integrate), and the two
 join their time directions the same way.  Its step is straight-line code
-generated for the dimension of the state (codegen.dopri_step): 3 here, 4
-on the tangent bundle.  Each tracer keeps only what it does with an
-accepted step.  Here events (sign changes of the denominator
-or of F, singular proximity, domain exit) are localized by bisection on a
-cubic Hermite interpolant of the step.
+generated from one tableau: here one step per chart (codegen.chart_step),
+whose stages call the metric's generated fdp directly and whose last
+stage gives (F, denom, numer) at the step's end, as Dormand-Prince 5(4)
+is first-same-as-last; on the tangent bundle the step for 4 floats
+(codegen.dopri_step) around the Cramer field.  Each tracer keeps only
+what it does with an accepted step.  Here events (sign changes of the
+denominator or of F, singular proximity, domain exit) are localized by
+bisection on a cubic Hermite interpolant of the step.
 
 Most samples of a trace are dense output: points of that interpolant
-between step ends, max_ds apart in the plane.  A step reserves their rows;
-each side computes them at its end in one array pass (_dense_output).
-The interpolant and the generated field function (metric.fdp) run on
-floats, as the bisection calls them, or elementwise on arrays with the
-same bits, so a sample is the same either way.  The isotropic projection
-and the arclength likewise run on all samples at once.
+between step ends, max_ds apart in the plane.  The loop records each
+step end as one row and counts the rows of a step's samples; each side
+lays out its columns at its end, the samples in one array pass
+(_dense_output).  The interpolant and the generated field function
+(metric.fdp) run on floats, as the bisection calls them, or elementwise
+on arrays with the same bits, so a sample is the same either way.  The
+isotropic projection and the arclength likewise run on all samples at
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import metric as mt
 from . import singular as sg
-from .codegen import _div, dopri_step
+from .codegen import _div, _ipow, chart_step, dopri_step
 from .metric import PseudoFinslerMetric
 
 CUSP = "Cusp"
@@ -99,8 +105,12 @@ class IntegratorConfig:
     max_ds: float = 0.002
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # a step setting that is not > 0 (nan included) cannot advance;
+        # an infinite max_step means no cap
+        for name in ("rel_tol", "abs_tol", "max_step"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 @dataclass
@@ -155,12 +165,19 @@ def _chart_vals_many(m: PseudoFinslerMetric, x, y, s, q) -> np.ndarray:
     return out
 
 
+def _chart_field(vals, s: float, chart: str, sign: float):
+    """The direction field at slope s from (F, denom, numer) in a chart,
+    times sign, as the stages of codegen.chart_step form it."""
+    _, d, n = vals
+    if chart == "p":
+        return (sign * d, sign * (s * d), sign * n)
+    return (sign * (s * d), sign * d, sign * n)
+
+
 def field_at(m: PseudoFinslerMetric, pt: PTMPoint) -> tuple[float, float, float]:
     """Direction-field components (dx, dy, dslope) in the point's chart."""
-    _, d, n = _chart_vals(m, pt.x, pt.y, pt.slope, pt.chart)
-    if pt.chart == "p":
-        return (d, pt.slope * d, n)
-    return (pt.slope * d, d, n)
+    vals = _chart_vals(m, pt.x, pt.y, pt.slope, pt.chart)
+    return _chart_field(vals, pt.slope, pt.chart, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +265,32 @@ def _dense_output(steps, spans, points):
         return rows, block, t + theta * h, _hermite(u0, f0, u1, f1, h, theta)
 
 
-def _dopri_steps(rhs, u, fu, cfg: IntegratorConfig):
-    """Adaptive Dormand-Prince steps of du/dt = rhs(u) from u at t = 0,
-    where rhs(u) is fu.
+def _dopri_steps(step, u, fu, cfg: IntegratorConfig):
+    """Adaptive Dormand-Prince steps from u at t = 0, where the field is fu.
 
-    Yields each accepted step as (t, h, u0, f0, u1, f1): it starts at
-    time t, has length h and goes from u0 to u1, with f = rhs(u) at both
-    ends.  A caller that switches the field sends the (u, f) to go on
-    from instead of (u1, f1).  A step that leaves the floats is retried
-    at a quarter of its length and a rejected one at the controller's
-    length; every attempt counts against cfg.max_steps.  Returns the
-    stop reason (STEP_UNDERFLOW or MAX_STEPS) and the time reached.
+    step(u, fu, h, rel_tol, abs_tol) is one embedded step returning
+    (unew, fnew, err, ...): codegen.dopri_step with its rhs bound, or a
+    codegen.chart_step with its fdp and sign.  Yields each accepted step
+    as (t, h, u0, f0) followed by the results of step: it starts at time
+    t, has length h and goes from u0 to u1 = unew, with f the field at
+    both ends.  A caller that switches the field sends the (step, u, f)
+    to go on with instead of (step, u1, f1).  A step that leaves the
+    floats is retried at a quarter of its length and a rejected one at
+    the controller's length; every attempt counts against cfg.max_steps.
+    Returns the stop reason (STEP_UNDERFLOW or MAX_STEPS) and the time
+    reached.
     """
-    step = dopri_step(len(u))
-    rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    # floats, so that step sees float stages whatever numbers cfg holds
+    # (on a numpy scalar the generated code would warn where it divides
+    # by zero)
+    rel_tol, abs_tol = float(cfg.rel_tol), float(cfg.abs_tol)
+    max_step = float(cfg.max_step)
     t = 0.0
     h = INITIAL_STEP
     for _ in range(cfg.max_steps):
         h = min(h, max_step)
-        unew, fnew, err = step(rhs, u, fu, h, rel_tol, abs_tol)
+        res = step(u, fu, h, rel_tol, abs_tol)
+        unew, err = res[0], res[2]
         if not math.isfinite(err) or not all(map(math.isfinite, unew)):
             h *= 0.25
             if h < 1e-14:
@@ -277,9 +301,12 @@ def _dopri_steps(rhs, u, fu, cfg: IntegratorConfig):
             if h < 1e-14 * max(1.0, abs(t)):
                 return STEP_UNDERFLOW, t
             continue
-        restart = yield t, h, u, fu, unew, fnew
+        restart = yield (t, h, u, fu) + res
         t += h
-        u, fu = restart or (unew, fnew)
+        if restart:
+            step, u, fu = restart
+        else:
+            u, fu = unew, res[1]
         h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     return MAX_STEPS, t
 
@@ -316,199 +343,202 @@ def _join_sides(run, direction: int):
 # the geodesic integrator
 
 
+def _scale_sq(a) -> float:
+    """(1 + metric_scale)^2 from the coefficients a of F at a point; inf
+    where the square overflows."""
+    return _ipow(1.0 + mt.coeff_scale(a), 2)
+
+
+def _step_events(m, chart: str, box, h, u0, f0, u1, f1, vals0, vals1):
+    """The events inside an accepted step of the given chart that has a
+    sign change of denom or of F between its ends (vals0, vals1) or ends
+    outside the box.
+
+    The sign changes and the exit are located by bisection on the step's
+    cubic Hermite interpolant.  Returns the marks (theta, kind), the theta
+    where the step ends and the terminal event there (None where it runs
+    to 1): a denom zero where numer is small too is a singular approach
+    and ends the step, one where it is not is a cusp.
+    """
+    x0, x1, y0, y1 = box
+    F_at = m.table("F").point_function
+
+    def interp(theta):
+        return _hermite(u0, f0, u1, f1, h, theta)
+
+    def chart_vals_at(theta):
+        v = interp(theta)
+        return v, _chart_vals(m, v[0], v[1], v[2], chart)
+
+    # candidate interior events: denominator and F sign changes
+    candidates = []
+    if vals0[1] * vals1[1] < 0.0:
+        th = _bisect_theta(lambda s: chart_vals_at(s)[1][1], 0.0, 1.0, vals0[1], h)
+        candidates.append((th, "denom"))
+    if vals0[0] * vals1[0] < 0.0:
+        th = _bisect_theta(lambda s: chart_vals_at(s)[1][0], 0.0, 1.0, vals0[0], h)
+        candidates.append((th, "F"))
+
+    marks, end_theta, terminal = [], 1.0, None
+    if not (x0 <= u1[0] <= x1 and y0 <= u1[1] <= y1):
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            if hi - lo <= _T_LOCATE / max(h, 1e-300):
+                break
+            mid = 0.5 * (lo + hi)
+            v = interp(mid)
+            if x0 <= v[0] <= x1 and y0 <= v[1] <= y1:
+                lo = mid
+            else:
+                hi = mid
+        end_theta, terminal = lo, DOMAIN_EXIT
+
+    # classify interior candidates; a singular approach truncates the step
+    candidates.sort()
+    for th, what in candidates:
+        if th > end_theta:
+            continue
+        if what == "denom":
+            v_ev, vals_ev = chart_vals_at(th)
+            sc = _scale_sq(F_at(v_ev[0], v_ev[1]))
+            if max(abs(vals_ev[1]), abs(vals_ev[2])) < SINGULAR_TOL * sc:
+                marks = [mk for mk in marks if mk[0] < th]
+                return marks, th, SINGULAR_APPROACH
+            if abs(vals_ev[2]) > EVENT_TOL * sc:
+                marks.append((th, CUSP))
+        else:
+            marks.append((th, ISOTROPIC_CROSS))
+    return marks, end_theta, terminal
+
+
+def _trace_columns(m, nrows: int, ends, steps, step_q, spans, points):
+    """The columns of one side's nrows rows, laid out in one pass.
+
+    ends lists the rows that are step ends, the seed and chart switches,
+    as (row, t, x, y, slope, F, denom, numer, in the q chart).  Every
+    other row is an interpolated sample of steps (_dense_output), whose
+    field comes from one fdp_many call per chart; step_q marks the steps
+    in the q chart.
+    """
+    e = np.array(ends)
+    rows = e[:, 0].astype(np.int64)
+    out = np.empty((7, nrows))
+    out[:, rows] = e[:, 1:8].T
+    q = np.empty(nrows, dtype=bool)
+    q[rows] = e[:, 8] != 0.0
+    if steps:
+        at, block, ts, (xs, ys, ss) = _dense_output(steps, spans, points)
+        q[at] = np.array(step_q)[block]
+        out[0, at], out[1, at], out[2, at], out[3, at] = ts, xs, ys, ss
+        out[4:, at] = _chart_vals_many(m, xs, ys, ss, q[at])
+    t, x, y, s, F, d, n = out
+    return {"t": t, "x": x, "y": y, "slope": s, "chart": np.where(q, "q", "p"),
+            "F": F, "denom": d, "numer": n}
+
+
 def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     """Integrate one time direction; returns sample arrays and events.
 
-    A step's interpolated samples get their rows when it is accepted and
-    their values at the side's end, in one _dense_output pass and one
-    field call per chart.
+    Each step is the chart's generated step (codegen.chart_step), which
+    also gives (F, denom, numer) at its end.  A step end is recorded as
+    one row tuple; an accepted step's interpolated samples are counted in
+    the running row count, and every column is laid out after the loop
+    (_trace_columns).
     """
     x0, x1, y0, y1 = cfg.box
-
-    state_chart = seed.chart
-    state_sign = sign0
-    u = (seed.x, seed.y, seed.slope)
-
-    # the state of rhs's last call and its (F, denom, numer)
-    last_v = last_vals = None
-
-    def rhs(v):
-        # _chart_vals and field_at with the sign, in one call
-        nonlocal last_v, last_vals
-        x, y, s = v
-        if state_chart == "p":
-            last_v, last_vals = v, mt.fdp_values(m, x, y, s)
-            _, d, n = last_vals
-            return (state_sign * d, state_sign * (s * d), state_sign * n)
-        last_v, last_vals = v, mt.fdp_values(m.dual(), y, x, s)
-        _, d, n = last_vals
-        return (state_sign * (s * d), state_sign * d, state_sign * n)
-
-    def inside(v):
-        return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
-
-    def scale_at(v):
-        return mt._ipow(1.0 + mt.metric_scale(m, v[0], v[1]), 2)
-
-    cols = {k: [] for k in ("t", "x", "y", "slope", "chart", "F", "denom", "numer")}
+    chart = seed.chart
+    u = (float(seed.x), float(seed.y), float(seed.slope))
+    if not (x0 <= u[0] <= x1 and y0 <= u[1] <= y1):
+        raise ValueError(f"seed {(seed.x, seed.y)} outside the domain box {cfg.box}")
+    F_at = m.table("F").point_function
+    vals = _chart_vals(m, u[0], u[1], u[2], chart)
+    # the step ends as rows (row, t, *state, *vals, in q) and the row count
+    ends, nrows = [(0, 0.0, *u, *vals, chart == "q")], 1
     events: list[TraceEvent] = []
     # the steps with interpolated samples, whether each is in the q chart,
     # and where their samples go (_dense_output)
-    steps, in_q, spans, points = [], [], [], []
+    steps, step_q, spans, points = [], [], [], []
 
-    def push(t, v, vals):
-        cols["t"].append(t)
-        cols["x"].append(v[0])
-        cols["y"].append(v[1])
-        cols["slope"].append(v[2])
-        cols["chart"].append(state_chart)
-        cols["F"].append(vals[0])
-        cols["denom"].append(vals[1])
-        cols["numer"].append(vals[2])
-        return len(cols["t"]) - 1
+    def columns():
+        return _trace_columns(m, nrows, ends, steps, step_q, spans, points)
 
-    def reserve(count):
-        """The first of count rows left for interpolated samples."""
-        row, blank = len(cols["t"]), [0.0] * count
-        for name, col in cols.items():
-            col.extend([state_chart] * count if name == "chart" else blank)
-        return row
-
-    if not inside(u):
-        raise ValueError(f"seed {u[:2]} outside the domain box {cfg.box}")
-    fu = rhs(u)
-    vals = last_vals
-    push(0.0, u, vals)
-
-    sc = scale_at(u)
-    if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * sc:
+    if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * _scale_sq(F_at(u[0], u[1])):
         events.append(TraceEvent(0, SINGULAR_APPROACH, 0.0))
-        return {k: np.asarray(v) for k, v in cols.items()}, events
+        return columns(), events
 
-    stepper = _dopri_steps(rhs, u, fu, cfg)
+    def step_in(c, sign):
+        # chart c's generated step on the fdp of that chart's metric
+        return partial(chart_step(c), (m if c == "p" else m.dual()).fdp_function, sign)
+
+    stepper = _dopri_steps(step_in(chart, sign0), u, _chart_field(vals, u[2], chart, sign0), cfg)
     restart = None
     while True:
         try:
-            t, h, u0, f0, unew, fnew = stepper.send(restart)
+            t, h, u0, f0, unew, fnew, _, vals_new = stepper.send(restart)
         except StopIteration as stop:
             kind, t = stop.value
-            events.append(TraceEvent(len(cols["t"]) - 1, kind, t))
+            events.append(TraceEvent(nrows - 1, kind, t))
             break
         restart = None
-        # the step's last stage is rhs(unew), with unew that very tuple
-        assert unew is last_v
-        vals_new = last_vals
 
-        def interp(theta):
-            return _hermite(u0, f0, unew, fnew, h, theta)
-
-        def chart_vals_at(theta):
-            v = interp(theta)
-            return v, _chart_vals(m, v[0], v[1], v[2], state_chart)
-
-        # candidate interior events: denominator and F sign changes
-        candidates = []
-        d_prev, d_new = vals[1], vals_new[1]
-        if d_prev * d_new < 0.0:
-            th = _bisect_theta(
-                lambda s: chart_vals_at(s)[1][1], 0.0, 1.0, d_prev, h
+        if (vals[1] * vals_new[1] < 0.0 or vals[0] * vals_new[0] < 0.0
+                or not (x0 <= unew[0] <= x1 and y0 <= unew[1] <= y1)):
+            marks, end_theta, terminal = _step_events(
+                m, chart, cfg.box, h, u0, f0, unew, fnew, vals, vals_new
             )
-            candidates.append((th, "denom"))
-        f_prev, f_new = vals[0], vals_new[0]
-        if f_prev * f_new < 0.0:
-            th = _bisect_theta(
-                lambda s: chart_vals_at(s)[1][0], 0.0, 1.0, f_prev, h
-            )
-            candidates.append((th, "F"))
-
-        exit_theta = None
-        if not inside(unew):
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                if hi - lo <= _T_LOCATE / max(h, 1e-300):
-                    break
-                mid = 0.5 * (lo + hi)
-                if inside(interp(mid)):
-                    lo = mid
-                else:
-                    hi = mid
-            exit_theta = lo
-
-        # classify interior candidates; a singular approach truncates the step
-        marks = []
-        terminal = None
-        end_theta = 1.0
-        if exit_theta is not None:
-            end_theta, terminal = exit_theta, DOMAIN_EXIT
-        candidates.sort()
-        for th, what in candidates:
-            if th > end_theta:
-                continue
-            if what == "denom":
-                v_ev, vals_ev = chart_vals_at(th)
-                sc = scale_at(v_ev)
-                if max(abs(vals_ev[1]), abs(vals_ev[2])) < SINGULAR_TOL * sc:
-                    end_theta, terminal = th, SINGULAR_APPROACH
-                    marks = [mk for mk in marks if mk[0] < th]
-                    break
-                if abs(vals_ev[2]) > EVENT_TOL * sc:
-                    marks.append((th, CUSP))
-            else:
-                marks.append((th, ISOTROPIC_CROSS))
+        else:
+            marks, end_theta, terminal = [], 1.0, None
 
         # dense output: cap the planar spacing of emitted samples
         chord = math.hypot(unew[0] - u0[0], unew[1] - u0[1]) * end_theta
         nsub = _subdivisions(chord, cfg.max_ds)
-        if nsub > 1 or marks or terminal is not None:
-            steps.append((t, h, *u0, *f0, *unew, *fnew))
-            in_q.append(state_chart == "q")
         if marks or terminal is not None:
+            steps.append((t, h, *u0, *f0, *unew, *fnew))
+            step_q.append(chart == "q")
             emit = _merge_marks(marks, end_theta, nsub)
             if terminal is not None:
                 emit.append((end_theta, terminal))
-            row = reserve(len(emit))
-            for i, (th, kind) in enumerate(emit):
-                points.append((len(steps) - 1, row + i, th))
+            for th, kind in emit:
+                points.append((len(steps) - 1, nrows, th))
                 if kind is not None:
-                    events.append(TraceEvent(row + i, kind, t + th * h))
+                    events.append(TraceEvent(nrows, kind, t + th * h))
+                nrows += 1
             if terminal is not None:
                 break
         elif nsub > 1:
-            spans.append((len(steps) - 1, reserve(nsub - 1), nsub))
+            steps.append((t, h, *u0, *f0, *unew, *fnew))
+            step_q.append(chart == "q")
+            spans.append((len(steps) - 1, nrows, nsub))
+            nrows += nsub - 1
 
         t += h
         u, vals = unew, vals_new
-        idx = push(t, u, vals)
+        ends.append((nrows, t, *u, *vals, chart == "q"))
+        nrows += 1
 
-        sc = scale_at(u)
-        if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * sc:
-            events.append(TraceEvent(idx, SINGULAR_APPROACH, t))
+        if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * _scale_sq(F_at(u[0], u[1])):
+            events.append(TraceEvent(nrows - 1, SINGULAR_APPROACH, t))
             break
 
         if abs(u[2]) > CHART_THRESHOLD:
-            state_chart = "q" if state_chart == "p" else "p"
-            state_sign = 1.0
+            chart = "q" if chart == "p" else "p"
             u = (u[0], u[1], 1.0 / u[2])
-            f = rhs(u)
-            vals = last_vals
+            vals = _chart_vals(m, u[0], u[1], u[2], chart)
+            f = _chart_field(vals, u[2], chart, 1.0)
+            sign = 1.0
             # keep the planar velocity's direction; where it vanishes,
             # the slope derivative's, through dq = -dp / p^2 (the chart
             # map reverses the slope direction)
             dot = f[0] * fnew[0] + f[1] * fnew[1]
             if not (dot > 0.0 or (dot == 0.0 and -f[2] * fnew[2] >= 0.0)):
-                state_sign = -1.0
+                sign = -1.0
                 f = (-f[0], -f[1], -f[2])
-            idx = push(t, u, vals)
-            events.append(TraceEvent(idx, CHART_SWITCH, t))
-            restart = (u, f)
+            ends.append((nrows, t, *u, *vals, chart == "q"))
+            events.append(TraceEvent(nrows, CHART_SWITCH, t))
+            nrows += 1
+            restart = (step_in(chart, sign), u, f)
 
-    out = {k: np.asarray(v) for k, v in cols.items()}
-    if steps:
-        rows, block, ts, (xs, ys, ss) = _dense_output(steps, spans, points)
-        out["t"][rows], out["x"][rows], out["y"][rows], out["slope"][rows] = ts, xs, ys, ss
-        fdn = _chart_vals_many(m, xs, ys, ss, np.array(in_q)[block])
-        out["F"][rows], out["denom"][rows], out["numer"][rows] = fdn
-    return out, events
+    return columns(), events
 
 
 def integrate(
@@ -659,6 +689,7 @@ def tm_integrate(
     cfg = cfg or IntegratorConfig()
     x0, x1, y0b, y1b = cfg.box
     n = m.degree
+    F_at = m.table("F").point_function
 
     # the last state and its determinants: the H ~ 0 test of a step's end
     # point reuses those of the stage that ended there
@@ -675,12 +706,13 @@ def tm_integrate(
 
     def h_small(u):
         speed = max(abs(u[2]), abs(u[3]), 1e-12)
-        ref = mt._ipow(1.0 + mt.metric_scale(m, u[0], u[1]), 2)
-        ref *= mt._ipow(speed, 2 * n - 4)
+        ref = _scale_sq(F_at(u[0], u[1])) * _ipow(speed, 2 * n - 4)
         return abs(dets(u)[0]) < 1e-10 * ref
 
+    step = partial(dopri_step(4), rhs)
+
     def run(sign):
-        u = (x, y, sign * xdot, sign * ydot)
+        u = (float(x), float(y), sign * float(xdot), sign * float(ydot))
         if h_small(u):
             raise ValueError("seed is on or too close to the degeneracy H = 0")
         # the samples, the steps with interpolated ones and where those go
@@ -694,10 +726,10 @@ def tm_integrate(
                 cols["u"][at] = np.transpose(states)
             return cols, [TraceEvent(len(ts) - 1, kind, t)]
 
-        stepper = _dopri_steps(rhs, u, rhs(u), cfg)
+        stepper = _dopri_steps(step, u, rhs(u), cfg)
         while True:
             try:
-                t, h, u0, f0, u1, f1 = next(stepper)
+                t, h, u0, f0, u1, f1, _ = next(stepper)
             except StopIteration as end:
                 return stop(*end.value)
             if h_small(u1):

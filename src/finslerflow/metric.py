@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,6 @@ class PseudoFinslerMetric:
         self.coeffs = coeffs
         self._exprs: dict[str, list[ex.Expr]] = {}
         self._tables: dict[str, LayerTable] = {}
-        self._fdp = None
         self._dual: PseudoFinslerMetric | None = None
 
     def _check_not_identically_zero(self) -> None:
@@ -120,14 +120,19 @@ class PseudoFinslerMetric:
             self._tables[name] = got
         return got
 
+    @cached_property
+    def fdp_function(self):
+        """The generated (x, y, p) -> (F, denom, numer) that fdp calls,
+        compiled on first use; a caller that evaluates it many times (the
+        geodesic step, codegen.chart_step) fetches it once."""
+        return horner_function(
+            [self._expr_layer(name) for name in ("F", "denom", "numer")]
+        )
+
     def fdp(self, x: float, y: float, p: float) -> tuple[float, float, float]:
         """(F, denom, numer) at slope p, from one generated function; it
         runs on floats or elementwise on arrays (fdp_many)."""
-        if self._fdp is None:
-            self._fdp = horner_function(
-                [self._expr_layer(name) for name in ("F", "denom", "numer")]
-            )
-        return self._fdp(x, y, p)
+        return self.fdp_function(x, y, p)
 
     def fdp_many(self, xs, ys, ps) -> np.ndarray:
         """fdp at 1-d arrays of points, as the rows (F, denom, numer) of one
@@ -209,7 +214,13 @@ def coeff_values(m: PseudoFinslerMetric, x: float, y: float) -> np.ndarray:
 
 def metric_scale(m: PseudoFinslerMetric, x: float, y: float) -> float:
     """max |a_i(x, y)|, nan if any coefficient is nan (as np.max gives)."""
-    a = [abs(c) for c in m.table("F").point_values(x, y)]
+    return coeff_scale(m.table("F").point_values(x, y))
+
+
+def coeff_scale(coeffs) -> float:
+    """metric_scale from the coefficient values at a point (floats), for a
+    caller that holds F's point function."""
+    a = list(map(abs, coeffs))
     # a sum of non-negative terms is nan only where one of them is
     return math.nan if math.isnan(sum(a)) else max(a)
 

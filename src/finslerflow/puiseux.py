@@ -47,7 +47,6 @@ from .metric import PseudoFinslerMetric
 
 __all__ = [
     "TruncatedSeries",
-    "evaluate_expr_series",
     "SeriesOrderRow",
     "GeodesicSeries",
     "solve_geodesic_series",
@@ -381,22 +380,6 @@ class _SeriesRun:
             if moves:
                 del self.vals[slot][n:]
                 self.zeros[slot] = min(self.zeros[slot], n)
-
-
-def evaluate_expr_series(
-    e: ex.Expr, xs: TruncatedSeries, ys: TruncatedSeries
-) -> TruncatedSeries:
-    """Substitute series for x and y in an expression tree, exactly."""
-    plan = _SeriesPlan([e])
-    src = {"x": xs.c, "y": ys.c}
-    run = _SeriesRun(plan, lambda op, j: src[op][j])
-    # constants are kept through the smaller of the two orders and each
-    # operation through its operands' smaller one, so the result holds
-    # the smallest order among its leaves
-    ops = {op for _, op, _, _ in plan.steps}
-    run.extend(min(n for op, n in (("x", xs.order), ("y", ys.order),
-                                   ("c", min(xs.order, ys.order))) if op in ops))
-    return TruncatedSeries(run.vals[plan.roots[0]])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ row-by-row references for the CSV files."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import puiseux as pz
 from finslerflow import singular as sg
-from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow
+from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow, dopri_step
 
 
 class EvalDomainError(ZeroDivisionError):
@@ -741,6 +742,23 @@ def tree_expr_series(e, xs, ys):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def plan_expr_series(e, xs, ys):
+    """Substitute series for x and y in an expression tree, exactly,
+    through the value-numbered plan of the series solve
+    (puiseux._SeriesPlan run by puiseux._SeriesRun), so that the plan can
+    be checked on any tree against tree_expr_series."""
+    plan = pz._SeriesPlan([e])
+    src = {"x": xs.c, "y": ys.c}
+    run = pz._SeriesRun(plan, lambda op, j: src[op][j])
+    # constants are kept through the smaller of the two orders and each
+    # operation through its operands' smaller one, so the result holds
+    # the smallest order among its leaves
+    ops = {op for _, op, _, _ in plan.steps}
+    run.extend(min(n for op, n in (("x", xs.order), ("y", ys.order),
+                                   ("c", min(xs.order, ys.order))) if op in ops))
+    return pz.TruncatedSeries(run.vals[plan.roots[0]])
+
+
 def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
     """Reference: solve_geodesic_series with every residual evaluating
     every denom and numer tree again through tree_expr_series (dict
@@ -823,24 +841,39 @@ def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
 # per-sample references for the traces, which flow computes array-at-a-time
 
 
+def chart_rhs(m, chart: str, sign: float):
+    """The direction field of one chart times sign, as a function of the
+    state (x, y, slope): (F, denom, numer) from metric.fdp_values (in the
+    q chart on the dual metric at (y, x)), then the components in the
+    chart's order.  The field that codegen.chart_step writes into its
+    stages."""
+
+    def rhs(v):
+        x, y, s = v
+        if chart == "p":
+            _, d, n = mt.fdp_values(m, x, y, s)
+            return (sign * d, sign * (s * d), sign * n)
+        _, d, n = mt.fdp_values(m.dual(), y, x, s)
+        return (sign * (s * d), sign * d, sign * n)
+
+    return rhs
+
+
 def _run_direction_reference(m, seed, cfg, sign0):
     """One time direction of flow.integrate with each interpolated sample
     computed as it is emitted: the Hermite interpolant on floats and the
-    field from the scalar fdp, one sample after another."""
+    field from the scalar fdp, one sample after another.  The steps are
+    dopri_step(3) driven by chart_rhs, and each step's end values are
+    computed again from the scalar fdp."""
     x0, x1, y0, y1 = cfg.box
     state_chart = seed.chart
-    state_sign = sign0
     u = (seed.x, seed.y, seed.slope)
-    last_v = last_vals = None
 
-    def rhs(v):
-        nonlocal last_v, last_vals
-        x, y, s = v
-        last_v, last_vals = v, flow._chart_vals(m, x, y, s, state_chart)
-        _, d, n = last_vals
-        if state_chart == "p":
-            return (state_sign * d, state_sign * (s * d), state_sign * n)
-        return (state_sign * (s * d), state_sign * d, state_sign * n)
+    def step_of(chart, sign):
+        return functools.partial(dopri_step(3), chart_rhs(m, chart, sign))
+
+    def vals_at(v):
+        return flow._chart_vals(m, v[0], v[1], v[2], state_chart)
 
     def inside(v):
         return x0 <= v[0] <= x1 and y0 <= v[1] <= y1
@@ -859,24 +892,24 @@ def _run_direction_reference(m, seed, cfg, sign0):
     def done():
         return {k: np.asarray(v) for k, v in cols.items()}, events
 
-    fu = rhs(u)
-    vals = last_vals
+    fu = chart_rhs(m, state_chart, sign0)(u)
+    vals = vals_at(u)
     push(0.0, u, vals)
     if max(abs(vals[1]), abs(vals[2])) < flow.SINGULAR_TOL * scale_at(u):
         events.append(flow.TraceEvent(0, flow.SINGULAR_APPROACH, 0.0))
         return done()
 
-    steps = flow._dopri_steps(rhs, u, fu, cfg)
+    steps = flow._dopri_steps(step_of(state_chart, sign0), u, fu, cfg)
     restart = None
     while True:
         try:
-            t, h, u0, f0, unew, fnew = steps.send(restart)
+            t, h, u0, f0, unew, fnew, _ = steps.send(restart)
         except StopIteration as stop:
             kind, t = stop.value
             events.append(flow.TraceEvent(len(cols["t"]) - 1, kind, t))
             return done()
         restart = None
-        vals_new = last_vals
+        vals_new = vals_at(unew)
 
         def interp(theta):
             return flow._hermite(u0, f0, unew, fnew, h, theta)
@@ -956,17 +989,17 @@ def _run_direction_reference(m, seed, cfg, sign0):
 
         if abs(u[2]) > flow.CHART_THRESHOLD:
             state_chart = "q" if state_chart == "p" else "p"
-            state_sign = 1.0
+            sign = 1.0
             u = (u[0], u[1], 1.0 / u[2])
-            f = rhs(u)
-            vals = last_vals
+            f = chart_rhs(m, state_chart, sign)(u)
+            vals = vals_at(u)
             dot = f[0] * fnew[0] + f[1] * fnew[1]
             if not (dot > 0.0 or (dot == 0.0 and -f[2] * fnew[2] >= 0.0)):
-                state_sign = -1.0
+                sign = -1.0
                 f = (-f[0], -f[1], -f[2])
             idx = push(t, u, vals)
             events.append(flow.TraceEvent(idx, flow.CHART_SWITCH, t))
-            restart = (u, f)
+            restart = (step_of(state_chart, sign), u, f)
 
 
 def integrate_reference(m, seed, cfg, direction: int = 0):
@@ -1003,10 +1036,10 @@ def tm_integrate_reference(m, x, y, xdot, ydot, cfg, direction: int = 0):
             cols = {"t": np.asarray(ts), "u": np.asarray(rows, dtype=np.float64)}
             return cols, [flow.TraceEvent(len(ts) - 1, kind, t)]
 
-        steps = flow._dopri_steps(rhs, u, rhs(u), cfg)
+        steps = flow._dopri_steps(functools.partial(dopri_step(4), rhs), u, rhs(u), cfg)
         while True:
             try:
-                t, h, u0, f0, u1, f1 = next(steps)
+                t, h, u0, f0, u1, f1, _ = next(steps)
             except StopIteration as end:
                 return stop(*end.value)
             if h_small(u1):

@@ -3,6 +3,7 @@ second-order tangent-bundle oracle."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -72,6 +73,25 @@ class TestDirectionField:
             cross = np.cross([vx, vy, -vp / p**2], [wx, wy, wq])
             scale = np.linalg.norm([vx, vy, vp]) * np.linalg.norm([wx, wy, wq])
             assert np.linalg.norm(cross) <= 1e-9 * (scale + 1.0)
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, -math.inf, math.nan])
+    def test_step_settings_that_cannot_advance_are_refused(self, name, value):
+        # a zero max_step repeats the seed until max_steps runs out, a nan
+        # one caps nothing and a nan tolerance underflows at once
+        with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+            IntegratorConfig(**{name: value})
+
+    def test_infinite_max_step_is_no_cap(self):
+        m = mt.metric_from_strings(2, ["-x", "0", "1"])
+        seed, box = PTMPoint(0.5, 0.0, 0.3), (0.4, 0.6, -0.1, 0.1)
+        uncapped = flow.integrate(m, seed, IntegratorConfig(max_step=math.inf, box=box))
+        capped = flow.integrate(m, seed, IntegratorConfig(max_step=1e300, box=box))
+        assert uncapped.stops == ("DomainExit", "DomainExit")
+        for name in ("t", "x", "y", "slope", "F"):
+            assert np.array_equal(getattr(uncapped, name), getattr(capped, name))
 
 
 class TestTraceStructure:
@@ -165,22 +185,29 @@ class TestTraceStructure:
     def test_step_end_field_values_computed_once(self, monkeypatch, seed):
         # a step's end values (F, denom, numer) are those of its last
         # stage, and the seed, each chart switch and each cusp row are
-        # evaluated once
+        # evaluated once: no scalar call of either chart's generated fdp
+        # sees a state that an earlier call saw
         m = halfplane_metric()
         cfg = IntegratorConfig(box=(-1.0, 1.0, -1.0, 1.0))
         calls = []
-        fdp = mt.fdp_values
 
-        def counted(*args):
-            calls.append(args)
-            return fdp(*args)
+        def counted(metric):
+            fdp = metric.fdp_function
 
-        def repeats():
-            return sum(a == b for a, b in zip(calls, calls[1:]))
+            def fn(*args):
+                if not isinstance(args[0], np.ndarray):  # not the fill pass
+                    calls.append((id(metric), args))
+                return fdp(*args)
 
-        monkeypatch.setattr(mt, "fdp_values", counted)
-        flow.integrate(m, PTMPoint(*seed), cfg)
-        assert calls and repeats() == 0
+            monkeypatch.setattr(metric, "fdp_function", fn)
+
+        counted(m)
+        counted(m.dual())
+        for direction in (1, -1):  # each side evaluates the seed
+            calls.clear()
+            tr = flow.integrate(m, PTMPoint(*seed), cfg, direction)
+            assert len(calls) > len(tr) // 10
+            assert len(set(calls)) == len(calls)
 
 
 class TestOdeResidual:
@@ -368,15 +395,15 @@ class TestTangentBundleOverlay:
 
         steps = flow._dopri_steps
 
-        def fresh_ends(rhs, u, fu, cfg):
+        def fresh_ends(step, u, fu, cfg):
             # each step's end point as a new tuple, so no stage matches it
-            gen = steps(rhs, u, fu, cfg)
+            gen = steps(step, u, fu, cfg)
             while True:
                 try:
-                    t, h, u0, f0, u1, f1 = next(gen)
+                    t, h, u0, f0, u1, f1, err = next(gen)
                 except StopIteration as end:
                     return end.value
-                yield t, h, u0, f0, tuple(list(u1)), f1
+                yield t, h, u0, f0, tuple(list(u1)), f1, err
 
         calls.clear()
         monkeypatch.setattr(flow, "_dopri_steps", fresh_ends)
@@ -636,7 +663,9 @@ def test_first_pass_compiles(monkeypatch, run, want):
     # each generated function compiles on its first use, a cost that the
     # first trace on a metric pays: the traces on a fresh metric compile
     # only the point functions they call, and no grid code
-    codegen.dopri_step(3), codegen.dopri_step(4)  # cached for the process
+    # cached for the process
+    codegen.dopri_step(3), codegen.dopri_step(4)
+    codegen.chart_step("p"), codegen.chart_step("q")
     compiled = []
     compile_function = codegen._function
 

@@ -23,10 +23,17 @@ from finslerflow import berwald_moor as bm
 from finslerflow import cli
 from finslerflow import expr as ex
 from finslerflow import metric as mt
-from finslerflow.codegen import LayerTable, _div, dopri_step, lifted_field_function
+from finslerflow.codegen import (
+    LayerTable,
+    _div,
+    chart_step,
+    dopri_step,
+    lifted_field_function,
+)
 
 from helpers import (
     EvalDomainError,
+    chart_rhs,
     dopri_step_reference,
     evaluate,
     lifted_field_reference,
@@ -329,6 +336,46 @@ def test_dopri_step_matches_loop_reference(d):
         assert _bits(got[1]) == _bits(want[1])
         assert _bits([got[2]]) == _bits([want[2]])
     assert step(_smooth, (1.0,) * d, _smooth((1.0,) * d), 0.05, 1e-300, 1e-300)[2] == math.inf
+
+
+def test_chart_step_matches_dopri_step_on_the_chart_field():
+    """Each chart's generated step gives the bits of dopri_step(3) driven
+    by the chart's field function (helpers.chart_rhs): unew, fnew and the
+    error norm, and its end values are fdp at unew.  On random metrics of
+    degree 2-5 (half of them rational) and their duals, both signs, and
+    states where fdp is inf or nan: poles at x or y = 3, an overflowing
+    coordinate, inf and nan entries."""
+    rng = np.random.default_rng(41)
+    special = [
+        (3.0, 0.5, 0.2), (0.5, 3.0, -0.3), (0.4, 2.9999, 1.1), (1e200, 0.5, 0.3),
+        (math.inf, 0.2, 0.3), (0.5, math.nan, 0.1), (-0.0, 0.0, -0.0),
+    ]
+    non_finite = 0
+    for chart in ("p", "q"):
+        step = chart_step(chart)
+        assert chart_step(chart) is step
+        for k in range(16):
+            m = _random_metric(rng, 2 + k % 4, bool(k // 4 % 2))
+            for mm in (m, m.dual()):
+                at = mm if chart == "p" else mm.dual()
+                states = [tuple(rng.uniform(-1.5, 1.5, 3).tolist()) for _ in range(3)]
+                for u in states + special:
+                    h = float(rng.uniform(1e-4, 0.05))
+                    for sign in (1.0, -1.0):
+                        rhs = chart_rhs(mm, chart, sign)
+                        fu = rhs(u)
+                        want = dopri_step(3)(rhs, u, fu, h, 1e-10, 1e-12)
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            got = step(at.fdp_function, sign, u, fu, h, 1e-10, 1e-12)
+                        assert _bits(got[0]) == _bits(want[0])
+                        assert _bits(got[1]) == _bits(want[1])
+                        assert _bits([got[2]]) == _bits([want[2]])
+                        w = got[0] if chart == "p" else (got[0][1], got[0][0], got[0][2])
+                        end = at.fdp(*w)
+                        assert _bits(got[3]) == _bits(end)
+                        non_finite += not all(map(math.isfinite, end))
+    assert non_finite > 50
 
 
 def _assert_same_bits(got, want):
