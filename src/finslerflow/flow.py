@@ -470,7 +470,8 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
         # chart c's generated step on the fdp of that chart's metric
         return partial(chart_step(c), (m if c == "p" else m.dual()).fdp_function, sign)
 
-    stepper = _dopri_steps(step_in(chart, sign0), u, _chart_field(vals, u[2], chart, sign0), cfg)
+    fu = _chart_field(vals, u[2], chart, sign0)
+    stepper = _dopri_steps(step_in(chart, sign0), u, fu, cfg)
     restart = None
     while True:
         try:

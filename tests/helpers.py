@@ -1,15 +1,16 @@
 """Shared builders, planar polyline utilities, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
-Dormand-Prince step, a point-by-point reference for the SVG paths,
-cell-by-cell references for the grid paths, a point-by-point reference
-for the projection onto the loci, the degree of a coefficient row, the
-homogeneous metric, the one-polynomial-at-a-time root pipeline, the
-pairwise-difference expansion of the degeneracy combination, Sylvester
-determinants and the singular directions of a point for the singular
-locus, exact polynomial trees in sympy, a tree-walk reference, on dual
-numbers, for the exact series solve, and per-sample references for the
-traces (dense output, isotropic projection, arclength), and
-row-by-row references for the CSV files."""
+Dormand-Prince step and the field of each chart that the generated chart
+steps write into their stages, a point-by-point reference for the SVG
+paths, cell-by-cell references for the grid paths, a point-by-point
+reference for the projection onto the loci, the degree of a coefficient
+row, the homogeneous metric, the one-polynomial-at-a-time root pipeline,
+the pairwise-difference expansion of the degeneracy combination,
+Sylvester determinants and the singular directions of a point for the
+singular locus, exact polynomial trees in sympy, a tree-walk reference,
+on dual numbers, for the exact series solve, the series plan on any
+tree, per-sample references for the traces (dense output, isotropic
+projection, arclength), and row-by-row references for the CSV files."""
 
 from __future__ import annotations
 
