@@ -32,7 +32,6 @@ from .flow import (
     IntegratorConfig,
     PTMPoint,
     TraceEvent,
-    arclength_reparam,
     field_at,
     integrate,
     isotropic_trace,
@@ -40,6 +39,7 @@ from .flow import (
     tm_integrate,
 )
 from .metric import (
+    STRATA,
     ProjectiveRoot,
     PseudoFinslerMetric,
     Stratum,
@@ -77,6 +77,7 @@ from .singular import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "STRATA",
     "AdaptedLocalMetric",
     "CurveSamples",
     "GeodesicSeries",
@@ -95,7 +96,6 @@ __all__ = [
     "accel_determinants",
     "adapted_from_immersion",
     "admissible_u",
-    "arclength_reparam",
     "field_at",
     "blowup_field_at",
     "blowup_spectrum",

@@ -769,13 +769,12 @@ def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
     except mt.DegeneratePointError as err:
         print(f"classify: {err}", file=sys.stderr)
         return 2
-    names = sorted(s.name for s in mt.Stratum)
-    codes = np.searchsorted(names, strata.ravel())
+    codes = strata.ravel()
     cell = np.arange(res * res)
     path = os.path.join(outdir, f"{cfg.out_prefix}_strata.csv")
     _write_csv(path, ["x", "y", "stratum", "disc"],
-               [(cell % res, xs), (cell // res, ys), (codes, names), disc.ravel()])
-    print(f"classify: wrote {path} ({res}x{res}) {_summary(codes, names)}")
+               [(cell % res, xs), (cell // res, ys), (codes, mt.STRATA), disc.ravel()])
+    print(f"classify: wrote {path} ({res}x{res}) {_summary(codes, mt.STRATA)}")
     return 0
 
 

@@ -3,19 +3,19 @@
 A layer -- the coefficient fields c_0..c_{n-1} of one polynomial in the
 slope p -- is value-numbered into one sequence of assignments, in which
 equal subexpressions are computed once, and compiled with ``compile()``
-into plain Python functions: the coefficients at a point, their Horner
-sum in p, and the coefficients on grids of points.  Each function is
-compiled on its first use.  ``lifted_field_function`` numbers a layer and
-its x and y partials together into the array code of the direction nets'
-lifted field, and ``dopri_step`` writes out one Dormand-Prince step for
-states of a given dimension; ``chart_step`` writes the same tableau for
-the geodesic flow in one chart, with the field's components inline
-around a call of the metric's generated ``fdp``.
+into plain Python functions: the coefficients at a point and their
+Horner sum in p.  Each function is compiled on its first use, under a
+name that says what it is.  ``lifted_field_function`` numbers a layer and
+its x and y partials together into the direction nets' lifted field, and
+``dopri_step`` writes out one Dormand-Prince step for states of a given
+dimension; ``chart_step`` writes the same tableau for the geodesic flow
+in one chart, with the field's components inline around a call of the
+metric's generated ``fdp``.
 
-The point functions (and horner_function's) run on floats or,
-elementwise and with the same bits, on numpy arrays (``on_arrays``): a
-caller with a few thousand scattered points calls them once on arrays
-rather than compile the grid code, which costs more than the call.
+Every evaluator is one shape of code, the value-numbered lines, which run
+on floats or, elementwise and with the same bits, on numpy arrays.
+``on_arrays`` runs them on 1-d arrays _CHUNK points at a time; grids of
+points (``values_on_grid``) are raveled and go through it.
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
@@ -67,10 +67,9 @@ _FOLD = {
     "-": lambda a, b: -a,
 }
 _COMMUTATIVE = ("+", "*")
-# Grids are evaluated in slices of this many points, so that temporaries
-# stay small (64 KiB) whatever the grid size and the layer's live set.
+# Arrays are evaluated in slices of this many points, so that each
+# temporary stays small (64 KiB) whatever the array size.
 _CHUNK = 8192
-_UFUNC = {"+": "add", "*": "multiply", "/": "divide", "-": "negative"}
 
 
 def _atom(v: str | float) -> str:
@@ -163,52 +162,17 @@ class _Code:
                 out.append(f"{t} = {_atom(a)} {op} {_atom(b)}")
         return out
 
-    def array_lines(self) -> list[str]:
-        """Array code: a root is computed into its row out[k], any other
-        result into the buffer of an operand that dies with it, and every
-        temporary is deleted after its last use, so only live arrays are
-        held."""
-        last = {}
-        for i, (_, _, a, b) in enumerate(self.lines):
-            for v in (a, b):
-                if isinstance(v, str):
-                    last[v] = i
-        rows: dict[str, list[int]] = {}
-        out = []
-        for k, r in enumerate(self.roots):
-            if isinstance(r, str) and r.startswith("t"):
-                rows.setdefault(r, []).append(k)
-            else:
-                out.append(f"out[{k}] = {_atom(r)}")
-        for i, (t, op, a, b) in enumerate(self.lines):
-            dying = [
-                v for v in dict.fromkeys((a, b))
-                if isinstance(v, str) and v.startswith("t") and last[v] == i
-            ]
-            # a row of out is never reused as a buffer
-            into = [f"out[{k}]" for k in rows.get(t, ())]
-            into += [v for v in dying if v not in rows]
-            args = _atom(a) if b is None else f"{_atom(a)}, {_atom(b)}"
-            target = f", out={into[0]}" if into else ""
-            out.append(f"{t} = np.{_UFUNC[op]}({args}{target})")
-            out.extend(f"{row} = {t}" for row in into[1 : len(rows.get(t, ()))])
-            if t not in last:
-                dying.append(t)
-            if dying:
-                out.append("del " + ", ".join(dying))
-        return out
 
-
-def _function(args: str, body: list[str], result: str):
-    src = f"def f({args}):\n" + "".join(f"    {s}\n" for s in body + [
+def _function(name: str, args: str, body: list[str], result: str):
+    """Compile ``def name(args): body; return result`` in the pseudo-file
+    ``<finslerflow name>``, so that a profile lists each kind of generated
+    function under its own name."""
+    src = f"def {name}({args}):\n" + "".join(f"    {s}\n" for s in body + [
         f"return {result}"
     ])
-    ns = {
-        "_div": _div, "_ipow": _ipow, "_sqrt": math.sqrt,
-        "inf": math.inf, "nan": math.nan, "np": np,
-    }
-    exec(compile(src, "<finslerflow generated>", "exec"), ns)
-    return ns["f"]
+    ns = {"_div": _div, "_ipow": _ipow, "_sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+    exec(compile(src, f"<finslerflow {name}>", "exec"), ns)
+    return ns[name]
 
 
 def _horner(roots, acc: str = "h") -> tuple[list[str], str]:
@@ -223,7 +187,8 @@ def _horner(roots, acc: str = "h") -> tuple[list[str], str]:
 
 def horner_function(layers):
     """(x, y, p) -> tuple of each layer's polynomial value at slope p;
-    the layers share one value numbering."""
+    the layers share one value numbering.  It is compiled under the name
+    ``fdp``, after its caller PseudoFinslerMetric.fdp_function."""
     code = _Code([e for layer in layers for e in layer])
     body, results, at = code.scalar_lines(), [], 0
     for j, layer in enumerate(layers):
@@ -231,18 +196,17 @@ def horner_function(layers):
         at += len(layer)
         body += lines
         results.append(result)
-    return _function("x, y, p", body, "(" + ", ".join(results) + ",)")
+    return _function("fdp", "x, y, p", body, "(" + ", ".join(results) + ",)")
 
 
 def lifted_field_function(c, cx, cy):
-    """(x, y, p, out) -> out, with rows (C_p, p C_p, -(C_x + p C_y)) of the
-    slope polynomial C = sum_i c[i] p^i on arrays of points; cx and cy are
-    the coefficients of C_x and C_y.
+    """(x, y, p) -> the rows (C_p, p C_p, -(C_x + p C_y)) of the slope
+    polynomial C = sum_i c[i] p^i, on floats or elementwise on arrays; cx
+    and cy are the coefficients of C_x and C_y.
 
     The rows are derived trees in one value numbering; each Horner sum in
     p starts from its top coefficient (C_p from 1 * c[1] .. (n-1) * c[n-1]).
-    The code is the array code of LayerTable; a row that is a constant is
-    assigned, so ``out`` must be an array.
+    A row may be a constant or an argument itself.
     """
     p = ex.Var("p")
 
@@ -255,7 +219,8 @@ def lifted_field_function(c, cx, cy):
     dcdp = horner([ex.smul(ex.const(i), a) for i, a in enumerate(c)][1:])
     rhs = ex.neg(ex.sadd(horner(cx), ex.smul(p, horner(cy))))
     code = _Code([dcdp, ex.smul(p, dcdp), rhs])
-    return _function("x, y, p, out", code.array_lines(), "out")
+    rows = ", ".join(_atom(r) for r in code.roots)
+    return _function("lifted_field", "x, y, p", code.scalar_lines(), f"({rows},)")
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
@@ -338,7 +303,7 @@ def dopri_step(d: int):
         return [f"{_names(f'k{s}_', d)} = rhs(({', '.join(v)},))"]
 
     return _function(
-        "rhs, u, fu, h, rel_tol, abs_tol", _dopri_lines(d, stage),
+        f"dopri_step_{d}", "rhs, u, fu, h, rel_tol, abs_tol", _dopri_lines(d, stage),
         f"unew, fnew, _sqrt(err / {d})",
     )
 
@@ -374,7 +339,7 @@ def chart_step(chart: str):
         return lines
 
     return _function(
-        "fdp, sign, u, fu, h, rel_tol, abs_tol", _dopri_lines(3, stage),
+        f"chart_step_{chart}", "fdp, sign, u, fu, h, rel_tol, abs_tol", _dopri_lines(3, stage),
         "unew, fnew, _sqrt(err / 3), end",
     )
 
@@ -398,18 +363,14 @@ class LayerTable:
     def point_function(self):
         """The generated (x, y) -> tuple of the coefficients, on floats or
         elementwise on arrays; point_values converts its arguments to
-        floats and calls it."""
+        floats and calls it, values_on_grid runs it on arrays."""
         roots = ", ".join(_atom(r) for r in self._code.roots)
-        return _function("x, y", self._code.scalar_lines(), f"({roots},)")
+        return _function("point_function", "x, y", self._code.scalar_lines(), f"({roots},)")
 
     @cached_property
     def _poly(self):
         lines, acc = _horner(self._code.roots)
-        return _function("x, y, p", self._code.scalar_lines() + lines, acc)
-
-    @cached_property
-    def _grid(self):
-        return _function("x, y, out", self._code.array_lines(), "out")
+        return _function("poly_value", "x, y, p", self._code.scalar_lines() + lines, acc)
 
     def point_values(self, x: float, y: float) -> tuple[float, ...]:
         return self.point_function(float(x), float(y))
@@ -420,34 +381,27 @@ class LayerTable:
     def poly_value(self, x: float, y: float, p: float) -> float:
         return self._poly(float(x), float(y), float(p))
 
-    def values_many(self, xs, ys) -> np.ndarray:
-        """The coefficients at 1-d arrays of points, shape (n, len(xs));
-        the point function run on the arrays, bit for bit values_at."""
-        return on_arrays(self.n, self.point_function, xs, ys)
-
     def poly_value_many(self, xs, ys, ps) -> np.ndarray:
         """poly_value at 1-d arrays of points and slopes, elementwise."""
         return on_arrays(1, lambda *a: (self._poly(*a),), xs, ys, ps)[0]
 
     def values_on_grid(self, xs, ys) -> np.ndarray:
+        """The coefficients at arrays xs and ys of one shape, with the
+        shape (n,) + xs.shape; bit for bit values_at at each point."""
         xs = np.asarray(xs, dtype=np.float64)
-        flat = xs.ravel()
-        # full-size y, so that every temporary has the shape of out[k]
-        ys = np.broadcast_to(np.asarray(ys, dtype=np.float64).ravel(), flat.shape)
-        out = np.empty((self.n,) + flat.shape)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for s in range(0, flat.size, _CHUNK):
-                e = s + _CHUNK
-                self._grid(flat[s:e], ys[s:e], out[:, s:e])
+        out = on_arrays(self.n, self.point_function, xs.ravel(), np.ravel(ys))
         return out.reshape((self.n,) + xs.shape)
 
 
 def on_arrays(n: int, fn, *args) -> np.ndarray:
-    """The n results of a generated function run on float arrays, as the
-    rows of one array; a result that is a constant fills its row."""
+    """The n results of a generated function run elementwise on 1-d float
+    arrays, _CHUNK points at a time, as the rows of one (n, len) array; a
+    result that is a constant fills its row."""
     args = [np.asarray(a, dtype=np.float64) for a in args]
-    out = np.empty((n,) + args[0].shape)
+    out = np.empty((n, args[0].size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for row, v in zip(out, fn(*args)):
-            row[...] = v
+        for s in range(0, out.shape[1], _CHUNK):
+            e = s + _CHUNK
+            for row, v in zip(out[:, s:e], fn(*(a[s:e] for a in args))):
+                row[...] = v
     return out

@@ -32,8 +32,7 @@ lays out its columns at its end, the samples in one array pass
 (_dense_output).  The interpolant and the generated field function
 (metric.fdp) run on floats, as the bisection calls them, or elementwise
 on arrays with the same bits, so a sample is the same either way.  The
-isotropic projection and the arclength likewise run on all samples at
-once.
+isotropic projection likewise runs on all samples at once.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ SINGULAR_TOL = 1e-8  # relative |denom|, |numer| below which a trace ends
 
 class TransversalityError(ValueError):
     """The double direction is tangent to the discriminant curve."""
-
-
-class IsotropicSegmentError(ValueError):
-    """Arclength requested on a trace that is isotropic throughout."""
 
 
 @dataclass(frozen=True)
@@ -589,7 +584,7 @@ def _project_isotropic(m, x, y, s, q, tol_abs, max_iter=8):
 
 def _newton_F(tbl, x, y, s, tol_abs, max_iter):
     """The masked Newton iteration of _project_isotropic in one chart."""
-    row = tbl.values_many(x, y)
+    row = tbl.values_on_grid(x, y)
     drow = npoly.polyder(row)
     floor = 1e-9 * np.fmax(1.0, np.max(np.abs(row), axis=0))
     ok, live = np.zeros(len(s), dtype=bool), np.ones(len(s), dtype=bool)
@@ -749,47 +744,6 @@ def tm_integrate(
     cols, _, stops = _join_sides(run, direction)
     xs, ys, xdots, ydots = cols["u"].T
     return TMTrace(cols["t"], xs, ys, xdots, ydots, stops)
-
-
-# ---------------------------------------------------------------------------
-# arclength
-
-
-def arclength_reparam(
-    m: PseudoFinslerMetric, trace: GeodesicTrace, iso_tol: float = 1e-9
-) -> list[np.ndarray]:
-    """Cumulative metric length along a trace.
-
-    Returns segments of rows (s, x, y); the trace is split wherever it
-    touches the isotropic surface (there the length element degenerates).
-    Raises IsotropicSegmentError when every sample is isotropic.
-    """
-    n = m.degree
-    iso = np.abs(trace.F) <= iso_tol * (mt.metric_scale_many(m, trace.x, trace.y) + 1.0)
-    if bool(np.all(iso)):
-        raise IsotropicSegmentError("trace lies on the isotropic surface")
-    # the length element |F|^(1/n), on floats: numpy's array power may take
-    # a SIMD pow whose last bit differs from libm's (seen on AVX-512)
-    e = 1.0 / n
-    g = np.array([v**e for v in np.abs(trace.F).tolist()])
-    g[iso] = 0.0
-    # the trapezoid increments between neighbours, in the earlier one's
-    # chart; those across an isotropic sample are computed and not used
-    with np.errstate(invalid="ignore", over="ignore"):
-        w = np.where(
-            trace.chart[:-1] == "p", np.abs(np.diff(trace.x)), np.abs(np.diff(trace.y))
-        )
-        ds = 0.5 * (g[1:] + g[:-1]) * w
-
-    # the runs of non-isotropic samples, as [start, end) pairs
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], ~iso, [False]))))
-    segments: list[np.ndarray] = []
-    for start, end in edges.reshape(-1, 2).tolist():
-        if end - start >= 2:
-            # accumulate adds left to right, as the running sum from 0.0 did
-            s = np.add.accumulate(np.concatenate(([0.0], ds[start : end - 1])))
-            segments.append(np.column_stack((s, trace.x[start:end], trace.y[start:end])))
-    return segments
 
 
 # ---------------------------------------------------------------------------

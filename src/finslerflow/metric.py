@@ -46,6 +46,10 @@ class Stratum(str, enum.Enum):
     M00 = "M00"
 
 
+# the stratum names in sorted order; strata_on_grid gives codes into it
+STRATA = tuple(sorted(s.name for s in Stratum))
+
+
 @dataclass(frozen=True)
 class ProjectiveRoot:
     """A direction p with F(x, y; p) = 0; infinite means the vertical one."""
@@ -227,7 +231,7 @@ def coeff_scale(coeffs) -> float:
 
 def metric_scale_many(m: PseudoFinslerMetric, xs, ys) -> np.ndarray:
     """metric_scale at 1-d arrays of points: nan wherever a coefficient is."""
-    return np.max(np.abs(m.table("F").values_many(xs, ys)), axis=0)
+    return np.max(np.abs(m.table("F").values_on_grid(xs, ys)), axis=0)
 
 
 def fdp_values(
@@ -347,11 +351,11 @@ def _disc_band(scale):
 def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray]:
     """classify_point and disc_metric at arrays of points.
 
-    Returns (strata, disc) in the shape of X, strata holding the names
-    of the Stratum members.  The open strata are decided on the arrays;
-    only a point in the band, or one with a non-finite value, goes
-    through classify_point, so a degenerate point, a pole or a band that
-    overflows on the grid is a DegeneratePointError.
+    Returns (strata, disc) in the shape of X, strata holding the codes
+    of the Stratum members into STRATA.  The open strata are decided on
+    the arrays; only a point in the band, or one with a non-finite value,
+    goes through classify_point, so a degenerate point, a pole or a band
+    that overflows on the grid is a DegeneratePointError.
     """
     if m.degree != 3:
         raise ValueError("classification requires a degree-3 metric")
@@ -360,9 +364,9 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
         disc = poly.disc_cubic(c)
         band = _disc_band(np.max(np.abs(c), axis=0))
     plus = disc > band
-    strata = np.where(plus, Stratum.MPlus.name, Stratum.MMinus.name)
+    strata = np.where(plus, STRATA.index("MPlus"), STRATA.index("MMinus"))
     for k in np.flatnonzero(~(plus | (disc < -band))):
-        strata.flat[k] = classify_point(m, X.flat[k], Y.flat[k]).name
+        strata.flat[k] = STRATA.index(classify_point(m, X.flat[k], Y.flat[k]).name)
     return strata, disc
 
 

@@ -11,9 +11,9 @@ field
 which is tangent to the surface C = 0, so a curve started on a root stays
 on it, and folds of the net (C_p = 0) are passed without dividing by C_p.
 The projection to the plane is the net curve.  The field of each layer is
-one generated array function (``codegen.lifted_field_function``): the
-coefficients of C, C_x and C_y share one value numbering and are summed in
-p by Horner's rule.
+one generated function (``codegen.lifted_field_function``), run on arrays
+of lanes: the coefficients of C, C_x and C_y share one value numbering and
+are summed in p by Horner's rule.
 
 Seeds sit on an 11 x 11 grid inside the box; the roots of a layer at all
 of them come from one ``poly.real_roots_many`` call.  Every (seed, simple
@@ -169,24 +169,26 @@ def _trace_lanes(fields, blocks, start, sign, ds, lo, hi, cells):
 
     ``start`` holds the (3, L) start states of the lanes, and lanes
     ``blocks[j]`` to ``blocks[j + 1] - 1`` run along ``fields[j]``, a
-    lifted field (x, y, p, out) -> out on rows.  Returns the accepted
-    points (M, 2) and their cells (M,), grouped by lane, and the L + 1
-    bounds of the L lane groups; start states are not included.
+    lifted field (x, y, p) -> its three rows on arrays, each row an array
+    or a constant.  Returns the accepted points (M, 2) and their cells
+    (M,), grouped by lane, and the L + 1 bounds of the L lane groups;
+    start states are not included.
 
     A step that stops no lane costs a fixed few array operations: the
     lane arrays are indexed, and the column bounds of the blocks found
     again by one ``searchsorted``, only on a step where some lane stops
     (stopping keeps the lane order, so the blocks stay contiguous).  A
     lane's count is the index of the step that stopped it (NET_STEPS if
-    none did).  The stage slopes and the stage argument are written into
-    buffers that are allocated again only when lanes stop.  Each step
-    keeps its new states and its lane ids by reference, and every
-    _CELL_CHUNK steps the kept states become their points and cells in one
-    ``cells`` call, so the history holds (x, y) and a cell per point, not
-    (x, y, p).  Lanes only ever stop, so a lane accepted at step t has
-    more than t steps and its point there goes to row ``bounds[lane] + t``;
-    this lane-major scatter runs after the loop, a chunk at a time, and
-    frees each chunk as it is written.
+    none did).  The stage slopes (the rows of the fields, each written
+    into its block's columns) and the stage argument are buffers that are
+    allocated again only when lanes stop.  Each step keeps its new states
+    and its lane ids by reference, and every _CELL_CHUNK steps the kept
+    states become their points and cells in one ``cells`` call, so the
+    history holds (x, y) and a cell per point, not (x, y, p).  Lanes only
+    ever stop, so a lane accepted at step t has more than t steps and its
+    point there goes to row ``bounds[lane] + t``; this lane-major scatter
+    runs after the loop, a chunk at a time, and frees each chunk as it is
+    written.
     """
     lane = np.arange(start.shape[1])
     counts = np.full(lane.size, NET_STEPS, dtype=np.int64)
@@ -204,7 +206,7 @@ def _trace_lanes(fields, blocks, start, sign, ds, lo, hi, cells):
     def lifted(u, k):
         for field, (a, b) in zip(fields, spans):
             if a < b:
-                field(u[0, a:b], u[1, a:b], u[2, a:b], k[:, a:b])
+                k[0, a:b], k[1, a:b], k[2, a:b] = field(u[0, a:b], u[1, a:b], u[2, a:b])
 
     lanes: list[np.ndarray] = []
     states: list[np.ndarray] = []

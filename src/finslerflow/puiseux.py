@@ -436,21 +436,6 @@ def _curve_series(s: int, y0, p: TruncatedSeries):
     return x, y
 
 
-def _leading_norm(m: PseudoFinslerMetric, y0) -> Fraction:
-    plan = _SeriesPlan(m._expr_layer("denom"))
-    run = _SeriesRun(plan, lambda op, j: y0 if op == "y" else _ZERO)
-    run.extend(0)
-    lead = _ZERO
-    for r in plan.roots:
-        if run.vals[r][0] != 0:
-            lead = run.vals[r][0]
-    if lead == 0:
-        raise ValueError(
-            "degeneracy polynomial vanishes identically at the base point"
-        )
-    return lead
-
-
 def _first_nonzero(seq) -> int | None:
     return next((i for i, v in enumerate(seq) if v != 0), None)
 
@@ -502,11 +487,6 @@ def solve_geodesic_series(
 
     denom_exprs = m._expr_layer("denom")
     plan = _SeriesPlan(denom_exprs + m._expr_layer("numer"))
-    norm = _leading_norm(m, y0f)
-    unknowns = [k for k in range(1, order + 1) if k not in seed_map]
-    if not unknowns:
-        raise ValueError("every order is pinned by the seed")
-
     root, droot = plan.residual(len(denom_exprs))
     a = [_ZERO] * (order + 1)  # a[i] = 0 until a_i is pinned or solved
     for i, v in seed_map.items():
@@ -536,6 +516,19 @@ def solve_geodesic_series(
 
     run = _SeriesRun(plan, leaf)
     residual, dres = run.vals[root], run.vals[droot]
+    # the norm: the top nonzero coefficient of D at the base point, index 0
+    # of the columns of D's coefficients, which the plan numbers first and
+    # which read only x (0 there) and y (y0)
+    lead = plan.roots[: len(denom_exprs)]
+    run.extend(0, upto=max(lead) + 1)
+    norm = next((v for v in (run.vals[r][0] for r in reversed(lead)) if v != 0), _ZERO)
+    if norm == 0:
+        raise ValueError(
+            "degeneracy polynomial vanishes identically at the base point"
+        )
+    unknowns = [k for k in range(1, order + 1) if k not in seed_map]
+    if not unknowns:
+        raise ValueError("every order is pinned by the seed")
 
     def carry(k: int) -> None:
         # a_k reaches no coefficient below k - 1: cut the moving columns

@@ -10,7 +10,7 @@ Sylvester determinants and the singular directions of a point for the
 singular locus, exact polynomial trees in sympy, a tree-walk reference,
 on dual numbers, for the exact series solve, the series plan on any
 tree, per-sample references for the traces (dense output, isotropic
-projection, arclength), and row-by-row references for the CSV files."""
+projection), and row-by-row references for the CSV files."""
 
 from __future__ import annotations
 
@@ -1102,40 +1102,6 @@ def isotropic_trace_reference(m, seed, cfg, tol: float = 1e-9):
     return trace
 
 
-def arclength_reference(m, trace, iso_tol: float = 1e-9) -> list[np.ndarray]:
-    """flow.arclength_reparam by loops over the samples: the scale and the
-    length element per sample, and a running sum along each segment."""
-    n, N = m.degree, len(trace)
-    iso, g = np.zeros(N, dtype=bool), np.zeros(N)
-    for i in range(N):
-        sc = mt.metric_scale(m, trace.x[i], trace.y[i]) + 1.0
-        if abs(trace.F[i]) <= iso_tol * sc:
-            iso[i] = True
-        else:
-            g[i] = abs(trace.F[i]) ** (1.0 / n)
-    segments, start = [], None
-    for i in range(N):
-        if not iso[i] and start is None:
-            start = i
-        if (iso[i] or i == N - 1) and start is not None:
-            end = i if iso[i] else i + 1
-            if end - start >= 2:
-                rows = np.zeros((end - start, 3))
-                s = 0.0
-                rows[0] = (0.0, trace.x[start], trace.y[start])
-                for k in range(start + 1, end):
-                    w = (
-                        abs(trace.x[k] - trace.x[k - 1])
-                        if trace.chart[k - 1] == "p"
-                        else abs(trace.y[k] - trace.y[k - 1])
-                    )
-                    s += 0.5 * (g[k] + g[k - 1]) * w
-                    rows[k - start] = (s, trace.x[k], trace.y[k])
-                segments.append(rows)
-            start = None
-    return segments
-
-
 # ---------------------------------------------------------------------------
 # row-by-row references for the CSV files, which the CLI writes a column
 # at a time
@@ -1152,9 +1118,10 @@ def csv_bytes(header, lines) -> bytes:
 
 
 def strata_lines(xs, ys, strata, disc) -> list[str]:
-    """The lines of a classify CSV: one per grid cell, x running fastest."""
+    """The lines of a classify CSV: one per grid cell, x running fastest;
+    strata holds codes into metric.STRATA."""
     return [
-        f"{fmt(x)},{fmt(y)},{strata[j][i]},{fmt(disc[j][i])}"
+        f"{fmt(x)},{fmt(y)},{mt.STRATA[strata[j][i]]},{fmt(disc[j][i])}"
         for j, y in enumerate(ys) for i, x in enumerate(xs)
     ]
 

@@ -17,7 +17,6 @@ from finslerflow import singular as sg
 from finslerflow.flow import IntegratorConfig, PTMPoint
 
 from helpers import (
-    arclength_reference,
     crop_to_ball,
     disc_gradient_at,
     halfplane_metric,
@@ -432,23 +431,6 @@ class TestTangentBundleOverlay:
         assert tm.truncated and len(tm.t) == 1
 
 
-class TestArclength:
-    def test_monotone_and_consistent(self):
-        m = halfplane_metric()
-        tr = flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3), direction=+1)
-        segs = flow.arclength_reparam(m, tr)
-        assert segs
-        for seg in segs:
-            assert np.all(np.diff(seg[:, 0]) >= -1e-15)
-            assert seg[-1, 0] > 0.0
-
-    def test_isotropic_trace_rejected(self):
-        m = halfplane_metric()
-        tr = flow.isotropic_trace(m, PTMPoint(0.5, 0.0, np.sqrt(0.5)))
-        with pytest.raises(flow.IsotropicSegmentError):
-            flow.arclength_reparam(m, tr)
-
-
 def _assert_same_trace(got, want):
     """Equal columns, bit for bit, and equal events and stops."""
     for name in ("t", "x", "y", "slope", "chart", "F", "denom", "numer"):
@@ -465,9 +447,9 @@ PARABOLA = ["y^2 - x", "0", "1", "0"]
 
 
 class TestArrayAtATime:
-    """integrate, tm_integrate, isotropic_trace and arclength_reparam
-    compute their samples on arrays; each gives the bits of the per-sample
-    reference in tests/helpers.py."""
+    """integrate, tm_integrate and isotropic_trace compute their samples
+    on arrays; each gives the bits of the per-sample reference in
+    tests/helpers.py."""
 
     @pytest.mark.parametrize("seed", [(0.5, 0.7, 0.2), (-0.8, 0.4, 0.6), (0.3, 1.1, -0.4)])
     def test_parabola_config_traces(self, seed):
@@ -613,27 +595,6 @@ class TestArrayAtATime:
         assert np.array_equal(raw.chart, got.chart)
         assert np.count_nonzero(raw.slope != got.slope) > 10
 
-    def test_arclength(self):
-        for m, seed in ((halfplane_metric(), (-0.5, 0.0, 0.3)),
-                        (mt.metric_from_strings(3, PARABOLA), (-0.8, 0.4, 0.6))):
-            tr = flow.integrate(m, PTMPoint(*seed), IntegratorConfig(max_steps=2000))
-            got, want = flow.arclength_reparam(m, tr), arclength_reference(m, tr)
-            assert len(got) == len(want) > 0
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
-        # segments split where the trace touches F = 0, and one sample
-        # between two such is no segment
-        tr.F[[40, 41, 43, 300]] = 0.0
-        got, want = flow.arclength_reparam(m, tr), arclength_reference(m, tr)
-        assert len(got) == len(want) > 1
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-
-
-def _parabola_arclength():
-    m = mt.metric_from_strings(3, PARABOLA)
-    return flow.arclength_reparam(m, flow.integrate(m, PTMPoint(-0.5, 0.0, 0.3)))
-
 
 @pytest.mark.parametrize(
     "run, want",
@@ -656,22 +617,21 @@ def _parabola_arclength():
          {"x, y": 2, "x, y, p": 3}),
         (lambda: flow.tm_integrate(mt.metric_from_strings(3, PARABOLA), -0.5, 0.0, 1.0, 0.3),
          {"x, y": 3}),
-        (_parabola_arclength, {"x, y": 1, "x, y, p": 2}),
     ],
 )
 def test_first_pass_compiles(monkeypatch, run, want):
     # each generated function compiles on its first use, a cost that the
     # first trace on a metric pays: the traces on a fresh metric compile
-    # only the point functions they call, and no grid code
-    # cached for the process
+    # only the point functions they call; the step kernels are cached for
+    # the process
     codegen.dopri_step(3), codegen.dopri_step(4)
     codegen.chart_step("p"), codegen.chart_step("q")
     compiled = []
     compile_function = codegen._function
 
-    def counted(args, body, result):
+    def counted(name, args, body, result):
         compiled.append(args)
-        return compile_function(args, body, result)
+        return compile_function(name, args, body, result)
 
     monkeypatch.setattr(codegen, "_function", counted)
     run()

@@ -9,8 +9,10 @@ and so must the point functions run elementwise on arrays.
 
 from __future__ import annotations
 
+import cProfile
 import functools
 import math
+import pstats
 import struct
 import warnings
 from pathlib import Path
@@ -20,7 +22,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from finslerflow import berwald_moor as bm
-from finslerflow import cli
+from finslerflow import cli, codegen, flow
 from finslerflow import expr as ex
 from finslerflow import metric as mt
 from finslerflow.codegen import (
@@ -108,6 +110,36 @@ def test_grid_evaluation_matches_pointwise():
             np.testing.assert_array_equal(
                 grid[:, i, j], tbl.values_at(xs[i, j], ys[i, j])
             )
+
+
+def test_points_and_grids_run_one_generated_function(monkeypatch):
+    # a layer evaluated at a point and on a grid of more than one chunk
+    # compiles one function, the scalar lines, and no generated body
+    # computes into an out= buffer
+    m = mt.metric_from_strings(3, ["y^2 - x", "0.3*y/(1 + x^2)", "1 - x*y", "0.5*x"])
+    tbl = m.table("numer")
+    bodies = []
+    compile_function = codegen._function
+
+    def captured(name, args, body, result):
+        bodies.append((name, body))
+        return compile_function(name, args, body, result)
+
+    monkeypatch.setattr(codegen, "_function", captured)
+    xs = np.linspace(-1.0, 1.0, codegen._CHUNK + 5)
+    grid = tbl.values_on_grid(xs, xs[::-1])
+    for k in (0, codegen._CHUNK - 1, codegen._CHUNK, xs.size - 1):
+        np.testing.assert_array_equal(grid[:, k], tbl.values_at(xs[k], xs[-1 - k]))
+    assert [name for name, _ in bodies] == ["point_function"]
+    # every other generated function is the same shape of code
+    tbl.poly_value_many(xs, xs, xs)
+    m.fdp_many(xs, xs, xs)
+    field = lifted_field_function(*(m.table("F" + d).exprs for d in ("", "_x", "_y")))
+    field(xs, xs, xs)
+    assert [name for name, _ in bodies] == [
+        "point_function", "poly_value", "fdp", "lifted_field"
+    ]
+    assert not [line for _, body in bodies for line in body if "out=" in line]
 
 
 def test_integer_powers():
@@ -252,7 +284,7 @@ def test_exact_identities_keep_signed_zero_inf_and_nan():
     [
         ["x*y - 0.3*y^2 + 0.5*x", "0.4*x - 0.2*y", "1 + 0.1*x*y", "0.2*x"],
         ["1/(x - 2) + y^3", "x^4", "-y", "x*y^2", "0.5"],
-        # C_p of a one-coefficient layer is the constant 0.0, assigned to its row
+        # C_p of a one-coefficient layer is the constant 0.0, returned as its row
         ["-1"],
         ["-1", "0", "1"],
     ],
@@ -263,7 +295,8 @@ def test_lifted_field_matches_scalar_horner(texts):
     field = lifted_field_function(layer, tables[0].exprs, tables[1].exprs)
     rng = np.random.default_rng(4)
     x, y, p = rng.uniform(-1.5, 1.5, (3, 200))
-    got = field(x, y, p, np.empty((3, x.size)))
+    got = np.empty((3, x.size))
+    got[0], got[1], got[2] = field(x, y, p)
     c = LayerTable(layer)
     for k in range(x.size):
         want = lifted_field_reference(
@@ -416,9 +449,28 @@ def test_generated_functions_give_float_bits_on_arrays(k):
         for name in LAYERS:
             tbl = mm.table(name)
             want = np.transpose([tbl.point_values(x, y) for x, y, _ in points])
-            _assert_same_bits(tbl.values_many(xs, ys), want.reshape(tbl.n, -1))
+            _assert_same_bits(tbl.values_on_grid(xs, ys), want.reshape(tbl.n, -1))
             want = [tbl.poly_value(x, y, p) for x, y, p in points]
             _assert_same_bits(tbl.poly_value_many(xs, ys, ps), want)
+
+
+def test_generated_functions_have_their_own_names():
+    # each kind of generated function is its own (file, name) pair, so a
+    # profile does not merge the chart steps, fdp and the layer functions
+    m = mt.metric_from_strings(3, ["y^2 - x", "0", "1", "0"])
+    tbl = m.table("F")
+    functions = [
+        dopri_step(3), dopri_step(4), chart_step("p"), chart_step("q"), m.fdp_function,
+        tbl.point_function, tbl._poly,
+        lifted_field_function(*(m.table("F" + d).exprs for d in ("", "_x", "_y"))),
+    ]
+    keys = {(f.__code__.co_filename, f.__code__.co_name) for f in functions}
+    assert len(keys) == len(functions)
+    profile = cProfile.Profile()
+    profile.runcall(flow.integrate, m, flow.PTMPoint(-0.5, 0.0, 0.3))
+    listed = set(pstats.Stats(profile).stats)
+    assert ("<finslerflow chart_step_p>", 1, "chart_step_p") in listed
+    assert ("<finslerflow fdp>", 1, "fdp") in listed
 
 
 def test_division_on_floats_and_arrays():

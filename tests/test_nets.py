@@ -27,9 +27,9 @@ def scalar_net_curves(m, box, layer, seeds_per_axis):
     """Reference: the nets traced seed by seed with scalar RK4, choosing
     curves while tracing.
 
-    Coefficients come from the pointwise generated code, which rounds as
-    the array code does, and the lifted field is summed by Horner's rule
-    from the top coefficient as the net kernel sums it
+    Coefficients come from the generated point functions, which round as
+    the lifted field's lines do, and the lifted field is summed by
+    Horner's rule from the top coefficient as the net kernel sums it
     (``helpers.lifted_field_reference``), so the two agree exactly.
     """
     tables = [m.table(name) for name in (layer, layer + "_x", layer + "_y")]
@@ -185,10 +185,10 @@ def test_lanes_that_go_non_finite_leave_the_other_layer_alone(monkeypatch):
         index = len(non_finite)
         non_finite.append(False)
 
-        def run(x, y, p, out):
-            field(x, y, p, out)
-            non_finite[index] |= not np.all(np.isfinite(out))
-            return out
+        def run(x, y, p):
+            rows = field(x, y, p)
+            non_finite[index] |= not all(np.all(np.isfinite(r)) for r in rows)
+            return rows
 
         return run
 
@@ -209,13 +209,13 @@ def test_joint_run_compiles_one_field_per_layer(monkeypatch):
     compiled = []
     compile_function = codegen._function
 
-    def counted(args, body, result):
-        compiled.append(args)
-        return compile_function(args, body, result)
+    def counted(name, args, body, result):
+        compiled.append(name)
+        return compile_function(name, args, body, result)
 
     monkeypatch.setattr(codegen, "_function", counted)
     nets.net_curves(parabola_metric(), PARABOLA_BOX, ("F", "denom"))
-    assert compiled.count("x, y, p, out") == 2
+    assert compiled.count("lifted_field") == 2
 
 
 @pytest.mark.parametrize(
@@ -280,22 +280,22 @@ def test_seeds_on_a_pole_are_skipped():
 #   1.5 <= p < 2.5   (1, 0, 0) for x < 0.2, then (0, 0, 1): stalls in the plane
 #   2.5 <= p < 3.5   (-y, x, 0): circles the origin inside the box
 #   p >= 3.5         (1, 0, 10): p passes NET_PMAX
-def _banded_field(x, y, p, out):
+def _banded_field(x, y, p):
     move = np.abs(p) < 0.5
     stall = (1.5 <= p) & (p < 2.5)
     turn = (2.5 <= p) & (p < 3.5)
     steep = p >= 3.5
-    out[0] = np.where(move | steep | (stall & (x < 0.2)), 1.0, np.where(turn, -y, 0.0))
-    out[1] = np.where(turn, x, 0.0)
-    out[2] = np.where(steep, 10.0, np.where(stall & (x >= 0.2), 1.0, 0.0))
-    return out
+    return (
+        np.where(move | steep | (stall & (x < 0.2)), 1.0, np.where(turn, -y, 0.0)),
+        np.where(turn, x, 0.0),
+        np.where(steep, 10.0, np.where(stall & (x >= 0.2), 1.0, 0.0)),
+    )
 
 
-def _swapped_field(x, y, p, out):
+def _swapped_field(x, y, p):
     """_banded_field with the roles of x and y exchanged."""
-    rows = _banded_field(y, x, p, np.empty_like(out))
-    out[0], out[1], out[2] = rows[1], rows[0], rows[2]
-    return out
+    rows = _banded_field(y, x, p)
+    return rows[1], rows[0], rows[2]
 
 
 def _lane_by_itself(field, start, sign, ds, lo, hi):
@@ -303,7 +303,7 @@ def _lane_by_itself(field, start, sign, ds, lo, hi):
 
     def lifted(s):
         out = np.empty((3, 1))
-        field(*s[:, None], out)
+        out[0], out[1], out[2] = field(*s[:, None])
         return out[:, 0]
 
     s, states = np.array(start, dtype=float), []
