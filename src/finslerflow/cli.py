@@ -34,8 +34,10 @@ import os
 import re
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -358,11 +360,12 @@ def _build_config(entries: list[tuple[str, str, str]]) -> ScenarioConfig:
 # output helpers
 
 
-def _write(path: str, data: str | list[bytes]) -> None:
+def _write(path: str, data: str | Iterable[bytes]) -> None:
     """Write text (as UTF-8), or byte strings one after another, to path,
-    with no newline translation; the one writer of every output file.  An
-    OSError becomes an OutputError, which main reports in one line with
-    exit status 2."""
+    with no newline translation; the one writer of every output file.
+    Each byte string is written as the iterable makes it, so an iterator
+    of passes never holds the whole file.  An OSError becomes an
+    OutputError, which main reports in one line with exit status 2."""
     try:
         with open(path, "wb") as fh:
             fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
@@ -543,8 +546,10 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
     table[codes[i]].  A few thousand rows at a time, the float columns
     are formatted in one _format_g call, every field is put in a record
     array of the rows, its items padded with NUL, and the NUL bytes of
-    the records are dropped.  Fields are not quoted: a comma in the
-    header or in a table of strings is a ValueError.
+    the records are dropped; _write writes each pass as it is made.
+    Fields are not quoted: a comma in the header or in a table of strings
+    is a ValueError, as is a ragged column, raised before the file is
+    opened.
     """
     texts = [c[1] for c in columns if isinstance(c, tuple) and not isinstance(c[1], np.ndarray)]
     for text in {*header, *(s for t in texts for s in t)}:
@@ -558,8 +563,10 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
     if len(columns) != len(header) or len(sizes) > 1:
         raise ValueError(f"{path}: {len(header)} header fields, columns of lengths {sizes}")
     size = sizes.pop() if sizes else 0
-    parts = [(",".join(header) + "\r\n").encode("utf-8")]
-    for start in range(0, size, _CSV_ROWS_PER_PASS):
+
+    def one_pass(start):
+        # made in a call of its own, so that its arrays are freed when it
+        # returns, before the next pass is made
         stop = min(start + _CSV_ROWS_PER_PASS, size)
         if floats:
             cells = _format_g(np.column_stack([f[start:stop] for f in floats]))
@@ -576,8 +583,10 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
         for j, (f, end) in enumerate(zip(fields, ends)):
             rows[f"f{j}"] = f
             rows[f"e{j}"] = end
-        parts.append(rows.tobytes().translate(None, b"\0"))
-    _write(path, parts)
+        return rows.tobytes().translate(None, b"\0")
+
+    head = (",".join(header) + "\r\n").encode("utf-8")
+    _write(path, chain([head], map(one_pass, range(0, size, _CSV_ROWS_PER_PASS))))
 
 
 _SVG_STYLE = {
@@ -800,7 +809,9 @@ def cmd_integrate(cfg: ScenarioConfig, outdir: str) -> int:
 
 def _singular_picks(m: mt.PseudoFinslerMetric, c: sg.CurveSamples) -> list[sg.SingularPoint]:
     """The classified singular points at 12 evenly spaced samples of c."""
-    picked = np.unique(np.linspace(0, len(c) - 1, 12).astype(int))
+    # the indices ascend and repeat on a short curve; np.unique would
+    # import numpy.ma (10-15 ms) on its first call
+    picked = list(dict.fromkeys(np.linspace(0, len(c) - 1, 12).astype(int).tolist()))
     out = []
     for (x, y), p in zip(c.points[picked].tolist(), c.slopes[picked].tolist()):
         try:

@@ -13,9 +13,15 @@ in one chart, with the field's components inline around a call of the
 metric's generated ``fdp``.
 
 Every evaluator is one shape of code, the value-numbered lines, which run
-on floats or, elementwise and with the same bits, on numpy arrays.
-``on_arrays`` runs them on 1-d arrays _CHUNK points at a time; grids of
-points (``values_on_grid``) are raveled and go through it.
+on floats or, elementwise and with the same bits, on numpy arrays.  After
+a temporary's last use its name goes to a free list and the next line's
+target takes it, so a temporary dies when its name is taken, not when the
+function returns; the results keep their own names.  ``on_arrays`` is the
+one chunker of generated functions and of grids: it runs a function on
+1-d arrays _CHUNK points at a time.  Grids of points
+(``values_on_grid``) are raveled and go through it, as do the grid
+functions of the loci (``singular.trace_implicit_curve``) and the strata
+(``metric.strata_on_grid``).
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
@@ -152,8 +158,21 @@ class _Code:
         return out
 
     def scalar_lines(self) -> list[str]:
-        out = []
-        for t, op, a, b in self.lines:
+        """The lines as source, with the same operations in the same
+        order.  A temporary's name goes to a free list at its last use and
+        the next target takes it, so a temporary dies when its name is
+        taken; the roots keep their own names."""
+        roots = {r for r in self.roots if isinstance(r, str)}
+        # operand -> the index of the line that uses it last
+        last = {v: k for k, (_, _, a, b) in enumerate(self.lines) for v in (a, b)}
+        name, free, out = {}, [], []
+        for k, (t, op, a, b) in enumerate(self.lines):
+            for v in (a,) if a == b else (a, b):
+                if last.get(v) == k and v in name and v not in roots:
+                    free.append(name[v])
+            a, b = name.get(a, a), name.get(b, b)
+            name[t] = t if t in roots or not free else free.pop()
+            t = name[t]
             if op == "-":
                 out.append(f"{t} = -{_atom(a)}")
             elif op == "/":

@@ -353,21 +353,28 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
 
     Returns (strata, disc) in the shape of X, strata holding the codes
     of the Stratum members into STRATA.  The open strata are decided on
-    the arrays; only a point in the band, or one with a non-finite value,
-    goes through classify_point, so a degenerate point, a pole or a band
-    that overflows on the grid is a DegeneratePointError.
+    the raveled arrays a block at a time (on_arrays); only a point in the
+    band, or one with a non-finite value, goes through classify_point, so
+    a degenerate point, a pole or a band that overflows on the grid is a
+    DegeneratePointError.
     """
     if m.degree != 3:
         raise ValueError("classification requires a degree-3 metric")
-    c = m.table("F").values_on_grid(X, Y)
-    with np.errstate(over="ignore", invalid="ignore"):
+    table = m.table("F")
+
+    def block(x, y):
+        # the disc and its side of the band: 1 above, -1 below, 0 in it
+        c = table.values_on_grid(x, y)
         disc = poly.disc_cubic(c)
         band = _disc_band(np.max(np.abs(c), axis=0))
-    plus = disc > band
-    strata = np.where(plus, STRATA.index("MPlus"), STRATA.index("MMinus"))
-    for k in np.flatnonzero(~(plus | (disc < -band))):
-        strata.flat[k] = STRATA.index(classify_point(m, X.flat[k], Y.flat[k]).name)
-    return strata, disc
+        return disc, (disc > band) - (disc < -band).astype(np.float64)
+
+    X = np.asarray(X)
+    disc, side = on_arrays(2, block, X.ravel(), np.ravel(Y))
+    strata = np.where(side > 0, STRATA.index("MPlus"), STRATA.index("MMinus"))
+    for k in np.flatnonzero(side == 0):
+        strata[k] = STRATA.index(classify_point(m, X.flat[k], Y.flat[k]).name)
+    return strata.reshape(X.shape), disc.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import metric as mt
 from . import poly
+from .codegen import on_arrays
 from .metric import PseudoFinslerMetric
 
 REAL_PAIR = "RealPair"
@@ -328,23 +329,32 @@ def _project(equations, P: np.ndarray) -> np.ndarray:
     return P
 
 
+def _grid_values(g, xs, ys) -> np.ndarray:
+    """vals[i, j] = g(xs[i], ys[j]): g runs on 1-d blocks of the raveled
+    grid (codegen.on_arrays), so it must be elementwise."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return on_arrays(1, lambda x, y: (g(x, y),), X.ravel(), Y.ravel())[0].reshape(X.shape)
+
+
 def trace_implicit_curve(
     g, equations, box, resolution: int = 200, label: str = "", lift=None
 ) -> list[CurveSamples]:
     """The zero set of equations over a box as projected polylines.
 
-    Marching squares finds the zero contour of g(X, Y) on a grid; each
-    polyline is lifted by lift(xs, ys) to rows x, y and, for a curve in
-    (x, y, p), the slope angle arctan p (default: the planar points) and
-    projected (_project).  A polyline splits at each segment whose
-    midpoint the projection moves by more than half the segment's length,
-    as it moves one that joins two branches, and at each point that does
-    not lift or project or that the projection moves out of the box.
+    Marching squares finds the zero contour of g on a grid.  g(xs, ys)
+    runs on 1-d blocks of the grid's points (_grid_values), so it must be
+    elementwise.  Each polyline is lifted by lift(xs, ys) to rows x, y
+    and, for a curve in (x, y, p), the slope angle arctan p (default: the
+    planar points) and projected (_project).  A polyline splits at each
+    segment whose midpoint the projection moves by more than half the
+    segment's length, as it moves one that joins two branches, and at
+    each point that does not lift or project or that the projection
+    moves out of the box.
     """
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
-    segs = _marching_squares(np.asarray(g(*np.meshgrid(xs, ys, indexing="ij"))), xs, ys)
+    segs = _marching_squares(_grid_values(g, xs, ys), xs, ys)
     cell = max((x1 - x0) / (resolution - 1), (y1 - y0) / (resolution - 1))
     out = []
     for line in _stitch(segs.tolist(), snap=1e-6 * cell):

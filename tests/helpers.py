@@ -22,6 +22,7 @@ import numpy as np
 import sympy
 from numpy.polynomial import polynomial as npoly
 
+from finslerflow import codegen
 from finslerflow import expr as ex
 from finslerflow import flow
 from finslerflow import metric as mt
@@ -125,6 +126,34 @@ def parabola_metric(alpha: float = 1.0) -> mt.PseudoFinslerMetric:
 def quartic_product_metric() -> mt.PseudoFinslerMetric:
     """F = p*(p - 4*x): the induced tangency example, written directly."""
     return mt.metric_from_strings(3, ["0", "-4*x", "1", "0"])
+
+
+def heavier_cubic_metric() -> mt.PseudoFinslerMetric:
+    """A cubic with heavy derived layers (numer has 149 value-numbered
+    lines); its box is HEAVIER_CUBIC_BOX."""
+    return mt.metric_from_strings(3, [
+        "-1.8*x^2*y^2 + 0.9 + 0.4*x^3*y - 1.1*y^3",
+        "0.9 - 0.7*x*y^2 + 0.3*y/(1 + x^2)",
+        "-0.3*x^3*y + 2.7 - 1.2*x*y",
+        "1 + 0.2*x^2 - 0.5*y^2*x",
+    ])
+
+
+HEAVIER_CUBIC_BOX = (-1.2, 1.2, -1.1, 1.3)
+
+
+def unrenamed_lines(code) -> list[str]:
+    """Reference: codegen._Code.scalar_lines with every value number kept
+    as its own name, so every temporary lives to the return."""
+    out = []
+    for t, op, a, b in code.lines:
+        if op == "-":
+            out.append(f"{t} = -{codegen._atom(a)}")
+        elif op == "/":
+            out.append(f"{t} = _div({codegen._atom(a)}, {codegen._atom(b)})")
+        else:
+            out.append(f"{t} = {codegen._atom(a)} {op} {codegen._atom(b)}")
+    return out
 
 
 def random_poly_text(rng, degree: int = 2) -> str:
@@ -433,6 +462,20 @@ def _dot(a, b) -> float:
     for ak, bk in zip(a[1:], b[1:]):
         acc = acc + ak * bk
     return acc
+
+
+def strata_on_whole_grid(m, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: metric.strata_on_grid with each array operation run on
+    the whole grid at once."""
+    c = m.table("F").values_on_grid(X, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = poly.disc_cubic(c)
+        band = mt._disc_band(np.max(np.abs(c), axis=0))
+    plus = disc > band
+    strata = np.where(plus, mt.STRATA.index("MPlus"), mt.STRATA.index("MMinus"))
+    for k in np.flatnonzero(~(plus | (disc < -band))):
+        strata.flat[k] = mt.STRATA.index(mt.classify_point(m, X.flat[k], Y.flat[k]).name)
+    return strata, disc
 
 
 def cell_strata_rows(m, xs, ys) -> list[tuple]:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import types
 import warnings
 import xml.etree.ElementTree as ET
@@ -884,3 +888,58 @@ def test_write_csv_refuses_a_comma_or_a_ragged_column(tmp_path):
     with pytest.raises(ValueError, match=re.escape(path)):
         cli._write_csv(path, ["x", "y"], [np.ones(3)])
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_csv_writes_each_pass_as_it_is_made(tmp_path, monkeypatch):
+    # the header, then each pass of 7 rows, written before the next one
+    # is formatted
+    monkeypatch.setattr(cli, "_CSV_ROWS_PER_PASS", 7)
+    events = []
+    format_g = cli._format_g
+
+    def formatting(values):
+        events.append("format")
+        return format_g(values)
+
+    def writing(path, data):
+        for part in data:
+            events.append(("write", part.count(b"\r\n")))
+
+    monkeypatch.setattr(cli, "_format_g", formatting)
+    monkeypatch.setattr(cli, "_write", writing)
+    cli._write_csv(str(tmp_path / "t.csv"), ["a"], [np.arange(17.0)])
+    assert events == [("write", 1), "format", ("write", 7), "format", ("write", 7),
+                      "format", ("write", 3)]
+
+
+def test_singular_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs 10-15 ms and 1.6 MiB to import; np.unique without
+    # return_inverse imports it on its first call
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["singular", "--config", str(CONFIGS / "parabola.cfg"), "--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from finslerflow import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command, limit_mib", [("singular", 4.0), ("classify", 5.0)])
+def test_locus_commands_keep_no_full_grid_temporaries(command, limit_mib, tmp_path):
+    # the grids run in blocks and the CSV passes are written as they are
+    # made; each whole-grid array of a 220^2 grid is 0.37 MiB
+    argv = [command, "--config", str(CONFIGS / "parabola.cfg"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20

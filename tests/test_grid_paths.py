@@ -13,17 +13,21 @@ import pytest
 from finslerflow import cli
 from finslerflow import metric as mt
 from finslerflow import singular as sg
+from finslerflow.codegen import _CHUNK
 
 from helpers import (
+    HEAVIER_CUBIC_BOX,
     cell_marching_squares,
     cell_strata_rows,
     fmt,
     halfplane_metric,
+    heavier_cubic_metric,
     point_project,
     random_poly_text,
     resultant_at,
     singular_at,
     slope_residual,
+    strata_on_whole_grid,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -149,6 +153,30 @@ def test_random_metrics_match_references(seed):
     assert [(mt.STRATA[st], fmt(d)) for st, d in zip(strata.ravel(), disc.ravel())] == [
         r[2:] for r in want
     ]
+
+
+@pytest.mark.parametrize("resolution", [220, 41])
+def test_blocked_grids_match_whole_grid_calls(resolution):
+    # 220^2 points are five blocks of _CHUNK points and a partial one;
+    # 41^2 are fewer than one block
+    assert resolution**2 % _CHUNK != 0
+    cfg = shipped("parabola")
+    rng = np.random.default_rng(resolution)
+    cases = [
+        (cfg.metric_obj(), cfg.box),
+        (heavier_cubic_metric(), HEAVIER_CUBIC_BOX),
+        (random_cubic(rng), (-1.0, 1.0, -1.0, 1.0)),
+    ]
+    for m, box in cases:
+        xs, ys, X, Y = grid(box, resolution)
+        for g in (sg.singular_grid_fn(m), sg.disc_grid_fn(m)):
+            assert np.array_equal(sg._grid_values(g, xs, ys), g(X, Y), equal_nan=True)
+        # classify's grid, one row per y
+        got = mt.strata_on_grid(m, X.T, Y.T)
+        want = strata_on_whole_grid(m, X.T, Y.T)
+        assert got[0].shape == got[1].shape == X.shape
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1], equal_nan=True)
 
 
 def test_marching_squares_on_saddles_and_non_finite_cells():

@@ -38,8 +38,10 @@ from helpers import (
     chart_rhs,
     dopri_step_reference,
     evaluate,
+    heavier_cubic_metric,
     lifted_field_reference,
     random_poly_text,
+    unrenamed_lines,
 )
 
 LAYERS = (
@@ -452,6 +454,28 @@ def test_generated_functions_give_float_bits_on_arrays(k):
             _assert_same_bits(tbl.values_on_grid(xs, ys), want.reshape(tbl.n, -1))
             want = [tbl.poly_value(x, y, p) for x, y, p in points]
             _assert_same_bits(tbl.poly_value_many(xs, ys, ps), want)
+
+
+def test_temporaries_reuse_names_with_the_unrenamed_bits():
+    # the heavier cubic's numer: a dead temporary's name is taken by the
+    # next target, the roots keep theirs, and floats and arrays give the
+    # bits of the lines that keep every value number
+    code = heavier_cubic_metric().table("numer")._code
+    body = code.scalar_lines()
+    targets = [line.split(" = ")[0] for line in body]
+    assert len(code.lines) == 149 and len(set(targets)) <= 30
+    roots = [r for r in code.roots if isinstance(r, str)]
+    assert all(targets.count(r) == 1 for r in roots)
+    result = "(" + ", ".join(codegen._atom(r) for r in code.roots) + ",)"
+    renamed = codegen._function("numer", "x, y", body, result)
+    plain = codegen._function("numer", "x, y", unrenamed_lines(code), result)
+    rng = np.random.default_rng(31)
+    xs = np.concatenate((rng.uniform(-1.5, 1.5, 300), [0.0, -0.0, 1e200, np.inf, np.nan]))
+    ys = np.concatenate((rng.uniform(-1.5, 1.5, 300), [-0.0, 0.0, 3.0, 1.0, 0.5]))
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        _assert_same_bits(renamed(x, y), plain(x, y))
+    with np.errstate(all="ignore"):
+        _assert_same_bits(renamed(xs, ys), plain(xs, ys))
 
 
 def test_generated_functions_have_their_own_names():
