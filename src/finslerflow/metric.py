@@ -369,8 +369,7 @@ def strata_on_grid(m: PseudoFinslerMetric, X, Y) -> tuple[np.ndarray, np.ndarray
         band = _disc_band(np.max(np.abs(c), axis=0))
         return disc, (disc > band) - (disc < -band).astype(np.float64)
 
-    X = np.asarray(X)
-    disc, side = on_arrays(2, block, X.ravel(), np.ravel(Y))
+    disc, side = on_arrays(2, block, X.ravel(), Y.ravel())
     strata = np.where(side > 0, STRATA.index("MPlus"), STRATA.index("MMinus"))
     for k in np.flatnonzero(side == 0):
         strata[k] = STRATA.index(classify_point(m, X.flat[k], Y.flat[k]).name)
