@@ -779,10 +779,11 @@ def cmd_classify(cfg: ScenarioConfig, outdir: str) -> int:
         print(f"classify: {err}", file=sys.stderr)
         return 2
     codes = strata.ravel()
-    cell = np.arange(res * res)
+    index = np.arange(res, dtype=np.int32)
     path = os.path.join(outdir, f"{cfg.out_prefix}_strata.csv")
     _write_csv(path, ["x", "y", "stratum", "disc"],
-               [(cell % res, xs), (cell // res, ys), (codes, mt.STRATA), disc.ravel()])
+               [(np.tile(index, res), xs), (np.repeat(index, res), ys),
+                (codes, mt.STRATA), disc.ravel()])
     print(f"classify: wrote {path} ({res}x{res}) {_summary(codes, mt.STRATA)}")
     return 0
 

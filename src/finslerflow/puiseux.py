@@ -26,11 +26,16 @@ their two Horner sums in p and the two products, so a subexpression used
 in several places is one series operation.  The plan is evaluated one
 exact coefficient at a time, each from the coefficients below it
 (relaxed power-series arithmetic).  Setting a_k changes no residual
-coefficient below index k - 1, so a solve extends the steps that read
-neither y nor p only once, cuts the others back to index k - 1 once a_k
-is set, and carries the exact derivative in a_k (steps added to the plan
-by forward differentiation) only on the indices k - 1 .. k + offset that
-a_k can reach.
+coefficient below index k - 1, so a solve computes the steps that read
+neither y nor p only once, and carries the exact derivative in a_k
+(steps added to the plan by forward differentiation) only on the indices
+k - 1 .. k + offset that a_k can reach.  The other columns are computed
+with a_k = 0 and, once a_k = v is solved, settled: v times each one's
+derivative column is added on the indices k - 1 .. 2k - 3.  a_k first
+enters at index k - 1 (through dp/dt), so its square enters a product or
+a quotient at index 2k - 2 at the earliest; below that the columns are
+affine in a_k and the settle is exact.  Only from 2k - 2 on are they
+dropped, to be computed again with a_k set.
 """
 
 from __future__ import annotations
@@ -215,12 +220,14 @@ class _SeriesPlan:
     keyed by their operator and operand slots, so equal subexpressions
     are computed once and no expression tree is hashed.  A step moves
     when it reads y, the slope or a derivative leaf (q, Q, z: the
-    derivatives of p, P and y in one slope coefficient).
+    derivatives of p, P and y in one slope coefficient); ``dslot`` maps
+    each moving step of the residual to the slot of its derivative.
     """
 
     def __init__(self, exprs):
         self.steps: list[tuple] = []
         self.moves: list[bool] = []
+        self.dslot: dict[int, int] = {}
         self._keys: dict[tuple, int] = {}
         seen: dict[int, int] = {}  # the identity memo, kept only while numbering
         self.roots = [self._visit(e, seen) for e in exprs]
@@ -312,23 +319,25 @@ class _SeriesPlan:
             else:  # (a / b)' = (a' - (a / b) b') / b
                 neg = None if db is None else self.step("-", mul(db, slot))
                 d[slot] = self.step("/", add(da, neg), b)
+        self.dslot = d
         return d[root]
 
 
 def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
     """Coefficient j of a non-leaf step, from the coefficients below j;
-    ``zeros`` counts each column's leading zeros."""
+    ``zeros`` counts each column's leading zeros, and every zero the
+    columns hold is the one object _ZERO."""
     if op == "+":
         u, w = vals[a][j], vals[b][j]
-        return (u + w if w else u) if u else w
+        return (u + w if w is not _ZERO else u) if u is not _ZERO else w
     if op == "*":
         A, B = vals[a], vals[b]
         acc = None
         for i in range(zeros[a], j - zeros[b] + 1):
             u = A[i]
-            if u:
+            if u is not _ZERO:
                 w = B[j - i]
-                if w:
+                if w is not _ZERO:
                     acc = u * w if acc is None else acc + u * w
         return _ZERO if acc is None else acc
     if op == "/":
@@ -337,13 +346,14 @@ def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
         acc = vals[a][j]
         for i in range(max(zeros[b], 1), j - zeros[slot] + 1):
             w = B[i]
-            if w:
+            if w is not _ZERO:
                 u = col[j - i]
-                if u:
+                if u is not _ZERO:
                     acc -= w * u
         return acc / B[0]
     if op == "-":
-        return -vals[a][j]
+        u = vals[a][j]
+        return u if u is _ZERO else -u
     if op == "c":
         return a if j == 0 else _ZERO
     return _ONE if j == 0 else _ZERO  # "1"
@@ -351,8 +361,15 @@ def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
 
 class _SeriesRun:
     """The coefficient columns of a plan's steps, extended one index at a
-    time; ``leaf(op, j)`` gives coefficient j of a leaf.  ``cut(n)`` drops
-    the moving columns from index n on, so that they are recomputed when
+    time; ``leaf(op, j)`` gives coefficient j of a leaf.  ``settle(k, v)``
+    puts a solved a_k = v into the moving columns, which were computed
+    with a_k = 0.
+
+    a_k enters no leaf below index k - 1 (the coefficient of P there),
+    so an a_k**2 term of a product or a quotient lies at index 2k - 2 or
+    higher.  Below 2k - 2 a column is therefore affine in a_k, and adding
+    v times its derivative column (``plan.dslot``) gives its value at
+    a_k = v exactly; from 2k - 2 on it is dropped and recomputed when
     next extended."""
 
     def __init__(self, plan: _SeriesPlan, leaf):
@@ -362,24 +379,35 @@ class _SeriesRun:
 
     def extend(self, top: int, upto: int | None = None) -> None:
         """Compute the columns of the first ``upto`` steps (all of them by
-        default) through index ``top``."""
-        vals, zeros, steps = self.vals, self.zeros, self.plan.steps[:upto]
-        for j in range(min(len(vals[st[0]]) for st in steps), top + 1):
-            for slot, op, a, b in steps:
-                col = vals[slot]
-                if len(col) > j:
-                    continue  # a fixed column, extended earlier
-                v = (self.leaf(op, j) if op in "xyXpPqQz"
+        default) through index ``top``, one column at a time: a step
+        reads only lower slots."""
+        vals, zeros, leaf = self.vals, self.zeros, self.leaf
+        for slot, op, a, b in self.plan.steps[:upto]:
+            col = vals[slot]
+            for j in range(len(col), top + 1):
+                v = (leaf(op, j) if op in "xyXpPqQz"
                      else _coeff(op, a, b, vals, zeros, slot, j))
+                if v is _ZERO or not v:
+                    v = _ZERO
+                    if zeros[slot] == j:
+                        zeros[slot] = j + 1
                 col.append(v)
-                if zeros[slot] == j and not v:
-                    zeros[slot] = j + 1
 
-    def cut(self, n: int) -> None:
-        for slot, moves in enumerate(self.plan.moves):
-            if moves:
-                del self.vals[slot][n:]
-                self.zeros[slot] = min(self.zeros[slot], n)
+    def settle(self, k: int, v) -> None:
+        vals, zeros = self.vals, self.zeros
+        for slot, ds in self.plan.dslot.items():
+            col, dcol = vals[slot], vals[ds]
+            del col[2 * k - 2:]
+            for j in range(k - 1, len(col)):
+                w = dcol[j]
+                if w is not _ZERO:
+                    u = col[j] + v * w
+                    col[j] = u if u else _ZERO
+            if zeros[slot] >= k - 1:  # the settled indices may end them elsewhere
+                z = k - 1
+                while z < len(col) and col[z] is _ZERO:
+                    z += 1
+                zeros[slot] = z
 
 
 @dataclass(frozen=True)
@@ -531,11 +559,10 @@ def solve_geodesic_series(
         raise ValueError("every order is pinned by the seed")
 
     def carry(k: int) -> None:
-        # a_k reaches no coefficient below k - 1: cut the moving columns
-        # there and start the derivative columns with zeros
+        # a_k reaches no coefficient below k - 1: start the derivative
+        # columns there, with zeros below
         nonlocal solving
         solving = k
-        run.cut(k - 1)
         for i in range(root + 1, len(plan.steps)):
             run.vals[i][:] = [_ZERO] * (k - 1)
             run.zeros[i] = k - 1
@@ -567,7 +594,8 @@ def solve_geodesic_series(
 
     for k in unknowns:
         slot = k + offset
-        carry(k)
+        if k != solving:  # the leading balance carried the first one
+            carry(k)
         run.extend(slot)
         j = _first_nonzero(residual[:slot])
         if j is not None:
@@ -601,7 +629,8 @@ def solve_geodesic_series(
             status = "FREE"
         values[k] = a[k] = value
         rows.append(SeriesOrderRow(k, slot, lin, forcing, value, status))
-        run.cut(k - 1)  # a_k reaches every index from k - 1 on
+        if value:
+            run.settle(k, value)
 
     residual_order: int | None = None
     if not obstructed:

@@ -930,7 +930,7 @@ def test_singular_does_not_import_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("command, limit_mib", [("singular", 4.0), ("classify", 5.0)])
+@pytest.mark.parametrize("command, limit_mib", [("singular", 4.0), ("classify", 4.0)])
 def test_locus_commands_keep_no_full_grid_temporaries(command, limit_mib, tmp_path):
     # the grids run in blocks and the CSV passes are written as they are
     # made; each whole-grid array of a 220^2 grid is 0.37 MiB

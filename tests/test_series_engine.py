@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -196,10 +197,77 @@ def test_solved_series_clears_the_residual_exactly(texts, free, order):
     assert not r.is_zero  # truncating p leaves a residual above order + offset
 
 
+def solve_capturing_run(monkeypatch, m, *args, **kwargs):
+    """The solve and the _SeriesRun it made."""
+    runs = []
+
+    class Captured(pz._SeriesRun):
+        def __init__(self, *a):
+            super().__init__(*a)
+            runs.append(self)
+
+    monkeypatch.setattr(pz, "_SeriesRun", Captured)
+    return pz.solve_geodesic_series(m, *args, **kwargs), runs.pop()
+
+
+def value_steps(plan):
+    """The number of value steps: they come before the first derivative
+    leaf."""
+    return next(i for i, st in enumerate(plan.steps) if st[1] in "qQz")
+
+
+@pytest.mark.parametrize("case", ["product", "y0", "y1", "cubic"])
+def test_settled_columns_match_a_fresh_run(case, monkeypatch):
+    # each solved a_k is settled into value columns computed with a_k = 0;
+    # after the solve every value column must hold what a fresh run
+    # computes from the final coefficients, and no column's count of
+    # leading zeros may pass its first nonzero coefficient
+    if case == "product":
+        sol, run = solve_capturing_run(monkeypatch, quartic_product_metric(), 3, {3: 2},
+                                       12, free={4: Fraction(3, 7)})
+    elif case == "cubic":
+        m, y0, d0, n0 = random_cubic(random.Random(105))
+        sol, run = solve_capturing_run(monkeypatch, m, 1, {1: n0 / d0}, 8, y0=y0)
+    else:
+        m = mt.metric_from_strings(3, list(Y_METRICS[int(case[1])]))
+        sol, run = solve_capturing_run(monkeypatch, m, 3, {3: 2}, 12,
+                                       free={4: Fraction(3, 7)})
+    assert not sol.obstructed and any(r.value for r in sol.rows)
+    p = sol.p_series()
+    x, y = pz.series_to_curve(sol)
+    src = {"x": x.c, "X": x.deriv().c, "y": y.c, "p": p.c, "P": p.deriv().c}
+    fresh = pz._SeriesRun(run.plan, lambda op, j: src[op][j] if j < len(src[op]) else 0)
+    values = value_steps(run.plan)
+    fresh.extend(max(len(c) for c in run.vals[:values]) - 1, upto=values)
+    for slot, col in enumerate(run.vals[:values]):
+        assert col == fresh.vals[slot][: len(col)], slot
+        lead = next((j for j, v in enumerate(col) if v != 0), len(col))
+        assert run.zeros[slot] <= lead, slot
+
+
+def test_product_solve_computes_each_value_coefficient_about_once(monkeypatch):
+    # cutting every column a_k reaches back to index k - 1 once it was
+    # solved computed the 532 value coefficients of this solve 2044 times
+    computed = Counter()
+
+    def counted(op, a, b, vals, zeros, slot, j, coeff=pz._coeff):
+        computed[slot] += 1
+        return coeff(op, a, b, vals, zeros, slot, j)
+
+    monkeypatch.setattr(pz, "_coeff", counted)
+    _, run = solve_capturing_run(monkeypatch, quartic_product_metric(), 3, {3: 2}, 12,
+                                 free={4: 1})
+    values = [slot for slot in computed if slot < value_steps(run.plan)]
+    distinct = sum(len(run.vals[slot]) for slot in values)
+    assert 500 < distinct <= sum(computed[slot] for slot in values) <= 2 * distinct
+
+
 def test_product_solve_counts_coefficient_products(monkeypatch):
     # exact products in solves of F = p(p - 4x) with a4 = 1, where every
     # even slope coefficient is nonzero; re-evaluating the whole truncated
-    # residual for every unknown took 2341 at order 12 and 9412 at order 24
+    # residual for every unknown took 2341 at order 12 and 9412 at order
+    # 24, and cutting every column a_k reaches back to index k - 1 once it
+    # was solved, to be computed again, took 609 and 2133
     count = [0]
     for name in ("__mul__", "__rmul__"):
         def counted(a, b, op=getattr(Fraction, name)):
@@ -212,4 +280,4 @@ def test_product_solve_counts_coefficient_products(monkeypatch):
         count[0] = 0
         pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, order, free={4: 1})
         got[order] = count[0]
-    assert 0 < got[12] <= 700 and got[24] <= 2400
+    assert 0 < got[12] <= 400 and got[24] <= 1000
