@@ -360,8 +360,8 @@ def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
 
 
 class _SeriesRun:
-    """The coefficient columns of a plan's steps, extended one index at a
-    time; ``leaf(op, j)`` gives coefficient j of a leaf.  ``settle(k, v)``
+    """The coefficient columns of a plan's steps, each extended one index
+    at a time; ``leaf(op, j)`` gives coefficient j of a leaf.  ``settle(k, v)``
     puts a solved a_k = v into the moving columns, which were computed
     with a_k = 0.
 
