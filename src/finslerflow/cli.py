@@ -459,22 +459,25 @@ def _format_g(values) -> np.ndarray:
     e is taken as floor(log10 |v|) and corrected where the rounded
     digits n leave [10^11, 10^12): log10 misses only by one and only next
     to a power of ten, so one correction settles every e, and the pass
-    after it rounds exactly near a half like the first.  Zero, inf, nan,
-    subnormals and the values whose e needs a power of ten beyond 10^22
-    are formatted by "%.12g" itself.
+    after it rounds exactly near a half like the first.  A zero takes
+    e = 0 and n = 0, which write "0", and "-" from its sign bit.  Inf,
+    nan, subnormals and the values whose e needs a power of ten beyond
+    10^22 are formatted by "%.12g" itself.
     """
     v = values = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
-    # nan, zero and subnormals fail the first test, inf the last
-    fast = (a >= 2.2250738585072014e-308) & (e > _E_LOW) & (e < _E_HIGH)
+    zero = a == 0.0
+    e[zero] = 0.0
+    # nan and subnormals fail the first test, inf the last
+    fast = ((a >= 2.2250738585072014e-308) | zero) & (e > _E_LOW) & (e < _E_HIGH)
     every = bool(fast.all())
     if not every:
         v, a, e = v[fast], a[fast], e[fast]
     ei = e.astype(np.intp) - _E_LOW
     n = _round_scaled(a, ei)
-    off = np.flatnonzero((n < 1e11) | (n >= 1e12))
+    off = np.flatnonzero(((n < 1e11) & (n > 0.0)) | (n >= 1e12))
     if off.size:
         ei[off] += np.where(n[off] < 1e11, -1, 1)
         n[off] = _round_scaled(a[off], ei[off])
@@ -533,7 +536,8 @@ def _cells(table) -> np.ndarray:
     return np.array([s.encode("utf-8") for s in table], dtype=bytes)
 
 
-_CSV_ROWS_PER_PASS = 8192
+# the rows of a CSV file, or the points of SVG paths, formatted in one pass
+_ROWS_PER_PASS = 8192
 
 
 def _write_csv(path: str, header: list[str], columns: list) -> None:
@@ -567,7 +571,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
     def one_pass(start):
         # made in a call of its own, so that its arrays are freed when it
         # returns, before the next pass is made
-        stop = min(start + _CSV_ROWS_PER_PASS, size)
+        stop = min(start + _ROWS_PER_PASS, size)
         if floats:
             cells = _format_g(np.column_stack([f[start:stop] for f in floats]))
             formatted = iter(cells.reshape(stop - start, len(floats)).T)
@@ -586,7 +590,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
         return rows.tobytes().translate(None, b"\0")
 
     head = (",".join(header) + "\r\n").encode("utf-8")
-    _write(path, chain([head], map(one_pass, range(0, size, _CSV_ROWS_PER_PASS))))
+    _write(path, chain([head], map(one_pass, range(0, size, _ROWS_PER_PASS))))
 
 
 _SVG_STYLE = {
@@ -616,23 +620,32 @@ _FRAC = _words(48 + _I // 100, 48 + _I // 10 % 10, 48 + _I % 10, 0)
 # before an x, before a y, and before the first x of a path
 _LEAD = np.frombuffer(b" L \0 \0\0\0M \0\0", dtype="<u4")
 _MINUS = np.uint32(ord("-") << 24)
-_NEWLINE = np.uint32(ord("\n") << 24)
+# the words of a path element of each style up to its data, NUL-padded,
+# and of its end
+_PATH_HEAD = {}
+for _style, _attrs in _SVG_STYLE.items():
+    _head = f'<path {_attrs} d="'.encode()
+    _PATH_HEAD[_style] = np.frombuffer(_head + b"\0" * (-len(_head) % 4), dtype="<u4")
+_PATH_END = np.frombuffer(b'"/>\n', dtype="<u4")
+_NAN_ROW = np.full((1, 2), np.nan)
 
 
-def _path_data(runs: list[np.ndarray]) -> list[str]:
-    """The path data "M x y L x y ..." of each (N, 2) run of canvas
-    coordinates, each coordinate as "%.3f" % v formats it, for |v| below
-    999.9995 (a canvas of up to 999 px a side).
+def _path_data(points: np.ndarray, sizes: np.ndarray, styles: list[str]) -> bytes:
+    """The path elements <path ... d="M x y L x y ..."/> of runs of canvas
+    coordinates, one line each: run k is the next sizes[k] rows of the
+    (N, 2) array points, drawn in _SVG_STYLE[styles[k]].  Each coordinate
+    is written as "%.3f" % v formats it, for |v| below 999.9995 (a canvas
+    of up to 999 px a side).
 
     The runs are formatted in one pass: each coordinate becomes three
-    words, its lead and sign, its whole part and its fraction, and the NUL
-    bytes are dropped.  The digits are those of n = 1000 |v| rounded half
-    to even, as "%.3f" rounds; ``rint`` of the float product 1000 |v| gives
-    n except where the product lies within its rounding error of a half,
-    and there n is computed exactly.
+    words, its lead and sign, its whole part and its fraction; the words
+    of each element's head and end are inserted around its run, and the
+    NUL bytes are dropped by ``bytes.translate``.  The digits are those of
+    n = 1000 |v| rounded half to even, as "%.3f" rounds; ``rint`` of the
+    float product 1000 |v| gives n except where the product lies within
+    its rounding error of a half, and there n is computed exactly.
     """
-    sizes = np.array([len(c) for c in runs])
-    v = np.concatenate(runs).ravel()
+    v = points.ravel()
     r = np.abs(v) * 1000.0
     n = np.rint(r)
     for i in np.flatnonzero(np.abs(r - np.floor(r) - 0.5) <= r * 2.0**-50):
@@ -640,22 +653,34 @@ def _path_data(runs: list[np.ndarray]) -> list[str]:
     whole = np.floor(n / 1000.0)
     frac = (n - 1000.0 * whole).astype(np.intp)
     ends = 2 * np.cumsum(sizes)
+    starts = ends - 2 * sizes
     lead = np.tile(_LEAD[:2], v.size // 2)
-    lead[ends - 2 * sizes] = _LEAD[2]
+    lead[starts] = _LEAD[2]
     words = np.empty((v.size, 3), dtype="<u4")
     words[:, 0] = np.where(np.signbit(v), lead | _MINUS, lead)
     words[:, 1] = _WHOLE[whole.astype(np.intp)]
     words[:, 2] = _FRAC[frac]
-    words[ends - 1, 2] |= _NEWLINE
-    text = words.view(np.uint8).ravel()
-    return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
+    # the head of run k goes before the words of its first coordinate and
+    # its end after those of its last, which is where run k + 1 starts
+    marks = [w for s in styles for w in (_PATH_HEAD[s], _PATH_END)]
+    at = np.repeat(3 * np.column_stack([starts, ends]).ravel(), [w.size for w in marks])
+    text = np.insert(words.ravel(), at, np.concatenate(marks))
+    return text.tobytes().translate(None, b"\0")
 
 
 class _SvgCanvas:
     """Collects styled polylines over a data box and renders SVG 1.1.
 
-    Coordinates are formatted with a fixed precision and styles are
-    emitted in insertion order, so the rendered text is deterministic.
+    ``polyline`` queues a curve.  Once the queued points reach
+    _ROWS_PER_PASS, and once more in ``render``, one pass runs over the
+    queued curves: one inside mask of all their points, a NaN row after
+    each curve so that no run crosses into the next, one map to the
+    canvas, and one _path_data call that formats the path elements of
+    every run as bytes.  The canvas keeps the bytes of each pass, and a
+    pass's temporaries are those of a few thousand points, not of the
+    whole portrait.  Coordinates are formatted with a fixed precision and
+    paths are emitted in insertion order, so the rendered text is
+    deterministic.
     """
 
     def __init__(self, box, width=640, height=640, margin=40):
@@ -663,7 +688,10 @@ class _SvgCanvas:
         self.width = width
         self.height = height
         self.margin = margin
-        self._paths: list[tuple[str, str]] = []
+        self._queue: list[tuple[str, np.ndarray]] = []
+        self._queued = 0
+        # the path elements of the passes made so far
+        self._paths: list[bytes] = []
         self._sx = (width - 2 * margin) / (box[1] - box[0])
         self._sy = (height - 2 * margin) / (box[3] - box[2])
 
@@ -678,25 +706,41 @@ class _SvgCanvas:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 2:
             return
-        inside = (
-            (pts[:, 0] >= self.box[0])
-            & (pts[:, 0] <= self.box[1])
-            & (pts[:, 1] >= self.box[2])
-            & (pts[:, 1] <= self.box[3])
-            & np.isfinite(pts[:, 0])
-            & np.isfinite(pts[:, 1])
-        )
-        # run k is points bounds[2k] .. bounds[2k + 1] - 1
-        bounds = np.flatnonzero(np.diff(inside, prepend=False, append=False))
-        # the operations of _map, on every point at once
-        px = self.margin + (pts[:, 0] - self.box[0]) * self._sx
-        py = self.height - self.margin - (pts[:, 1] - self.box[2]) * self._sy
-        coords = np.column_stack([px, py])
-        runs = [coords[a:b] for a, b in bounds.reshape(-1, 2).tolist() if b - a >= 2]
-        if runs:
-            self._paths += [(style, d) for d in _path_data(runs)]
+        self._queue.append((style, pts))
+        self._queued += pts.shape[0]
+        if self._queued >= _ROWS_PER_PASS:
+            self._format_queued()
 
-    def render(self, title: str) -> str:
+    def _format_queued(self) -> None:
+        """Format the path elements of the queued curves in one pass."""
+        if not self._queue:
+            return
+        styles, curves = zip(*self._queue)
+        self._queue, self._queued = [], 0
+        pts = np.concatenate([c for curve in curves for c in (curve[:, :2], _NAN_ROW)])
+        x, y = pts[:, 0], pts[:, 1]
+        inside = (
+            (x >= self.box[0]) & (x <= self.box[1]) & (y >= self.box[2]) & (y <= self.box[3])
+            & np.isfinite(x) & np.isfinite(y)
+        )
+        # run k is points a[k] .. b[k] - 1
+        a, b = np.flatnonzero(np.diff(inside, prepend=False, append=False)).reshape(-1, 2).T
+        # a run of one point gives no path
+        inside[a[b - a == 1]] = False
+        long = b - a >= 2
+        a, b = a[long], b[long]
+        if not a.size:
+            return
+        first = np.cumsum([0] + [len(c) + 1 for c in curves[:-1]])
+        run_styles = [styles[k] for k in (np.searchsorted(first, a, side="right") - 1).tolist()]
+        # the operations of _map, on the points of the runs
+        px = self.margin + (x[inside] - self.box[0]) * self._sx
+        py = self.height - self.margin - (y[inside] - self.box[2]) * self._sy
+        self._paths.append(_path_data(np.column_stack([px, py]), b - a, run_styles))
+
+    def render(self, title: str) -> list[bytes]:
+        """The SVG file as byte strings to write one after another."""
+        self._format_queued()
         w, h, m = self.width, self.height, self.margin
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
@@ -712,14 +756,11 @@ class _SvgCanvas:
                 + _SVG_STYLE["axis"]
                 + "/>"
             )
-        for style, d in self._paths:
-            out.append(f"<path {_SVG_STYLE[style]} d=\"{d}\"/>")
-        out.append(
+        tail = (
             f'<text x="{m}" y="{m - 10}" font-family="monospace" '
-            f'font-size="13" fill="#333333">{title}</text>'
+            f'font-size="13" fill="#333333">{title}</text>\n</svg>\n'
         )
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+        return [("\n".join(out) + "\n").encode("utf-8"), *self._paths, tail.encode("utf-8")]
 
     def _axes(self):
         segs = []

@@ -773,10 +773,18 @@ def test_path_data_formats_as_percent_3f():
     ])
     rng.shuffle(vals)
     vals = vals[: vals.size // 2 * 2].reshape(-1, 2)
-    cuts = [0, 2, 5, 1000, 1003, 9000, len(vals)]
-    runs = [vals[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    want = ["M " + " L ".join("%.3f %.3f" % (x, y) for x, y in c.tolist()) for c in runs]
-    assert cli._path_data(runs) == want
+    cuts = np.array([0, 2, 5, 1000, 1003, 9000, len(vals)])
+    styles = ["geodesic", "boundary", "singular-net", "isotropic-net", "geodesic", "boundary"]
+    want = svg_path_elements([
+        (style, "M " + " L ".join("%.3f %.3f" % (x, y) for x, y in vals[a:b].tolist()))
+        for style, a, b in zip(styles, cuts[:-1], cuts[1:])
+    ])
+    assert cli._path_data(vals, np.diff(cuts), styles) == want
+
+
+def svg_path_elements(paths) -> bytes:
+    """The <path> element lines of (style, d) pairs, as the SVG file has them."""
+    return "".join(f'<path {cli._SVG_STYLE[style]} d="{d}"/>\n' for style, d in paths).encode()
 
 
 @pytest.mark.parametrize("margin", [40, 0])
@@ -789,7 +797,48 @@ def test_svg_polyline_matches_point_by_point_reference(margin):
         canvas.polyline(pts, style)
         want += svg_polyline_paths(canvas, pts, style)
     assert len(want) > 10
-    assert canvas._paths == want
+    # the curves still queued are formatted by the last pass
+    canvas._format_queued()
+    assert b"".join(canvas._paths) == svg_path_elements(want)
+
+
+def test_svg_passes_keep_curves_apart(monkeypatch):
+    # passes of 5 points: a pass runs once the queued curves reach 5
+    # points, so curves straddle the pass marks; a pass of curves with no
+    # run inside the box formats nothing
+    monkeypatch.setattr(cli, "_ROWS_PER_PASS", 5)
+    calls = []
+    path_data = cli._path_data
+
+    def counting(points, sizes, styles):
+        calls.append(len(sizes))
+        return path_data(points, sizes, styles)
+
+    monkeypatch.setattr(cli, "_path_data", counting)
+    box = (0.0, 1.0, 0.0, 1.0)
+    line = np.linspace(0.1, 0.9, 9)
+    curves = [
+        (np.column_stack([line[:3], line[:3]]), "geodesic"),
+        # in the box from its first point, right after the last curve
+        (np.column_stack([line[3:7], line[3:7]]), "boundary"),
+        (np.array([[0.5, 0.5]]), "geodesic"),
+        (np.column_stack([line[:6] + 2.0, line[:6]]), "geodesic"),
+        # two runs, split by a point outside the box
+        (np.column_stack([line, np.r_[line[:4], 5.0, line[5:]]]), "singular-net"),
+        (np.column_stack([line[:2], line[7:]]), "isotropic-net"),
+    ]
+    canvas = cli._SvgCanvas(box, width=100, height=100, margin=10)
+    want = []
+    for pts, style in curves:
+        canvas.polyline(pts, style)
+        want += svg_polyline_paths(canvas, pts, style)
+    assert calls == [2, 2]
+    svg = b"".join(canvas.render("t"))
+    assert calls == [2, 2, 1]
+    assert [style for style, _ in want] == ["geodesic", "boundary", "singular-net",
+                                            "singular-net", "isotropic-net"]
+    assert b"".join(canvas._paths) == svg_path_elements(want)
+    assert svg.count(b"<path ") == 5
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +873,9 @@ def test_format_g_edge_cases():
         up = np.nextafter(edges, np.inf)
     near = np.concatenate([edges, -edges, np.nextafter(edges, 0), up])
     assert g_texts(near) == ["%.12g" % v for v in near.tolist()]
+    # signed zeros among normal values, in the array pass
+    mixed = np.array([0.0, 1.5, -0.0, -2.25e-7, 0.0, 3e15, -0.0, 12.0])
+    assert g_texts(mixed) == ["0", "1.5", "-0", "-2.25e-07", "0", "3e+15", "-0", "12"]
     assert g_texts([9.999999999995e-05, 99999999999.95, 999999999999.5]) == [
         "9.99999999999e-05", "99999999999.9", "1e+12"]
     assert g_texts([]) == []
@@ -858,7 +910,7 @@ def test_format_g_on_the_disc_grids_of_the_configs(name):
 def test_write_csv_matches_row_reference_across_passes(tmp_path, monkeypatch):
     # passes of 7 rows; float columns with values on the "%.12g" fallback,
     # a float table, and tables of strings with an empty entry
-    monkeypatch.setattr(cli, "_CSV_ROWS_PER_PASS", 7)
+    monkeypatch.setattr(cli, "_ROWS_PER_PASS", 7)
     rng = np.random.default_rng(3)
     size = 40
     a = rng.normal(size=size) * 10.0 ** rng.integers(-8, 40, size)
@@ -893,7 +945,7 @@ def test_write_csv_refuses_a_comma_or_a_ragged_column(tmp_path):
 def test_write_csv_writes_each_pass_as_it_is_made(tmp_path, monkeypatch):
     # the header, then each pass of 7 rows, written before the next one
     # is formatted
-    monkeypatch.setattr(cli, "_CSV_ROWS_PER_PASS", 7)
+    monkeypatch.setattr(cli, "_ROWS_PER_PASS", 7)
     events = []
     format_g = cli._format_g
 
@@ -943,3 +995,32 @@ def test_locus_commands_keep_no_full_grid_temporaries(command, limit_mib, tmp_pa
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+def test_portrait_formats_its_paths_in_passes(tmp_path, monkeypatch):
+    # the paths are formatted a pass of 8,192 queued points at a time, not
+    # curve by curve and not all at once when the file is rendered
+    argv = ["portrait", "--config", str(CONFIGS / "halfplane.cfg"), "--out", str(tmp_path)]
+    points, calls = [], []
+    polyline, path_data = cli._SvgCanvas.polyline, cli._path_data
+
+    def counting_polyline(canvas, pts, style):
+        points.append(len(pts))
+        polyline(canvas, pts, style)
+
+    def counting_path_data(*args):
+        calls.append(1)
+        return path_data(*args)
+
+    monkeypatch.setattr(cli._SvgCanvas, "polyline", counting_polyline)
+    monkeypatch.setattr(cli, "_path_data", counting_path_data)
+    assert cli.main(argv) == 0
+    assert 0 < len(calls) <= -(-sum(points) // cli._ROWS_PER_PASS) + 1
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.0 * 2**20
