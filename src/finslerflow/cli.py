@@ -701,8 +701,8 @@ class _SvgCanvas:
         return px, py
 
     def polyline(self, pts: np.ndarray, style: str) -> None:
-        """Add one path for each run of at least two consecutive points
-        that are finite and inside the box."""
+        """Queue a curve; its pass adds one path for each run of at least
+        two consecutive points that are finite and inside the box."""
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 2:
             return
@@ -725,9 +725,9 @@ class _SvgCanvas:
         )
         # run k is points a[k] .. b[k] - 1
         a, b = np.flatnonzero(np.diff(inside, prepend=False, append=False)).reshape(-1, 2).T
-        # a run of one point gives no path
-        inside[a[b - a == 1]] = False
         long = b - a >= 2
+        # a run of one point gives no path
+        inside[a[~long]] = False
         a, b = a[long], b[long]
         if not a.size:
             return

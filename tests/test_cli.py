@@ -819,7 +819,8 @@ def test_svg_passes_keep_curves_apart(monkeypatch):
     line = np.linspace(0.1, 0.9, 9)
     curves = [
         (np.column_stack([line[:3], line[:3]]), "geodesic"),
-        # in the box from its first point, right after the last curve
+        # in the box from its first point, as the last curve is at its
+        # end: two paths, not one
         (np.column_stack([line[3:7], line[3:7]]), "boundary"),
         (np.array([[0.5, 0.5]]), "geodesic"),
         (np.column_stack([line[:6] + 2.0, line[:6]]), "geodesic"),
@@ -873,7 +874,7 @@ def test_format_g_edge_cases():
         up = np.nextafter(edges, np.inf)
     near = np.concatenate([edges, -edges, np.nextafter(edges, 0), up])
     assert g_texts(near) == ["%.12g" % v for v in near.tolist()]
-    # signed zeros among normal values, in the array pass
+    # signed zeros among normal values: a pass with no value on the fallback
     mixed = np.array([0.0, 1.5, -0.0, -2.25e-7, 0.0, 3e15, -0.0, 12.0])
     assert g_texts(mixed) == ["0", "1.5", "-0", "-2.25e-07", "0", "3e+15", "-0", "12"]
     assert g_texts([9.999999999995e-05, 99999999999.95, 999999999999.5]) == [
