@@ -224,7 +224,7 @@ def admissible_u(alm: AdaptedLocalMetric, x: float = 0.0, y: float = 0.0):
 
 
 def _ambient_guard(n: int, av: float, bv: float) -> None:
-    d = n * (2 - n) * (av * bv) ** 2
+    d = n * (2 - n) * (av * bv) * (av * bv)  # inf, not OverflowError, past 1e308
     if d >= -1e-12:
         raise ValueError(
             "a*b vanishes here: the double isotropic direction degenerates "

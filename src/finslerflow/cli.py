@@ -962,26 +962,30 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     if cfg.mode == "berwald-moor":
         alm = cfg.adapted_chart()
         m = bm.full_metric(alm)
-        n = m.degree
-        seed = dict(cfg.series_seed)
-        if not seed:
-            seed = {n: float(bm.admissible_u(alm)[1])}
-        free = dict(cfg.series_free)
-        if cfg.alphas and (2 * n - 2) not in free and 2 * n - 2 <= cfg.series_order:
-            free[2 * n - 2] = cfg.alphas[0]
     else:
         m = cfg.metric_obj()
         if not cfg.series_seed:
             print("puiseux: config needs at least one series_seed entry (index value)",
                   file=sys.stderr)
             return 2
-        seed = dict(cfg.series_seed)
-        free = dict(cfg.series_free)
-    s = cfg.series_s or m.degree
-    try:
+    n = m.degree
+    seed = dict(cfg.series_seed)
+    free = dict(cfg.series_free)
+    members = []
+    try:  # the default seed and the family shoot fail as the solve does
+        if alm is not None:
+            if not seed:
+                seed = {n: float(bm.admissible_u(alm)[1])}
+            if cfg.alphas and (2 * n - 2) not in free and 2 * n - 2 <= cfg.series_order:
+                free[2 * n - 2] = cfg.alphas[0]
         sol = px.solve_geodesic_series(
-            m, s, seed, cfg.series_order, free=free, y0=cfg.y0
+            m, cfg.series_s or n, seed, cfg.series_order, free=free, y0=cfg.y0
         )
+        if alm is not None and cfg.alphas:
+            members = bm.bm_family_shoot(
+                alm, cfg.alphas, y0=cfg.y0, order=max(cfg.series_order, 2 * n),
+                cfg=cfg.integrator(),
+            )
     except ValueError as err:
         print(f"puiseux: {err}", file=sys.stderr)
         return 2
@@ -994,11 +998,7 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     csv_path = os.path.join(outdir, f"{cfg.out_prefix}_series.csv")
     _write_csv(csv_path, _SERIES_HEADER, _series_columns(sol))
     print(f"puiseux: wrote {txt_path} and {csv_path}")
-    if alm is not None and cfg.alphas:
-        members = bm.bm_family_shoot(
-            alm, cfg.alphas, y0=cfg.y0, order=max(cfg.series_order, 2 * m.degree),
-            cfg=cfg.integrator(),
-        )
+    if members:
         for i, mem in enumerate(members):
             path = os.path.join(outdir, f"{cfg.out_prefix}_family{i:02d}.csv")
             first = np.zeros(len(mem.trace.t), dtype=np.intp)

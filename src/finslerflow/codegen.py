@@ -30,7 +30,8 @@ the highest coefficient first (the lifted field's sums start from that
 coefficient itself), so a result is exactly what that sequence of float
 operations gives.  This is the library's only evaluator of expression
 trees; a caller that must refuse a pole tests the values it gets for
-finiteness.
+finiteness.  The exact series solve (``puiseux._SeriesPlan``) runs the
+same value-numbered lines on truncated series instead of floats.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ def _ipow(b: float, k: int) -> float:
         return math.copysign(math.inf, b) if k % 2 else math.inf
 
 
-_FOLD = {
-    "+": lambda a, b: a + b,
-    "*": lambda a, b: a * b,
-    "/": _div,
-    "-": lambda a, b: -a,
-}
 _COMMUTATIVE = ("+", "*")
 # Arrays are evaluated in slices of this many points, so that each
 # temporary stays small (64 KiB) whatever the array size.
@@ -93,8 +88,11 @@ class _Code:
     ``lines`` holds (target, op, a, b) with op one of + * / and - (negate
     a); operands are names (x, y, t<k>) or floats.  Nodes are memoized by
     identity and keyed by their operator and operand names, so no
-    expression tree is ever hashed.  A node whose operands are all
-    constants is computed here, with the same float operation.
+    expression tree is ever hashed.  Constants are not folded here (the
+    parser and ``expr``'s constructors fold them): a node whose operands
+    are all constants is a line like any other.  The float writers
+    (``scalar_lines``) and the exact series plan of ``puiseux`` both read
+    these lines.
     """
 
     def __init__(self, exprs):
@@ -105,8 +103,6 @@ class _Code:
         del self._keys, self._seen  # needed only while numbering
 
     def _op(self, op: str, a, b=None):
-        if isinstance(a, float) and (b is None or isinstance(b, float)):
-            return _FOLD[op](a, b)
         args = (_atom(a), None if b is None else _atom(b))
         # exact identities: v * 1.0, v / 1.0 and v + (-0.0) are v for
         # every float v, signed zeros, infinities and nan included

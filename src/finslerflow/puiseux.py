@@ -23,19 +23,20 @@ models.
 The residual denom(p) * dp/dt - numer(p) * dx/dt is one value-numbered
 plan (_SeriesPlan) over the denominator and numerator coefficient trees,
 their two Horner sums in p and the two products, so a subexpression used
-in several places is one series operation.  The plan is evaluated one
-exact coefficient at a time, each from the coefficients below it
-(relaxed power-series arithmetic).  Setting a_k changes no residual
-coefficient below index k - 1, so a solve computes the steps that read
-neither y nor p only once, and carries the exact derivative in a_k
-(steps added to the plan by forward differentiation) only on the indices
-k - 1 .. k + offset that a_k can reach.  The other columns are computed
-with a_k = 0 and, once a_k = v is solved, settled: v times each one's
-derivative column is added on the indices k - 1 .. 2k - 3.  a_k first
-enters at index k - 1 (through dp/dt), so its square enters a product or
-a quotient at index 2k - 2 at the earliest; below that the columns are
-affine in a_k and the settle is exact.  Only from 2k - 2 on are they
-dropped, to be computed again with a_k set.
+in several places is one series operation; the trees are numbered by
+codegen, whose lines the float evaluators also run.  The plan is
+evaluated one exact coefficient at a time, each from the coefficients
+below it (relaxed power-series arithmetic).  Setting a_k changes no
+residual coefficient below index k - 1, so a solve computes the steps
+that read neither y nor p only once, and carries the exact derivative in
+a_k (steps added to the plan by forward differentiation) only on the
+indices k - 1 .. k + offset that a_k can reach.  The other columns are
+computed with a_k = 0 and, once a_k = v is solved, settled: v times each
+one's derivative column is added on the indices k - 1 .. 2k - 3.  a_k
+first enters at index k - 1 (through dp/dt), so its square enters a
+product or a quotient at index 2k - 2 at the earliest; below that the
+columns are affine in a_k and the settle is exact.  Only from 2k - 2 on
+are they dropped, to be computed again with a_k set.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import expr as ex
+from .codegen import _Code
 from .metric import PseudoFinslerMetric
 
 __all__ = [
@@ -211,15 +212,15 @@ class TruncatedSeries:
 class _SeriesPlan:
     """One value-numbered plan over a list of expressions, on exact series.
 
+    The numbering is codegen's: each line (t, op, a, b) of ``_Code(exprs)``
+    becomes one step, a name operand the slot of its line or the leaf x or
+    y, and a float operand a c step (its value read by ``_frac``).
     ``steps`` holds (slot, op, a, b) in evaluation order, with op one of
     c (constant a), the leaves x, y, p (the slope), P (dp/dt) and X
-    (dx/dt), + * / (slots a and b), - (negate slot a) and 1 (the unit
-    series at slot a's truncation order); an integer power is a chain of
-    products, of 1/a for a negative exponent, and a**0 is 1.  ``roots``
-    holds each expression's slot.  Nodes are memoized by identity and
-    keyed by their operator and operand slots, so equal subexpressions
-    are computed once and no expression tree is hashed.  A step moves
-    when it reads y, the slope or a derivative leaf (q, Q, z: the
+    (dx/dt), + * / (slots a and b) and - (negate slot a).  ``roots``
+    holds each expression's slot.  Steps are keyed by their operator and
+    operand slots, so equal subexpressions are computed once.  A step
+    moves when it reads y, the slope or a derivative leaf (q, Q, z: the
     derivatives of p, P and y in one slope coefficient); ``dslot`` maps
     each moving step of the residual to the slot of its derivative.
     """
@@ -229,8 +230,17 @@ class _SeriesPlan:
         self.moves: list[bool] = []
         self.dslot: dict[int, int] = {}
         self._keys: dict[tuple, int] = {}
-        seen: dict[int, int] = {}  # the identity memo, kept only while numbering
-        self.roots = [self._visit(e, seen) for e in exprs]
+        code = _Code(exprs)
+        slots: dict[str, int] = {}
+
+        def operand(v):
+            if isinstance(v, float):
+                return self.step("c", _frac(v))
+            return slots[v] if v in slots else self.step(v)
+
+        for t, op, a, b in code.lines:
+            slots[t] = self.step(op, operand(a), None if b is None else operand(b))
+        self.roots = [operand(r) for r in code.roots]
 
     def step(self, op: str, a=None, b=None) -> int:
         key = (op, a, b)
@@ -244,37 +254,6 @@ class _SeriesPlan:
             reads = (a, b) if op in "+*/" else (a,) if op == "-" else ()
             self.moves.append(op in "ypPqQz" or any(self.moves[i] for i in reads))
         return slot
-
-    def _visit(self, e: ex.Expr, seen: dict) -> int:
-        got = seen.get(id(e))
-        if got is not None:
-            return got
-        if isinstance(e, ex.Const):
-            out = self.step("c", _frac(e.value))
-        elif isinstance(e, ex.Var):
-            out = self.step("x" if e.name == "x" else "y")
-        elif isinstance(e, ex.Add):
-            out = self.step("+", self._visit(e.a, seen), self._visit(e.b, seen))
-        elif isinstance(e, ex.Mul):
-            out = self.step("*", self._visit(e.a, seen), self._visit(e.b, seen))
-        elif isinstance(e, ex.Div):
-            out = self.step("/", self._visit(e.a, seen), self._visit(e.b, seen))
-        elif isinstance(e, ex.Neg):
-            out = self.step("-", self._visit(e.a, seen))
-        elif isinstance(e, ex.Pow):
-            base, k = self._visit(e.base, seen), int(e.exponent)
-            if k == 0:
-                out = self.step("1", base)
-            else:
-                if k < 0:
-                    base = self.step("/", self.step("1", base), base)
-                out = base
-                for _ in range(abs(k) - 1):
-                    out = self.step("*", out, base)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        seen[id(e)] = out
-        return out
 
     def residual(self, n_denom: int) -> tuple[int, int]:
         """Add R = D(p) * P - N(p) * X, where the first ``n_denom`` roots
@@ -354,9 +333,7 @@ def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
     if op == "-":
         u = vals[a][j]
         return u if u is _ZERO else -u
-    if op == "c":
-        return a if j == 0 else _ZERO
-    return _ONE if j == 0 else _ZERO  # "1"
+    return a if j == 0 else _ZERO  # "c"
 
 
 class _SeriesRun:
@@ -427,7 +404,7 @@ class GeodesicSeries:
     """Solved family data: coefficients, per-order report, residual state."""
 
     s: int
-    y0: float
+    y0: Fraction  # the exact base height the solve used
     order: int
     coeffs: dict[int, Fraction]
     rows: tuple[SeriesOrderRow, ...]
@@ -643,7 +620,7 @@ def solve_geodesic_series(
             )
 
     return GeodesicSeries(
-        s=s, y0=float(y0), order=order, coeffs=values, rows=tuple(rows),
+        s=s, y0=y0f, order=order, coeffs=values, rows=tuple(rows),
         offset=offset, norm=norm, obstructed=obstructed,
         obstruction_order=obstruction_order, residual_order=residual_order,
     )
@@ -653,7 +630,7 @@ def series_to_curve(sol: GeodesicSeries | TruncatedSeries, s: int | None = None,
                     y0: float = 0.0):
     """(x(t), y(t)) series from a slope series, integrating p dx termwise."""
     if isinstance(sol, GeodesicSeries):
-        return _curve_series(sol.s, _frac(sol.y0), sol.p_series())
+        return _curve_series(sol.s, sol.y0, sol.p_series())
     if s is None:
         raise ValueError("need the substitution exponent s")
     return _curve_series(int(s), _frac(y0), sol)
@@ -662,5 +639,5 @@ def series_to_curve(sol: GeodesicSeries | TruncatedSeries, s: int | None = None,
 def series_point(sol: GeodesicSeries, t: float):
     """Evaluate (x, y, slope) of the solved family at parameter t."""
     p = sol.p_series()
-    x, y = _curve_series(sol.s, _frac(sol.y0), p)
+    x, y = _curve_series(sol.s, sol.y0, p)
     return (x.evaluate(t), y.evaluate(t), p.evaluate(t))

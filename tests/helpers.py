@@ -795,12 +795,33 @@ def plan_expr_series(e, xs, ys):
     src = {"x": xs.c, "y": ys.c}
     run = pz._SeriesRun(plan, lambda op, j: src[op][j])
     # constants are kept through the smaller of the two orders and each
-    # operation through its operands' smaller one, so the result holds
-    # the smallest order among its leaves
-    ops = {op for _, op, _, _ in plan.steps}
-    run.extend(min(n for op, n in (("x", xs.order), ("y", ys.order),
-                                   ("c", min(xs.order, ys.order))) if op in ops))
+    # operation (b**0 too) through its operands' smaller one, so the
+    # result holds the smallest order among the tree's leaves; the plan
+    # may hold fewer, since the numbering drops the base of b**0 and the
+    # constant of v * 1.0
+    orders = {"x": xs.order, "y": ys.order, "c": min(xs.order, ys.order)}
+    run.extend(min(orders[leaf] for leaf in _leaf_kinds(e)))
     return pz.TruncatedSeries(run.vals[plan.roots[0]])
+
+
+def _leaf_kinds(e) -> set[str]:
+    """The kinds of leaf in a tree: variable names, and "c" for a
+    constant; a shared subtree is visited once."""
+    out, seen, todo = set(), set(), [e]
+    while todo:
+        e = todo.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, ex.Const):
+            out.add("c")
+        elif isinstance(e, ex.Var):
+            out.add(e.name)
+        elif isinstance(e, ex.Pow):
+            todo.append(e.base)
+        else:
+            todo += [e.a] if isinstance(e, ex.Neg) else [e.a, e.b]
+    return out
 
 
 def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):

@@ -568,6 +568,24 @@ class TestCommands:
         assert captured.err.startswith("puiseux: ") and message in captured.err
         assert not list(tmp_path.glob("bm_*"))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ((), "field b vanishes here; no finite admissible slopes"),
+        (("series_seed=3 1",), "outside the domain box"),
+    ])
+    def test_puiseux_reports_a_degenerate_immersion(self, tmp_path, capsys, overrides,
+                                                    message):
+        # the default seed and the family shoot, not only the solve, end
+        # in a one-line error when the base point has no usable slope
+        argv = ["puiseux", "--config", write(tmp_path, TANGENCY), "--out", str(tmp_path),
+                "--seed", "f3=y - 1e200*x^2"]
+        for ov in overrides:
+            argv += ["--seed", ov]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("puiseux: ") and message in captured.err
+        assert not list(tmp_path.glob("bm_*"))
+
     def test_puiseux_default_alpha_only_within_the_order(self, tmp_path):
         # the first alpha goes to index 2n - 2 = 4 only when the solve reaches it
         rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),

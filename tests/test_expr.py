@@ -3,6 +3,9 @@ generation, evaluated through the reference tree walk of helpers."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,24 @@ class TestPoly2d:
         c = ex.expr_to_poly2d(ex.parse("(x + y)/2"))
         assert c[1, 0] == pytest.approx(0.5)
         assert c[0, 1] == pytest.approx(0.5)
+
+
+def test_only_expr_and_codegen_dispatch_on_node_classes():
+    # one expression engine: every other module reads trees through
+    # expr's functions or codegen's value-numbered lines, never by
+    # testing a node's class itself
+    nodes = {name for name, obj in vars(ex).items()
+             if isinstance(obj, type) and issubclass(obj, ex.Expr)}
+    found = []
+    for path in sorted(Path(ex.__file__).parent.glob("*.py")):
+        if path.name in ("expr.py", "codegen.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            classes = node.args[1]
+            for c in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                if getattr(c, "attr", getattr(c, "id", None)) in nodes:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

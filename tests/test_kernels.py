@@ -259,6 +259,27 @@ def test_power_overflow_gives_inf(x, expected):
     assert horner == expected
 
 
+def test_constant_only_nodes_run_their_ieee_operation():
+    # the parser folds constant subtrees; built raw, each node is a line
+    # that gives the IEEE result when called, on floats and on arrays
+    c = ex.Const
+    tbl = LayerTable([ex.Div(c(1.0), c(0.0)), ex.Mul(c(1e300), c(1e300)), ex.Neg(c(0.0)),
+                      ex.Pow(c(0.0), -1), ex.Div(c(0.0), c(0.0))])
+    # 0.0**-1 is the line 1.0 / 0.0 itself
+    assert len(tbl._code.lines) == 4
+    xs = np.array([0.5, 0.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tbl.values_at(0.5, 1.0)
+        on_arrays = tbl.point_function(xs, np.ones(3))
+        grid = tbl.values_on_grid(xs, np.ones(3))
+    _assert_same_bits(got, [math.inf, math.inf, -0.0, math.inf, math.nan])
+    assert np.signbit(got[2])
+    _assert_same_bits(on_arrays, got)
+    for col in grid.T:
+        _assert_same_bits(col, got)
+
+
 def test_common_subexpressions_computed_once():
     e = ex.parse("(x*y + 1)^2")
     tbl = LayerTable([e, ex.add(e, ex.parse("x*y"))])

@@ -206,6 +206,15 @@ class TestGeodesicRecurrence:
         assert y == pytest.approx(ys.evaluate(0.1), abs=0)
         assert p == pytest.approx(sol.p_series().evaluate(0.1), abs=0)
 
+    def test_exact_base_height_is_kept(self):
+        # the solve's y0 is kept as it is, not as a float read back
+        # through its shortest decimal (3333333333333333/10**16)
+        sol = pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, 8,
+                                       y0=Fraction(1, 3))
+        _, ys = pz.series_to_curve(sol)
+        assert sol.y0 == ys.c[0] == Fraction(1, 3)
+        assert ys.c[6] == 1  # y = 1/3 + x^2
+
     def test_table_renders_every_row(self):
         sol = self.solve()
         text = sol.table()
