@@ -232,6 +232,23 @@ def _ambient_guard(n: int, av: float, bv: float) -> None:
         )
 
 
+def _rest_line_terms(n: int, av: float, bv: float, u: float):
+    """P(u), P'(u) and A(u) of the blown-up slope component on x = 0,
+    which is P(u) / A(u) with P(u) = u (n - 2) (2 b**2 u**2 + 3 a b u + a**2)
+    and A(u) = (1 - n) a**2 + 2 (2 - n) (a b u + (b u)**2); a vanishing
+    A(u) is a ValueError."""
+    amb = (1 - n) * av * av + 2.0 * (2 - n) * (av * bv * u + (bv * u) ** 2)
+    mag = av * av + (bv * u) ** 2 + abs(av * bv * u)
+    if abs(amb) <= 1e-10 * max(mag, 1.0):
+        raise ValueError(
+            "blow-up denominator vanishes at this slope; shrink the "
+            "neighborhood"
+        )
+    slope = u * (n - 2) * (2.0 * (bv * u) ** 2 + 3.0 * av * bv * u + av * av)
+    dslope = (n - 2) * (6.0 * (bv * u) ** 2 + 6.0 * av * bv * u + av * av)
+    return slope, dslope, amb
+
+
 def blowup_field_at(alm: AdaptedLocalMetric, x: float, y: float, u: float):
     """Orbit-equivalent rescaled flow in blown-up coordinates (x, y, u).
 
@@ -246,15 +263,8 @@ def blowup_field_at(alm: AdaptedLocalMetric, x: float, y: float, u: float):
     av, bv = alm.values(x, y)[:2]
     _ambient_guard(n, av, bv)
     if abs(x) < 1e-12:
-        amb = (1 - n) * av * av + 2.0 * (2 - n) * (av * bv * u + (bv * u) ** 2)
-        mag = av * av + (bv * u) ** 2 + abs(av * bv * u)
-        if abs(amb) <= 1e-10 * max(mag, 1.0):
-            raise ValueError(
-                "blow-up denominator vanishes at this slope; shrink the "
-                "neighborhood"
-            )
-        du = u * (n - 2) * (2.0 * (bv * u) ** 2 + 3.0 * av * bv * u + av * av) / amb
-        return (0.0, 0.0, du)
+        slope, _, amb = _rest_line_terms(n, av, bv, u)
+        return (0.0, 0.0, slope / amb)
     m = full_metric(alm)
     p = x * u
     dv = m.table("denom").poly_value(x, y, p)
@@ -267,32 +277,18 @@ def blowup_field_at(alm: AdaptedLocalMetric, x: float, y: float, u: float):
 def blowup_spectrum(alm: AdaptedLocalMetric, y0: float = 0.0, which: int = 1):
     """Normalized eigenvalues (1, lam, 0) at rest point (0, y0, u_which).
 
-    The Jacobian is finite-differenced; eigenvalues are sorted by
-    magnitude and normalized by the largest, which belongs to the x
-    direction.
+    In closed form: at x = 0 the Jacobian of the blown-up field is lower
+    triangular with diagonal (1, 0, g), where g = P'(u0) / A(u0) is the
+    u-derivative of the slope component P / A at its zero u0.  The
+    spectrum is sorted by magnitude and normalized by the largest, so it
+    is (1, g, 0) when |g| <= 1 and (1, 1/g, 0) otherwise.
     """
-    us = admissible_u(alm, 0.0, y0)
-    u0 = us[int(which)]
-    base = np.array([0.0, y0, u0])
-    steps = 1e-5 * (1.0 + np.abs(base))
-    jac = np.zeros((3, 3))
-    for k in range(3):
-        hi = base.copy()
-        lo = base.copy()
-        hi[k] += steps[k]
-        lo[k] -= steps[k]
-        fhi = blowup_field_at(alm, *hi)
-        flo = blowup_field_at(alm, *lo)
-        jac[:, k] = (np.asarray(fhi) - np.asarray(flo)) / (2.0 * steps[k])
-    eig = np.linalg.eigvals(jac)
-    order = np.argsort(-np.abs(eig))
-    eig = eig[order]
-    if abs(eig[0]) < 1e-8:
-        raise ValueError("degenerate spectrum: leading eigenvalue vanished")
-    lam = complex(eig[1] / eig[0])
-    if abs(lam.imag) > 1e-8 * (1.0 + abs(lam.real)):
-        raise ValueError(f"unexpected complex spectrum ratio {lam}")
-    return (1.0, float(lam.real), 0.0)
+    u0 = admissible_u(alm, 0.0, y0)[int(which)]
+    av, bv = alm.values(0.0, y0)[:2]
+    _ambient_guard(alm.n, av, bv)
+    _, dslope, amb = _rest_line_terms(alm.n, av, bv, u0)
+    g = dslope / amb
+    return (1.0, g if abs(g) <= 1.0 else 1.0 / g, 0.0)
 
 
 def adapted_from_immersion(

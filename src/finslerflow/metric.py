@@ -85,6 +85,7 @@ class PseudoFinslerMetric:
         self.coeffs = coeffs
         self._exprs: dict[str, list[ex.Expr]] = {}
         self._tables: dict[str, LayerTable] = {}
+        self._series_plan = None  # puiseux's residual plan, built on the first series solve
         self._dual: PseudoFinslerMetric | None = None
 
     def _check_not_identically_zero(self) -> None:

@@ -24,19 +24,21 @@ The residual denom(p) * dp/dt - numer(p) * dx/dt is one value-numbered
 plan (_SeriesPlan) over the denominator and numerator coefficient trees,
 their two Horner sums in p and the two products, so a subexpression used
 in several places is one series operation; the trees are numbered by
-codegen, whose lines the float evaluators also run.  The plan is
-evaluated one exact coefficient at a time, each from the coefficients
-below it (relaxed power-series arithmetic).  Setting a_k changes no
-residual coefficient below index k - 1, so a solve computes the steps
-that read neither y nor p only once, and carries the exact derivative in
-a_k (steps added to the plan by forward differentiation) only on the
-indices k - 1 .. k + offset that a_k can reach.  The other columns are
-computed with a_k = 0 and, once a_k = v is solved, settled: v times each
-one's derivative column is added on the indices k - 1 .. 2k - 3.  a_k
-first enters at index k - 1 (through dp/dt), so its square enters a
-product or a quotient at index 2k - 2 at the earliest; below that the
-columns are affine in a_k and the settle is exact.  Only from 2k - 2 on
-are they dropped, to be computed again with a_k set.
+codegen, whose lines the float evaluators also run, and the plan is
+built once per metric.  It is evaluated one exact coefficient at a time,
+each from the coefficients below it (relaxed power-series arithmetic);
+a product's coefficient sums its terms as integers and is reduced once.
+Setting a_k changes no residual coefficient below index k - 1, so a
+solve computes the steps that read neither y nor p only once, and
+carries the exact derivative in a_k (steps added to the plan by forward
+differentiation) only on the indices k - 1 .. k + offset that a_k can
+reach.  The other columns are computed with a_k = 0 and, once a_k = v
+is solved, settled: v times each one's derivative column is added on
+the indices k - 1 .. 2k - 3.  a_k first enters at index k - 1 (through
+dp/dt), so its square enters a product or a quotient at index 2k - 2 at
+the earliest; below that the columns are affine in a_k and the settle
+is exact.  Only from 2k - 2 on are they dropped, to be computed again
+with a_k set.
 """
 
 from __future__ import annotations
@@ -223,6 +225,11 @@ class _SeriesPlan:
     moves when it reads y, the slope or a derivative leaf (q, Q, z: the
     derivatives of p, P and y in one slope coefficient); ``dslot`` maps
     each moving step of the residual to the slot of its derivative.
+
+    A solve reads ``for_metric(m)``: the plan of m's residual, which
+    depends only on the metric (not on s, y0, the seed or the order), so
+    it is built on m's first solve and kept with m beside its layer
+    tables.
     """
 
     def __init__(self, exprs):
@@ -242,6 +249,16 @@ class _SeriesPlan:
             slots[t] = self.step(op, operand(a), None if b is None else operand(b))
         self.roots = [operand(r) for r in code.roots]
 
+    @classmethod
+    def for_metric(cls, m: PseudoFinslerMetric) -> "_SeriesPlan":
+        plan = m._series_plan
+        if plan is None:
+            denom = m._expr_layer("denom")
+            plan = cls(denom + m._expr_layer("numer"))
+            plan.residual(len(denom))
+            m._series_plan = plan
+        return plan
+
     def step(self, op: str, a=None, b=None) -> int:
         key = (op, a, b)
         if op in "+*" and b < a:
@@ -255,11 +272,12 @@ class _SeriesPlan:
             self.moves.append(op in "ypPqQz" or any(self.moves[i] for i in reads))
         return slot
 
-    def residual(self, n_denom: int) -> tuple[int, int]:
+    def residual(self, n_denom: int) -> None:
         """Add R = D(p) * P - N(p) * X, where the first ``n_denom`` roots
         are the coefficients of D in p and the rest those of N, each sum
         by Horner's rule from the top coefficient, and then its
-        derivative; return both slots."""
+        derivative; ``lead`` holds the slots of D's coefficients and
+        ``root`` and ``droot`` those of R and its derivative."""
         p = self.step("p")
 
         def horner(cs):
@@ -270,8 +288,9 @@ class _SeriesPlan:
 
         d = self.step("*", horner(self.roots[:n_denom]), self.step("P"))
         n = self.step("*", horner(self.roots[n_denom:]), self.step("X"))
-        root = self.step("+", d, self.step("-", n))
-        return root, self._derivative(root)
+        self.lead = self.roots[:n_denom]
+        self.root = self.step("+", d, self.step("-", n))
+        self.droot = self._derivative(self.root)
 
     def _derivative(self, root: int) -> int:
         """Add the steps of root's derivative by forward differentiation,
@@ -302,23 +321,49 @@ class _SeriesPlan:
         return d[root]
 
 
+def _termwise(A, B, lo: int, hi: int, j: int):
+    """Coefficient j of the product of columns A and B in a ring without
+    numerators, summed term by term over A's indices lo .. hi."""
+    acc = None
+    for i in range(lo, hi + 1):
+        u, w = A[i], B[j - i]
+        if u is not _ZERO and w is not _ZERO:
+            acc = u * w if acc is None else acc + u * w
+    return acc
+
+
 def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
     """Coefficient j of a non-leaf step, from the coefficients below j;
     ``zeros`` counts each column's leading zeros, and every zero the
-    columns hold is the one object _ZERO."""
+    columns hold is the one object _ZERO.
+
+    A * step sums its nonzero terms u_i w_(j-i) as integer numerators
+    over one running denominator and makes one Fraction of the sum, or
+    _ZERO, so the coefficient is reduced once rather than once per term;
+    a coefficient ring without numerators (dual numbers, say) is summed
+    term by term."""
     if op == "+":
         u, w = vals[a][j], vals[b][j]
         return (u + w if w is not _ZERO else u) if u is not _ZERO else w
     if op == "*":
         A, B = vals[a], vals[b]
-        acc = None
-        for i in range(zeros[a], j - zeros[b] + 1):
-            u = A[i]
-            if u is not _ZERO:
-                w = B[j - i]
-                if w is not _ZERO:
-                    acc = u * w if acc is None else acc + u * w
-        return _ZERO if acc is None else acc
+        num = None
+        try:
+            for i in range(zeros[a], j - zeros[b] + 1):
+                u = A[i]
+                if u is not _ZERO:
+                    w = B[j - i]
+                    if w is not _ZERO:
+                        n, d = u.numerator * w.numerator, u.denominator * w.denominator
+                        if num is None:
+                            num, den = n, d
+                        elif d == den:
+                            num += n
+                        else:
+                            num, den = num * d + n * den, den * d
+        except AttributeError:
+            return _termwise(A, B, zeros[a], j - zeros[b], j)
+        return Fraction(num, den) if num else _ZERO
     if op == "/":
         # B * q = A, solved for q_j
         B, col = vals[b], vals[slot]
@@ -371,15 +416,23 @@ class _SeriesRun:
                 col.append(v)
 
     def settle(self, k: int, v) -> None:
+        """Each settled coefficient u + v w is summed as integer
+        numerators over one denominator and made one Fraction, or _ZERO;
+        a solve's columns hold rationals."""
         vals, zeros = self.vals, self.zeros
+        vn, vd = v.numerator, v.denominator
         for slot, ds in self.plan.dslot.items():
             col, dcol = vals[slot], vals[ds]
             del col[2 * k - 2:]
             for j in range(k - 1, len(col)):
                 w = dcol[j]
                 if w is not _ZERO:
-                    u = col[j] + v * w
-                    col[j] = u if u else _ZERO
+                    num, den = vn * w.numerator, vd * w.denominator
+                    u = col[j]
+                    if u is not _ZERO:
+                        d = u.denominator
+                        num, den = num * d + u.numerator * den, den * d
+                    col[j] = Fraction(num, den) if num else _ZERO
             if zeros[slot] >= k - 1:  # the settled indices may end them elsewhere
                 z = k - 1
                 while z < len(col) and col[z] is _ZERO:
@@ -432,12 +485,12 @@ class GeodesicSeries:
 
 
 def _curve_series(s: int, y0, p: TruncatedSeries):
-    # dx/dt is the exact monomial s*t**(s-1), so y_j depends only on
-    # p_{j-s}: with p known through its order n, y is known through n+s.
-    n = p.order
-    x = TruncatedSeries.monomial(s, 1, n + s)
-    padded = TruncatedSeries(list(p.c), order=n + s - 1)
-    y = TruncatedSeries.constant(y0, n + s) + (padded * x.deriv()).integrate()
+    # dx/dt is the exact monomial s*t**(s-1), so y = y0 + integral of p dx
+    # has y_j = s p_(j-s) / j, as the solve's y leaf: with p known through
+    # its order n, y is known through n+s.
+    x = TruncatedSeries.monomial(s, 1, p.order + s)
+    y = TruncatedSeries([y0] + [_ZERO] * (s - 1)
+                        + [s * v / (i + s) for i, v in enumerate(p.c)])
     return x, y
 
 
@@ -490,9 +543,8 @@ def solve_geodesic_series(
         if not 1 <= i <= order:
             raise ValueError(f"free index {i} lies outside 1..{order}")
 
-    denom_exprs = m._expr_layer("denom")
-    plan = _SeriesPlan(denom_exprs + m._expr_layer("numer"))
-    root, droot = plan.residual(len(denom_exprs))
+    plan = _SeriesPlan.for_metric(m)
+    root = plan.root
     a = [_ZERO] * (order + 1)  # a[i] = 0 until a_i is pinned or solved
     for i, v in seed_map.items():
         a[i] = v
@@ -520,13 +572,12 @@ def solve_geodesic_series(
         return Fraction(s, k + s) if j == k + s else _ZERO  # "z"
 
     run = _SeriesRun(plan, leaf)
-    residual, dres = run.vals[root], run.vals[droot]
+    residual, dres = run.vals[root], run.vals[plan.droot]
     # the norm: the top nonzero coefficient of D at the base point, index 0
     # of the columns of D's coefficients, which the plan numbers first and
     # which read only x (0 there) and y (y0)
-    lead = plan.roots[: len(denom_exprs)]
-    run.extend(0, upto=max(lead) + 1)
-    norm = next((v for v in (run.vals[r][0] for r in reversed(lead)) if v != 0), _ZERO)
+    run.extend(0, upto=max(plan.lead) + 1)
+    norm = next((v for v in (run.vals[r][0] for r in reversed(plan.lead)) if v != 0), _ZERO)
     if norm == 0:
         raise ValueError(
             "degeneracy polynomial vanishes identically at the base point"

@@ -824,6 +824,17 @@ def _leaf_kinds(e) -> set[str]:
     return out
 
 
+def integrated_curve(s, y0, p):
+    """(x, y) = (t**s, y0 + integral of p dx) from a slope series p, by
+    multiplying p by dx/dt and integrating termwise: a route independent
+    of the y_j = s p_(j-s) / j of puiseux._curve_series."""
+    TS = pz.TruncatedSeries
+    n = p.order
+    x = TS.monomial(s, 1, n + s)
+    padded = TS(list(p.c), order=n + s - 1)
+    return x, TS.constant(y0, n + s) + (padded * x.deriv()).integrate()
+
+
 def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
     """Reference: solve_geodesic_series with every residual evaluating
     every denom and numer tree again through tree_expr_series (dict
@@ -848,7 +859,7 @@ def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
             if i <= n_trunc:
                 coeffs[i] = v
         p = TS(coeffs)
-        x, y = pz._curve_series(s, y0f, p)
+        x, y = integrated_curve(s, y0f, p)
         dpoly = TS.constant(0, n_trunc)
         for e in reversed(denom_exprs):
             dpoly = dpoly * p + tree_expr_series(e, x, y)

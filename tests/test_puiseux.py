@@ -13,7 +13,9 @@ from finslerflow import metric as mt
 from finslerflow import puiseux as pz
 from finslerflow.puiseux import TruncatedSeries
 
-from helpers import plan_expr_series, quartic_product_metric
+from finslerflow import berwald_moor as bm
+
+from helpers import integrated_curve, plan_expr_series, quartic_product_metric
 
 
 def compose_scale(series: TruncatedSeries, lam) -> TruncatedSeries:
@@ -214,6 +216,25 @@ class TestGeodesicRecurrence:
         _, ys = pz.series_to_curve(sol)
         assert sol.y0 == ys.c[0] == Fraction(1, 3)
         assert ys.c[6] == 1  # y = 1/3 + x^2
+
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_curve_coefficients_match_the_integral(self, adapted):
+        # y_j = s p_(j-s) / j gives the coefficients that multiplying p
+        # by dx/dt and integrating gives, for every family member
+        if adapted:
+            alm = bm.adapted_from_immersion(
+                bm.SurfaceImmersion(("x", "y", "y - 2*x^2", "x + y")), 2, 1)
+            m, s = bm.full_metric(alm), alm.n
+            seed = {s: bm.admissible_u(alm)[1]}
+        else:
+            m, s, seed = quartic_product_metric(), 3, {3: 2}
+        for free in (Fraction(1), Fraction(-3, 7)):
+            sol = pz.solve_geodesic_series(m, s, seed, 14, free={2 * s - 2: free},
+                                           y0=Fraction(1, 3))
+            assert not sol.obstructed
+            got = pz.series_to_curve(sol)
+            want = integrated_curve(s, sol.y0, sol.p_series())
+            assert [c.c for c in got] == [c.c for c in want]
 
     def test_table_renders_every_row(self):
         sol = self.solve()

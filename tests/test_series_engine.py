@@ -9,6 +9,7 @@ import gc
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -263,21 +264,91 @@ def test_product_solve_computes_each_value_coefficient_about_once(monkeypatch):
 
 
 def test_product_solve_counts_coefficient_products(monkeypatch):
-    # exact products in solves of F = p(p - 4x) with a4 = 1, where every
-    # even slope coefficient is nonzero; re-evaluating the whole truncated
-    # residual for every unknown took 2341 at order 12 and 9412 at order
-    # 24, and cutting every column a_k reaches back to index k - 1 once it
-    # was solved, to be computed again, took 609 and 2133
+    # exact term products u_i w_(j-i) that the * steps form in solves of
+    # F = p(p - 4x) with a4 = 1, where every even slope coefficient is
+    # nonzero; re-evaluating the whole truncated residual for every
+    # unknown took 2341 Fraction products at order 12 and 9412 at order
+    # 24, and cutting every column a_k reaches back to index k - 1 once
+    # it was solved, to be computed again, took 609 and 2133 (settles and
+    # leaves included); the * steps form 193 and 484 terms
     count = [0]
-    for name in ("__mul__", "__rmul__"):
-        def counted(a, b, op=getattr(Fraction, name)):
-            count[0] += 1
-            return op(a, b)
 
-        monkeypatch.setattr(Fraction, name, counted)
+    def counted(op, a, b, vals, zeros, slot, j, coeff=pz._coeff):
+        if op == "*":
+            A, B = vals[a], vals[b]
+            count[0] += sum(A[i] != 0 and B[j - i] != 0
+                            for i in range(zeros[a], j - zeros[b] + 1))
+        return coeff(op, a, b, vals, zeros, slot, j)
+
+    monkeypatch.setattr(pz, "_coeff", counted)
     got = {}
     for order in (12, 24):
         count[0] = 0
         pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, order, free={4: 1})
         got[order] = count[0]
     assert 0 < got[12] <= 400 and got[24] <= 1000
+
+
+def test_one_plan_per_metric(monkeypatch):
+    # the residual plan depends only on the metric: the eleven product
+    # solves of the series benchmark build it once
+    built = [0]
+
+    def counted(self, exprs, init=pz._SeriesPlan.__init__):
+        built[0] += 1
+        init(self, exprs)
+
+    monkeypatch.setattr(pz._SeriesPlan, "__init__", counted)
+    m = quartic_product_metric()
+    for free in [None] + [{4: Fraction(k, 7)} for k in range(-5, 6) if k]:
+        pz.solve_geodesic_series(m, 3, {3: 2}, 12, free=free)
+    assert built[0] == 1
+    pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, 12)
+    assert built[0] == 2
+
+
+def random_column(rng, n, lead):
+    """n coefficients, the first ``lead`` of them zero, the rest random
+    rationals of either sign with unequal denominators, or zero."""
+    out = [pz._ZERO] * lead
+    for _ in range(lead, n):
+        v = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 12, 35, 1024]))
+        out.append(v if v else pz._ZERO)
+    return out
+
+
+def test_product_coefficients_are_the_plain_fraction_sums():
+    rng = random.Random(11)
+    for _ in range(200):
+        n, za, zb = rng.randint(1, 14), rng.randint(0, 3), rng.randint(0, 3)
+        vals = [random_column(rng, n, za), random_column(rng, n, zb)]
+        zeros = [next((i for i, v in enumerate(c) if v), n) for c in vals]
+        for j in range(n):
+            want = sum((vals[0][i] * vals[1][j - i] for i in range(j + 1)), Fraction(0))
+            got = pz._coeff("*", 0, 1, vals, zeros, 2, j)
+            assert got == want and type(got) is Fraction
+            assert (got is pz._ZERO) == (want == 0)
+    # a sum that cancels: (1/2)(1/3) + (-1/3)(1/2) is the one zero object
+    vals = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(1, 2), Fraction(1, 3)]]
+    assert pz._coeff("*", 0, 1, vals, [0, 0], 2, 1) is pz._ZERO
+
+
+def test_settled_coefficients_are_the_plain_fraction_sums():
+    rng = random.Random(12)
+    plan = SimpleNamespace(steps=[None, None], dslot={0: 1})  # column 1 is 0's derivative
+    for _ in range(200):
+        k = rng.randint(2, 8)
+        n = 2 * k - 2 + rng.randint(0, 3)
+        run = pz._SeriesRun(plan, None)
+        run.vals = [random_column(rng, n, 0), random_column(rng, n, k - 1)]
+        v = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 60))
+        col, dcol = list(run.vals[0]), run.vals[1]
+        run.settle(k, v)
+        want = col[:k - 1] + [col[j] + v * dcol[j] for j in range(k - 1, 2 * k - 2)]
+        assert run.vals[0] == want
+        assert all((u is pz._ZERO) == (u == 0) for u in run.vals[0])
+    # u + v w that cancels is the one zero object
+    run = pz._SeriesRun(plan, None)
+    run.vals = [[Fraction(0), Fraction(3, 4)], [Fraction(0), Fraction(-3, 2)]]
+    run.settle(2, Fraction(1, 2))
+    assert run.vals[0][1] is pz._ZERO
