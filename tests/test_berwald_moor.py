@@ -174,6 +174,17 @@ class TestBlowup:
         np.testing.assert_allclose(bm.blowup_spectrum(alm, which=1), (1.0, 0.5, 0.0), atol=1e-7)
         np.testing.assert_allclose(bm.blowup_spectrum(alm, which=0), (1.0, -2.0 / 3.0, 0.0), atol=1e-7)
 
+    @pytest.mark.parametrize("comps,middle,outer", [
+        (("x", "y", "y - 2*x^2"), 1 / 3, -1 / 2),
+        (("x", "y", "y - 2*x^2", "x + y"), 1 / 2, -2 / 3),
+    ])
+    def test_spectra_are_exact_on_the_shipped_immersions(self, comps, middle, outer):
+        # the closed form P'(u0)/A(u0), to the last bit, along the rest line
+        alm = bm.adapted_from_immersion(bm.SurfaceImmersion(comps), 2, 1)
+        for y0 in (0.0, 0.1):
+            got = [bm.blowup_spectrum(alm, y0=y0, which=which) for which in (0, 1, 2)]
+            assert got == [(1.0, outer, 0.0), (1.0, middle, 0.0), (1.0, outer, 0.0)]
+
     def test_degenerate_tangency_guard(self):
         alm = bm.AdaptedLocalMetric("1 - y", "1", extra=(("1", "0"),))
         with pytest.raises(ValueError, match="does not apply"):

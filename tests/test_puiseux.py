@@ -9,11 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from finslerflow import berwald_moor as bm
 from finslerflow import metric as mt
 from finslerflow import puiseux as pz
 from finslerflow.puiseux import TruncatedSeries
-
-from finslerflow import berwald_moor as bm
 
 from helpers import integrated_curve, plan_expr_series, quartic_product_metric
 
