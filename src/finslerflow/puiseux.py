@@ -25,9 +25,14 @@ plan (_SeriesPlan) over the denominator and numerator coefficient trees,
 their two Horner sums in p and the two products, so a subexpression used
 in several places is one series operation; the trees are numbered by
 codegen, whose lines the float evaluators also run, and the plan is
-built once per metric.  It is evaluated one exact coefficient at a time,
-each from the coefficients below it (relaxed power-series arithmetic);
-a product's coefficient sums its terms as integers and is reduced once.
+built once per metric.  Making its steps folds the identities 0 * u = 0,
+0 + u = u and -0 = 0, exact over the rationals (not in IEEE floats,
+where inf * 0 is nan, so the float code keeps them), so the constant
+zero top coefficients of the numerator cost no step.  The plan is
+evaluated one exact coefficient at a time, each from the coefficients
+below it (relaxed power-series arithmetic); a coefficient below a
+step's valuation is the zero without being computed, and a product's
+coefficient sums its terms as integers and is reduced once.
 Setting a_k changes no residual coefficient below index k - 1, so a
 solve computes the steps that read neither y nor p only once, and
 carries the exact derivative in a_k (steps added to the plan by forward
@@ -74,6 +79,15 @@ def _frac(v) -> Fraction:
     # read floats through their shortest decimal form, so a config
     # value like 0.8 becomes 4/5 rather than its binary neighbour
     return Fraction(str(f))
+
+
+def _float(v) -> float:
+    # the nearest float, or an infinity beyond the float range, as IEEE
+    # rounds an overflow
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _coerce(v):
@@ -202,7 +216,7 @@ class TruncatedSeries:
     def evaluate(self, t: float) -> float:
         acc = 0.0
         for v in reversed(self.c):
-            acc = acc * t + float(v)
+            acc = acc * t + _float(v)
         return acc
 
     def __repr__(self) -> str:
@@ -221,7 +235,10 @@ class _SeriesPlan:
     c (constant a), the leaves x, y, p (the slope), P (dp/dt) and X
     (dx/dt), + * / (slots a and b) and - (negate slot a).  ``roots``
     holds each expression's slot.  Steps are keyed by their operator and
-    operand slots, so equal subexpressions are computed once.  A step
+    operand slots, so equal subexpressions are computed once, and a step
+    with an exact zero constant operand is folded as it is made: 0 * u
+    and -0 are that zero's slot and 0 + u is u's (a quotient is kept,
+    so that 0 / u still fails where u vanishes at t = 0).  A step
     moves when it reads y, the slope or a derivative leaf (q, Q, z: the
     derivatives of p, P and y in one slope coefficient); ``dslot`` maps
     each moving step of the residual to the slot of its derivative.
@@ -260,6 +277,14 @@ class _SeriesPlan:
         return plan
 
     def step(self, op: str, a=None, b=None) -> int:
+        if op in "+*-":
+            zero = self._keys.get(("c", _ZERO, None))
+            if zero is not None and zero in (a, b):
+                # 0 * u = 0, 0 + u = u and -0 = 0 hold exactly over the
+                # rationals (not in IEEE floats: inf * 0 is nan); a
+                # quotient is not folded, so 0 / u still fails where u
+                # vanishes at t = 0
+                return (b if a == zero else a) if op == "+" else zero
         key = (op, a, b)
         if op in "+*" and b < a:
             key = (op, b, a)
@@ -278,7 +303,9 @@ class _SeriesPlan:
         by Horner's rule from the top coefficient, and then its
         derivative; ``lead`` holds the slots of D's coefficients and
         ``root`` and ``droot`` those of R and its derivative."""
-        p = self.step("p")
+        # the leaves first, so that every step after the root is one of
+        # its derivative's
+        p, P, X = (self.step(op) for op in "pPX")
 
         def horner(cs):
             acc = cs[-1]
@@ -286,8 +313,8 @@ class _SeriesPlan:
                 acc = self.step("+", self.step("*", acc, p), c)
             return acc
 
-        d = self.step("*", horner(self.roots[:n_denom]), self.step("P"))
-        n = self.step("*", horner(self.roots[n_denom:]), self.step("X"))
+        d = self.step("*", horner(self.roots[:n_denom]), P)
+        n = self.step("*", horner(self.roots[n_denom:]), X)
         self.lead = self.roots[:n_denom]
         self.root = self.step("+", d, self.step("-", n))
         self.droot = self._derivative(self.root)
@@ -318,7 +345,9 @@ class _SeriesPlan:
                 neg = None if db is None else self.step("-", mul(db, slot))
                 d[slot] = self.step("/", add(da, neg), b)
         self.dslot = d
-        return d[root]
+        # a root that does not move (D and N folded to zero) has the
+        # derivative 0
+        return d[root] if root in d else self.step("c", _ZERO)
 
 
 def _termwise(A, B, lo: int, hi: int, j: int):
@@ -402,13 +431,20 @@ class _SeriesRun:
     def extend(self, top: int, upto: int | None = None) -> None:
         """Compute the columns of the first ``upto`` steps (all of them by
         default) through index ``top``, one column at a time: a step
-        reads only lower slots."""
+        reads only lower slots.  A coefficient below the step's
+        valuation, known from its operands' leading zeros (a * step's
+        index below their sum, a + step's below both), is the zero
+        without a call to _coeff."""
         vals, zeros, leaf = self.vals, self.zeros, self.leaf
         for slot, op, a, b in self.plan.steps[:upto]:
             col = vals[slot]
             for j in range(len(col), top + 1):
-                v = (leaf(op, j) if op in "xyXpPqQz"
-                     else _coeff(op, a, b, vals, zeros, slot, j))
+                if (op == "*" and j < zeros[a] + zeros[b]
+                        or op == "+" and j < zeros[a] and j < zeros[b]):
+                    v = _ZERO  # below the step's valuation
+                else:
+                    v = (leaf(op, j) if op in "xyXpPqQz"
+                         else _coeff(op, a, b, vals, zeros, slot, j))
                 if v is _ZERO or not v:
                     v = _ZERO
                     if zeros[slot] == j:
@@ -574,9 +610,16 @@ def solve_geodesic_series(
     run = _SeriesRun(plan, leaf)
     residual, dres = run.vals[root], run.vals[plan.droot]
     # the norm: the top nonzero coefficient of D at the base point, index 0
-    # of the columns of D's coefficients, which the plan numbers first and
-    # which read only x (0 there) and y (y0)
-    run.extend(0, upto=max(plan.lead) + 1)
+    # of the columns of D's coefficients, which read only x (0 there) and
+    # y (y0); a quotient's coefficient 0 divides by its divisor's value
+    # there, so index 0 of the value columns also finds any pole
+    try:
+        run.extend(0, upto=root + 1)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"pole at the base point (0, {y0f}): a divisor in the metric's "
+            f"coefficients vanishes there"
+        ) from None
     norm = next((v for v in (run.vals[r][0] for r in reversed(plan.lead)) if v != 0), _ZERO)
     if norm == 0:
         raise ValueError(

@@ -586,6 +586,26 @@ class TestCommands:
         assert captured.err.startswith("puiseux: ") and message in captured.err
         assert not list(tmp_path.glob("bm_*"))
 
+    @pytest.mark.parametrize("text, overrides, message", [
+        # a coefficient with a pole at the base point: no series there
+        (HALFPLANE, ("a0=0", "a1=1/x", "series_seed=3 2", "series_order=8"),
+         "pole at the base point (0, 0)"),
+        (HALFPLANE, ("a0=0", "a1=y/x", "series_seed=3 2", "series_order=8"),
+         "pole at the base point (0, 0)"),
+        # a family member whose series overflows the floats: its seed
+        # point is not finite
+        (TANGENCY, ("alpha=1e308",), "outside the domain box"),
+    ], ids=["pole", "zero-over-zero", "overflow"])
+    def test_puiseux_reports_an_unusable_series(self, tmp_path, capsys, text, overrides,
+                                                message):
+        argv = ["puiseux", "--config", write(tmp_path, text), "--out", str(tmp_path)]
+        for ov in overrides:
+            argv += ["--seed", ov]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("puiseux: ") and message in captured.err
+
     def test_puiseux_default_alpha_only_within_the_order(self, tmp_path):
         # the first alpha goes to index 2n - 2 = 4 only when the solve reaches it
         rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),

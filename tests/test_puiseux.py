@@ -67,6 +67,16 @@ class TestTruncatedSeries:
         s = TruncatedSeries([2, -1, 3])
         assert s.evaluate(0.5) == pytest.approx(2 - 0.5 + 0.75)
 
+    def test_evaluate_rounds_an_overflow_to_infinity(self):
+        # a coefficient beyond the float range is +-inf, as IEEE rounds it,
+        # not an OverflowError; a finite one keeps its nearest float
+        huge = Fraction(10) ** 400
+        assert TruncatedSeries([huge]).evaluate(0.5) == math.inf
+        assert TruncatedSeries([1, -huge]).evaluate(0.5) == -math.inf
+        assert math.isnan(TruncatedSeries([1, huge, -huge]).evaluate(1.0))
+        for v in (Fraction(1, 3), Fraction(-7, 10) ** 9, Fraction(2) ** 1023 * 3 // 2):
+            assert TruncatedSeries([v]).evaluate(0.25) == float(v)
+
     def test_expression_substitution(self):
         from finslerflow import expr as ex
 
@@ -164,6 +174,15 @@ class TestGeodesicRecurrence:
                 pz.solve_geodesic_series(m, s=3, seed={3: 2}, order=8, **kwargs)
         with pytest.raises(ValueError, match="not finite"):
             pz.solve_geodesic_series(m, s=3, seed={3: math.inf}, order=8)
+
+    @pytest.mark.parametrize("a1", ["1/x", "y/x"])
+    def test_pole_at_the_base_point_is_a_value_error(self, a1):
+        # a coefficient with a pole (or 0/0) at (0, y0) has no series there;
+        # the solve says so rather than raising ZeroDivisionError
+        m = mt.metric_from_strings(3, ["0", a1, "1", "0"])
+        for y0, text in ((0.0, "0"), (0.5, "1/2")):
+            with pytest.raises(ValueError, match=rf"pole at the base point \(0, {text}\)"):
+                pz.solve_geodesic_series(m, s=3, seed={3: 2}, order=8, y0=y0)
 
     def test_free_values_the_solve_would_drop_are_refused(self):
         m = quartic_product_metric()

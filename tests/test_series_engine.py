@@ -95,8 +95,10 @@ def test_zero_constant_divisor_raises():
     ys = TruncatedSeries.constant(1, 8)
     with pytest.raises(ZeroDivisionError):
         plan_expr_series(ex.parse("1/x"), xs, ys)
+    # the solve reports the divisor that vanishes at the base point as a
+    # pole there, a ValueError
     m = mt.metric_from_strings(3, ["1/x", "-4*x", "1", "0"])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="pole at the base point"):
         pz.solve_geodesic_series(m, 3, {3: 2}, 12)
 
 
@@ -114,8 +116,10 @@ def test_product_metric_solves_match(seed, free):
     assert_same_solve(quartic_product_metric(), 3, seed, 12, free=free)
 
 
-@pytest.mark.parametrize("comps", [("x", "y", "y - 2*x^2"),
-                                   ("x", "y", "y - 2*x^2", "x + y")])
+ADAPTED = [("x", "y", "y - 2*x^2"), ("x", "y", "y - 2*x^2", "x + y")]
+
+
+@pytest.mark.parametrize("comps", ADAPTED)
 def test_adapted_metric_solves_match(comps):
     alm = bm.adapted_from_immersion(bm.SurfaceImmersion(comps), 2, 1)
     m = bm.full_metric(alm)
@@ -138,32 +142,42 @@ def test_product_metric_matches_at_order_24():
     assert_same_solve(quartic_product_metric(), 3, {3: 2}, 24, free={4: Fraction(3, 7)})
 
 
-def random_cubic(rng):
+def random_cubic(rng, zero=None):
     """F = a0 + a1 p + a2 p^2 + a3 p^3 with a_i random quadratics in x and
-    y (coefficients k/4), a base height y0 where the degeneracy
-    polynomial's constant term D0 is nonzero, and D0 and N0 there."""
+    y (coefficients k/4), a_zero = 0 if ``zero`` is an index, a base
+    height y0 where the degeneracy polynomial's constant term D0 is
+    nonzero, and D0 and N0 there."""
     terms = ["x", "y", "x^2", "x*y", "y^2"]
-    zero = TruncatedSeries.constant(0, 0)
+    zero_series = TruncatedSeries.constant(0, 0)
     while True:
         texts = [" + ".join([str(rng.randint(-4, 4) / 4) if i < 3 else "1"]
                             + [f"{rng.randint(-8, 8) / 4}*{t}" for t in terms
                                if rng.random() < 0.5])
                  for i in range(4)]
+        if zero is not None:
+            texts[zero] = "0"
         m = mt.metric_from_strings(3, texts)
         y0 = Fraction(rng.randint(-2, 2), 2)
         base = TruncatedSeries.constant(y0, 0)
-        d0, n0 = (tree_expr_series(m._expr_layer(name)[0], zero, base).c[0]
+        d0, n0 = (tree_expr_series(m._expr_layer(name)[0], zero_series, base).c[0]
                   for name in ("denom", "numer"))
         if d0 != 0:
             return m, y0, d0, n0
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_random_cubic_solves_match(seed):
+@pytest.mark.parametrize("seed,zero", [pytest.param(seed, None, id=str(seed))
+                                       for seed in range(10)]
+                         + [pytest.param(seed, zero, id=f"{seed}-a{zero}=0")
+                            for seed, zero in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 0), (5, 0))])
+def test_random_cubic_solves_match(seed, zero):
     # a regular base point: with s = 1 the seed a1 = N0/D0 clears the
     # leading balance and every later order is FORCED; with s = 2 the
-    # seed a2 = N0/D0 + 1/2 obstructs at the first order
-    m, y0, d0, n0 = random_cubic(random.Random(100 + seed))
+    # seed a2 = N0/D0 + 1/2 obstructs at the first order.  An identically
+    # zero a_i leaves exact zero constants in the denom and numer trees,
+    # which the plan folds away
+    m, y0, d0, n0 = random_cubic(random.Random(100 + seed), zero)
+    if zero is not None:
+        assert any(op == "c" and a == 0 for _, op, a, _ in pz._SeriesPlan.for_metric(m).steps)
     sol = assert_same_solve(m, 1, {1: n0 / d0}, 8, y0=y0)
     assert not sol.obstructed and {r.status for r in sol.rows} == {"FORCED"}
     sol = assert_same_solve(m, 2, {2: n0 / d0 + Fraction(1, 2)}, 8, y0=y0)
@@ -198,11 +212,11 @@ def test_solved_series_clears_the_residual_exactly(texts, free, order):
     assert not r.is_zero  # truncating p leaves a residual above order + offset
 
 
-def solve_capturing_run(monkeypatch, m, *args, **kwargs):
-    """The solve and the _SeriesRun it made."""
+def solve_capturing_run(monkeypatch, m, *args, run_class=pz._SeriesRun, **kwargs):
+    """The solve and the _SeriesRun (a ``run_class``) it made."""
     runs = []
 
-    class Captured(pz._SeriesRun):
+    class Captured(run_class):
         def __init__(self, *a):
             super().__init__(*a)
             runs.append(self)
@@ -247,20 +261,27 @@ def test_settled_columns_match_a_fresh_run(case, monkeypatch):
 
 
 def test_product_solve_computes_each_value_coefficient_about_once(monkeypatch):
-    # cutting every column a_k reaches back to index k - 1 once it was
-    # solved computed the 532 value coefficients of this solve 2044 times
-    computed = Counter()
+    # the entries _SeriesRun.extend appends to the value columns: each one
+    # from _coeff or, below the step's valuation, the zero without a call.
+    # The folded plan's value columns hold 399 coefficients, appended in
+    # 465 entries (532 in 640 before exact zeros were folded); cutting
+    # every column a_k reaches back to index k - 1 once it was solved
+    # computed the 532 unfolded ones 2044 times
+    appended = Counter()
 
-    def counted(op, a, b, vals, zeros, slot, j, coeff=pz._coeff):
-        computed[slot] += 1
-        return coeff(op, a, b, vals, zeros, slot, j)
+    class Counted(pz._SeriesRun):
+        def extend(self, top, upto=None):
+            before = [len(col) for col in self.vals]
+            super().extend(top, upto)
+            for slot, n in enumerate(before):
+                appended[slot] += len(self.vals[slot]) - n
 
-    monkeypatch.setattr(pz, "_coeff", counted)
     _, run = solve_capturing_run(monkeypatch, quartic_product_metric(), 3, {3: 2}, 12,
-                                 free={4: 1})
-    values = [slot for slot in computed if slot < value_steps(run.plan)]
+                                 free={4: 1}, run_class=Counted)
+    values = [slot for slot, op, _, _ in run.plan.steps[:value_steps(run.plan)]
+              if op not in "xyXpP"]
     distinct = sum(len(run.vals[slot]) for slot in values)
-    assert 500 < distinct <= sum(computed[slot] for slot in values) <= 2 * distinct
+    assert 380 < distinct <= sum(appended[slot] for slot in values) <= 2 * distinct
 
 
 def test_product_solve_counts_coefficient_products(monkeypatch):
@@ -287,6 +308,36 @@ def test_product_solve_counts_coefficient_products(monkeypatch):
         pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, order, free={4: 1})
         got[order] = count[0]
     assert 0 < got[12] <= 400 and got[24] <= 1000
+
+
+@pytest.mark.parametrize("make,most", [
+    (quartic_product_metric, 41),
+    (lambda: bm.full_metric(bm.adapted_from_immersion(bm.SurfaceImmersion(ADAPTED[0]), 2, 1)), 41),
+    (lambda: bm.full_metric(bm.adapted_from_immersion(bm.SurfaceImmersion(ADAPTED[1]), 2, 1)), 79),
+], ids=["product", "adapted3", "adapted4"])
+def test_no_step_reads_an_exact_zero(make, most):
+    # 0 * u, 0 + u and -0 fold as the plan is made: the top coefficients
+    # of numer are the constant 0, and without the fold the plans took 57,
+    # 57 and 95 steps
+    plan = pz._SeriesPlan.for_metric(make())
+    zero = {slot for slot, op, a, _ in plan.steps if op == "c" and a == 0}
+    assert zero and not [st for st in plan.steps if st[1] in "+*-" and zero & {st[2], st[3]}]
+    assert len(plan.steps) <= most
+
+
+def test_product_solve_skips_coefficients_below_the_valuation(monkeypatch):
+    # a * coefficient below the sum of its operands' leading zeros, or a +
+    # coefficient below both, is the zero without a _coeff call: 2411
+    # calls before the fold and the skip, 832 after
+    calls = [0]
+
+    def counted(*args, coeff=pz._coeff):
+        calls[0] += 1
+        return coeff(*args)
+
+    monkeypatch.setattr(pz, "_coeff", counted)
+    pz.solve_geodesic_series(quartic_product_metric(), 3, {3: 2}, 12, free={4: 1})
+    assert 0 < calls[0] <= 900
 
 
 def test_one_plan_per_metric(monkeypatch):
