@@ -279,11 +279,7 @@ class _SeriesPlan:
     def step(self, op: str, a=None, b=None) -> int:
         if op in "+*-":
             zero = self._keys.get(("c", _ZERO, None))
-            if zero is not None and zero in (a, b):
-                # 0 * u = 0, 0 + u = u and -0 = 0 hold exactly over the
-                # rationals (not in IEEE floats: inf * 0 is nan); a
-                # quotient is not folded, so 0 / u still fails where u
-                # vanishes at t = 0
+            if zero is not None and zero in (a, b):  # exact over the rationals
                 return (b if a == zero else a) if op == "+" else zero
         key = (op, a, b)
         if op in "+*" and b < a:

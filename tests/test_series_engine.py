@@ -325,6 +325,18 @@ def test_no_step_reads_an_exact_zero(make, most):
     assert len(plan.steps) <= most
 
 
+def test_numerator_or_both_polynomials_fold_to_zero():
+    # F = p^2 has N = 0, so the residual is D(p) P alone; F = 1 has
+    # D = N = 0, a residual that folds to the zero constant and has the
+    # derivative 0, and the solve refuses it
+    m = mt.metric_from_strings(3, ["0", "0", "1", "0"])
+    sol = assert_same_solve(m, 3, {3: 2}, 8)
+    plan = pz._SeriesPlan.for_metric(m)
+    assert sol.obstructed and plan.steps[plan.root][1] == "*"
+    with pytest.raises(ValueError, match="vanishes identically"):
+        pz.solve_geodesic_series(mt.metric_from_strings(3, ["1", "0", "0", "0"]), 3, {3: 2}, 8)
+
+
 def test_product_solve_skips_coefficients_below_the_valuation(monkeypatch):
     # a * coefficient below the sum of its operands' leading zeros, or a +
     # coefficient below both, is the zero without a _coeff call: 2411
