@@ -443,6 +443,10 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     x0, x1, y0, y1 = cfg.box
     chart = seed.chart
     u = (float(seed.x), float(seed.y), float(seed.slope))
+    # a nan slope is no direction, an infinite one is (integrate turns the
+    # vertical p = inf into q = 0)
+    if not (math.isfinite(u[0]) and math.isfinite(u[1])) or math.isnan(u[2]):
+        raise ValueError("seed (x, y, slope) is not finite")
     if not (x0 <= u[0] <= x1 and y0 <= u[1] <= y1):
         raise ValueError(f"seed {(seed.x, seed.y)} outside the domain box {cfg.box}")
     F_at = m.table("F").point_function

@@ -36,12 +36,17 @@ NaN compares false, so a lane whose new state is not finite fails test 3
 or 4; near a pole of a coefficient the lane stops there, and the other
 lanes, of its layer or another, go on as if it had never run.
 
-A step's array work does not depend on how many lanes it stops: the lane
-arrays are indexed, and the block bounds recomputed, only on a step where
-some lane stops, and each step keeps its new states by reference, so the
-history costs what the lanes actually traced, not 900 steps for every
-lane.  The visited cells are computed a chunk of steps at a time, and the
-points are laid out lane by lane after the loop.
+The steps run in chunks of 32 (_CELL_CHUNK), and within a chunk the
+lane set is fixed: a step runs only the four stages and writes its new
+states, |k1| and step into the chunk's buffers.  Tests 1 to 4 run once
+at the chunk's end, on all its steps at once, and a lane's count is its
+first failing step.  A lane that stops inside a chunk is carried to the
+chunk's end, as every operation is elementwise, and its states past the
+stop are dropped; so up to its stop each lane runs the float operations
+it would run alone.  The stopped lanes leave the lane arrays once per
+chunk, and the chunk's accepted states are laid out there as points and
+cells, lane by lane, so the history costs what the lanes actually
+traced, about 20 bytes a point, not 900 steps for every lane.
 
 Curves are then chosen per layer by replaying its seeds in y-major, then
 x, then root order.  Each traced state marks a cell (x, y, arctan p) as
@@ -65,7 +70,8 @@ from .codegen import lifted_field_function
 NET_STEPS = 900
 NET_SEED_AXIS = 11
 NET_PMAX = 40.0
-# steps of lane history turned into points and cells at once
+# steps run between two rounds of stop tests, lane compaction and point
+# layout
 _CELL_CHUNK = 32
 
 
@@ -174,21 +180,26 @@ def _trace_lanes(fields, blocks, start, sign, ds, lo, hi, cells):
     (M,), grouped by lane, and the L + 1 bounds of the L lane groups;
     start states are not included.
 
-    A step that stops no lane costs a fixed few array operations: the
-    lane arrays are indexed, and the column bounds of the blocks found
-    again by one ``searchsorted``, only on a step where some lane stops
-    (stopping keeps the lane order, so the blocks stay contiguous).  A
-    lane's count is the index of the step that stopped it (NET_STEPS if
-    none did).  The stage slopes (the rows of the fields, each written
-    into its block's columns) and the stage argument are buffers that are
-    allocated again only when lanes stop.  Each step keeps its new states
-    and its lane ids by reference, and every _CELL_CHUNK steps the kept
-    states become their points and cells in one ``cells`` call, so the
-    history holds (x, y) and a cell per point, not (x, y, p).  Lanes only
-    ever stop, so a lane accepted at step t has more than t steps and its
-    point there goes to row ``bounds[lane] + t``; this lane-major scatter
-    runs after the loop, a chunk at a time, and frees each chunk as it is
-    written.
+    The steps run in chunks of _CELL_CHUNK, and the lane set is fixed
+    within a chunk: a step runs only the four stages and writes its new
+    states, its |k1| and its step into the chunk's (T, 3, L) and (T, L)
+    buffers.  The current state, the stage slopes and the stage argument
+    are buffers for the chunk's lanes, and the column views of each
+    layer's block in them are made once per chunk.  At the chunk's end the stop tests run once on the stacked
+    arrays, and a lane's count is the index of its first failing step
+    (NET_STEPS if none fails).  A lane that stops inside a chunk is
+    carried to its end: the lanes are independent elementwise, so its
+    extra steps change no other lane, and its states past the stop are
+    dropped.  The stopped lanes leave the lane arrays then, and the
+    column bounds of the blocks are found again by one ``searchsorted``
+    (stopping keeps the lane order, so the blocks stay contiguous).
+
+    The chunk's accepted states become their points and cells there, lane
+    by lane, so the history holds (x, y) and a cell per point, not
+    (x, y, p).  Lanes only ever stop, so the points of a lane in the chunk
+    from step t0 go to the rows from ``bounds[lane] + t0`` on; they are
+    written there after the loop, a chunk at a time, and each chunk is
+    freed once it is written.
     """
     lane = np.arange(start.shape[1])
     counts = np.full(lane.size, NET_STEPS, dtype=np.int64)
@@ -198,70 +209,75 @@ def _trace_lanes(fields, blocks, start, sign, ds, lo, hi, cells):
     lo3 = np.array([[lo[0]], [lo[1]], [-NET_PMAX]])
     hi3 = np.array([[hi[0]], [hi[1]], [NET_PMAX]])
     spans = _spans(lane, blocks)
-    # the four stage slopes and the stage argument, contiguous for the
-    # current lanes (numpy is several times slower on a column prefix of
-    # a wider buffer)
-    stages = np.empty((5,) + s.shape)
-
-    def lifted(u, k):
-        for field, (a, b) in zip(fields, spans):
-            if a < b:
-                k[0, a:b], k[1, a:b], k[2, a:b] = field(u[0, a:b], u[1, a:b], u[2, a:b])
-
-    lanes: list[np.ndarray] = []
-    states: list[np.ndarray] = []
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
+    chunks = []
     with np.errstate(all="ignore"):
-        for t in range(NET_STEPS):
+        for t0 in range(0, NET_STEPS, _CELL_CHUNK):
             if not lane.size:
                 break
-            k1, k2, k3, k4, u = stages
-            lifted(s, k1)
-            nrm = np.sqrt(np.vecdot(k1, k1, axis=0))
-            rest = nrm < 1e-12
-            if rest.any():
-                counts[lane[rest]] = t
-                go = ~rest
-                lane, s, sds, k1, nrm = lane[go], s[:, go], sds[go], k1[:, go], nrm[go]
+            T, L = min(_CELL_CHUNK, NET_STEPS - t0), lane.size
+            states, steps, norms = np.empty((T, 3, L)), np.empty((T, 3, L)), np.empty((T, L))
+            # the four stage slopes and the stage argument, contiguous for
+            # the chunk's lanes (numpy is several times slower on a column
+            # prefix of a wider buffer), and each step's h, h / 2 and h / 6
+            k1, k2, k3, k4, u = np.empty((5, 3, L))
+            h, hh, h6 = np.empty((3, L))
+            live = [(field, slice(a, b)) for field, (a, b) in zip(fields, spans) if a < b]
+            # the current state: each step makes its new state in x and
+            # copies it into the chunk's states
+            x = s.copy()
+            # each stage's calls: a layer's field on its block of the stage
+            # argument (x or u), written into its block of the slope
+            calls = [
+                [(field, a[0, c], a[1, c], a[2, c], k[:, c]) for field, c in live]
+                for a, k in ((x, k1), (u, k2), (u, k3), (u, k4))
+            ]
+
+            def lifted(stage):
+                for field, px, py, pp, kb in calls[stage]:
+                    kb[0], kb[1], kb[2] = field(px, py, pp)
+
+            for i in range(T):
+                lifted(0)
+                nrm = np.sqrt(np.vecdot(k1, k1, axis=0, out=norms[i]), out=norms[i])
+                np.divide(sds, nrm, out=h)
+                np.multiply(0.5, h, out=hh)
+                np.add(x, np.multiply(hh, k1, out=u), out=u)
+                lifted(1)
+                np.add(x, np.multiply(hh, k2, out=u), out=u)
+                lifted(2)
+                np.add(x, np.multiply(h, k3, out=u), out=u)
+                lifted(3)
+                # (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), summed into k2
+                step = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+                step = np.add(step, np.multiply(2.0, k3, out=k3), out=step)
+                step = np.add(step, k4, out=step)
+                np.multiply(np.divide(h, 6.0, out=h6), step, out=steps[i])
+                states[i] = np.add(x, steps[i], out=x)
+            # stop tests 1 to 4 on every step of the chunk; a lane keeps
+            # the states before its first failing step
+            ok = ~(norms < 1e-12)
+            ok &= ~(np.sqrt(np.vecdot(steps[:, :2], steps[:, :2], axis=1)) < 1e-10)
+            ok &= ((lo3 <= states) & (states <= hi3)).all(axis=1)
+            ok = np.logical_and.accumulate(ok, axis=0)
+            n = ok.sum(axis=0)
+            kept = states.transpose(1, 2, 0)[:, ok.T]
+            chunks.append((t0, lane, n, kept[:2].copy(), cells(kept)))
+            go = n == T
+            s = states[-1][:, go]
+            if not go.all():
+                counts[lane[~go]] = t0 + n[~go]
+                lane, sds = lane[go], sds[go]
                 spans = _spans(lane, blocks)
-                stages = np.empty((5,) + s.shape)
-                _, k2, k3, k4, u = stages
-            h = sds / nrm
-            hh = 0.5 * h
-            lifted(np.add(s, np.multiply(hh, k1, out=u), out=u), k2)
-            lifted(np.add(s, np.multiply(hh, k2, out=u), out=u), k3)
-            lifted(np.add(s, np.multiply(h, k3, out=u), out=u), k4)
-            # (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), summed into k2
-            step = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-            step = np.add(step, np.multiply(2.0, k3, out=k3), out=step)
-            step = np.multiply(h / 6.0, np.add(step, k4, out=step), out=step)
-            moved = ~(np.sqrt(np.vecdot(step[:2], step[:2], axis=0)) < 1e-10)
-            s = s + step
-            keep = moved & ((lo3 <= s) & (s <= hi3)).all(axis=0)
-            if not keep.all():
-                counts[lane[~keep]] = t
-                lane, s, sds = lane[keep], s[:, keep], sds[keep]
-                spans = _spans(lane, blocks)
-                stages = np.empty((5,) + s.shape)
-            lanes.append(lane)
-            states.append(s)
-            if len(states) == _CELL_CHUNK:
-                chunks.append(_points_and_cells(states, cells))
-                states = []
-    if states:
-        chunks.append(_points_and_cells(states, cells))
 
     bounds = np.concatenate([[0], np.cumsum(counts)])
     xy = np.empty((2, bounds[-1]))
     cell = np.empty(bounds[-1], dtype=np.int32)
     # popped in step order, so each chunk is freed once it is written
     chunks.reverse()
-    for t0 in range(0, len(lanes), _CELL_CHUNK):
-        ids = lanes[t0 : t0 + _CELL_CHUNK]
-        rows = bounds[np.concatenate(ids)] + np.repeat(
-            np.arange(t0, t0 + len(ids)), [len(i) for i in ids]
-        )
-        xy[:, rows], cell[rows] = chunks.pop()
+    while chunks:
+        t0, ids, n, points, point_cells = chunks.pop()
+        rows = np.repeat(bounds[ids] + t0 - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        xy[:, rows], cell[rows] = points, point_cells
     return xy.T, cell, bounds
 
 
@@ -270,9 +286,3 @@ def _spans(lane: np.ndarray, blocks: np.ndarray) -> list[tuple[int, int]]:
     increasing."""
     edges = np.searchsorted(lane, blocks).tolist()
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _points_and_cells(states, cells):
-    """The (x, y) rows and the cells of a run of steps' states."""
-    s = np.concatenate(states, axis=1)
-    return s[:2].copy(), cells(s)

@@ -593,8 +593,9 @@ class TestCommands:
         (HALFPLANE, ("a0=0", "a1=y/x", "series_seed=3 2", "series_order=8"),
          "pole at the base point (0, 0)"),
         # a family member whose series overflows the floats: its seed
-        # point is not finite
-        (TANGENCY, ("alpha=1e308",), "outside the domain box"),
+        # point is not finite, which is said as such, not as a point
+        # outside the domain box
+        (TANGENCY, ("alpha=1e308",), "seed (x, y, slope) is not finite"),
     ], ids=["pole", "zero-over-zero", "overflow"])
     def test_puiseux_reports_an_unusable_series(self, tmp_path, capsys, text, overrides,
                                                 message):

@@ -178,6 +178,25 @@ class TestTraceStructure:
         assert "q" in set(np.unique(tr.chart))
 
     @pytest.mark.parametrize(
+        "seed", [(0.4, -0.3, math.nan), (math.nan, 0.3, 0.3), (0.4, -math.inf, 0.3)],
+        ids=["nan-slope", "nan-x", "inf-y"],
+    )
+    def test_non_finite_seed_is_refused(self, seed):
+        # a nan slope is no direction: it is refused, not traced as a
+        # one-row StepUnderflow trace, and a nan or infinite point is not
+        # reported as lying outside the box
+        with pytest.raises(ValueError, match=r"^seed \(x, y, slope\) is not finite$"):
+            flow.integrate(halfplane_metric(), PTMPoint(*seed))
+
+    def test_infinite_slope_is_the_vertical_direction(self):
+        m = halfplane_metric()
+        vertical = flow.integrate(m, PTMPoint(-0.5, 0.1, math.inf))
+        assert len(vertical) > 1
+        q0 = flow.integrate(m, PTMPoint(-0.5, 0.1, 0.0, "q"))
+        for name in ("t", "x", "y", "slope", "chart"):
+            assert np.array_equal(getattr(vertical, name), getattr(q0, name))
+
+    @pytest.mark.parametrize(
         # the last seed's trace switches chart once
         "seed", [(-0.5, 0.0, 0.3), (0.1, 0.0, 0.8), (0.1, 0.2, -1.1), (0.2, 0.05, 1.9)]
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,25 @@ def test_joint_run_compiles_one_field_per_layer(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "metric, box", [(halfplane_metric(), HALFPLANE_BOX), (parabola_metric(), PARABOLA_BOX)],
+    ids=["halfplane", "parabola"],
+)
+def test_lanes_are_reindexed_once_per_chunk_of_steps(monkeypatch, metric, box):
+    # the stop tests run once per chunk of steps, so the block bounds are
+    # found again at most once per chunk, however many steps stop lanes
+    calls = []
+    spans = nets._spans
+
+    def counted(lane, blocks):
+        calls.append(1)
+        return spans(lane, blocks)
+
+    monkeypatch.setattr(nets, "_spans", counted)
+    nets.net_curves(metric, box, ("F", "denom"))
+    assert 1 < len(calls) <= math.ceil(nets.NET_STEPS / nets._CELL_CHUNK) + 1
+
+
+@pytest.mark.parametrize(
     "layer, weight, tol",
     [
         # F = p^2 + c vanishes on dy^2 + c dx^2 = 0
@@ -280,15 +300,33 @@ def test_seeds_on_a_pole_are_skipped():
 #   1.5 <= p < 2.5   (1, 0, 0) for x < 0.2, then (0, 0, 1): stalls in the plane
 #   2.5 <= p < 3.5   (-y, x, 0): circles the origin inside the box
 #   p >= 3.5         (1, 0, 10): p passes NET_PMAX
+#   -10 <= p <= -0.5 rest
+#   -20 <= p < -10   (-y, x, -0.023): circles while p falls slowly
+#   p < -20          (0.001, 0, -1): p falls by about ds per step, past
+#                    -NET_PMAX; nan for x > 0.9
 def _banded_field(x, y, p):
     move = np.abs(p) < 0.5
     stall = (1.5 <= p) & (p < 2.5)
     turn = (2.5 <= p) & (p < 3.5)
     steep = p >= 3.5
+    spiral = (-20.0 <= p) & (p < -10.0)
+    fall = p < -20.0
     return (
-        np.where(move | steep | (stall & (x < 0.2)), 1.0, np.where(turn, -y, 0.0)),
-        np.where(turn, x, 0.0),
-        np.where(steep, 10.0, np.where(stall & (x >= 0.2), 1.0, 0.0)),
+        np.where(
+            move | steep | (stall & (x < 0.2)),
+            1.0,
+            np.where(turn | spiral, -y, np.where(fall, np.where(x > 0.9, np.nan, 1e-3), 0.0)),
+        ),
+        np.where(turn | spiral, x, 0.0),
+        np.where(
+            steep,
+            10.0,
+            np.where(
+                stall & (x >= 0.2),
+                1.0,
+                np.where(spiral, -0.023, np.where(fall, -1.0, 0.0)),
+            ),
+        ),
     )
 
 
@@ -350,6 +388,32 @@ def _lane_by_itself(field, start, sign, ds, lo, hi):
                 ((0.0, 0.0, 39.9), 1.0),  # first point past 40
             ],
             [0, 0, 0, 0],
+        ),
+        (
+            # lanes that stop inside a chunk of steps, at its last step, at
+            # the first step of the next one, and in the final partial
+            # chunk, while another lane runs all steps
+            [
+                # from p = -40 + (n + 0.5) ds, p passes -40 after n steps
+                ((0.0, 0.0, -40.0 + (nets._CELL_CHUNK - 0.5) * 0.25), 1.0),
+                ((0.0, 0.0, -40.0 + (nets._CELL_CHUNK + 0.5) * 0.25), 1.0),
+                ((0.0, 0.0, -40.0 + (nets._CELL_CHUNK + 1.5) * 0.25), 1.0),
+                # circles, reaches p < -20 after about 818 steps, then falls
+                # past -40 at step 898, in the last chunk (steps 896 .. 899)
+                ((0.5, 0.0, -10.08), 1.0),
+                # x = 0.9 - 0.01006 + 0.00025 t: step 40's second stage is
+                # at x > 0.9, where the field is nan, so its state is nan
+                ((0.9 - 2.5e-4 * 40.25, 0.0, -21.0), 1.0),
+                ((0.5, 0.0, 3.0), 1.0),  # circles: the step cap
+            ],
+            [
+                nets._CELL_CHUNK - 1,
+                nets._CELL_CHUNK,
+                nets._CELL_CHUNK + 1,
+                898,
+                40,
+                nets.NET_STEPS,
+            ],
         ),
     ],
 )
