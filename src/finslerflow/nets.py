@@ -185,14 +185,15 @@ def _trace_lanes(fields, blocks, start, sign, ds, lo, hi, cells):
     states, its |k1| and its step into the chunk's (T, 3, L) and (T, L)
     buffers.  The current state, the stage slopes and the stage argument
     are buffers for the chunk's lanes, and the column views of each
-    layer's block in them are made once per chunk.  At the chunk's end the stop tests run once on the stacked
-    arrays, and a lane's count is the index of its first failing step
-    (NET_STEPS if none fails).  A lane that stops inside a chunk is
-    carried to its end: the lanes are independent elementwise, so its
-    extra steps change no other lane, and its states past the stop are
-    dropped.  The stopped lanes leave the lane arrays then, and the
-    column bounds of the blocks are found again by one ``searchsorted``
-    (stopping keeps the lane order, so the blocks stay contiguous).
+    layer's block in them are made once per chunk.  At the chunk's end
+    the stop tests run once on the stacked arrays, and a lane's count is
+    the index of its first failing step (NET_STEPS if none fails).  A
+    lane that stops inside a chunk is carried to its end: the lanes are
+    independent elementwise, so its extra steps change no other lane, and
+    its states past the stop are dropped.  The stopped lanes leave the
+    lane arrays then, and the column bounds of the blocks are found again
+    by one ``searchsorted`` (stopping keeps the lane order, so the blocks
+    stay contiguous).
 
     The chunk's accepted states become their points and cells there, lane
     by lane, so the history holds (x, y) and a cell per point, not
