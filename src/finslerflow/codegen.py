@@ -6,7 +6,9 @@ equal subexpressions are computed once, and compiled with ``compile()``
 into plain Python functions: the coefficients at a point and their
 Horner sum in p.  Each function is compiled on its first use, under a
 name that says what it is.  ``lifted_field_function`` numbers a layer and
-its x and y partials together into the direction nets' lifted field, and
+its x and y partials together into the direction nets' lifted field,
+``slope_rows_function`` numbers slope polynomials with their x, y and p
+partials into the residuals and Jacobian rows that trace the loci, and
 ``dopri_step`` writes out one Dormand-Prince step for states of a given
 dimension; ``chart_step`` writes the same tableau for the geodesic flow
 in one chart, with the field's components inline around a call of the
@@ -20,7 +22,8 @@ function returns; the results keep their own names.  ``on_arrays`` is the
 one chunker of generated functions and of grids: it runs a function on
 1-d arrays _CHUNK points at a time.  Grids of points
 (``values_on_grid``) are raveled and go through it, as do the grid
-functions of the loci (``singular.trace_implicit_curve``) and the strata
+functions of the loci (``singular.trace_implicit_curve``), written in
+place where a grid becomes another, and the strata
 (``metric.strata_on_grid``).
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
@@ -200,18 +203,44 @@ def _horner(roots, acc: str = "h") -> tuple[list[str], str]:
     return lines, prev
 
 
+def _horner_rows(name: str, rows):
+    """Compile ``name``(x, y, p) -> tuple of each row's polynomial value at
+    slope p; the rows share one value numbering."""
+    code = _Code([e for row in rows for e in row])
+    body, results, at = code.scalar_lines(), [], 0
+    for j, row in enumerate(rows):
+        lines, result = _horner(code.roots[at : at + len(row)], f"h{j}_")
+        at += len(row)
+        body += lines
+        results.append(result)
+    return _function(name, "x, y, p", body, "(" + ", ".join(results) + ",)")
+
+
 def horner_function(layers):
     """(x, y, p) -> tuple of each layer's polynomial value at slope p;
     the layers share one value numbering.  It is compiled under the name
     ``fdp``, after its caller PseudoFinslerMetric.fdp_function."""
-    code = _Code([e for layer in layers for e in layer])
-    body, results, at = code.scalar_lines(), [], 0
-    for j, layer in enumerate(layers):
-        lines, result = _horner(code.roots[at : at + len(layer)], f"h{j}_")
-        at += len(layer)
-        body += lines
-        results.append(result)
-    return _function("fdp", "x, y, p", body, "(" + ", ".join(results) + ",)")
+    return _horner_rows("fdp", layers)
+
+
+def p_derivative(c):
+    """The coefficients i * c[i] of the p-derivative of sum_i c[i] p^i;
+    one zero for a constant.  ``ex.mul`` folds a constant c[i] into the
+    float product, a signed zero included."""
+    return [ex.mul(ex.const(i), a) for i, a in enumerate(c)][1:] or [ex.ZERO]
+
+
+def slope_rows_function(polys):
+    """(x, y, p) -> (C, C_x, C_y, C_p) of each slope polynomial C at slope
+    p, flat, on floats or elementwise on arrays.  polys holds each
+    polynomial's coefficient rows (c, cx, cy) of C, C_x and C_y; C_p's
+    coefficients are i * c[i] (p_derivative).  The rows share one value
+    numbering and each sum is Horner's from 0.0, as ``horner_function``'s;
+    compiled under the name ``slope_rows``, after its caller
+    PseudoFinslerMetric.slope_rows_function."""
+    return _horner_rows(
+        "slope_rows", [row for c, cx, cy in polys for row in (c, cx, cy, p_derivative(c))]
+    )
 
 
 def lifted_field_function(c, cx, cy):
@@ -408,12 +437,15 @@ class LayerTable:
         return out.reshape((self.n,) + xs.shape)
 
 
-def on_arrays(n: int, fn, *args) -> np.ndarray:
+def on_arrays(n: int, fn, *args, out=None) -> np.ndarray:
     """The n results of a generated function run elementwise on 1-d float
     arrays, _CHUNK points at a time, as the rows of one (n, len) array; a
-    result that is a constant fills its row."""
+    result that is a constant fills its row.  Given out, that array takes
+    the results: an argument may be a row of it, as each block's results
+    are made before they are written."""
     args = [np.asarray(a, dtype=np.float64) for a in args]
-    out = np.empty((n, args[0].size))
+    if out is None:
+        out = np.empty((n, args[0].size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(0, out.shape[1], _CHUNK):
             e = s + _CHUNK

@@ -550,11 +550,13 @@ def integrate(
     """Integrate the direction field through one projectivized point.
 
     direction 0 integrates both time directions and merges them (the
-    parameter of the backward half is negative); +1/-1 keep one side.
+    parameter of the backward half is negative); +1/-1 keep one side.  A
+    seed whose |slope| exceeds CHART_THRESHOLD starts in the other chart,
+    at the reciprocal slope, in either chart.
     """
     cfg = cfg or IntegratorConfig()
-    if seed.chart == "p" and abs(seed.slope) > CHART_THRESHOLD:
-        seed = PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q")
+    if abs(seed.slope) > CHART_THRESHOLD:
+        seed = PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q" if seed.chart == "p" else "p")
     cols, events, stops = _join_sides(
         lambda sign: _run_direction(m, seed, cfg, sign), direction
     )

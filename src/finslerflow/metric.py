@@ -33,7 +33,9 @@ import numpy as np
 
 from . import expr as ex
 from . import poly
-from .codegen import LayerTable, _ipow, horner_function, on_arrays
+from .codegen import (
+    LayerTable, _ipow, horner_function, on_arrays, p_derivative, slope_rows_function,
+)
 
 DISC_BAND_REL = 1e-10
 DEGREE_TRIM_REL = 1e-12
@@ -85,6 +87,7 @@ class PseudoFinslerMetric:
         self.coeffs = coeffs
         self._exprs: dict[str, list[ex.Expr]] = {}
         self._tables: dict[str, LayerTable] = {}
+        self._slope_rows_functions: dict[tuple[str, ...], object] = {}
         self._series_plan = None  # puiseux's residual plan, built on the first series solve
         self._dual: PseudoFinslerMetric | None = None
 
@@ -133,6 +136,21 @@ class PseudoFinslerMetric:
         return horner_function(
             [self._expr_layer(name) for name in ("F", "denom", "numer")]
         )
+
+    def slope_rows_function(self, names: tuple[str, ...]):
+        """The generated (x, y, p) -> (C, C_x, C_y, C_p) of each slope
+        polynomial C named, flat (codegen.slope_rows_function); a name is a
+        layer or, with the suffix "_p", its p-derivative ("F_p").  Compiled
+        on first use for each tuple of names."""
+        got = self._slope_rows_functions.get(names)
+        if got is None:
+            polys = []
+            for name in names:
+                base = name.removesuffix("_p")
+                rows = [self._expr_layer(base + s) for s in ("", "_x", "_y")]
+                polys.append(rows if base == name else [p_derivative(r) for r in rows])
+            got = self._slope_rows_functions[names] = slope_rows_function(polys)
+        return got
 
     def fdp(self, x: float, y: float, p: float) -> tuple[float, float, float]:
         """(F, denom, numer) at slope p, from one generated function; it

@@ -19,8 +19,12 @@ D_p N_x - D_x N_p) of the lifted curve, so T = 0 is exactly a tangency.
 
 The singular curves {D = N = 0} and the boundary {F = F_p = 0} are
 traced in (x, y, p), seeded by their planar shadows (the zero sets of
-Res_p(D, N) / disc_F and of disc_F) and projected onto them by
-minimum-norm Gauss-Newton steps with exact Jacobian rows.
+Res_p(D, N) / disc_F and of disc_F, from one disc_F grid that becomes
+the quotient in place) and projected onto them by minimum-norm
+Gauss-Newton steps with exact Jacobian rows.  The segments of the
+shadows are joined at integer node ids, and every residual and Jacobian
+row, at many points or at one, comes from one generated function of the
+metric (PseudoFinslerMetric.slope_rows_function).
 """
 
 from __future__ import annotations
@@ -82,9 +86,20 @@ class TangencyReport:
 
 def jacobian_at(m: PseudoFinslerMetric, x: float, y: float, p: float) -> np.ndarray:
     """Exact Jacobian of the field (denom, p*denom, numer) at (x, y, p),
-    from the rows (D_x, D_y, D_p) and (N_x, N_y, N_p) of _slope_rows."""
-    r, (d, n) = _slope_rows(m, ("denom", "numer"), np.array([[x], [y], [p]], dtype=float))
-    return np.array([d[:, 0], p * d[:, 0] + [0.0, 0.0, r[0, 0]], n[:, 0]])
+    from the rows (D_x, D_y, D_p) and (N_x, N_y, N_p) (_linearization)."""
+    return _linearization(m, x, y, p)[0]
+
+
+def _linearization(m: PseudoFinslerMetric, x: float, y: float, p: float):
+    """(J, D, N) at (x, y, p) from one call of the metric's generated slope
+    rows on floats, with the bits of _slope_rows at that point; row 2 of J
+    is p * row 1 + (0, 0, D)."""
+    p = float(p)
+    d, dx, dy, dp, n, nx, ny, np_ = m.slope_rows_function(("denom", "numer"))(
+        float(x), float(y), p
+    )
+    J = np.array([[dx, dy, dp], [p * dx + 0.0, p * dy + 0.0, p * dp + d], [nx, ny, np_]])
+    return J, d, n
 
 
 def _invariant_t(J, p):
@@ -111,14 +126,12 @@ def classify_singular(
     """Classify a singular point by the spectrum of the linearization J;
     where tr J vanishes against |J|, by the sign of T."""
     sc = mt._ipow(1.0 + mt.metric_scale(m, x, y), 2)
-    dv = m.table("denom").poly_value(x, y, p)
-    pv = m.table("numer").poly_value(x, y, p)
+    J, dv, pv = _linearization(m, x, y, p)
     if max(abs(dv), abs(pv)) > 1e-4 * sc:
         raise ValueError(
             f"({x}, {y}, {p}) is not singular: |denom|={abs(dv):.3g}, "
             f"|numer|={abs(pv):.3g}"
         )
-    J = jacobian_at(m, x, y, p)
     eigs = _spectrum(J, p, dv)
     norm = float(np.linalg.norm(J))
     if np.abs(eigs[0]) < 1e-7 * max(norm, 1e-30):
@@ -263,31 +276,48 @@ def _marching_squares(vals, xs, ys) -> np.ndarray:
 
 
 def _stitch(segs, snap):
-    """Join segments into polylines by endpoint proximity."""
-    def key(pt):
-        return (round(pt[0] / snap), round(pt[1] / snap))
-
-    adj: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segs):
-        adj.setdefault(key(a), []).append(idx)
-        adj.setdefault(key(b), []).append(idx)
-    used = [False] * len(segs)
+    """Join segments (segment, end, xy) into polylines by endpoint
+    proximity: endpoints whose coordinates round to the same multiples of
+    snap are one node.  Each polyline starts at the first segment not yet
+    used and grows at its end, then at its start, each time by the first
+    unused segment, in segment order, at its end node."""
+    ends = np.asarray(segs, dtype=np.float64).reshape(-1, 2)
+    # np.rint rounds half to even, as round does, to an integral float
+    # (-0.0 == 0.0), so equal keys are the equal ints of round
+    with np.errstate(all="ignore"):
+        keys = np.rint(ends / snap)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    node = np.empty(len(order), dtype=np.intp)
+    node[order] = np.cumsum(new) - 1
+    # the segments at node k, in segment order: at[bounds[k]:bounds[k + 1]]
+    at = (np.argsort(node, kind="stable") // 2).tolist()
+    bounds = np.searchsorted(node[order], np.arange(int(new.sum()) + 1)).tolist()
+    # at[first[k]:stop[k]] are node k's slots that may hold an unused segment
+    first, stop, node = bounds[:-1], bounds[1:], node.tolist()
+    used = [False] * (len(node) // 2)
     lines = []
-    for start in range(len(segs)):
+    for start in range(len(used)):
         if used[start]:
             continue
         used[start] = True
-        chain = list(segs[start])
-        for head in (1, 0):
+        tail, head = [2 * start + 1], [2 * start]
+        for chain in (tail, head):
+            cur = node[chain[0]]
             while True:
-                pt = chain[-1] if head else chain[0]
-                nxt = next((c for c in adj.get(key(pt), []) if not used[c]), None)
-                if nxt is None:
+                k = first[cur]
+                while k < stop[cur] and used[at[k]]:
+                    k += 1
+                first[cur] = k
+                if k == stop[cur]:
                     break
+                nxt = at[k]
                 used[nxt] = True
-                ca, cb = segs[nxt]
-                chain.insert(len(chain) if head else 0, cb if key(ca) == key(pt) else ca)
-        lines.append(np.asarray(chain))
+                end = 2 * nxt + 1 if node[2 * nxt] == cur else 2 * nxt
+                chain.append(end)
+                cur = node[end]
+        lines.append(ends[head[::-1] + tail])
     return lines
 
 
@@ -329,11 +359,22 @@ def _project(equations, P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _grid_values(g, xs, ys) -> np.ndarray:
+def _axes(box, resolution: int):
+    x0, x1, y0, y1 = box
+    return np.linspace(x0, x1, resolution), np.linspace(y0, y1, resolution)
+
+
+def _grid_values(g, xs, ys, vals=None) -> np.ndarray:
     """vals[i, j] = g(xs[i], ys[j]): g runs on 1-d blocks of the raveled
-    grid (codegen.on_arrays), so it must be elementwise."""
+    grid (codegen.on_arrays), so it must be elementwise.  Given the grid
+    vals, g(x, y, v) also gets each block v of it and its result replaces
+    that block, in place."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return on_arrays(1, lambda x, y: (g(x, y),), X.ravel(), Y.ravel())[0].reshape(X.shape)
+    if vals is None:
+        return on_arrays(1, lambda x, y: (g(x, y),), X.ravel(), Y.ravel())[0].reshape(X.shape)
+    flat = vals.reshape(1, -1)
+    on_arrays(1, lambda x, y, v: (g(x, y, v),), X.ravel(), Y.ravel(), flat[0], out=flat)
+    return vals
 
 
 def trace_implicit_curve(
@@ -351,13 +392,18 @@ def trace_implicit_curve(
     each point that does not lift or project or that the projection
     moves out of the box.
     """
+    return _trace_grid(_grid_values(g, *_axes(box, resolution)), equations, box, label, lift)
+
+
+def _trace_grid(vals, equations, box, label, lift) -> list[CurveSamples]:
+    """trace_implicit_curve from the grid vals[i, j] = g(xs[i], ys[j])."""
     x0, x1, y0, y1 = box
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
-    segs = _marching_squares(_grid_values(g, xs, ys), xs, ys)
+    resolution = len(vals)
+    xs, ys = _axes(box, resolution)
+    segs = _marching_squares(vals, xs, ys)
     cell = max((x1 - x0) / (resolution - 1), (y1 - y0) / (resolution - 1))
     out = []
-    for line in _stitch(segs.tolist(), snap=1e-6 * cell):
+    for line in _stitch(segs, snap=1e-6 * cell):
         P = _project(equations, line.T if lift is None else lift(*line.T))
         P[:, (P[0] < x0) | (P[0] > x1) | (P[1] < y0) | (P[1] > y1)] = np.nan
         with np.errstate(all="ignore"):
@@ -373,32 +419,19 @@ def trace_implicit_curve(
     return out
 
 
-def _horner_at(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_i c[i] p^i at each point by poly._horner; c[i] is a row."""
-    with np.errstate(all="ignore"):
-        return poly._horner(c.T, p[:, None])[:, 0]
-
-
 def _deriv(c: np.ndarray) -> np.ndarray:
     """The rows of the p-derivative; one zero row for a constant."""
     return c[1:] * np.arange(1.0, len(c))[:, None] if len(c) > 1 else np.zeros_like(c)
 
 
-def _slope_rows(m: PseudoFinslerMetric, names, P):
+def _slope_rows(m: PseudoFinslerMetric, names: tuple[str, ...], P):
     """(r, J) of the slope polynomials C named by layers ("F_p" is the
     p-derivative of F) at the columns (x, y, p) of P: r = C and the exact
-    rows J = (C_x, C_y, C_p), from the _x and _y layers and the
-    polynomial derivative."""
-    x, y, p = P
-    r, J, layers = [], [], {}
-    for name in names:
-        base = name.removesuffix("_p")
-        if base not in layers:
-            layers[base] = [m.table(base + s).values_on_grid(x, y) for s in ("", "_x", "_y")]
-        c, cx, cy = layers[base] if base == name else map(_deriv, layers[base])
-        r.append(_horner_at(c, p))
-        J.append([_horner_at(cx, p), _horner_at(cy, p), _horner_at(_deriv(c), p)])
-    return np.array(r), np.array(J)
+    rows J = (C_x, C_y, C_p), from one ``on_arrays`` call of the metric's
+    generated slope rows (PseudoFinslerMetric.slope_rows_function)."""
+    fn = m.slope_rows_function(names)
+    rows = on_arrays(4 * len(names), fn, *P).reshape(len(names), 4, -1)
+    return rows[:, 0], rows[:, 1:]
 
 
 def _slope_equations(m: PseudoFinslerMetric, names):
@@ -442,16 +475,24 @@ def singular_curves(
     set of singular_grid_fn and lifted by lift_to_slopes, and the metric
     boundary (boundary_curves).  Each carries its slopes.
 
+    disc_F is evaluated over the grid once: the boundary is traced from
+    that grid, which then becomes the resultant / disc_F grid in place.
     For degree 2, denom is -disc_F, constant in p, so no singular point
     lies off the boundary and the boundary is the whole locus.  Degrees
     above 3 raise ValueError.
     """
     if m.degree == 2:
         return boundary_curves(m, box, resolution)
-    return trace_implicit_curve(
-        singular_grid_fn(m), _slope_equations(m, ("denom", "numer")), box, resolution,
-        "singular", lambda xs, ys: np.array([xs, ys, np.arctan(lift_to_slopes(m, xs, ys))]),
-    ) + boundary_curves(m, box, resolution)
+    xs, ys = _axes(box, resolution)
+    vals = _grid_values(disc_grid_fn(m), xs, ys)
+    boundary = _boundary_from_grid(m, vals, box)
+    res = resultant_grid_fn(m)
+    # the values of singular_grid_fn, written over disc_F block by block
+    _grid_values(lambda x, y, disc: res(x, y) / disc, xs, ys, vals)
+    return _trace_grid(
+        vals, _slope_equations(m, ("denom", "numer")), box, "singular",
+        lambda xs, ys: np.array([xs, ys, np.arctan(lift_to_slopes(m, xs, ys))]),
+    ) + boundary
 
 
 def boundary_curves(
@@ -460,14 +501,17 @@ def boundary_curves(
     """Traced components of the metric boundary {F = F_p = 0} in (x, y, p),
     labeled "boundary": seeded by the zero set of disc_F and lifted to the
     root of F_p at which F is smallest (_lift)."""
+    return _boundary_from_grid(m, _grid_values(disc_grid_fn(m), *_axes(box, resolution)), box)
+
+
+def _boundary_from_grid(m: PseudoFinslerMetric, vals, box) -> list[CurveSamples]:
+    """boundary_curves from the grid of disc_F (_trace_grid)."""
 
     def lift(xs, ys):
         c = m.table("F").values_on_grid(xs, ys)
         return np.array([xs, ys, np.arctan(_lift(_deriv(c), c))])
 
-    return trace_implicit_curve(
-        disc_grid_fn(m), _slope_equations(m, ("F", "F_p")), box, resolution, "boundary", lift
-    )
+    return _trace_grid(vals, _slope_equations(m, ("F", "F_p")), box, "boundary", lift)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +545,7 @@ def tangency_report(m: PseudoFinslerMetric, x: float, y: float, p: float) -> Tan
     the direction is not tangent, where the pair lambda^2 = T of the
     spectrum is away from zero.
     """
-    J = jacobian_at(m, x, y, p)
+    J, dv, _ = _linearization(m, x, y, p)
     tx, ty, _ = np.cross(J[0], J[2]).tolist()
     tnorm = math.hypot(tx, ty)
     tangent = (tx / tnorm, ty / tnorm) if tnorm > 0 else (0.0, 0.0)
@@ -509,7 +553,7 @@ def tangency_report(m: PseudoFinslerMetric, x: float, y: float, p: float) -> Tan
     return TangencyReport(
         x=x, y=y, p=p, tangent=tangent, direction_dot=dot,
         transversal=abs(dot) > 1e-6,
-        eigenvalues=_spectrum(J, p, m.table("denom").poly_value(x, y, p)),
+        eigenvalues=_spectrum(J, p, dv),
     )
 
 

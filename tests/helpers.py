@@ -2,8 +2,9 @@
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step and the field of each chart that the generated chart
 steps write into their stages, a point-by-point reference for the SVG
-paths, cell-by-cell references for the grid paths, a point-by-point
-reference for the projection onto the loci, the degree of a coefficient
+paths, cell-by-cell references for the grid paths, the dict-keyed
+stitching of the locus segments, the slope rows from the layer grids, a
+point-by-point reference for the projection onto the loci, the degree of a coefficient
 row, the homogeneous metric, the one-polynomial-at-a-time root pipeline,
 the pairwise-difference expansion of the degeneracy combination,
 Sylvester determinants and the singular directions of a point for the
@@ -392,6 +393,63 @@ def cell_marching_squares(vals, xs, ys) -> np.ndarray:
                     _edge_point(eb, x0, y0, dx, dy, v),
                 ))
     return np.array(segs, dtype=np.float64).reshape(-1, 2, 2)
+
+
+def stitch_reference(segs, snap):
+    """Reference: singular._stitch with a dict keyed by the endpoints'
+    (round(x / snap), round(y / snap)), each endpoint rounded at each
+    lookup."""
+    def key(pt):
+        return (round(pt[0] / snap), round(pt[1] / snap))
+
+    adj: dict[tuple, list[int]] = {}
+    for idx, (a, b) in enumerate(segs):
+        adj.setdefault(key(a), []).append(idx)
+        adj.setdefault(key(b), []).append(idx)
+    used = [False] * len(segs)
+    lines = []
+    for start in range(len(segs)):
+        if used[start]:
+            continue
+        used[start] = True
+        chain = list(segs[start])
+        for head in (1, 0):
+            while True:
+                pt = chain[-1] if head else chain[0]
+                nxt = next((c for c in adj.get(key(pt), []) if not used[c]), None)
+                if nxt is None:
+                    break
+                used[nxt] = True
+                ca, cb = segs[nxt]
+                chain.insert(len(chain) if head else 0, cb if key(ca) == key(pt) else ca)
+        lines.append(np.asarray(chain))
+    return lines
+
+
+def _rows_deriv(c: np.ndarray) -> np.ndarray:
+    """The rows of the p-derivative; one zero row for a constant."""
+    return c[1:] * np.arange(1.0, len(c))[:, None] if len(c) > 1 else np.zeros_like(c)
+
+
+def _rows_horner(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_i c[i] p^i at each point by poly._horner; c[i] is a row."""
+    with np.errstate(all="ignore"):
+        return poly._horner(c.T, p[:, None])[:, 0]
+
+
+def slope_rows_reference(m, names, P):
+    """Reference: singular._slope_rows from three ``values_on_grid`` calls
+    per layer, the derivative rows i * c[i] and numpy Horner sums."""
+    x, y, p = P
+    r, J, layers = [], [], {}
+    for name in names:
+        base = name.removesuffix("_p")
+        if base not in layers:
+            layers[base] = [m.table(base + s).values_on_grid(x, y) for s in ("", "_x", "_y")]
+        c, cx, cy = layers[base] if base == name else map(_rows_deriv, layers[base])
+        r.append(_rows_horner(c, p))
+        J.append([_rows_horner(cx, p), _rows_horner(cy, p), _rows_horner(_rows_deriv(c), p)])
+    return np.array(r), np.array(J)
 
 
 def _point_horner(c, p: float) -> float:
@@ -1081,8 +1139,8 @@ def _run_direction_reference(m, seed, cfg, sign0):
 def integrate_reference(m, seed, cfg, direction: int = 0):
     """flow.integrate with the per-sample emission of
     _run_direction_reference."""
-    if seed.chart == "p" and abs(seed.slope) > flow.CHART_THRESHOLD:
-        seed = flow.PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q")
+    if abs(seed.slope) > flow.CHART_THRESHOLD:
+        seed = flow.PTMPoint(seed.x, seed.y, 1.0 / seed.slope, "q" if seed.chart == "p" else "p")
     cols, events, stops = flow._join_sides(
         lambda sign: _run_direction_reference(m, seed, cfg, sign), direction
     )

@@ -195,6 +195,13 @@ class TestTraceStructure:
         q0 = flow.integrate(m, PTMPoint(-0.5, 0.1, 0.0, "q"))
         for name in ("t", "x", "y", "slope", "chart"):
             assert np.array_equal(getattr(vertical, name), getattr(q0, name))
+        # and q = inf is the horizontal direction p = 0
+        horizontal = flow.integrate(m, PTMPoint(-0.5, 0.1, math.inf, "q"))
+        assert len(horizontal) > 1
+        p0 = flow.integrate(m, PTMPoint(-0.5, 0.1, 0.0))
+        for name in ("t", "x", "y", "slope", "chart"):
+            assert np.array_equal(getattr(horizontal, name), getattr(p0, name))
+        assert horizontal.events == p0.events and horizontal.stops == p0.stops
 
     @pytest.mark.parametrize(
         # the last seed's trace switches chart once

@@ -27,6 +27,7 @@ from helpers import (
     resultant_at,
     singular_at,
     slope_residual,
+    stitch_reference,
     strata_on_whole_grid,
 )
 
@@ -102,7 +103,7 @@ def test_configs_match_references(name):
         assert (len(segs) > 0) != (name == "halfplane" and what == "singular"), what
         assert np.array_equal(segs, cell_marching_squares(vals, xs, ys)), what
         if what in LOCI:
-            for line in sg._stitch(segs.tolist(), snap=1e-6 * cell):
+            for line in sg._stitch(segs, snap=1e-6 * cell):
                 assert_projection_agrees(m, what, lifted(m, what, line))
 
 
@@ -171,6 +172,12 @@ def test_blocked_grids_match_whole_grid_calls(resolution):
         xs, ys, X, Y = grid(box, resolution)
         for g in (sg.singular_grid_fn(m), sg.disc_grid_fn(m)):
             assert np.array_equal(sg._grid_values(g, xs, ys), g(X, Y), equal_nan=True)
+        # singular_curves' grid: disc_F turned into resultant / disc_F in place
+        vals = sg._grid_values(sg.disc_grid_fn(m), xs, ys)
+        res = sg.resultant_grid_fn(m)
+        got = sg._grid_values(lambda x, y, disc: res(x, y) / disc, xs, ys, vals)
+        assert got is vals
+        assert np.array_equal(vals, sg.singular_grid_fn(m)(X, Y), equal_nan=True)
         # classify's grid, one row per y
         got = mt.strata_on_grid(m, X.T, Y.T)
         want = strata_on_whole_grid(m, X.T, Y.T)
@@ -192,6 +199,50 @@ def test_marching_squares_on_saddles_and_non_finite_cells():
         assert np.any(vals == 0.0) and np.any(np.diff(vals, axis=0) == 0.0)
     segs = sg._marching_squares(vals, xs, ys)
     assert np.array_equal(segs, cell_marching_squares(vals, xs, ys))
+
+
+def assert_same_lines(segs, snap):
+    got = sg._stitch(segs, snap)
+    want = stitch_reference(segs.tolist(), snap)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+def test_stitch_matches_the_round_keyed_reference():
+    rng = np.random.default_rng(40)
+    # rounded values: contours through grid nodes, where up to four
+    # segments meet at one endpoint, and saddles
+    vals = np.round(rng.standard_normal((30, 35)), 1)
+    xs, ys = np.linspace(-2.0, 1.0, 30), np.linspace(-1.0, 1.5, 35)
+    segs = sg._marching_squares(vals, xs, ys)
+    on_nodes = np.isin(segs[..., 0], xs) & np.isin(segs[..., 1], ys)
+    assert on_nodes.sum() > 50
+    for snap in (1e-6 * (xs[1] - xs[0]), 0.5 * (xs[1] - xs[0]), 0.3):
+        assert_same_lines(segs, snap)
+    # endpoints at -0.0 and +0.0: round gives the int 0 for both
+    zeros = np.array([
+        [[-0.0, 0.0], [1.0, 0.0]],
+        [[0.0, -0.0], [-1.0, 0.0]],
+        [[-1.0, 0.0], [-1.0, -0.0]],
+        [[0.25, -0.25], [-0.0, -0.0]],
+        [[1.0, 0.0], [1.0, 1.0]],
+    ])
+    for snap in (1.0, 1e-3):
+        assert_same_lines(zeros, snap)
+    assert [len(line) for line in sg._stitch(zeros, 1e-3)] == [5, 2]
+    # a box offset so far that |pt / snap| > 2^63: the keys are integral
+    # floats beyond int64, grouped as round's ints are
+    xs = np.linspace(3e12 - 1.0, 3e12 + 1.0, 30)
+    ys = np.linspace(-1.0, 1.0, 30)
+    X, Y = np.meshgrid(xs - 3e12, ys, indexing="ij")
+    vals = X * X + Y * Y - 0.3
+    segs = sg._marching_squares(vals, xs, ys)
+    snap = 1e-6 * (ys[1] - ys[0])
+    assert np.abs(segs[..., 0] / snap).min() > 2.0**63
+    assert len(assert_same_lines(segs, snap)) >= 1
+    assert len(sg._stitch(np.zeros((0, 2, 2)), 1.0)) == 0
 
 
 def test_no_crossing_gives_no_segments():

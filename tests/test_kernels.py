@@ -25,6 +25,7 @@ from finslerflow import berwald_moor as bm
 from finslerflow import cli, codegen, flow
 from finslerflow import expr as ex
 from finslerflow import metric as mt
+from finslerflow import singular as sg
 from finslerflow.codegen import (
     LayerTable,
     _div,
@@ -506,7 +507,7 @@ def test_generated_functions_have_their_own_names():
     tbl = m.table("F")
     functions = [
         dopri_step(3), dopri_step(4), chart_step("p"), chart_step("q"), m.fdp_function,
-        tbl.point_function, tbl._poly,
+        tbl.point_function, tbl._poly, m.slope_rows_function(("denom", "numer")),
         lifted_field_function(*(m.table("F" + d).exprs for d in ("", "_x", "_y"))),
     ]
     keys = {(f.__code__.co_filename, f.__code__.co_name) for f in functions}
@@ -516,6 +517,9 @@ def test_generated_functions_have_their_own_names():
     listed = set(pstats.Stats(profile).stats)
     assert ("<finslerflow chart_step_p>", 1, "chart_step_p") in listed
     assert ("<finslerflow fdp>", 1, "fdp") in listed
+    profile = cProfile.Profile()
+    profile.runcall(sg.jacobian_at, m, 0.1, 0.2, 0.3)
+    assert ("<finslerflow slope_rows>", 1, "slope_rows") in set(pstats.Stats(profile).stats)
 
 
 def test_division_on_floats_and_arrays():

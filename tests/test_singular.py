@@ -4,6 +4,7 @@ transversality along the singular locus."""
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import types
 from pathlib import Path
@@ -19,8 +20,8 @@ from finslerflow import metric as mt
 from finslerflow import poly
 from finslerflow import singular as sg
 
-from helpers import (halfplane_metric, parabola_metric, random_metric, real_roots_reference,
-                     singular_directions, to_sympy)
+from helpers import (halfplane_metric, parabola_metric, random_metric, random_poly_text,
+                     real_roots_reference, singular_directions, slope_rows_reference, to_sympy)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -189,6 +190,79 @@ class TestTraceAndInvariant:
         assert checked >= 40
 
 
+def assert_same_bits(got, want):
+    """Equal values and signs; a nan matches any nan (the float path's
+    _div gives math.nan, numpy's 0/0 sets the sign bit)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got) | np.isnan(got), np.signbit(want) | np.isnan(want))
+
+
+class TestSlopeRows:
+    """_slope_rows is one call of the metric's generated slope rows, on
+    arrays; the point reports call the same function on floats."""
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_generated_rows_match_the_layer_grids(self, degree):
+        rng = np.random.default_rng(40 + degree)
+        metrics = [random_metric(rng, degree) for _ in range(3)]
+        # a pole on the line x = 0.25
+        texts = [random_poly_text(rng) for _ in range(degree)] + ["1.3"]
+        texts[0] += " + 0.2/(x - 0.25)"
+        metrics.append(mt.metric_from_strings(degree, texts))
+        special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e300]
+        x = np.concatenate([rng.uniform(-1.5, 1.5, 60), [0.25] * 6, [0.0, 1e200, 0.5] * 2])
+        y = np.concatenate([rng.uniform(-1.5, 1.5, 60), rng.uniform(-1.0, 1.0, 12)])
+        p = np.concatenate([rng.uniform(-3.0, 3.0, 60), special, special])
+        p[rng.integers(0, 60, 12)] = special * 2
+        P = np.array([x, y, p])
+        for m in metrics:
+            for names in (("denom", "numer"), ("F", "F_p")):
+                r, J = sg._slope_rows(m, names, P)
+                want_r, want_J = slope_rows_reference(m, names, P)
+                assert_same_bits(r, want_r)
+                assert_same_bits(J, want_J)
+            # jacobian_at on floats: the rows of the array path
+            r, (d, n) = sg._slope_rows(m, ("denom", "numer"), P)
+            with np.errstate(all="ignore"):
+                row2 = p * d + np.array([np.zeros_like(p), np.zeros_like(p), r[0]])
+            assert not np.all(np.isfinite(row2))
+            for k in range(P.shape[1]):
+                assert_same_bits(sg.jacobian_at(m, *P[:, k].tolist()),
+                                 [d[:, k], row2[:, k], n[:, k]])
+
+    def test_point_reports_make_one_generated_call(self, monkeypatch):
+        # classify_singular and tangency_report take D, N and J from one
+        # call of the generated slope rows, not from poly_value
+        m = parabola_metric(1.0)
+        calls = []
+        rows = m.slope_rows_function
+
+        def counted(names):
+            fn = rows(names)
+
+            def call(*args):
+                calls.append((names, args))
+                return fn(*args)
+
+            return call
+
+        def refused(*args):
+            raise AssertionError("poly_value called")
+
+        monkeypatch.setattr(m, "slope_rows_function", counted)
+        monkeypatch.setattr(type(m.table("denom")), "poly_value", refused)
+        y = 0.6
+        x, p = scurve_x(y), sg.lift_to_slope(m, scurve_x(y), y)
+        spt = sg.classify_singular(m, x, y, p)
+        assert spt.kind == sg.REAL_PAIR
+        rep = sg.tangency_report(m, x, y, p)
+        assert rep.transversal
+        assert calls == [(("denom", "numer"), (x, y, p))] * 2
+        assert np.array_equal(rep.eigenvalues, spt.eigenvalues)
+
+
 class TestSingularCurves:
     def test_closed_form_parabola(self):
         for alpha in (1.0, 0.7):
@@ -246,6 +320,31 @@ class TestSingularCurves:
         for c in sg.singular_curves(cfg.metric_obj(), cfg.box, cfg.resolution):
             x, y = c.points.T
             assert np.all((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)), c.label
+
+    def test_disc_is_evaluated_once(self, monkeypatch):
+        # the boundary is traced from disc_F's grid, which then becomes
+        # the grid of resultant / disc_F
+        m = parabola_metric(1.0)
+        box, resolution = (-1.5, 1.5, 0.05, 1.5), 120
+        want = sg.trace_implicit_curve(
+            sg.singular_grid_fn(m), sg._slope_equations(m, ("denom", "numer")), box,
+            resolution, "singular",
+            lambda xs, ys: np.array([xs, ys, np.arctan(sg.lift_to_slopes(m, xs, ys))]),
+        ) + sg.boundary_curves(m, box, resolution)
+        points = []
+        disc_from_coeffs = mt.disc_from_coeffs
+
+        def counted(metric, c):
+            points.append(np.size(c[0]))
+            return disc_from_coeffs(metric, c)
+
+        monkeypatch.setattr(mt, "disc_from_coeffs", counted)
+        got = sg.singular_curves(m, box, resolution)
+        assert sum(points) == resolution**2
+        assert [c.label for c in got] == [c.label for c in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.slopes, b.slopes)
 
     def test_degree_four_is_refused(self):
         m = mt.metric_from_strings(4, ["y^2 - x", "0", "1", "0", "0.3"])
