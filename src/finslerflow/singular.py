@@ -286,15 +286,15 @@ def _stitch(segs, snap):
     # (-0.0 == 0.0), so equal keys are the equal ints of round
     with np.errstate(all="ignore"):
         keys = np.rint(ends / snap)
+    # lexsort is stable: the endpoints of a node come in segment order
     order = np.lexsort((keys[:, 1], keys[:, 0]))
     new = np.ones(len(order), dtype=bool)
     new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     node = np.empty(len(order), dtype=np.intp)
     node[order] = np.cumsum(new) - 1
-    # the segments at node k, in segment order: at[bounds[k]:bounds[k + 1]]
-    at = (np.argsort(node, kind="stable") // 2).tolist()
-    bounds = np.searchsorted(node[order], np.arange(int(new.sum()) + 1)).tolist()
-    # at[first[k]:stop[k]] are node k's slots that may hold an unused segment
+    # the segments at node k are at[first[k]:stop[k]]; first[k] moves
+    # past the used ones
+    at, bounds = (order // 2).tolist(), np.flatnonzero(new).tolist() + [len(order)]
     first, stop, node = bounds[:-1], bounds[1:], node.tolist()
     used = [False] * (len(node) // 2)
     lines = []
