@@ -4,9 +4,10 @@ Dormand-Prince step and the field of each chart that the generated chart
 steps write into their stages, a point-by-point reference for the SVG
 paths, cell-by-cell references for the grid paths, the dict-keyed
 stitching of the locus segments, the slope rows from the layer grids, a
-point-by-point reference for the projection onto the loci, the degree of a coefficient
-row, the homogeneous metric, the one-polynomial-at-a-time root pipeline,
-the pairwise-difference expansion of the degeneracy combination,
+point-by-point reference for the projection onto the loci, the degree
+of a coefficient row, the homogeneous metric, the
+one-polynomial-at-a-time root pipeline, the pairwise-difference
+expansion of the degeneracy combination,
 Sylvester determinants and the singular directions of a point for the
 singular locus, exact polynomial trees in sympy, a tree-walk reference,
 on dual numbers, for the exact series solve, the series plan on any
