@@ -176,21 +176,6 @@ def resultant_grid_fn(m: PseudoFinslerMetric):
     return fn
 
 
-def singular_grid_fn(m: PseudoFinslerMetric):
-    """Vectorized (X, Y) -> resultant / disc_F, whose zeros are the planar
-    shadows of the singular curves: disc_F divides the resultant exactly
-    once, so the boundary disc_F = 0 drops out (not finite where disc_F
-    is 0 exactly).  Degrees 2 and 3; disc_grid_fn raises ValueError
-    otherwise."""
-    res, disc = resultant_grid_fn(m), disc_grid_fn(m)
-
-    def fn(X, Y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return res(X, Y) / disc(X, Y)
-
-    return fn
-
-
 def disc_grid_fn(m: PseudoFinslerMetric):
     """Vectorized (X, Y) -> discriminant of F (degrees 2 and 3)."""
     if m.degree not in (2, 3):
@@ -472,8 +457,10 @@ def singular_curves(
 ) -> list[CurveSamples]:
     """Traced components of the singular locus, labeled: the singular
     curves {D = N = 0} in (x, y, p) (label "singular"), seeded by the zero
-    set of singular_grid_fn and lifted by lift_to_slopes, and the metric
-    boundary (boundary_curves).  Each carries its slopes.
+    set of resultant / disc_F (resultant_grid_fn over disc_grid_fn; disc_F
+    divides the resultant exactly once, so the boundary drops out) and
+    lifted by lift_to_slopes, and the metric boundary (boundary_curves).
+    Each carries its slopes.
 
     disc_F is evaluated over the grid once: the boundary is traced from
     that grid, which then becomes the resultant / disc_F grid in place.
@@ -487,7 +474,7 @@ def singular_curves(
     vals = _grid_values(disc_grid_fn(m), xs, ys)
     boundary = _boundary_from_grid(m, vals, box)
     res = resultant_grid_fn(m)
-    # the values of singular_grid_fn, written over disc_F block by block
+    # resultant / disc_F, written over disc_F block by block
     _grid_values(lambda x, y, disc: res(x, y) / disc, xs, ys, vals)
     return _trace_grid(
         vals, _slope_equations(m, ("denom", "numer")), box, "singular",

@@ -1,4 +1,6 @@
-"""Shared builders, planar polyline utilities, the guarded tree walk
+"""Shared builders, planar polyline utilities (the exact deviation of two
+polylines among them), fixed-step RK4 lanes as the reference for the
+direction nets, the singular grid function, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
 Dormand-Prince step and the field of each chart that the generated chart
 steps write into their stages, a point-by-point reference for the SVG
@@ -28,6 +30,7 @@ from finslerflow import codegen
 from finslerflow import expr as ex
 from finslerflow import flow
 from finslerflow import metric as mt
+from finslerflow import nets
 from finslerflow import poly
 from finslerflow import puiseux as pz
 from finslerflow import singular as sg
@@ -240,32 +243,133 @@ def max_ode_residual(m, trace, stride: int = 7, event_margin: int = 21) -> float
 # planar polylines
 
 
-def _point_segment_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points (N, 2) to one segment a-b."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.hypot(*(pts - a).T)
-    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(*(pts - proj).T)
+def _polyline_distance(pts: np.ndarray, line: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Distance from each point (N, 2) to the polyline through the rows
+    of ``line``, the least distance to any of its segments, found exactly;
+    ``near`` holds a point of the line for each point.
+
+    The segments are taken in runs of about sqrt(their count / 4), each in a
+    circle about the mean of its vertices.  The distance to the near point
+    bounds a point's distance from above, and a run whose circle is
+    farther than that bound is not measured.
+    """
+    if len(line) == 1:
+        return np.hypot(*(pts - line[0]).T)
+    n_seg = len(line) - 1
+    run = max(1, math.isqrt(n_seg // 4))
+    n_run = -(-n_seg // run)
+    # the vertices of each run, the last repeated to fill the final one
+    verts = line[np.minimum(np.arange(n_run)[:, None] * run + np.arange(run + 1), n_seg)]
+    center = verts.mean(axis=1)
+    radius = np.hypot(*(verts - center[:, None]).transpose(2, 0, 1)).max(axis=1)
+    best = np.hypot(*(pts - near).T)
+    reach = best[:, None] + radius
+    to_center = (pts[:, 0, None] - center[:, 0]) ** 2 + (pts[:, 1, None] - center[:, 1]) ** 2
+    i, k = np.nonzero(to_center <= reach * reach * (1.0 + 1e-9))
+    i = np.repeat(i, run)
+    j = (k[:, None] * run + np.arange(run)).ravel()
+    keep = j < n_seg
+    i, j = i[keep], j[keep]
+    ab = line[j + 1] - line[j]
+    d = pts[i] - line[j]
+    denom = np.einsum("ij,ij->i", ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.einsum("ij,ij->i", d, ab) / denom, 0.0, 1.0)
+    # an empty segment is its point
+    t[denom == 0.0] = 0.0
+    off = d - t[:, None] * ab
+    np.minimum.at(best, i, np.hypot(off[:, 0], off[:, 1]))
+    return best
+
+
+def polyline_deviation(a, b) -> float:
+    """Largest distance between two polylines that start at one point,
+    over the span they share.
+
+    The span is the shorter of the two lengths, measured along each line
+    from the start.  Each vertex of a line within the span is taken to
+    the nearest point of the other line, found exactly over all of its
+    segments: the segments at the nearest vertex do not show it where a
+    line turns back on itself, as at a cusp.  The longer line is followed
+    past the span as far as its vertex nearest the shorter line's end, as
+    the length of a line that zigzags overstates how far it got.
+    """
+    lines = [np.asarray(line, dtype=np.float64) for line in (a, b)]
+    lengths = [
+        np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(line, axis=0).T))])
+        for line in lines
+    ]
+    short = int(lengths[1][-1] < lengths[0][-1])
+    span = lengths[short][-1]
+    longer, end = lines[1 - short], lines[short][-1]
+    past = np.searchsorted(lengths[1 - short], span)
+    cut = list(lines)
+    cut[1 - short] = longer[: past + np.argmin(np.hypot(*(longer[past:] - end).T)) + 1]
+    worst = 0.0
+    for k in (0, 1):
+        pts, target = lines[k][lengths[k] <= span], cut[1 - k]
+        # the target's vertex at the same length from the start
+        at = np.searchsorted(lengths[1 - k], lengths[k][: len(pts)])
+        near = target[np.minimum(at, len(target) - 1)]
+        worst = max(worst, float(_polyline_distance(pts, target, near).max()))
+    return worst
 
 
 def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """max over points of a of the distance to polyline b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if len(b) == 1:
-        return float(np.max(np.hypot(*(a - b[0]).T)))
-    best = np.full(len(a), np.inf)
-    for i in range(len(b) - 1):
-        d = _point_segment_dist(a, b[i], b[i + 1])
-        np.minimum(best, d, out=best)
-    return float(np.max(best))
+    return float(_polyline_distance(a, b, np.broadcast_to(b[0], a.shape)).max())
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+
+
+def net_lanes_rk4_reference(fields, blocks, start, sign, ds, lo, hi, steps):
+    """Reference for the direction nets: the lanes of ``nets._trace_lanes``
+    traced with fixed RK4 steps of length ``ds`` in (x, y, p), as the
+    nets were traced before their steps were error-controlled.
+
+    Lanes ``blocks[j]`` to ``blocks[j + 1] - 1`` run along ``fields[j]``.
+    A lane stops when the field's norm is below 1e-12, when a step moves
+    it less than 1e-10 in the plane, or when its new state leaves the box
+    ``lo``, ``hi`` or has |p| > NET_PMAX (its last step then dropped), or
+    after ``steps`` steps.  Returns the accepted points (n, 2) of each
+    lane, start states not included.
+    """
+    lane_ids, points = [], []
+    for field, first, last in zip(fields, blocks[:-1], blocks[1:]):
+        lane = np.arange(first, last)
+        s, sds = start[:, first:last].copy(), sign[first:last] * ds
+
+        def lifted(u):
+            return np.array(np.broadcast_arrays(*field(u[0], u[1], u[2])))
+
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                if not lane.size:
+                    break
+                k1 = lifted(s)
+                nrm = np.sqrt(np.einsum("ij,ij->j", k1, k1))
+                h = sds / nrm
+                k2 = lifted(s + 0.5 * h * k1)
+                k3 = lifted(s + 0.5 * h * k2)
+                k4 = lifted(s + h * k3)
+                step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                s = s + step
+                go = ~(nrm < 1e-12) & ~(np.hypot(step[0], step[1]) < 1e-10)
+                go &= (lo[0] <= s[0]) & (s[0] <= hi[0]) & (lo[1] <= s[1]) & (s[1] <= hi[1])
+                go &= np.abs(s[2]) <= nets.NET_PMAX
+                lane, s, sds = lane[go], s[:, go], sds[go]
+                lane_ids.append(lane)
+                points.append(s[:2].T)
+    lane_ids = np.concatenate(lane_ids) if lane_ids else np.zeros(0, dtype=int)
+    points = np.concatenate(points) if points else np.zeros((0, 2))
+    # the steps of each lane come in step order
+    order = np.argsort(lane_ids, kind="stable")
+    bounds = np.searchsorted(lane_ids[order], np.arange(blocks[-1] + 1))
+    return np.split(points[order], bounds[1:-1])
 
 
 def svg_polyline_paths(canvas, pts, style: str) -> list[tuple[str, str]]:
@@ -691,6 +795,21 @@ def resultant_at(m, x, y) -> float:
     if dc.size == 3:
         return quadratic_resultant(dc, nc)
     return resultant(dc, nc, deg_f=max(2 * n - 4, 1), deg_g=2 * n - 1)
+
+
+def singular_grid_fn(m: mt.PseudoFinslerMetric):
+    """Vectorized (X, Y) -> resultant / disc_F, whose zeros are the planar
+    shadows of the singular curves: disc_F divides the resultant exactly
+    once, so the boundary disc_F = 0 drops out (not finite where disc_F
+    is 0 exactly).  The grid that ``singular.singular_curves`` traces,
+    made from the library's two grid functions; degrees 2 and 3."""
+    res, disc = sg.resultant_grid_fn(m), sg.disc_grid_fn(m)
+
+    def fn(X, Y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return res(X, Y) / disc(X, Y)
+
+    return fn
 
 
 def singular_at(m, x, y) -> float:

@@ -26,6 +26,7 @@ from helpers import (
     random_poly_text,
     resultant_at,
     singular_at,
+    singular_grid_fn,
     slope_residual,
     stitch_reference,
     strata_on_whole_grid,
@@ -64,7 +65,7 @@ def locus_functions(m):
     two traced loci, the singular curves and the boundary."""
     return [
         ("resultant", sg.resultant_grid_fn(m), lambda x, y: resultant_at(m, x, y)),
-        ("singular", sg.singular_grid_fn(m), lambda x, y: singular_at(m, x, y)),
+        ("singular", singular_grid_fn(m), lambda x, y: singular_at(m, x, y)),
         ("disc", sg.disc_grid_fn(m), lambda x, y: mt.disc_metric(m, x, y)),
     ]
 
@@ -170,14 +171,14 @@ def test_blocked_grids_match_whole_grid_calls(resolution):
     ]
     for m, box in cases:
         xs, ys, X, Y = grid(box, resolution)
-        for g in (sg.singular_grid_fn(m), sg.disc_grid_fn(m)):
+        for g in (singular_grid_fn(m), sg.disc_grid_fn(m)):
             assert np.array_equal(sg._grid_values(g, xs, ys), g(X, Y), equal_nan=True)
         # singular_curves' grid: disc_F turned into resultant / disc_F in place
         vals = sg._grid_values(sg.disc_grid_fn(m), xs, ys)
         res = sg.resultant_grid_fn(m)
         got = sg._grid_values(lambda x, y, disc: res(x, y) / disc, xs, ys, vals)
         assert got is vals
-        assert np.array_equal(vals, sg.singular_grid_fn(m)(X, Y), equal_nan=True)
+        assert np.array_equal(vals, singular_grid_fn(m)(X, Y), equal_nan=True)
         # classify's grid, one row per y
         got = mt.strata_on_grid(m, X.T, Y.T)
         want = strata_on_whole_grid(m, X.T, Y.T)

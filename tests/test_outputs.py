@@ -30,7 +30,7 @@ HASHES = {
         "berwald_moor_family03.csv":
             "6fa34d300e70ae0c7281ed1323174c63d856b0b7e02028ca47f20b6a848d3bd8",
         "berwald_moor_portrait.svg":
-            "0a636ef3ef4e800bfbaacfd1c2b3a9ea666c5de6990b88140fa6db7b0951e799",
+            "51e5c2e0a29c6bf2e60ed58c5b874698a187496d6ee2f19504a4a5ae73463a66",
         "berwald_moor_series.csv":
             "833f56550a1070f77650d88d52f7e6742f5c23f705b73eb1b5561a8e1409bdd3",
         "berwald_moor_series.txt":
@@ -48,7 +48,7 @@ HASHES = {
         "halfplane_locus00_boundary.csv":
             "5fed0f1f2f665954afc718b9dd8791189b4d407440505077588c457843bc1906",
         "halfplane_portrait.svg":
-            "2630d58ee82646e948c7633b1d8d97786a75a8b762d547b3aee7c65aa7122c5f",
+            "aa2f0f3dea63f8b7beebb4010311cb4d2bd68927ccae0db5319bf50919f8ed95",
         "halfplane_singular_points.csv":
             "83a84c95e1c3a6fa87d1059bbe01c7165ed76d70a144cd6d93aa023c21e717ad",
         "halfplane_strata.csv":
@@ -68,7 +68,7 @@ HASHES = {
         "parabola_locus01_boundary.csv":
             "05535fd1e18133edd573cd88e10638b901d03eefe8b6591e2b3732333e0b6782",
         "parabola_portrait.svg":
-            "92f8f5a062a1a2f4dd515897f54b8f9f34a25e491ae16f94cf2f0dddfe673b54",
+            "df31c44364b953cb46c1bbf92856fe261ed56ca9769835ee93f07f9b49ce5376",
         "parabola_singular_points.csv":
             "5d7cec1041003a6c2af387c6ea52172e5e14a30f4c3aa61978bd24f6b47f180e",
         "parabola_strata.csv":
@@ -86,7 +86,7 @@ HASHES = {
         "parabola_neg_locus01_boundary.csv":
             "488e4d1784d0b77932b9ae2738599173ce6117b3fc2edd5da932d6192bf3a7a3",
         "parabola_neg_portrait.svg":
-            "66d9eef85865f671cd1fbbfaf2bb7a01c68b91d527483f36b31732c39ba3f46e",
+            "7a42147e79a1161cf05a26bbb098a710c2ea9fca87f4b49a77aa64db5d58eb0d",
         "parabola_neg_singular_points.csv":
             "bfba67a3253c41d92c44bce4f474411d6271fe8e8cafcc6190d8171c862c4593",
         "parabola_neg_strata.csv":

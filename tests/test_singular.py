@@ -21,7 +21,8 @@ from finslerflow import poly
 from finslerflow import singular as sg
 
 from helpers import (halfplane_metric, parabola_metric, random_metric, random_poly_text,
-                     real_roots_reference, singular_directions, slope_rows_reference, to_sympy)
+                     real_roots_reference, singular_directions, singular_grid_fn,
+                     slope_rows_reference, to_sympy)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -327,7 +328,7 @@ class TestSingularCurves:
         m = parabola_metric(1.0)
         box, resolution = (-1.5, 1.5, 0.05, 1.5), 120
         want = sg.trace_implicit_curve(
-            sg.singular_grid_fn(m), sg._slope_equations(m, ("denom", "numer")), box,
+            singular_grid_fn(m), sg._slope_equations(m, ("denom", "numer")), box,
             resolution, "singular",
             lambda xs, ys: np.array([xs, ys, np.arctan(sg.lift_to_slopes(m, xs, ys))]),
         ) + sg.boundary_curves(m, box, resolution)
@@ -432,12 +433,12 @@ class TestResultantFactorization:
         c = alpha * y * y - x
         cx, cy = -1.0, 2.0 * alpha * y
         want = 384.0 * (12.0 * c * cy * cy - cx * cx)
-        got = sg.singular_grid_fn(m)(x, y)
+        got = singular_grid_fn(m)(x, y)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_vanishes_exactly_on_singular_curve(self):
         m = parabola_metric(1.0)
-        g = sg.singular_grid_fn(m)
+        g = singular_grid_fn(m)
         for y in (0.3, 0.5, 0.9):
             val = g(scurve_x(y), y)
             off = g(scurve_x(y) + 0.1, y)
