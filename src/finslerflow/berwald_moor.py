@@ -267,8 +267,7 @@ def blowup_field_at(alm: AdaptedLocalMetric, x: float, y: float, u: float):
         return (0.0, 0.0, slope / amb)
     m = full_metric(alm)
     p = x * u
-    dv = m.table("denom").poly_value(x, y, p)
-    nv = m.table("numer").poly_value(x, y, p)
+    _, dv, nv = m.fdp_function(float(x), float(y), float(p))
     if abs(dv) <= 1e-14 * max(1.0, abs(nv)):
         raise ValueError("slope-degeneracy polynomial vanishes here")
     return (x, x * x * u, (nv - u * dv) / dv)

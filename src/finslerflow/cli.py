@@ -1030,8 +1030,7 @@ def _check_accel(m, rng, box):
         yd = float(rng.uniform(-1.5, 1.5))
         H, H1, H2 = mt.accel_determinants(m, float(x), float(y), xd, yd)
         p = yd / xd
-        dv = m.table("denom").poly_value(x, y, p)
-        pv = m.table("numer").poly_value(x, y, p)
+        _, dv, pv = m.fdp_function(float(x), float(y), p)
         lhs1 = xd ** (2 * n - 4) * (n - 1) * dv
         lhs2 = xd ** (2 * n - 2) * (n - 1) * pv
         res.append(abs(H - lhs1) / (1.0 + abs(H) + abs(lhs1)))
@@ -1111,12 +1110,10 @@ def _check_charts(m, rng, box):
     xs, ys = _interior_samples(rng, box, 60)
     for x, y in zip(xs, ys):
         p = float(rng.uniform(0.35, 2.2) * rng.choice([-1.0, 1.0]))
-        dv = m.table("denom").poly_value(x, y, p)
-        pv = m.table("numer").poly_value(x, y, p)
+        _, dv, pv = m.fdp_function(float(x), float(y), p)
         v1 = np.array([p * dv, dv, -pv / p**2])
         q = 1.0 / p
-        dvq = md.table("denom").poly_value(y, x, q)
-        pvq = md.table("numer").poly_value(y, x, q)
+        _, dvq, pvq = md.fdp_function(float(y), float(x), q)
         v2 = np.array([dvq, q * dvq, pvq])
         cross = np.linalg.norm(np.cross(v1, v2))
         scale = (np.linalg.norm(v1) * np.linalg.norm(v2)) + 1e-30

@@ -3,14 +3,16 @@
 A layer -- the coefficient fields c_0..c_{n-1} of one polynomial in the
 slope p -- is value-numbered into one sequence of assignments, in which
 equal subexpressions are computed once, and compiled with ``compile()``
-into plain Python functions: the coefficients at a point and their
-Horner sum in p.  Each function is compiled on its first use, under a
-name that says what it is.  ``lifted_field_function`` numbers a layer and
-its x and y partials together into the direction nets' lifted field,
-``slope_rows_function`` numbers slope polynomials with their x, y and p
-partials into the residuals and Jacobian rows that trace the loci, and
-``dopri_step`` writes out one Dormand-Prince step for states of a given
-dimension; ``chart_step`` writes the same tableau for the geodesic flow
+into a plain Python function of (x, y) giving the coefficients at a point
+(``LayerTable``).  Each function is compiled on its first use, under a
+name that says what it is.  Generated code sums a polynomial in p only in
+the fused functions: ``horner_function`` numbers layers together into
+their values at a slope (the metric's ``fdp_function``),
+``lifted_field_function`` numbers a layer and its x and y partials
+together into the direction nets' lifted field, ``slope_rows_function``
+numbers slope polynomials with their x, y and p partials into the
+residuals and Jacobian rows that trace the loci, and ``dopri_step``
+writes out one Dormand-Prince step for states of a given dimension; ``chart_step`` writes the same tableau for the geodesic flow
 in one chart, with the field's components inline around a call of the
 metric's generated ``fdp``.
 
@@ -193,26 +195,19 @@ def _function(name: str, args: str, body: list[str], result: str):
     return ns[name]
 
 
-def _horner(roots, acc: str = "h") -> tuple[list[str], str]:
-    """Lines computing sum_i roots[i] * p^i by Horner's rule from 0.0;
-    returns them and the source of the result."""
-    lines, prev = [], "0.0"
-    for k, r in enumerate(reversed(roots)):
-        lines.append(f"{acc}{k} = {prev} * p + {_atom(r)}")
-        prev = f"{acc}{k}"
-    return lines, prev
-
-
 def _horner_rows(name: str, rows):
     """Compile ``name``(x, y, p) -> tuple of each row's polynomial value at
-    slope p; the rows share one value numbering."""
+    slope p, sum_i row[i] p^i by Horner's rule from 0.0; the rows share one
+    value numbering."""
     code = _Code([e for row in rows for e in row])
     body, results, at = code.scalar_lines(), [], 0
     for j, row in enumerate(rows):
-        lines, result = _horner(code.roots[at : at + len(row)], f"h{j}_")
+        prev = "0.0"
+        for k, r in enumerate(reversed(code.roots[at : at + len(row)])):
+            body.append(f"h{j}_{k} = {prev} * p + {_atom(r)}")
+            prev = f"h{j}_{k}"
         at += len(row)
-        body += lines
-        results.append(result)
+        results.append(prev)
     return _function(name, "x, y, p", body, "(" + ", ".join(results) + ",)")
 
 
@@ -406,28 +401,13 @@ class LayerTable:
     @cached_property
     def point_function(self):
         """The generated (x, y) -> tuple of the coefficients, on floats or
-        elementwise on arrays; point_values converts its arguments to
-        floats and calls it, values_on_grid runs it on arrays."""
+        elementwise on arrays; values_at converts its arguments to floats
+        and calls it, values_on_grid runs it on arrays."""
         roots = ", ".join(_atom(r) for r in self._code.roots)
         return _function("point_function", "x, y", self._code.scalar_lines(), f"({roots},)")
 
-    @cached_property
-    def _poly(self):
-        lines, acc = _horner(self._code.roots)
-        return _function("poly_value", "x, y, p", self._code.scalar_lines() + lines, acc)
-
-    def point_values(self, x: float, y: float) -> tuple[float, ...]:
-        return self.point_function(float(x), float(y))
-
     def values_at(self, x: float, y: float) -> np.ndarray:
         return np.array(self.point_function(float(x), float(y)))
-
-    def poly_value(self, x: float, y: float, p: float) -> float:
-        return self._poly(float(x), float(y), float(p))
-
-    def poly_value_many(self, xs, ys, ps) -> np.ndarray:
-        """poly_value at 1-d arrays of points and slopes, elementwise."""
-        return on_arrays(1, lambda *a: (self._poly(*a),), xs, ys, ps)[0]
 
     def values_on_grid(self, xs, ys) -> np.ndarray:
         """The coefficients at arrays xs and ys of one shape, with the

@@ -30,9 +30,9 @@ between step ends, max_ds apart in the plane.  The loop records each
 step end as one row and counts the rows of a step's samples; each side
 lays out its columns at its end, the samples in one array pass
 (_dense_output).  The interpolant and the generated field function
-(metric.fdp) run on floats, as the bisection calls them, or elementwise
-on arrays with the same bits, so a sample is the same either way.  The
-isotropic projection likewise runs on all samples at once.
+(metric.fdp_function) run on floats, as the bisection calls them, or
+elementwise on arrays with the same bits, so a sample is the same either
+way.  The isotropic projection likewise runs on all samples at once.
 """
 
 from __future__ import annotations
@@ -583,20 +583,20 @@ def _project_isotropic(m, x, y, s, q, tol_abs, max_iter=8):
     tol_abs = np.broadcast_to(tol_abs, s.shape)
     for sel, a, b in ((~q, x, y), (q, y, x)):
         if sel.any():
-            tbl = (m.dual() if sel is q else m).table("F")
-            s[sel], ok[sel] = _newton_F(tbl, a[sel], b[sel], s[sel], tol_abs[sel], max_iter)
+            row = (m.dual() if sel is q else m).table("F").values_on_grid(a[sel], b[sel])
+            s[sel], ok[sel] = _newton_F(row, s[sel], tol_abs[sel], max_iter)
     return s, ok
 
 
-def _newton_F(tbl, x, y, s, tol_abs, max_iter):
-    """The masked Newton iteration of _project_isotropic in one chart."""
-    row = tbl.values_on_grid(x, y)
+def _newton_F(row, s, tol_abs, max_iter):
+    """The masked Newton iteration of _project_isotropic in one chart, on
+    the rows of F's coefficients at the samples."""
     drow = npoly.polyder(row)
     floor = 1e-9 * np.fmax(1.0, np.max(np.abs(row), axis=0))
     ok, live = np.zeros(len(s), dtype=bool), np.ones(len(s), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
-            f = tbl.poly_value_many(x, y, s)
+            f = npoly.polyval(s, row, tensor=False)
             met = live & (np.abs(f) <= tol_abs)
             ok |= met
             d = npoly.polyval(s, drow, tensor=False)
@@ -604,7 +604,7 @@ def _newton_F(tbl, x, y, s, tol_abs, max_iter):
             if not live.any():
                 return s, ok
             s = np.where(live, s - f / d, s)
-        ok |= live & (np.abs(tbl.poly_value_many(x, y, s)) <= tol_abs)
+        ok |= live & (np.abs(npoly.polyval(s, row, tensor=False)) <= tol_abs)
     return s, ok
 
 
@@ -768,8 +768,7 @@ def check_transversality(m: PseudoFinslerMetric, x: float, y: float, p0: float) 
     nonzero multiple of it.  Raises TransversalityError, the direction
     being tangent to the boundary, when it is at most
     1e-6 |(F_x, F_y)| |(1, p0)|."""
-    fx = m.table("F_x").poly_value(x, y, p0)
-    fy = m.table("F_y").poly_value(x, y, p0)
+    _, fx, fy, _ = m.slope_rows_function(("F",))(float(x), float(y), float(p0))
     dot = fx + p0 * fy
     norm = math.hypot(fx, fy) * math.hypot(1.0, p0)
     if abs(dot) <= 1e-6 * max(norm, 1e-30):
@@ -812,22 +811,17 @@ def shoot_boundary_family(
     """
     cfg = cfg or IntegratorConfig()
     fdir = check_transversality(m, x, y, p0)
-    tblF = m.table("F")
-    tblFx = m.table("F_x")
-    tblFy = m.table("F_y")
+    rows_F = m.slope_rows_function(("F",))
 
-    fpp = npoly.polyval(p0, npoly.polyder(tblF.values_at(x, y), 2))
+    fpp = npoly.polyval(p0, npoly.polyder(m.table("F").values_at(x, y), 2))
     b_lead = -fpp / (2.0 * fdir)
 
     def fit_B(eta):
         """Newton in xi on F(x0 + xi, y0 + p0 xi, p0 + eta) = 0."""
         xi = b_lead * eta * eta
         for _ in range(12):
-            fv = tblF.poly_value(x + xi, y + p0 * xi, p0 + eta)
-            dv = (
-                tblFx.poly_value(x + xi, y + p0 * xi, p0 + eta)
-                + p0 * tblFy.poly_value(x + xi, y + p0 * xi, p0 + eta)
-            )
+            fv, fx, fy, _ = rows_F(float(x + xi), float(y + p0 * xi), float(p0 + eta))
+            dv = fx + p0 * fy
             if abs(dv) < 1e-14:
                 break
             step = fv / dv

@@ -4,7 +4,8 @@ A metric of degree n is F(x, y; p) = sum_i a_i(x, y) p^i where p is the
 slope dy/dx of a direction.  Everything the geodesic field needs reduces
 to two derived polynomials in p, the ``denom`` and ``numer`` layers of
 the metric's tables (``m.table(name).values_at(x, y)`` is the ascending
-coefficient row at a point, ``poly_value`` its value at a slope):
+coefficient row at a point; ``fdp_function`` gives F, denom and numer at
+a slope):
 
 * denom  -- the coefficient of d/dx in the direction field; it is
   proportional to the velocity Hessian determinant of the homogeneous
@@ -130,9 +131,10 @@ class PseudoFinslerMetric:
 
     @cached_property
     def fdp_function(self):
-        """The generated (x, y, p) -> (F, denom, numer) that fdp calls,
-        compiled on first use; a caller that evaluates it many times (the
-        geodesic step, codegen.chart_step) fetches it once."""
+        """The generated (x, y, p) -> (F, denom, numer) at slope p, on floats
+        or elementwise on arrays (fdp_many), compiled on first use; a caller
+        that evaluates it many times (the geodesic step, codegen.chart_step)
+        fetches it once."""
         return horner_function(
             [self._expr_layer(name) for name in ("F", "denom", "numer")]
         )
@@ -152,15 +154,10 @@ class PseudoFinslerMetric:
             got = self._slope_rows_functions[names] = slope_rows_function(polys)
         return got
 
-    def fdp(self, x: float, y: float, p: float) -> tuple[float, float, float]:
-        """(F, denom, numer) at slope p, from one generated function; it
-        runs on floats or elementwise on arrays (fdp_many)."""
-        return self.fdp_function(x, y, p)
-
     def fdp_many(self, xs, ys, ps) -> np.ndarray:
-        """fdp at 1-d arrays of points, as the rows (F, denom, numer) of one
-        array; the same function run elementwise, with the same bits."""
-        return on_arrays(3, self.fdp, xs, ys, ps)
+        """fdp_function at 1-d arrays of points, as the rows (F, denom,
+        numer) of one array; run elementwise, with the same bits."""
+        return on_arrays(3, self.fdp_function, xs, ys, ps)
 
     def dual(self) -> "PseudoFinslerMetric":
         """Metric seen from the chart with the roles of x and y exchanged.
@@ -237,7 +234,7 @@ def coeff_values(m: PseudoFinslerMetric, x: float, y: float) -> np.ndarray:
 
 def metric_scale(m: PseudoFinslerMetric, x: float, y: float) -> float:
     """max |a_i(x, y)|, nan if any coefficient is nan (as np.max gives)."""
-    return coeff_scale(m.table("F").point_values(x, y))
+    return coeff_scale(m.table("F").point_function(float(x), float(y)))
 
 
 def coeff_scale(coeffs) -> float:
@@ -257,7 +254,7 @@ def fdp_values(
     m: PseudoFinslerMetric, x: float, y: float, p: float
 ) -> tuple[float, float, float]:
     """(F, denom, numer) at one projectivized point; the field hot path."""
-    return m.fdp(float(x), float(y), float(p))
+    return m.fdp_function(float(x), float(y), float(p))
 
 
 def disc_from_coeffs(m: PseudoFinslerMetric, c):

@@ -62,8 +62,10 @@ def real_roots_many(C) -> list[list[tuple[float, int]]]:
             if not real.any():
                 continue
             r = roots.real
-            value = _horner(c, r)
-            slope = _horner(c[:, 1:] * np.arange(1, d + 1), r)
+            # the coefficient axis first, a row's coefficients against its roots
+            ct = c.T[:, :, None]
+            value = npoly.polyval(r, ct, tensor=False)
+            slope = npoly.polyval(r, npoly.polyder(ct), tensor=False)
             scale = np.maximum(np.abs(c).max(axis=1), 1.0)
             r = np.where(np.abs(slope) > 1e-12 * scale[:, None], r - value / slope, r)
             real &= np.isfinite(r)
@@ -72,16 +74,6 @@ def real_roots_many(C) -> list[list[tuple[float, int]]]:
                 if polished:
                     out[k] = _clusters(polished)
     return out
-
-
-def _horner(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row k of c, ascending, at each r[k, j], by the operations of
-    npoly.polyval: c[-1] + r*0 first, then c[i] + acc*r.  Called under
-    np.errstate: an overflow gives inf silently."""
-    acc = c[:, -1:] + r * 0
-    for i in range(c.shape[1] - 2, -1, -1):
-        acc = c[:, i : i + 1] + acc * r
-    return acc
 
 
 def _clusters(polished: list[float]) -> list[tuple[float, int]]:

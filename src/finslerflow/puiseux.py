@@ -533,7 +533,7 @@ def _first_nonzero(seq) -> int | None:
 def solve_geodesic_series(
     m: PseudoFinslerMetric,
     s: int,
-    seed,
+    seed: dict[int, float],
     order: int,
     free: dict[int, float] | None = None,
     y0: float = 0.0,
@@ -541,8 +541,7 @@ def solve_geodesic_series(
     """Determine slope coefficients a_1..a_order under x = t**s.
 
     ``seed`` pins leading coefficients before solving, as a dict
-    {index: value} or a TruncatedSeries whose nonzero coefficients are
-    taken as pins; it must satisfy the leading balance (the residual with
+    {index: value}; it must satisfy the leading balance (the residual with
     seed alone must not start below the first unknown's slot).  ``free``
     supplies chosen values for indices the recurrence leaves FREE; an
     index the seed pins, one outside 1..order and one the recurrence
@@ -557,12 +556,7 @@ def solve_geodesic_series(
     order = int(order)
     if order < 1:
         raise ValueError("need at least one coefficient order")
-    if isinstance(seed, TruncatedSeries):
-        seed_map = {i: v for i, v in enumerate(seed.c) if v != 0 and i >= 1}
-        if seed.c[0] != 0:
-            raise ValueError("seed slope must vanish at the base point")
-    else:
-        seed_map = {int(k): _frac(v) for k, v in dict(seed).items()}
+    seed_map = {int(k): _frac(v) for k, v in dict(seed).items()}
     if not seed_map:
         raise ValueError("need a nonempty seed")
     if any(k < 1 or k > order for k in seed_map):

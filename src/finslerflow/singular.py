@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import metric as mt
 from . import poly
@@ -404,11 +405,6 @@ def _trace_grid(vals, equations, box, label, lift) -> list[CurveSamples]:
     return out
 
 
-def _deriv(c: np.ndarray) -> np.ndarray:
-    """The rows of the p-derivative; one zero row for a constant."""
-    return c[1:] * np.arange(1.0, len(c))[:, None] if len(c) > 1 else np.zeros_like(c)
-
-
 def _slope_rows(m: PseudoFinslerMetric, names: tuple[str, ...], P):
     """(r, J) of the slope polynomials C named by layers ("F_p" is the
     p-derivative of F) at the columns (x, y, p) of P: r = C and the exact
@@ -444,9 +440,10 @@ def _lift(lead: np.ndarray, other: np.ndarray) -> np.ndarray:
     roots = np.full((len(rows), max([1, *map(len, rows)])), math.nan)
     for k, rk in enumerate(rows):
         roots[k, : len(rk)] = [r for r, _ in rk]
+    c = other[:, :, None]  # column k's coefficients against its roots
     with np.errstate(all="ignore"):
-        acc = poly._horner(other.T, roots)
-        size = np.abs(acc) / poly._horner(np.abs(other.T), np.abs(roots))
+        acc = npoly.polyval(roots, c, tensor=False)
+        size = np.abs(acc) / npoly.polyval(np.abs(roots), np.abs(c), tensor=False)
     size[np.isnan(size)] = math.inf
     pick = np.where(np.isnan(acc[:, 0]), 0, np.argmin(size, axis=1))
     return roots[np.arange(len(rows)), pick]
@@ -496,7 +493,7 @@ def _boundary_from_grid(m: PseudoFinslerMetric, vals, box) -> list[CurveSamples]
 
     def lift(xs, ys):
         c = m.table("F").values_on_grid(xs, ys)
-        return np.array([xs, ys, np.arctan(_lift(_deriv(c), c))])
+        return np.array([xs, ys, np.arctan(_lift(npoly.polyder(c), c))])
 
     return _trace_grid(vals, _slope_equations(m, ("F", "F_p")), box, "boundary", lift)
 

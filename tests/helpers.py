@@ -194,7 +194,7 @@ def nondegenerate_state(m, rng, box=(-1.0, 1.0, -1.0, 1.0), min_field=1e-3):
         x = float(rng.uniform(box[0], box[1]))
         y = float(rng.uniform(box[2], box[3]))
         p = float(rng.uniform(-1.5, 1.5))
-        dv = m.table("denom").poly_value(x, y, p)
+        _, dv, _ = m.fdp_function(x, y, p)
         sc = 1.0 + mt.metric_scale(m, x, y)
         if abs(dv) > min_field * sc:
             return x, y, p
@@ -223,8 +223,7 @@ def max_ode_residual(m, trace, stride: int = 7, event_margin: int = 21) -> float
         if not (np.all(d > 0) or np.all(d < 0)) or np.abs(d).min() < 1e-12:
             continue
         x, y, p = trace.x[k], trace.y[k], trace.slope[k]
-        dv = m.table("denom").poly_value(x, y, p)
-        nv = m.table("numer").poly_value(x, y, p)
+        _, dv, nv = mt.fdp_values(m, x, y, p)
         sc = 1.0 + mt.metric_scale(m, x, y)
         if abs(dv) < 1e-3 * sc**2:
             continue
@@ -537,9 +536,9 @@ def _rows_deriv(c: np.ndarray) -> np.ndarray:
 
 
 def _rows_horner(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_i c[i] p^i at each point by poly._horner; c[i] is a row."""
+    """sum_i c[i] p^i at each point by npoly.polyval; c[i] is a row."""
     with np.errstate(all="ignore"):
-        return poly._horner(c.T, p[:, None])[:, 0]
+        return npoly.polyval(p, c, tensor=False)
 
 
 def slope_rows_reference(m, names, P):
@@ -558,7 +557,7 @@ def slope_rows_reference(m, names, P):
 
 
 def _point_horner(c, p: float) -> float:
-    """sum_i c[i] p^i by the operations of poly._horner."""
+    """sum_i c[i] p^i by the operations of npoly.polyval."""
     acc = c[-1] + p * 0
     for a in c[-2::-1]:
         acc = a + acc * p
@@ -1317,20 +1316,19 @@ def project_isotropic_reference(m, x, y, s, chart, tol_abs, max_iter=8):
     sample; returns the slope and whether |F| <= tol_abs there."""
     mm = m if chart == "p" else m.dual()
     xx, yy = (x, y) if chart == "p" else (y, x)
-    tbl = mm.table("F")
-    row = tbl.values_at(xx, yy)
+    row = mm.table("F").values_at(xx, yy)
     drow, scale = npoly.polyder(row), float(np.max(np.abs(row)))
     # numpy scalars warn where Python floats would not
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
-            f = tbl.poly_value(xx, yy, s)
+            f = mt.fdp_values(mm, xx, yy, s)[0]
             if abs(f) <= tol_abs:
                 return s, True
             d = npoly.polyval(s, drow)
             if abs(d) < 1e-9 * max(1.0, scale):
                 return s, False
             s = s - f / d
-    return s, abs(tbl.poly_value(xx, yy, s)) <= tol_abs
+    return s, abs(mt.fdp_values(mm, xx, yy, s)[0]) <= tol_abs
 
 
 def isotropic_trace_reference(m, seed, cfg, tol: float = 1e-9):

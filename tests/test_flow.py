@@ -632,15 +632,15 @@ class TestArrayAtATime:
         (lambda: flow.integrate(mt.metric_from_strings(3, PARABOLA), PTMPoint(0.4, 0.3, 8.0),
                                 IntegratorConfig(box=(0.3, 0.5, 0.2, 0.4))),
          {"x, y": 1, "x, y, p": 1}),
-        # the probe, F's Horner sum, fdp
+        # the probe, fdp; the projection sums F's rows with numpy
         (lambda: flow.isotropic_trace(
             mt.metric_from_strings(3, ["-x", "0", "1", "0"]), PTMPoint(0.5, 0.0, np.sqrt(0.5))),
-         {"x, y": 1, "x, y, p": 2}),
-        # and in the q chart: the dual's fdp, F's point function and Horner sum
+         {"x, y": 1, "x, y, p": 1}),
+        # and in the q chart: the dual's fdp and the dual's F point function
         (lambda: flow.isotropic_trace(
             mt.metric_from_strings(3, PARABOLA), PTMPoint(5.0, 0.3, -2.215851980616034),
             IntegratorConfig(box=(4.5, 5.5, -0.2, 0.8))),
-         {"x, y": 2, "x, y, p": 3}),
+         {"x, y": 2, "x, y, p": 1}),
         (lambda: flow.tm_integrate(mt.metric_from_strings(3, PARABOLA), -0.5, 0.0, 1.0, 0.3),
          {"x, y": 3}),
     ],
@@ -689,8 +689,7 @@ class TestShooting:
                     )
                     gx, gy = disc_gradient_at(m, x, y)
                     want = (gx + p0 * gy) / (np.hypot(gx, gy) * np.hypot(1.0, p0))
-                    fx = m.table("F_x").poly_value(x, y, p0)
-                    fy = m.table("F_y").poly_value(x, y, p0)
+                    _, fx, fy, _ = m.slope_rows_function(("F",))(x, y, p0)
                     try:
                         got = flow.check_transversality(m, x, y, p0)
                     except flow.TransversalityError:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from finslerflow import cli
 from finslerflow import metric as mt
@@ -81,7 +82,7 @@ def lifted(m, what, pts):
         p = sg.lift_to_slopes(m, xs, ys)
     else:
         c = m.table("F").values_on_grid(xs, ys)
-        p = sg._lift(sg._deriv(c), c)
+        p = sg._lift(npoly.polyder(c), c)
     return np.array([xs, ys, np.arctan(p)])
 
 

@@ -73,33 +73,45 @@ def test_table_point_matches_tree():
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
-def test_poly_value_is_horner_sum():
+def _p_derivative_row(c):
+    """npoly.polyder of a row; of a constant, one +0.0 as
+    codegen.p_derivative gives (npoly.polyder's 0 * c would carry the
+    sign of c, and be nan at an infinite c)."""
+    return npoly.polyder(c) if len(c) > 1 else np.zeros(1)
+
+
+def test_fused_functions_are_horner_sums_of_rows():
     texts = ["1 - x", "y", "x*y", "2"]
     tbl = _table(texts)
+    horner = codegen.horner_function([tbl.exprs])
     rng = np.random.default_rng(1)
     for _ in range(40):
-        x, y, p = rng.uniform(-1.5, 1.5, 3)
+        x, y, p = rng.uniform(-1.5, 1.5, 3).tolist()
         c = tbl.values_at(x, y)
         acc = 0.0
         for v in c[::-1]:
             acc = acc * p + v
-        assert tbl.poly_value(x, y, p) == acc
-    # a slope polynomial is its row: the generated Horner sum is
-    # npoly.polyval of the row, bit for bit, on the F, denom and numer
-    # rows of random metrics and of their duals, at signed zeros, moderate
-    # slopes and slopes near 1e6
+        assert horner(x, y, p) == (acc,)
+    # a slope polynomial is its row: fdp_function's F, denom and numer are
+    # npoly.polyval of their rows, and slope_rows_function's C, C_x, C_y
+    # and C_p are npoly.polyval of the rows of C, C_x and C_y and of
+    # npoly.polyder of C's, bit for bit, on random metrics and their
+    # duals, at signed zeros, moderate slopes and slopes near 1e6
+    names = ("F", "denom", "numer")
     for k in range(16):
         m = _random_metric(rng, 2 + k % 4, bool(k // 4 % 2))
         for mm in (m, m.dual()):
-            for name in ("F", "denom", "numer"):
-                tbl = mm.table(name)
-                for x, y in rng.uniform(-1.5, 1.5, (4, 2)):
-                    row = tbl.values_at(x, y)
-                    big = 1e6 * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-                    for p in (0.0, -0.0, *rng.uniform(-3.0, 3.0, 2), big):
-                        got = tbl.poly_value(x, y, p)
-                        want = npoly.polyval(p, row)
-                        assert struct.pack("<d", got) == struct.pack("<d", want)
+            fused = mm.slope_rows_function(names)
+            for x, y in rng.uniform(-1.5, 1.5, (4, 2)).tolist():
+                rows = [[mm.table(name + s).values_at(x, y) for s in ("", "_x", "_y")]
+                        for name in names]
+                big = 1e6 * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+                for p in (0.0, -0.0, *rng.uniform(-3.0, 3.0, 2).tolist(), big):
+                    want = [struct.pack("<d", npoly.polyval(p, r)) for c, cx, cy in rows
+                            for r in (c, cx, cy, _p_derivative_row(c))]
+                    assert [struct.pack("<d", v) for v in fused(x, y, p)] == want
+                    got = mm.fdp_function(x, y, p)
+                    assert [struct.pack("<d", v) for v in got] == want[::4]
 
 
 def test_grid_evaluation_matches_pointwise():
@@ -135,13 +147,10 @@ def test_points_and_grids_run_one_generated_function(monkeypatch):
         np.testing.assert_array_equal(grid[:, k], tbl.values_at(xs[k], xs[-1 - k]))
     assert [name for name, _ in bodies] == ["point_function"]
     # every other generated function is the same shape of code
-    tbl.poly_value_many(xs, xs, xs)
     m.fdp_many(xs, xs, xs)
     field = lifted_field_function(*(m.table("F" + d).exprs for d in ("", "_x", "_y")))
     field(xs, xs, xs)
-    assert [name for name, _ in bodies] == [
-        "point_function", "poly_value", "fdp", "lifted_field"
-    ]
+    assert [name for name, _ in bodies] == ["point_function", "fdp", "lifted_field"]
     assert not [line for _, body in bodies for line in body if "out=" in line]
 
 
@@ -177,13 +186,17 @@ def test_random_metric_layers_match_tree_eval(degree, rational):
                 got = tbl.values_at(x, y)
                 want = [evaluate(e, x, y) for e in exprs]
                 _close(got, want)
-                _close(tbl.poly_value(x, y, p), sum(w * p**i for i, w in enumerate(want)))
                 np.testing.assert_array_equal(grid[:, k], got)
-        for x, y, p in pts:
-            fused = mt.fdp_values(m, x, y, p)
-            assert fused == tuple(
-                m.table(name).poly_value(x, y, p) for name in ("F", "denom", "numer")
-            )
+        # the fused sums against the tree walk's: (C, C_x, C_y, C_p) of F,
+        # denom and numer, and fdp, which is their C's
+        rows = m.slope_rows_function(("F", "denom", "numer"))
+        for x, y, p in pts.tolist():
+            fused = rows(x, y, p)
+            sums = [v for k, v in enumerate(fused) if k % 4 != 3]
+            for name, got in zip(LAYERS, sums):
+                want = [evaluate(e, x, y) for e in m._expr_layer(name)]
+                _close(got, sum(w * p**i for i, w in enumerate(want)))
+            assert mt.fdp_values(m, x, y, p) == fused[::4]
 
 
 def _structural_zeros(e, seen) -> list[ex.Expr]:
@@ -235,7 +248,7 @@ def test_pole_gives_inf_or_nan_without_exception():
         warnings.simplefilter("error")
         got = tbl.values_at(0.0, 1.0)
         grid = tbl.values_on_grid(np.zeros(3), np.ones(3))
-        horner = tbl.poly_value(0.0, 1.0, 0.5)
+        horner = codegen.horner_function([tbl.exprs])(0.0, 1.0, 0.5)[0]
     assert got[0] == np.inf and got[1] == -np.inf
     assert np.isnan(got[2])
     assert got[3] == np.inf and got[4] == np.inf
@@ -254,7 +267,7 @@ def test_power_overflow_gives_inf(x, expected):
         warnings.simplefilter("error")
         got = tbl.values_at(x, 0.0)
         grid = tbl.values_on_grid(np.array([x]), np.array([0.0]))
-        horner = _table(["x^3"]).poly_value(x, 0.0, 0.7)
+        horner = codegen.horner_function([[ex.parse("x^3")]])(x, 0.0, 0.7)[0]
     assert got[0] == expected and got[1] == np.inf
     np.testing.assert_array_equal(grid[:, 0], got)
     assert horner == expected
@@ -429,7 +442,7 @@ def test_chart_step_matches_dopri_step_on_the_chart_field():
                         assert _bits(got[1]) == _bits(want[1])
                         assert _bits([got[2]]) == _bits([want[2]])
                         w = got[0] if chart == "p" else (got[0][1], got[0][0], got[0][2])
-                        end = at.fdp(*w)
+                        end = at.fdp_function(*w)
                         assert _bits(got[3]) == _bits(end)
                         non_finite += not all(map(math.isfinite, end))
     assert non_finite > 50
@@ -459,8 +472,9 @@ def _array_bits_metrics():
 
 @pytest.mark.parametrize("k", range(14))
 def test_generated_functions_give_float_bits_on_arrays(k):
-    # the scalar code run elementwise on arrays: fdp and every layer's
-    # coefficients and Horner sum, in both charts, with no RuntimeWarning
+    # the scalar code run elementwise on arrays: fdp, the slope rows of F,
+    # denom and numer, and every layer's coefficients, in both charts,
+    # with no RuntimeWarning
     m = _array_bits_metrics()[k]
     rng = np.random.default_rng(k)
     xs = np.concatenate((rng.uniform(-1.5, 1.5, 40), [0.0, -0.0, 0.0, 1e200, np.inf, np.nan]))
@@ -468,14 +482,15 @@ def test_generated_functions_give_float_bits_on_arrays(k):
     ps = np.concatenate((rng.uniform(-3.0, 3.0, 40), [0.5, 0.0, -1e160, 0.7, 0.2, 1.0]))
     points = list(zip(xs.tolist(), ys.tolist(), ps.tolist()))
     for mm in (m, m.dual()):
-        want = np.transpose([mm.fdp(x, y, p) for x, y, p in points])
+        want = np.transpose([mm.fdp_function(x, y, p) for x, y, p in points])
         _assert_same_bits(mm.fdp_many(xs, ys, ps), want)
+        rows = mm.slope_rows_function(("F", "denom", "numer"))
+        want = np.transpose([rows(x, y, p) for x, y, p in points])
+        _assert_same_bits(codegen.on_arrays(12, rows, xs, ys, ps), want)
         for name in LAYERS:
             tbl = mm.table(name)
-            want = np.transpose([tbl.point_values(x, y) for x, y, _ in points])
+            want = np.transpose([tbl.point_function(x, y) for x, y, _ in points])
             _assert_same_bits(tbl.values_on_grid(xs, ys), want.reshape(tbl.n, -1))
-            want = [tbl.poly_value(x, y, p) for x, y, p in points]
-            _assert_same_bits(tbl.poly_value_many(xs, ys, ps), want)
 
 
 def test_temporaries_reuse_names_with_the_unrenamed_bits():
@@ -507,7 +522,7 @@ def test_generated_functions_have_their_own_names():
     tbl = m.table("F")
     functions = [
         dopri_step(3), dopri_step(4), chart_step("p"), chart_step("q"), m.fdp_function,
-        tbl.point_function, tbl._poly, m.slope_rows_function(("denom", "numer")),
+        tbl.point_function, m.slope_rows_function(("denom", "numer")),
         lifted_field_function(*(m.table("F" + d).exprs for d in ("", "_x", "_y"))),
     ]
     keys = {(f.__code__.co_filename, f.__code__.co_name) for f in functions}

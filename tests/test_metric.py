@@ -48,10 +48,11 @@ class TestClosedForms:
         rng = np.random.default_rng(42)
         for _ in range(50):
             x, y, p = rng.uniform(-1.5, 1.5, 3)
-            assert m.table("denom").poly_value(x, y, p) == pytest.approx(
+            _, got_d, got_n = mt.fdp_values(m, x, y, p)
+            assert got_d == pytest.approx(
                 dv(x, y, p), rel=1e-12, abs=1e-12
             )
-            assert m.table("numer").poly_value(x, y, p) == pytest.approx(
+            assert got_n == pytest.approx(
                 nv(x, y, p), rel=1e-12, abs=1e-12
             )
 
@@ -79,8 +80,7 @@ class TestTangentBundleOracle:
                     yd = float(rng.uniform(-1.6, 1.6))
                     H, H1, H2 = mt.accel_determinants(m, x, y, xd, yd)
                     p = yd / xd
-                    dv = m.table("denom").poly_value(x, y, p)
-                    nv = m.table("numer").poly_value(x, y, p)
+                    _, dv, nv = mt.fdp_values(m, x, y, p)
                     want_H = xd ** (2 * n - 4) * (n - 1) * dv
                     want_P = xd ** (2 * n - 2) * (n - 1) * nv
                     assert H == pytest.approx(want_H, rel=1e-9, abs=1e-9)
@@ -101,7 +101,7 @@ class TestTangentBundleOracle:
         for _ in range(20):
             x, y, p = rng.uniform(-1, 1, 3)
             assert fbar(m, x, y, 1.0, p) == pytest.approx(
-                m.table("F").poly_value(x, y, p), rel=1e-12, abs=1e-12
+                mt.fdp_values(m, x, y, p)[0], rel=1e-12, abs=1e-12
             )
 
     def test_determinants_overflow_to_ieee(self):
@@ -264,8 +264,8 @@ def test_dual_metric_swaps_charts():
             continue
         q = 1.0 / p
         # F changes charts with the weight p**n
-        lhs = d.table("F").poly_value(y, x, q)
-        rhs = m.table("F").poly_value(x, y, p) * q**3
+        lhs = mt.fdp_values(d, y, x, q)[0]
+        rhs = mt.fdp_values(m, x, y, p)[0] * q**3
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
     assert m.dual().dual() is m
 

@@ -537,6 +537,17 @@ BOOKKEEPING = [
 ]
 
 
+def test_step_error_unit_is_the_portrait_plot_area():
+    # the nets measure a step's error in px of NET_CANVAS_PX across the
+    # box, which must be the plot area of the canvas cmd_portrait draws on:
+    # a default cli._SvgCanvas maps its box onto that many px each way
+    box = (-1.0, 1.0, 0.0, 4.0)
+    canvas = cli._SvgCanvas(box)
+    x0, y0 = canvas._map(box[0], box[2])
+    x1, y1 = canvas._map(box[1], box[3])
+    assert (x1 - x0, y0 - y1) == (nets.NET_CANVAS_PX, nets.NET_CANVAS_PX)
+
+
 @pytest.mark.parametrize("lanes, counts", BOOKKEEPING)
 def test_trace_lanes_bookkeeping_matches_lanes_traced_alone(lanes, counts):
     # two blocks of lanes on two fields: the listed lanes on _banded_field,

@@ -53,7 +53,7 @@ def polished_singular_points(m, rng, count):
         u = np.array([x, y, roots[rng.integers(len(roots))][0]])
         for _ in range(30):
             A = sg.jacobian_at(m, *u)[[0, 2]]
-            r = [m.table("denom").poly_value(*u), m.table("numer").poly_value(*u)]
+            r = list(mt.fdp_values(m, *u)[1:])
             step = A.T @ np.linalg.solve(A @ A.T, r)
             u -= step
             if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(u)):
@@ -235,7 +235,7 @@ class TestSlopeRows:
 
     def test_point_reports_make_one_generated_call(self, monkeypatch):
         # classify_singular and tangency_report take D, N and J from one
-        # call of the generated slope rows, not from poly_value
+        # call of the generated slope rows, not from the fused fdp
         m = parabola_metric(1.0)
         calls = []
         rows = m.slope_rows_function
@@ -250,10 +250,10 @@ class TestSlopeRows:
             return call
 
         def refused(*args):
-            raise AssertionError("poly_value called")
+            raise AssertionError("fdp_function called")
 
         monkeypatch.setattr(m, "slope_rows_function", counted)
-        monkeypatch.setattr(type(m.table("denom")), "poly_value", refused)
+        monkeypatch.setattr(m, "fdp_function", refused)
         y = 0.6
         x, p = scurve_x(y), sg.lift_to_slope(m, scurve_x(y), y)
         spt = sg.classify_singular(m, x, y, p)
@@ -480,8 +480,9 @@ class TestLiftAndAdmissible:
         for y in (0.3, 0.6, 1.0):
             x = scurve_x(y)
             p = sg.lift_to_slope(m, x, y)
-            assert abs(m.table("denom").poly_value(x, y, p)) < 1e-9
-            assert abs(m.table("numer").poly_value(x, y, p)) < 1e-8
+            _, dv, nv = mt.fdp_values(m, x, y, p)
+            assert abs(dv) < 1e-9
+            assert abs(nv) < 1e-8
 
     @staticmethod
     def lift_reference(m, x, y):
