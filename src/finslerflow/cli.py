@@ -695,7 +695,8 @@ class _SvgCanvas:
         self._sx = (width - 2 * margin) / (box[1] - box[0])
         self._sy = (height - 2 * margin) / (box[3] - box[2])
 
-    def _map(self, x: float, y: float) -> tuple[float, float]:
+    def _map(self, x, y):
+        """Canvas px of data points, floats or arrays."""
         px = self.margin + (x - self.box[0]) * self._sx
         py = self.height - self.margin - (y - self.box[2]) * self._sy
         return px, py
@@ -733,9 +734,7 @@ class _SvgCanvas:
             return
         first = np.cumsum([0] + [len(c) + 1 for c in curves[:-1]])
         run_styles = [styles[k] for k in (np.searchsorted(first, a, side="right") - 1).tolist()]
-        # the operations of _map, on the points of the runs
-        px = self.margin + (x[inside] - self.box[0]) * self._sx
-        py = self.height - self.margin - (y[inside] - self.box[2]) * self._sy
+        px, py = self._map(x[inside], y[inside])
         self._paths.append(_path_data(np.column_stack([px, py]), b - a, run_styles))
 
     def render(self, title: str) -> list[bytes]:
@@ -975,6 +974,11 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
     try:  # the default seed and the family shoot fail as the solve does
         if alm is not None:
             if not seed:
+                if cfg.series_order < n:
+                    raise ValueError(
+                        f"series_order {cfg.series_order} is below the index n = {n} "
+                        f"of the default seed; raise series_order or give a series_seed"
+                    )
                 seed = {n: float(bm.admissible_u(alm)[1])}
             if cfg.alphas and (2 * n - 2) not in free and 2 * n - 2 <= cfg.series_order:
                 free[2 * n - 2] = cfg.alphas[0]

@@ -12,9 +12,10 @@ their values at a slope (the metric's ``fdp_function``),
 together into the direction nets' lifted field, ``slope_rows_function``
 numbers slope polynomials with their x, y and p partials into the
 residuals and Jacobian rows that trace the loci, and ``dopri_step``
-writes out one Dormand-Prince step for states of a given dimension; ``chart_step`` writes the same tableau for the geodesic flow
-in one chart, with the field's components inline around a call of the
-metric's generated ``fdp``.
+writes out one Dormand-Prince step for states of a given dimension;
+``chart_step`` writes the same tableau for the geodesic flow in one
+chart, with the field's components inline around a call of the metric's
+generated ``fdp``.
 
 Every evaluator is one shape of code, the value-numbered lines, which run
 on floats or, elementwise and with the same bits, on numpy arrays.  After
@@ -24,8 +25,8 @@ function returns; the results keep their own names.  ``on_arrays`` is the
 one chunker of generated functions and of grids: it runs a function on
 1-d arrays _CHUNK points at a time.  Grids of points
 (``values_on_grid``) are raveled and go through it, as do the grid
-functions of the loci (``singular.trace_implicit_curve``), written in
-place where a grid becomes another, and the strata
+functions of the loci (``singular._grid_values``), written in place
+where a grid becomes another, and the strata
 (``metric.strata_on_grid``).
 
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an

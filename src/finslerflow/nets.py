@@ -97,7 +97,9 @@ NET_STEPS = 900
 NET_SEED_AXIS = 11
 NET_PMAX = 40.0
 # the plot area of a portrait canvas in px (cli._SvgCanvas: 640 px less
-# two 40 px margins), the unit of the step error
+# two 40 px margins), the unit of the step error;
+# tests/test_nets.py::test_step_error_unit_is_the_portrait_plot_area
+# fails when one changes without the other
 NET_CANVAS_PX = 560.0
 # a step is accepted when its error in px is at most
 # min(NET_TOL_PX, max(NET_TOL_REL * its chord in px, NET_TOL_FLOOR_PX))

@@ -44,12 +44,17 @@ dp/dt), so its square enters a product or a quotient at index 2k - 2 at
 the earliest; below that the columns are affine in a_k and the settle
 is exact.  Only from 2k - 2 on are they dropped, to be computed again
 with a_k set.
+
+``TruncatedSeries`` holds the results (the slope series and the curve
+x(t), y(t)) and evaluates them at a float t; it has no series
+arithmetic.  The naive whole-series arithmetic (products, quotients,
+derivatives, integrals) lives in the tests as the reference the plan is
+checked against, so the check shares no code with the engine.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,128 +95,35 @@ def _float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _coerce(v):
-    # numbers become rationals; a coefficient from another exact ring
-    # (dual numbers, say) is kept as it is
-    return _frac(v) if isinstance(v, (numbers.Number, str)) else v
-
-
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class TruncatedSeries:
-    """Power series in t kept exactly through a fixed truncation order.
+    """Power series in t kept exactly through a fixed truncation order:
+    the coefficients c_0 .. c_order of a solve's results.
 
-    Coefficients are rationals; floats convert exactly, so results are
-    deterministic.  Binary operations truncate to the smaller order.
+    Coefficients are rationals; floats convert through ``_frac``, so
+    results are deterministic.  The class holds and evaluates series and
+    does no series arithmetic: the solve computes coefficients on its
+    plan, and the naive whole-series arithmetic that checks it is the
+    tests' reference.
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs, order: int | None = None):
-        vals = [_coerce(v) for v in coeffs]
-        if order is not None:
-            order = int(order)
-            if order < 0:
-                raise ValueError("truncation order must be nonnegative")
-            vals = vals[: order + 1]
-            vals.extend(Fraction(0) for _ in range(order + 1 - len(vals)))
-        if not vals:
-            vals = [Fraction(0)]
-        self.c = vals
-
-    @classmethod
-    def constant(cls, v, order: int) -> "TruncatedSeries":
-        return cls([_coerce(v)], order)
+    def __init__(self, coeffs):
+        self.c = [_frac(v) for v in coeffs] or [_ZERO]
 
     @classmethod
     def monomial(cls, power: int, v, order: int) -> "TruncatedSeries":
-        coeffs: list = [Fraction(0)] * (order + 1)
+        coeffs = [_ZERO] * (order + 1)
         if 0 <= power <= order:
-            coeffs[power] = _coerce(v)
+            coeffs[power] = _frac(v)
         return cls(coeffs)
 
     @property
     def order(self) -> int:
         return len(self.c) - 1
-
-    def __add__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order)
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.c[i] + other.c[i] for i in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-v for v in self.c])
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-other if isinstance(other, TruncatedSeries)
-                       else TruncatedSeries.constant(-_coerce(other), self.order))
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + other
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            v = _coerce(other)
-            return TruncatedSeries([ci * v for ci in self.c])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.c[: n + 1]):
-            if a == 0:
-                continue
-            top = n - i
-            for j, b in enumerate(other.c[: top + 1]):
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "TruncatedSeries":
-        if self.c[0] == 0:
-            raise ZeroDivisionError(
-                "series division needs a nonzero constant term"
-            )
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self.c[0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if j < len(self.c) and self.c[j] != 0:
-                    acc += self.c[j] * out[k - j]
-            out[k] = -acc / self.c[0]
-        return TruncatedSeries(out)
-
-    def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return self * other.invert()
-        return self * (1 / _coerce(other))
-
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        k = int(k)
-        base = self
-        if k < 0:
-            base = self.invert()
-            k = -k
-        out = TruncatedSeries.constant(1, self.order)
-        for _ in range(k):
-            out = out * base
-        return out
-
-    def deriv(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries([Fraction(0)])
-        return TruncatedSeries([i * self.c[i] for i in range(1, self.order + 1)])
-
-    def integrate(self) -> "TruncatedSeries":
-        out = [Fraction(0)] * (self.order + 2)
-        for i, v in enumerate(self.c):
-            out[i + 1] = v / (i + 1)
-        return TruncatedSeries(out)
 
     def evaluate(self, t: float) -> float:
         acc = 0.0
@@ -346,17 +258,6 @@ class _SeriesPlan:
         return d[root] if root in d else self.step("c", _ZERO)
 
 
-def _termwise(A, B, lo: int, hi: int, j: int):
-    """Coefficient j of the product of columns A and B in a ring without
-    numerators, summed term by term over A's indices lo .. hi."""
-    acc = None
-    for i in range(lo, hi + 1):
-        u, w = A[i], B[j - i]
-        if u is not _ZERO and w is not _ZERO:
-            acc = u * w if acc is None else acc + u * w
-    return acc
-
-
 def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
     """Coefficient j of a non-leaf step, from the coefficients below j;
     ``zeros`` counts each column's leading zeros, and every zero the
@@ -364,30 +265,26 @@ def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
 
     A * step sums its nonzero terms u_i w_(j-i) as integer numerators
     over one running denominator and makes one Fraction of the sum, or
-    _ZERO, so the coefficient is reduced once rather than once per term;
-    a coefficient ring without numerators (dual numbers, say) is summed
-    term by term."""
+    _ZERO, so the coefficient is reduced once rather than once per term.
+    The columns hold rationals."""
     if op == "+":
         u, w = vals[a][j], vals[b][j]
         return (u + w if w is not _ZERO else u) if u is not _ZERO else w
     if op == "*":
         A, B = vals[a], vals[b]
         num = None
-        try:
-            for i in range(zeros[a], j - zeros[b] + 1):
-                u = A[i]
-                if u is not _ZERO:
-                    w = B[j - i]
-                    if w is not _ZERO:
-                        n, d = u.numerator * w.numerator, u.denominator * w.denominator
-                        if num is None:
-                            num, den = n, d
-                        elif d == den:
-                            num += n
-                        else:
-                            num, den = num * d + n * den, den * d
-        except AttributeError:
-            return _termwise(A, B, zeros[a], j - zeros[b], j)
+        for i in range(zeros[a], j - zeros[b] + 1):
+            u = A[i]
+            if u is not _ZERO:
+                w = B[j - i]
+                if w is not _ZERO:
+                    n, d = u.numerator * w.numerator, u.denominator * w.denominator
+                    if num is None:
+                        num, den = n, d
+                    elif d == den:
+                        num += n
+                    else:
+                        num, den = num * d + n * den, den * d
         return Fraction(num, den) if num else _ZERO
     if op == "/":
         # B * q = A, solved for q_j
@@ -499,13 +396,8 @@ class GeodesicSeries:
     obstruction_order: int | None
     residual_order: int | None
 
-    def p_series(self, order: int | None = None) -> TruncatedSeries:
-        n = self.order if order is None else int(order)
-        coeffs = [Fraction(0)] * (n + 1)
-        for i, v in self.coeffs.items():
-            if i <= n:
-                coeffs[i] = v
-        return TruncatedSeries(coeffs)
+    def p_series(self) -> TruncatedSeries:
+        return TruncatedSeries([self.coeffs.get(i, _ZERO) for i in range(self.order + 1)])
 
     def table(self) -> str:
         lines = ["order  linear_coeff  status      value"]
@@ -710,14 +602,9 @@ def solve_geodesic_series(
     )
 
 
-def series_to_curve(sol: GeodesicSeries | TruncatedSeries, s: int | None = None,
-                    y0: float = 0.0):
-    """(x(t), y(t)) series from a slope series, integrating p dx termwise."""
-    if isinstance(sol, GeodesicSeries):
-        return _curve_series(sol.s, sol.y0, sol.p_series())
-    if s is None:
-        raise ValueError("need the substitution exponent s")
-    return _curve_series(int(s), _frac(y0), sol)
+def series_to_curve(sol: GeodesicSeries):
+    """(x(t), y(t)) series of a solved family, integrating p dx termwise."""
+    return _curve_series(sol.s, sol.y0, sol.p_series())
 
 
 def series_point(sol: GeodesicSeries, t: float):

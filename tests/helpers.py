@@ -894,18 +894,6 @@ class Jet:
     def __neg__(self):
         return Jet(-self.val, -self.eps)
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.val - o.val, self.eps - o.eps)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(o.val - self.val, o.eps - self.eps)
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -940,14 +928,93 @@ class Jet:
         return f"Jet({self.val}, {self.eps})"
 
 
+class Series:
+    """Reference power series in t, truncated at a fixed order, with the
+    naive whole-series arithmetic: + - * / ** of series (a quotient
+    through the inverse), ``invert``, ``deriv`` and ``integrate``.
+    Binary operations truncate to the smaller order.  Coefficients are
+    rationals (numbers are read as the library reads them, through
+    puiseux._frac) or Jets, so tree_geodesic_series can linearize a
+    residual in one unknown; the library's puiseux.TruncatedSeries only
+    holds results.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs, order: int | None = None):
+        vals = [_coefficient(v) for v in coeffs]
+        if order is not None:
+            vals = vals[: order + 1] + [Fraction(0)] * (order + 1 - len(vals))
+        self.c = vals or [Fraction(0)]
+
+    @classmethod
+    def constant(cls, v, order: int) -> "Series":
+        return cls([v], order)
+
+    @classmethod
+    def monomial(cls, power: int, v, order: int) -> "Series":
+        return cls([0] * power + [v], order)
+
+    @property
+    def order(self) -> int:
+        return len(self.c) - 1
+
+    def __add__(self, other: "Series") -> "Series":
+        n = min(self.order, other.order)
+        return Series([self.c[i] + other.c[i] for i in range(n + 1)])
+
+    def __neg__(self) -> "Series":
+        return Series([-v for v in self.c])
+
+    def __sub__(self, other: "Series") -> "Series":
+        return self + (-other)
+
+    def __mul__(self, other: "Series") -> "Series":
+        n = min(self.order, other.order)
+        out = [Fraction(0)] * (n + 1)
+        for i, a in enumerate(self.c[: n + 1]):
+            if a != 0:
+                for j, b in enumerate(other.c[: n - i + 1]):
+                    if b != 0:
+                        out[i + j] += a * b
+        return Series(out)
+
+    def invert(self) -> "Series":
+        if self.c[0] == 0:
+            raise ZeroDivisionError("series division needs a nonzero constant term")
+        out = [1 / self.c[0]]
+        for k in range(1, self.order + 1):
+            acc = sum((self.c[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+            out.append(-acc / self.c[0])
+        return Series(out)
+
+    def __truediv__(self, other: "Series") -> "Series":
+        return self * other.invert()
+
+    def __pow__(self, k: int) -> "Series":
+        base = self.invert() if k < 0 else self
+        out = Series.constant(1, self.order)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def deriv(self) -> "Series":
+        return Series([i * v for i, v in enumerate(self.c)][1:])
+
+    def integrate(self) -> "Series":
+        return Series([0] + [v / (i + 1) for i, v in enumerate(self.c)])
+
+
+def _coefficient(v):
+    return v if isinstance(v, Jet) else pz._frac(v)
 
 
 def tree_expr_series(e, xs, ys):
-    """Reference: substitute series for x and y by a recursive walk that
+    """Reference: substitute Series for x and y by a recursive walk that
     evaluates every subtree wherever it occurs."""
     order = min(xs.order, ys.order)
     if isinstance(e, ex.Const):
-        return pz.TruncatedSeries.constant(e.value, order)
+        return Series.constant(e.value, order)
     if isinstance(e, ex.Var):
         return xs if e.name == "x" else ys
     if isinstance(e, ex.Add):
@@ -1005,24 +1072,22 @@ def integrated_curve(s, y0, p):
     """(x, y) = (t**s, y0 + integral of p dx) from a slope series p, by
     multiplying p by dx/dt and integrating termwise: a route independent
     of the y_j = s p_(j-s) / j of puiseux._curve_series."""
-    TS = pz.TruncatedSeries
     n = p.order
-    x = TS.monomial(s, 1, n + s)
-    padded = TS(list(p.c), order=n + s - 1)
-    return x, TS.constant(y0, n + s) + (padded * x.deriv()).integrate()
+    x = Series.monomial(s, 1, n + s)
+    padded = Series(p.c, order=n + s - 1)
+    return x, Series.constant(y0, n + s) + (padded * x.deriv()).integrate()
 
 
 def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
     """Reference: solve_geodesic_series with every residual evaluating
     every denom and numer tree again through tree_expr_series (dict
     seeds only)."""
-    TS = pz.TruncatedSeries
     seed_map = {int(k): pz._frac(v) for k, v in dict(seed).items()}
     free_map = {int(k): pz._frac(v) for k, v in (free or {}).items()}
     y0f = pz._frac(y0)
     denom_exprs = m._expr_layer("denom")
     numer_exprs = m._expr_layer("numer")
-    zero, base_y = TS.constant(0, 0), TS.constant(y0f, 0)
+    zero, base_y = Series.constant(0, 0), Series.constant(y0f, 0)
     norm = Fraction(0)
     for e in denom_exprs:
         v = tree_expr_series(e, zero, base_y).c[0]
@@ -1035,12 +1100,12 @@ def tree_geodesic_series(m, s, seed, order, free=None, y0=0.0):
         for i, v in values.items():
             if i <= n_trunc:
                 coeffs[i] = v
-        p = TS(coeffs)
+        p = Series(coeffs)
         x, y = integrated_curve(s, y0f, p)
-        dpoly = TS.constant(0, n_trunc)
+        dpoly = Series.constant(0, n_trunc)
         for e in reversed(denom_exprs):
             dpoly = dpoly * p + tree_expr_series(e, x, y)
-        npoly = TS.constant(0, n_trunc)
+        npoly = Series.constant(0, n_trunc)
         for e in reversed(numer_exprs):
             npoly = npoly * p + tree_expr_series(e, x, y)
         r = dpoly * p.deriv() - npoly * x.deriv()

@@ -615,6 +615,18 @@ class TestCommands:
         _, rows = read_csv(tmp_path / "bm_series.csv")
         assert [int(r[0]) for r in rows] == [1, 2]
 
+    def test_puiseux_order_below_the_default_seed_is_named(self, tmp_path, capsys):
+        # the default seed {n: u1} lies past series_order 2: the refusal
+        # names series_order and n, not a seed the config never gave
+        rc = cli.main(["puiseux", "--config", write(tmp_path, TANGENCY),
+                       "--out", str(tmp_path), "--seed", "series_order=2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("puiseux: series_order 2 is below the index n = 3")
+        assert "seed indices" not in err
+        assert not list(tmp_path.glob("bm_*"))
+
     def test_puiseux_coefficients_mode_needs_seed(self, tmp_path, capsys):
         rc = cli.main(["puiseux", "--config", write(tmp_path, HALFPLANE),
                        "--out", str(tmp_path)])
