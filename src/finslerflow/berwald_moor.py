@@ -356,6 +356,7 @@ def bm_family_shoot(
     y0: float = 0.0,
     order: int = 14,
     cfg: IntegratorConfig | None = None,
+    solved=None,
 ) -> list[FamilyMember]:
     """Shoot the geodesic family squeezed between the isotropic curves.
 
@@ -363,7 +364,10 @@ def bm_family_shoot(
     direction point (0, y0).  Seeds come from a fractional-power series
     with x = t**n whose first free coefficient carries alpha; each member
     is integrated outward on both sides.  Requires first-order tangency
-    (a nonvanishing at the base point).
+    (a nonvanishing at the base point).  solved is a pair (keyword
+    arguments, series) of a solve_geodesic_series call on
+    full_metric(alm) that the caller has made; a member whose solve has
+    those arguments takes that series.
     """
     from .puiseux import series_point, solve_geodesic_series
 
@@ -378,14 +382,9 @@ def bm_family_shoot(
 
     members: list[FamilyMember] = []
     for alpha in alphas:
-        sol = solve_geodesic_series(
-            m,
-            s=n,
-            seed={n: u1},
-            order=order,
-            free={2 * n - 2: float(alpha)},
-            y0=y0,
-        )
+        args = {"s": n, "seed": {n: u1}, "order": order, "free": {2 * n - 2: float(alpha)},
+                "y0": y0}
+        sol = solved[1] if solved and solved[0] == args else solve_geodesic_series(m, **args)
         for tsign in (1, -1):
             xv, yv, pv = series_point(sol, tsign * t0)
             trace = _integrate_outward(

@@ -982,13 +982,14 @@ def cmd_puiseux(cfg: ScenarioConfig, outdir: str) -> int:
                 seed = {n: float(bm.admissible_u(alm)[1])}
             if cfg.alphas and (2 * n - 2) not in free and 2 * n - 2 <= cfg.series_order:
                 free[2 * n - 2] = cfg.alphas[0]
-        sol = px.solve_geodesic_series(
-            m, cfg.series_s or n, seed, cfg.series_order, free=free, y0=cfg.y0
-        )
+        args = {"s": cfg.series_s or n, "seed": seed, "order": cfg.series_order,
+                "free": free, "y0": cfg.y0}
+        sol = px.solve_geodesic_series(m, **args)
         if alm is not None and cfg.alphas:
+            # the first member's solve is the one above where their arguments agree
             members = bm.bm_family_shoot(
                 alm, cfg.alphas, y0=cfg.y0, order=max(cfg.series_order, 2 * n),
-                cfg=cfg.integrator(),
+                cfg=cfg.integrator(), solved=(args, sol),
             )
     except ValueError as err:
         print(f"puiseux: {err}", file=sys.stderr)

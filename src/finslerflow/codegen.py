@@ -12,10 +12,10 @@ their values at a slope (the metric's ``fdp_function``),
 together into the direction nets' lifted field, ``slope_rows_function``
 numbers slope polynomials with their x, y and p partials into the
 residuals and Jacobian rows that trace the loci, and ``dopri_step``
-writes out one Dormand-Prince step for states of a given dimension;
-``chart_step`` writes the same tableau for the geodesic flow in one
-chart, with the field's components inline around a call of the metric's
-generated ``fdp``.
+writes out one adaptive Dormand-Prince step, its step-size controller
+included, for states of a given dimension; ``chart_step`` writes the
+same for the geodesic flow in one chart, with the field's components
+inline around a call of the metric's generated ``fdp``.
 
 Every evaluator is one shape of code, the value-numbered lines, which run
 on floats or, elementwise and with the same bits, on numpy arrays.  After
@@ -32,11 +32,11 @@ where a grid becomes another, and the strata
 The arithmetic is raw IEEE: a vanishing denominator gives inf/nan and an
 overflowing power gives inf, never an exception.  Integer powers are
 expanded by square-and-multiply and Horner's rule starts from 0.0 with
-the highest coefficient first (the lifted field's sums start from that
-coefficient itself), so a result is exactly what that sequence of float
-operations gives.  This is the library's only evaluator of expression
-trees; a caller that must refuse a pole tests the values it gets for
-finiteness.  The exact series solve (``puiseux._SeriesPlan``) runs the
+the highest coefficient that is not a constant +0.0 (the lifted field's
+sums start from that coefficient itself), so a result is exactly what
+that sequence of float operations gives.  This is the library's only
+evaluator of expression trees; a caller that must refuse a pole tests
+the values it gets for finiteness.  The exact series solve (``puiseux._SeriesPlan``) runs the
 same value-numbered lines on truncated series instead of floats.
 """
 
@@ -199,13 +199,21 @@ def _function(name: str, args: str, body: list[str], result: str):
 def _horner_rows(name: str, rows):
     """Compile ``name``(x, y, p) -> tuple of each row's polynomial value at
     slope p, sum_i row[i] p^i by Horner's rule from 0.0; the rows share one
-    value numbering."""
+    value numbering.
+
+    A row's leading coefficients that are the constant +0.0 are skipped,
+    all but its constant term: the sum starts at 0.0 * p + c_k with c_k
+    the first other one.  That is exact for every p, as 0.0 * p + 0.0 is
+    +0.0, or nan where p is infinite or nan, and so is the skipped start."""
     code = _Code([e for row in rows for e in row])
     body, results, at = code.scalar_lines(), [], 0
     for j, row in enumerate(rows):
+        coeffs = [_atom(r) for r in reversed(code.roots[at : at + len(row)])]
+        while len(coeffs) > 1 and coeffs[0] == "0.0":
+            del coeffs[0]
         prev = "0.0"
-        for k, r in enumerate(reversed(code.roots[at : at + len(row)])):
-            body.append(f"h{j}_{k} = {prev} * p + {_atom(r)}")
+        for k, r in enumerate(coeffs):
+            body.append(f"h{j}_{k} = {prev} * p + {r}")
             prev = f"h{j}_{k}"
         at += len(row)
         results.append(prev)
@@ -263,9 +271,11 @@ def lifted_field_function(c, cx, cy):
     return _function("lifted_field", "x, y, p", code.scalar_lines(), f"({rows},)")
 
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
-# the stage rows of the Butcher tableau, the last one giving the
-# 5th-order solution, and the error weights b5 - b4.
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5):
+# the stage rows of the Butcher tableau, the last one giving the 5th-order
+# solution, and the error weights b5 - b4.  The zero weights A[6][1] and
+# E[1] are kept on purpose: their products turn a stage that met a pole
+# into a nan that refuses the attempt, and the sums keep signed zeros.
 DOPRI_A = (
     (),
     (1 / 5,),
@@ -275,85 +285,110 @@ DOPRI_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-DOPRI_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+DOPRI_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the stops of the adaptive step, which the traces record as events
+STEP_UNDERFLOW = "StepUnderflow"
+MAX_STEPS = "MaxSteps"
 
 
 def _names(stem: str, d: int) -> str:
     return ", ".join(f"{stem}{i}" for i in range(d)) + ","
 
 
-def _dopri_lines(d: int, stage) -> list[str]:
-    """The body of one embedded Dormand-Prince 5(4) step from the state u
-    of d floats with field fu, through the error sum err.
+def _dopri_function(name: str, field: str, d: int, stage, accepted: list[str]):
+    """Compile the adaptive Dormand-Prince 5(4) step ``name``(field,
+    rel_tol, abs_tol, max_step, u, fu, t, h, left) from the state u of d
+    floats at time t, where the field is fu.  It makes at most left
+    attempts, the first of length h, and returns (None, h, h_next, left,
+    *accepted) for the first one accepted: its length, the length to try
+    next and the attempts left; or (stop, h, h, left, None, ...) with stop
+    STEP_UNDERFLOW or MAX_STEPS.
 
-    Stage s's state has the entries
-    u_i + h * (0.0 + A[s][0] * k0_i + A[s][1] * k1_i + ...), each sum taken
-    left to right with its zero coefficients, as ``sum()`` adds floats on
-    Python 3.11; the last stage's state is the 5th-order solution, the
-    tuple unew.  stage(s, v) gives the lines that set k<s>_0 .. k<s>_(d-1),
-    the field at the state whose entries are named v[0] .. v[d-1], and for
-    the last stage also fnew, the tuple of those.  err is the sum over i
-    of (e_i / (abs_tol + rel_tol * max(|u_i|, |unew_i|)))^2 with
+    Stage s's state has the entries u_i + h * (0.0 + A[s][0] * k0_i + ...),
+    each sum taken left to right with its zero weights, as ``sum()`` adds
+    floats on Python 3.11; the last stage's state w is the 5th-order
+    solution.  stage(s, v) gives the lines that set k<s>_0 .. k<s>_(d-1),
+    the field at the state named v[0] .. v[d-1].  The error norm is the
+    root mean square of e_i / (abs_tol + rel_tol * max(|u_i|, |w_i|)),
     e_i = h * (0.0 + E[0] * k0_i + ...); a square that overflows is inf.
+    An attempt is capped at max_step.  One that leaves the floats is
+    retried at a quarter of its length, stopping below 1e-14; one whose
+    norm exceeds 1 at max(0.2, 0.9 norm^-0.2) times it, stopping below
+    1e-14 max(1, |t|).  An accepted one proposes min(5, max(0.2,
+    0.9 norm^-0.2)) times its length, 5 at a zero norm.  Each max and min
+    is the comparison the builtin makes, so a nan goes where it would.
     """
 
     def combo(coeffs, i):
-        return "0.0" + "".join(
-            f" + {_atom(c)} * k{j}_{i}" for j, c in enumerate(coeffs)
-        )
+        return "0.0" + "".join(f" + {_atom(c)} * k{j}_{i}" for j, c in enumerate(coeffs))
+
+    def terms(form):
+        return "".join(form.format(i) for i in range(d))
+
+    def stop(kind):
+        return f"{kind!r}, h, h, left" + ", None" * len(accepted)
 
     body = [f"{_names('u', d)} = u", f"{_names('k0_', d)} = fu"]
+    body += [f"a{i} = abs(u{i})" for i in range(d)]
+    body += ["floor = abs(t)", "floor = 1e-14 * (floor if floor > 1.0 else 1.0)"]
+    loop = ["left -= 1", "if max_step < h: h = max_step"]
     for s, row in enumerate(DOPRI_A[1:], start=1):
         v = "w" if s == len(DOPRI_A) - 1 else f"v{s}_"
-        body += [f"{v}{i} = u{i} + h * ({combo(row, i)})" for i in range(d)]
-        if v == "w":
-            body.append(f"unew = ({_names('w', d)})")
-        body += stage(s, [f"{v}{i}" for i in range(d)])
-    body += [f"e{i} = h * ({combo(DOPRI_E, i)})" for i in range(d)]
-    body.append("err = 0.0" + "".join(
-        f" + _ipow(e{i} / (abs_tol + rel_tol * max(abs(u{i}), abs(w{i}))), 2)"
-        for i in range(d)
-    ))
-    return body
+        loop += [f"{v}{i} = u{i} + h * ({combo(row, i)})" for i in range(d)]
+        loop += stage(s, [f"{v}{i}" for i in range(d)])
+    for i in range(d):
+        loop += [f"e{i} = h * ({combo(DOPRI_E, i)})", f"s{i} = abs(w{i})",
+                 f"e{i} = e{i} / (abs_tol + rel_tol * (s{i} if s{i} > a{i} else a{i}))"]
+    loop += f"""try:
+    err = 0.0{terms(" + e{0} ** 2")}
+except OverflowError:
+    err = 0.0{terms(" + _ipow(e{0}, 2)")}
+err = _sqrt(err / {d})
+if not (err - err == 0.0{terms(" and w{0} - w{0} == 0.0")}):
+    h *= 0.25
+    if h < 1e-14: return {stop(STEP_UNDERFLOW)}
+    continue
+if err > 1.0:
+    g = 0.9 * err ** -0.2
+    h *= g if g > 0.2 else 0.2
+    if h < floor: return {stop(STEP_UNDERFLOW)}
+    continue
+g = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+if not g > 0.2: g = 0.2
+if not g < 5.0: g = 5.0
+return None, h, h * g, left, {", ".join(accepted)}""".split("\n")
+    body += ["while left > 0:"] + ["    " + line for line in loop]
+    args = f"{field}, rel_tol, abs_tol, max_step, u, fu, t, h, left"
+    return _function(name, args, body, stop(MAX_STEPS))
 
 
 @cache
 def dopri_step(d: int):
-    """(rhs, u, fu, h, rel_tol, abs_tol) -> (unew, fnew, err): one embedded
-    Dormand-Prince 5(4) step of du/dt = rhs(u) from a state u of d floats
+    """(rhs, rel_tol, abs_tol, max_step, u, fu, t, h, left) ->
+    (stop, h, h_next, left, unew, fnew): the adaptive Dormand-Prince 5(4)
+    step (_dopri_function) of du/dt = rhs(u) from a state u of d floats
     with fu = rhs(u); compiled on the first call for each d.
 
-    The stages are written out (_dopri_lines); stage s calls rhs on the
-    tuple of its state, the last one on unew itself, and fnew is that
-    call's result.  err is the root mean square of the scaled errors.
+    Stage s calls rhs on the tuple of its state, the last one on unew
+    itself, and fnew is that call's result.
     """
     last = len(DOPRI_A) - 1
 
     def stage(s, v):
         if s == last:
-            return ["fnew = rhs(unew)", f"{_names(f'k{s}_', d)} = fnew"]
+            return [f"unew = ({', '.join(v)},)", "fnew = rhs(unew)",
+                    f"{_names(f'k{s}_', d)} = fnew"]
         return [f"{_names(f'k{s}_', d)} = rhs(({', '.join(v)},))"]
 
-    return _function(
-        f"dopri_step_{d}", "rhs, u, fu, h, rel_tol, abs_tol", _dopri_lines(d, stage),
-        f"unew, fnew, _sqrt(err / {d})",
-    )
+    return _dopri_function(f"dopri_step_{d}", "rhs", d, stage, ["unew", "fnew"])
 
 
 @cache
 def chart_step(chart: str):
-    """(fdp, sign, u, fu, h, rel_tol, abs_tol) -> (unew, fnew, err, end):
-    dopri_step(3) on the direction field of one chart of the geodesic
-    flow, with the field written into the stages; compiled on the first
-    call for each chart.
+    """(fdp, sign, rel_tol, abs_tol, max_step, u, fu, t, h, left) ->
+    (stop, h, h_next, left, unew, fnew, end): dopri_step(3) on the
+    direction field of one chart of the geodesic flow, with the field
+    written into the stages; compiled on the first call for each chart.
 
     fdp is a metric's generated (x, y, p) -> (F, denom, numer), called on
     each stage state (x, y, s) as fdp(x, y, s) in the chart "p" and as
@@ -373,14 +408,11 @@ def chart_step(chart: str):
             lines = [f"end = fdp({x}, {y}, {p})", "_, _d, _n = end"]
         else:
             lines = [f"_, _d, _n = fdp({x}, {y}, {p})"]
-        lines += [f"k{s}_{i} = {ki}" for i, ki in enumerate(k)]
-        if s == last:
-            lines.append(f"fnew = ({_names(f'k{s}_', 3)})")
-        return lines
+        return lines + [f"k{s}_{i} = {ki}" for i, ki in enumerate(k)]
 
-    return _function(
-        f"chart_step_{chart}", "fdp, sign, u, fu, h, rel_tol, abs_tol", _dopri_lines(3, stage),
-        "unew, fnew, _sqrt(err / 3), end",
+    return _dopri_function(
+        f"chart_step_{chart}", "fdp, sign", 3, stage,
+        [f"({_names('w', 3)})", f"({_names(f'k{last}_', 3)})", "end"],
     )
 
 

@@ -13,15 +13,17 @@ non-parametrized curves; orientation across a switch is fixed by matching
 the planar velocity.
 
 One stepper serves two fields: the adaptive embedded Dormand-Prince 5(4)
-loop of _dopri_steps integrates this projectivized field (integrate) and
-the second-order system on the tangent bundle (tm_integrate), and the two
-join their time directions the same way.  Its step is straight-line code
-generated from one tableau: here one step per chart (codegen.chart_step),
-whose stages call the metric's generated fdp directly and whose last
-stage gives (F, denom, numer) at the step's end, as Dormand-Prince 5(4)
-is first-same-as-last; on the tangent bundle the step for 4 floats
-(codegen.dopri_step) around the Cramer field.  Each tracer keeps only
-what it does with an accepted step.  Here events (sign changes of the
+step integrates this projectivized field (integrate) and the
+second-order system on the tangent bundle (tm_integrate), and the two
+join their time directions the same way.  The step is straight-line code
+generated from one tableau, its step-size controller included: each call
+makes attempts until one is accepted or the trace must stop.  Here it is
+one step per chart (codegen.chart_step), whose stages call the metric's
+generated fdp directly and whose last stage gives (F, denom, numer) at
+the step's end, as Dormand-Prince 5(4) is first-same-as-last; on the
+tangent bundle the step for 4 floats (codegen.dopri_step) around the
+Cramer field.  Each tracer calls its step once per accepted step and
+keeps only what it does with it.  Here events (sign changes of the
 denominator or of F, singular proximity, domain exit) are localized by
 bisection on a cubic Hermite interpolant of the step.
 
@@ -38,6 +40,7 @@ way.  The isotropic projection likewise runs on all samples at once.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -46,7 +49,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import metric as mt
 from . import singular as sg
-from .codegen import _div, _ipow, chart_step, dopri_step
+from .codegen import MAX_STEPS, STEP_UNDERFLOW, _div, _ipow, chart_step, dopri_step
 from .metric import PseudoFinslerMetric
 
 CUSP = "Cusp"
@@ -54,18 +57,9 @@ SINGULAR_APPROACH = "SingularApproach"
 CHART_SWITCH = "ChartSwitch"
 ISOTROPIC_CROSS = "IsotropicCross"
 DOMAIN_EXIT = "DomainExit"
-STEP_UNDERFLOW = "StepUnderflow"
-MAX_STEPS = "MaxSteps"
 
-EVENT_KINDS = (
-    CUSP,
-    SINGULAR_APPROACH,
-    CHART_SWITCH,
-    ISOTROPIC_CROSS,
-    DOMAIN_EXIT,
-    STEP_UNDERFLOW,
-    MAX_STEPS,
-)
+EVENT_KINDS = (CUSP, SINGULAR_APPROACH, CHART_SWITCH, ISOTROPIC_CROSS, DOMAIN_EXIT,
+               STEP_UNDERFLOW, MAX_STEPS)
 
 _T_LOCATE = 1e-10
 INITIAL_STEP = 1e-4  # first step of each trace
@@ -176,7 +170,7 @@ def field_at(m: PseudoFinslerMetric, pt: PTMPoint) -> tuple[float, float, float]
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) on float tuples
+# dense output and event location
 
 
 def _hermite(u0, f0, u1, f1, h, theta):
@@ -260,50 +254,10 @@ def _dense_output(steps, spans, points):
         return rows, block, t + theta * h, _hermite(u0, f0, u1, f1, h, theta)
 
 
-def _dopri_steps(step, u, fu, cfg: IntegratorConfig):
-    """Adaptive Dormand-Prince steps from u at t = 0, where the field is fu.
-
-    step(u, fu, h, rel_tol, abs_tol) is one embedded step returning
-    (unew, fnew, err, ...): codegen.dopri_step with its rhs bound, or a
-    codegen.chart_step with its fdp and sign.  Yields each accepted step
-    as (t, h, u0, f0) followed by the results of step: it starts at time
-    t, has length h and goes from u0 to u1 = unew, with f the field at
-    both ends.  A caller that switches the field sends the (step, u, f)
-    to go on with instead of (step, u1, f1).  A step that leaves the
-    floats is retried at a quarter of its length and a rejected one at
-    the controller's length; every attempt counts against cfg.max_steps.
-    Returns the stop reason (STEP_UNDERFLOW or MAX_STEPS) and the time
-    reached.
-    """
-    # floats, so that step sees float stages whatever numbers cfg holds
-    # (on a numpy scalar the generated code would warn where it divides
-    # by zero)
-    rel_tol, abs_tol = float(cfg.rel_tol), float(cfg.abs_tol)
-    max_step = float(cfg.max_step)
-    t = 0.0
-    h = INITIAL_STEP
-    for _ in range(cfg.max_steps):
-        h = min(h, max_step)
-        res = step(u, fu, h, rel_tol, abs_tol)
-        unew, err = res[0], res[2]
-        if not math.isfinite(err) or not all(map(math.isfinite, unew)):
-            h *= 0.25
-            if h < 1e-14:
-                return STEP_UNDERFLOW, t
-            continue
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
-                return STEP_UNDERFLOW, t
-            continue
-        restart = yield (t, h, u, fu) + res
-        t += h
-        if restart:
-            step, u, fu = restart
-        else:
-            u, fu = unew, res[1]
-        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-    return MAX_STEPS, t
+def _controls(cfg: IntegratorConfig) -> tuple[float, float, float]:
+    """(rel_tol, abs_tol, max_step) as floats: on a numpy scalar the
+    generated step would warn where it divides by zero."""
+    return float(cfg.rel_tol), float(cfg.abs_tol), float(cfg.max_step)
 
 
 def _join_sides(run, direction: int):
@@ -342,6 +296,15 @@ def _scale_sq(a) -> float:
     """(1 + metric_scale)^2 from the coefficients a of F at a point; inf
     where the square overflows."""
     return _ipow(1.0 + mt.coeff_scale(a), 2)
+
+
+def _near_singular(vals, a) -> bool:
+    """max(|denom|, |numer|) < SINGULAR_TOL * _scale_sq(a), from (F, denom,
+    numer) and F's coefficients a at a point: the test that ends a trace.
+    metric_scale's nan test runs only where the test on max |a_i| passes."""
+    d, n = abs(vals[1]), abs(vals[2])
+    return ((n if n > d else d) < SINGULAR_TOL * _ipow(1.0 + max(map(abs, a)), 2)
+            and not math.isnan(sum(map(abs, a))))
 
 
 def _step_events(m, chart: str, box, h, u0, f0, u1, f1, vals0, vals1):
@@ -409,13 +372,13 @@ def _step_events(m, chart: str, box, h, u0, f0, u1, f1, vals0, vals1):
 def _trace_columns(m, nrows: int, ends, steps, step_q, spans, points):
     """The columns of one side's nrows rows, laid out in one pass.
 
-    ends lists the rows that are step ends, the seed and chart switches,
-    as (row, t, x, y, slope, F, denom, numer, in the q chart).  Every
+    ends holds the rows that are step ends, the seed and chart switches,
+    flat, as (row, t, x, y, slope, F, denom, numer, in the q chart).  Every
     other row is an interpolated sample of steps (_dense_output), whose
     field comes from one fdp_many call per chart; step_q marks the steps
     in the q chart.
     """
-    e = np.array(ends)
+    e = np.frombuffer(ends).reshape(-1, 9)
     rows = e[:, 0].astype(np.int64)
     out = np.empty((7, nrows))
     out[:, rows] = e[:, 1:8].T
@@ -434,11 +397,11 @@ def _trace_columns(m, nrows: int, ends, steps, step_q, spans, points):
 def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     """Integrate one time direction; returns sample arrays and events.
 
-    Each step is the chart's generated step (codegen.chart_step), which
-    also gives (F, denom, numer) at its end.  A step end is recorded as
-    one row tuple; an accepted step's interpolated samples are counted in
-    the running row count, and every column is laid out after the loop
-    (_trace_columns).
+    Each call of the chart's generated step (codegen.chart_step) gives
+    one accepted step and (F, denom, numer) at its end, or the stop.  A
+    step end is recorded as one row in a flat array; an accepted step's
+    interpolated samples are counted in the running row count, and every
+    column is laid out after the loop (_trace_columns).
     """
     x0, x1, y0, y1 = cfg.box
     chart = seed.chart
@@ -452,7 +415,7 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     F_at = m.table("F").point_function
     vals = _chart_vals(m, u[0], u[1], u[2], chart)
     # the step ends as rows (row, t, *state, *vals, in q) and the row count
-    ends, nrows = [(0, 0.0, *u, *vals, chart == "q")], 1
+    ends, nrows = array("d", (0, 0.0, *u, *vals, chart == "q")), 1
     events: list[TraceEvent] = []
     # the steps with interpolated samples, whether each is in the q chart,
     # and where their samples go (_dense_output)
@@ -461,40 +424,40 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
     def columns():
         return _trace_columns(m, nrows, ends, steps, step_q, spans, points)
 
-    if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * _scale_sq(F_at(u[0], u[1])):
+    if _near_singular(vals, F_at(u[0], u[1])):
         events.append(TraceEvent(0, SINGULAR_APPROACH, 0.0))
         return columns(), events
 
+    controls = _controls(cfg)
+
     def step_in(c, sign):
         # chart c's generated step on the fdp of that chart's metric
-        return partial(chart_step(c), (m if c == "p" else m.dual()).fdp_function, sign)
+        fdp = (m if c == "p" else m.dual()).fdp_function
+        return partial(chart_step(c), fdp, sign, *controls)
 
-    fu = _chart_field(vals, u[2], chart, sign0)
-    stepper = _dopri_steps(step_in(chart, sign0), u, fu, cfg)
-    restart = None
+    step, fu = step_in(chart, sign0), _chart_field(vals, u[2], chart, sign0)
+    t, h_next, left = 0.0, INITIAL_STEP, cfg.max_steps
     while True:
-        try:
-            t, h, u0, f0, unew, fnew, _, vals_new = stepper.send(restart)
-        except StopIteration as stop:
-            kind, t = stop.value
-            events.append(TraceEvent(nrows - 1, kind, t))
+        stop, h, h_next, left, unew, fnew, vals_new = step(u, fu, t, h_next, left)
+        if stop is not None:
+            events.append(TraceEvent(nrows - 1, stop, t))
             break
-        restart = None
 
         if (vals[1] * vals_new[1] < 0.0 or vals[0] * vals_new[0] < 0.0
                 or not (x0 <= unew[0] <= x1 and y0 <= unew[1] <= y1)):
             marks, end_theta, terminal = _step_events(
-                m, chart, cfg.box, h, u0, f0, unew, fnew, vals, vals_new
+                m, chart, cfg.box, h, u, fu, unew, fnew, vals, vals_new
             )
         else:
             marks, end_theta, terminal = [], 1.0, None
 
         # dense output: cap the planar spacing of emitted samples
-        chord = math.hypot(unew[0] - u0[0], unew[1] - u0[1]) * end_theta
+        chord = math.hypot(unew[0] - u[0], unew[1] - u[1]) * end_theta
         nsub = _subdivisions(chord, cfg.max_ds)
-        if marks or terminal is not None:
-            steps.append((t, h, *u0, *f0, *unew, *fnew))
+        if marks or terminal is not None or nsub > 1:
+            steps.append((t, h, *u, *fu, *unew, *fnew))
             step_q.append(chart == "q")
+        if marks or terminal is not None:
             emit = _merge_marks(marks, end_theta, nsub)
             if terminal is not None:
                 emit.append((end_theta, terminal))
@@ -506,17 +469,15 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             if terminal is not None:
                 break
         elif nsub > 1:
-            steps.append((t, h, *u0, *f0, *unew, *fnew))
-            step_q.append(chart == "q")
             spans.append((len(steps) - 1, nrows, nsub))
             nrows += nsub - 1
 
         t += h
-        u, vals = unew, vals_new
-        ends.append((nrows, t, *u, *vals, chart == "q"))
+        u, fu, vals = unew, fnew, vals_new
+        ends.extend((nrows, t, *u, *vals, chart == "q"))
         nrows += 1
 
-        if max(abs(vals[1]), abs(vals[2])) < SINGULAR_TOL * _scale_sq(F_at(u[0], u[1])):
+        if _near_singular(vals, F_at(u[0], u[1])):
             events.append(TraceEvent(nrows - 1, SINGULAR_APPROACH, t))
             break
 
@@ -533,10 +494,10 @@ def _run_direction(m, seed: PTMPoint, cfg: IntegratorConfig, sign0: float):
             if not (dot > 0.0 or (dot == 0.0 and -f[2] * fnew[2] >= 0.0)):
                 sign = -1.0
                 f = (-f[0], -f[1], -f[2])
-            ends.append((nrows, t, *u, *vals, chart == "q"))
+            ends.extend((nrows, t, *u, *vals, chart == "q"))
             events.append(TraceEvent(nrows, CHART_SWITCH, t))
             nrows += 1
-            restart = (step_in(chart, sign), u, f)
+            step, fu = step_in(chart, sign), f
 
     return columns(), events
 
@@ -711,7 +672,7 @@ def tm_integrate(
         ref = _scale_sq(F_at(u[0], u[1])) * _ipow(speed, 2 * n - 4)
         return abs(dets(u)[0]) < 1e-10 * ref
 
-    step = partial(dopri_step(4), rhs)
+    step = partial(dopri_step(4), rhs, *_controls(cfg))
 
     def run(sign):
         u = (float(x), float(y), sign * float(xdot), sign * float(ydot))
@@ -728,24 +689,25 @@ def tm_integrate(
                 cols["u"][at] = np.transpose(states)
             return cols, [TraceEvent(len(ts) - 1, kind, t)]
 
-        stepper = _dopri_steps(step, u, rhs(u), cfg)
+        fu, t, h_next, left = rhs(u), 0.0, INITIAL_STEP, cfg.max_steps
         while True:
-            try:
-                t, h, u0, f0, u1, f1, _ = next(stepper)
-            except StopIteration as end:
-                return stop(*end.value)
+            kind, h, h_next, left, u1, f1 = step(u, fu, t, h_next, left)
+            if kind is not None:
+                return stop(kind, t)
             if h_small(u1):
                 return stop(SINGULAR_APPROACH, t)
-            nsub = _subdivisions(math.hypot(u1[0] - u0[0], u1[1] - u0[1]), cfg.max_ds)
+            nsub = _subdivisions(math.hypot(u1[0] - u[0], u1[1] - u[1]), cfg.max_ds)
             if nsub > 1:
                 spans.append((len(steps), len(ts), nsub))
-                steps.append((t, h, *u0, *f0, *u1, *f1))
+                steps.append((t, h, *u, *fu, *u1, *f1))
                 ts.extend([0.0] * (nsub - 1))
                 rows.extend([u1] * (nsub - 1))
-            ts.append(t + h)
+            t += h
+            ts.append(t)
             rows.append(u1)
             if not (x0 <= u1[0] <= x1 and y0b <= u1[1] <= y1b):
-                return stop(DOMAIN_EXIT, t + h)
+                return stop(DOMAIN_EXIT, t)
+            u, fu = u1, f1
 
     cols, _, stops = _join_sides(run, direction)
     xs, ys, xdots, ydots = cols["u"].T

@@ -410,9 +410,10 @@ def accel_determinants(
     """
     n = m.degree
     # Python floats: an overflow gives inf and inf * 0 gives nan, silently
-    a = coeff_values(m, x, y).tolist()
-    axv = m.table("F_x").values_at(x, y).tolist()
-    ayv = m.table("F_y").values_at(x, y).tolist()
+    x, y = float(x), float(y)
+    a = m.table("F").point_function(x, y)
+    axv = m.table("F_x").point_function(x, y)
+    ayv = m.table("F_y").point_function(x, y)
     f11 = f12 = f22 = 0.0
     fx = fy = f1x = f1y = f2x = f2y = 0.0
     for i in range(n + 1):

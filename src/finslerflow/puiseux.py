@@ -300,7 +300,7 @@ def _coeff(op: str, a, b, vals: list, zeros: list, slot: int, j: int):
     if op == "-":
         u = vals[a][j]
         return u if u is _ZERO else -u
-    return a if j == 0 else _ZERO  # "c"
+    return a  # "c", at index 0; _SeriesRun.extend puts the zeros above it
 
 
 class _SeriesRun:
@@ -327,14 +327,16 @@ class _SeriesRun:
         reads only lower slots.  A coefficient below the step's
         valuation, known from its operands' leading zeros (a * step's
         index below their sum, a + step's below both), is the zero
-        without a call to _coeff."""
+        without a call to _coeff, and so is a constant step's above
+        index 0."""
         vals, zeros, leaf = self.vals, self.zeros, self.leaf
         for slot, op, a, b in self.plan.steps[:upto]:
             col = vals[slot]
             for j in range(len(col), top + 1):
                 if (op == "*" and j < zeros[a] + zeros[b]
-                        or op == "+" and j < zeros[a] and j < zeros[b]):
-                    v = _ZERO  # below the step's valuation
+                        or op == "+" and j < zeros[a] and j < zeros[b]
+                        or op == "c" and j):
+                    v = _ZERO  # below the step's valuation, or a constant's
                 else:
                     v = (leaf(op, j) if op in "xyXpPqQz"
                          else _coeff(op, a, b, vals, zeros, slot, j))

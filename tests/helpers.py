@@ -2,8 +2,9 @@
 polylines among them), fixed-step RK4 lanes as the reference for the
 direction nets, the singular grid function, the guarded tree walk
 that checks the generated evaluators, a loop reference for the generated
-Dormand-Prince step and the field of each chart that the generated chart
-steps write into their stages, a point-by-point reference for the SVG
+Dormand-Prince step and a generator reference for its step-size
+controller, the field of each chart that the generated chart steps write
+into their stages, a point-by-point reference for the SVG
 paths, cell-by-cell references for the grid paths, the dict-keyed
 stitching of the locus segments, the slope rows from the layer grids, a
 point-by-point reference for the projection onto the loci, the degree
@@ -34,7 +35,7 @@ from finslerflow import nets
 from finslerflow import poly
 from finslerflow import puiseux as pz
 from finslerflow import singular as sg
-from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow, dopri_step
+from finslerflow.codegen import DOPRI_A, DOPRI_E, _div, _ipow
 
 
 class EvalDomainError(ZeroDivisionError):
@@ -116,6 +117,50 @@ def dopri_step_reference(rhs, u, fu, h, rel_tol, abs_tol):
         sc = abs_tol + rel_tol * max(abs(u[i]), abs(unew[i]))
         err = err + _ipow(e / sc, 2)
     return unew, ks[6], math.sqrt(err / d)
+
+
+def dopri_steps_reference(step, u, fu, cfg):
+    """Adaptive Dormand-Prince steps from u at t = 0, where the field is fu:
+    the controller as a generator, the reference for the one that
+    codegen writes into each generated step.
+
+    step(u, fu, h, rel_tol, abs_tol) is one embedded step returning
+    (unew, fnew, err), dopri_step_reference with its rhs bound.  Yields
+    each accepted step as (t, h, u0, f0) followed by the results of
+    step: it starts at time t, has length h and goes from u0 to u1 =
+    unew, with f the field at both ends.  A caller that switches the
+    field sends the (step, u, f) to go on with instead of (step, u1, f1).
+    A step that leaves the floats is retried at a quarter of its length
+    and a rejected one at the controller's length; every attempt counts
+    against cfg.max_steps.  Returns the stop reason (STEP_UNDERFLOW or
+    MAX_STEPS) and the time reached.
+    """
+    rel_tol, abs_tol = float(cfg.rel_tol), float(cfg.abs_tol)
+    max_step = float(cfg.max_step)
+    t = 0.0
+    h = flow.INITIAL_STEP
+    for _ in range(cfg.max_steps):
+        h = min(h, max_step)
+        res = step(u, fu, h, rel_tol, abs_tol)
+        unew, err = res[0], res[2]
+        if not math.isfinite(err) or not all(map(math.isfinite, unew)):
+            h *= 0.25
+            if h < 1e-14:
+                return flow.STEP_UNDERFLOW, t
+            continue
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-14 * max(1.0, abs(t)):
+                return flow.STEP_UNDERFLOW, t
+            continue
+        restart = yield (t, h, u, fu) + res
+        t += h
+        if restart:
+            step, u, fu = restart
+        else:
+            u, fu = unew, res[1]
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return flow.MAX_STEPS, t
 
 
 def halfplane_metric() -> mt.PseudoFinslerMetric:
@@ -1181,14 +1226,14 @@ def _run_direction_reference(m, seed, cfg, sign0):
     """One time direction of flow.integrate with each interpolated sample
     computed as it is emitted: the Hermite interpolant on floats and the
     field from the scalar fdp, one sample after another.  The steps are
-    dopri_step(3) driven by chart_rhs, and each step's end values are
-    computed again from the scalar fdp."""
+    dopri_step_reference driven by chart_rhs under dopri_steps_reference,
+    and each step's end values are computed again from the scalar fdp."""
     x0, x1, y0, y1 = cfg.box
     state_chart = seed.chart
     u = (seed.x, seed.y, seed.slope)
 
     def step_of(chart, sign):
-        return functools.partial(dopri_step(3), chart_rhs(m, chart, sign))
+        return functools.partial(dopri_step_reference, chart_rhs(m, chart, sign))
 
     def vals_at(v):
         return flow._chart_vals(m, v[0], v[1], v[2], state_chart)
@@ -1217,7 +1262,7 @@ def _run_direction_reference(m, seed, cfg, sign0):
         events.append(flow.TraceEvent(0, flow.SINGULAR_APPROACH, 0.0))
         return done()
 
-    steps = flow._dopri_steps(step_of(state_chart, sign0), u, fu, cfg)
+    steps = dopri_steps_reference(step_of(state_chart, sign0), u, fu, cfg)
     restart = None
     while True:
         try:
@@ -1333,7 +1378,9 @@ def integrate_reference(m, seed, cfg, direction: int = 0):
 
 def tm_integrate_reference(m, x, y, xdot, ydot, cfg, direction: int = 0):
     """flow.tm_integrate with each interpolated sample computed as it is
-    emitted, the Hermite interpolant on floats."""
+    emitted, the Hermite interpolant on floats, and the steps of
+    dopri_step_reference under dopri_steps_reference; the H ~ 0 test at
+    a step's end computes its determinants again."""
     x0, x1, y0, y1 = cfg.box
     n = m.degree
 
@@ -1354,7 +1401,9 @@ def tm_integrate_reference(m, x, y, xdot, ydot, cfg, direction: int = 0):
             cols = {"t": np.asarray(ts), "u": np.asarray(rows, dtype=np.float64)}
             return cols, [flow.TraceEvent(len(ts) - 1, kind, t)]
 
-        steps = flow._dopri_steps(functools.partial(dopri_step(4), rhs), u, rhs(u), cfg)
+        steps = dopri_steps_reference(
+            functools.partial(dopri_step_reference, rhs), u, rhs(u), cfg
+        )
         while True:
             try:
                 t, h, u0, f0, u1, f1, _ = next(steps)

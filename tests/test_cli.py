@@ -783,6 +783,23 @@ class TestCommands:
             want = csv_bytes(["alpha", "eta_sign"] + cli._TRACE_HEADER, family_lines(mem))
             assert (tmp_path / f"bm_family{i:02d}.csv").read_bytes() == want
 
+    @pytest.mark.parametrize("overrides, solves", [((), 2), (("series_order=5",), 3)])
+    def test_puiseux_solves_each_series_once(self, tmp_path, monkeypatch, overrides, solves):
+        # the main solve is the first family member's where their
+        # arguments agree, and the family solves only the other alpha;
+        # below the order 2n of the family the member is solved on its own
+        frees = []
+        solve = px.solve_geodesic_series
+
+        def counted(*args, **kwargs):
+            frees.append(kwargs["free"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(px, "solve_geodesic_series", counted)
+        argv = ["puiseux", "--config", write(tmp_path, TANGENCY), "--out", str(tmp_path)]
+        assert cli.main(argv + [f"--seed={o}" for o in overrides]) == 0
+        assert frees == [{4: -0.8}, {4: -0.8}, {4: 0.8}][3 - solves:]
+
 
 def _svg_cases():
     nan, inf = np.nan, np.inf

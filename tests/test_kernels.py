@@ -38,6 +38,7 @@ from helpers import (
     EvalDomainError,
     chart_rhs,
     dopri_step_reference,
+    dopri_steps_reference,
     evaluate,
     heavier_cubic_metric,
     lifted_field_reference,
@@ -80,7 +81,7 @@ def _p_derivative_row(c):
     return npoly.polyder(c) if len(c) > 1 else np.zeros(1)
 
 
-def test_fused_functions_are_horner_sums_of_rows():
+def test_fused_functions_are_horner_sums_of_rows(monkeypatch):
     texts = ["1 - x", "y", "x*y", "2"]
     tbl = _table(texts)
     horner = codegen.horner_function([tbl.exprs])
@@ -112,6 +113,52 @@ def test_fused_functions_are_horner_sums_of_rows():
                     assert [struct.pack("<d", v) for v in fused(x, y, p)] == want
                     got = mm.fdp_function(x, y, p)
                     assert [struct.pack("<d", v) for v in got] == want[::4]
+                _assert_polyval_at_non_finite_slopes(mm, names, x, y)
+    # metrics whose top coefficients are structural zeros: each Horner
+    # sum starts at its first other coefficient, which is exact at every
+    # slope; parabola.cfg's fdp is 17 lines, where the sums from the
+    # highest coefficient took 21
+    bodies = {}
+    compile_function = codegen._function
+
+    def captured(name, args, body, result):
+        bodies[name] = body
+        return compile_function(name, args, body, result)
+
+    monkeypatch.setattr(codegen, "_function", captured)
+    zero_tops = [
+        mt.metric_from_strings(3, ["y^2 - x", "0", "1", "0"]),
+        mt.metric_from_strings(5, ["1 - x*y", "y", "x^2 - 2", "0.5*x", "0", "0"]),
+        mt.metric_from_strings(4, ["-x", "0", "1", "0", "0"]),
+    ]
+    for m in zero_tops:
+        for mm in (m, m.dual()):
+            fused, fdp = mm.slope_rows_function(names), mm.fdp_function
+            for x, y in rng.uniform(-1.5, 1.5, (4, 2)).tolist():
+                rows = [[mm.table(name + s).values_at(x, y) for s in ("", "_x", "_y")]
+                        for name in names]
+                for p in (0.0, -0.0, *rng.uniform(-3.0, 3.0, 2).tolist(), -1e6):
+                    want = [struct.pack("<d", npoly.polyval(p, r)) for c, cx, cy in rows
+                            for r in (c, cx, cy, _p_derivative_row(c))]
+                    assert [struct.pack("<d", v) for v in fused(x, y, p)] == want
+                    assert [struct.pack("<d", v) for v in fdp(x, y, p)] == want[::4]
+                _assert_polyval_at_non_finite_slopes(mm, names, x, y)
+    parabola = mt.metric_from_strings(3, ["y^2 - x", "0", "1", "0"])
+    parabola.fdp_function
+    assert len(bodies["fdp"]) == 17
+    assert sum(line.startswith("h") and " = 0.0 * p + " in line for line in bodies["fdp"]) == 3
+
+
+def _assert_polyval_at_non_finite_slopes(m, names, x, y):
+    """slope_rows_function and fdp_function at slopes inf, -inf and nan
+    are npoly.polyval of the rows, a nan matching any nan."""
+    rows = [[m.table(name + s).values_at(x, y) for s in ("", "_x", "_y")] for name in names]
+    for p in (math.inf, -math.inf, math.nan):
+        with np.errstate(all="ignore"):
+            want = [npoly.polyval(p, r) for c, cx, cy in rows
+                    for r in (c, cx, cy, _p_derivative_row(c))]
+        _assert_same_bits(m.slope_rows_function(names)(x, y, p), want)
+        _assert_same_bits(m.fdp_function(x, y, p), want[::4])
 
 
 def test_grid_evaluation_matches_pointwise():
@@ -365,19 +412,45 @@ def _non_finite(u):
     return tuple((math.inf, -math.inf, math.nan, 1.0)[: len(u)])
 
 
+def _one_attempt_reference(rhs, u, h, rel_tol, abs_tol):
+    """What the generated step returns after one attempt of length h from
+    u at t = 0 with one attempt left, from dopri_step_reference and the
+    controller of dopri_steps_reference."""
+    unew, fnew, err = dopri_step_reference(rhs, u, rhs(u), h, rel_tol, abs_tol)
+    if not math.isfinite(err) or not all(map(math.isfinite, unew)):
+        return (flow.MAX_STEPS, h * 0.25)
+    if err > 1.0:
+        return (flow.MAX_STEPS, h * max(0.2, 0.9 * err ** -0.2))
+    grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return (None, h, h * grow, 0, unew, fnew)
+
+
+def _step_result_bits(res):
+    # the floats and the tuples of a step's result as bits, the stop and
+    # the attempts left as they are
+    return [_bits(v if isinstance(v, tuple) else [v]) if isinstance(v, (float, tuple)) else v
+            for v in res]
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_dopri_step_matches_loop_reference(d):
-    """The generated step gives the loop reference's bits: the 5th-order
-    solution (the last stage's argument itself), its rhs and the error
-    norm, also on signed zeros, inf, nan, a rhs that leaves the floats
-    and an error whose square overflows."""
+    """One attempt of the generated step gives the loop reference's bits:
+    the 5th-order solution (the last stage's argument itself) and its rhs
+    where it is accepted, and the length it tries next, which the error
+    norm sets; also on signed zeros, inf, nan, a rhs that leaves the
+    floats and an error whose square overflows.  The random cases have
+    tolerances that put the norm near 1, where the controller does not
+    clamp the length it proposes."""
     step = dopri_step(d)
     assert dopri_step(d) is step
     rng = np.random.default_rng(30 + d)
     cases = []
     for _ in range(40):
         u = tuple(rng.normal(size=d).tolist())
-        cases.append((_smooth, u, float(rng.uniform(1e-4, 0.05)), 1e-10, 1e-12))
+        h = float(rng.uniform(1e-4, 0.05))
+        err1 = dopri_step_reference(_smooth, u, _smooth(u), h, 1.0, 1.0)[2]
+        tol = err1 / float(rng.uniform(0.05, 10.0))
+        cases.append((_smooth, u, h, tol, tol))
     special = [
         (-0.0,) * d,
         (0.0, -0.0) + (1.0,) * (d - 2),
@@ -388,8 +461,10 @@ def test_dopri_step_matches_loop_reference(d):
     for u in special:
         for rhs in (_smooth, _pole, _non_finite):
             cases.append((rhs, u, 0.05, 1e-10, 1e-12))
-    # tiny tolerances: (e / sc)**2 overflows and the norm is inf
+    # tiny tolerances: (e / sc)**2 overflows, the norm is inf and the
+    # attempt is retried at a quarter of its length
     cases.append((_smooth, (1.0,) * d, 0.05, 1e-300, 1e-300))
+    kinds = set()
     for rhs, u, h, rel_tol, abs_tol in cases:
         args = []
 
@@ -399,28 +474,36 @@ def test_dopri_step_matches_loop_reference(d):
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = step(seen, u, rhs(u), h, rel_tol, abs_tol)
-        assert len(args) == 6 and got[0] is args[-1]
-        want = dopri_step_reference(rhs, u, rhs(u), h, rel_tol, abs_tol)
-        assert _bits(got[0]) == _bits(want[0])
-        assert _bits(got[1]) == _bits(want[1])
-        assert _bits([got[2]]) == _bits([want[2]])
-    assert step(_smooth, (1.0,) * d, _smooth((1.0,) * d), 0.05, 1e-300, 1e-300)[2] == math.inf
+            got = step(seen, rel_tol, abs_tol, math.inf, u, rhs(u), 0.0, h, 1)
+        assert len(args) == 6
+        want = _one_attempt_reference(rhs, u, h, rel_tol, abs_tol)
+        if want[0] is None:
+            assert got[4] is args[-1]
+            kinds.add("accepted")
+        else:
+            assert got[3] == 0 and got[4:] == (None, None)
+            got = got[:2]
+            kinds.add("retried" if want[1] == h * 0.25 else "rejected")
+        assert _step_result_bits(got) == _step_result_bits(want)
+    assert kinds == {"accepted", "rejected", "retried"}
+    assert step(_smooth, 1e-300, 1e-300, math.inf, (1.0,) * d, _smooth((1.0,) * d),
+                0.0, 0.05, 1)[:2] == (flow.MAX_STEPS, 0.05 * 0.25)
 
 
 def test_chart_step_matches_dopri_step_on_the_chart_field():
     """Each chart's generated step gives the bits of dopri_step(3) driven
-    by the chart's field function (helpers.chart_rhs): unew, fnew and the
-    error norm, and its end values are fdp at unew.  On random metrics of
-    degree 2-5 (half of them rational) and their duals, both signs, and
-    states where fdp is inf or nan: poles at x or y = 3, an overflowing
+    by the chart's field function (helpers.chart_rhs): the stop, the
+    lengths, the attempts left, unew and fnew, and its end values are fdp
+    at unew.  On random metrics of degree 2-5 (half of them rational) and
+    their duals, both signs, up to three attempts from states where fdp is
+    inf or nan, all of them refused: poles at x or y = 3, an overflowing
     coordinate, inf and nan entries."""
     rng = np.random.default_rng(41)
     special = [
         (3.0, 0.5, 0.2), (0.5, 3.0, -0.3), (0.4, 2.9999, 1.1), (1e200, 0.5, 0.3),
         (math.inf, 0.2, 0.3), (0.5, math.nan, 0.1), (-0.0, 0.0, -0.0),
     ]
-    non_finite = 0
+    refused = 0
     for chart in ("p", "q"):
         step = chart_step(chart)
         assert chart_step(chart) is step
@@ -434,18 +517,143 @@ def test_chart_step_matches_dopri_step_on_the_chart_field():
                     for sign in (1.0, -1.0):
                         rhs = chart_rhs(mm, chart, sign)
                         fu = rhs(u)
-                        want = dopri_step(3)(rhs, u, fu, h, 1e-10, 1e-12)
+                        want = dopri_step(3)(rhs, 1e-10, 1e-12, 0.05, u, fu, 0.0, h, 3)
                         with warnings.catch_warnings():
                             warnings.simplefilter("error")
-                            got = step(at.fdp_function, sign, u, fu, h, 1e-10, 1e-12)
-                        assert _bits(got[0]) == _bits(want[0])
-                        assert _bits(got[1]) == _bits(want[1])
-                        assert _bits([got[2]]) == _bits([want[2]])
-                        w = got[0] if chart == "p" else (got[0][1], got[0][0], got[0][2])
+                            got = step(at.fdp_function, sign, 1e-10, 1e-12, 0.05, u, fu, 0.0, h, 3)
+                        assert _step_result_bits(got[:6]) == _step_result_bits(want)
+                        if got[0] is not None:
+                            assert got[6] is None
+                            refused += u in special
+                            continue
+                        w = got[4] if chart == "p" else (got[4][1], got[4][0], got[4][2])
                         end = at.fdp_function(*w)
-                        assert _bits(got[3]) == _bits(end)
-                        non_finite += not all(map(math.isfinite, end))
-    assert non_finite > 50
+                        assert _bits(got[6]) == _bits(end)
+    assert refused > 50
+
+
+def _controller_run(step, u, fu, cfg):
+    """The accepted steps (t, h, u0, f0, u1, f1) of a generated step run
+    from u at t = 0 under cfg, and its stop and the time reached."""
+    t, h_next, left, run = 0.0, flow.INITIAL_STEP, cfg.max_steps, []
+    while True:
+        stop, h, h_next, left, unew, fnew = step(u, fu, t, h_next, left)[:6]
+        if stop is not None:
+            return run, (stop, t)
+        run.append((t, h, u, fu, unew, fnew))
+        t += h
+        u, fu = unew, fnew
+
+
+def _reference_run(rhs, u, cfg):
+    """_controller_run's results by helpers.dopri_steps_reference on
+    dopri_step_reference."""
+    gen = dopri_steps_reference(functools.partial(dopri_step_reference, rhs), u, rhs(u), cfg)
+    run = []
+    while True:
+        try:
+            run.append(next(gen)[:6])
+        except StopIteration as end:
+            return run, end.value
+
+
+def _runs_bits(run):
+    steps, (stop, t) = run
+    return [[_bits([t, h]), _bits(u0), _bits(f0), _bits(u1), _bits(f1)]
+            for t, h, u0, f0, u1, f1 in steps], stop, _bits([t])
+
+
+def _leaves_the_floats(u):
+    # a steady field that is nan from u_0 = 0.3 on
+    return tuple(math.nan if u[0] >= 0.3 else 1.0 - 0.1 * i for i in range(len(u)))
+
+
+def _blows_up(u):
+    # du_0/dt = 1 / (0.3 - u_0): finite up to the pole, where steps shrink
+    return tuple(_div(1.0, 0.3 - u[0]) * (1.0 + 0.5 * i) for i in range(len(u)))
+
+
+def _fdp_leaving_the_floats(x, y, p):
+    # (F, denom, numer) of a steady field that is nan from x = 0.3 on
+    return (math.nan,) * 3 if x >= 0.3 else (0.0, 1.0, 0.2 * p)
+
+
+@pytest.mark.parametrize("kernel", ["chart_step", "dopri_step_4"])
+def test_generated_controller_matches_the_reference(kernel):
+    """The controller that codegen writes into each step reproduces the
+    reference generator (helpers.dopri_steps_reference) bit for bit: every
+    accepted step (start, length, ends and fields), the stop and the time
+    reached, and every field call, so every attempt's length, over whole
+    runs with refused attempts, capped lengths, StepUnderflow where the
+    field leaves the floats or blows up, and MaxSteps at small
+    max_steps."""
+    m = mt.metric_from_strings(3, ["y^2 - x", "0.3*y/(1 + x^2)", "1 - x*y", "0.5*x"])
+    configs = [
+        flow.IntegratorConfig(max_steps=300),
+        flow.IntegratorConfig(rel_tol=1e-5, abs_tol=1e-7, max_step=0.3, max_steps=300),
+        flow.IntegratorConfig(max_step=0.01, max_steps=150),
+        flow.IntegratorConfig(max_steps=1),
+        flow.IntegratorConfig(max_steps=7),
+    ]
+
+    def recorded(f, calls):
+        def call(*args):
+            calls.append(args)
+            return f(*args)
+        return call
+
+    def chart_field(fdp, chart, sign):
+        # helpers.chart_rhs on any fdp
+        def rhs(v):
+            _, d, n = fdp(*v) if chart == "p" else fdp(v[1], v[0], v[2])
+            k = (sign * d, sign * (v[2] * d), sign * n)
+            return k if chart == "p" else (k[1], k[0], k[2])
+        return rhs
+
+    def tm_rhs(u):
+        h, h1, h2 = mt.accel_determinants(m, *u)
+        return (u[2], u[3], _div(h1, h), _div(h2, h))
+
+    if kernel == "chart_step":
+        cases = [
+            (fdp, chart, sign, u)
+            for chart, fdp in (("p", m.fdp_function), ("q", m.dual().fdp_function))
+            for sign, u in ((1.0, (-0.5, 0.1, 0.3)), (-1.0, (0.2, -0.4, -1.1)))
+        ]
+        cases += [(_fdp_leaving_the_floats, chart, 1.0, (0.0, 0.0, 0.5)) for chart in "pq"]
+    else:
+        cases = [(tm_rhs, (-0.5, 0.1, 1.0, 0.3)), (_leaves_the_floats, (0.0,) * 4),
+                 (_blows_up, (0.0, 0.1, -0.2, 0.3))]
+    stops, accepted, attempts = set(), 0, 0
+    for case in cases:
+        for cfg in configs:
+            got_calls, want_calls = [], []
+            controls = (cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+            if kernel == "chart_step":
+                fdp, chart, sign, u = case
+                step = functools.partial(
+                    chart_step(chart), recorded(fdp, got_calls), sign, *controls
+                )
+                fu = chart_field(recorded(fdp, got_calls), chart, sign)(u)
+                want_rhs = chart_field(recorded(fdp, want_calls), chart, sign)
+            else:
+                rhs, u = case
+                step = functools.partial(dopri_step(4), recorded(rhs, got_calls), *controls)
+                fu = recorded(rhs, got_calls)(u)
+                want_rhs = recorded(rhs, want_calls)
+            got = _controller_run(step, u, fu, cfg)
+            want = _reference_run(want_rhs, u, cfg)
+            assert _runs_bits(got) == _runs_bits(want)
+            assert [_bits(_flat(a)) for a in got_calls] == [_bits(_flat(a)) for a in want_calls]
+            stops.add(got[1][0])
+            accepted += len(got[0])
+            attempts += (len(got_calls) - 1) // 6
+    assert stops == {flow.MAX_STEPS, flow.STEP_UNDERFLOW}
+    assert attempts > accepted  # some attempts were refused
+
+
+def _flat(args):
+    return [v for a in args for v in (a if isinstance(a, tuple) else (a,))]
 
 
 def _assert_same_bits(got, want):
