@@ -36,8 +36,9 @@ the highest coefficient that is not a constant +0.0 (the lifted field's
 sums start from that coefficient itself), so a result is exactly what
 that sequence of float operations gives.  This is the library's only
 evaluator of expression trees; a caller that must refuse a pole tests
-the values it gets for finiteness.  The exact series solve (``puiseux._SeriesPlan``) runs the
-same value-numbered lines on truncated series instead of floats.
+the values it gets for finiteness.  The exact series solve
+(``puiseux._SeriesPlan``) runs the same value-numbered lines on
+truncated series instead of floats.
 """
 
 from __future__ import annotations
@@ -285,7 +286,15 @@ DOPRI_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-DOPRI_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+DOPRI_E = (
+    71 / 57600,
+    0.0,
+    -71 / 16695,
+    71 / 1920,
+    -17253 / 339200,
+    22 / 525,
+    -1 / 40,
+)
 # the stops of the adaptive step, which the traces record as events
 STEP_UNDERFLOW = "StepUnderflow"
 MAX_STEPS = "MaxSteps"
@@ -320,7 +329,9 @@ def _dopri_function(name: str, field: str, d: int, stage, accepted: list[str]):
     """
 
     def combo(coeffs, i):
-        return "0.0" + "".join(f" + {_atom(c)} * k{j}_{i}" for j, c in enumerate(coeffs))
+        return "0.0" + "".join(
+            f" + {_atom(c)} * k{j}_{i}" for j, c in enumerate(coeffs)
+        )
 
     def terms(form):
         return "".join(form.format(i) for i in range(d))

@@ -58,8 +58,15 @@ CHART_SWITCH = "ChartSwitch"
 ISOTROPIC_CROSS = "IsotropicCross"
 DOMAIN_EXIT = "DomainExit"
 
-EVENT_KINDS = (CUSP, SINGULAR_APPROACH, CHART_SWITCH, ISOTROPIC_CROSS, DOMAIN_EXIT,
-               STEP_UNDERFLOW, MAX_STEPS)
+EVENT_KINDS = (
+    CUSP,
+    SINGULAR_APPROACH,
+    CHART_SWITCH,
+    ISOTROPIC_CROSS,
+    DOMAIN_EXIT,
+    STEP_UNDERFLOW,
+    MAX_STEPS,
+)
 
 _T_LOCATE = 1e-10
 INITIAL_STEP = 1e-4  # first step of each trace
@@ -358,11 +365,11 @@ def _step_events(m, chart: str, box, h, u0, f0, u1, f1, vals0, vals1):
             continue
         if what == "denom":
             v_ev, vals_ev = chart_vals_at(th)
-            sc = _scale_sq(F_at(v_ev[0], v_ev[1]))
-            if max(abs(vals_ev[1]), abs(vals_ev[2])) < SINGULAR_TOL * sc:
+            a = F_at(v_ev[0], v_ev[1])
+            if _near_singular(vals_ev, a):
                 marks = [mk for mk in marks if mk[0] < th]
                 return marks, th, SINGULAR_APPROACH
-            if abs(vals_ev[2]) > EVENT_TOL * sc:
+            if abs(vals_ev[2]) > EVENT_TOL * _scale_sq(a):
                 marks.append((th, CUSP))
         else:
             marks.append((th, ISOTROPIC_CROSS))

@@ -440,7 +440,10 @@ def test_dopri_step_matches_loop_reference(d):
     norm sets; also on signed zeros, inf, nan, a rhs that leaves the
     floats and an error whose square overflows.  The random cases have
     tolerances that put the norm near 1, where the controller does not
-    clamp the length it proposes."""
+    clamp the length it proposes.  Every case runs again at rel_tol 0 and
+    abs_tol inf, where each error term is a zero and every attempt that
+    stays finite is accepted, so the solution and its rhs are compared on
+    all random states and on the signed-zero ones too."""
     step = dopri_step(d)
     assert dopri_step(d) is step
     rng = np.random.default_rng(30 + d)
@@ -464,8 +467,9 @@ def test_dopri_step_matches_loop_reference(d):
     # tiny tolerances: (e / sc)**2 overflows, the norm is inf and the
     # attempt is retried at a quarter of its length
     cases.append((_smooth, (1.0,) * d, 0.05, 1e-300, 1e-300))
-    kinds = set()
-    for rhs, u, h, rel_tol, abs_tol in cases:
+    cases += [(rhs, u, h, 0.0, math.inf) for rhs, u, h, _, _ in cases]
+    kinds, accepted = set(), set()
+    for n, (rhs, u, h, rel_tol, abs_tol) in enumerate(cases):
         args = []
 
         def seen(v, rhs=rhs):
@@ -480,12 +484,17 @@ def test_dopri_step_matches_loop_reference(d):
         if want[0] is None:
             assert got[4] is args[-1]
             kinds.add("accepted")
+            accepted.add(n)
         else:
             assert got[3] == 0 and got[4:] == (None, None)
             got = got[:2]
             kinds.add("retried" if want[1] == h * 0.25 else "rejected")
         assert _step_result_bits(got) == _step_result_bits(want)
     assert kinds == {"accepted", "rejected", "retried"}
+    # at the second tolerances: the 40 random states, and _smooth from
+    # the two signed-zero states (each special state has three cases)
+    n_first = len(cases) // 2
+    assert set(range(n_first, n_first + 40)) | {n_first + 40, n_first + 43} <= accepted
     assert step(_smooth, 1e-300, 1e-300, math.inf, (1.0,) * d, _smooth((1.0,) * d),
                 0.0, 0.05, 1)[:2] == (flow.MAX_STEPS, 0.05 * 0.25)
 
